@@ -283,7 +283,7 @@ func BenchmarkX7Saturation(b *testing.B) {
 
 func BenchmarkX8Contention(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunContention(experiments.DefaultSeed, experiments.X8Duration)
+		r, err := experiments.RunContention(experiments.DefaultSeed, experiments.X8Duration, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -305,7 +305,7 @@ func BenchmarkX8Contention(b *testing.B) {
 
 func BenchmarkX9Cluster(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunCluster(experiments.DefaultSeed, experiments.X9Duration)
+		r, err := experiments.RunCluster(experiments.DefaultSeed, experiments.X9Duration, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

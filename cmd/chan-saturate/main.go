@@ -8,8 +8,7 @@
 //	chan-saturate -rate 50000 -batch 1
 //	chan-saturate -rate 50000 -batch 32 -coalesce 500us
 //
-// With -grid it instead runs the full X7 rate × policy grid exactly as
-// cmd/hydra-bench does.
+// The full X7 rate × policy grid is `hydra-bench -scenario x7`.
 //
 // With -trace FILE the cell runs with the virtual-time recorder attached
 // and writes the trace — Chrome trace-event JSON (load it in Perfetto),
@@ -18,7 +17,7 @@
 // Usage:
 //
 //	chan-saturate [-rate N] [-batch N] [-coalesce DUR] [-seconds N]
-//	              [-seed N] [-json] [-grid] [-trace out.json]
+//	              [-seed N] [-json] [-trace out.json]
 package main
 
 import (
@@ -41,31 +40,15 @@ func main() {
 	seconds := flag.Float64("seconds", experiments.X7Duration.Float64Seconds(), "simulated seconds")
 	seed := flag.Int64("seed", experiments.DefaultSeed, "simulation seed")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON on stdout")
-	grid := flag.Bool("grid", false, "run the full X7 rate × policy grid instead of one cell")
 	tracePath := flag.String("trace", "", "record a virtual-time trace of the cell and write it here (.json Chrome trace-event, .csv CSV)")
 	flag.Parse()
 
 	duration := sim.Seconds(*seconds)
-	if *grid {
-		if *tracePath != "" {
-			log.Fatal("-trace records a single cell; drop -grid")
-		}
-		res, err := experiments.RunSaturation(*seed, duration)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := experiments.CheckSaturationShape(res); err != nil {
-			log.Fatal(err)
-		}
-		emit(res.Rows, res.Render(), *jsonOut)
-		return
-	}
-
 	var trace *obs.Config
 	if *tracePath != "" {
 		trace = &obs.Config{}
 	}
-	row, tr, err := experiments.RunSaturationCellTraced(*seed, duration, *rate, *batch, sim.Time(*coalesce), trace)
+	row, tr, err := experiments.RunSaturationCell(*seed, duration, *rate, *batch, sim.Time(*coalesce), trace)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,17 +73,13 @@ func main() {
 		row.MeanLatencyMS, row.MaxLatencyMS,
 		row.Interrupts, row.Batches, row.CoalesceFlushes,
 		row.BusTransactions, row.EventsFired)
-	emit(row, rendered, *jsonOut)
-}
-
-func emit(v any, rendered string, jsonOut bool) {
-	if !jsonOut {
+	if !*jsonOut {
 		fmt.Print(rendered)
 		return
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := enc.Encode(row); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -2,64 +2,41 @@
 // evaluation plus the repository's ablations, printing each next to the
 // published numbers. This is the EXPERIMENTS.md generator.
 //
-// With -json it instead emits a machine-readable report — per-scenario
-// headline metrics plus wall-clock — so successive runs can be archived
-// (BENCH_*.json) and compared to track the perf trajectory.
+// Every scenario is one entry of a table: it runs, gates its qualitative
+// shape, and flattens into a sorted metric map. With -json the tool emits
+// a machine-readable report — per-scenario metrics plus wall-clock — so
+// successive runs can be archived (BENCH_*.json) and compared to track
+// the perf trajectory.
 //
-// The -sweep scenario replays the Table 2 jitter measurement across N
-// seeds twice: serially, then fanned out over the testbed.Sweep worker
-// pool. Per-seed results are bit-identical; only the wall clock differs.
+// -scenario runs selected entries, comma-separated. A name selects the
+// scenario of that name, or every scenario whose name starts with it
+// followed by '-' (x12 is x12-dataplane; x9 is x9-cluster plus
+// x9-parallel; table2 is table2-figure9 plus table2-jitter-sweep).
 //
-// The -scenario flag runs selected experiments by name, comma-separated
-// (e.g. -scenario x6-failover or -scenario engine,x7-saturation,x9; the
-// aliases x8/x9/x10/x11 expand to x8-contention/x9-cluster/x10-autoscale/
-// x11-syscalls), which makes iterating on one table cheap. CI archives
-// `-json -scenario x7-saturation` output as the per-commit channel
-// hot-path baseline (cycles/message, latency, interrupts, event volume),
-// `-json -scenario x8-contention` as the multi-app contention baseline
-// (admissions, quota denials, per-app throughput, teardown reclamation),
-// `-json -scenario x9-cluster` as the cluster sharding baseline
-// (per-cell throughput, cross-host bridge counts, migration time),
-// `-json -scenario x10-autoscale` as the live-mutation baseline
-// (capacity saved, hot-swap window, replayed client messages), and
-// `-json -scenario x11-syscalls` as the device-syscall dispatch baseline
-// (host cycles/syscall per variant×rate, p99 completion latency,
-// hot-swap replay window), and `-json -scenario x12-dataplane` as the
-// sharded data-plane baseline (aggregate msgs/s and windowed hit
-// rate/latency per host count, the 4-host scaling headline, the churn
-// soak's swap window). The x9 scenario runs its grid twice — serial,
-// then the Sweep pool — and fails unless the rows are bit-identical; x10
-// does the same for its elastic cell's window bodies, x11 for every
-// rate cell of its syscall grid, and x12 for every host count of its
-// weak-scaling grid plus the soak (rows and flow traces).
+// The windowed and pooled scenarios carry the determinism contract: x9,
+// x10, x11, x12 and the jitter sweep run each cell serially and again on
+// -workers goroutines and fail unless both runs agree bit for bit
+// (experiments.RunTwin). The jitter sweep replays Table 2 across 8 seeds
+// (4 with -quick); only its wall clocks differ between the two runs.
 //
-// Two scenarios gate the simulator core itself: `engine` runs the
-// chain/wide/churn microbenchmarks (events/sec and allocs/event for the
-// ladder queue + pooled events) plus the chain-trace-off/on recorder
-// overhead rows, and `x9-parallel` runs the conservative-window cluster
-// cell twice — window bodies on one worker, then many — failing unless
-// the rows match bit for bit. The -baseline flag compares the current
-// run against an archived BENCH_*.json and fails on a regression:
-// *_events_per_sec and *_msgs_per_sec must stay above 0.8× the
-// baseline, *_cycles_per_msg, *_cycles_per_syscall and *_p99_lat_us
-// below 1.25×, and *_swap_window_ms below 1.5× (the hot-swap quiesce
-// window must not quietly lengthen). CI runs `-scenario
-// engine,x7-saturation,x9-cluster,x10-autoscale,x11-syscalls,x12-dataplane
-// -baseline BENCH_0010.json` per commit.
+// -baseline compares the run against an archived BENCH_*.json and fails
+// on a regression: *_events_per_sec and *_msgs_per_sec must stay above
+// 0.8× the baseline, *_cycles_per_msg, *_cycles_per_syscall and
+// *_p99_lat_us below 1.25×, and *_swap_window_ms below 1.5× (the hot-swap
+// quiesce window must not quietly lengthen). The comparison is recorded
+// in the report.
 //
-// The -trace flag additionally runs one traced x7 saturation cell and
-// writes its merged recorder stream as Chrome trace-event JSON
-// (Perfetto-loadable; a .csv extension selects CSV instead), failing
-// unless the per-message trace records reconcile with channel.Stats.
-// -trace-x11 does the same for one x11 syscall-rate cell, reconciling
-// the per-call issue/dispatch/complete records against the syscall
-// stats, and -trace-x12 for one x12 data-plane cell, reconciling the
-// per-packet flow events (hit/miss/insert/evict/expire/drop) against
-// the flow-table ledgers. cmd/hydra-trace summarizes any of the files.
+// -trace name=path[,name=path] runs one traced cell of each named
+// scenario (x7, x11 or x12) and writes its merged recorder stream as
+// Chrome trace-event JSON (Perfetto-loadable; a .csv extension selects
+// CSV), failing unless the trace records reconcile with the cell's own
+// ledgers: per-message channel stats for x7, per-call syscall stats for
+// x11, per-packet flow-table counters for x12. cmd/hydra-trace
+// summarizes any of the files.
 //
 // Usage:
 //
-//	hydra-bench [-quick] [-seed N] [-json] [-sweep N] [-workers N] [-scenario a,b,...] [-baseline file] [-trace out.json] [-trace-x11 out.json] [-trace-x12 out.json]
+//	hydra-bench [-quick] [-seed N] [-json] [-workers N] [-scenario a,b,...] [-baseline file] [-trace name=path,...]
 package main
 
 import (
@@ -90,176 +67,136 @@ type report struct {
 	SimSeconds float64          `json:"sim_seconds"`
 	GoMaxProcs int              `json:"gomaxprocs"`
 	Scenarios  []scenarioResult `json:"scenarios"`
+	Baseline   *baselineResult  `json:"baseline,omitempty"`
 }
 
-func main() {
-	quick := flag.Bool("quick", false, "short runs (20 s simulated instead of 120 s)")
-	seed := flag.Int64("seed", experiments.DefaultSeed, "simulation seed")
-	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report on stdout")
-	sweepN := flag.Int("sweep", 8, "jitter-sweep replicas (0 disables the sweep scenario)")
-	workers := flag.Int("workers", 0, "sweep worker goroutines (0 = GOMAXPROCS)")
-	scenario := flag.String("scenario", "", "run only the named scenarios, comma-separated (e.g. x6-failover or engine,x7-saturation,x9)")
-	baseline := flag.String("baseline", "", "BENCH_*.json to compare against: fail if throughput or cycles/msg metrics regress")
-	tracePath := flag.String("trace", "", "run one traced x7 cell and write its trace here (.json Chrome trace-event, .csv CSV)")
-	traceX11 := flag.String("trace-x11", "", "run one traced x11 syscall-rate cell and write its trace here (same formats)")
-	traceX12 := flag.String("trace-x12", "", "run one traced x12 data-plane cell and write its flow trace here (same formats)")
-	flag.Parse()
+// baselineResult records a -baseline comparison: one line per compared
+// metric and the regressions, each sorted.
+type baselineResult struct {
+	Path        string   `json:"path"`
+	Compared    []string `json:"compared"`
+	Regressions []string `json:"regressions"`
+}
 
-	// selected is the requested scenario set (empty = run everything);
-	// matched tracks which entries named a real scenario.
-	selected := map[string]bool{}
-	matched := map[string]bool{}
-	for _, name := range strings.Split(*scenario, ",") {
-		name = strings.TrimSpace(name)
-		switch name {
-		case "":
-			continue
-		case "x8": // short alias for the contention sweep
-			name = "x8-contention"
-		case "x9": // short alias for the cluster sharding grid
-			name = "x9-cluster"
-		case "x10": // short alias for the autoscaling ramp
-			name = "x10-autoscale"
-		case "x11": // short alias for the device-syscall rate grid
-			name = "x11-syscalls"
-		case "x12": // short alias for the data-plane scaling grid
-			name = "x12-dataplane"
-		}
-		selected[name] = true
-	}
+type metrics = map[string]float64
 
-	duration := experiments.DefaultDuration
-	if *quick {
-		duration = experiments.QuickDuration
-	}
-	rep := &report{Seed: *seed, SimSeconds: duration.Float64Seconds(), GoMaxProcs: runtime.GOMAXPROCS(0)}
-	verbose := !*jsonOut
+// opts are the knobs every scenario runs under.
+type opts struct {
+	seed     int64
+	duration sim.Time // simulated length of the sampled paper scenarios
+	replicas int      // jitter-sweep seeds
+	workers  int      // parallel side of every serial ≡ parallel check
+}
 
-	if verbose {
-		fmt.Printf("HYDRA evaluation reproduction — seed %d, %v simulated per scenario\n\n",
-			*seed, duration)
-	}
+// scenario is one table entry. run executes it, gates its shape, and
+// returns its flat metrics plus the rendered table. trace, when set, runs
+// one representative cell with the recorder attached and returns the
+// tracer, the ledgers its records must reconcile with, and a label.
+type scenario struct {
+	name  string
+	run   func(o opts) (metrics, string, error)
+	trace func(seed int64) (*obs.Tracer, []ledger, string, error)
+}
 
-	timed := func(name string, run func() (map[string]float64, string, error)) {
-		if len(selected) > 0 && !selected[name] {
-			return
-		}
-		matched[name] = true
-		start := time.Now()
-		metrics, rendered, err := run()
-		check(err)
-		rep.Scenarios = append(rep.Scenarios, scenarioResult{
-			Name:    name,
-			WallMS:  float64(time.Since(start).Microseconds()) / 1000,
-			Metrics: metrics,
-		})
-		if verbose && rendered != "" {
-			fmt.Println(rendered)
-		}
-	}
+// ledger is a trace record name and the count the traced cell's own
+// accounting promises for it.
+type ledger struct {
+	name string
+	want uint64
+}
 
-	timed("figure1", func() (map[string]float64, string, error) {
+// matches reports whether sel names the scenario: in full, or by the
+// prefix before the first '-'.
+func (s *scenario) matches(sel string) bool {
+	prefix, _, _ := strings.Cut(s.name, "-")
+	return sel == s.name || sel == prefix
+}
+
+var scenarios = []*scenario{
+	{name: "figure1", run: func(opts) (metrics, string, error) {
 		f := experiments.RunFigure1()
-		return map[string]float64{
-			"tx_points": float64(len(f.TX)),
-			"rx_points": float64(len(f.RX)),
-		}, f.Render(), nil
-	})
-
-	timed("table2-figure9", func() (map[string]float64, string, error) {
-		jit, err := experiments.RunTable2Figure9(*seed, duration)
+		return metrics{"tx_points": float64(len(f.TX)), "rx_points": float64(len(f.RX))}, f.Render(), nil
+	}},
+	{name: "table2-figure9", run: func(o opts) (metrics, string, error) {
+		jit, err := experiments.RunTable2Figure9(o.seed, o.duration)
+		if err == nil {
+			err = experiments.CheckJitterShape(jit)
+		}
 		if err != nil {
 			return nil, "", err
 		}
-		if err := experiments.CheckJitterShape(jit); err != nil {
-			return nil, "", err
-		}
-		m := map[string]float64{}
+		m := metrics{}
 		for _, row := range jit.Rows {
 			m[slug(row.Scenario)+"_median_ms"] = row.Measured.Median
 			m[slug(row.Scenario)+"_stddev_ms"] = row.Measured.StdDev
 		}
 		return m, jit.RenderTable2() + "\n" + jit.RenderFigure9(), nil
-	})
-
-	timed("table3-figure10", func() (map[string]float64, string, error) {
-		load, err := experiments.RunTable3Figure10(*seed, duration)
+	}},
+	{name: "table3-figure10", run: func(o opts) (metrics, string, error) {
+		load, err := experiments.RunTable3Figure10(o.seed, o.duration)
 		if err != nil {
 			return nil, "", err
 		}
-		m := map[string]float64{}
+		m := metrics{}
 		for _, row := range load.Rows {
 			m[slug(row.Scenario)+"_cpu_pct"] = row.CPU.Mean
 			m[slug(row.Scenario)+"_l2_slowdown"] = row.L2Slowdown
 		}
 		return m, load.RenderTable3() + "\n" + load.RenderFigure10(), nil
-	})
-
-	timed("table4-client", func() (map[string]float64, string, error) {
-		cli, err := experiments.RunTable4(*seed, duration)
+	}},
+	{name: "table4-client", run: func(o opts) (metrics, string, error) {
+		cli, err := experiments.RunTable4(o.seed, o.duration)
 		if err != nil {
 			return nil, "", err
 		}
-		m := map[string]float64{}
+		m := metrics{}
 		for _, row := range cli.Rows {
 			m[slug(row.Scenario)+"_cpu_pct"] = row.CPU.Mean
 			m[slug(row.Scenario)+"_l2_miss_delta"] = row.MissDelta
 		}
 		return m, cli.RenderTable4() + "\n" + cli.RenderClientL2(), nil
-	})
-
-	timed("x2-layout", func() (map[string]float64, string, error) {
-		lay, err := experiments.RunLayoutAblation(60, *seed)
+	}},
+	{name: "x2-layout", run: func(o opts) (metrics, string, error) {
+		lay, err := experiments.RunLayoutAblation(60, o.seed)
 		if err != nil {
 			return nil, "", err
 		}
-		return map[string]float64{
-			"greedy_gap_frac": lay.MeanGapFrac,
-			"ilp_nodes":       lay.MeanILPNodes,
-		}, lay.Render(), nil
-	})
-
-	timed("x3-channel", func() (map[string]float64, string, error) {
-		ch, err := experiments.RunChannelAblation(8192, 256, *seed)
+		return metrics{"greedy_gap_frac": lay.MeanGapFrac, "ilp_nodes": lay.MeanILPNodes}, lay.Render(), nil
+	}},
+	{name: "x3-channel", run: func(o opts) (metrics, string, error) {
+		ch, err := experiments.RunChannelAblation(8192, 256, o.seed)
 		if err != nil {
 			return nil, "", err
 		}
-		return map[string]float64{
-			"staged_vs_zerocopy": float64(ch.StagedTime) / float64(ch.ZeroCopyTime),
-		}, ch.Render(), nil
-	})
-
-	timed("x4-loader", func() (map[string]float64, string, error) {
-		ld, err := experiments.RunLoaderAblation(32<<10, *seed)
+		return metrics{"staged_vs_zerocopy": float64(ch.StagedTime) / float64(ch.ZeroCopyTime)}, ch.Render(), nil
+	}},
+	{name: "x4-loader", run: func(o opts) (metrics, string, error) {
+		ld, err := experiments.RunLoaderAblation(32<<10, o.seed)
 		if err != nil {
 			return nil, "", err
 		}
-		return map[string]float64{
-			"devlink_vs_hostlink": float64(ld.DeviceLink) / float64(ld.HostLink),
-		}, ld.Render(), nil
-	})
-
-	timed("x5-energy", func() (map[string]float64, string, error) {
-		en, err := experiments.RunEnergy(*seed, duration)
+		return metrics{"devlink_vs_hostlink": float64(ld.DeviceLink) / float64(ld.HostLink)}, ld.Render(), nil
+	}},
+	{name: "x5-energy", run: func(o opts) (metrics, string, error) {
+		en, err := experiments.RunEnergy(o.seed, o.duration)
 		if err != nil {
 			return nil, "", err
 		}
-		m := map[string]float64{}
+		m := metrics{}
 		for _, row := range en.Rows {
 			m[slug(row.Scenario)+"_host_joules"] = row.HostJoules
 		}
 		return m, en.Render(), nil
-	})
-
-	timed("x6-failover", func() (map[string]float64, string, error) {
-		fo, err := experiments.RunFailover(*seed, duration)
+	}},
+	{name: "x6-failover", run: func(o opts) (metrics, string, error) {
+		fo, err := experiments.RunFailover(o.seed, o.duration)
+		if err == nil {
+			err = experiments.CheckFailoverShape(fo)
+		}
 		if err != nil {
 			return nil, "", err
 		}
-		if err := experiments.CheckFailoverShape(fo); err != nil {
-			return nil, "", err
-		}
-		m := map[string]float64{}
+		m := metrics{}
 		for _, row := range fo.Rows {
 			m[slug(row.Scenario)+"_availability"] = row.Availability
 			m[slug(row.Scenario)+"_detect_ms"] = row.DetectMS
@@ -267,17 +204,16 @@ func main() {
 			m[slug(row.Scenario)+"_post_stddev_ms"] = row.PostJitter.StdDev
 		}
 		return m, fo.Render(), nil
-	})
-
-	timed("x7-saturation", func() (map[string]float64, string, error) {
-		sat, err := experiments.RunSaturation(*seed, experiments.X7Duration)
+	}},
+	{name: "x7-saturation", run: func(o opts) (metrics, string, error) {
+		sat, err := experiments.RunSaturation(o.seed, experiments.X7Duration)
+		if err == nil {
+			err = experiments.CheckSaturationShape(sat)
+		}
 		if err != nil {
 			return nil, "", err
 		}
-		if err := experiments.CheckSaturationShape(sat); err != nil {
-			return nil, "", err
-		}
-		m := map[string]float64{}
+		m := metrics{}
 		for _, row := range sat.Rows {
 			key := fmt.Sprintf("rate%dk_batch%d", row.RateHz/1000, row.Batch)
 			m[key+"_cycles_per_msg"] = row.CyclesPerMsg
@@ -286,17 +222,28 @@ func main() {
 			m[key+"_events"] = float64(row.EventsFired)
 		}
 		return m, sat.Render(), nil
-	})
-
-	timed("x8-contention", func() (map[string]float64, string, error) {
-		con, err := experiments.RunContention(*seed, experiments.X8Duration)
+	}, trace: func(seed int64) (*obs.Tracer, []ledger, string, error) {
+		// The high-rate batched cell.
+		row, tr, err := experiments.RunSaturationCell(
+			seed, experiments.X7Duration, 50_000, 8, 100*sim.Microsecond, &obs.Config{})
+		if err != nil {
+			return nil, nil, "", err
+		}
+		return tr, []ledger{
+			{"chan.send", row.Sent},
+			{"chan.delivered", row.Delivered},
+			{"chan.irq", row.Interrupts},
+		}, "cell (50k/s, batch 8)", nil
+	}},
+	{name: "x8-contention", run: func(o opts) (metrics, string, error) {
+		con, err := experiments.RunContention(o.seed, experiments.X8Duration, 0)
+		if err == nil {
+			err = experiments.CheckContentionShape(con)
+		}
 		if err != nil {
 			return nil, "", err
 		}
-		if err := experiments.CheckContentionShape(con); err != nil {
-			return nil, "", err
-		}
-		m := map[string]float64{}
+		m := metrics{}
 		for _, row := range con.Rows {
 			key := slug(row.Scenario)
 			m[key+"_admitted"] = float64(row.Admitted)
@@ -307,30 +254,21 @@ func main() {
 			m[key+"_leaked_bytes"] = float64(row.LeakedHostBytes)
 		}
 		return m, con.Render(), nil
-	})
-
-	timed("x9-cluster", func() (map[string]float64, string, error) {
-		// The cluster grid runs twice — serial loop, then the Sweep worker
-		// pool — and the rows must match bit for bit before they count.
-		serial, err := experiments.RunClusterWorkers(*seed, experiments.X9Duration, 1)
+	}},
+	{name: "x9-cluster", run: func(o opts) (metrics, string, error) {
+		// The grid runs serially, then on the Sweep worker pool.
+		tw, err := experiments.RunTwin("x9", o.workers, func(w int) (*experiments.ClusterResults, error) {
+			return experiments.RunCluster(o.seed, experiments.X9Duration, w)
+		})
+		if err == nil {
+			err = experiments.CheckClusterShape(tw.Result)
+		}
 		if err != nil {
 			return nil, "", err
 		}
-		parallel, err := experiments.RunClusterWorkers(*seed, experiments.X9Duration, 0)
-		if err != nil {
-			return nil, "", err
-		}
-		for i := range serial.Rows {
-			if serial.Rows[i] != parallel.Rows[i] {
-				return nil, "", fmt.Errorf("x9 determinism violated: serial %+v != sweep %+v",
-					serial.Rows[i], parallel.Rows[i])
-			}
-		}
-		if err := experiments.CheckClusterShape(parallel); err != nil {
-			return nil, "", err
-		}
-		m := map[string]float64{}
-		for _, row := range parallel.Rows {
+		res := tw.Result
+		m := metrics{}
+		for _, row := range res.Rows {
 			key := slug(row.Scenario)
 			m[key+"_msgs_per_sec"] = row.MsgsPerSec
 			m[key+"_total_msgs"] = float64(row.Total)
@@ -340,33 +278,25 @@ func main() {
 				m[key+"_moved"] = float64(row.Moved)
 			}
 		}
-		m["scaling_4h_over_1h"] = parallel.Rows[2].MsgsPerSec / parallel.Rows[0].MsgsPerSec
-		return m, parallel.Render() + "  (serial ≡ sweep verified bit-identical)\n", nil
-	})
-
-	timed("x10-autoscale", func() (map[string]float64, string, error) {
-		// The load-ramp comparison: static provisioning at the peak count
-		// vs the autoscaler growing and shrinking the shard set through
-		// incremental re-solves, with a live Offcode hot-swap at the peak.
-		// RunAutoscale itself runs the elastic cell twice — window bodies
-		// on one worker, then many — and fails unless the rows are
-		// bit-identical.
-		res, err := experiments.RunAutoscale(*seed, *workers)
+		m["scaling_4h_over_1h"] = res.Rows[2].MsgsPerSec / res.Rows[0].MsgsPerSec
+		return m, res.Render() + "  (serial ≡ sweep verified bit-identical)\n", nil
+	}},
+	{name: "x10-autoscale", run: func(o opts) (metrics, string, error) {
+		// Static provisioning at the peak count vs the autoscaler growing
+		// and shrinking the shard set, with a live hot-swap at the peak.
+		res, err := experiments.RunAutoscale(o.seed, o.workers)
+		if err == nil {
+			err = experiments.CheckAutoscaleShape(res)
+		}
 		if err != nil {
 			return nil, "", err
 		}
-		if err := experiments.CheckAutoscaleShape(res); err != nil {
-			return nil, "", err
-		}
-		m := map[string]float64{}
-		for _, p := range []struct {
-			key string
-			row *experiments.X10Row
-		}{{"static", &res.Static}, {"auto", &res.Auto}} {
-			m[p.key+"_offered"] = float64(p.row.Offered)
-			m[p.key+"_delivered"] = float64(p.row.Delivered)
-			m[p.key+"_lost"] = float64(p.row.Lost)
-			m[p.key+"_shard_epochs"] = float64(p.row.ShardEpochs)
+		m := metrics{}
+		for key, row := range map[string]*experiments.X10Row{"static": &res.Static, "auto": &res.Auto} {
+			m[key+"_offered"] = float64(row.Offered)
+			m[key+"_delivered"] = float64(row.Delivered)
+			m[key+"_lost"] = float64(row.Lost)
+			m[key+"_shard_epochs"] = float64(row.ShardEpochs)
 		}
 		m["auto_peak_shards"] = float64(res.Auto.PeakShards)
 		m["auto_final_shards"] = float64(res.Auto.FinalShards)
@@ -376,22 +306,16 @@ func main() {
 		m["swap_window_ms"] = res.Auto.SwapWindowMS
 		m["swap_replayed"] = float64(res.Auto.SwapReplayed)
 		return m, res.Render(), nil
-	})
-
-	timed("x11-syscalls", func() (map[string]float64, string, error) {
-		// The syscall-rate grid runs every cell twice — serial, then the
-		// per-host engine group on many workers — and RunSyscalls fails
-		// unless the rows match bit for bit. The hot-swap leg replays
-		// in-flight syscalls across App.Replace with exactly-once
-		// completion, gated by CheckSyscallShape.
-		res, err := experiments.RunSyscalls(*seed, *workers)
+	}},
+	{name: "x11-syscalls", run: func(o opts) (metrics, string, error) {
+		res, err := experiments.RunSyscalls(o.seed, o.workers)
+		if err == nil {
+			err = experiments.CheckSyscallShape(res)
+		}
 		if err != nil {
 			return nil, "", err
 		}
-		if err := experiments.CheckSyscallShape(res); err != nil {
-			return nil, "", err
-		}
-		m := map[string]float64{}
+		m := metrics{}
 		for _, row := range res.Rows {
 			key := fmt.Sprintf("%s_rate%dk", slug(row.Variant), row.RateHz/1000)
 			m[key+"_cycles_per_syscall"] = row.CyclesPerSyscall
@@ -404,23 +328,35 @@ func main() {
 		m["swap_inflight"] = float64(res.Swap.InFlightAtSwap)
 		m["swap_reissued"] = float64(res.Swap.Reissued)
 		return m, res.Render(), nil
-	})
-
-	timed("x12-dataplane", func() (map[string]float64, string, error) {
-		// The weak-scaling grid runs every host count twice — serial,
-		// then the per-host engine group on many workers — plus the
-		// churn-under-hot-swap soak, and RunDataPlane fails unless rows
-		// match bit for bit. CheckDataPlaneShape gates conservation, the
-		// exactly-once log ledger, hit rate under churn and the 4-host
-		// scaling headline.
-		res, err := experiments.RunDataPlane(*seed, *workers)
+	}, trace: func(seed int64) (*obs.Tracer, []ledger, string, error) {
+		// The top of the rate ladder, every dispatch variant.
+		rows, tr, err := experiments.RunX11Cell(seed, experiments.X11TopRate(), 1, &obs.Config{})
+		if err != nil {
+			return nil, nil, "", err
+		}
+		var issued, executed, completed uint64
+		for _, row := range rows {
+			issued += row.Issued
+			executed += row.Executed
+			completed += row.Completed
+		}
+		return tr, []ledger{
+			{"syscall.issue", issued},
+			{"syscall.dispatch", executed},
+			{"syscall.complete", completed},
+		}, fmt.Sprintf("rate cell (%d/s, all variants)", experiments.X11TopRate()), nil
+	}},
+	{name: "x12-dataplane", run: func(o opts) (metrics, string, error) {
+		// CheckDataPlaneShape gates conservation, the exactly-once log
+		// ledger, hit rate under churn and the 4-host scaling headline.
+		res, err := experiments.RunDataPlane(o.seed, o.workers)
+		if err == nil {
+			err = experiments.CheckDataPlaneShape(res)
+		}
 		if err != nil {
 			return nil, "", err
 		}
-		if err := experiments.CheckDataPlaneShape(res); err != nil {
-			return nil, "", err
-		}
-		m := map[string]float64{}
+		m := metrics{}
 		for _, row := range res.Rows {
 			key := fmt.Sprintf("hosts%d", row.Hosts)
 			m[key+"_msgs_per_sec"] = row.MsgsPerSec
@@ -435,17 +371,30 @@ func main() {
 		m["soak_evicted"] = float64(res.Soak.Evicted)
 		m["soak_log_lines"] = float64(res.Soak.LogLines)
 		return m, res.Render(), nil
-	})
-
-	timed("engine", func() (map[string]float64, string, error) {
-		eb, err := experiments.RunEngineBench(*seed, experiments.EngineBenchEvents)
+	}, trace: func(seed int64) (*obs.Tracer, []ledger, string, error) {
+		// One 4-host cell, serial windows.
+		row, tr, err := experiments.RunX12Cell(seed, 4, 1, &obs.Config{})
+		if err != nil {
+			return nil, nil, "", err
+		}
+		return tr, []ledger{
+			{"flow.hit", row.Hits},
+			{"flow.miss", row.Misses},
+			{"flow.insert", row.Inserts},
+			{"flow.evict", row.Evicted},
+			{"flow.expire", row.Expired},
+			{"flow.drop", row.PolicyDrops},
+		}, fmt.Sprintf("data-plane cell (4 hosts, %d pkts/s)", row.OfferedRateHz), nil
+	}},
+	{name: "engine", run: func(o opts) (metrics, string, error) {
+		eb, err := experiments.RunEngineBench(o.seed, experiments.EngineBenchEvents)
+		if err == nil {
+			err = experiments.CheckEngineBenchShape(eb, experiments.EngineBenchEvents)
+		}
 		if err != nil {
 			return nil, "", err
 		}
-		if err := experiments.CheckEngineBenchShape(eb, experiments.EngineBenchEvents); err != nil {
-			return nil, "", err
-		}
-		m := map[string]float64{}
+		m := metrics{}
 		for _, row := range eb.Rows {
 			key := slug(row.Scenario)
 			m[key+"_events"] = float64(row.Events)
@@ -454,72 +403,216 @@ func main() {
 			m[key+"_allocs_per_event"] = row.AllocsPerEvent
 		}
 		return m, eb.Render(), nil
-	})
-
-	timed("x9-parallel", func() (map[string]float64, string, error) {
-		// The windowed cluster cell runs twice — window bodies serial,
-		// then parallel — and the rows must match bit for bit. Wall
-		// clocks are informational (1-CPU hosts cannot show a win).
-		pr, err := experiments.RunClusterParallel(*seed, experiments.X9Duration, *workers)
+	}},
+	{name: "x9-parallel", run: func(o opts) (metrics, string, error) {
+		// Wall clocks are informational (1-CPU hosts cannot show a win).
+		tw, err := experiments.RunClusterParallel(o.seed, experiments.X9Duration, o.workers)
 		if err != nil {
 			return nil, "", err
 		}
-		m := map[string]float64{
-			"msgs_per_sec":  pr.Row.MsgsPerSec,
-			"total_msgs":    float64(pr.Row.Total),
-			"cross_bridges": float64(pr.Row.CrossBridges),
-			"bridged":       float64(pr.Row.Bridged),
-			"workers":       float64(pr.Workers),
-			"serial_ms":     pr.SerialMS,
-			"parallel_ms":   pr.ParallelMS,
+		row := tw.Result
+		return metrics{
+				"msgs_per_sec":  row.MsgsPerSec,
+				"total_msgs":    float64(row.Total),
+				"cross_bridges": float64(row.CrossBridges),
+				"bridged":       float64(row.Bridged),
+				"workers":       float64(tw.Workers),
+				"serial_ms":     tw.SerialMS,
+				"parallel_ms":   tw.ParallelMS,
+			}, fmt.Sprintf(
+				"X9p — Conservative-window parallel cluster: 4 per-host engines, %d shards\n"+
+					"  %.0f msgs/s over %d cross bridges; 1 worker ≡ %d workers bit-identical\n"+
+					"  wall-clock: serial windows %.0f ms, parallel %.0f ms (GOMAXPROCS %d)\n",
+				experiments.X9Shards, row.MsgsPerSec, row.CrossBridges, tw.Workers,
+				tw.SerialMS, tw.ParallelMS, runtime.GOMAXPROCS(0)), nil
+	}},
+	{name: "table2-jitter-sweep", run: func(o opts) (metrics, string, error) {
+		seeds := make([]int64, o.replicas)
+		for i := range seeds {
+			seeds[i] = o.seed + int64(i)
 		}
-		rendered := fmt.Sprintf(
-			"X9p — Conservative-window parallel cluster: 4 per-host engines, %d shards\n"+
-				"  %.0f msgs/s over %d cross bridges; 1 worker ≡ %d workers bit-identical\n"+
-				"  wall-clock: serial windows %.0f ms, parallel %.0f ms (GOMAXPROCS %d)\n",
-			experiments.X9Shards, pr.Row.MsgsPerSec, pr.Row.CrossBridges, pr.Workers,
-			pr.SerialMS, pr.ParallelMS, runtime.GOMAXPROCS(0))
-		return m, rendered, nil
-	})
+		tw, err := experiments.RunTwin("jitter sweep", o.workers, func(w int) (*experiments.JitterSweep, error) {
+			return experiments.RunJitterSweep(tivopc.SimpleServer, seeds, o.duration, w)
+		})
+		if err != nil {
+			return nil, "", err
+		}
+		workers := min(tw.Workers, o.replicas) // the pool never outnumbers its replicas
+		speedup := tw.SerialMS / tw.ParallelMS
+		return metrics{
+				"replicas":         float64(o.replicas),
+				"workers":          float64(workers),
+				"serial_ms":        tw.SerialMS,
+				"parallel_ms":      tw.ParallelMS,
+				"speedup":          speedup,
+				"pooled_median_ms": tw.Result.Pooled.Median,
+				"pooled_stddev_ms": tw.Result.Pooled.StdDev,
+			}, tw.Result.Render() + fmt.Sprintf(
+				"sweep wall-clock: serial %.0f ms, parallel %.0f ms (%.2fx, %d workers) — results identical\n",
+				tw.SerialMS, tw.ParallelMS, speedup, workers), nil
+	}},
+}
 
-	if selected["table2-jitter-sweep"] && *sweepN <= 0 {
-		check(fmt.Errorf("scenario table2-jitter-sweep is disabled by -sweep 0"))
-	}
-	if *sweepN > 0 && (len(selected) == 0 || selected["table2-jitter-sweep"]) {
-		matched["table2-jitter-sweep"] = true
-		runSweep(rep, *seed, *sweepN, *workers, duration, verbose)
-	}
+func main() {
+	quick := flag.Bool("quick", false, "short runs (20 s simulated instead of 120 s, 4 sweep replicas instead of 8)")
+	seed := flag.Int64("seed", experiments.DefaultSeed, "simulation seed")
+	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report on stdout")
+	workers := flag.Int("workers", 0, "goroutines on the parallel side of every serial ≡ parallel check (0 = max(2, GOMAXPROCS))")
+	scenarioList := flag.String("scenario", "", "run only the named scenarios, comma-separated; a prefix before '-' selects every scenario sharing it (e.g. x12 or engine,x7,x9)")
+	baseline := flag.String("baseline", "", "BENCH_*.json to compare against: fail if throughput or cycles/msg metrics regress")
+	traceList := flag.String("trace", "", "name=path[,name=path]: write one traced, reconciled cell of scenario x7, x11 or x12 to path (.json Chrome trace-event, .csv CSV)")
+	flag.Parse()
 
-	var unknown []string
-	for name := range selected {
-		if !matched[name] {
-			unknown = append(unknown, name)
+	o := opts{seed: *seed, duration: experiments.DefaultDuration, replicas: 8, workers: *workers}
+	if *quick {
+		o.duration, o.replicas = experiments.QuickDuration, 4
+	}
+	selected, err := selectScenarios(*scenarioList)
+	check(err)
+	traces, err := parseTraces(*traceList)
+	check(err)
+
+	rep := &report{Seed: o.seed, SimSeconds: o.duration.Float64Seconds(), GoMaxProcs: runtime.GOMAXPROCS(0)}
+	verbose := !*jsonOut
+	if verbose {
+		fmt.Printf("HYDRA evaluation reproduction — seed %d, %v simulated per scenario\n\n", o.seed, o.duration)
+	}
+	for _, s := range selected {
+		start := time.Now()
+		m, rendered, err := s.run(o)
+		check(err)
+		rep.Scenarios = append(rep.Scenarios, scenarioResult{
+			Name:    s.name,
+			WallMS:  float64(time.Since(start).Microseconds()) / 1000,
+			Metrics: m,
+		})
+		if verbose {
+			fmt.Println(rendered)
 		}
 	}
-	if len(unknown) > 0 {
-		sort.Strings(unknown)
-		check(fmt.Errorf("unknown scenario(s) %s", strings.Join(unknown, ", ")))
-	}
-
-	if *tracePath != "" {
-		check(writeX7Trace(*tracePath, *seed, verbose))
-	}
-	if *traceX11 != "" {
-		check(writeX11Trace(*traceX11, *seed, verbose))
-	}
-	if *traceX12 != "" {
-		check(writeX12Trace(*traceX12, *seed, verbose))
+	for _, t := range traces {
+		check(writeTrace(t.sc, t.path, o.seed, verbose))
 	}
 
 	if *baseline != "" {
-		check(compareBaseline(rep, *baseline, verbose))
+		base, err := readReport(*baseline)
+		check(err)
+		compared, regressions, err := compareBaseline(rep, base)
+		check(err)
+		rep.Baseline = &baselineResult{Path: *baseline, Compared: compared, Regressions: regressions}
+		if verbose {
+			for _, line := range compared {
+				fmt.Println("baseline " + line)
+			}
+		}
 	}
-
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		check(enc.Encode(rep))
 	}
+	if b := rep.Baseline; b != nil && len(b.Regressions) > 0 {
+		check(fmt.Errorf("baseline %s: regressed:\n  %s", b.Path, strings.Join(b.Regressions, "\n  ")))
+	}
+}
+
+// selectScenarios resolves a -scenario list to table entries, in table
+// order; an empty list selects them all, and a name matching nothing is an
+// error.
+func selectScenarios(list string) ([]*scenario, error) {
+	var names []string
+	for _, n := range strings.Split(list, ",") {
+		if n = strings.TrimSpace(n); n != "" {
+			names = append(names, n)
+		}
+	}
+	if len(names) == 0 {
+		return scenarios, nil
+	}
+	var out []*scenario
+	used := map[string]bool{}
+	for _, s := range scenarios {
+		for _, n := range names {
+			if s.matches(n) {
+				out = append(out, s)
+				used[n] = true
+				break
+			}
+		}
+	}
+	var unknown []string
+	for _, n := range names {
+		if !used[n] {
+			unknown = append(unknown, n)
+		}
+	}
+	if len(unknown) > 0 {
+		sort.Strings(unknown)
+		return nil, fmt.Errorf("unknown scenario(s) %s", strings.Join(unknown, ", "))
+	}
+	return out, nil
+}
+
+type traceTarget struct {
+	sc   *scenario
+	path string
+}
+
+// parseTraces resolves a -trace list of name=path pairs; each name must
+// select exactly one scenario that has a traced cell.
+func parseTraces(list string) ([]traceTarget, error) {
+	var out []traceTarget
+	for _, pair := range strings.Split(list, ",") {
+		if pair = strings.TrimSpace(pair); pair == "" {
+			continue
+		}
+		name, path, ok := strings.Cut(pair, "=")
+		if !ok || name == "" || path == "" {
+			return nil, fmt.Errorf("-trace %q: want name=path", pair)
+		}
+		var hit []*scenario
+		for _, s := range scenarios {
+			if s.trace != nil && s.matches(name) {
+				hit = append(hit, s)
+			}
+		}
+		if len(hit) != 1 {
+			return nil, fmt.Errorf("-trace %q: no traced scenario %q (have x7, x11, x12)", pair, name)
+		}
+		out = append(out, traceTarget{hit[0], path})
+	}
+	return out, nil
+}
+
+// writeTrace runs sc's traced cell and writes its merged recorder stream
+// to path — Chrome trace-event JSON unless the extension picks CSV. It
+// first requires that the ring dropped nothing and that every ledger's
+// record count matches the cell's own accounting, so an archived trace
+// is known to agree with the numbers the tables report.
+func writeTrace(sc *scenario, path string, seed int64, verbose bool) error {
+	tr, ledgers, label, err := sc.trace(seed)
+	if err != nil {
+		return fmt.Errorf("trace %s: %w", sc.name, err)
+	}
+	if n := tr.Dropped(); n != 0 {
+		return fmt.Errorf("trace %s: ring overflowed, %d records dropped", sc.name, n)
+	}
+	counts := map[string]uint64{}
+	for _, rec := range tr.Merged() {
+		counts[rec.Name]++
+	}
+	for _, l := range ledgers {
+		if counts[l.name] != l.want {
+			return fmt.Errorf("trace %s: %s records %d, the cell's stats say %d", sc.name, l.name, counts[l.name], l.want)
+		}
+	}
+	if err := tr.WriteFile(path); err != nil {
+		return fmt.Errorf("trace %s: %w", sc.name, err)
+	}
+	if verbose {
+		fmt.Printf("trace %s: %s -> %s: %d records reconciled\n", sc.name, label, path, tr.Len())
+	}
+	return nil
 }
 
 // throughputBand is the floor for higher-is-better rate metrics
@@ -561,19 +654,24 @@ var baselineClasses = []baselineClass{
 	{suffix: "_swap_window_ms", band: swapBand, ceiling: true},
 }
 
-// compareBaseline checks every classed metric (throughput floors,
-// cycles/msg ceilings) this run shares with the archived report and
-// errors on any regression. Scenario or metric keys present on only one
-// side are ignored, so old baselines stay usable as the suite grows.
-func compareBaseline(rep *report, path string, verbose bool) error {
+func readReport(path string) (*report, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return fmt.Errorf("baseline: %w", err)
+		return nil, fmt.Errorf("baseline: %w", err)
 	}
-	var base report
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
+	var r report
+	if err := json.Unmarshal(raw, &r); err != nil {
+		return nil, fmt.Errorf("baseline %s: %w", path, err)
 	}
+	return &r, nil
+}
+
+// compareBaseline checks every classed metric (throughput floors,
+// cycles/msg ceilings) rep shares with base. It returns one line per
+// compared metric and one per regression, each list sorted. Scenario or
+// metric keys present on only one side are ignored, so old baselines
+// stay usable as the suite grows; nothing comparable at all is an error.
+func compareBaseline(rep, base *report) (compared, regressions []string, err error) {
 	baseMetrics := map[string]map[string]float64{}
 	for _, s := range base.Scenarios {
 		baseMetrics[s.Name] = s.Metrics
@@ -586,227 +684,32 @@ func compareBaseline(rep *report, path string, verbose bool) error {
 		}
 		return nil
 	}
-	var regressions []string
-	compared := 0
 	for _, s := range rep.Scenarios {
 		bm := baseMetrics[s.Name]
-		if bm == nil {
-			continue
-		}
-		// Sort for deterministic report order (Metrics is a map).
-		keys := make([]string, 0, len(s.Metrics))
-		for key := range s.Metrics {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
+		for key, got := range s.Metrics {
 			cl := classOf(key)
-			if cl == nil {
+			want, ok := bm[key]
+			if cl == nil || !ok || want <= 0 {
 				continue
 			}
-			got, want := s.Metrics[key], bm[key]
-			if _, ok := bm[key]; !ok || want <= 0 {
-				continue
-			}
-			compared++
 			ratio := got / want
-			if verbose {
-				fmt.Printf("baseline %s/%s: %.2f vs %.2f (%.2fx)\n", s.Name, key, got, want, ratio)
-			}
+			compared = append(compared, fmt.Sprintf("%s/%s: %.2f vs %.2f (%.2fx)", s.Name, key, got, want, ratio))
 			bad, dir := ratio < cl.band, "<"
 			if cl.ceiling {
 				bad, dir = ratio > cl.band, ">"
 			}
 			if bad {
-				regressions = append(regressions,
-					fmt.Sprintf("%s/%s: %.2f vs baseline %.2f (%.2fx %s %.2fx)",
-						s.Name, key, got, want, ratio, dir, cl.band))
+				regressions = append(regressions, fmt.Sprintf("%s/%s: %.2f vs baseline %.2f (%.2fx %s %.2fx)",
+					s.Name, key, got, want, ratio, dir, cl.band))
 			}
 		}
 	}
-	if compared == 0 {
-		return fmt.Errorf("baseline %s: no comparable classed metrics (ran scenarios: %d)", path, len(rep.Scenarios))
+	if len(compared) == 0 {
+		return nil, nil, fmt.Errorf("baseline: no comparable classed metrics (ran scenarios: %d)", len(rep.Scenarios))
 	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("baseline %s: regressed:\n  %s", path, strings.Join(regressions, "\n  "))
-	}
-	return nil
-}
-
-// writeX7Trace runs one traced x7 saturation cell (the high-rate batched
-// configuration) and writes its merged recorder stream to path — Chrome
-// trace-event JSON unless the extension picks CSV. Before writing it
-// re-derives the per-message totals from the trace and fails unless they
-// reconcile exactly with channel.Stats, so an archived trace is known to
-// agree with the accounting the tables report.
-func writeX7Trace(path string, seed int64, verbose bool) error {
-	row, tr, err := experiments.RunSaturationCellTraced(
-		seed, experiments.X7Duration, 50_000, 8, 100*sim.Microsecond, &obs.Config{})
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	if n := tr.Dropped(); n != 0 {
-		return fmt.Errorf("trace: ring overflowed, %d records dropped", n)
-	}
-	counts := map[string]uint64{}
-	for _, rec := range tr.Merged() {
-		counts[rec.Name]++
-	}
-	for _, c := range []struct {
-		name string
-		want uint64
-	}{
-		{"chan.send", row.Sent},
-		{"chan.delivered", row.Delivered},
-		{"chan.irq", row.Interrupts},
-	} {
-		if counts[c.name] != c.want {
-			return fmt.Errorf("trace: %s records %d, channel stats say %d", c.name, counts[c.name], c.want)
-		}
-	}
-	if err := tr.WriteFile(path); err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	if verbose {
-		fmt.Printf("trace: x7 cell (50k/s, batch 8) -> %s: %d records, %d msgs reconciled\n",
-			path, tr.Len(), row.Sent)
-	}
-	return nil
-}
-
-// writeX11Trace runs one traced x11 syscall-rate cell at the top of the
-// rate ladder and writes its merged recorder stream to path, after
-// checking that the per-call issue/dispatch/complete records reconcile
-// with the syscall stats the table reports. cmd/hydra-trace renders the
-// file's per-mode dispatch breakdown and slowest-call list.
-func writeX11Trace(path string, seed int64, verbose bool) error {
-	rows, tr, err := experiments.RunX11CellTraced(seed, experiments.X11TopRate(), 1, &obs.Config{})
-	if err != nil {
-		return fmt.Errorf("trace-x11: %w", err)
-	}
-	if n := tr.Dropped(); n != 0 {
-		return fmt.Errorf("trace-x11: ring overflowed, %d records dropped", n)
-	}
-	counts := map[string]uint64{}
-	for _, rec := range tr.Merged() {
-		if rec.Cat == obs.CatSyscall {
-			counts[rec.Name]++
-		}
-	}
-	var issued, executed, completed uint64
-	for _, row := range rows {
-		issued += row.Issued
-		executed += row.Executed
-		completed += row.Completed
-	}
-	for _, c := range []struct {
-		name string
-		want uint64
-	}{
-		{"syscall.issue", issued},
-		{"syscall.dispatch", executed},
-		{"syscall.complete", completed},
-	} {
-		if counts[c.name] != c.want {
-			return fmt.Errorf("trace-x11: %s records %d, syscall stats say %d", c.name, counts[c.name], c.want)
-		}
-	}
-	if err := tr.WriteFile(path); err != nil {
-		return fmt.Errorf("trace-x11: %w", err)
-	}
-	if verbose {
-		fmt.Printf("trace-x11: rate cell (%d/s, all variants) -> %s: %d records, %d syscalls reconciled\n",
-			experiments.X11TopRate(), path, tr.Len(), issued)
-	}
-	return nil
-}
-
-// writeX12Trace runs one traced x12 data-plane cell (4 hosts, serial)
-// and writes its merged recorder stream to path, after checking that the
-// per-packet flow-event records (hit/miss/insert/evict/expire/drop)
-// reconcile exactly with the flow-table ledgers the row reports.
-func writeX12Trace(path string, seed int64, verbose bool) error {
-	row, tr, err := experiments.RunX12CellTraced(seed, 4, 1, &obs.Config{})
-	if err != nil {
-		return fmt.Errorf("trace-x12: %w", err)
-	}
-	if n := tr.Dropped(); n != 0 {
-		return fmt.Errorf("trace-x12: ring overflowed, %d records dropped", n)
-	}
-	counts := map[string]uint64{}
-	for _, rec := range tr.Merged() {
-		if rec.Cat == obs.CatFlow {
-			counts[rec.Name]++
-		}
-	}
-	for _, c := range []struct {
-		name string
-		want uint64
-	}{
-		{"flow.hit", row.Hits},
-		{"flow.miss", row.Misses},
-		{"flow.insert", row.Inserts},
-		{"flow.evict", row.Evicted},
-		{"flow.expire", row.Expired},
-		{"flow.drop", row.PolicyDrops},
-	} {
-		if counts[c.name] != c.want {
-			return fmt.Errorf("trace-x12: %s records %d, flow-table stats say %d", c.name, counts[c.name], c.want)
-		}
-	}
-	if err := tr.WriteFile(path); err != nil {
-		return fmt.Errorf("trace-x12: %w", err)
-	}
-	if verbose {
-		fmt.Printf("trace-x12: data-plane cell (4 hosts, %d pkts/s) -> %s: %d records, %d lookups reconciled\n",
-			row.OfferedRateHz, path, tr.Len(), row.Lookups)
-	}
-	return nil
-}
-
-// runSweep measures the multi-seed Table 2 jitter scenario twice — serial
-// loop, then worker pool — verifying the pooled statistics match exactly
-// and recording both wall clocks.
-func runSweep(rep *report, baseSeed int64, replicas, workers int, duration sim.Time, verbose bool) {
-	seeds := make([]int64, replicas)
-	for i := range seeds {
-		seeds[i] = baseSeed + int64(i)
-	}
-
-	start := time.Now()
-	serial, err := experiments.RunJitterSweep(tivopc.SimpleServer, seeds, duration, 1)
-	check(err)
-	serialMS := float64(time.Since(start).Microseconds()) / 1000
-
-	start = time.Now()
-	parallel, err := experiments.RunJitterSweep(tivopc.SimpleServer, seeds, duration, workers)
-	check(err)
-	parallelMS := float64(time.Since(start).Microseconds()) / 1000
-
-	if serial.Pooled != parallel.Pooled {
-		check(fmt.Errorf("sweep determinism violated: serial %+v != parallel %+v",
-			serial.Pooled, parallel.Pooled))
-	}
-
-	speedup := serialMS / parallelMS
-	rep.Scenarios = append(rep.Scenarios, scenarioResult{
-		Name:   "table2-jitter-sweep",
-		WallMS: serialMS + parallelMS,
-		Metrics: map[string]float64{
-			"replicas":         float64(replicas),
-			"workers":          float64(parallel.Workers),
-			"serial_ms":        serialMS,
-			"parallel_ms":      parallelMS,
-			"speedup":          speedup,
-			"pooled_median_ms": parallel.Pooled.Median,
-			"pooled_stddev_ms": parallel.Pooled.StdDev,
-		},
-	})
-	if verbose {
-		fmt.Println(parallel.Render())
-		fmt.Printf("sweep wall-clock: serial %.0f ms, parallel %.0f ms (%.2fx, %d workers) — pooled stats identical\n",
-			serialMS, parallelMS, speedup, parallel.Workers)
-	}
+	sort.Strings(compared)
+	sort.Strings(regressions)
+	return compared, regressions, nil
 }
 
 func slug(s string) string {

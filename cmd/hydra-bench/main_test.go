@@ -1,0 +1,109 @@
+package main
+
+import (
+	"sort"
+	"strings"
+	"testing"
+)
+
+func rep(scenarios map[string]map[string]float64) *report {
+	r := &report{}
+	for name, m := range scenarios {
+		r.Scenarios = append(r.Scenarios, scenarioResult{Name: name, Metrics: m})
+	}
+	// Map order would otherwise shuffle the scenarios run to run.
+	sort.Slice(r.Scenarios, func(i, j int) bool { return r.Scenarios[i].Name > r.Scenarios[j].Name })
+	return r
+}
+
+func TestCompareBaselineFloorBelowBandFails(t *testing.T) {
+	base := rep(map[string]map[string]float64{"x9": {"a_msgs_per_sec": 100}})
+	_, reg, err := compareBaseline(rep(map[string]map[string]float64{"x9": {"a_msgs_per_sec": 79}}), base)
+	if err != nil || len(reg) != 1 || !strings.HasPrefix(reg[0], "x9/a_msgs_per_sec:") {
+		t.Fatalf("0.79x throughput: regressions %q, err %v", reg, err)
+	}
+	_, reg, err = compareBaseline(rep(map[string]map[string]float64{"x9": {"a_msgs_per_sec": 81}}), base)
+	if err != nil || len(reg) != 0 {
+		t.Fatalf("0.81x throughput is inside the band: regressions %q, err %v", reg, err)
+	}
+}
+
+func TestCompareBaselineCeilingAboveBandFails(t *testing.T) {
+	base := rep(map[string]map[string]float64{"x7": {"a_cycles_per_msg": 100, "soak_swap_window_ms": 2}})
+	_, reg, err := compareBaseline(rep(map[string]map[string]float64{
+		"x7": {"a_cycles_per_msg": 126, "soak_swap_window_ms": 2.9},
+	}), base)
+	if err != nil || len(reg) != 1 || !strings.Contains(reg[0], "a_cycles_per_msg") || !strings.Contains(reg[0], ">") {
+		t.Fatalf("1.26x cycles/msg (swap window 1.45x, inside its band): regressions %q, err %v", reg, err)
+	}
+}
+
+func TestCompareBaselineIgnoresOneSidedKeys(t *testing.T) {
+	base := rep(map[string]map[string]float64{
+		"x9":   {"a_msgs_per_sec": 100, "gone_msgs_per_sec": 100},
+		"old":  {"b_msgs_per_sec": 100},
+		"zero": {"c_msgs_per_sec": 0},
+	})
+	cur := rep(map[string]map[string]float64{
+		"x9":   {"a_msgs_per_sec": 100, "new_msgs_per_sec": 1, "total_msgs": 5},
+		"new":  {"b_msgs_per_sec": 1},
+		"zero": {"c_msgs_per_sec": 1},
+	})
+	compared, reg, err := compareBaseline(cur, base)
+	if err != nil || len(reg) != 0 {
+		t.Fatalf("regressions %q, err %v", reg, err)
+	}
+	if len(compared) != 1 || !strings.HasPrefix(compared[0], "x9/a_msgs_per_sec:") {
+		t.Fatalf("compared %q, want only x9/a_msgs_per_sec", compared)
+	}
+}
+
+func TestCompareBaselineNothingComparableIsAnError(t *testing.T) {
+	base := rep(map[string]map[string]float64{"x9": {"total_msgs": 5}})
+	if _, _, err := compareBaseline(rep(map[string]map[string]float64{"x9": {"total_msgs": 5}}), base); err == nil {
+		t.Fatal("no classed metric in common, but no error")
+	}
+	if _, _, err := compareBaseline(rep(nil), base); err == nil {
+		t.Fatal("empty run, but no error")
+	}
+}
+
+func TestCompareBaselineRegressionsSorted(t *testing.T) {
+	slow := map[string]float64{"b_msgs_per_sec": 1, "a_msgs_per_sec": 1, "c_p99_lat_us": 9}
+	base := map[string]float64{"b_msgs_per_sec": 10, "a_msgs_per_sec": 10, "c_p99_lat_us": 1}
+	_, reg, err := compareBaseline(
+		rep(map[string]map[string]float64{"x9": slow, "x12": slow, "engine": slow}),
+		rep(map[string]map[string]float64{"x9": base, "x12": base, "engine": base}))
+	if err != nil || len(reg) != 9 {
+		t.Fatalf("want 9 regressions: %q, err %v", reg, err)
+	}
+	if !sort.StringsAreSorted(reg) {
+		t.Fatalf("regressions not sorted:\n  %s", strings.Join(reg, "\n  "))
+	}
+}
+
+func TestScenarioSelection(t *testing.T) {
+	got, err := selectScenarios("x9, x12")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, s := range got {
+		names = append(names, s.name)
+	}
+	if strings.Join(names, ",") != "x9-cluster,x12-dataplane,x9-parallel" {
+		t.Fatalf("x9,x12 selected %v", names)
+	}
+	if _, err := selectScenarios("x9,nope"); err == nil || !strings.Contains(err.Error(), "nope") {
+		t.Fatalf("unknown scenario not reported: %v", err)
+	}
+	tr, err := parseTraces("x7=a.json,x12-dataplane=b.csv")
+	if err != nil || len(tr) != 2 || tr[0].sc.name != "x7-saturation" || tr[1].path != "b.csv" {
+		t.Fatalf("parseTraces: %+v, %v", tr, err)
+	}
+	for _, bad := range []string{"x9=a.json", "x7", "x7="} {
+		if _, err := parseTraces(bad); err == nil {
+			t.Fatalf("-trace %q accepted", bad)
+		}
+	}
+}

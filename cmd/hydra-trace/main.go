@@ -6,7 +6,7 @@
 // produced — and the longest individual spans.
 //
 // Traces holding device-syscall records (the syscall component, written
-// by `hydra-bench -trace-x11`) get an extra section: the call lifecycle
+// by `hydra-bench -trace x11=FILE`) get an extra section: the call lifecycle
 // funnel (issued→dispatched→completed plus replay/dedup counts), the
 // host dispatch cost per mode (sync/async/ff exec spans), per-op
 // device-observed completion latency, and the -top N slowest individual

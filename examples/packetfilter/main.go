@@ -5,7 +5,7 @@
 //
 // This is the two-minute, single-NIC introduction. The production-scale
 // version of the same idea is the X12 data plane (internal/experiments,
-// cmd/flow-lb): sharded match-action pipelines with connection tracking,
+// `hydra-bench -scenario x12`): sharded match-action pipelines with connection tracking,
 // open-loop flow churn, weak scaling across hosts, and hot-swap under
 // load.
 package main

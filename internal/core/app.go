@@ -31,8 +31,10 @@ const (
 	QuotaDeviceMemory = "device-memory"
 )
 
-// DefaultAppName is the session backing the deprecated Deploy shim.
-const DefaultAppName = "default"
+// defaultAppName names the runtime's own session (Runtime.DefaultApp). It
+// adopts runtime-internal deployments, such as failover redeploys of roots
+// whose owning session has closed.
+const defaultAppName = "default"
 
 // Typed session errors.
 var (

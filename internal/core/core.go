@@ -242,9 +242,7 @@ func New(eng *sim.Engine, host *hostos.Machine, b *bus.Bus, dep *depot.Depot, cf
 	rt.loaders[LoaderHostLink] = &hostLinkLoader{rt: rt}
 	rt.loaders[LoaderDeviceLink] = &deviceLinkLoader{rt: rt}
 	rt.registerPseudoOffcodes()
-	// The default session adopts runtime-internal deployments, e.g.
-	// failover redeploys of roots whose owning session has closed.
-	app, err := rt.OpenApp(DefaultAppName, AppConfig{})
+	app, err := rt.OpenApp(defaultAppName, AppConfig{})
 	if err != nil {
 		panic("core: default app: " + err.Error()) // fresh runtime; cannot collide
 	}

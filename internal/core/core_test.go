@@ -676,7 +676,7 @@ func TestOpenAppNamesAndAdmission(t *testing.T) {
 	if _, err := r.rt.OpenApp("", AppConfig{}); err == nil {
 		t.Fatal("empty app name accepted")
 	}
-	if _, err := r.rt.OpenApp(DefaultAppName, AppConfig{}); !errors.Is(err, ErrAppExists) {
+	if _, err := r.rt.OpenApp(defaultAppName, AppConfig{}); !errors.Is(err, ErrAppExists) {
 		t.Fatalf("default name err = %v", err)
 	}
 

@@ -10,7 +10,6 @@ import (
 	"hydra/internal/device"
 	"hydra/internal/guid"
 	"hydra/internal/layout"
-	"hydra/internal/objfile"
 	"hydra/internal/odf"
 	"hydra/internal/sim"
 	"hydra/internal/stats"
@@ -214,29 +213,20 @@ func RunLoaderAblation(objectBytes int, seed int64) (*LoaderAblation, error) {
 		nic := sys.Device("nic0")
 		h := sys.Host("host")
 		dep, rt := h.Depot, h.Runtime
-		dep.PutFile("/oc.odf", []byte(`<offcode>
-  <package><bindname>bench.oc</bindname><GUID>77</GUID></package>
-  <targets><device-class><name>Network Device</name></device-class></targets>
-</offcode>`))
-		obj := objfile.Synthesize("bench.oc", 77, objectBytes,
-			[]string{"hydra.Heap.Alloc", "hydra.Channel.Write", "hydra.Runtime.GetOffcode", "hydra.Channel.Read"})
-		if err := dep.RegisterObject(obj); err != nil {
+		if err := stockOffcode(dep, "/oc.odf", "bench.oc", 77, objectBytes,
+			[]string{"hydra.Heap.Alloc", "hydra.Channel.Write", "hydra.Runtime.GetOffcode", "hydra.Channel.Read"},
+			func() any { return &nopOffcode{} }); err != nil {
 			return 0, 0, 0, err
 		}
-		dep.RegisterFactory(77, func() any { return &nopOffcode{} })
-		var deployErr error
-		done := false
+		obj, _ := dep.Object(77)
 		plan := rt.DefaultApp().Plan()
 		if err := plan.AddRoot("/oc.odf"); err != nil {
 			return 0, 0, 0, err
 		}
-		plan.Commit(func(dep *core.Deployment, err error) { deployErr, done = err, true })
-		eng.RunAll()
-		if !done {
-			return 0, 0, 0, fmt.Errorf("deployment incomplete")
-		}
-		if deployErr != nil {
-			return 0, 0, 0, deployErr
+		if err := settle("x4: deployment", func(done func(error)) {
+			plan.Commit(func(_ *core.Deployment, err error) { done(err) })
+		}, func() { eng.RunAll() }); err != nil {
+			return 0, 0, 0, err
 		}
 		return eng.Now(), nic.MemUsed(), len(obj.Relocs), nil
 	}
@@ -250,12 +240,6 @@ func RunLoaderAblation(objectBytes int, seed int64) (*LoaderAblation, error) {
 	}
 	return out, nil
 }
-
-type nopOffcode struct{}
-
-func (*nopOffcode) Initialize(*core.Context) error { return nil }
-func (*nopOffcode) Start() error                   { return nil }
-func (*nopOffcode) Stop() error                    { return nil }
 
 // Render prints the loader ablation.
 func (a *LoaderAblation) Render() string {

@@ -7,10 +7,8 @@ import (
 	"hydra/internal/autoscale"
 	"hydra/internal/channel"
 	"hydra/internal/cluster"
-	"hydra/internal/core"
-	"hydra/internal/device"
+	"hydra/internal/depot"
 	"hydra/internal/guid"
-	"hydra/internal/objfile"
 	"hydra/internal/obs"
 	"hydra/internal/sim"
 	"hydra/internal/testbed"
@@ -98,46 +96,21 @@ func x10HostOf(i int) string    { return fmt.Sprintf("h%d", i+1) }
 // x10Worker counts deliveries; the count rides checkpoints across
 // hot-swaps so a replacement continues where its predecessor stopped.
 type x10Worker struct {
-	recv uint64
+	nopOffcode
+	recvCounter
 }
-
-func (w *x10Worker) Initialize(*core.Context) error { return nil }
-func (w *x10Worker) Start() error                   { return nil }
-func (w *x10Worker) Stop() error                    { return nil }
 
 func (w *x10Worker) ChannelConnected(ep *channel.Endpoint) {
 	ep.InstallCallHandler(func([]byte) { w.recv++ })
-}
-
-func (w *x10Worker) Checkpoint() []byte {
-	out := make([]byte, 8)
-	for i := 0; i < 8; i++ {
-		out[i] = byte(w.recv >> (8 * i))
-	}
-	return out
-}
-
-func (w *x10Worker) Restore(state []byte) error {
-	if len(state) != 8 {
-		return fmt.Errorf("x10: bad checkpoint of %d bytes", len(state))
-	}
-	w.recv = 0
-	for i := 0; i < 8; i++ {
-		w.recv |= uint64(state[i]) << (8 * i)
-	}
-	return nil
 }
 
 // x10Front is the frontend shard: it only collects its bridge endpoints
 // (one per connected shard, in bridge build order); the cell's pacer does
 // the writing.
 type x10Front struct {
+	nopOffcode
 	eps []*channel.Endpoint
 }
-
-func (f *x10Front) Initialize(*core.Context) error { return nil }
-func (f *x10Front) Start() error                   { return nil }
-func (f *x10Front) Stop() error                    { return nil }
 
 func (f *x10Front) ChannelConnected(ep *channel.Endpoint) { f.eps = append(f.eps, ep) }
 
@@ -175,22 +148,9 @@ type x10Cell struct {
 // with the frontend, every shard version and the shard-00 v2 swap image.
 // Always Spec.EnginePerHost — X10 is a windowed-parallel experiment.
 func buildX10Cell(seed int64, trace *obs.Config) (*x10Cell, error) {
-	spec := testbed.Spec{Name: "x10-autoscale", EnginePerHost: true, Trace: trace}
-	for i := 0; i <= X10MaxShards; i++ {
-		name := fmt.Sprintf("h%d", i)
-		spec.Hosts = append(spec.Hosts, testbed.HostSpec{
-			Name:    name,
-			Devices: []device.Config{device.XScaleNIC(name + "-nic")},
-			Runtime: &core.Config{},
-		})
-	}
-	sys, err := testbed.New(seed, spec)
-	if err != nil {
-		return nil, err
-	}
-	coord, err := cluster.New(sys, cluster.Config{
-		AppName: "x10", DefaultLink: cluster.DefaultLink(), HostCapacity: 2,
-	})
+	sys, coord, err := nicCluster(seed,
+		testbed.Spec{Name: "x10-autoscale", EnginePerHost: true, Trace: trace}, X10MaxShards+1, nil,
+		cluster.Config{AppName: "x10", DefaultLink: cluster.DefaultLink(), HostCapacity: 2})
 	if err != nil {
 		return nil, err
 	}
@@ -200,38 +160,27 @@ func buildX10Cell(seed int64, trace *obs.Config) (*x10Cell, error) {
 		workers: make(map[string]*x10Worker),
 		req:     make([]byte, X10MsgBytes),
 	}
-	stockShard := func(hs *testbed.HostSystem, bind, path string, g guid.GUID, size int) error {
-		hs.Depot.PutFile(path, []byte(fmt.Sprintf(`<offcode>
-  <package><bindname>%s</bindname><GUID>%d</GUID></package>
-  <targets><device-class id="0x0001"><name>Network Device</name></device-class></targets>
-</offcode>`, bind, g)))
-		if err := hs.Depot.RegisterObject(objfile.Synthesize(bind, g, size,
-			[]string{"hydra.Heap.Alloc", "hydra.Channel.Read"})); err != nil {
-			return err
-		}
-		return hs.Depot.RegisterFactory(g, func() any {
+	stockShard := func(dep *depot.Depot, bind, path string, g guid.GUID, size int) error {
+		return stockOffcode(dep, path, bind, g, size, nicImports, func() any {
 			w := &x10Worker{}
 			cell.workers[bind] = w
 			return w
 		})
 	}
 	for _, hs := range sys.RuntimeHosts() {
-		hs.Depot.PutFile(x10FrontPath, []byte(fmt.Sprintf(`<offcode>
-  <package><bindname>%s</bindname><GUID>9950</GUID></package>
-  <targets><host-fallback>true</host-fallback></targets>
-</offcode>`, x10FrontBind)))
-		if err := hs.Depot.RegisterFactory(9950, func() any { return cell.front }); err != nil {
+		if err := stockOffcode(hs.Depot, x10FrontPath, x10FrontBind, 9950, 0, nil,
+			func() any { return cell.front }); err != nil {
 			return nil, err
 		}
 		for i := 0; i < X10MaxShards; i++ {
-			if err := stockShard(hs, x10ShardBind(i), x10ShardPath(i), guid.GUID(9951+i), 8<<10); err != nil {
+			if err := stockShard(hs.Depot, x10ShardBind(i), x10ShardPath(i), guid.GUID(9951+i), 8<<10); err != nil {
 				return nil, err
 			}
 		}
 		// The swap image: same bind as shard 00, a fresh GUID, and a much
 		// bigger image — its bus transfer is what makes the quiesce window
 		// long enough to be worth measuring (and to catch live traffic).
-		if err := stockShard(hs, x10ShardBind(0), x10SwapV2Path, guid.GUID(9990), 256<<10); err != nil {
+		if err := stockShard(hs.Depot, x10ShardBind(0), x10SwapV2Path, guid.GUID(9990), 256<<10); err != nil {
 			return nil, err
 		}
 	}
@@ -260,15 +209,8 @@ func (cell *x10Cell) commit(n int) error {
 			return err
 		}
 	}
-	var commitErr error
-	committed := false
-	plan.Commit(func(_ *cluster.Deployment, err error) { commitErr, committed = err, true })
-	cell.group.Settle()
-	if !committed {
-		return fmt.Errorf("x10: commit never settled")
-	}
-	if commitErr != nil {
-		return commitErr
+	if err := commitPlan("x10", plan, cell.group.Settle); err != nil {
+		return err
 	}
 	for i := 0; i < n; i++ {
 		cell.order = append(cell.order, x10ShardBind(i))
@@ -307,25 +249,9 @@ func (cell *x10Cell) write() {
 	}
 }
 
-// armPacer schedules the epoch's open-loop writes on h0's engine at fixed
-// absolute ticks, rounded past the engine's clock when a barrier
-// operation overran the epoch boundary.
+// armPacer schedules the epoch's open-loop writes on h0's engine.
 func (cell *x10Cell) armPacer(start, end sim.Time, rate int) {
-	interval := sim.Second / sim.Time(rate)
-	first := start
-	if now := cell.h0.Now(); now > first {
-		first += ((now - start + interval - 1) / interval) * interval
-	}
-	var tick func(t sim.Time)
-	tick = func(t sim.Time) {
-		cell.write()
-		if next := t + interval; next < end {
-			cell.h0.At(next, func() { tick(next) })
-		}
-	}
-	if first < end {
-		cell.h0.At(first, func() { tick(first) })
-	}
+	pace(cell.h0, start, end, sim.Second/sim.Time(rate), func(sim.Time, bool) { cell.write() })
 }
 
 // delivered totals every message a shard instance received: retired
@@ -348,17 +274,7 @@ func (cell *x10Cell) delivered() uint64 {
 
 // mutate applies deltas between windows and settles the group.
 func (cell *x10Cell) mutate(deltas []cluster.ShardDelta) (*cluster.ClusterMutation, error) {
-	var res *cluster.ClusterMutation
-	var mErr error
-	done := false
-	cell.coord.Mutate(deltas, func(m *cluster.ClusterMutation, err error) {
-		res, mErr, done = m, err, true
-	})
-	cell.group.Settle()
-	if !done {
-		return nil, fmt.Errorf("x10: mutation never settled")
-	}
-	return res, mErr
+	return mutateShards("x10", cell.coord, deltas, cell.group.Settle)
 }
 
 // flushRemovals retires the shards drained during the last epoch.
@@ -461,16 +377,10 @@ type X10Row struct {
 // RunX10Cell runs the ramp against one policy on per-host engines.
 // workers sets the window-body worker count; every value yields a
 // bit-identical row. auto selects the elastic controller; the static cell
-// keeps X10MaxShards committed throughout.
-func RunX10Cell(seed int64, workers int, auto bool) (*X10Row, error) {
-	row, _, err := RunX10CellTraced(seed, workers, auto, nil)
-	return row, err
-}
-
-// RunX10CellTraced is RunX10Cell with an optional trace config; the
-// returned tracer's merged stream (CatMutate swap/scale spans included)
-// is bit-identical for any workers value.
-func RunX10CellTraced(seed int64, workers int, auto bool, trace *obs.Config) (*X10Row, *obs.Tracer, error) {
+// keeps X10MaxShards committed throughout. A non-nil trace attaches the
+// recorder; the returned tracer's merged stream (CatMutate swap/scale
+// spans included) is bit-identical for any workers value.
+func RunX10Cell(seed int64, workers int, auto bool, trace *obs.Config) (*X10Row, *obs.Tracer, error) {
 	cell, err := buildX10Cell(seed, trace)
 	if err != nil {
 		return nil, nil, err
@@ -501,12 +411,7 @@ func RunX10CellTraced(seed int64, workers int, auto bool, trace *obs.Config) (*X
 		}
 	}
 
-	var base sim.Time
-	for _, e := range cell.group.Engines() {
-		if n := e.Now(); n > base {
-			base = n
-		}
-	}
+	base := latestClock(cell.group.Engines())
 
 	mode := "static"
 	if auto {
@@ -596,28 +501,20 @@ type X10Results struct {
 // autoscaled cell twice — window bodies on one worker, then on workers
 // goroutines — failing unless the elastic rows match bit for bit.
 func RunAutoscale(seed int64, workers int) (*X10Results, error) {
-	if workers <= 1 {
-		workers = 2
-	}
-	static, err := RunX10Cell(seed, 1, false)
+	static, _, err := RunX10Cell(seed, 1, false, nil)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: x10 static: %w", err)
 	}
-	serial, err := RunX10Cell(seed, 1, true)
+	auto, err := RunTwin("x10 auto", workers, func(w int) (*X10Row, error) {
+		row, _, err := RunX10Cell(seed, w, true, nil)
+		return row, err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: x10 auto (serial windows): %w", err)
+		return nil, err
 	}
-	parallel, err := RunX10Cell(seed, workers, true)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: x10 auto (%d workers): %w", workers, err)
-	}
-	if *serial != *parallel {
-		return nil, fmt.Errorf("experiments: x10 determinism violated: 1 worker %+v != %d workers %+v",
-			serial, workers, parallel)
-	}
-	res := &X10Results{Static: *static, Auto: *parallel, Workers: workers}
+	res := &X10Results{Static: *static, Auto: *auto.Result, Workers: auto.Workers}
 	if static.ShardEpochs > 0 {
-		res.SavedFrac = 1 - float64(parallel.ShardEpochs)/float64(static.ShardEpochs)
+		res.SavedFrac = 1 - float64(res.Auto.ShardEpochs)/float64(static.ShardEpochs)
 	}
 	return res, nil
 }

@@ -32,7 +32,7 @@ func TestX10AutoscaleShape(t *testing.T) {
 // TestX10StaticIsFlat pins the baseline cell's shape: the static policy
 // never mutates, so its trajectory is a flat line at the peak count.
 func TestX10StaticIsFlat(t *testing.T) {
-	row, err := RunX10Cell(DefaultSeed, 1, false)
+	row, _, err := RunX10Cell(DefaultSeed, 1, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,16 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"time"
 
 	"hydra/internal/channel"
 	"hydra/internal/cluster"
 	"hydra/internal/core"
-	"hydra/internal/device"
 	"hydra/internal/guid"
-	"hydra/internal/objfile"
 	"hydra/internal/obs"
 	"hydra/internal/sim"
 	"hydra/internal/testbed"
@@ -48,13 +44,12 @@ const x9ServiceCycles = 600_000
 // on its device, then a reply goes back through the bridge. The received
 // count rides checkpoints across cross-host migrations.
 type x9Worker struct {
-	ctx  *core.Context
-	recv uint64
+	nopOffcode
+	recvCounter
+	ctx *core.Context
 }
 
 func (w *x9Worker) Initialize(ctx *core.Context) error { w.ctx = ctx; return nil }
-func (w *x9Worker) Start() error                       { return nil }
-func (w *x9Worker) Stop() error                        { return nil }
 
 func (w *x9Worker) ChannelConnected(ep *channel.Endpoint) {
 	ep.InstallCallHandler(func(data []byte) {
@@ -68,37 +63,15 @@ func (w *x9Worker) ChannelConnected(ep *channel.Endpoint) {
 	})
 }
 
-func (w *x9Worker) Checkpoint() []byte {
-	out := make([]byte, 8)
-	for i := 0; i < 8; i++ {
-		out[i] = byte(w.recv >> (8 * i))
-	}
-	return out
-}
-
-func (w *x9Worker) Restore(state []byte) error {
-	if len(state) != 8 {
-		return fmt.Errorf("x9: bad checkpoint of %d bytes", len(state))
-	}
-	w.recv = 0
-	for i := 0; i < 8; i++ {
-		w.recv |= uint64(state[i]) << (8 * i)
-	}
-	return nil
-}
-
 // x9Frontend drives the closed loops: one endpoint per shard (handed over
 // as each bridge leg connects), one outstanding request per endpoint.
 type x9Frontend struct {
+	nopOffcode
 	eps         []*channel.Endpoint
 	outstanding map[*channel.Endpoint]bool
 	replies     uint64
 	req         []byte
 }
-
-func (f *x9Frontend) Initialize(*core.Context) error { return nil }
-func (f *x9Frontend) Start() error                   { return nil }
-func (f *x9Frontend) Stop() error                    { return nil }
 
 func (f *x9Frontend) ChannelConnected(ep *channel.Endpoint) {
 	f.eps = append(f.eps, ep)
@@ -186,15 +159,10 @@ func clusterVariants() []struct {
 	}
 }
 
-// RunCluster executes the X9 grid through testbed.Sweep (one private
-// engine per cell; results bit-identical to a serial loop).
-func RunCluster(seed int64, duration sim.Time) (*ClusterResults, error) {
-	return RunClusterWorkers(seed, duration, 0)
-}
-
-// RunClusterWorkers is RunCluster with an explicit sweep worker count
-// (1 = serial), for serial-vs-parallel verification.
-func RunClusterWorkers(seed int64, duration sim.Time, workers int) (*ClusterResults, error) {
+// RunCluster executes the X9 grid through testbed.Sweep on workers
+// goroutines (0 = GOMAXPROCS, 1 = serial; one private engine per cell,
+// results bit-identical for any workers value).
+func RunCluster(seed int64, duration sim.Time, workers int) (*ClusterResults, error) {
 	variants := clusterVariants()
 	rows, err := testbed.Sweep(testbed.SweepConfig{Seeds: sameSeed(seed, len(variants)), Workers: workers},
 		func(r testbed.Replica) (*ClusterRow, error) {
@@ -236,24 +204,12 @@ func x9ShardBind(i int) string { return fmt.Sprintf("x9.Shard%02d", i) }
 // Spec.EnginePerHost (conservative-window execution); trace, when
 // non-nil, attaches the obs recorder to every engine.
 func buildX9Cell(seed int64, hosts, shards int, link cluster.Link, perHost bool, trace *obs.Config) (*x9Cell, error) {
-	spec := testbed.Spec{Name: "x9-cluster", EnginePerHost: perHost, Trace: trace}
-	for i := 0; i < hosts; i++ {
-		name := fmt.Sprintf("h%d", i)
-		spec.Hosts = append(spec.Hosts, testbed.HostSpec{
-			Name:    name,
-			Devices: []device.Config{device.XScaleNIC(name + "-nic")},
-			Runtime: &core.Config{},
-		})
-	}
-	sys, err := testbed.New(seed, spec)
+	sys, coord, err := nicCluster(seed,
+		testbed.Spec{Name: "x9-cluster", EnginePerHost: perHost, Trace: trace}, hosts, nil,
+		cluster.Config{AppName: "x9", DefaultLink: link})
 	if err != nil {
 		return nil, err
 	}
-	coord, err := cluster.New(sys, cluster.Config{AppName: "x9", DefaultLink: link})
-	if err != nil {
-		return nil, err
-	}
-
 	cell := &x9Cell{
 		sys:   sys,
 		coord: coord,
@@ -265,29 +221,18 @@ func buildX9Cell(seed int64, hosts, shards int, link cluster.Link, perHost bool,
 		shards:  shards,
 	}
 	for _, hs := range sys.RuntimeHosts() {
-		hs.Depot.PutFile(x9FrontPath, []byte(fmt.Sprintf(`<offcode>
-  <package><bindname>%s</bindname><GUID>9900</GUID></package>
-  <targets><host-fallback>true</host-fallback></targets>
-</offcode>`, x9FrontBind)))
-		if err := hs.Depot.RegisterFactory(9900, func() any { return cell.front }); err != nil {
+		if err := stockOffcode(hs.Depot, x9FrontPath, x9FrontBind, 9900, 0, nil,
+			func() any { return cell.front }); err != nil {
 			return nil, err
 		}
 		for i := 0; i < shards; i++ {
 			bind := x9ShardBind(i)
-			g := guid.GUID(9901 + i)
-			hs.Depot.PutFile("/x9/"+bind+".odf", []byte(fmt.Sprintf(`<offcode>
-  <package><bindname>%s</bindname><GUID>%d</GUID></package>
-  <targets><device-class id="0x0001"><name>Network Device</name></device-class></targets>
-</offcode>`, bind, g)))
-			if err := hs.Depot.RegisterObject(objfile.Synthesize(bind, g, 8<<10,
-				[]string{"hydra.Heap.Alloc", "hydra.Channel.Read"})); err != nil {
-				return nil, err
-			}
-			if err := hs.Depot.RegisterFactory(g, func() any {
-				w := &x9Worker{}
-				cell.workers[bind] = w
-				return w
-			}); err != nil {
+			if err := stockOffcode(hs.Depot, x9ShardPath(i), bind, guid.GUID(9901+i), 8<<10, nicImports,
+				func() any {
+					w := &x9Worker{}
+					cell.workers[bind] = w
+					return w
+				}); err != nil {
 				return nil, err
 			}
 		}
@@ -299,6 +244,8 @@ const (
 	x9FrontBind = "x9.Front"
 	x9FrontPath = "/x9/front.odf"
 )
+
+func x9ShardPath(i int) string { return "/x9/" + x9ShardBind(i) + ".odf" }
 
 // commit submits the cluster plan — frontend pinned to h0 (weightless),
 // every shard a unit-load root, one closed-loop edge per shard; the
@@ -312,7 +259,7 @@ func (cell *x9Cell) commit(drive func()) error {
 		return err
 	}
 	for i := 0; i < cell.shards; i++ {
-		if err := plan.AddRoot("/x9/" + x9ShardBind(i) + ".odf"); err != nil {
+		if err := plan.AddRoot(x9ShardPath(i)); err != nil {
 			return err
 		}
 	}
@@ -322,14 +269,7 @@ func (cell *x9Cell) commit(drive func()) error {
 			return err
 		}
 	}
-	var commitErr error
-	committed := false
-	plan.Commit(func(_ *cluster.Deployment, err error) { commitErr, committed = err, true })
-	drive()
-	if !committed {
-		return fmt.Errorf("x9: commit never settled")
-	}
-	return commitErr
+	return commitPlan("x9", plan, drive)
 }
 
 // collect fills the throughput and bridge columns of row from the cell's
@@ -423,18 +363,11 @@ func RunClusterCell(seed int64, duration sim.Time, hosts, shards int, link clust
 // state runs to the horizon with Group.Run on the given worker count.
 // The row is bit-identical for any workers value — window bodies only
 // interact through bridge links whose latency bounds the lookahead —
-// which RunClusterParallel and the race tests assert.
-func RunClusterCellParallel(seed int64, duration sim.Time, hosts, shards, workers int, link cluster.Link) (*ClusterRow, error) {
-	row, _, err := RunClusterCellParallelTraced(seed, duration, hosts, shards, workers, link, nil)
-	return row, err
-}
-
-// RunClusterCellParallelTraced is RunClusterCellParallel with an optional
-// trace config. When trace is non-nil every per-host engine gets its own
-// recorder shard and the Tracer comes back alongside the row; the merged
-// record stream is bit-identical for any workers value, which the trace
-// determinism test asserts.
-func RunClusterCellParallelTraced(seed int64, duration sim.Time, hosts, shards, workers int, link cluster.Link, trace *obs.Config) (*ClusterRow, *obs.Tracer, error) {
+// which RunClusterParallel and the race tests assert. When trace is
+// non-nil every per-host engine gets its own recorder shard and the
+// Tracer comes back alongside the row; its merged record stream is
+// bit-identical for any workers value too.
+func RunClusterCellParallel(seed int64, duration sim.Time, hosts, shards, workers int, link cluster.Link, trace *obs.Config) (*ClusterRow, *obs.Tracer, error) {
 	cell, err := buildX9Cell(seed, hosts, shards, link, true, trace)
 	if err != nil {
 		return nil, nil, err
@@ -447,14 +380,7 @@ func RunClusterCellParallelTraced(seed int64, duration sim.Time, hosts, shards, 
 		return nil, nil, err
 	}
 
-	// Engines settle at different clocks; the measured window starts at
-	// the latest of them so every host participates for full duration.
-	var start sim.Time
-	for _, e := range group.Engines() {
-		if n := e.Now(); n > start {
-			start = n
-		}
-	}
+	start := latestClock(group.Engines())
 	cell.front.Kick()
 	group.Run(start+duration, workers)
 
@@ -466,43 +392,22 @@ func RunClusterCellParallelTraced(seed int64, duration sim.Time, hosts, shards, 
 	return row, cell.sys.Tracer, nil
 }
 
-// ClusterParallelResult is RunClusterParallel's outcome: the verified
-// cell row plus the serial and parallel wall clocks.
-type ClusterParallelResult struct {
-	Row                  ClusterRow
-	Workers              int
-	SerialMS, ParallelMS float64
-}
-
 // RunClusterParallel runs the 4-host windowed X9 cell twice — window
 // bodies on one worker, then on workers goroutines — and fails unless
 // the rows match bit for bit. Note the windowed cell is a different
 // simulation from the shared-clock X9 grid (per-host engines have
 // per-host seeds and clocks), so its absolute numbers are compared only
 // against itself.
-func RunClusterParallel(seed int64, duration sim.Time, workers int) (*ClusterParallelResult, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	t0 := time.Now()
-	serial, err := RunClusterCellParallel(seed, duration, 4, X9Shards, 1, x9Link())
+func RunClusterParallel(seed int64, duration sim.Time, workers int) (*Twin[*ClusterRow], error) {
+	tw, err := RunTwin("cluster parallel", workers, func(w int) (*ClusterRow, error) {
+		row, _, err := RunClusterCellParallel(seed, duration, 4, X9Shards, w, x9Link(), nil)
+		return row, err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: cluster parallel (serial windows): %w", err)
+		return nil, err
 	}
-	serialMS := float64(time.Since(t0).Microseconds()) / 1000
-	t0 = time.Now()
-	parallel, err := RunClusterCellParallel(seed, duration, 4, X9Shards, workers, x9Link())
-	if err != nil {
-		return nil, fmt.Errorf("experiments: cluster parallel (%d workers): %w", workers, err)
-	}
-	parallelMS := float64(time.Since(t0).Microseconds()) / 1000
-	if *serial != *parallel {
-		return nil, fmt.Errorf("experiments: cluster parallel determinism violated: 1 worker %+v != %d workers %+v",
-			serial, workers, parallel)
-	}
-	res := &ClusterParallelResult{Row: *parallel, Workers: workers, SerialMS: serialMS, ParallelMS: parallelMS}
-	res.Row.Scenario = "4 hosts, windowed"
-	return res, nil
+	tw.Result.Scenario = "4 hosts, windowed"
+	return tw, nil
 }
 
 // CheckClusterShape asserts the qualitative X9 outcome, including the

@@ -13,11 +13,11 @@ import (
 // interacting through bridges.
 func TestClusterParallelMatchesSerial(t *testing.T) {
 	const dur = sim.Second
-	serial, err := RunClusterCellParallel(DefaultSeed, dur, 4, X9Shards, 1, x9Link())
+	serial, _, err := RunClusterCellParallel(DefaultSeed, dur, 4, X9Shards, 1, x9Link(), nil)
 	if err != nil {
 		t.Fatalf("serial windows: %v", err)
 	}
-	parallel, err := RunClusterCellParallel(DefaultSeed, dur, 4, X9Shards, 8, x9Link())
+	parallel, _, err := RunClusterCellParallel(DefaultSeed, dur, 4, X9Shards, 8, x9Link(), nil)
 	if err != nil {
 		t.Fatalf("parallel windows: %v", err)
 	}
@@ -37,11 +37,11 @@ func TestClusterParallelMatchesSerial(t *testing.T) {
 // mode on both sides, so the comparison is apples to apples).
 func TestClusterParallelScalesShards(t *testing.T) {
 	const dur = sim.Second
-	one, err := RunClusterCellParallel(DefaultSeed, dur, 1, X9Shards, 2, x9Link())
+	one, _, err := RunClusterCellParallel(DefaultSeed, dur, 1, X9Shards, 2, x9Link(), nil)
 	if err != nil {
 		t.Fatalf("1 host: %v", err)
 	}
-	four, err := RunClusterCellParallel(DefaultSeed, dur, 4, X9Shards, 2, x9Link())
+	four, _, err := RunClusterCellParallel(DefaultSeed, dur, 4, X9Shards, 2, x9Link(), nil)
 	if err != nil {
 		t.Fatalf("4 hosts: %v", err)
 	}

@@ -9,7 +9,6 @@ import (
 	"hydra/internal/core"
 	"hydra/internal/device"
 	"hydra/internal/guid"
-	"hydra/internal/objfile"
 	"hydra/internal/resource"
 	"hydra/internal/sim"
 	"hydra/internal/testbed"
@@ -108,15 +107,10 @@ func contentionVariants() []struct {
 	return out
 }
 
-// RunContention executes the X8 grid through testbed.Sweep (one private
-// engine per cell; results bit-identical to a serial loop).
-func RunContention(seed int64, duration sim.Time) (*ContentionResults, error) {
-	return RunContentionWorkers(seed, duration, 0)
-}
-
-// RunContentionWorkers is RunContention with an explicit sweep worker
-// count (1 = serial), for serial-vs-parallel verification.
-func RunContentionWorkers(seed int64, duration sim.Time, workers int) (*ContentionResults, error) {
+// RunContention executes the X8 grid through testbed.Sweep on workers
+// goroutines (0 = GOMAXPROCS, 1 = serial; one private engine per cell,
+// results bit-identical for any workers value).
+func RunContention(seed int64, duration sim.Time, workers int) (*ContentionResults, error) {
 	variants := contentionVariants()
 	rows, err := testbed.Sweep(testbed.SweepConfig{Seeds: sameSeed(seed, len(variants)), Workers: workers},
 		func(r testbed.Replica) (*ContentionRow, error) {
@@ -140,12 +134,10 @@ func RunContentionWorkers(seed int64, duration sim.Time, workers int) (*Contenti
 
 // x8Worker counts messages arriving at the tenant's NIC-resident Offcode.
 type x8Worker struct {
+	nopOffcode
 	Received uint64
 }
 
-func (w *x8Worker) Initialize(*core.Context) error { return nil }
-func (w *x8Worker) Start() error                   { return nil }
-func (w *x8Worker) Stop() error                    { return nil }
 func (w *x8Worker) ChannelConnected(ep *channel.Endpoint) {
 	ep.InstallCallHandler(func([]byte) { w.Received++ })
 }
@@ -214,17 +206,10 @@ func RunContentionCell(seed int64, duration sim.Time, apps int, tight bool, reso
 	for i, t := range tenants {
 		bind := fmt.Sprintf("x8.Worker%02d", i)
 		g := guid.GUID(9100 + i)
-		dep.PutFile("/x8/"+bind+".odf", []byte(fmt.Sprintf(`<offcode>
-  <package><bindname>%s</bindname><GUID>%d</GUID></package>
-  <targets><device-class id="0x0001"><name>Network Device</name></device-class></targets>
-</offcode>`, bind, g)))
-		if err := dep.RegisterObject(objfile.Synthesize(bind, g, 4<<10,
-			[]string{"hydra.Heap.Alloc", "hydra.Channel.Read"})); err != nil {
-			return nil, err
-		}
 		worker := &x8Worker{}
 		t.worker = worker
-		if err := dep.RegisterFactory(g, func() any { return worker }); err != nil {
+		if err := stockOffcode(dep, "/x8/"+bind+".odf", bind, g, 4<<10, nicImports,
+			func() any { return worker }); err != nil {
 			return nil, err
 		}
 		plan := t.app.Plan()

@@ -1,17 +1,18 @@
 package experiments
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 
 	"hydra/internal/channel"
 	"hydra/internal/cluster"
 	"hydra/internal/core"
+	"hydra/internal/depot"
 	"hydra/internal/device"
 	"hydra/internal/flowtable"
 	"hydra/internal/guid"
 	"hydra/internal/loadgen"
-	"hydra/internal/objfile"
 	"hydra/internal/obs"
 	"hydra/internal/sim"
 	"hydra/internal/stats"
@@ -225,12 +226,9 @@ func (s *x12Shard) ChannelConnected(ep *channel.Endpoint) {
 			if err != nil {
 				continue
 			}
-			var rec x12Packet
-			rec.key = key
-			for i := 0; i < 8; i++ {
-				rec.seq |= uint64(b[flowtable.KeyBytes+i]) << (8 * i)
-				rec.sentAt |= sim.Time(b[flowtable.KeyBytes+8+i]) << (8 * i)
-			}
+			rec := x12Packet{key: key,
+				seq:    binary.LittleEndian.Uint64(b[flowtable.KeyBytes:]),
+				sentAt: sim.Time(binary.LittleEndian.Uint64(b[flowtable.KeyBytes+8:]))}
 			if rec.key.Shard(s.cell.shards) != s.index {
 				s.misrouted++
 			}
@@ -311,20 +309,25 @@ func (s *x12Shard) Checkpoint() []byte {
 	}
 	pipe := s.pipe.Checkpoint()
 	out := make([]byte, 0, 8+len(pipe)+len(s.queue)*x12RecBytes+7*8)
-	out = appendU32(out, uint32(len(pipe)))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(pipe)))
 	out = append(out, pipe...)
-	out = appendU32(out, uint32(len(s.queue)))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(s.queue)))
 	for _, rec := range s.queue {
 		out = append(out, rec.key.Encode()...)
-		out = appendU64(out, rec.seq)
-		out = appendU64(out, uint64(rec.sentAt))
+		out = binary.LittleEndian.AppendUint64(out, rec.seq)
+		out = binary.LittleEndian.AppendUint64(out, uint64(rec.sentAt))
 	}
-	for _, v := range []uint64{s.processed, s.qdrops, s.misrouted, s.logged,
-		s.inWindow, s.wHits, s.wMisses} {
-		out = appendU64(out, v)
+	for _, v := range s.counters() {
+		out = binary.LittleEndian.AppendUint64(out, *v)
 	}
 	s.cell.ckptDigest = s.pipe.Digest()
 	return out
+}
+
+// counters lists the shard's checkpointed counters in layout order.
+func (s *x12Shard) counters() []*uint64 {
+	return []*uint64{&s.processed, &s.qdrops, &s.misrouted, &s.logged,
+		&s.inWindow, &s.wHits, &s.wMisses}
 }
 
 func (s *x12Shard) Restore(state []byte) error {
@@ -335,67 +338,48 @@ func (s *x12Shard) Restore(state []byte) error {
 	return s.applyCkpt(state)
 }
 
+// applyCkpt decodes and validates the whole checkpoint before it touches
+// the shard, so a rejected checkpoint leaves the pipeline, queue and
+// counters exactly as they were.
 func (s *x12Shard) applyCkpt(b []byte) error {
 	if len(b) < 4 {
 		return fmt.Errorf("x12: shard checkpoint too short (%d bytes)", len(b))
 	}
-	pn := int(readU32(b))
+	pn := int(binary.LittleEndian.Uint32(b))
 	off := 4
-	if len(b) < off+pn+4 {
+	if pn > len(b)-off-4 {
 		return fmt.Errorf("x12: shard checkpoint truncated at pipeline")
 	}
-	if err := s.pipe.Restore(b[off : off+pn]); err != nil {
-		return err
-	}
+	pipe := b[off : off+pn]
 	off += pn
-	qn := int(readU32(b[off:]))
+	qn := int(binary.LittleEndian.Uint32(b[off:]))
 	off += 4
-	if len(b) != off+qn*x12RecBytes+7*8 {
+	if qn > (len(b)-off)/x12RecBytes || len(b) != off+qn*x12RecBytes+7*8 {
 		return fmt.Errorf("x12: shard checkpoint is %d bytes, want %d for %d queued",
 			len(b), off+qn*x12RecBytes+7*8, qn)
 	}
-	s.queue = s.queue[:0]
+	queue := make([]x12Packet, 0, qn)
 	for i := 0; i < qn; i++ {
 		key, err := flowtable.DecodeKey(b[off : off+flowtable.KeyBytes])
 		if err != nil {
 			return err
 		}
-		rec := x12Packet{key: key,
-			seq:    readU64(b[off+flowtable.KeyBytes:]),
-			sentAt: sim.Time(readU64(b[off+flowtable.KeyBytes+8:]))}
-		s.queue = append(s.queue, rec)
+		queue = append(queue, x12Packet{key: key,
+			seq:    binary.LittleEndian.Uint64(b[off+flowtable.KeyBytes:]),
+			sentAt: sim.Time(binary.LittleEndian.Uint64(b[off+flowtable.KeyBytes+8:]))})
 		off += x12RecBytes
 	}
-	for i, p := range []*uint64{&s.processed, &s.qdrops, &s.misrouted, &s.logged,
-		&s.inWindow, &s.wHits, &s.wMisses} {
-		*p = readU64(b[off+8*i:])
+	// Pipeline.Restore is itself atomic, so it is the last fallible step.
+	if err := s.pipe.Restore(pipe); err != nil {
+		return err
+	}
+	s.queue = queue
+	for i, p := range s.counters() {
+		*p = binary.LittleEndian.Uint64(b[off+8*i:])
 	}
 	s.cell.restoreDigest = s.pipe.Digest()
 	s.cell.queuedAtSwap = qn
 	return nil
-}
-
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func appendU64(b []byte, v uint64) []byte {
-	for i := 0; i < 8; i++ {
-		b = append(b, byte(v>>(8*i)))
-	}
-	return b
-}
-
-func readU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func readU64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v
 }
 
 // x12Front is one host's RSS frontend: its own open-loop generator and
@@ -406,6 +390,7 @@ func readU64(b []byte) uint64 {
 // no single host's send path becomes the bottleneck the scaling curve
 // measures.
 type x12Front struct {
+	nopOffcode
 	cell *x12Cell
 	host int
 
@@ -416,9 +401,6 @@ type x12Front struct {
 	offered, shed uint64
 }
 
-func (f *x12Front) Initialize(*core.Context) error        { return nil }
-func (f *x12Front) Start() error                          { return nil }
-func (f *x12Front) Stop() error                           { return nil }
 func (f *x12Front) ChannelConnected(ep *channel.Endpoint) { f.eps = append(f.eps, ep) }
 
 // route stamps one generated packet into its hash-selected shard's
@@ -427,10 +409,8 @@ func (f *x12Front) route(p loadgen.Packet, now sim.Time) {
 	shard := p.Key.Shard(f.cell.shards)
 	var rec [x12RecBytes]byte
 	p.Key.Put(rec[:])
-	for i := 0; i < 8; i++ {
-		rec[flowtable.KeyBytes+i] = byte(p.Seq >> (8 * i))
-		rec[flowtable.KeyBytes+8+i] = byte(uint64(now) >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(rec[flowtable.KeyBytes:], p.Seq)
+	binary.LittleEndian.PutUint64(rec[flowtable.KeyBytes+8:], uint64(now))
 	f.bufs[shard] = append(f.bufs[shard], rec[:]...)
 	if len(f.bufs[shard]) >= x12FrontBatch*x12RecBytes {
 		f.flushShard(shard)
@@ -486,23 +466,10 @@ type x12Cell struct {
 // shard-00 v2 hot-swap image (same bind, fresh GUID, a much larger image
 // so the quiesce window is long enough to catch live traffic).
 func buildX12Cell(seed int64, hosts, shards int, table flowtable.Config, withSwap bool, trace *obs.Config) (*x12Cell, error) {
-	spec := testbed.Spec{Name: "x12-dataplane", EnginePerHost: true, Trace: trace}
-	for i := 0; i < hosts; i++ {
-		name := fmt.Sprintf("h%d", i)
-		spec.Hosts = append(spec.Hosts, testbed.HostSpec{
-			Name:     name,
-			Devices:  []device.Config{device.XScaleNIC(name + "-nic")},
-			Runtime:  &core.Config{},
-			Syscalls: &testbed.SyscallSpec{Profile: x12SyscallProfile()},
-		})
-	}
-	sys, err := testbed.New(seed, spec)
-	if err != nil {
-		return nil, err
-	}
-	coord, err := cluster.New(sys, cluster.Config{
-		AppName: "x12", DefaultLink: cluster.DefaultLink(), Channel: x12ChannelProfile(),
-	})
+	sys, coord, err := nicCluster(seed,
+		testbed.Spec{Name: "x12-dataplane", EnginePerHost: true, Trace: trace}, hosts,
+		&testbed.SyscallSpec{Profile: x12SyscallProfile()},
+		cluster.Config{AppName: "x12", DefaultLink: cluster.DefaultLink(), Channel: x12ChannelProfile()})
 	if err != nil {
 		return nil, err
 	}
@@ -522,17 +489,9 @@ func buildX12Cell(seed int64, hosts, shards int, table flowtable.Config, withSwa
 			cell.issuers[sc.Device.Name()] = sc.Issuer
 		}
 	}
-	stockShard := func(hs *testbed.HostSystem, idx int, path string, g guid.GUID, size int) error {
+	stockShard := func(dep *depot.Depot, idx int, path string, g guid.GUID, size int) error {
 		bind := x12ShardBind(idx)
-		hs.Depot.PutFile(path, []byte(fmt.Sprintf(`<offcode>
-  <package><bindname>%s</bindname><GUID>%d</GUID></package>
-  <targets><device-class id="0x0001"><name>Network Device</name></device-class></targets>
-</offcode>`, bind, g)))
-		if err := hs.Depot.RegisterObject(objfile.Synthesize(bind, g, size,
-			[]string{"hydra.Heap.Alloc", "hydra.Channel.Read"})); err != nil {
-			return err
-		}
-		return hs.Depot.RegisterFactory(g, func() any {
+		return stockOffcode(dep, path, bind, g, size, nicImports, func() any {
 			s := &x12Shard{cell: cell, index: idx}
 			cell.workers[bind] = s
 			return s
@@ -544,24 +503,19 @@ func buildX12Cell(seed int64, hosts, shards int, table flowtable.Config, withSwa
 		})
 	}
 	for _, hs := range sys.RuntimeHosts() {
-		for i := 0; i < hosts; i++ {
-			front := cell.fronts[i]
-			g := guid.GUID(12950 + i)
-			hs.Depot.PutFile(x12FrontPath(i), []byte(fmt.Sprintf(`<offcode>
-  <package><bindname>%s</bindname><GUID>%d</GUID></package>
-  <targets><host-fallback>true</host-fallback></targets>
-</offcode>`, x12FrontBind(i), g)))
-			if err := hs.Depot.RegisterFactory(g, func() any { return front }); err != nil {
+		for i, front := range cell.fronts {
+			if err := stockOffcode(hs.Depot, x12FrontPath(i), x12FrontBind(i), guid.GUID(12950+i), 0, nil,
+				func() any { return front }); err != nil {
 				return nil, err
 			}
 		}
 		for i := 0; i < shards; i++ {
-			if err := stockShard(hs, i, x12ShardPath(i), guid.GUID(12901+i), 8<<10); err != nil {
+			if err := stockShard(hs.Depot, i, x12ShardPath(i), guid.GUID(12901+i), 8<<10); err != nil {
 				return nil, err
 			}
 		}
 		if withSwap {
-			if err := stockShard(hs, 0, x12SwapV2Path, guid.GUID(12980), 256<<10); err != nil {
+			if err := stockShard(hs.Depot, 0, x12SwapV2Path, guid.GUID(12980), 256<<10); err != nil {
 				return nil, err
 			}
 		}
@@ -604,15 +558,8 @@ func (cell *x12Cell) commit(perHostRate int) error {
 			}
 		}
 	}
-	var commitErr error
-	committed := false
-	plan.Commit(func(_ *cluster.Deployment, err error) { commitErr, committed = err, true })
-	cell.group.Settle()
-	if !committed {
-		return fmt.Errorf("x12: commit never settled")
-	}
-	if commitErr != nil {
-		return commitErr
+	if err := commitPlan("x12", plan, cell.group.Settle); err != nil {
+		return err
 	}
 	for h, f := range cell.fronts {
 		if len(f.eps) != cell.shards {
@@ -642,34 +589,20 @@ func (cell *x12Cell) makeGens(seed int64, flowsPerFront int) error {
 }
 
 // armPacers schedules one generator tick per x12Tick on every host's own
-// engine at fixed absolute instants, rounded past that engine's clock
-// when a barrier overran. Per-host pacing keeps generator state
-// engine-local: parallel windows touch disjoint generators.
+// engine. Per-host pacing keeps generator state engine-local: parallel
+// windows touch disjoint generators.
 func (cell *x12Cell) armPacers(start, end sim.Time) {
-	for h, f := range cell.fronts {
-		front := f
-		eng := cell.sys.Host(fmt.Sprintf("h%d", h)).Eng
-		first := start
-		if now := eng.Now(); now > first {
-			first += ((now - start + x12Tick - 1) / x12Tick) * x12Tick
-		}
+	for h, front := range cell.fronts {
 		ticks := 0
-		var tick func(t sim.Time)
-		tick = func(t sim.Time) {
+		pace(cell.sys.Host(fmt.Sprintf("h%d", h)).Eng, start, end, x12Tick, func(t sim.Time, last bool) {
 			front.gen.Emit(func(p loadgen.Packet) { front.route(p, t) })
 			ticks++
-			if ticks%x12FlushTicks == 0 {
+			// Flush every x12FlushTicks, and at the end of the stint so
+			// no record stays buffered.
+			if ticks%x12FlushTicks == 0 || last {
 				front.flushAll()
 			}
-			if next := t + x12Tick; next < end {
-				eng.At(next, func() { tick(next) })
-			} else {
-				front.flushAll() // end of stint: no record stays buffered
-			}
-		}
-		if first < end {
-			eng.At(first, func() { tick(first) })
-		}
+		})
 	}
 }
 
@@ -679,9 +612,8 @@ func x12FoldDigest(fronts []*x12Front) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)
 	for _, f := range fronts {
-		d := f.gen.Digest()
-		for i := 0; i < 8; i++ {
-			h ^= uint64(byte(d >> (8 * i)))
+		for _, c := range binary.LittleEndian.AppendUint64(nil, f.gen.Digest()) {
+			h ^= uint64(c)
 			h *= prime
 		}
 	}
@@ -731,16 +663,10 @@ type X12Row struct {
 
 // RunX12Cell runs one weak-scaling cell on per-host engines under a
 // conservative window with the given worker count. The row is
-// bit-identical for any workers value.
-func RunX12Cell(seed int64, hosts, workers int) (*X12Row, error) {
-	row, _, err := RunX12CellTraced(seed, hosts, workers, nil)
-	return row, err
-}
-
-// RunX12CellTraced is RunX12Cell with an optional trace config; the
-// returned tracer's merged stream (CatFlow hit/miss/insert/evict/expire/
-// drop instants included) is bit-identical for any workers value.
-func RunX12CellTraced(seed int64, hosts, workers int, trace *obs.Config) (*X12Row, *obs.Tracer, error) {
+// bit-identical for any workers value. A non-nil trace attaches the
+// recorder; the returned tracer's merged stream (CatFlow hit/miss/insert/
+// evict/expire/drop instants included) is bit-identical too.
+func RunX12Cell(seed int64, hosts, workers int, trace *obs.Config) (*X12Row, *obs.Tracer, error) {
 	rate := hosts * X12PerHostRate
 	cell, err := buildX12Cell(seed, hosts, X12Shards, x12TableConfig(), false, trace)
 	if err != nil {
@@ -754,12 +680,7 @@ func RunX12CellTraced(seed int64, hosts, workers int, trace *obs.Config) (*X12Ro
 		return nil, nil, err
 	}
 
-	var base sim.Time
-	for _, e := range cell.group.Engines() {
-		if n := e.Now(); n > base {
-			base = n
-		}
-	}
+	base := latestClock(cell.group.Engines())
 	cell.measureStart = base + X12Warmup
 	cell.measureEnd = cell.measureStart + X12Window
 
@@ -873,12 +794,7 @@ func RunX12Soak(seed int64, workers int) (*X12Soak, error) {
 		return nil, err
 	}
 
-	var base sim.Time
-	for _, e := range cell.group.Engines() {
-		if n := e.Now(); n > base {
-			base = n
-		}
-	}
+	base := latestClock(cell.group.Engines())
 	if err := cell.makeGens(seed, 2*x12FlowsPerHost); err != nil {
 		return nil, err
 	}
@@ -894,20 +810,11 @@ func RunX12Soak(seed int64, workers int) (*X12Soak, error) {
 	victim := x12ShardBind(0)
 	preSwap := cell.workers[victim].processed
 	cell.armPacers(base+half, base+duration)
-	var res *cluster.ClusterMutation
-	var mErr error
-	done := false
-	cell.coord.Mutate([]cluster.ShardDelta{
+	res, err := mutateShards("x12 soak", cell.coord, []cluster.ShardDelta{
 		cluster.SwapShard{Bind: victim, Path: x12SwapV2Path},
-	}, func(m *cluster.ClusterMutation, err error) {
-		res, mErr, done = m, err, true
-	})
-	cell.group.Settle()
-	if !done {
-		return nil, fmt.Errorf("x12: swap never settled")
-	}
-	if mErr != nil {
-		return nil, fmt.Errorf("x12: swap: %w", mErr)
+	}, cell.group.Settle)
+	if err != nil {
+		return nil, fmt.Errorf("x12: swap: %w", err)
 	}
 	cell.group.Run(base+duration+2*sim.Millisecond, workers)
 	cell.group.Settle()
@@ -965,38 +872,22 @@ type X12Results struct {
 // worker) and again on workers goroutines, failing unless the rows match
 // bit for bit; then the churn soak, serial and parallel likewise.
 func RunDataPlane(seed int64, workers int) (*X12Results, error) {
-	if workers <= 1 {
-		workers = 2
-	}
-	out := &X12Results{Warmup: X12Warmup, Window: X12Window, Workers: workers}
+	out := &X12Results{Warmup: X12Warmup, Window: X12Window}
 	for _, hosts := range X12HostGrid {
-		serial, err := RunX12Cell(seed, hosts, 1)
+		tw, err := RunTwin(fmt.Sprintf("x12 %dh", hosts), workers, func(w int) (*X12Row, error) {
+			row, _, err := RunX12Cell(seed, hosts, w, nil)
+			return row, err
+		})
 		if err != nil {
-			return nil, fmt.Errorf("experiments: x12 %dh (serial): %w", hosts, err)
+			return nil, err
 		}
-		parallel, err := RunX12Cell(seed, hosts, workers)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: x12 %dh (%d workers): %w", hosts, workers, err)
-		}
-		if *serial != *parallel {
-			return nil, fmt.Errorf("experiments: x12 determinism violated at %d hosts:\n  serial   %+v\n  parallel %+v",
-				hosts, serial, parallel)
-		}
-		out.Rows = append(out.Rows, *serial)
+		out.Rows = append(out.Rows, *tw.Result)
 	}
-	soakSerial, err := RunX12Soak(seed, 1)
+	soak, err := RunTwin("x12 soak", workers, func(w int) (*X12Soak, error) { return RunX12Soak(seed, w) })
 	if err != nil {
-		return nil, fmt.Errorf("experiments: x12 soak (serial): %w", err)
+		return nil, err
 	}
-	soakParallel, err := RunX12Soak(seed, workers)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: x12 soak (%d workers): %w", workers, err)
-	}
-	if *soakSerial != *soakParallel {
-		return nil, fmt.Errorf("experiments: x12 soak determinism violated:\n  serial   %+v\n  parallel %+v",
-			soakSerial, soakParallel)
-	}
-	out.Soak = *soakSerial
+	out.Soak, out.Workers = *soak.Result, soak.Workers
 	var one, four *X12Row
 	for i := range out.Rows {
 		switch out.Rows[i].Hosts {

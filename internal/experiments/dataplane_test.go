@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"bytes"
 	"testing"
 
+	"hydra/internal/flowtable"
 	"hydra/internal/obs"
 )
 
@@ -13,7 +15,7 @@ import (
 func TestDataPlaneTraceDeterminism(t *testing.T) {
 	const hosts = 2
 	run := func(workers int) (*X12Row, []obs.Record) {
-		row, tr, err := RunX12CellTraced(DefaultSeed, hosts, workers, &obs.Config{})
+		row, tr, err := RunX12Cell(DefaultSeed, hosts, workers, &obs.Config{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -79,7 +81,7 @@ func TestDataPlaneTraceDeterminism(t *testing.T) {
 // under load, and the hosts' VFS log-line ledger must reconcile exactly
 // against the flow-table counters — no event unlogged, none doubled.
 func TestDataPlaneLogLedger(t *testing.T) {
-	row, err := RunX12Cell(DefaultSeed, 1, 1)
+	row, _, err := RunX12Cell(DefaultSeed, 1, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,5 +153,34 @@ func TestDataPlaneSoak(t *testing.T) {
 	if s.Logged != want || s.LogLines != want {
 		t.Fatalf("log ledger %d issued / %d host lines for %d events",
 			s.Logged, s.LogLines, want)
+	}
+}
+
+// TestShardRestoreRejectsAtomically: a shard checkpoint whose pipeline
+// part is intact but whose tail is malformed must be rejected before any
+// state changes — pipeline, queue and counters stay as they were — while
+// the intact checkpoint still restores bit-exactly.
+func TestShardRestoreRejectsAtomically(t *testing.T) {
+	cell := &x12Cell{shards: 1, pipeCfg: flowtable.PipelineConfig{
+		Table: x12TableConfig(), Rules: x12Rules(), Default: flowtable.ActForward, Backends: 8}}
+	src := &x12Shard{cell: cell, pipe: flowtable.NewPipeline(cell.pipeCfg, nil), processed: 5}
+	src.pipe.Process(flowtable.Key{SrcIP: 1, DstPort: 80, Proto: 6}, 0)
+	src.queue = []x12Packet{{key: flowtable.Key{SrcIP: 2, DstPort: 443, Proto: 6}, seq: 9}}
+	ck := src.Checkpoint()
+
+	dst := &x12Shard{cell: cell, pipe: flowtable.NewPipeline(cell.pipeCfg, nil), processed: 1}
+	before := dst.pipe.Digest()
+	if err := dst.Restore(ck[:len(ck)-1]); err == nil {
+		t.Fatal("truncated shard checkpoint accepted")
+	}
+	if dst.pipe.Digest() != before || dst.processed != 1 || len(dst.queue) != 0 {
+		t.Fatalf("rejected checkpoint changed the shard: digest %x (was %x), processed %d, queue %d",
+			dst.pipe.Digest(), before, dst.processed, len(dst.queue))
+	}
+	if err := dst.Restore(ck); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dst.Checkpoint(), ck) {
+		t.Fatal("restored shard does not re-checkpoint identically")
 	}
 }

@@ -285,7 +285,8 @@ func TestX7SaturationDeterministicAndSweepSafe(t *testing.T) {
 	run := func(workers int) []*SaturationRow {
 		rows, err := testbed.Sweep(testbed.SweepConfig{Seeds: seeds, Workers: workers},
 			func(r testbed.Replica) (*SaturationRow, error) {
-				return RunSaturationCell(r.Seed, dur, 20_000, 8, 100*sim.Microsecond)
+				row, _, err := RunSaturationCell(r.Seed, dur, 20_000, 8, 100*sim.Microsecond, nil)
+				return row, err
 			})
 		if err != nil {
 			t.Fatal(err)
@@ -340,7 +341,7 @@ func TestX6FailoverDeterministicAndSweepSafe(t *testing.T) {
 }
 
 func TestX8ContentionShape(t *testing.T) {
-	r, err := RunContention(DefaultSeed, X8Duration)
+	r, err := RunContention(DefaultSeed, X8Duration, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,18 +357,18 @@ func TestX8ContentionShape(t *testing.T) {
 }
 
 func TestX8ContentionDeterministicAndSweepSafe(t *testing.T) {
-	serial, err := RunContentionWorkers(DefaultSeed, X8Duration, 1)
+	serial, err := RunContention(DefaultSeed, X8Duration, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunContentionWorkers(DefaultSeed, X8Duration, 4)
+	parallel, err := RunContention(DefaultSeed, X8Duration, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("serial != parallel:\n%+v\n%+v", serial.Rows, parallel.Rows)
 	}
-	again, err := RunContentionWorkers(DefaultSeed, X8Duration, 1)
+	again, err := RunContention(DefaultSeed, X8Duration, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +378,7 @@ func TestX8ContentionDeterministicAndSweepSafe(t *testing.T) {
 }
 
 func TestX9ClusterShape(t *testing.T) {
-	r, err := RunCluster(DefaultSeed, X9Duration)
+	r, err := RunCluster(DefaultSeed, X9Duration, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,18 +394,18 @@ func TestX9ClusterShape(t *testing.T) {
 }
 
 func TestX9ClusterDeterministicAndSweepSafe(t *testing.T) {
-	serial, err := RunClusterWorkers(DefaultSeed, X9Duration, 1)
+	serial, err := RunCluster(DefaultSeed, X9Duration, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunClusterWorkers(DefaultSeed, X9Duration, 4)
+	parallel, err := RunCluster(DefaultSeed, X9Duration, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("serial != parallel:\n%+v\n%+v", serial.Rows, parallel.Rows)
 	}
-	again, err := RunClusterWorkers(DefaultSeed, X9Duration, 1)
+	again, err := RunCluster(DefaultSeed, X9Duration, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

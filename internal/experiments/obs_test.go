@@ -21,7 +21,7 @@ func TestSaturationTraceReconciles(t *testing.T) {
 		batch    = 8
 		coalesce = 100 * sim.Microsecond
 	)
-	row, tr, err := RunSaturationCellTraced(seed, duration, rate, batch, coalesce, &obs.Config{})
+	row, tr, err := RunSaturationCell(seed, duration, rate, batch, coalesce, &obs.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestSaturationTraceReconciles(t *testing.T) {
 		t.Errorf("chan.batch+chan.coalesce: %d trace records, stats say %d", got, row.Batches)
 	}
 
-	untraced, err := RunSaturationCell(seed, duration, rate, batch, coalesce)
+	untraced, _, err := RunSaturationCell(seed, duration, rate, batch, coalesce, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestClusterTraceDeterminism(t *testing.T) {
 	)
 	link := cluster.Link{Latency: 50 * sim.Microsecond, BytesPerSec: 1 << 30}
 	run := func(workers int) (*ClusterRow, []obs.Record) {
-		row, tr, err := RunClusterCellParallelTraced(seed, duration, hosts, shards, workers, link, &obs.Config{})
+		row, tr, err := RunClusterCellParallel(seed, duration, hosts, shards, workers, link, &obs.Config{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -119,7 +119,7 @@ func TestClusterTraceDeterminism(t *testing.T) {
 // the controller's scale events), which hydra-trace categorizes.
 func TestAutoscaleTraceDeterminism(t *testing.T) {
 	run := func(workers int) (*X10Row, []obs.Record) {
-		row, tr, err := RunX10CellTraced(13, workers, true, &obs.Config{})
+		row, tr, err := RunX10Cell(13, workers, true, &obs.Config{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

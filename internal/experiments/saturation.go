@@ -97,7 +97,7 @@ func RunSaturation(seed int64, duration sim.Time) (*SaturationResults, error) {
 	rows, err := testbed.Sweep(testbed.SweepConfig{Seeds: sameSeed(seed, len(variants))},
 		func(r testbed.Replica) (*SaturationRow, error) {
 			v := variants[r.Index]
-			row, err := RunSaturationCell(r.Seed, duration, v.rateHz, v.batch, v.coalesce)
+			row, _, err := RunSaturationCell(r.Seed, duration, v.rateHz, v.batch, v.coalesce, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -116,18 +116,10 @@ func RunSaturation(seed int64, duration sim.Time) (*SaturationResults, error) {
 
 // RunSaturationCell streams NIC→host at rateHz for duration under one
 // batching policy and measures the host-side cost of receiving it
-// (cmd/chan-saturate drives single cells directly).
-func RunSaturationCell(seed int64, duration sim.Time, rateHz, batch int, coalesce sim.Time) (*SaturationRow, error) {
-	row, _, err := RunSaturationCellTraced(seed, duration, rateHz, batch, coalesce, nil)
-	return row, err
-}
-
-// RunSaturationCellTraced is RunSaturationCell with an optional trace
-// config: when trace is non-nil the cell runs with the recorder attached
-// and the Tracer comes back alongside the row so callers can export or
-// reconcile the trace (cmd/chan-saturate -trace, the x7 reconciliation
-// test).
-func RunSaturationCellTraced(seed int64, duration sim.Time, rateHz, batch int, coalesce sim.Time, trace *obs.Config) (*SaturationRow, *obs.Tracer, error) {
+// (cmd/chan-saturate drives single cells directly). When trace is non-nil
+// the cell runs with the recorder attached and the Tracer comes back
+// alongside the row so callers can export or reconcile the trace.
+func RunSaturationCell(seed int64, duration sim.Time, rateHz, batch int, coalesce sim.Time, trace *obs.Config) (*SaturationRow, *obs.Tracer, error) {
 	spec := testbed.Spec{
 		Name: "x7-saturation",
 		Hosts: []testbed.HostSpec{{

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"hydra/internal/sim"
 	"hydra/internal/stats"
@@ -16,9 +15,8 @@ import (
 // variance of the reproduction and is the unit of scale for the worker
 // pool.
 type JitterSweep struct {
-	Kind    ServerKind
-	Seeds   []int64
-	Workers int
+	Kind  ServerKind
+	Seeds []int64
 	// PerSeed holds each replica's jitter summary, in seed order.
 	PerSeed []stats.Summary
 	// Pooled summarizes the union of every replica's inter-arrival gaps.
@@ -27,7 +25,7 @@ type JitterSweep struct {
 
 // RunJitterSweep replays the Table 2 jitter scenario for kind once per
 // seed, fanning the replicas out over workers goroutines (0 → GOMAXPROCS,
-// 1 → serial). Per-seed results are bit-identical regardless of workers.
+// 1 → serial). Results are bit-identical regardless of workers.
 func RunJitterSweep(kind ServerKind, seeds []int64, duration sim.Time, workers int) (*JitterSweep, error) {
 	runs, err := testbed.Sweep(testbed.SweepConfig{Seeds: seeds, Workers: workers},
 		func(r testbed.Replica) (*tivopc.ServerRun, error) {
@@ -36,13 +34,7 @@ func RunJitterSweep(kind ServerKind, seeds []int64, duration sim.Time, workers i
 	if err != nil {
 		return nil, fmt.Errorf("experiments: jitter sweep: %w", err)
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(seeds) {
-		workers = len(seeds) // mirror the pool's own cap
-	}
-	out := &JitterSweep{Kind: kind, Seeds: seeds, Workers: workers}
+	out := &JitterSweep{Kind: kind, Seeds: seeds}
 	gaps := make([][]float64, len(runs))
 	for i, run := range runs {
 		out.PerSeed = append(out.PerSeed, run.JitterSummary())
@@ -54,7 +46,7 @@ func RunJitterSweep(kind ServerKind, seeds []int64, duration sim.Time, workers i
 
 // Render prints the sweep in the Table 2 presentation style.
 func (s *JitterSweep) Render() string {
-	out := fmt.Sprintf("Jitter sweep — %v over %d seeds (%d workers)\n", s.Kind, len(s.Seeds), s.Workers)
+	out := fmt.Sprintf("Jitter sweep — %v over %d seeds\n", s.Kind, len(s.Seeds))
 	for i, sum := range s.PerSeed {
 		out += fmt.Sprintf("  seed %-6d median %5.2f  mean %5.2f  stddev %6.4f  n=%d\n",
 			s.Seeds[i], sum.Median, sum.Mean, sum.StdDev, sum.N)

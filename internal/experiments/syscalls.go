@@ -8,7 +8,6 @@ import (
 	"hydra/internal/core"
 	"hydra/internal/device"
 	"hydra/internal/guid"
-	"hydra/internal/objfile"
 	"hydra/internal/obs"
 	"hydra/internal/sim"
 	"hydra/internal/stats"
@@ -88,16 +87,10 @@ type X11Row struct {
 // RunX11Cell runs every dispatch variant at one offered rate, each on its
 // own host engine, under a conservative window with the given worker
 // count. Rows come back in variant order and are bit-identical for any
-// workers value.
-func RunX11Cell(seed int64, rateHz, workers int) ([]X11Row, error) {
-	rows, _, err := RunX11CellTraced(seed, rateHz, workers, nil)
-	return rows, err
-}
-
-// RunX11CellTraced is RunX11Cell with an optional trace config; the
-// returned tracer's merged stream (CatSyscall issue/dispatch/complete
-// records included) is bit-identical for any workers value.
-func RunX11CellTraced(seed int64, rateHz, workers int, trace *obs.Config) ([]X11Row, *obs.Tracer, error) {
+// workers value. A non-nil trace attaches the recorder; the returned
+// tracer's merged stream (CatSyscall issue/dispatch/complete records
+// included) is bit-identical for any workers value too.
+func RunX11Cell(seed int64, rateHz, workers int, trace *obs.Config) ([]X11Row, *obs.Tracer, error) {
 	variants := x11Variants()
 	spec := testbed.Spec{Name: "x11-syscalls", EnginePerHost: true, Trace: trace}
 	for _, v := range variants {
@@ -128,15 +121,9 @@ func RunX11CellTraced(seed int64, rateHz, workers int, trace *obs.Config) ([]X11
 		hs := sys.Hosts()[i]
 		iss := hs.Syscalls[0].Issuer
 		mode := v.mode
-		eng := hs.Eng
-		var tick func(t sim.Time)
-		tick = func(t sim.Time) {
+		pace(hs.Eng, 0, X11Window, period, func(sim.Time, bool) {
 			_ = iss.Issue(syscall.OpClock, mode, nil, func(*syscall.Completion) {})
-			if next := t + period; next < X11Window {
-				eng.At(next, func() { tick(next) })
-			}
-		}
-		eng.At(0, func() { tick(0) })
+		})
 	}
 	// Run past the window so the last batches coalesce out and complete.
 	group.Run(X11Window+2*sim.Millisecond, workers)
@@ -218,6 +205,7 @@ type x11SwapShared struct {
 // issuer's pending table, so a hot-swap replays in-flight syscalls on the
 // replacement and the host's dedup keeps execution exactly-once.
 type x11SysClient struct {
+	nopOffcode
 	shared *x11SwapShared
 	dev    *device.Device
 	ckpt   []byte
@@ -227,8 +215,6 @@ func (o *x11SysClient) Initialize(ctx *core.Context) error {
 	o.dev = ctx.Device
 	return nil
 }
-func (o *x11SysClient) Start() error { return nil }
-func (o *x11SysClient) Stop() error  { return nil }
 
 func (o *x11SysClient) ChannelConnected(ep *channel.Endpoint) {
 	iss := syscall.NewIssuer(o.dev, o.shared.prof, nil)
@@ -282,22 +268,12 @@ func RunX11Swap(seed int64) (*X11Swap, error) {
 	hs := sys.Host("h0")
 	shared := &x11SwapShared{prof: syscall.Profile{
 		Batch: 8, Coalesce: 50 * sim.Microsecond, Credits: 64, Workers: 1}}
-	stock := func(path string, g uint64) error {
-		hs.Depot.PutFile(path, []byte(fmt.Sprintf(`<offcode>
-  <package><bindname>%s</bindname><GUID>%d</GUID></package>
-  <targets><device-class id="0x0001"><name>Network Device</name></device-class></targets>
-</offcode>`, x11SwapBind, g)))
-		if err := hs.Depot.RegisterObject(objfile.Synthesize(x11SwapBind, guid.GUID(g), 8<<10,
-			[]string{"hydra.Heap.Alloc", "hydra.Channel.Write"})); err != nil {
-			return err
+	for i, path := range []string{x11SwapV1Path, x11SwapV2Path} {
+		if err := stockOffcode(hs.Depot, path, x11SwapBind, guid.GUID(9980+i), 8<<10,
+			[]string{"hydra.Heap.Alloc", "hydra.Channel.Write"},
+			func() any { return &x11SysClient{shared: shared} }); err != nil {
+			return nil, err
 		}
-		return hs.Depot.RegisterFactory(guid.GUID(g), func() any { return &x11SysClient{shared: shared} })
-	}
-	if err := stock(x11SwapV1Path, 9980); err != nil {
-		return nil, err
-	}
-	if err := stock(x11SwapV2Path, 9981); err != nil {
-		return nil, err
 	}
 
 	app := hs.Runtime.DefaultApp()
@@ -325,20 +301,14 @@ func RunX11Swap(seed int64) (*X11Swap, error) {
 	// that land inside the quiesce window fail (the endpoint is paused
 	// mid-swap) and are simply shed, like any overloaded open-loop source.
 	var issued uint64
-	period := sim.Time(int64(sim.Second) / int64(rate))
-	var tick func(t sim.Time)
-	tick = func(t sim.Time) {
+	pace(sys.Eng, sys.Eng.Now(), duration, sim.Time(int64(sim.Second)/int64(rate)), func(sim.Time, bool) {
 		if iss := shared.issuer; iss != nil {
 			if iss.Issue(syscall.OpLog, syscall.ModeAsync, []any{"x11"},
 				func(*syscall.Completion) { shared.completed++ }) == nil {
 				issued++
 			}
 		}
-		if next := t + period; next < duration {
-			sys.Eng.At(next, func() { tick(next) })
-		}
-	}
-	sys.Eng.At(sys.Eng.Now(), func() { tick(sys.Eng.Now()) })
+	})
 
 	var res *core.MutationResult
 	var swapErr error
@@ -386,26 +356,17 @@ type X11Results struct {
 // and again on workers goroutines, failing unless the rows match bit for
 // bit, then the hot-swap leg.
 func RunSyscalls(seed int64, workers int) (*X11Results, error) {
-	if workers <= 1 {
-		workers = 2
-	}
-	out := &X11Results{Window: X11Window, Workers: workers}
+	out := &X11Results{Window: X11Window}
 	for _, rate := range X11Rates {
-		serial, err := RunX11Cell(seed, rate, 1)
+		tw, err := RunTwin(fmt.Sprintf("x11 @%d", rate), workers, func(w int) ([]X11Row, error) {
+			rows, _, err := RunX11Cell(seed, rate, w, nil)
+			return rows, err
+		})
 		if err != nil {
-			return nil, fmt.Errorf("experiments: x11 @%d (serial): %w", rate, err)
+			return nil, err
 		}
-		parallel, err := RunX11Cell(seed, rate, workers)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: x11 @%d (%d workers): %w", rate, workers, err)
-		}
-		for i := range serial {
-			if serial[i] != parallel[i] {
-				return nil, fmt.Errorf("experiments: x11 determinism violated @%d:\n  serial   %+v\n  parallel %+v",
-					rate, serial[i], parallel[i])
-			}
-		}
-		out.Rows = append(out.Rows, serial...)
+		out.Rows = append(out.Rows, tw.Result...)
+		out.Workers = tw.Workers
 	}
 	swap, err := RunX11Swap(seed)
 	if err != nil {

@@ -30,7 +30,7 @@ func TestSyscallsShape(t *testing.T) {
 func TestSyscallTraceDeterminism(t *testing.T) {
 	const rate = 200_000
 	run := func(workers int) ([]X11Row, []obs.Record) {
-		rows, tr, err := RunX11CellTraced(DefaultSeed, rate, workers, &obs.Config{})
+		rows, tr, err := RunX11Cell(DefaultSeed, rate, workers, &obs.Config{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

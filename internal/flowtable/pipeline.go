@@ -126,15 +126,20 @@ func (p *Pipeline) Checkpoint() []byte {
 }
 
 // Restore replaces the pipeline's counters and table from a Checkpoint.
+// Like Table.Restore it is atomic: the counters change only once the
+// table has accepted its part.
 func (p *Pipeline) Restore(b []byte) error {
 	if len(b) < 4*8 {
 		return fmt.Errorf("flowtable: pipeline checkpoint too short (%d bytes)", len(b))
+	}
+	if err := p.table.Restore(b[4*8:]); err != nil {
+		return err
 	}
 	p.stats.Forwarded = binary.LittleEndian.Uint64(b)
 	p.stats.Rewritten = binary.LittleEndian.Uint64(b[8:])
 	p.stats.Counted = binary.LittleEndian.Uint64(b[16:])
 	p.stats.Dropped = binary.LittleEndian.Uint64(b[24:])
-	return p.table.Restore(b[4*8:])
+	return nil
 }
 
 // Digest is FNV-1a over the pipeline Checkpoint.

@@ -247,7 +247,9 @@ func (t *Table) Checkpoint() []byte {
 	return out
 }
 
-// Restore replaces the table's contents and stats from a Checkpoint.
+// Restore replaces the table's contents and stats from a Checkpoint. It
+// is atomic: the whole checkpoint is decoded and validated before the
+// table changes, so an error leaves it exactly as it was.
 func (t *Table) Restore(b []byte) error {
 	if len(b) < 4 {
 		return fmt.Errorf("flowtable: checkpoint too short (%d bytes)", len(b))
@@ -259,14 +261,16 @@ func (t *Table) Restore(b []byte) error {
 	if n > t.cap {
 		return fmt.Errorf("flowtable: checkpoint holds %d entries over capacity %d", n, t.cap)
 	}
-	t.m = make(map[Key]*entry, t.cap)
-	t.front, t.back = nil, nil
+	m := make(map[Key]*entry, t.cap)
+	var front, back *entry
 	off := 4
-	var prev *entry
 	for i := 0; i < n; i++ {
 		k, err := DecodeKey(b[off : off+KeyBytes])
 		if err != nil {
 			return err
+		}
+		if _, dup := m[k]; dup {
+			return fmt.Errorf("flowtable: checkpoint repeats key %v", k)
 		}
 		e := &entry{
 			key:      k,
@@ -274,20 +278,18 @@ func (t *Table) Restore(b []byte) error {
 			backend:  binary.LittleEndian.Uint16(b[off+KeyBytes+1:]),
 			hits:     binary.LittleEndian.Uint64(b[off+KeyBytes+3:]),
 			lastSeen: sim.Time(binary.LittleEndian.Uint64(b[off+KeyBytes+11:])),
+			prev:     back,
 		}
-		if _, dup := t.m[k]; dup {
-			return fmt.Errorf("flowtable: checkpoint repeats key %v", k)
-		}
-		t.m[k] = e
-		if prev == nil {
-			t.front = e
+		m[k] = e
+		if back == nil {
+			front = e
 		} else {
-			prev.next, e.prev = e, prev
+			back.next = e
 		}
-		prev = e
+		back = e
 		off += ckptEntryBytes
 	}
-	t.back = prev
+	t.m, t.front, t.back = m, front, back
 	for i, p := range []*uint64{&t.stats.Lookups, &t.stats.Hits, &t.stats.Misses,
 		&t.stats.Inserts, &t.stats.Evicted, &t.stats.Expired} {
 		*p = binary.LittleEndian.Uint64(b[off+8*i:])

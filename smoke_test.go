@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -55,7 +56,7 @@ func TestSmokeBinaries(t *testing.T) {
 	// Every main package must have produced a binary.
 	for _, name := range []string{
 		"cmd/chan-saturate", "cmd/cluster-shard", "cmd/docslint", "cmd/hydra-bench",
-		"cmd/layout-solve", "cmd/odflint", "cmd/tivopc",
+		"cmd/hydra-trace", "cmd/layout-solve", "cmd/odflint", "cmd/tivopc",
 		"examples/layoutopt", "examples/packetfilter", "examples/quickstart",
 		"examples/storageindex", "examples/tivopc",
 	} {
@@ -154,6 +155,17 @@ func TestSmokeBinaries(t *testing.T) {
 			if !strings.Contains(out, want) {
 				t.Fatalf("cluster-shard output missing %q:\n%s", want, out)
 			}
+		}
+	})
+
+	t.Run("hydra-bench-trace", func(t *testing.T) {
+		// One traced x12 cell through the bench's -trace flag, then its
+		// summary: the per-packet flow events must show up as a component.
+		trace := filepath.Join(t.TempDir(), "x12.json")
+		runBinary(t, bin, "cmd/hydra-bench", "-json", "-scenario", "x12", "-trace", "x12="+trace)
+		out := runBinary(t, bin, "cmd/hydra-trace", trace)
+		if !regexp.MustCompile(`(?m)^\s+flow\s+[1-9][0-9]*\s`).MatchString(out) {
+			t.Fatalf("hydra-trace summary has no flow component row:\n%s", out)
 		}
 	})
 

@@ -15,16 +15,17 @@
 //
 // The windowed and pooled scenarios carry the determinism contract: x9,
 // x10, x11, x12 and the jitter sweep run each cell serially and again on
-// -workers goroutines and fail unless both runs agree bit for bit
+// max(2, GOMAXPROCS) goroutines and fail unless both runs agree bit for bit
 // (experiments.RunTwin). The jitter sweep replays Table 2 across 8 seeds
 // (4 with -quick); only its wall clocks differ between the two runs.
 //
 // -baseline compares the run against an archived BENCH_*.json and fails
-// on a regression: *_events_per_sec and *_msgs_per_sec must stay above
-// 0.8× the baseline, *_cycles_per_msg, *_cycles_per_syscall and
-// *_p99_lat_us below 1.25×, and *_swap_window_ms below 1.5× (the hot-swap
-// quiesce window must not quietly lengthen). The comparison is recorded
-// in the report.
+// on a regression: every deterministic metric the two share must be equal
+// (a seed fixes the virtual-clock results), and the engine's
+// *_events_per_sec must stay above 0.8× the baseline. Allocations per
+// event and the twin runs' serial_ms, parallel_ms, speedup and workers
+// depend on the host and are not compared. The comparison is recorded in
+// the report.
 //
 // -trace name=path[,name=path] runs one traced cell of each named
 // scenario (x7, x11 or x12) and writes its merged recorder stream as
@@ -36,7 +37,7 @@
 //
 // Usage:
 //
-//	hydra-bench [-quick] [-seed N] [-json] [-workers N] [-scenario a,b,...] [-baseline file] [-trace name=path,...]
+//	hydra-bench [-quick] [-seed N] [-json] [-scenario a,b,...] [-baseline file] [-trace name=path,...]
 package main
 
 import (
@@ -80,12 +81,15 @@ type baselineResult struct {
 
 type metrics = map[string]float64
 
+// twinWorkers sizes the parallel side of every serial ≡ parallel check;
+// 0 lets experiments.RunTwin pick max(2, GOMAXPROCS).
+const twinWorkers = 0
+
 // opts are the knobs every scenario runs under.
 type opts struct {
 	seed     int64
 	duration sim.Time // simulated length of the sampled paper scenarios
 	replicas int      // jitter-sweep seeds
-	workers  int      // parallel side of every serial ≡ parallel check
 }
 
 // scenario is one table entry. run executes it, gates its shape, and
@@ -257,7 +261,7 @@ var scenarios = []*scenario{
 	}},
 	{name: "x9-cluster", run: func(o opts) (metrics, string, error) {
 		// The grid runs serially, then on the Sweep worker pool.
-		tw, err := experiments.RunTwin("x9", o.workers, func(w int) (*experiments.ClusterResults, error) {
+		tw, err := experiments.RunTwin("x9", twinWorkers, func(w int) (*experiments.ClusterResults, error) {
 			return experiments.RunCluster(o.seed, experiments.X9Duration, w)
 		})
 		if err == nil {
@@ -284,7 +288,7 @@ var scenarios = []*scenario{
 	{name: "x10-autoscale", run: func(o opts) (metrics, string, error) {
 		// Static provisioning at the peak count vs the autoscaler growing
 		// and shrinking the shard set, with a live hot-swap at the peak.
-		res, err := experiments.RunAutoscale(o.seed, o.workers)
+		res, err := experiments.RunAutoscale(o.seed, twinWorkers)
 		if err == nil {
 			err = experiments.CheckAutoscaleShape(res)
 		}
@@ -308,7 +312,7 @@ var scenarios = []*scenario{
 		return m, res.Render(), nil
 	}},
 	{name: "x11-syscalls", run: func(o opts) (metrics, string, error) {
-		res, err := experiments.RunSyscalls(o.seed, o.workers)
+		res, err := experiments.RunSyscalls(o.seed, twinWorkers)
 		if err == nil {
 			err = experiments.CheckSyscallShape(res)
 		}
@@ -349,7 +353,7 @@ var scenarios = []*scenario{
 	{name: "x12-dataplane", run: func(o opts) (metrics, string, error) {
 		// CheckDataPlaneShape gates conservation, the exactly-once log
 		// ledger, hit rate under churn and the 4-host scaling headline.
-		res, err := experiments.RunDataPlane(o.seed, o.workers)
+		res, err := experiments.RunDataPlane(o.seed, twinWorkers)
 		if err == nil {
 			err = experiments.CheckDataPlaneShape(res)
 		}
@@ -406,7 +410,7 @@ var scenarios = []*scenario{
 	}},
 	{name: "x9-parallel", run: func(o opts) (metrics, string, error) {
 		// Wall clocks are informational (1-CPU hosts cannot show a win).
-		tw, err := experiments.RunClusterParallel(o.seed, experiments.X9Duration, o.workers)
+		tw, err := experiments.RunClusterParallel(o.seed, experiments.X9Duration, twinWorkers)
 		if err != nil {
 			return nil, "", err
 		}
@@ -431,7 +435,7 @@ var scenarios = []*scenario{
 		for i := range seeds {
 			seeds[i] = o.seed + int64(i)
 		}
-		tw, err := experiments.RunTwin("jitter sweep", o.workers, func(w int) (*experiments.JitterSweep, error) {
+		tw, err := experiments.RunTwin("jitter sweep", twinWorkers, func(w int) (*experiments.JitterSweep, error) {
 			return experiments.RunJitterSweep(tivopc.SimpleServer, seeds, o.duration, w)
 		})
 		if err != nil {
@@ -457,13 +461,12 @@ func main() {
 	quick := flag.Bool("quick", false, "short runs (20 s simulated instead of 120 s, 4 sweep replicas instead of 8)")
 	seed := flag.Int64("seed", experiments.DefaultSeed, "simulation seed")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report on stdout")
-	workers := flag.Int("workers", 0, "goroutines on the parallel side of every serial ≡ parallel check (0 = max(2, GOMAXPROCS))")
 	scenarioList := flag.String("scenario", "", "run only the named scenarios, comma-separated; a prefix before '-' selects every scenario sharing it (e.g. x12 or engine,x7,x9)")
-	baseline := flag.String("baseline", "", "BENCH_*.json to compare against: fail if throughput or cycles/msg metrics regress")
+	baseline := flag.String("baseline", "", "BENCH_*.json to compare against: fail if a deterministic metric differs or events/s drops below 0.8x")
 	traceList := flag.String("trace", "", "name=path[,name=path]: write one traced, reconciled cell of scenario x7, x11 or x12 to path (.json Chrome trace-event, .csv CSV)")
 	flag.Parse()
 
-	o := opts{seed: *seed, duration: experiments.DefaultDuration, replicas: 8, workers: *workers}
+	o := opts{seed: *seed, duration: experiments.DefaultDuration, replicas: 8}
 	if *quick {
 		o.duration, o.replicas = experiments.QuickDuration, 4
 	}
@@ -615,43 +618,22 @@ func writeTrace(sc *scenario, path string, seed int64, verbose bool) error {
 	return nil
 }
 
-// throughputBand is the floor for higher-is-better rate metrics
-// (*_events_per_sec, *_msgs_per_sec) relative to the committed baseline:
-// they are wall-clock derived, so CI tolerates up to a 20% dip before
-// calling it a regression. cyclesBand is the ceiling for the
-// lower-is-better *_cycles_per_msg metrics; those are virtual-clock
-// derived and deterministic for a seed, but the band leaves room for
-// intentional model changes that shift host cost slightly.
-const (
-	throughputBand = 0.8
-	cyclesBand     = 1.25
-	swapBand       = 1.5
-)
+// eventsBand is the floor for the engine's *_events_per_sec metrics
+// relative to the committed baseline: they are wall-clock derived, so the
+// gate tolerates up to a 20% dip before calling it a regression.
+const eventsBand = 0.8
 
-// baselineClass maps a metric-key suffix to its regression test: floor
-// ratios fail below the band, ceiling ratios fail above it.
-type baselineClass struct {
-	suffix  string
-	band    float64
-	ceiling bool
-}
-
-var baselineClasses = []baselineClass{
-	{suffix: "_events_per_sec", band: throughputBand},
-	{suffix: "_msgs_per_sec", band: throughputBand},
-	{suffix: "_cycles_per_msg", band: cyclesBand, ceiling: true},
-	// Host cost per device-initiated syscall (x11) is gated the same way
-	// as cycles/msg: virtual-clock deterministic, ceiling leaves room for
-	// intentional dispatch cost-model changes.
-	{suffix: "_cycles_per_syscall", band: cyclesBand, ceiling: true},
-	// Tail latency (x11 syscall completion, x12 data-plane send→process)
-	// is virtual-clock deterministic per seed; the ceiling catches queueing
-	// regressions while leaving room for intentional cost-model shifts.
-	{suffix: "_p99_lat_us", band: cyclesBand, ceiling: true},
-	// The hot-swap quiesce→replay window is virtual-clock deterministic
-	// for a seed; the band leaves room for intentional cost-model shifts
-	// while still catching a mutation path that stops overlapping work.
-	{suffix: "_swap_window_ms", band: swapBand, ceiling: true},
+// gatedExactly reports whether key is a deterministic metric the gate
+// requires to equal its baseline. Virtual-clock results are fixed for a
+// seed, so any change is a behaviour change. The exceptions measure the
+// host instead: events/s (gated by eventsBand), allocations per event, the
+// twin runs' wall clocks and speedup, and the worker count they ran with.
+func gatedExactly(key string) bool {
+	switch key {
+	case "serial_ms", "parallel_ms", "speedup", "workers":
+		return false
+	}
+	return !strings.HasSuffix(key, "_events_per_sec") && !strings.HasSuffix(key, "_allocs_per_event")
 }
 
 func readReport(path string) (*report, error) {
@@ -666,46 +648,43 @@ func readReport(path string) (*report, error) {
 	return &r, nil
 }
 
-// compareBaseline checks every classed metric (throughput floors,
-// cycles/msg ceilings) rep shares with base. It returns one line per
-// compared metric and one per regression, each list sorted. Scenario or
-// metric keys present on only one side are ignored, so old baselines
-// stay usable as the suite grows; nothing comparable at all is an error.
+// compareBaseline checks every metric rep shares with base: deterministic
+// metrics must be equal, *_events_per_sec must stay above eventsBand× the
+// baseline, and the host-dependent rest is not compared. It returns one
+// line per compared metric and one per regression, each list sorted.
+// Scenario or metric keys present on only one side are ignored, so old
+// baselines stay usable as the suite grows; nothing comparable at all is
+// an error.
 func compareBaseline(rep, base *report) (compared, regressions []string, err error) {
 	baseMetrics := map[string]map[string]float64{}
 	for _, s := range base.Scenarios {
 		baseMetrics[s.Name] = s.Metrics
 	}
-	classOf := func(key string) *baselineClass {
-		for i := range baselineClasses {
-			if strings.HasSuffix(key, baselineClasses[i].suffix) {
-				return &baselineClasses[i]
-			}
-		}
-		return nil
-	}
 	for _, s := range rep.Scenarios {
 		bm := baseMetrics[s.Name]
 		for key, got := range s.Metrics {
-			cl := classOf(key)
 			want, ok := bm[key]
-			if cl == nil || !ok || want <= 0 {
+			switch {
+			case !ok:
 				continue
-			}
-			ratio := got / want
-			compared = append(compared, fmt.Sprintf("%s/%s: %.2f vs %.2f (%.2fx)", s.Name, key, got, want, ratio))
-			bad, dir := ratio < cl.band, "<"
-			if cl.ceiling {
-				bad, dir = ratio > cl.band, ">"
-			}
-			if bad {
-				regressions = append(regressions, fmt.Sprintf("%s/%s: %.2f vs baseline %.2f (%.2fx %s %.2fx)",
-					s.Name, key, got, want, ratio, dir, cl.band))
+			case gatedExactly(key):
+				compared = append(compared, fmt.Sprintf("%s/%s: %v vs %v", s.Name, key, got, want))
+				if got != want {
+					regressions = append(regressions, fmt.Sprintf("%s/%s: %v vs baseline %v (must be equal)",
+						s.Name, key, got, want))
+				}
+			case strings.HasSuffix(key, "_events_per_sec") && want > 0:
+				ratio := got / want
+				compared = append(compared, fmt.Sprintf("%s/%s: %.2f vs %.2f (%.2fx)", s.Name, key, got, want, ratio))
+				if ratio < eventsBand {
+					regressions = append(regressions, fmt.Sprintf("%s/%s: %.2f vs baseline %.2f (%.2fx < %.2fx)",
+						s.Name, key, got, want, ratio, eventsBand))
+				}
 			}
 		}
 	}
 	if len(compared) == 0 {
-		return nil, nil, fmt.Errorf("baseline: no comparable classed metrics (ran scenarios: %d)", len(rep.Scenarios))
+		return nil, nil, fmt.Errorf("baseline: no comparable metrics (ran scenarios: %d)", len(rep.Scenarios))
 	}
 	sort.Strings(compared)
 	sort.Strings(regressions)

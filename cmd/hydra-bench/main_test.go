@@ -17,37 +17,53 @@ func rep(scenarios map[string]map[string]float64) *report {
 }
 
 func TestCompareBaselineFloorBelowBandFails(t *testing.T) {
-	base := rep(map[string]map[string]float64{"x9": {"a_msgs_per_sec": 100}})
-	_, reg, err := compareBaseline(rep(map[string]map[string]float64{"x9": {"a_msgs_per_sec": 79}}), base)
-	if err != nil || len(reg) != 1 || !strings.HasPrefix(reg[0], "x9/a_msgs_per_sec:") {
-		t.Fatalf("0.79x throughput: regressions %q, err %v", reg, err)
+	base := rep(map[string]map[string]float64{"engine": {"a_events_per_sec": 100}})
+	_, reg, err := compareBaseline(rep(map[string]map[string]float64{"engine": {"a_events_per_sec": 79}}), base)
+	if err != nil || len(reg) != 1 || !strings.HasPrefix(reg[0], "engine/a_events_per_sec:") {
+		t.Fatalf("0.79x events/s: regressions %q, err %v", reg, err)
 	}
-	_, reg, err = compareBaseline(rep(map[string]map[string]float64{"x9": {"a_msgs_per_sec": 81}}), base)
+	_, reg, err = compareBaseline(rep(map[string]map[string]float64{"engine": {"a_events_per_sec": 81}}), base)
 	if err != nil || len(reg) != 0 {
-		t.Fatalf("0.81x throughput is inside the band: regressions %q, err %v", reg, err)
+		t.Fatalf("0.81x events/s is inside the band: regressions %q, err %v", reg, err)
 	}
 }
 
-func TestCompareBaselineCeilingAboveBandFails(t *testing.T) {
-	base := rep(map[string]map[string]float64{"x7": {"a_cycles_per_msg": 100, "soak_swap_window_ms": 2}})
-	_, reg, err := compareBaseline(rep(map[string]map[string]float64{
-		"x7": {"a_cycles_per_msg": 126, "soak_swap_window_ms": 2.9},
-	}), base)
-	if err != nil || len(reg) != 1 || !strings.Contains(reg[0], "a_cycles_per_msg") || !strings.Contains(reg[0], ">") {
-		t.Fatalf("1.26x cycles/msg (swap window 1.45x, inside its band): regressions %q, err %v", reg, err)
-	}
-}
-
-func TestCompareBaselineIgnoresOneSidedKeys(t *testing.T) {
+func TestCompareBaselineDeterministicMetricsExact(t *testing.T) {
 	base := rep(map[string]map[string]float64{
-		"x9":   {"a_msgs_per_sec": 100, "gone_msgs_per_sec": 100},
-		"old":  {"b_msgs_per_sec": 100},
-		"zero": {"c_msgs_per_sec": 0},
+		"x7":  {"a_cycles_per_msg": 100, "b_msgs_per_sec": 100, "c_p99_lat_us": 5},
+		"x10": {"soak_swap_window_ms": 2, "auto_lost": 0},
 	})
 	cur := rep(map[string]map[string]float64{
-		"x9":   {"a_msgs_per_sec": 100, "new_msgs_per_sec": 1, "total_msgs": 5},
-		"new":  {"b_msgs_per_sec": 1},
-		"zero": {"c_msgs_per_sec": 1},
+		"x7":  {"a_cycles_per_msg": 100.5, "b_msgs_per_sec": 101, "c_p99_lat_us": 4},
+		"x10": {"soak_swap_window_ms": 2, "auto_lost": 3},
+	})
+	compared, reg, err := compareBaseline(cur, base)
+	if err != nil || len(compared) != 5 {
+		t.Fatalf("compared %q, err %v", compared, err)
+	}
+	// Any change, better or worse and from a zero baseline too, fails.
+	want := []string{"x10/auto_lost:", "x7/a_cycles_per_msg:", "x7/b_msgs_per_sec:", "x7/c_p99_lat_us:"}
+	if len(reg) != len(want) {
+		t.Fatalf("regressions %q, want %q", reg, want)
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(reg[i], w) {
+			t.Fatalf("regression %d = %q, want prefix %q", i, reg[i], w)
+		}
+	}
+}
+
+// Keys on one side only, and the host-dependent keys, are not compared.
+func TestCompareBaselineIgnoresOneSidedKeys(t *testing.T) {
+	base := rep(map[string]map[string]float64{
+		"x9":  {"a_msgs_per_sec": 100, "gone_msgs_per_sec": 100},
+		"old": {"b_msgs_per_sec": 100},
+		"x12": {"serial_ms": 10, "parallel_ms": 10, "speedup": 1, "workers": 2, "chain_allocs_per_event": 0},
+	})
+	cur := rep(map[string]map[string]float64{
+		"x9":  {"a_msgs_per_sec": 100, "new_msgs_per_sec": 1, "total_msgs": 5},
+		"new": {"b_msgs_per_sec": 1},
+		"x12": {"serial_ms": 20, "parallel_ms": 5, "speedup": 4, "workers": 8, "chain_allocs_per_event": 1},
 	})
 	compared, reg, err := compareBaseline(cur, base)
 	if err != nil || len(reg) != 0 {
@@ -59,9 +75,9 @@ func TestCompareBaselineIgnoresOneSidedKeys(t *testing.T) {
 }
 
 func TestCompareBaselineNothingComparableIsAnError(t *testing.T) {
-	base := rep(map[string]map[string]float64{"x9": {"total_msgs": 5}})
-	if _, _, err := compareBaseline(rep(map[string]map[string]float64{"x9": {"total_msgs": 5}}), base); err == nil {
-		t.Fatal("no classed metric in common, but no error")
+	base := rep(map[string]map[string]float64{"x9": {"speedup": 2}})
+	if _, _, err := compareBaseline(rep(map[string]map[string]float64{"x9": {"speedup": 2}}), base); err == nil {
+		t.Fatal("no gated metric in common, but no error")
 	}
 	if _, _, err := compareBaseline(rep(nil), base); err == nil {
 		t.Fatal("empty run, but no error")
@@ -69,8 +85,8 @@ func TestCompareBaselineNothingComparableIsAnError(t *testing.T) {
 }
 
 func TestCompareBaselineRegressionsSorted(t *testing.T) {
-	slow := map[string]float64{"b_msgs_per_sec": 1, "a_msgs_per_sec": 1, "c_p99_lat_us": 9}
-	base := map[string]float64{"b_msgs_per_sec": 10, "a_msgs_per_sec": 10, "c_p99_lat_us": 1}
+	slow := map[string]float64{"b_events_per_sec": 1, "a_msgs_per_sec": 1, "c_p99_lat_us": 9}
+	base := map[string]float64{"b_events_per_sec": 10, "a_msgs_per_sec": 10, "c_p99_lat_us": 1}
 	_, reg, err := compareBaseline(
 		rep(map[string]map[string]float64{"x9": slow, "x12": slow, "engine": slow}),
 		rep(map[string]map[string]float64{"x9": base, "x12": base, "engine": base}))

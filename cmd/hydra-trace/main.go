@@ -1,5 +1,5 @@
 // Command hydra-trace summarizes a virtual-time trace written by the
-// -trace flag of cmd/hydra-bench, cmd/chan-saturate or cmd/tivopc
+// -trace flag of cmd/hydra-bench or cmd/tivopc
 // (Chrome trace-event JSON; the same file loads in Perfetto for the
 // visual view). It prints a per-component virtual-time breakdown — how
 // much simulated time each layer's spans cover and how many records each

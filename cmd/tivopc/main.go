@@ -112,9 +112,14 @@ func main() {
 		fmt.Printf("  frames decoded on host: %d\n", client.FramesDecoded)
 	}
 	if clientKind == tivopc.OffloadedClient {
+		if err := client.VerifyPlacement(); err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  frames decoded on GPU: %d (verified %d)\n",
 			client.Decoder.Frames, client.Display.VerifiedOK)
 		fmt.Printf("  recorded to NAS: %d bytes\n", client.DiskFile.Written)
+		fmt.Printf("  energy: NIC %.2f J, GPU %.2f J, disk %.2f J\n",
+			tb.ClientNIC.EnergyJoules(), tb.ClientGPU.EnergyJoules(), tb.ClientDisk.EnergyJoules())
 	}
 	if *tracePath != "" {
 		if err := tb.Tracer.WriteFile(*tracePath); err != nil {

@@ -10,7 +10,7 @@
 // hydra.NewCluster opens a coordinator over a multi-host testbed, and a
 // ClusterPlan shards an Offcode graph across machines with inter-host
 // bridge channels and cross-host failover (see DESIGN.md's "Cluster
-// layer" and cmd/cluster-shard).
+// layer" and hydra-bench -scenario x9).
 package main
 
 import (

@@ -99,8 +99,8 @@ type (
 
 // Cluster and autoscaling configuration.
 type (
-	// ClusterConfig tunes a NewCluster coordinator: per-host session
-	// quotas, the shard assignment resolver, link models and the bridge
+	// ClusterConfig tunes a NewCluster coordinator: the per-host session
+	// name, host capacity, the inter-host link model and the bridge
 	// channel profile.
 	ClusterConfig = cluster.Config
 	// AutoscaleConfig sets a NewAutoscaler controller's per-shard

@@ -151,7 +151,7 @@ func New(eng *sim.Engine, reg *obs.Registry, cfg Config, tgt Target) (*Controlle
 // batching factor (delivered messages per interrupt), which rises as
 // coalescing absorbs load.
 func (c *Controller) ObserveChannel(prefix string, st channel.Stats) {
-	st.Publish(c.reg, prefix)
+	obs.PublishStats(c.reg, prefix, st)
 	if st.Interrupts > 0 {
 		c.reg.Gauge(prefix + ".msgs_per_interrupt").Set(float64(st.Delivered) / float64(st.Interrupts))
 	}

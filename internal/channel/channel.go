@@ -27,7 +27,6 @@ package channel
 import (
 	"errors"
 	"fmt"
-	"reflect"
 
 	"hydra/internal/bus"
 	"hydra/internal/cache"
@@ -147,10 +146,6 @@ type Stats struct {
 	// timer rather than by filling up — partial batches paying the latency
 	// bound instead of waiting for load.
 	CoalesceFlushes uint64
-	// SGWrites / SGFragments count scatter-gather sends (WriteV with ≥ 2
-	// fragments) and the fragments they gathered into single DMAs.
-	SGWrites    uint64
-	SGFragments uint64
 	// Undelivered counts reliable sends accepted by Write but discarded by
 	// Close before delivery: descriptor-starved queued sends, batched
 	// messages still waiting for a flush, and messages held at a paused
@@ -161,37 +156,6 @@ type Stats struct {
 	// were re-delivered by Resume. Each such message counts in Delivered
 	// exactly once, at replay time.
 	Replayed uint64
-}
-
-// Publish writes every Stats field into the registry as a gauge named
-// <prefix>.<snake_case_field>. It walks the struct by reflection so a
-// field added to Stats can never be silently missing from the metrics
-// surface (TestStatsPublishCoversEveryField pins this).
-func (s Stats) Publish(r *obs.Registry, prefix string) {
-	v := reflect.ValueOf(s)
-	t := v.Type()
-	for i := 0; i < t.NumField(); i++ {
-		r.Gauge(prefix + "." + snakeCase(t.Field(i).Name)).Set(float64(v.Field(i).Uint()))
-	}
-}
-
-// snakeCase converts a Go field name (Sent, CoalesceFlushes, SGWrites)
-// to its metric form (sent, coalesce_flushes, sg_writes).
-func snakeCase(name string) string {
-	var b []byte
-	rs := []rune(name)
-	for i, r := range rs {
-		if r >= 'A' && r <= 'Z' {
-			prevLower := i > 0 && rs[i-1] >= 'a' && rs[i-1] <= 'z'
-			nextLower := i+1 < len(rs) && rs[i+1] >= 'a' && rs[i+1] <= 'z'
-			if i > 0 && (prevLower || nextLower) {
-				b = append(b, '_')
-			}
-			r += 'a' - 'A'
-		}
-		b = append(b, byte(r))
-	}
-	return string(b)
 }
 
 // Add accumulates other into s. Cluster bridges use it to merge the two
@@ -206,8 +170,6 @@ func (s *Stats) Add(other Stats) {
 	s.Interrupts += other.Interrupts
 	s.Batches += other.Batches
 	s.CoalesceFlushes += other.CoalesceFlushes
-	s.SGWrites += other.SGWrites
-	s.SGFragments += other.SGFragments
 	s.Undelivered += other.Undelivered
 	s.Replayed += other.Replayed
 }
@@ -219,16 +181,14 @@ func (s *Stats) Add(other Stats) {
 // them. Poll-mode reads (Read) own their slice outright.
 type Handler func(data []byte)
 
-// message is one queued payload; sizes is non-empty for scatter-gather
-// sends and records the original fragment lengths so the wire can gather
-// them. Messages and their buffers are pooled per channel: they travel
-// from Write through transmit/deliver and back to the free list. id is a
-// per-channel monotonic trace identifier, stamped only when tracing is
-// enabled; multicast copies share the original's id.
+// message is one queued payload. Messages and their buffers are pooled
+// per channel: they travel from Write through transmit/deliver and back
+// to the free list. id is a per-channel monotonic trace identifier,
+// stamped only when tracing is enabled; multicast copies share the
+// original's id.
 type message struct {
-	data  []byte
-	sizes []int
-	id    uint64
+	data []byte
+	id   uint64
 }
 
 // Endpoint is one end of a channel.
@@ -284,9 +244,6 @@ type heldGroup struct {
 // Name identifies the endpoint for diagnostics.
 func (e *Endpoint) Name() string { return e.name }
 
-// OnDevice reports whether the endpoint executes on a device.
-func (e *Endpoint) OnDevice() bool { return e.dev != nil }
-
 // Channel is the shared pathway between a creator endpoint and one or more
 // connected endpoints.
 type Channel struct {
@@ -312,8 +269,8 @@ type Channel struct {
 	nextID uint64
 
 	// Free lists for the steady-state hot path: message envelopes (with
-	// their payload and fragment-size buffers) and the transient batch
-	// slices and gather size lists built per transmit. Everything cycles
+	// their payload buffers) and the transient batch slices and gather
+	// size lists built per transmit. Everything cycles
 	// Write → transmit → deliver → free list, so a saturated channel
 	// stops allocating once warm. Poolable state only — an inbox
 	// delivery hands its payload buffer to the reader, so the envelope
@@ -339,7 +296,6 @@ func (c *Channel) getMsg() *message {
 
 func (c *Channel) putMsg(m *message) {
 	m.data = m.data[:0]
-	m.sizes = m.sizes[:0]
 	m.id = 0
 	if len(c.msgFree) < poolCap {
 		c.msgFree = append(c.msgFree, m)
@@ -547,25 +503,6 @@ func (e *Endpoint) Write(payload []byte) error {
 	return e.write(m)
 }
 
-// WriteV sends a scatter-gather message: the fragments occupy ONE ring
-// descriptor, ride ONE DMA (a gather over the fragment list), and arrive at
-// the receiver as the concatenated payload. The total size is bounded by
-// MaxMessage like any other message. A single fragment is an ordinary Write.
-func (e *Endpoint) WriteV(fragments ...[]byte) error {
-	c := e.ch
-	if c == nil {
-		return ErrNoPeer
-	}
-	msg := c.getMsg()
-	for _, f := range fragments {
-		msg.data = append(msg.data, f...)
-		if len(fragments) > 1 {
-			msg.sizes = append(msg.sizes, len(f))
-		}
-	}
-	return e.write(msg)
-}
-
 // write consumes msg: it is either forwarded toward transmit (possibly
 // deferred behind a descriptor credit) or returned to the pool on
 // rejection and drop paths.
@@ -688,15 +625,7 @@ func (c *Channel) transmit(src *Endpoint, dir int, msgs []*message) {
 	sizes := c.getSizes()
 	for _, m := range msgs {
 		total += len(m.data)
-		if len(m.sizes) > 0 {
-			sizes = append(sizes, m.sizes...)
-			// Scatter-gather accounting happens here, when the fragments
-			// actually ride a DMA — dropped or never-flushed sends count none.
-			c.stats.SGWrites++
-			c.stats.SGFragments += uint64(len(m.sizes))
-		} else {
-			sizes = append(sizes, len(m.data))
-		}
+		sizes = append(sizes, len(m.data))
 	}
 	c.stats.Sent += uint64(n)
 	c.stats.Bytes += uint64(total)
@@ -712,8 +641,7 @@ func (c *Channel) transmit(src *Endpoint, dir int, msgs []*message) {
 			dst := dst
 			// Multicast destinations each get private payload copies: a
 			// handler that mutates its message must never corrupt what a
-			// sibling receiver observes. (Fragment sizes are not copied:
-			// only the wire reads them, from the gather list built above.)
+			// sibling receiver observes.
 			batch := msgs
 			if len(dests) > 1 {
 				batch = c.getBatch()
@@ -768,9 +696,8 @@ func (c *Channel) transmit(src *Endpoint, dir int, msgs []*message) {
 	}
 }
 
-// wire moves the payload between execution domains. Multi-segment groups —
-// batches and scatter-gather messages — ride one gather DMA; a single
-// segment is a plain transfer.
+// wire moves the payload between execution domains. A batch rides one
+// gather DMA; a single message is a plain transfer.
 func (c *Channel) wire(src, dst *Endpoint, sizes []int, total int, done func()) {
 	if c.tr.On() {
 		name := trDMA

@@ -469,90 +469,6 @@ func TestPendingDrainsFIFOAcrossCreditRecycle(t *testing.T) {
 	}
 }
 
-// --- Scatter-gather writes ---
-
-func TestWriteVGathersFragmentsIntoOneDMA(t *testing.T) {
-	r := newRig()
-	ch, _, oc := r.hostToDev(t, DefaultConfig())
-	app := ch.Creator()
-	var got []byte
-	oc.InstallCallHandler(func(d []byte) { got = d })
-	txBefore := r.b.Total().Transactions
-	if err := app.WriteV([]byte("head|"), []byte("body|"), []byte("tail")); err != nil {
-		t.Fatal(err)
-	}
-	r.eng.RunAll()
-	if string(got) != "head|body|tail" {
-		t.Fatalf("got %q", got)
-	}
-	st := ch.Stats()
-	if st.SGWrites != 1 || st.SGFragments != 3 {
-		t.Fatalf("SG accounting: %+v", st)
-	}
-	if st.Sent != 1 || st.Delivered != 1 {
-		t.Fatalf("a gather is one message: %+v", st)
-	}
-	if tx := r.b.Total().Transactions - txBefore; tx != 1 {
-		t.Fatalf("bus transactions = %d, want 1 gather", tx)
-	}
-	if segs := r.b.Total().GatherSegments; segs != 3 {
-		t.Fatalf("gather segments = %d, want 3", segs)
-	}
-}
-
-func TestWriteVSingleFragmentIsPlainWrite(t *testing.T) {
-	r := newRig()
-	ch, app, oc := r.hostToDev(t, DefaultConfig())
-	var got []byte
-	oc.InstallCallHandler(func(d []byte) { got = d })
-	if err := app.WriteV([]byte("solo")); err != nil {
-		t.Fatal(err)
-	}
-	r.eng.RunAll()
-	if string(got) != "solo" {
-		t.Fatalf("got %q", got)
-	}
-	st := ch.Stats()
-	if st.SGWrites != 0 || r.b.Total().GatherSegments != 0 {
-		t.Fatalf("single fragment should not count as scatter-gather: %+v", st)
-	}
-}
-
-// Scatter-gather accounting counts only messages that actually ride a DMA:
-// unreliable drops under descriptor exhaustion must not inflate SGWrites.
-func TestWriteVDroppedDoesNotCountAsGathered(t *testing.T) {
-	r := newRig()
-	cfg := DefaultConfig()
-	cfg.Reliable = false
-	cfg.RingEntries = 1
-	ch, app, oc := r.hostToDev(t, cfg)
-	oc.InstallCallHandler(func([]byte) {})
-	for i := 0; i < 5; i++ {
-		if err := app.WriteV([]byte("a"), []byte("b")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r.eng.RunAll()
-	st := ch.Stats()
-	if st.Dropped == 0 {
-		t.Fatal("expected descriptor exhaustion to drop")
-	}
-	if st.SGWrites != st.Sent || st.SGFragments != 2*st.Sent {
-		t.Fatalf("SG accounting counts drops: sent=%d dropped=%d sg=%d frags=%d",
-			st.Sent, st.Dropped, st.SGWrites, st.SGFragments)
-	}
-}
-
-func TestWriteVRespectsMaxMessage(t *testing.T) {
-	r := newRig()
-	cfg := DefaultConfig()
-	cfg.MaxMessage = 8
-	_, app, _ := r.hostToDev(t, cfg)
-	if err := app.WriteV(make([]byte, 5), make([]byte, 5)); err != ErrTooLarge {
-		t.Fatalf("oversize gather err = %v", err)
-	}
-}
-
 // --- Channel lifecycle regressions ---
 
 // Regression: Close must free the modeled host ring memory, so channel

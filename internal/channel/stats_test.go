@@ -1,14 +1,15 @@
 package channel
 
 // Reflection-based audits of the Stats surface. Stats fields get added
-// as features land (Batches in PR 4, SGWrites in PR 5, Undelivered in
-// PR 6); these tests walk the struct so a future field can never be
+// as features land (Batches, Undelivered, Replayed); these tests walk the
+// struct so a future field can never be
 // silently dropped from bridge-merged stats or from the metrics
 // registry — adding a field makes them pass or fail on their own,
 // with no test edit to forget.
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"hydra/internal/obs"
@@ -45,36 +46,35 @@ func TestStatsPublishCoversEveryField(t *testing.T) {
 		rv.Field(i).SetUint(uint64(i + 10))
 	}
 	r := obs.NewRegistry()
-	s.Publish(r, "chan")
+	obs.PublishStats(r, "chan", s)
 	snap := r.Snapshot()
 	if got, want := len(snap.Values), rv.NumField(); got != want {
 		t.Fatalf("published %d metrics, want %d (one per Stats field)", got, want)
 	}
-	for i := 0; i < rv.NumField(); i++ {
-		name := "chan." + snakeCase(rv.Type().Field(i).Name)
-		v, ok := snap.Get(name)
-		if !ok {
-			t.Errorf("field %s missing from registry (looked for %q)",
-				rv.Type().Field(i).Name, name)
-			continue
+	// Each field carries a distinct value, so every value showing up once
+	// under the prefix means every field was published.
+	seen := map[float64]bool{}
+	for _, mv := range snap.Values {
+		if !strings.HasPrefix(mv.Name, "chan.") {
+			t.Errorf("metric %q outside the chan. prefix", mv.Name)
 		}
-		if v != float64(i+10) {
-			t.Errorf("%s = %v, want %d", name, v, i+10)
+		seen[mv.Value] = true
+	}
+	for i := 0; i < rv.NumField(); i++ {
+		if !seen[float64(i+10)] {
+			t.Errorf("field %s missing from registry", rv.Type().Field(i).Name)
 		}
 	}
 }
 
+// TestSnakeCase pins the metric names channel stats publish under.
 func TestSnakeCase(t *testing.T) {
-	cases := map[string]string{
-		"Sent":            "sent",
-		"CoalesceFlushes": "coalesce_flushes",
-		"SGWrites":        "sg_writes",
-		"SGFragments":     "sg_fragments",
-		"Undelivered":     "undelivered",
-	}
-	for in, want := range cases {
-		if got := snakeCase(in); got != want {
-			t.Errorf("snakeCase(%q) = %q, want %q", in, got, want)
+	r := obs.NewRegistry()
+	obs.PublishStats(r, "chan", Stats{})
+	snap := r.Snapshot()
+	for _, name := range []string{"chan.sent", "chan.coalesce_flushes", "chan.undelivered", "chan.replayed"} {
+		if _, ok := snap.Get(name); !ok {
+			t.Errorf("no metric %q among %v", name, snap.Values)
 		}
 	}
 }

@@ -104,7 +104,7 @@ func (b *Bridge) Link() Link {
 	if !b.Cross() {
 		return Link{}
 	}
-	return b.coord.link(b.HostA(), b.HostB())
+	return b.coord.cfg.DefaultLink
 }
 
 // Relayed reports delivered relay counts (A→B, B→A).
@@ -262,10 +262,9 @@ func (b *Bridge) relay(dir int, payload []byte) {
 		return
 	}
 	dtr := dst.tr
-	m := b.coord.cfg.CostModel
-	txCycles := uint64(m.PerPacketTX + m.PerByteTX*float64(len(data)))
+	txCycles := uint64(costModel.PerPacketTX + costModel.PerByteTX*float64(len(data)))
 	src.fwd.exec(txCycles, func() {
-		l := b.coord.link(src.back.name(), dst.back.name())
+		l := b.coord.cfg.DefaultLink
 		srcEng, dstEng := b.coord.engineOf(src.back), b.coord.engineOf(dst.back)
 		wire := sim.Time(float64(len(data)) / l.BytesPerSec * float64(sim.Second))
 		// Serialize on the directed physical link, shared with every other
@@ -299,7 +298,7 @@ func (b *Bridge) relay(dir int, payload []byte) {
 			if dtr.On() {
 				dtr.Instant(obs.CatCluster, trBridgeRx, int64(len(data)))
 			}
-			rxCycles := uint64(m.PerPacketRX + m.InterruptRX + m.PerByteRX*float64(len(data)))
+			rxCycles := uint64(costModel.PerPacketRX + costModel.InterruptRX + costModel.PerByteRX*float64(len(data)))
 			far.fwd.exec(rxCycles, func() { b.deliver(dir, data) })
 		})
 	})

@@ -63,12 +63,6 @@ func DefaultLink() Link {
 	return Link{Latency: 20 * sim.Microsecond, BytesPerSec: 125e6}
 }
 
-// LinkSpec overrides the link between one host pair (symmetric).
-type LinkSpec struct {
-	A, B string
-	Link Link
-}
-
 // Config tunes a Coordinator.
 type Config struct {
 	// AppName names the application session the coordinator opens on every
@@ -76,26 +70,20 @@ type Config struct {
 	// bridge channels and forwarders are owned by — and accounted to —
 	// that per-host session.
 	AppName string
-	// App carries the session quotas/reservation applied on every host.
-	App core.AppConfig
-	// Resolver picks the shard assignment solver: core.ResolveGreedy
-	// (default) or core.ResolveILP for the provably minimal cut.
-	Resolver core.Resolver
 	// HostCapacity bounds the total shard load per host; 0 auto-balances
 	// to ceil(total load / live hosts), which forces an even spread.
 	HostCapacity float64
-	// DefaultLink is the link model between host pairs without an
-	// override; zero value → DefaultLink().
+	// DefaultLink is the link model between every host pair; zero value →
+	// DefaultLink().
 	DefaultLink Link
-	// Links overrides individual host pairs.
-	Links []LinkSpec
 	// Channel configures both legs of every bridge (ring depth, zero-copy,
 	// batching, coalescing); zero RingEntries → channel.DefaultConfig.
 	Channel channel.Config
-	// CostModel supplies the per-packet/per-byte forwarding cycle costs
-	// the solver charges cross-host edges; zero → netmodel.Foong2003().
-	CostModel netmodel.CostModel
 }
+
+// costModel supplies the per-packet/per-byte forwarding cycle costs the
+// solver charges cross-host edges and bridge relays burn.
+var costModel = netmodel.Foong2003()
 
 func (cfg Config) withDefaults() Config {
 	if cfg.AppName == "" {
@@ -106,9 +94,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.Channel.RingEntries == 0 {
 		cfg.Channel = channel.DefaultConfig()
-	}
-	if cfg.CostModel == (netmodel.CostModel{}) {
-		cfg.CostModel = netmodel.Foong2003()
 	}
 	return cfg
 }
@@ -172,7 +157,6 @@ type Coordinator struct {
 	// conservative-window execution; nil on shared-engine systems.
 	group *sim.Group
 
-	migrations []*Migration
 	fwdSeq     int
 	committing bool
 	closed     bool
@@ -194,7 +178,7 @@ func New(sys *testbed.System, cfg Config) (*Coordinator, error) {
 		linkBusy:   make(map[string]sim.Time),
 	}
 	for _, hs := range hosts {
-		app, err := hs.Runtime.OpenApp(cfg.AppName, cfg.App)
+		app, err := hs.Runtime.OpenApp(cfg.AppName, core.AppConfig{})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: host %s: %w", hs.Spec.Name, err)
 		}
@@ -210,27 +194,17 @@ func (c *Coordinator) System() *testbed.System { return c.sys }
 
 // EngineGroup returns (building on first use) the sim.Group over the
 // system's engines — the control engine plus every distinct per-host
-// engine — with lookahead set to the minimum link latency between any
-// backend pair. On a shared-engine testbed the group holds one engine,
-// so Settle degenerates to RunAll and windowed Run to a plain bounded
-// run. Errors if any configured link latency is non-positive: a
-// zero-latency link admits no conservative window.
+// engine — with lookahead set to the link latency. On a shared-engine
+// testbed the group holds one engine, so Settle degenerates to RunAll and
+// windowed Run to a plain bounded run. Errors if the link latency is
+// non-positive: a zero-latency link admits no conservative window.
 func (c *Coordinator) EngineGroup() (*sim.Group, error) {
 	if c.group != nil {
 		return c.group, nil
 	}
 	look := c.cfg.DefaultLink.Latency
-	for _, ls := range c.cfg.Links {
-		l := ls.Link.Latency
-		if l <= 0 {
-			return nil, fmt.Errorf("cluster: link %s-%s latency %v: conservative windows need positive lookahead", ls.A, ls.B, l)
-		}
-		if l < look {
-			look = l
-		}
-	}
 	if look <= 0 {
-		return nil, fmt.Errorf("cluster: default link latency %v: conservative windows need positive lookahead", look)
+		return nil, fmt.Errorf("cluster: link latency %v: conservative windows need positive lookahead", look)
 	}
 	engines := []*sim.Engine{c.sys.Eng}
 	seen := map[*sim.Engine]bool{c.sys.Eng: true}
@@ -275,15 +249,6 @@ func (c *Coordinator) Hosts() []string {
 	return out
 }
 
-// LiveHosts lists the surviving backend host names in declaration order.
-func (c *Coordinator) LiveHosts() []string {
-	out := make([]string, 0, len(c.backs))
-	for _, b := range c.live() {
-		out = append(out, b.name())
-	}
-	return out
-}
-
 func (c *Coordinator) live() []*backend {
 	out := make([]*backend, 0, len(c.backs))
 	for _, b := range c.backs {
@@ -316,41 +281,19 @@ func (c *Coordinator) Bridges() []*Bridge {
 	return out
 }
 
-// Migrations returns the cross-host migration history in detection order.
-func (c *Coordinator) Migrations() []*Migration {
-	return append([]*Migration(nil), c.migrations...)
-}
-
-// link resolves the (symmetric) link between two backends. A per-pair
-// override that left BytesPerSec unset inherits the default link's rate —
-// a zero rate would otherwise make wire time infinite.
-func (c *Coordinator) link(a, b string) Link {
-	for _, ls := range c.cfg.Links {
-		if (ls.A == a && ls.B == b) || (ls.A == b && ls.B == a) {
-			l := ls.Link
-			if l.BytesPerSec <= 0 {
-				l.BytesPerSec = c.cfg.DefaultLink.BytesPerSec
-			}
-			return l
-		}
-	}
-	return c.cfg.DefaultLink
-}
-
 // edgeWeight converts a traffic estimate into the forwarding cycles/second
 // both ends of a cross-host edge would burn — netmodel's per-packet,
 // per-byte and receive-interrupt accounting applied to the proxy pair.
-func (c *Coordinator) edgeWeight(t Traffic) float64 {
-	m := c.cfg.CostModel
-	return t.MsgsPerSec*(m.PerPacketTX+m.PerPacketRX+m.InterruptRX) +
-		t.BytesPerSec*(m.PerByteTX+m.PerByteRX)
+func edgeWeight(t Traffic) float64 {
+	return t.MsgsPerSec*(costModel.PerPacketTX+costModel.PerPacketRX+costModel.InterruptRX) +
+		t.BytesPerSec*(costModel.PerByteTX+costModel.PerByteRX)
 }
 
 // linkCostFactor scales an edge's forwarding weight by how bad the link
 // is: a near-ideal gigabit link costs ~2 (forwarding plus wire occupancy),
 // and every millisecond of one-way latency adds another unit — so the
 // solver prefers short links for chatty edges and co-location above all.
-func (c *Coordinator) linkCostFactor(l Link) float64 {
+func linkCostFactor(l Link) float64 {
 	f := 1 + float64(l.Latency)/float64(sim.Millisecond)
 	if l.BytesPerSec > 0 {
 		f += DefaultLink().BytesPerSec / l.BytesPerSec

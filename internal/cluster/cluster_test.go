@@ -521,38 +521,6 @@ func TestSolveRejectsPinToHostThatDiedAfterAddRoot(t *testing.T) {
 	}
 }
 
-// Review regression: a LinkSpec override that sets only Latency must
-// inherit the default bandwidth instead of dividing by zero.
-func TestLinkOverrideWithoutBandwidthInheritsDefault(t *testing.T) {
-	r := newRig(t, 2, Config{
-		Links: []LinkSpec{{A: "h0", B: "h1", Link: Link{Latency: 2 * sim.Millisecond}}},
-	})
-	pa := r.stock(t, "lA", 9911, true, false)
-	pb := r.stock(t, "lB", 9912, false, false)
-	p := r.coord.Plan()
-	if err := p.AddRoot(pa, PinTo("h0")); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.AddRoot(pb, PinTo("h1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Connect("lA", "lB", Traffic{BytesPerSec: 1e6, MsgsPerSec: 10}); err != nil {
-		t.Fatal(err)
-	}
-	dep := commit(t, r, p)
-	br := dep.Bridge("lA", "lB")
-	if got := br.Link().BytesPerSec; got != DefaultLink().BytesPerSec {
-		t.Fatalf("override link BytesPerSec = %v, want inherited default", got)
-	}
-	if err := br.EndpointA().Write([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	r.sys.Eng.RunAll()
-	if got := r.latest(t, "lB").recv; got != 1 {
-		t.Fatalf("delivery over latency-only link = %d, want 1", got)
-	}
-}
-
 // Review regression: a FailHost whose redeploy fails on a destination host
 // must unwind any shards it already re-committed elsewhere — nothing may
 // survive as running-but-untracked — and the coordinator must stay usable.

@@ -72,7 +72,6 @@ func (c *Coordinator) FailHost(name string, k func(*Migration, error)) {
 			tr.Complete(obs.CatCluster, "cluster.migrate", rec.Started,
 				rec.Finished-rec.Started, int64(len(rec.Moved)))
 		}
-		c.migrations = append(c.migrations, rec)
 		k(rec, err)
 	}
 	back, ok := c.byHost[name]

@@ -185,11 +185,12 @@ func (p *Plan) solveAssign() (*assignment, error) {
 		g.Hosts = append(g.Hosts, layout.ShardHost{Name: b.name()})
 	}
 	g.LinkCost = make([][]float64, len(live))
+	linkCost := linkCostFactor(c.cfg.DefaultLink)
 	for i := range live {
 		g.LinkCost[i] = make([]float64, len(live))
 		for j := range live {
 			if i != j {
-				g.LinkCost[i][j] = c.linkCostFactor(c.link(live[i].name(), live[j].name()))
+				g.LinkCost[i][j] = linkCost
 			}
 		}
 	}
@@ -230,18 +231,12 @@ func (p *Plan) solveAssign() (*assignment, error) {
 		g.Hosts[i].Capacity = cap
 	}
 	for _, e := range p.edges {
-		if err := g.AddLink(nodeIdx[e.a], nodeIdx[e.b], c.edgeWeight(e.traffic)); err != nil {
+		if err := g.AddLink(nodeIdx[e.a], nodeIdx[e.b], edgeWeight(e.traffic)); err != nil {
 			return nil, err
 		}
 	}
 
-	var placed layout.ShardPlacement
-	var err error
-	if c.cfg.Resolver == core.ResolveILP {
-		placed, _, err = g.SolveShardsILP()
-	} else {
-		placed, err = g.SolveShardsGreedy()
-	}
+	placed, err := g.SolveShardsGreedy()
 	if err != nil {
 		return nil, fmt.Errorf("cluster: shard assignment: %w", err)
 	}

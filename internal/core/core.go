@@ -118,9 +118,6 @@ type Handle struct {
 // runtime-provided pseudo Offcodes).
 func (h *Handle) App() *App { return h.app }
 
-// SourcePath reports the depot ODF path the instance was deployed from.
-func (h *Handle) SourcePath() string { return h.srcPath }
-
 // State reports the lifecycle state.
 func (h *Handle) State() State { return h.state }
 

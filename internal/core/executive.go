@@ -202,8 +202,3 @@ func notifyOffcodeChannel(h *Handle, ep *channel.Endpoint) {
 		ca.ChannelConnected(ep)
 	}
 }
-
-// Providers lists the registered providers for a device name.
-func (rt *Runtime) Providers(deviceName string) []ChannelProvider {
-	return append([]ChannelProvider(nil), rt.providers[deviceName]...)
-}

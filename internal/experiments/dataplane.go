@@ -453,6 +453,9 @@ type x12Cell struct {
 	issuers map[string]*syscall.Issuer
 	workers map[string]*x12Shard // bind → latest live instance
 
+	// base is the virtual time traffic may start at: the latest engine
+	// clock once the commit has settled.
+	base                     sim.Time
 	measureStart, measureEnd sim.Time
 
 	// Hot-swap continuity witnesses (soak cell only).
@@ -460,12 +463,16 @@ type x12Cell struct {
 	queuedAtSwap              int
 }
 
-// buildX12Cell constructs the fabric: hosts machines, one XScale NIC plus
-// a build-time syscall log plane each, every depot stocked identically so
-// the solver may place any shard anywhere. withSwap also stocks the
-// shard-00 v2 hot-swap image (same bind, fresh GUID, a much larger image
-// so the quiesce window is long enough to catch live traffic).
-func buildX12Cell(seed int64, hosts, shards int, table flowtable.Config, withSwap bool, trace *obs.Config) (*x12Cell, error) {
+// openX12Cell is the one X12 lifecycle up to traffic: it constructs the
+// fabric (hosts machines, one XScale NIC plus a build-time syscall log
+// plane each, every depot stocked identically so the solver may place any
+// shard anywhere), commits the frontends and shards under the cell's
+// engine group, and builds one generator per frontend (genSeed, with
+// flowsPerFront active flows each). withSwap also stocks the shard-00 v2
+// hot-swap image (same bind, fresh GUID, a much larger image so the
+// quiesce window is long enough to catch live traffic).
+func openX12Cell(seed int64, hosts, shards int, table flowtable.Config, withSwap bool, trace *obs.Config,
+	genSeed int64, flowsPerFront int) (*x12Cell, error) {
 	sys, coord, err := nicCluster(seed,
 		testbed.Spec{Name: "x12-dataplane", EnginePerHost: true, Trace: trace}, hosts,
 		&testbed.SyscallSpec{Profile: x12SyscallProfile()},
@@ -519,6 +526,16 @@ func buildX12Cell(seed int64, hosts, shards int, table flowtable.Config, withSwa
 				return nil, err
 			}
 		}
+	}
+	if cell.group, err = coord.EngineGroup(); err != nil {
+		return nil, err
+	}
+	if err := cell.commit(X12PerHostRate); err != nil {
+		return nil, err
+	}
+	cell.base = latestClock(cell.group.Engines())
+	if err := cell.makeGens(genSeed, flowsPerFront); err != nil {
+		return nil, err
 	}
 	return cell, nil
 }
@@ -620,13 +637,62 @@ func x12FoldDigest(fronts []*x12Front) uint64 {
 	return h
 }
 
-// logLines totals the hosts' VFS log ledgers.
-func (cell *x12Cell) logLines() uint64 {
-	var total uint64
-	for _, hs := range cell.sys.RuntimeHosts() {
-		total += hs.Runtime.VFS().LogLines()
+// X12Ledger is a cell's lifetime conservation ledger, summed over every
+// frontend and shard once the cell has drained.
+type X12Ledger struct {
+	// Offered counts frontend writes accepted; Shed counts rejected writes
+	// and must be zero.
+	Offered, Shed uint64
+	// Processed / QueueDrops / Misrouted are shard-side counts;
+	// Offered == Processed + QueueDrops after the final drain.
+	Processed, QueueDrops, Misrouted uint64
+	// Flow-table and verdict ledgers.
+	Lookups, Hits, Misses, Inserts, Evicted, Expired uint64
+	Forwarded, Rewritten, Counted, PolicyDrops       uint64
+	// Logged counts fire-forget log syscalls the shards issued; LogLines
+	// is the hosts' VFS ledger. Exactly-once: both equal
+	// PolicyDrops + Evicted + Expired.
+	Logged, LogLines uint64
+	// FlowsSpawned / FlowsRetired witness the generators' churn.
+	FlowsSpawned, FlowsRetired uint64
+}
+
+// ledger sums the cell's conservation ledger; it fails if a shard never
+// deployed.
+func (cell *x12Cell) ledger() (X12Ledger, error) {
+	var l X12Ledger
+	for _, f := range cell.fronts {
+		l.Offered += f.offered
+		l.Shed += f.shed
+		l.FlowsSpawned += f.gen.Spawned()
+		l.FlowsRetired += f.gen.Retired()
 	}
-	return total
+	for i := 0; i < cell.shards; i++ {
+		s := cell.workers[x12ShardBind(i)]
+		if s == nil || s.pipe == nil {
+			return l, fmt.Errorf("x12: shard %d never deployed", i)
+		}
+		l.Processed += s.processed
+		l.QueueDrops += s.qdrops
+		l.Misrouted += s.misrouted
+		l.Logged += s.logged
+		st := s.pipe.Table().Stats()
+		l.Lookups += st.Lookups
+		l.Hits += st.Hits
+		l.Misses += st.Misses
+		l.Inserts += st.Inserts
+		l.Evicted += st.Evicted
+		l.Expired += st.Expired
+		ps := s.pipe.Stats()
+		l.Forwarded += ps.Forwarded
+		l.Rewritten += ps.Rewritten
+		l.Counted += ps.Counted
+		l.PolicyDrops += ps.Dropped
+	}
+	for _, hs := range cell.sys.RuntimeHosts() {
+		l.LogLines += hs.Runtime.VFS().LogLines()
+	}
+	return l, nil
 }
 
 // X12Row is one weak-scaling cell's outcome.
@@ -634,12 +700,7 @@ type X12Row struct {
 	Hosts, Shards int
 	// OfferedRateHz is the generator's target rate (hosts × per-host).
 	OfferedRateHz int
-	// Offered counts frontend writes accepted; Shed counts rejected writes
-	// and must be zero.
-	Offered, Shed uint64
-	// Processed / QueueDrops / Misrouted are lifetime shard-side counts;
-	// Offered == Processed + QueueDrops after the final drain.
-	Processed, QueueDrops, Misrouted uint64
+	X12Ledger
 	// InWindow counts packets whose processing completed inside the
 	// measurement window; MsgsPerSec = InWindow / window.
 	InWindow   uint64
@@ -648,17 +709,9 @@ type X12Row struct {
 	// and send→processed latency quantiles.
 	HitRate            float64
 	P50LatUS, P99LatUS float64
-	// Lifetime flow-table and verdict ledgers, summed over shards.
-	Lookups, Hits, Misses, Inserts, Evicted, Expired uint64
-	Forwarded, Rewritten, Counted, PolicyDrops       uint64
-	// Logged counts fire-forget log syscalls the shards issued; LogLines
-	// is the hosts' VFS ledger. Exactly-once: both equal
-	// PolicyDrops + Evicted + Expired.
-	Logged, LogLines uint64
-	// FlowsSpawned / FlowsRetired witness the churn; GenDigest is the
-	// generator's bit-exactness digest over the emitted stream.
-	FlowsSpawned, FlowsRetired uint64
-	GenDigest                  uint64
+	// GenDigest is the generators' bit-exactness digest over the emitted
+	// stream.
+	GenDigest uint64
 }
 
 // RunX12Cell runs one weak-scaling cell on per-host engines under a
@@ -667,64 +720,31 @@ type X12Row struct {
 // recorder; the returned tracer's merged stream (CatFlow hit/miss/insert/
 // evict/expire/drop instants included) is bit-identical too.
 func RunX12Cell(seed int64, hosts, workers int, trace *obs.Config) (*X12Row, *obs.Tracer, error) {
-	rate := hosts * X12PerHostRate
-	cell, err := buildX12Cell(seed, hosts, X12Shards, x12TableConfig(), false, trace)
+	cell, err := openX12Cell(seed, hosts, X12Shards, x12TableConfig(), false, trace,
+		seed+int64(hosts)*101, x12FlowsPerHost)
 	if err != nil {
 		return nil, nil, err
 	}
-	cell.group, err = cell.coord.EngineGroup()
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := cell.commit(X12PerHostRate); err != nil {
-		return nil, nil, err
-	}
-
-	base := latestClock(cell.group.Engines())
-	cell.measureStart = base + X12Warmup
+	cell.measureStart = cell.base + X12Warmup
 	cell.measureEnd = cell.measureStart + X12Window
-
-	if err := cell.makeGens(seed+int64(hosts)*101, x12FlowsPerHost); err != nil {
-		return nil, nil, err
-	}
-	cell.armPacers(base, cell.measureEnd)
+	cell.armPacers(cell.base, cell.measureEnd)
 	cell.group.Run(cell.measureEnd+2*sim.Millisecond, workers)
 	cell.group.Settle() // full drain: queues, batched bridges, log planes
 
-	row := &X12Row{
-		Hosts: hosts, Shards: cell.shards, OfferedRateHz: rate,
-		GenDigest: x12FoldDigest(cell.fronts),
+	ledger, err := cell.ledger()
+	if err != nil {
+		return nil, nil, err
 	}
-	for _, f := range cell.fronts {
-		row.Offered += f.offered
-		row.Shed += f.shed
-		row.FlowsSpawned += f.gen.Spawned()
-		row.FlowsRetired += f.gen.Retired()
+	row := &X12Row{
+		Hosts: hosts, Shards: cell.shards, OfferedRateHz: hosts * X12PerHostRate,
+		X12Ledger: ledger,
+		GenDigest: x12FoldDigest(cell.fronts),
 	}
 	var lats []float64
 	var wHits, wMisses uint64
 	for i := 0; i < cell.shards; i++ {
 		s := cell.workers[x12ShardBind(i)]
-		if s == nil || s.pipe == nil {
-			return nil, nil, fmt.Errorf("x12: shard %d never deployed", i)
-		}
-		row.Processed += s.processed
-		row.QueueDrops += s.qdrops
-		row.Misrouted += s.misrouted
 		row.InWindow += s.inWindow
-		row.Logged += s.logged
-		st := s.pipe.Table().Stats()
-		row.Lookups += st.Lookups
-		row.Hits += st.Hits
-		row.Misses += st.Misses
-		row.Inserts += st.Inserts
-		row.Evicted += st.Evicted
-		row.Expired += st.Expired
-		ps := s.pipe.Stats()
-		row.Forwarded += ps.Forwarded
-		row.Rewritten += ps.Rewritten
-		row.Counted += ps.Counted
-		row.PolicyDrops += ps.Dropped
 		wHits += s.wHits
 		wMisses += s.wMisses
 		for _, l := range s.lats {
@@ -739,7 +759,6 @@ func RunX12Cell(seed int64, hosts, workers int, trace *obs.Config) (*X12Row, *ob
 		row.P50LatUS = stats.Quantile(lats, 0.50)
 		row.P99LatUS = stats.Quantile(lats, 0.99)
 	}
-	row.LogLines = cell.logLines()
 	return row, cell.sys.Tracer, nil
 }
 
@@ -748,14 +767,12 @@ func RunX12Cell(seed int64, hosts, workers int, trace *obs.Config) (*X12Row, *ob
 // flow-table state.
 type X12Soak struct {
 	Hosts, Shards int
-	// Offered == Processed + QueueDrops (Lost must be zero): no packet
-	// vanished or doubled across the swap.
-	Offered, Shed, Processed, QueueDrops, Misrouted, Lost uint64
 	// Evicted / Expired / PolicyDrops witness real churn pressure (the
-	// soak's tight quota forces evictions); Logged / LogLines is the
-	// exactly-once syscall ledger.
-	Evicted, Expired, PolicyDrops uint64
-	Logged, LogLines              uint64
+	// soak's tight quota forces evictions).
+	X12Ledger
+	// Lost counts offered packets neither processed nor queue-dropped; it
+	// must be zero: no packet vanished or doubled across the swap.
+	Lost uint64
 	// SwapWindowMS and SwapReplayed are the quiesce span and the client
 	// packets held and replayed to the replacement.
 	SwapWindowMS float64
@@ -777,27 +794,15 @@ func RunX12Soak(seed int64, workers int) (*X12Soak, error) {
 	const (
 		hosts    = 2
 		shards   = 4
-		rate     = 2 * X12PerHostRate
 		half     = 20 * sim.Millisecond
 		duration = 2 * half
 	)
 	table := flowtable.Config{QuotaBytes: 32 * flowtable.EntryBytes, IdleTimeout: 20 * sim.Millisecond}
-	cell, err := buildX12Cell(seed, hosts, shards, table, true, nil)
+	cell, err := openX12Cell(seed, hosts, shards, table, true, nil, seed, 2*x12FlowsPerHost)
 	if err != nil {
 		return nil, err
 	}
-	cell.group, err = cell.coord.EngineGroup()
-	if err != nil {
-		return nil, err
-	}
-	if err := cell.commit(X12PerHostRate); err != nil {
-		return nil, err
-	}
-
-	base := latestClock(cell.group.Engines())
-	if err := cell.makeGens(seed, 2*x12FlowsPerHost); err != nil {
-		return nil, err
-	}
+	base := cell.base
 
 	// First half at peak rate, then the hot-swap: the second half's pacers
 	// are armed before the mutation, so the swap proceeds under live
@@ -819,34 +824,19 @@ func RunX12Soak(seed int64, workers int) (*X12Soak, error) {
 	cell.group.Run(base+duration+2*sim.Millisecond, workers)
 	cell.group.Settle()
 
+	ledger, err := cell.ledger()
+	if err != nil {
+		return nil, err
+	}
 	soak := &X12Soak{
-		Hosts: hosts, Shards: shards,
+		Hosts: hosts, Shards: shards, X12Ledger: ledger,
 		QueuedAtSwap:  cell.queuedAtSwap,
 		CkptDigest:    cell.ckptDigest,
 		RestoreDigest: cell.restoreDigest,
 	}
-	for _, f := range cell.fronts {
-		soak.Offered += f.offered
-		soak.Shed += f.shed
-	}
-	for i := 0; i < shards; i++ {
-		s := cell.workers[x12ShardBind(i)]
-		if s == nil || s.pipe == nil {
-			return nil, fmt.Errorf("x12: soak shard %d never deployed", i)
-		}
-		soak.Processed += s.processed
-		soak.QueueDrops += s.qdrops
-		soak.Misrouted += s.misrouted
-		soak.Logged += s.logged
-		st := s.pipe.Table().Stats()
-		soak.Evicted += st.Evicted
-		soak.Expired += st.Expired
-		soak.PolicyDrops += s.pipe.Stats().Dropped
-	}
 	if soak.Offered > soak.Processed+soak.QueueDrops {
 		soak.Lost = soak.Offered - soak.Processed - soak.QueueDrops
 	}
-	soak.LogLines = cell.logLines()
 	if len(res.Swaps) > 0 {
 		soak.SwapWindowMS = float64(res.Swaps[0].Window) / float64(sim.Millisecond)
 		soak.SwapReplayed = res.Swaps[0].Replayed

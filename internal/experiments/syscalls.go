@@ -6,6 +6,7 @@ import (
 
 	"hydra/internal/channel"
 	"hydra/internal/core"
+	"hydra/internal/depot"
 	"hydra/internal/device"
 	"hydra/internal/guid"
 	"hydra/internal/obs"
@@ -207,39 +208,38 @@ type x11SwapShared struct {
 type x11SysClient struct {
 	nopOffcode
 	shared *x11SwapShared
-	dev    *device.Device
-	ckpt   []byte
+	iss    *syscall.Issuer
 }
 
 func (o *x11SysClient) Initialize(ctx *core.Context) error {
-	o.dev = ctx.Device
+	o.iss = syscall.NewIssuer(ctx.Device, o.shared.prof, nil)
+	o.iss.SetDefaultHandler(func(*syscall.Completion) { o.shared.completed++ })
 	return nil
 }
 
 func (o *x11SysClient) ChannelConnected(ep *channel.Endpoint) {
-	iss := syscall.NewIssuer(o.dev, o.shared.prof, nil)
-	if len(o.ckpt) > 0 {
-		if err := iss.Restore(o.ckpt); err != nil {
-			panic(fmt.Sprintf("x11: restore: %v", err))
-		}
-		o.ckpt = nil
-		o.shared.restored = iss.InFlight()
-	}
-	iss.SetDefaultHandler(func(*syscall.Completion) { o.shared.completed++ })
-	iss.Attach(ep)
-	o.shared.issuer = iss
+	o.iss.Attach(ep)
+	o.shared.issuer = o.iss
 }
 
-func (o *x11SysClient) Checkpoint() []byte {
-	if o.shared.issuer == nil {
-		return nil
-	}
-	return o.shared.issuer.Checkpoint()
-}
+func (o *x11SysClient) Checkpoint() []byte { return o.iss.Checkpoint() }
 
+// Restore applies the predecessor's pending table before the channel
+// reattaches; a checkpoint the issuer rejects fails the deployment, so
+// App.Replace rolls back.
 func (o *x11SysClient) Restore(b []byte) error {
-	o.ckpt = append([]byte(nil), b...)
+	if err := o.iss.Restore(b); err != nil {
+		return fmt.Errorf("x11: restore: %w", err)
+	}
+	o.shared.restored = o.iss.InFlight()
 	return nil
+}
+
+// stockX11Client stocks the syscall client's ODF at path on the depot.
+func stockX11Client(dep *depot.Depot, path string, g guid.GUID, shared *x11SwapShared) error {
+	return stockOffcode(dep, path, x11SwapBind, g, 8<<10,
+		[]string{"hydra.Heap.Alloc", "hydra.Channel.Write"},
+		func() any { return &x11SysClient{shared: shared} })
 }
 
 // RunX11Swap deploys the syscall client through the session surface
@@ -269,9 +269,7 @@ func RunX11Swap(seed int64) (*X11Swap, error) {
 	shared := &x11SwapShared{prof: syscall.Profile{
 		Batch: 8, Coalesce: 50 * sim.Microsecond, Credits: 64, Workers: 1}}
 	for i, path := range []string{x11SwapV1Path, x11SwapV2Path} {
-		if err := stockOffcode(hs.Depot, path, x11SwapBind, guid.GUID(9980+i), 8<<10,
-			[]string{"hydra.Heap.Alloc", "hydra.Channel.Write"},
-			func() any { return &x11SysClient{shared: shared} }); err != nil {
+		if err := stockX11Client(hs.Depot, path, guid.GUID(9980+i), shared); err != nil {
 			return nil, err
 		}
 	}

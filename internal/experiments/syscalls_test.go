@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
+	"hydra/internal/core"
+	"hydra/internal/device"
 	"hydra/internal/obs"
+	"hydra/internal/syscall"
+	"hydra/internal/testbed"
 )
 
 // TestSyscallsShape runs the full X11 grid — serial ≡ parallel rows, the
@@ -95,5 +100,31 @@ func TestSyscallTraceDeterminism(t *testing.T) {
 	// Device-side end-to-end spans, named by op.
 	if counts["syscall.call.clock"] != completed {
 		t.Errorf("syscall.call.clock spans = %d, want %d", counts["syscall.call.clock"], completed)
+	}
+}
+
+// A corrupt checkpoint staged for the syscall client fails its deployment
+// with Restore's error, instead of being accepted and panicking later,
+// when the client's channel connects.
+func TestX11ClientRejectsBadCheckpoint(t *testing.T) {
+	sys, err := testbed.New(DefaultSeed, testbed.Spec{Hosts: []testbed.HostSpec{{
+		Name:    "h0",
+		Devices: []device.Config{device.XScaleNIC("h0-nic")},
+		Runtime: &core.Config{},
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := sys.Host("h0")
+	if err := stockX11Client(hs.Depot, x11SwapV1Path, 9980, &x11SwapShared{prof: syscall.DefaultProfile()}); err != nil {
+		t.Fatal(err)
+	}
+	hs.Runtime.StageRestore(x11SwapBind, []byte("not a checkpoint"))
+	var deployErr error
+	hs.Runtime.DefaultApp().Mutate([]core.Delta{core.DeployDelta{Path: x11SwapV1Path}},
+		func(_ *core.MutationResult, err error) { deployErr = err })
+	sys.Eng.RunAll()
+	if deployErr == nil || !strings.Contains(deployErr.Error(), "Restore") {
+		t.Fatalf("deploy with a corrupt checkpoint: err %v, want the client's Restore error", deployErr)
 	}
 }

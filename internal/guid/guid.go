@@ -49,7 +49,6 @@ const (
 	IIDRuntime          GUID = 0x1002 // hydra.Runtime pseudo Offcode
 	IIDHeap             GUID = 0x1003 // hydra.Heap pseudo Offcode
 	IIDChannelExecutive GUID = 0x1004 // hydra.ChannelExecutive pseudo Offcode
-	IIDLoader           GUID = 0x1005 // per-device loader pseudo Offcode
 	// IIDHealthMonitor is the base GUID of the per-device heartbeat pseudo
 	// Offcodes (hydra.Health.<device>); the i-th monitored device gets
 	// IIDHealthMonitor + i. The range is far above the small decimal GUIDs

@@ -3,67 +3,35 @@ package hostos
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 )
 
 // This file is the host surface device-initiated syscalls execute against:
-// an in-memory virtual filesystem with remote mounts, a byte-accounting
-// net send surface, and host-memory maps handed out to devices. It holds
-// state and data only — CPU cycles for the syscalls themselves are charged
-// by the dispatcher (internal/syscall) on its worker-pool tasks, the same
-// split the NFS client uses ("the entity hosting it charges cycles around
-// the calls").
+// an in-memory virtual filesystem, a byte-accounting net send surface, and
+// host-memory maps handed out to devices. It holds state and data only —
+// CPU cycles for the syscalls themselves are charged by the dispatcher
+// (internal/syscall) on its worker-pool tasks, the same split the NFS
+// client uses ("the entity hosting it charges cycles around the calls").
 
-// VFS errors. Remote mounts surface their own errors unwrapped.
+// VFS errors.
 var (
 	ErrNotExist = errors.New("hostos: file does not exist")
 	ErrBadFD    = errors.New("hostos: bad file descriptor")
 )
 
-// RemoteFS backs a VFS mount prefix with a remote filesystem, e.g. an NFS
-// client. Continuation-passing like the rest of the simulation; the
-// adapter owning the implementation models its own network round-trips.
-type RemoteFS interface {
-	Open(path string, create bool, k func(handle uint64, err error))
-	Read(handle uint64, offset int64, count int, k func(data []byte, err error))
-	Write(handle uint64, offset int64, data []byte, k func(n int, err error))
-}
-
 type vfsFile struct {
 	data []byte
 }
 
-type vfsFD struct {
-	path   string
-	local  *vfsFile // nil when the FD lives on a remote mount
-	remote RemoteFS
-	handle uint64 // remote handle when remote != nil
-}
-
-type vfsMount struct {
-	prefix string
-	fs     RemoteFS
-}
-
-// VFS is one host's virtual file/net surface. All paths are flat strings;
-// a mount claims every path under its prefix and forwards to the RemoteFS.
+// VFS is one host's virtual file/net surface. All paths are flat strings.
 type VFS struct {
 	m      *Machine
 	files  map[string]*vfsFile
-	fds    map[int32]*vfsFD
+	fds    map[int32]*vfsFile
 	nextFD int32
-	mounts []vfsMount
 
 	netBytes map[string]uint64 // bytes "sent" per destination
-	netSends uint64
-	maps     map[uint64]int // live host-memory maps (addr → size)
+	maps     map[uint64]int    // live host-memory maps (addr → size)
 	logLines uint64
-	opens    uint64
-	reads    uint64
-	writes   uint64
-	readB    uint64
-	writeB   uint64
 }
 
 // NewVFS builds an empty surface on the machine.
@@ -71,7 +39,7 @@ func NewVFS(m *Machine) *VFS {
 	return &VFS{
 		m:        m,
 		files:    make(map[string]*vfsFile),
-		fds:      make(map[int32]*vfsFD),
+		fds:      make(map[int32]*vfsFile),
 		nextFD:   3, // 0..2 reserved, unix-style
 		netBytes: make(map[string]uint64),
 		maps:     make(map[uint64]int),
@@ -80,21 +48,6 @@ func NewVFS(m *Machine) *VFS {
 
 // Machine returns the host this surface belongs to.
 func (v *VFS) Machine() *Machine { return v.m }
-
-// Mount claims prefix for fs: every Open under it is forwarded remotely.
-// Longest prefix wins when mounts nest.
-func (v *VFS) Mount(prefix string, fs RemoteFS) {
-	v.mounts = append(v.mounts, vfsMount{prefix: prefix, fs: fs})
-	sort.SliceStable(v.mounts, func(i, j int) bool {
-		return len(v.mounts[i].prefix) > len(v.mounts[j].prefix)
-	})
-}
-
-// Preload installs a local file with the given contents, as test fixtures
-// and scenario setup do.
-func (v *VFS) Preload(path string, data []byte) {
-	v.files[path] = &vfsFile{data: append([]byte(nil), data...)}
-}
 
 // FileSize reports a local file's size, or -1 if absent.
 func (v *VFS) FileSize(path string) int {
@@ -105,107 +58,53 @@ func (v *VFS) FileSize(path string) int {
 	return len(f.data)
 }
 
-func (v *VFS) mountFor(path string) *vfsMount {
-	for i := range v.mounts {
-		if strings.HasPrefix(path, v.mounts[i].prefix) {
-			return &v.mounts[i]
-		}
-	}
-	return nil
-}
-
-// Open resolves path to a descriptor. create makes missing local files
-// (and is forwarded to remote mounts); without it a missing path fails
-// with ErrNotExist.
-func (v *VFS) Open(path string, create bool, k func(fd int32, err error)) {
-	v.opens++
-	if mnt := v.mountFor(path); mnt != nil {
-		// Remote paths stay rooted: mounting "/nfs/" and opening
-		// "/nfs/media/x" forwards "/media/x", matching how NFS stores key.
-		rel := strings.TrimPrefix(path, mnt.prefix)
-		if !strings.HasPrefix(rel, "/") {
-			rel = "/" + rel
-		}
-		mnt.fs.Open(rel, create, func(handle uint64, err error) {
-			if err != nil {
-				k(-1, err)
-				return
-			}
-			k(v.installFD(&vfsFD{path: path, remote: mnt.fs, handle: handle}), nil)
-		})
-		return
-	}
+// Open resolves path to a descriptor. create makes missing files; without
+// it a missing path fails with ErrNotExist.
+func (v *VFS) Open(path string, create bool) (int32, error) {
 	f, ok := v.files[path]
 	if !ok {
 		if !create {
-			k(-1, fmt.Errorf("%w: %s", ErrNotExist, path))
-			return
+			return -1, fmt.Errorf("%w: %s", ErrNotExist, path)
 		}
 		f = &vfsFile{}
 		v.files[path] = f
 	}
-	k(v.installFD(&vfsFD{path: path, local: f}), nil)
-}
-
-func (v *VFS) installFD(fd *vfsFD) int32 {
 	id := v.nextFD
 	v.nextFD++
-	v.fds[id] = fd
-	return id
+	v.fds[id] = f
+	return id, nil
 }
 
 // Read returns up to count bytes at offset. The returned slice is a copy.
-func (v *VFS) Read(fd int32, offset int64, count int, k func(data []byte, err error)) {
-	d, ok := v.fds[fd]
+func (v *VFS) Read(fd int32, offset int64, count int) ([]byte, error) {
+	f, ok := v.fds[fd]
 	if !ok {
-		k(nil, fmt.Errorf("%w: %d", ErrBadFD, fd))
-		return
+		return nil, fmt.Errorf("%w: %d", ErrBadFD, fd)
 	}
-	v.reads++
-	if d.remote != nil {
-		d.remote.Read(d.handle, offset, count, func(data []byte, err error) {
-			v.readB += uint64(len(data))
-			k(data, err)
-		})
-		return
-	}
-	if offset >= int64(len(d.local.data)) || count <= 0 {
-		k(nil, nil)
-		return
+	if offset >= int64(len(f.data)) || count <= 0 {
+		return nil, nil
 	}
 	end := offset + int64(count)
-	if end > int64(len(d.local.data)) {
-		end = int64(len(d.local.data))
+	if end > int64(len(f.data)) {
+		end = int64(len(f.data))
 	}
-	out := append([]byte(nil), d.local.data[offset:end]...)
-	v.readB += uint64(len(out))
-	k(out, nil)
+	return append([]byte(nil), f.data[offset:end]...), nil
 }
 
 // Write stores data at offset, extending the file as needed.
-func (v *VFS) Write(fd int32, offset int64, data []byte, k func(n int, err error)) {
-	d, ok := v.fds[fd]
+func (v *VFS) Write(fd int32, offset int64, data []byte) (int, error) {
+	f, ok := v.fds[fd]
 	if !ok {
-		k(0, fmt.Errorf("%w: %d", ErrBadFD, fd))
-		return
-	}
-	v.writes++
-	if d.remote != nil {
-		d.remote.Write(d.handle, offset, data, func(n int, err error) {
-			v.writeB += uint64(n)
-			k(n, err)
-		})
-		return
+		return 0, fmt.Errorf("%w: %d", ErrBadFD, fd)
 	}
 	end := offset + int64(len(data))
-	if end > int64(len(d.local.data)) {
+	if end > int64(len(f.data)) {
 		grown := make([]byte, end)
-		copy(grown, d.local.data)
-		d.local.data = grown
+		copy(grown, f.data)
+		f.data = grown
 	}
-	copy(d.local.data[offset:end], data)
-	v.writeB += uint64(len(data))
-	k(len(data), nil)
+	copy(f.data[offset:end], data)
+	return len(data), nil
 }
 
 // CloseFD releases a descriptor. Closing an unknown FD is ErrBadFD.
@@ -222,7 +121,6 @@ func (v *VFS) OpenFDs() int { return len(v.fds) }
 
 // NetSend accounts n bytes sent toward dst on the host net surface.
 func (v *VFS) NetSend(dst string, n int) {
-	v.netSends++
 	if n > 0 {
 		v.netBytes[dst] += uint64(n)
 	}
@@ -230,9 +128,6 @@ func (v *VFS) NetSend(dst string, n int) {
 
 // NetSent reports bytes accounted toward dst.
 func (v *VFS) NetSent(dst string) uint64 { return v.netBytes[dst] }
-
-// NetSends reports the number of NetSend calls.
-func (v *VFS) NetSends() uint64 { return v.netSends }
 
 // Map hands the device a host-memory buffer of size bytes, pinned in the
 // machine's ledger until Unmap.
@@ -265,8 +160,3 @@ func (v *VFS) Log() { v.logLines++ }
 
 // LogLines reports accounted log lines.
 func (v *VFS) LogLines() uint64 { return v.logLines }
-
-// Counters reports lifetime (opens, reads, writes, readBytes, writeBytes).
-func (v *VFS) Counters() (opens, reads, writes, readBytes, writeBytes uint64) {
-	return v.opens, v.reads, v.writes, v.readB, v.writeB
-}

@@ -46,39 +46,28 @@ func TestVFSLocalFileRoundTrip(t *testing.T) {
 	_, m := testMachine()
 	v := NewVFS(m)
 
-	var fd int32
-	v.Open("/tmp/x", true, func(f int32, err error) {
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		fd = f
-	})
-	v.Write(fd, 0, []byte("hello"), func(n int, err error) {
-		if err != nil || n != 5 {
-			t.Fatalf("write = (%d, %v)", n, err)
-		}
-	})
-	v.Write(fd, 3, []byte("LOWS"), func(n int, err error) {
-		if err != nil || n != 4 {
-			t.Fatalf("extend write = (%d, %v)", n, err)
-		}
-	})
-	v.Read(fd, 0, 16, func(data []byte, err error) {
-		if err != nil || string(data) != "helLOWS" {
-			t.Fatalf("read = (%q, %v), want helLOWS", data, err)
-		}
-	})
+	fd, err := v.Open("/tmp/x", true)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if n, err := v.Write(fd, 0, []byte("hello")); err != nil || n != 5 {
+		t.Fatalf("write = (%d, %v)", n, err)
+	}
+	if n, err := v.Write(fd, 3, []byte("LOWS")); err != nil || n != 4 {
+		t.Fatalf("extend write = (%d, %v)", n, err)
+	}
+	if data, err := v.Read(fd, 0, 16); err != nil || string(data) != "helLOWS" {
+		t.Fatalf("read = (%q, %v), want helLOWS", data, err)
+	}
 	if err := v.CloseFD(fd); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 	if err := v.CloseFD(fd); !errors.Is(err, ErrBadFD) {
 		t.Fatalf("second close = %v, want ErrBadFD", err)
 	}
-	v.Open("/tmp/missing", false, func(f int32, err error) {
-		if !errors.Is(err, ErrNotExist) {
-			t.Fatalf("open missing = (%d, %v), want ErrNotExist", f, err)
-		}
-	})
+	if f, err := v.Open("/tmp/missing", false); !errors.Is(err, ErrNotExist) {
+		t.Fatalf("open missing = (%d, %v), want ErrNotExist", f, err)
+	}
 	if v.OpenFDs() != 0 {
 		t.Fatalf("OpenFDs = %d, want 0", v.OpenFDs())
 	}

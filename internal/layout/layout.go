@@ -109,9 +109,6 @@ func (g *Graph) AddEdge(from, to int, t odf.ConstraintType) error {
 // Placement maps node index → target index (0 = host).
 type Placement []int
 
-// Offloaded reports whether node n left the host.
-func (p Placement) Offloaded(n int) bool { return p[n] != 0 }
-
 // OffloadCount reports how many nodes left the host.
 func (p Placement) OffloadCount() int {
 	c := 0

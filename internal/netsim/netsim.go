@@ -182,16 +182,3 @@ func (s *Station) Send(dst string, port uint16, payload []byte) error {
 	})
 	return nil
 }
-
-// Broadcast sends the payload to every other attached station on port.
-func (s *Station) Broadcast(port uint16, payload []byte) error {
-	for name := range s.net.stations {
-		if name == s.name {
-			continue
-		}
-		if err := s.Send(name, port, payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -129,23 +129,6 @@ func TestLoss(t *testing.T) {
 	}
 }
 
-func TestBroadcast(t *testing.T) {
-	eng, n := rig()
-	a := n.Attach("a")
-	got := map[string]bool{}
-	for _, name := range []string{"b", "c", "d"} {
-		name := name
-		n.Attach(name).Bind(7, func(Packet) { got[name] = true })
-	}
-	if err := a.Broadcast(7, []byte("all")); err != nil {
-		t.Fatal(err)
-	}
-	eng.RunAll()
-	if len(got) != 3 {
-		t.Fatalf("broadcast reached %v", got)
-	}
-}
-
 func TestJitterIsSmall(t *testing.T) {
 	eng, n := rig()
 	a := n.Attach("a")

@@ -37,7 +37,6 @@ const (
 	StatusOK uint8 = iota
 	StatusNoEnt
 	StatusStale
-	StatusIO
 	StatusBadRequest
 )
 
@@ -61,7 +60,7 @@ func statusErr(code uint8) error {
 	case StatusBadRequest:
 		return ErrBadRequest
 	default:
-		return fmt.Errorf("nfs: io error (status %d)", code)
+		return fmt.Errorf("nfs: unknown status %d", code)
 	}
 }
 

@@ -176,6 +176,21 @@ func TestRegistrySnapshotDeterministicAndTyped(t *testing.T) {
 	r.Gauge("b.count")
 }
 
+func TestSnakeCase(t *testing.T) {
+	cases := map[string]string{
+		"Sent":            "sent",
+		"CoalesceFlushes": "coalesce_flushes",
+		"SGWrites":        "sg_writes",
+		"SGFragments":     "sg_fragments",
+		"Undelivered":     "undelivered",
+	}
+	for in, want := range cases {
+		if got := snakeCase(in); got != want {
+			t.Errorf("snakeCase(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
 func TestCaptureEngineDiag(t *testing.T) {
 	r := NewRegistry()
 	e := sim.NewEngine(9)

@@ -2,7 +2,7 @@ package obs
 
 // The metrics half of the observability layer: a Registry of named
 // counters, gauges, and histograms with one deterministic snapshot API.
-// Components publish into a registry on demand (channel.Stats.Publish,
+// Components publish into a registry on demand (PublishStats,
 // hostos.Machine.Publish, CaptureEngine, ...) so experiments read one
 // surface instead of poking fields across packages. A Registry is not
 // safe for concurrent use; publish from one goroutine, e.g. at a
@@ -11,6 +11,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 
 	"hydra/internal/sim"
@@ -201,6 +202,38 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	sort.Slice(s.Values, func(i, j int) bool { return s.Values[i].Name < s.Values[j].Name })
 	return s
+}
+
+// PublishStats writes every field of stats, a struct of unsigned integer
+// counters such as channel.Stats, into the registry as a gauge named
+// <prefix>.<snake_case_field>. It walks the struct by reflection so a field
+// added to a stats struct can never be silently missing from the metrics
+// surface.
+func PublishStats(r *Registry, prefix string, stats any) {
+	v := reflect.ValueOf(stats)
+	t := v.Type()
+	for i := 0; i < t.NumField(); i++ {
+		r.Gauge(prefix + "." + snakeCase(t.Field(i).Name)).Set(float64(v.Field(i).Uint()))
+	}
+}
+
+// snakeCase converts a Go field name (Sent, CoalesceFlushes, SGWrites)
+// to its metric form (sent, coalesce_flushes, sg_writes).
+func snakeCase(name string) string {
+	var b []byte
+	rs := []rune(name)
+	for i, r := range rs {
+		if r >= 'A' && r <= 'Z' {
+			prevLower := i > 0 && rs[i-1] >= 'a' && rs[i-1] <= 'z'
+			nextLower := i+1 < len(rs) && rs[i+1] >= 'a' && rs[i+1] <= 'z'
+			if i > 0 && (prevLower || nextLower) {
+				b = append(b, '_')
+			}
+			r += 'a' - 'A'
+		}
+		b = append(b, byte(r))
+	}
+	return string(b)
 }
 
 // CaptureEngine publishes an engine's Diag under prefix (gauges, since a

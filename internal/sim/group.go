@@ -76,9 +76,6 @@ func NewGroup(engines []*Engine, lookahead Time) (*Group, error) {
 // Engines returns the member engines in group order.
 func (g *Group) Engines() []*Engine { return g.engines }
 
-// Lookahead reports the group's window lookahead.
-func (g *Group) Lookahead() Time { return g.lookahead }
-
 // Send schedules fn at absolute time at on dst, on behalf of src. The
 // sender must guarantee at >= src.Now() + lookahead (true by
 // construction when at includes a cross-engine link latency). Outside a

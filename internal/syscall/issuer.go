@@ -1,9 +1,11 @@
 package syscall
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"hydra/internal/call"
 	"hydra/internal/channel"
@@ -80,13 +82,14 @@ func NewIssuer(dev *device.Device, prof Profile, res *resource.Node) *Issuer {
 
 // Attach connects the issuer to its device-side channel endpoint and
 // installs the completion handler. Calls restored by a preceding Restore
-// are re-sent here (the host service dedups re-executions), so an
-// in-flight syscall survives the swap no matter whether its original
-// request, its completion, or neither was in the air.
+// are re-sent here, in ascending sequence order (the host service dedups
+// re-executions), so an in-flight syscall survives the swap no matter
+// whether its original request, its completion, or neither was in the air.
 func (i *Issuer) Attach(end *channel.Endpoint) {
 	i.end = end
 	end.InstallCallHandler(i.onCompletion)
-	for id, p := range i.pending {
+	for _, id := range i.pendingIDs() {
+		p := i.pending[id]
 		if !p.restored || p.wire == nil {
 			continue
 		}
@@ -112,18 +115,16 @@ func (i *Issuer) Stats() Stats { return i.stats }
 // Latencies returns the issue→completion spans recorded so far.
 func (i *Issuer) Latencies() []sim.Time { return i.lats }
 
-func (i *Issuer) chargeCredit() error {
+// chargeCredits takes n in-flight credits, all or none.
+func (i *Issuer) chargeCredits(n int) error {
 	if i.res != nil {
-		if err := i.res.Charge(QuotaSyscalls, 1); err != nil {
+		if err := i.res.Charge(QuotaSyscalls, int64(n)); err != nil {
 			return err
 		}
-		i.inFlight++
-		return nil
-	}
-	if i.inFlight >= i.prof.Credits {
+	} else if i.inFlight+n > i.prof.Credits {
 		return ErrNoCredits
 	}
-	i.inFlight++
+	i.inFlight += n
 	return nil
 }
 
@@ -145,7 +146,7 @@ func (i *Issuer) Issue(op Op, mode Mode, args []any, k func(*Completion)) error 
 	if i.sealed {
 		return ErrSealed
 	}
-	if err := i.chargeCredit(); err != nil {
+	if err := i.chargeCredits(1); err != nil {
 		i.stats.CreditDenied++
 		return err
 	}
@@ -226,17 +227,7 @@ func (i *Issuer) Checkpoint() []byte {
 	b := []byte{ckptVersion}
 	b = binary.LittleEndian.AppendUint64(b, i.nextSeq)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(i.pending)))
-	// Deterministic order: ids ascend by sequence.
-	ids := make([]uint64, 0, len(i.pending))
-	for id := range i.pending {
-		ids = append(ids, id)
-	}
-	for x := 1; x < len(ids); x++ {
-		for y := x; y > 0 && idSeq(ids[y]) < idSeq(ids[y-1]); y-- {
-			ids[y], ids[y-1] = ids[y-1], ids[y]
-		}
-	}
-	for _, id := range ids {
+	for _, id := range i.pendingIDs() {
 		p := i.pending[id]
 		b = binary.LittleEndian.AppendUint64(b, id)
 		b = binary.LittleEndian.AppendUint64(b, uint64(p.issued))
@@ -247,34 +238,99 @@ func (i *Issuer) Checkpoint() []byte {
 	return b
 }
 
+// pendingIDs lists the pending call ids in ascending sequence order, the
+// deterministic order checkpoints and reissues use.
+func (i *Issuer) pendingIDs() []uint64 {
+	ids := make([]uint64, 0, len(i.pending))
+	for id := range i.pending {
+		ids = append(ids, id)
+	}
+	slices.SortFunc(ids, func(a, b uint64) int { return cmp.Compare(idSeq(a), idSeq(b)) })
+	return ids
+}
+
+// ckptEntryHeader is one checkpoint entry's fixed part: id, issue time,
+// op and wire length.
+const ckptEntryHeader = 8 + 8 + 1 + 4
+
 // Restore rebuilds the pending table on a fresh issuer. Continuation
 // closures cannot cross a swap, so restored calls complete through the
 // default handler; credits are re-charged so the quota stays truthful.
+// Restore validates the whole checkpoint before applying any of it: on
+// error the issuer is unchanged.
 func (i *Issuer) Restore(b []byte) error {
 	if len(b) < 13 || b[0] != ckptVersion {
 		return fmt.Errorf("syscall: bad checkpoint (len %d)", len(b))
 	}
-	i.nextSeq = binary.LittleEndian.Uint64(b[1:])
+	nextSeq := binary.LittleEndian.Uint64(b[1:])
 	n := int(binary.LittleEndian.Uint32(b[9:]))
 	rest := b[13:]
+	ids := make([]uint64, 0, min(n, len(rest)/ckptEntryHeader))
+	calls := make([]*pendingCall, 0, cap(ids))
 	for j := 0; j < n; j++ {
-		if len(rest) < 21 {
+		if len(rest) < ckptEntryHeader {
 			return fmt.Errorf("syscall: truncated checkpoint entry %d", j)
 		}
 		id := binary.LittleEndian.Uint64(rest)
 		issued := sim.Time(binary.LittleEndian.Uint64(rest[8:]))
-		op := Op(rest[16:][0])
+		op := Op(rest[16])
 		wl := int(binary.LittleEndian.Uint32(rest[17:]))
-		rest = rest[21:]
+		rest = rest[ckptEntryHeader:]
 		if len(rest) < wl {
 			return fmt.Errorf("syscall: truncated checkpoint wire %d", j)
 		}
-		wire := append([]byte(nil), rest[:wl]...)
+		wire := rest[:wl]
 		rest = rest[wl:]
-		if err := i.chargeCredit(); err != nil {
+		prev := uint64(0)
+		if j > 0 {
+			prev = idSeq(ids[j-1])
+		}
+		if err := i.checkRestored(id, op, wire, prev, nextSeq); err != nil {
+			return fmt.Errorf("syscall: checkpoint entry %d: %w", j, err)
+		}
+		ids = append(ids, id)
+		calls = append(calls, &pendingCall{op: op, mode: idMode(id), issued: issued,
+			wire: append([]byte(nil), wire...), restored: true})
+	}
+	if len(rest) != 0 {
+		return fmt.Errorf("syscall: %d trailing bytes after checkpoint", len(rest))
+	}
+	if len(calls) > 0 {
+		if err := i.chargeCredits(len(calls)); err != nil {
 			return fmt.Errorf("syscall: restore over credit limit: %w", err)
 		}
-		i.pending[id] = &pendingCall{op: op, mode: idMode(id), issued: issued, wire: wire, restored: true}
+	}
+	i.nextSeq = nextSeq
+	for j, id := range ids {
+		i.pending[id] = calls[j]
+	}
+	return nil
+}
+
+// checkRestored validates one checkpointed call: sequences strictly
+// ascend (so no id repeats) and stay below nextSeq, the mode expects a
+// completion, the id is not already pending, and the marshaled request is
+// the op's call under that id — anything else would leave an entry no
+// completion can ever retire, holding its credit forever.
+func (i *Issuer) checkRestored(id uint64, op Op, wire []byte, prevSeq, nextSeq uint64) error {
+	seq := idSeq(id)
+	switch {
+	case seq <= prevSeq:
+		return fmt.Errorf("sequence %d does not ascend past %d", seq, prevSeq)
+	case seq >= nextSeq:
+		return fmt.Errorf("sequence %d not below next sequence %d", seq, nextSeq)
+	case idMode(id) != ModeSync && idMode(id) != ModeAsync:
+		return fmt.Errorf("sequence %d: mode %v expects no completion", seq, idMode(id))
+	}
+	if _, dup := i.pending[id]; dup {
+		return fmt.Errorf("sequence %d already pending", seq)
+	}
+	c, err := call.Unmarshal(wire)
+	if err != nil {
+		return fmt.Errorf("sequence %d: %w", seq, err)
+	}
+	if c.Iface != IfaceGUID || c.ReturnDesc != id || c.Method != op.String() || op.String() == "op?" {
+		return fmt.Errorf("sequence %d: request is not %v call %#x", seq, op, id)
 	}
 	return nil
 }

@@ -76,9 +76,6 @@ func (s *Service) Attach(end *channel.Endpoint) {
 // VFS returns the surface this service executes against.
 func (s *Service) VFS() *hostos.VFS { return s.vfs }
 
-// Pool exposes the dispatcher pool for queue-depth readouts.
-func (s *Service) Pool() *hostos.WorkerPool { return s.pool }
-
 // Stats returns the host-side accounting.
 func (s *Service) Stats() Stats { return s.stats }
 
@@ -124,18 +121,17 @@ func (s *Service) onRequest(data []byte) {
 	s.pool.Submit(func(t *hostos.Task, done func()) {
 		start := s.eng.Now()
 		t.Syscall(s.cycles(op, args), func() {
-			s.execute(op, args, func(results []any, err error) {
-				rep := &call.Reply{ReturnDesc: id, Results: results}
-				if err != nil {
-					rep.Err = err.Error()
-				}
-				s.stats.Executed++
-				if s.tr.On() {
-					s.tr.Complete(obs.CatSyscall, trExec+idMode(id).String(), start, s.eng.Now()-start, int64(idSeq(id)))
-				}
-				s.finish(id, rep)
-				done()
-			})
+			results, err := s.execute(op, args)
+			rep := &call.Reply{ReturnDesc: id, Results: results}
+			if err != nil {
+				rep.Err = err.Error()
+			}
+			s.stats.Executed++
+			if s.tr.On() {
+				s.tr.Complete(obs.CatSyscall, trExec+idMode(id).String(), start, s.eng.Now()-start, int64(idSeq(id)))
+			}
+			s.finish(id, rep)
+			done()
 		})
 	})
 }
@@ -202,129 +198,99 @@ func (s *Service) reply(id uint64, rep *call.Reply) {
 // badArgs is the uniform decode failure for a malformed argument vector.
 func badArgs(op Op) error { return fmt.Errorf("syscall %s: bad argument vector", op) }
 
-// execute runs one decoded syscall against the VFS. CPS because remote
-// mounts (NFS-backed paths) complete asynchronously.
-func (s *Service) execute(op Op, args []any, k func(results []any, err error)) {
+// execute runs one decoded syscall against the VFS.
+func (s *Service) execute(op Op, args []any) ([]any, error) {
 	switch op {
 	case OpOpen:
 		if len(args) != 2 {
-			k(nil, badArgs(op))
-			return
+			return nil, badArgs(op)
 		}
 		path, ok1 := args[0].(string)
 		create, ok2 := args[1].(bool)
 		if !ok1 || !ok2 {
-			k(nil, badArgs(op))
-			return
+			return nil, badArgs(op)
 		}
-		s.vfs.Open(path, create, func(fd int32, err error) {
-			if err != nil {
-				k(nil, err)
-				return
-			}
-			k([]any{int64(fd)}, nil)
-		})
+		fd, err := s.vfs.Open(path, create)
+		if err != nil {
+			return nil, err
+		}
+		return []any{int64(fd)}, nil
 	case OpRead:
 		fd, off, count, ok := threeInts(args)
 		if !ok {
-			k(nil, badArgs(op))
-			return
+			return nil, badArgs(op)
 		}
-		s.vfs.Read(int32(fd), off, int(count), func(data []byte, err error) {
-			if err != nil {
-				k(nil, err)
-				return
-			}
-			k([]any{data}, nil)
-		})
+		data, err := s.vfs.Read(int32(fd), off, int(count))
+		if err != nil {
+			return nil, err
+		}
+		return []any{data}, nil
 	case OpWrite:
 		if len(args) != 3 {
-			k(nil, badArgs(op))
-			return
+			return nil, badArgs(op)
 		}
 		fd, ok1 := args[0].(int64)
 		off, ok2 := args[1].(int64)
 		data, ok3 := args[2].([]byte)
 		if !ok1 || !ok2 || !ok3 {
-			k(nil, badArgs(op))
-			return
+			return nil, badArgs(op)
 		}
-		s.vfs.Write(int32(fd), off, data, func(n int, err error) {
-			if err != nil {
-				k(nil, err)
-				return
-			}
-			k([]any{int64(n)}, nil)
-		})
+		n, err := s.vfs.Write(int32(fd), off, data)
+		if err != nil {
+			return nil, err
+		}
+		return []any{int64(n)}, nil
 	case OpClose:
 		if len(args) != 1 {
-			k(nil, badArgs(op))
-			return
+			return nil, badArgs(op)
 		}
 		fd, ok := args[0].(int64)
 		if !ok {
-			k(nil, badArgs(op))
-			return
+			return nil, badArgs(op)
 		}
-		if err := s.vfs.CloseFD(int32(fd)); err != nil {
-			k(nil, err)
-			return
-		}
-		k(nil, nil)
+		return nil, s.vfs.CloseFD(int32(fd))
 	case OpSend:
 		if len(args) != 2 {
-			k(nil, badArgs(op))
-			return
+			return nil, badArgs(op)
 		}
 		dst, ok1 := args[0].(string)
 		n, ok2 := args[1].(int64)
 		if !ok1 || !ok2 {
-			k(nil, badArgs(op))
-			return
+			return nil, badArgs(op)
 		}
 		s.vfs.NetSend(dst, int(n))
-		k(nil, nil)
+		return nil, nil
 	case OpMap:
 		if len(args) != 1 {
-			k(nil, badArgs(op))
-			return
+			return nil, badArgs(op)
 		}
 		size, ok := args[0].(int64)
 		if !ok || size < 0 {
-			k(nil, badArgs(op))
-			return
+			return nil, badArgs(op)
 		}
-		k([]any{s.vfs.Map(int(size))}, nil)
+		return []any{s.vfs.Map(int(size))}, nil
 	case OpUnmap:
 		if len(args) != 1 {
-			k(nil, badArgs(op))
-			return
+			return nil, badArgs(op)
 		}
 		addr, ok := args[0].(uint64)
 		if !ok {
-			k(nil, badArgs(op))
-			return
+			return nil, badArgs(op)
 		}
-		if err := s.vfs.Unmap(addr); err != nil {
-			k(nil, err)
-			return
-		}
-		k(nil, nil)
+		return nil, s.vfs.Unmap(addr)
 	case OpLog:
 		if len(args) != 1 {
-			k(nil, badArgs(op))
-			return
+			return nil, badArgs(op)
 		}
 		if _, ok := args[0].(string); !ok {
-			k(nil, badArgs(op))
-			return
+			return nil, badArgs(op)
 		}
 		s.vfs.Log()
-		k(nil, nil)
+		return nil, nil
 	case OpClock:
-		k([]any{int64(s.eng.Now())}, nil)
+		return []any{int64(s.eng.Now())}, nil
 	default:
-		k(nil, fmt.Errorf("syscall: op %d not implemented", op))
+		return nil, fmt.Errorf("syscall: op %d not implemented", op)
 	}
 }
 

@@ -30,7 +30,6 @@ import (
 
 	"hydra/internal/channel"
 	"hydra/internal/guid"
-	"hydra/internal/obs"
 	"hydra/internal/sim"
 )
 
@@ -127,8 +126,10 @@ type Profile struct {
 	Credits     int      // max in-flight syscalls per issuer
 	Workers     int      // host dispatcher pool width
 	RingEntries int      // descriptor ring depth (defaults to 256)
-	MaxMessage  int      // largest marshaled request/reply (defaults to 4096)
 }
+
+// maxMessage bounds one marshaled request or reply on a syscall channel.
+const maxMessage = 4096
 
 // DefaultProfile is the batched asynchronous shape X11 centers on.
 func DefaultProfile() Profile {
@@ -155,9 +156,6 @@ func (p Profile) withDefaults() Profile {
 	if p.RingEntries == 0 {
 		p.RingEntries = 256
 	}
-	if p.MaxMessage == 0 {
-		p.MaxMessage = 4096
-	}
 	return p
 }
 
@@ -169,7 +167,7 @@ func (p Profile) ChannelConfig() channel.Config {
 	return channel.Config{
 		Reliable:    true,
 		RingEntries: p.RingEntries,
-		MaxMessage:  p.MaxMessage,
+		MaxMessage:  maxMessage,
 		Batch:       p.Batch,
 		Coalesce:    p.Coalesce,
 	}
@@ -202,34 +200,6 @@ func (s *Stats) Add(other Stats) {
 	for i := 0; i < sv.NumField(); i++ {
 		sv.Field(i).SetUint(sv.Field(i).Uint() + ov.Field(i).Uint())
 	}
-}
-
-// Publish writes every Stats field into the registry as a gauge named
-// <prefix>.<snake_case_field>, by reflection so a new field can never be
-// silently missing from the metrics surface.
-func (s Stats) Publish(r *obs.Registry, prefix string) {
-	v := reflect.ValueOf(s)
-	t := v.Type()
-	for i := 0; i < t.NumField(); i++ {
-		r.Gauge(prefix + "." + snakeCase(t.Field(i).Name)).Set(float64(v.Field(i).Uint()))
-	}
-}
-
-func snakeCase(name string) string {
-	var b []byte
-	rs := []rune(name)
-	for i, r := range rs {
-		if r >= 'A' && r <= 'Z' {
-			prevLower := i > 0 && rs[i-1] >= 'a' && rs[i-1] <= 'z'
-			nextLower := i+1 < len(rs) && rs[i+1] >= 'a' && rs[i+1] <= 'z'
-			if i > 0 && (prevLower || nextLower) {
-				b = append(b, '_')
-			}
-			r += 'a' - 'A'
-		}
-		b = append(b, byte(r))
-	}
-	return string(b)
 }
 
 // Trace record names (obs.CatSyscall). Per-call ids ride in the record

@@ -24,7 +24,7 @@ type rig struct {
 	dend *channel.Endpoint
 }
 
-func newRig(t *testing.T, prof Profile, res *resource.Node) *rig {
+func newRig(t testing.TB, prof Profile, res *resource.Node) *rig {
 	t.Helper()
 	eng := sim.NewEngine(42)
 	host := hostos.New(eng, "host", hostos.PentiumIV())
@@ -251,74 +251,6 @@ func TestCheckpointRestoreExactlyOnce(t *testing.T) {
 	// received after its pending entries completed.
 	if r.vfs.LogLines() != 3 {
 		t.Fatalf("log lines = %d, want exactly-once execution", r.vfs.LogLines())
-	}
-}
-
-// A remote mount forwards syscalls to the RemoteFS implementation — here
-// a fake standing in for the NFS adapter.
-type fakeRemote struct {
-	opens, reads, writes int
-	store                map[uint64][]byte
-}
-
-func (f *fakeRemote) Open(path string, create bool, k func(uint64, error)) {
-	f.opens++
-	if f.store == nil {
-		f.store = make(map[uint64][]byte)
-	}
-	k(77, nil)
-}
-func (f *fakeRemote) Read(h uint64, off int64, n int, k func([]byte, error)) {
-	f.reads++
-	data := f.store[h]
-	if off >= int64(len(data)) {
-		k(nil, nil)
-		return
-	}
-	end := off + int64(n)
-	if end > int64(len(data)) {
-		end = int64(len(data))
-	}
-	k(append([]byte(nil), data[off:end]...), nil)
-}
-func (f *fakeRemote) Write(h uint64, off int64, data []byte, k func(int, error)) {
-	f.writes++
-	buf := f.store[h]
-	end := off + int64(len(data))
-	if end > int64(len(buf)) {
-		grown := make([]byte, end)
-		copy(grown, buf)
-		buf = grown
-	}
-	copy(buf[off:end], data)
-	f.store[h] = buf
-	k(len(data), nil)
-}
-
-func TestRemoteMountViaSyscalls(t *testing.T) {
-	r := newRig(t, DefaultProfile(), nil)
-	remote := &fakeRemote{}
-	r.vfs.Mount("/nfs/", remote)
-	var got []byte
-	r.iss.Open("/nfs/vol0/ext", true, ModeSync, func(fd int64, err error) {
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		r.iss.Write(fd, 0, []byte("spill"), ModeSync, func(n int64, err error) {
-			if err != nil {
-				t.Fatalf("write: %v", err)
-			}
-			r.iss.Read(fd, 0, 5, ModeSync, func(data []byte, err error) {
-				got = data
-			})
-		})
-	})
-	r.eng.RunAll()
-	if string(got) != "spill" {
-		t.Fatalf("read %q through remote mount", got)
-	}
-	if remote.opens != 1 || remote.writes != 1 || remote.reads != 1 {
-		t.Fatalf("remote saw opens=%d writes=%d reads=%d", remote.opens, remote.writes, remote.reads)
 	}
 }
 

@@ -222,14 +222,6 @@ func Build(eng *sim.Engine, spec Spec) (*System, error) {
 		if _, dup := sys.hosts[h.Name]; dup {
 			return nil, fmt.Errorf("testbed: duplicate host %q", h.Name)
 		}
-		cpu := h.CPU
-		if cpu.CPUFreqHz == 0 {
-			cpu = hostos.PentiumIV()
-		}
-		busCfg := h.Bus
-		if busCfg == (bus.Config{}) {
-			busCfg = bus.DefaultConfig()
-		}
 		heng := eng
 		if spec.EnginePerHost {
 			// Derive the host engine seed with the same golden-ratio mix
@@ -242,8 +234,8 @@ func Build(eng *sim.Engine, spec Spec) (*System, error) {
 			}
 		}
 		hs := &HostSystem{Spec: h, Eng: heng}
-		hs.Machine = hostos.New(heng, h.Name, cpu)
-		hs.Bus = bus.New(heng, busCfg)
+		hs.Machine = hostos.New(heng, h.Name, hostos.PentiumIV())
+		hs.Bus = bus.New(heng, bus.DefaultConfig())
 		for _, dc := range h.Devices {
 			if dc.Name == "" {
 				return nil, fmt.Errorf("testbed: host %q has an unnamed device", h.Name)
@@ -323,24 +315,10 @@ func (sys *System) buildSyscalls(hs *HostSystem, sc *SyscallSpec) error {
 	} else {
 		hs.VFS = hostos.NewVFS(hs.Machine)
 	}
-	for _, f := range sc.Files {
-		hs.VFS.Preload(f.Path, f.Data)
-	}
-	devs := hs.Devices
-	if len(sc.Devices) > 0 {
-		devs = devs[:0:0]
-		for _, name := range sc.Devices {
-			d := hs.Device(name)
-			if d == nil {
-				return fmt.Errorf("testbed: host %q syscalls name unknown device %q", hs.Spec.Name, name)
-			}
-			devs = append(devs, d)
-		}
-	}
-	if len(devs) == 0 {
+	if len(hs.Devices) == 0 {
 		return fmt.Errorf("testbed: host %q declares Syscalls but has no devices", hs.Spec.Name)
 	}
-	for _, d := range devs {
+	for _, d := range hs.Devices {
 		host := channel.HostEndpoint(hs.Machine, "syscall:"+hs.Spec.Name)
 		ch, err := channel.New(hs.Eng, hs.Bus, sc.Profile.ChannelConfig(), host)
 		if err != nil {

@@ -4,7 +4,7 @@
 // Every experiment, example and benchmark in this repository used to
 // hand-wire the same construction sequence — engine → host → bus → devices
 // → depot → runtime → network — with small variations. A Spec captures that
-// fabric as data: hosts with CPU profiles, per-host buses, heterogeneous
+// fabric as data: Pentium IV hosts with per-host buses, heterogeneous
 // programmable devices (NIC / GPU / smart-disk classes), Offcode runtimes,
 // NAS appliances and the switched network joining them. Build instantiates
 // a Spec on a simulation engine, and Sweep runs many replicas of a scenario
@@ -34,7 +34,6 @@
 package testbed
 
 import (
-	"hydra/internal/bus"
 	"hydra/internal/channel"
 	"hydra/internal/core"
 	"hydra/internal/device"
@@ -157,16 +156,12 @@ type NASSpec struct {
 	Files []FileSpec
 }
 
-// HostSpec declares one host machine: CPU profile, I/O bus, attached
-// programmable devices, network stations, and (optionally) a HYDRA runtime
+// HostSpec declares one host machine (a Pentium IV on the default I/O
+// bus): attached programmable devices, network stations, and (optionally) a HYDRA runtime
 // with its Offcode depot.
 type HostSpec struct {
 	// Name identifies the host; must be unique and non-empty.
 	Name string
-	// CPU is the host profile; zero value → hostos.PentiumIV().
-	CPU hostos.Config
-	// Bus is the host I/O interconnect; zero value → bus.DefaultConfig().
-	Bus bus.Config
 	// Devices are programmable peripherals attached to the host bus, built
 	// in order. Device names must be unique across the whole Spec.
 	Devices []device.Config
@@ -190,8 +185,8 @@ type HostSpec struct {
 	// IdleLoad, when non-nil, starts background daemons after construction
 	// (the paper's "idle system" baseline).
 	IdleLoad *hostos.IdleLoadConfig
-	// Syscalls, when non-nil, gives the named devices (default: every
-	// declared device) a host-syscall plane at build time: a dedicated
+	// Syscalls, when non-nil, gives every declared device a host-syscall
+	// plane at build time: a dedicated
 	// batched channel into a dispatcher executing against the host's VFS,
 	// plus a ready-made issuer on the device side. Hosts with a Runtime
 	// share the runtime's VFS, so testbed-built planes and session-opened
@@ -201,15 +196,10 @@ type HostSpec struct {
 
 // SyscallSpec declares build-time host-syscall planes on a host.
 type SyscallSpec struct {
-	// Devices selects which of the host's devices get a plane; empty means
-	// all of them, in declaration order.
-	Devices []string
 	// Profile sizes every plane: channel batch/coalesce geometry, in-flight
 	// credit limit and dispatcher pool width. Zero fields take the
 	// syscall package defaults.
 	Profile syscall.Profile
-	// Files are pre-loaded into the host's VFS in order.
-	Files []FileSpec
 }
 
 // AppSpec declares one application session on a host's runtime.

@@ -17,34 +17,11 @@ type Replica struct {
 
 // SweepConfig sizes a scenario sweep.
 type SweepConfig struct {
-	// Replicas is the number of runs; ignored when Seeds is set.
-	Replicas int
-	// BaseSeed seeds replica 0; replica i gets BaseSeed + i*SeedStep.
-	BaseSeed int64
-	// SeedStep is the per-replica seed increment (0 → 1).
-	SeedStep int64
-	// Seeds, when non-empty, lists the exact seeds to run, overriding
-	// Replicas/BaseSeed/SeedStep.
+	// Seeds lists the seed of each replica, in replica order.
 	Seeds []int64
 	// Workers bounds concurrent replicas (0 → GOMAXPROCS). Workers == 1
 	// runs the sweep serially on the calling goroutine.
 	Workers int
-}
-
-// SeedList materializes the replica seeds.
-func (c SweepConfig) SeedList() []int64 {
-	if len(c.Seeds) > 0 {
-		return c.Seeds
-	}
-	step := c.SeedStep
-	if step == 0 {
-		step = 1
-	}
-	seeds := make([]int64, c.Replicas)
-	for i := range seeds {
-		seeds[i] = c.BaseSeed + int64(i)*step
-	}
-	return seeds
 }
 
 func (c SweepConfig) workers(n int) int {
@@ -71,7 +48,7 @@ func (c SweepConfig) workers(n int) int {
 // engines, hosts or devices across replicas). If any replica fails, Sweep
 // finishes the in-flight work and returns the lowest-index error.
 func Sweep[T any](cfg SweepConfig, run func(Replica) (T, error)) ([]T, error) {
-	seeds := cfg.SeedList()
+	seeds := cfg.Seeds
 	n := len(seeds)
 	results := make([]T, n)
 	errs := make([]error, n)

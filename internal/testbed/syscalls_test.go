@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"hydra/internal/device"
-	"hydra/internal/netsim"
-	"hydra/internal/nfs"
 	"hydra/internal/syscall"
 )
 
@@ -20,10 +18,7 @@ func TestHostSyscallPlanes(t *testing.T) {
 				device.XScaleNIC("h-nic"),
 				device.SmartDisk("h-disk"),
 			},
-			Syscalls: &SyscallSpec{
-				Profile: syscall.DefaultProfile(),
-				Files:   []FileSpec{{Path: "/etc/cfg", Data: []byte("tuned")}},
-			},
+			Syscalls: &SyscallSpec{Profile: syscall.DefaultProfile()},
 		}},
 	})
 	if err != nil {
@@ -32,6 +27,16 @@ func TestHostSyscallPlanes(t *testing.T) {
 	h := sys.Host("h")
 	if h.VFS == nil {
 		t.Fatal("no VFS built")
+	}
+	fd, err := h.VFS.Open("/etc/cfg", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.VFS.Write(fd, 0, []byte("tuned")); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.VFS.CloseFD(fd); err != nil {
+		t.Fatal(err)
 	}
 	if len(h.Syscalls) != 2 {
 		t.Fatalf("planes = %d, want 2 (one per device)", len(h.Syscalls))
@@ -79,98 +84,13 @@ func TestHostSyscallPlanes(t *testing.T) {
 	}
 }
 
-// TestSyscallSpecValidation covers the device-selection error paths.
+// TestSyscallSpecValidation covers the device-less host error path.
 func TestSyscallSpecValidation(t *testing.T) {
 	_, err := New(1, Spec{Hosts: []HostSpec{{
-		Name:     "h",
-		Devices:  []device.Config{device.GPU("g")},
-		Syscalls: &SyscallSpec{Devices: []string{"missing"}},
-	}}})
-	if err == nil {
-		t.Fatal("unknown device name should fail the build")
-	}
-	_, err = New(1, Spec{Hosts: []HostSpec{{
 		Name:     "h",
 		Syscalls: &SyscallSpec{},
 	}}})
 	if err == nil {
 		t.Fatal("Syscalls on a device-less host should fail the build")
-	}
-}
-
-// TestSmartDiskExtendsStorageOverNFS is the smart-disk demo from the
-// paper's offload story, inverted through the syscall plane: the disk
-// Offcode never speaks NFS — it opens paths under a /nfs/ VFS mount via
-// host syscalls, and the host forwards to a NAS across the simulated
-// network through the internal/nfs client.
-func TestSmartDiskExtendsStorageOverNFS(t *testing.T) {
-	archive := []byte("cold segment 0: archived block data")
-	sys, err := New(11, Spec{
-		Net: &NetSpec{Config: netsim.GigabitSwitched()},
-		NAS: []NASSpec{{
-			Station: "nas",
-			Files:   []FileSpec{{Path: "/media/archive.bin", Data: archive}},
-		}},
-		Hosts: []HostSpec{{
-			Name:     "h",
-			Devices:  []device.Config{device.SmartDisk("disk")},
-			Stations: []string{"h"},
-			Syscalls: &SyscallSpec{
-				Devices: []string{"disk"},
-				Profile: syscall.DefaultProfile(),
-			},
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := sys.Host("h")
-	cli := nfs.NewClient(sys.Eng, sys.Station("h"), "nas", 5100, 0)
-	h.VFS.Mount("/nfs/", syscall.NewNFSAdapter(cli))
-
-	// The disk Offcode spills a hot extent to the NAS and reads back an
-	// archived one — all through host syscalls.
-	disk := h.Syscall("disk").Issuer
-	spill := []byte("hot extent 7 evicted from on-disk cache")
-	var fetched []byte
-	err = disk.Open("/nfs/spill-7.bin", true, syscall.ModeSync, func(fd int64, err error) {
-		if err != nil {
-			t.Errorf("open spill: %v", err)
-			return
-		}
-		disk.Write(fd, 0, spill, syscall.ModeSync, func(n int64, err error) {
-			if err != nil || int(n) != len(spill) {
-				t.Errorf("write spill: n=%d err=%v", n, err)
-				return
-			}
-			disk.Open("/nfs/media/archive.bin", false, syscall.ModeSync, func(fd int64, err error) {
-				if err != nil {
-					t.Errorf("open archive: %v", err)
-					return
-				}
-				disk.Read(fd, 0, int64(len(archive)), syscall.ModeSync, func(data []byte, err error) {
-					if err != nil {
-						t.Errorf("read archive: %v", err)
-						return
-					}
-					fetched = data
-				})
-			})
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Eng.RunAll()
-
-	if !bytes.Equal(fetched, archive) {
-		t.Fatalf("archive read %q, want %q", fetched, archive)
-	}
-	stored, ok := sys.NAS("nas").Store.Get("/spill-7.bin")
-	if !ok || !bytes.Equal(stored, spill) {
-		t.Fatalf("NAS spill = %q (ok=%v), want %q", stored, ok, spill)
-	}
-	if disk.InFlight() != 0 {
-		t.Fatalf("in-flight = %d after drain, want 0", disk.InFlight())
 	}
 }

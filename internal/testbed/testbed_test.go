@@ -176,10 +176,10 @@ func miniScenario(seed int64) (sim.Time, error) {
 }
 
 func TestSweepMatchesSerial(t *testing.T) {
-	cfg := SweepConfig{Replicas: 8, BaseSeed: 100, Workers: 4}
+	cfg := SweepConfig{Seeds: []int64{100, 101, 102, 103, 104, 105, 106, 107}, Workers: 4}
 
-	serial := make([]sim.Time, 0, cfg.Replicas)
-	for _, seed := range cfg.SeedList() {
+	serial := make([]sim.Time, 0, len(cfg.Seeds))
+	for _, seed := range cfg.Seeds {
 		bt, err := miniScenario(seed)
 		if err != nil {
 			t.Fatal(err)
@@ -208,20 +208,19 @@ func TestSweepMatchesSerial(t *testing.T) {
 	}
 }
 
+// Replica i runs with Seeds[i], in replica order.
 func TestSweepSeedList(t *testing.T) {
-	got := SweepConfig{Replicas: 3, BaseSeed: 10, SeedStep: 5}.SeedList()
-	if len(got) != 3 || got[0] != 10 || got[1] != 15 || got[2] != 20 {
-		t.Fatalf("SeedList = %v", got)
-	}
-	got = SweepConfig{Seeds: []int64{42, 7}}.SeedList()
-	if len(got) != 2 || got[0] != 42 || got[1] != 7 {
-		t.Fatalf("explicit Seeds = %v", got)
+	got, err := Sweep(SweepConfig{Seeds: []int64{42, 7, 42}, Workers: 2}, func(r Replica) (int64, error) {
+		return r.Seed, nil
+	})
+	if err != nil || len(got) != 3 || got[0] != 42 || got[1] != 7 || got[2] != 42 {
+		t.Fatalf("replica seeds = %v, %v", got, err)
 	}
 }
 
 func TestSweepErrorAndPanic(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := Sweep(SweepConfig{Replicas: 4, Workers: 2}, func(r Replica) (int, error) {
+	_, err := Sweep(SweepConfig{Seeds: make([]int64, 4), Workers: 2}, func(r Replica) (int, error) {
 		if r.Index == 2 {
 			return 0, boom
 		}
@@ -234,7 +233,7 @@ func TestSweepErrorAndPanic(t *testing.T) {
 	// A replica panic surfaces as an error on both the parallel and the
 	// serial path — sweeps must fail identically regardless of workers.
 	for _, workers := range []int{3, 1} {
-		_, err = Sweep(SweepConfig{Replicas: 3, Workers: workers}, func(r Replica) (int, error) {
+		_, err = Sweep(SweepConfig{Seeds: make([]int64, 3), Workers: workers}, func(r Replica) (int, error) {
 			if r.Index == 1 {
 				panic("kaboom")
 			}
@@ -251,7 +250,7 @@ func TestSweepEmptyAndSerialPath(t *testing.T) {
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty sweep: %v %v", out, err)
 	}
-	out, err = Sweep(SweepConfig{Replicas: 3, Workers: 1}, func(r Replica) (int, error) {
+	out, err = Sweep(SweepConfig{Seeds: make([]int64, 3), Workers: 1}, func(r Replica) (int, error) {
 		return r.Index * 10, nil
 	})
 	if err != nil || len(out) != 3 || out[2] != 20 {

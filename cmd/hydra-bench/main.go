@@ -29,10 +29,10 @@
 //
 // -trace name=path[,name=path] runs one traced cell of each named
 // scenario (x7, x11 or x12) and writes its merged recorder stream as
-// Chrome trace-event JSON (Perfetto-loadable; a .csv extension selects
-// CSV), failing unless the trace records reconcile with the cell's own
-// ledgers: per-message channel stats for x7, per-call syscall stats for
-// x11, per-packet flow-table counters for x12. cmd/hydra-trace
+// Chrome trace-event JSON (Perfetto-loadable), failing unless the trace
+// records reconcile with the cell's own ledgers: per-message channel
+// stats for x7, per-call syscall stats for x11, per-packet flow-table
+// counters for x12. cmd/hydra-trace
 // summarizes any of the files.
 //
 // Usage:
@@ -463,7 +463,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit a machine-readable JSON report on stdout")
 	scenarioList := flag.String("scenario", "", "run only the named scenarios, comma-separated; a prefix before '-' selects every scenario sharing it (e.g. x12 or engine,x7,x9)")
 	baseline := flag.String("baseline", "", "BENCH_*.json to compare against: fail if a deterministic metric differs or events/s drops below 0.8x")
-	traceList := flag.String("trace", "", "name=path[,name=path]: write one traced, reconciled cell of scenario x7, x11 or x12 to path (.json Chrome trace-event, .csv CSV)")
+	traceList := flag.String("trace", "", "name=path[,name=path]: write one traced, reconciled cell of scenario x7, x11 or x12 to path as Chrome trace-event JSON")
 	flag.Parse()
 
 	o := opts{seed: *seed, duration: experiments.DefaultDuration, replicas: 8}
@@ -588,10 +588,10 @@ func parseTraces(list string) ([]traceTarget, error) {
 }
 
 // writeTrace runs sc's traced cell and writes its merged recorder stream
-// to path — Chrome trace-event JSON unless the extension picks CSV. It
-// first requires that the ring dropped nothing and that every ledger's
-// record count matches the cell's own accounting, so an archived trace
-// is known to agree with the numbers the tables report.
+// to path as Chrome trace-event JSON. It first requires that the ring
+// dropped nothing and that every ledger's record count matches the cell's
+// own accounting, so an archived trace is known to agree with the numbers
+// the tables report.
 func writeTrace(sc *scenario, path string, seed int64, verbose bool) error {
 	tr, ledgers, label, err := sc.trace(seed)
 	if err != nil {

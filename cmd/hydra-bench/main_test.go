@@ -113,8 +113,8 @@ func TestScenarioSelection(t *testing.T) {
 	if _, err := selectScenarios("x9,nope"); err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Fatalf("unknown scenario not reported: %v", err)
 	}
-	tr, err := parseTraces("x7=a.json,x12-dataplane=b.csv")
-	if err != nil || len(tr) != 2 || tr[0].sc.name != "x7-saturation" || tr[1].path != "b.csv" {
+	tr, err := parseTraces("x7=a.json,x12-dataplane=b.json")
+	if err != nil || len(tr) != 2 || tr[0].sc.name != "x7-saturation" || tr[1].path != "b.json" {
 		t.Fatalf("parseTraces: %+v, %v", tr, err)
 	}
 	for _, bad := range []string{"x9=a.json", "x7", "x7="} {

@@ -14,7 +14,7 @@
 // With -trace FILE the run records a virtual-time trace of every layer
 // (channels, bus, host OS, deployment) and writes it as Chrome
 // trace-event JSON — load it in Perfetto, or summarize it with
-// cmd/hydra-trace. A .csv extension selects CSV instead.
+// cmd/hydra-trace.
 //
 // Usage:
 //
@@ -40,7 +40,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	crashNIC := flag.Int("crash-nic", 0, "crash the server NIC after N seconds (failover scenario; 0 = off)")
 	background := flag.Bool("background", false, "run a competing background app session next to the offloaded server")
-	tracePath := flag.String("trace", "", "record a virtual-time trace and write it here (.json Chrome trace-event, .csv CSV)")
+	tracePath := flag.String("trace", "", "record a virtual-time trace and write it here as Chrome trace-event JSON")
 	flag.Parse()
 
 	if *crashNIC > 0 || *background {

@@ -59,16 +59,6 @@ const (
 	ScaleDown
 )
 
-func (a Action) String() string {
-	switch a {
-	case ScaleUp:
-		return "up"
-	case ScaleDown:
-		return "down"
-	}
-	return "hold"
-}
-
 // Decision records one Evaluate epoch.
 type Decision struct {
 	// At is the virtual time of the evaluation.
@@ -228,9 +218,6 @@ func (c *Controller) Evaluate(arrivedTotal float64, done func(Decision)) {
 		c.tgt.Shrink(settle)
 	}
 }
-
-// Decisions returns every epoch verdict so far, in order.
-func (c *Controller) Decisions() []Decision { return c.decisions }
 
 // ScaleUps and ScaleDowns count the successful scale actions so far.
 func (c *Controller) ScaleUps() int { return c.ups }

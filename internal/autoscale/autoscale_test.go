@@ -58,9 +58,10 @@ func newController(t *testing.T, eng *sim.Engine, tgt Target, cfg Config) *Contr
 }
 
 func actions(c *Controller) string {
+	names := map[Action]string{Hold: "hold", ScaleUp: "up", ScaleDown: "down"}
 	var parts []string
-	for _, d := range c.Decisions() {
-		parts = append(parts, d.Action.String())
+	for _, d := range c.decisions {
+		parts = append(parts, names[d.Action])
 	}
 	return strings.Join(parts, ",")
 }
@@ -84,7 +85,7 @@ func TestControllerRampUpAndDown(t *testing.T) {
 	if c.ScaleUps() != 2 || c.ScaleDowns() != 1 {
 		t.Fatalf("ups/downs = %d/%d, want 2/1", c.ScaleUps(), c.ScaleDowns())
 	}
-	last := c.Decisions()[5]
+	last := c.decisions[5]
 	if last.Shards != 3 || last.Rate != 30 || last.Util != 0.1 {
 		t.Fatalf("last decision = %+v", last)
 	}
@@ -118,7 +119,7 @@ func TestControllerRecordsGrowFailure(t *testing.T) {
 
 	drive(t, eng, c, []float64{0, 100})
 
-	d := c.Decisions()[1]
+	d := c.decisions[1]
 	if d.Action != ScaleUp || !errors.Is(d.Err, boom) {
 		t.Fatalf("decision = %+v, want failed scale-up", d)
 	}

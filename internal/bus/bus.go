@@ -4,21 +4,21 @@
 // The paper's central performance argument is that offloading eliminates
 // "expensive memory bus crossings" (§1.1), so the bus model is the spine of
 // the reproduction: it serializes transfers through a shared link with a
-// fixed per-transaction arbitration overhead and a byte rate, and it accounts
-// traffic per agent so the experiments can report bus pressure.
+// fixed per-transaction arbitration overhead and a byte rate, and it counts
+// the traffic it carries so the experiments can report bus pressure.
 //
 // Per the paper's footnote 2, a PCIe-style bus can deliver one packet to
 // multiple peripherals in a single transaction; TransferMulti models this.
 package bus
 
 import (
-	"sort"
-
 	"hydra/internal/obs"
 	"hydra/internal/sim"
 )
 
-// Agent identifies a bus master or target (a device or main memory).
+// Agent identifies a bus master or target (a device or main memory). A
+// transfer names its agents for the reader; the link is shared, so its
+// cost depends only on size and on the traffic ahead of it.
 type Agent string
 
 // MainMemory is the agent name for host DRAM.
@@ -52,13 +52,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// Stats aggregates per-agent traffic accounting.
+// Stats counts the traffic a bus has carried.
 type Stats struct {
 	Transactions uint64
 	Bytes        uint64
-	// GatherSegments counts descriptor segments carried by gather
-	// transactions (TransferGather); plain transfers count none.
-	GatherSegments uint64
 }
 
 // Trace record names (obs.CatBus): one complete span per transaction,
@@ -72,22 +69,17 @@ const (
 // issued while another is in flight queues behind it (FIFO), which produces
 // realistic contention when several devices DMA concurrently.
 type Bus struct {
-	eng      *sim.Engine
-	cfg      Config
-	busy     sim.Time // time the bus becomes free
-	wireTime sim.Time // cumulative occupied time
-
-	total   Stats
-	byAgent map[Agent]*Stats
+	eng   *sim.Engine
+	cfg   Config
+	busy  sim.Time // time the bus becomes free
+	total Stats
 
 	// tr is the engine's trace shard when CatBus is enabled, else nil.
 	tr *obs.Shard
 
 	// Degradation state (driven by internal/faults): slowdown multiplies
 	// every transfer's wire time; outages block the link entirely.
-	slowdown   float64
-	outages    uint64
-	outageTime sim.Time
+	slowdown float64
 }
 
 // New creates a bus on the given engine.
@@ -95,11 +87,8 @@ func New(eng *sim.Engine, cfg Config) *Bus {
 	if cfg.BytesPerSec <= 0 {
 		panic("bus: non-positive bandwidth")
 	}
-	return &Bus{eng: eng, cfg: cfg, byAgent: make(map[Agent]*Stats), tr: obs.ForCat(eng, obs.CatBus)}
+	return &Bus{eng: eng, cfg: cfg, tr: obs.ForCat(eng, obs.CatBus)}
 }
-
-// Config returns the bus configuration.
-func (b *Bus) Config() Config { return b.cfg }
 
 // TransferTime reports the raw wire time for size bytes, excluding queuing.
 func (b *Bus) TransferTime(size int) sim.Time {
@@ -113,7 +102,7 @@ func (b *Bus) TransferTime(size int) sim.Time {
 // Transfer moves size bytes from src to dst and invokes done (if non-nil)
 // when the transaction completes. It returns the completion time.
 func (b *Bus) Transfer(src, dst Agent, size int, done func()) sim.Time {
-	return b.transfer(src, []Agent{dst}, size, done)
+	return b.transferDur(size, 0, done)
 }
 
 // TransferMulti moves size bytes from src to every agent in dsts. On a
@@ -124,12 +113,12 @@ func (b *Bus) TransferMulti(src Agent, dsts []Agent, size int, done func()) sim.
 		panic("bus: multicast with no destinations")
 	}
 	if b.cfg.MulticastCapable || len(dsts) == 1 {
-		return b.transfer(src, dsts, size, done)
+		return b.transferDur(size, 0, done)
 	}
 	var finish sim.Time
 	remaining := len(dsts)
-	for _, d := range dsts {
-		finish = b.transfer(src, []Agent{d}, size, func() {
+	for range dsts {
+		finish = b.transferDur(size, 0, func() {
 			remaining--
 			if remaining == 0 && done != nil {
 				done()
@@ -155,19 +144,11 @@ func (b *Bus) TransferGather(src, dst Agent, sizes []int, done func()) sim.Time 
 		}
 		total += s
 	}
-	segs := uint64(len(sizes))
-	b.total.GatherSegments += segs
-	b.account(src).GatherSegments += segs
-	b.account(dst).GatherSegments += segs
 	extra := sim.Time(len(sizes)-1) * b.cfg.SegmentOverhead
-	return b.transferDur(src, []Agent{dst}, total, extra, done)
+	return b.transferDur(total, extra, done)
 }
 
-func (b *Bus) transfer(src Agent, dsts []Agent, size int, done func()) sim.Time {
-	return b.transferDur(src, dsts, size, 0, done)
-}
-
-func (b *Bus) transferDur(src Agent, dsts []Agent, size int, extra sim.Time, done func()) sim.Time {
+func (b *Bus) transferDur(size int, extra sim.Time, done func()) sim.Time {
 	dur := b.TransferTime(size) + extra
 	if b.slowdown > 1 {
 		dur = sim.Time(float64(dur) * b.slowdown)
@@ -178,7 +159,6 @@ func (b *Bus) transferDur(src Agent, dsts []Agent, size int, extra sim.Time, don
 	}
 	finish := start + dur
 	b.busy = finish
-	b.wireTime += dur
 	// Start and finish are committed at issue, so the whole occupancy
 	// span records synchronously.
 	if b.tr.On() {
@@ -191,12 +171,6 @@ func (b *Bus) transferDur(src Agent, dsts []Agent, size int, extra sim.Time, don
 
 	b.total.Transactions++
 	b.total.Bytes += uint64(size)
-	b.account(src).Transactions++
-	b.account(src).Bytes += uint64(size)
-	for _, d := range dsts {
-		b.account(d).Transactions++
-		b.account(d).Bytes += uint64(size)
-	}
 
 	if done != nil {
 		b.eng.At(finish, done)
@@ -204,35 +178,8 @@ func (b *Bus) transferDur(src Agent, dsts []Agent, size int, extra sim.Time, don
 	return finish
 }
 
-func (b *Bus) account(a Agent) *Stats {
-	s, ok := b.byAgent[a]
-	if !ok {
-		s = &Stats{}
-		b.byAgent[a] = s
-	}
-	return s
-}
-
 // Total reports aggregate traffic since creation.
 func (b *Bus) Total() Stats { return b.total }
-
-// AgentStats reports traffic attributed to a single agent.
-func (b *Bus) AgentStats(a Agent) Stats {
-	if s, ok := b.byAgent[a]; ok {
-		return *s
-	}
-	return Stats{}
-}
-
-// Agents lists all agents that have appeared on the bus, sorted.
-func (b *Bus) Agents() []Agent {
-	out := make([]Agent, 0, len(b.byAgent))
-	for a := range b.byAgent {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // --- Degradation (driven by internal/faults) ---
 
@@ -245,14 +192,6 @@ func (b *Bus) SetSlowdown(factor float64) {
 		factor = 1
 	}
 	b.slowdown = factor
-}
-
-// Slowdown reports the active degradation factor (1 = full speed).
-func (b *Bus) Slowdown() float64 {
-	if b.slowdown < 1 {
-		return 1
-	}
-	return b.slowdown
 }
 
 // Outage blocks the interconnect for d: transfers issued during (or queued
@@ -268,41 +207,4 @@ func (b *Bus) Outage(d sim.Time) {
 		start = b.busy
 	}
 	b.busy = start + d
-	b.outages++
-	b.outageTime += d
-}
-
-// Outages reports how many outages were injected.
-func (b *Bus) Outages() uint64 { return b.outages }
-
-// OutageTime reports the cumulative injected outage duration.
-func (b *Bus) OutageTime() sim.Time { return b.outageTime }
-
-// Publish writes the bus's aggregate accounting into the registry under
-// prefix: .transactions, .bytes, .gather_segments, .utilization,
-// .outages, .outage_ns, .slowdown.
-func (b *Bus) Publish(r *obs.Registry, prefix string) {
-	r.Gauge(prefix + ".transactions").Set(float64(b.total.Transactions))
-	r.Gauge(prefix + ".bytes").Set(float64(b.total.Bytes))
-	r.Gauge(prefix + ".gather_segments").Set(float64(b.total.GatherSegments))
-	r.Gauge(prefix + ".utilization").Set(b.Utilization())
-	r.Gauge(prefix + ".outages").Set(float64(b.outages))
-	r.Gauge(prefix + ".outage_ns").Set(float64(b.outageTime))
-	r.Gauge(prefix + ".slowdown").Set(b.Slowdown())
-}
-
-// Utilization reports the fraction of elapsed virtual time the bus has spent
-// transferring data, over [0, now]. Queued-but-unstarted work counts because
-// wire time is committed at issue; utilization is therefore an upper bound
-// when transfers are still in flight.
-func (b *Bus) Utilization() float64 {
-	now := b.eng.Now()
-	if now == 0 {
-		return 0
-	}
-	w := b.wireTime
-	if w > now {
-		w = now
-	}
-	return float64(w) / float64(now)
 }

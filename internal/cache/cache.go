@@ -50,14 +50,6 @@ type Stats struct {
 	Misses   uint64
 }
 
-// MissRate reports Misses/Accesses, or 0 with no accesses.
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 type line struct {
 	valid bool
 	tag   uint64
@@ -107,9 +99,6 @@ func New(cfg Config) *Cache {
 		setMask:  uint64(numSets - 1),
 	}
 }
-
-// Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }
 
 // Touch accesses one address and reports whether it missed.
 func (c *Cache) Touch(ctx Context, addr uint64) bool {
@@ -177,14 +166,6 @@ func (c *Cache) TotalStats() Stats {
 	return t
 }
 
-// ResetStats zeroes the counters without disturbing cache contents, so an
-// experiment can warm the cache and then measure a steady-state window.
-func (c *Cache) ResetStats() {
-	for i := range c.stats {
-		c.stats[i] = Stats{}
-	}
-}
-
 // InvalidateRange drops any lines covering [addr, addr+size) without
 // counting accesses. It models non-allocating DMA writes to host memory:
 // the device deposits fresh data, so stale cached copies must be discarded
@@ -208,15 +189,6 @@ func (c *Cache) InvalidateRange(addr uint64, size int) {
 		}
 		if a == last {
 			break
-		}
-	}
-}
-
-// Flush invalidates every line.
-func (c *Cache) Flush() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = line{}
 		}
 	}
 }

@@ -262,9 +262,6 @@ type Proxy struct {
 // NewProxy wraps an interface definition.
 func NewProxy(iface *odf.Interface) *Proxy { return &Proxy{iface: iface} }
 
-// Interface returns the proxied interface definition.
-func (p *Proxy) Interface() *odf.Interface { return p.iface }
-
 // Invoke validates args against the method signature and produces a Call.
 func (p *Proxy) Invoke(method string, args ...any) (*Call, error) {
 	m, ok := p.iface.Method(method)
@@ -285,24 +282,6 @@ func (p *Proxy) Invoke(method string, args ...any) (*Call, error) {
 		norm[i] = v
 	}
 	return &Call{Iface: p.iface.GUID, Method: method, Args: norm}, nil
-}
-
-// CheckResults validates a reply's result vector against the signature.
-func (p *Proxy) CheckResults(method string, results []any) error {
-	m, ok := p.iface.Method(method)
-	if !ok {
-		return fmt.Errorf("call: interface %s has no method %s", p.iface.Name, method)
-	}
-	if len(results) != len(m.Outs) {
-		return fmt.Errorf("call: %s.%s returns %d values, got %d",
-			p.iface.Name, method, len(m.Outs), len(results))
-	}
-	for i, r := range results {
-		if _, err := coerce(r, m.Outs[i].Type); err != nil {
-			return fmt.Errorf("call: %s.%s result %s: %w", p.iface.Name, method, m.Outs[i].Name, err)
-		}
-	}
-	return nil
 }
 
 func coerce(v any, t odf.ParamType) (any, error) {

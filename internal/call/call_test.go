@@ -158,22 +158,6 @@ func TestProxyInvokeErrors(t *testing.T) {
 	}
 }
 
-func TestProxyCheckResults(t *testing.T) {
-	p := NewProxy(checksumIface(t))
-	if err := p.CheckResults("Compute", []any{uint64(5)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.CheckResults("Compute", []any{"wrong"}); err == nil {
-		t.Error("wrong result type accepted")
-	}
-	if err := p.CheckResults("Compute", nil); err == nil {
-		t.Error("missing results accepted")
-	}
-	if err := p.CheckResults("Ghost", nil); err == nil {
-		t.Error("unknown method accepted")
-	}
-}
-
 func TestDispatcher(t *testing.T) {
 	iface := checksumIface(t)
 	d := NewDispatcher(iface)

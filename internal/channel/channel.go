@@ -135,8 +135,8 @@ type Stats struct {
 	Bytes     uint64
 
 	// Interrupts counts receiver notifications raised for handler dispatch:
-	// host interrupts and device doorbells. Poll-mode (inbox) deliveries and
-	// host→host calls raise none. With batching, one notification can retire
+	// host interrupts and device doorbells. Deliveries to an endpoint with
+	// no handler installed, and host→host calls, raise none. With batching, one notification can retire
 	// a whole batch, so Interrupts ≪ Delivered is the amortization working.
 	Interrupts uint64
 	// Batches counts batched flushes (each moving ≥ 1 message as one bus
@@ -178,7 +178,7 @@ func (s *Stats) Add(other Stats) {
 // it is valid only for the duration of the call, because the channel
 // recycles payload buffers once the handler returns (the zero-alloc
 // steady-state path). A handler that needs the bytes later must copy
-// them. Poll-mode reads (Read) own their slice outright.
+// them.
 type Handler func(data []byte)
 
 // message is one queued payload. Messages and their buffers are pooled
@@ -208,7 +208,6 @@ type Endpoint struct {
 	ringSize int
 
 	handler   Handler
-	inbox     [][]byte // poll-mode queue (no handler installed)
 	seqFns    []func() // sequential dispatch backlog
 	dispatchB bool     // a sequential dispatch is running
 	closed    bool
@@ -224,11 +223,10 @@ type Endpoint struct {
 	// arrival order through the normal delivery path. inflight counts
 	// dispatches between deliver entry and completion; Drain callbacks
 	// fire once it reaches zero with nothing queued.
-	paused    bool
-	held      []heldGroup
-	heldBytes int
-	inflight  int
-	drainFns  []func()
+	paused   bool
+	held     []heldGroup
+	inflight int
+	drainFns []func()
 }
 
 // heldGroup is one delivery group parked at a paused endpoint: the copied
@@ -272,9 +270,7 @@ type Channel struct {
 	// their payload buffers) and the transient batch slices and gather
 	// size lists built per transmit. Everything cycles
 	// Write → transmit → deliver → free list, so a saturated channel
-	// stops allocating once warm. Poolable state only — an inbox
-	// delivery hands its payload buffer to the reader, so the envelope
-	// goes back bufferless.
+	// stops allocating once warm.
 	msgFree   []*message
 	batchFree [][]*message
 	sizeFree  [][]int
@@ -312,14 +308,9 @@ func (c *Channel) getBatch() []*message {
 	return nil
 }
 
-// putBatch recycles a delivered batch and its messages. keepData leaves
-// each payload buffer with its new owner (the poll-mode inbox) instead
-// of the pool.
-func (c *Channel) putBatch(b []*message, keepData bool) {
+// putBatch recycles a delivered batch and its messages.
+func (c *Channel) putBatch(b []*message) {
 	for i, m := range b {
-		if keepData {
-			m.data = nil
-		}
 		c.putMsg(m)
 		b[i] = nil
 	}
@@ -403,9 +394,6 @@ func (c *Channel) Config() Config { return c.cfg }
 // Stats returns activity counters.
 func (c *Channel) Stats() Stats { return c.stats }
 
-// Creator returns the owning endpoint.
-func (c *Channel) Creator() *Endpoint { return c.creator }
-
 // Connect attaches an Offcode endpoint (the paper's ConnectOffcode). The
 // second endpoint is constructed at the target implicitly; connecting more
 // than one peer requires a multicast channel.
@@ -450,7 +438,6 @@ func (c *Channel) Close() {
 			}
 		}
 		e.held = nil
-		e.heldBytes = 0
 		e.paused = false
 		e.freeRing()
 		// Waiters must not hang on a channel that will never drain.
@@ -476,19 +463,6 @@ func (e *Endpoint) freeRing() {
 // whenever data is available on the channel, as opposed to requiring the
 // application to poll" (§3.2).
 func (e *Endpoint) InstallCallHandler(h Handler) { e.handler = h }
-
-// Poll reports how many messages wait in the poll-mode inbox.
-func (e *Endpoint) Poll() int { return len(e.inbox) }
-
-// Read pops one message from the poll-mode inbox.
-func (e *Endpoint) Read() ([]byte, bool) {
-	if len(e.inbox) == 0 {
-		return nil, false
-	}
-	m := e.inbox[0]
-	e.inbox = e.inbox[1:]
-	return m, true
-}
 
 // Write sends payload toward the peer side: creator→all peers, or
 // peer→creator. Reliable channels queue when the ring is full; unreliable
@@ -668,7 +642,7 @@ func (c *Channel) transmit(src *Endpoint, dir int, msgs []*message) {
 		// own private copy by now.
 		c.putSizes(sizes)
 		if len(dests) > 1 {
-			c.putBatch(msgs, false)
+			c.putBatch(msgs)
 		}
 	}
 
@@ -744,7 +718,6 @@ func (c *Channel) wire(src, dst *Endpoint, sizes []int, total int, done func()) 
 func (c *Channel) deliver(dst *Endpoint, msgs []*message, done func()) {
 	n := len(msgs)
 	discarded := false
-	handed := false
 	heldOff := false
 	dst.inflight++
 	finish := func() {
@@ -753,7 +726,7 @@ func (c *Channel) deliver(dst *Endpoint, msgs []*message, done func()) {
 		switch {
 		case discarded:
 			// The destination closed while the group was on the wire: the
-			// messages were never handed to a handler or inbox, so they are
+			// messages were never handed to a handler, so they are
 			// undelivered, not delivered.
 			c.stats.Undelivered += uint64(n)
 		case heldOff:
@@ -761,9 +734,9 @@ func (c *Channel) deliver(dst *Endpoint, msgs []*message, done func()) {
 		default:
 			c.stats.Delivered += uint64(n)
 		}
-		// Handlers have returned (or the inbox owns the payloads): the
-		// batch and its envelopes go back to the pool.
-		c.putBatch(msgs, handed)
+		// Handlers have returned: the batch and its envelopes go back to
+		// the pool.
+		c.putBatch(msgs)
 		done()
 	}
 	if c.tr.On() {
@@ -784,10 +757,8 @@ func (c *Channel) deliver(dst *Endpoint, msgs []*message, done func()) {
 			return
 		}
 		if dst.handler == nil {
-			handed = true
-			for _, m := range msgs {
-				dst.inbox = append(dst.inbox, m.data)
-			}
+			// No handler installed: the messages count as delivered and
+			// their buffers go straight back to the pool.
 			if c.tr.On() {
 				for _, m := range msgs {
 					c.tr.Instant(obs.CatChannel, trDelivered, int64(m.id))
@@ -929,18 +900,6 @@ func (e *Endpoint) Pause() {
 	}
 }
 
-// Paused reports whether the endpoint is quiesced.
-func (e *Endpoint) Paused() bool { return e.paused }
-
-// HeldMessages reports how many messages are parked awaiting Resume.
-func (e *Endpoint) HeldMessages() int {
-	n := 0
-	for _, g := range e.held {
-		n += len(g.data)
-	}
-	return n
-}
-
 // Resume ends a quiesce window: held groups are re-injected through the
 // normal delivery path in arrival order — interrupts, handler dispatch,
 // sequential ordering and Delivered counts all happen now, before any
@@ -954,7 +913,6 @@ func (e *Endpoint) Resume() int {
 	e.paused = false
 	groups := e.held
 	e.held = nil
-	e.heldBytes = 0
 	replayed := 0
 	for _, g := range groups {
 		if g.buf != 0 {
@@ -998,7 +956,6 @@ func (c *Channel) holdGroup(dst *Endpoint, msgs []*message) {
 		g.buf = dst.host.Alloc(g.size)
 	}
 	dst.held = append(dst.held, g)
-	dst.heldBytes += g.size
 	if c.tr.On() {
 		c.tr.Instant(obs.CatChannel, trHold, int64(len(msgs)))
 	}

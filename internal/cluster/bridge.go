@@ -42,8 +42,7 @@ const (
 // makes the proxy visible in the runtime's Offcode population, owned by
 // the cluster session like any other deployment.
 type forwarder struct {
-	task      *hostos.Task
-	forwarded uint64
+	task *hostos.Task
 }
 
 // Initialize implements core.Offcode.
@@ -61,7 +60,6 @@ func (f *forwarder) Stop() error { return nil }
 // exec charges cycles of forwarding work on the forwarder's host CPU
 // (kernel context: the proxy is protocol processing), then runs k.
 func (f *forwarder) exec(cycles uint64, k func()) {
-	f.forwarded++
 	f.task.Syscall(cycles, k)
 }
 
@@ -92,21 +90,6 @@ type Bridge struct {
 // Cross reports whether the edge currently spans two hosts.
 func (b *Bridge) Cross() bool { return b.legs[0].back != b.legs[1].back }
 
-// HostA / HostB name the hosts currently carrying each end.
-func (b *Bridge) HostA() string { return b.legs[0].back.name() }
-
-// HostB names the host currently carrying the B end.
-func (b *Bridge) HostB() string { return b.legs[1].back.name() }
-
-// Link returns the link the bridge currently rides (zero value for a
-// co-located edge).
-func (b *Bridge) Link() Link {
-	if !b.Cross() {
-		return Link{}
-	}
-	return b.coord.cfg.DefaultLink
-}
-
 // Relayed reports delivered relay counts (A→B, B→A).
 func (b *Bridge) Relayed() (aToB, bToA uint64) { return b.relayed[0], b.relayed[1] }
 
@@ -124,14 +107,6 @@ func (b *Bridge) Stats() channel.Stats {
 	}
 	return s
 }
-
-// EndpointA returns the creator-side endpoint of A's proxy channel —
-// writing to it delivers to shard A (used by drivers and tests; the relay
-// owns its receive handler).
-func (b *Bridge) EndpointA() *channel.Endpoint { return b.legs[0].end }
-
-// EndpointB returns the creator-side endpoint of B's proxy channel.
-func (b *Bridge) EndpointB() *channel.Endpoint { return b.legs[1].end }
 
 // buildBridge constructs the bridge for edge a↔b whose endpoints live on
 // backA/backB, completing through k over simulated time (forwarder

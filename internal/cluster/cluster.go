@@ -189,9 +189,6 @@ func New(sys *testbed.System, cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// System returns the underlying testbed.
-func (c *Coordinator) System() *testbed.System { return c.sys }
-
 // EngineGroup returns (building on first use) the sim.Group over the
 // system's engines — the control engine plus every distinct per-host
 // engine — with lookahead set to the link latency. On a shared-engine
@@ -238,15 +235,6 @@ func (c *Coordinator) across(src, dst *sim.Engine, at sim.Time, fn func()) {
 		return
 	}
 	dst.At(at, fn)
-}
-
-// Hosts lists backend host names in declaration order (dead ones included).
-func (c *Coordinator) Hosts() []string {
-	out := make([]string, 0, len(c.backs))
-	for _, b := range c.backs {
-		out = append(out, b.name())
-	}
-	return out
 }
 
 func (c *Coordinator) live() []*backend {

@@ -304,20 +304,6 @@ func (p *Plan) preview(asg *assignment) (*Preview, error) {
 	return pre, nil
 }
 
-// Solve assigns every root to a host and previews the whole deployment —
-// host assignment, cut edges, link cost, and each host's device-level
-// placement — without touching hardware or consuming virtual time.
-func (p *Plan) Solve() (*Preview, error) {
-	if p.committed {
-		return nil, fmt.Errorf("cluster: plan already committed")
-	}
-	asg, err := p.solveAssign()
-	if err != nil {
-		return nil, err
-	}
-	return p.preview(asg)
-}
-
 // Deployment is the typed result of a cluster Commit.
 type Deployment struct {
 	// Preview is the assignment the commit executed.
@@ -335,9 +321,6 @@ type Deployment struct {
 	// Started and Finished bracket the commit on the virtual clock.
 	Started, Finished sim.Time
 }
-
-// Bridge returns the bridge materializing the a↔b edge, or nil.
-func (d *Deployment) Bridge(a, b string) *Bridge { return d.Bridges[EdgeKey(a, b)] }
 
 // EdgeKey is the canonical (order-independent) key of an a↔b edge.
 func EdgeKey(a, b string) string {

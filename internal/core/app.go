@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"hydra/internal/channel"
 	"hydra/internal/resource"
@@ -132,25 +131,6 @@ func (rt *Runtime) OpenApp(name string, cfg AppConfig) (*App, error) {
 // App returns the open session with the given name, or nil.
 func (rt *Runtime) App(name string) *App { return rt.apps[name] }
 
-// Apps lists the open session names, sorted.
-func (rt *Runtime) Apps() []string {
-	out := make([]string, 0, len(rt.apps))
-	for name := range rt.apps {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// DeviceCapacity sums the configured local memory of the healthy devices.
-func (rt *Runtime) DeviceCapacity() int64 {
-	var total int64
-	for _, d := range rt.availableDevices() {
-		total += int64(d.Config().LocalMemBytes)
-	}
-	return total
-}
-
 // FreeDeviceMemory sums the currently unallocated local memory of the
 // healthy devices (capacity minus live allocations). Admission subtracts
 // the unfilled reservations from this to decide what is promisable.
@@ -160,16 +140,6 @@ func (rt *Runtime) FreeDeviceMemory() int64 {
 		free += int64(d.Config().LocalMemBytes - d.MemLive())
 	}
 	return free
-}
-
-// ReservedDeviceMemory reports the outstanding admission reservations,
-// derived from the open sessions (closing a session returns its share).
-func (rt *Runtime) ReservedDeviceMemory() int64 {
-	var sum int64
-	for _, a := range rt.apps {
-		sum += a.cfg.DeviceMemory
-	}
-	return sum
 }
 
 // unfilledReservations sums, across open sessions, the part of each
@@ -191,24 +161,8 @@ func (rt *Runtime) unfilledReservations() int64 {
 // Name returns the session name.
 func (a *App) Name() string { return a.name }
 
-// Config returns the admission-time configuration.
-func (a *App) Config() AppConfig { return a.cfg }
-
 // Runtime returns the owning runtime.
 func (a *App) Runtime() *Runtime { return a.rt }
-
-// Resources returns the session's resource subtree. Quota usage (Usage)
-// and limits (Limit) for QuotaMemory/QuotaChannels/QuotaOffcodes are read
-// off this node.
-func (a *App) Resources() *resource.Node { return a.res }
-
-// Closed reports whether the session has been torn down.
-func (a *App) Closed() bool { return a.closed }
-
-// Offcodes lists the session's live Offcode handles in instantiation order.
-func (a *App) Offcodes() []*Handle {
-	return append([]*Handle(nil), a.handles...)
-}
 
 // PinMemory pins size bytes of host memory for the session (the Memory
 // Management service of §4, charged against the session's memory quota).

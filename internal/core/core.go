@@ -118,9 +118,6 @@ type Handle struct {
 // runtime-provided pseudo Offcodes).
 func (h *Handle) App() *App { return h.app }
 
-// State reports the lifecycle state.
-func (h *Handle) State() State { return h.state }
-
 // Device reports the placement target (nil for host).
 func (h *Handle) Device() *device.Device { return h.dev }
 
@@ -135,13 +132,6 @@ func (h *Handle) ImageAddr() uint64 { return h.imageAddr }
 
 // ImageSize reports the placed image size in bytes.
 func (h *Handle) ImageSize() int { return h.imageSize }
-
-// DeviceMemBytes reports the total device-local memory held by this
-// instance (image plus loader staging), released at teardown.
-func (h *Handle) DeviceMemBytes() int { return h.devMemBytes }
-
-// OOB returns the runtime-side endpoint of the Offcode's OOB channel.
-func (h *Handle) OOB() *channel.Endpoint { return h.oobApp }
 
 // Resolver selects the layout resolution strategy.
 type Resolver int
@@ -250,21 +240,6 @@ func New(eng *sim.Engine, host *hostos.Machine, b *bus.Bus, dep *depot.Depot, cf
 // DefaultApp returns the runtime's built-in session.
 func (rt *Runtime) DefaultApp() *App { return rt.defaultApp }
 
-// Engine returns the simulation engine.
-func (rt *Runtime) Engine() *sim.Engine { return rt.eng }
-
-// Host returns the host machine.
-func (rt *Runtime) Host() *hostos.Machine { return rt.host }
-
-// Bus returns the I/O interconnect.
-func (rt *Runtime) Bus() *bus.Bus { return rt.bus }
-
-// Depot returns the Offcode depot.
-func (rt *Runtime) Depot() *depot.Depot { return rt.depot }
-
-// Resources returns the root of the resource tree.
-func (rt *Runtime) Resources() *resource.Node { return rt.root }
-
 // RegisterDevice attaches a programmable device and its channel provider.
 // The device firmware's exports gain the runtime's pseudo-Offcode symbols,
 // which user Offcodes link against.
@@ -289,11 +264,6 @@ func (rt *Runtime) RegisterDevice(d *device.Device, providers ...ChannelProvider
 		providers = []ChannelProvider{NewDMAProvider(d)}
 	}
 	rt.providers[d.Name()] = providers
-}
-
-// Devices lists registered devices.
-func (rt *Runtime) Devices() []*device.Device {
-	return append([]*device.Device(nil), rt.devices...)
 }
 
 // availableDevices lists the registered devices currently healthy enough to
@@ -371,14 +341,6 @@ func (rt *Runtime) GetOffcode(bind string) (*Handle, error) {
 	return nil, fmt.Errorf("%w: %s", ErrNotFound, bind)
 }
 
-// GetOffcodeByGUID resolves by GUID.
-func (rt *Runtime) GetOffcodeByGUID(g guid.GUID) (*Handle, error) {
-	if h, ok := rt.byGUID[g]; ok {
-		return h, nil
-	}
-	return nil, fmt.Errorf("%w: GUID %v", ErrNotFound, g)
-}
-
 // Offcodes lists deployed bind names, sorted (pseudo Offcodes included).
 func (rt *Runtime) Offcodes() []string {
 	out := make([]string, 0, len(rt.byBind))
@@ -408,19 +370,4 @@ func (rt *Runtime) registerPseudoOffcodes() {
 		rt.byBind[p.bind] = h
 		rt.byGUID[p.g] = h
 	}
-}
-
-// PinMemory is the Memory Management module's user-memory pinning service
-// "used by zero-copy channels" (§4): it reserves host memory, accounts it
-// in the resource tree, and returns the pinned region's address.
-func (rt *Runtime) PinMemory(owner *resource.Node, size int) (uint64, *resource.Node, error) {
-	if size <= 0 {
-		return 0, nil, fmt.Errorf("core: pin of %d bytes", size)
-	}
-	addr := rt.host.Alloc(size)
-	node, err := owner.NewChild(fmt.Sprintf("pin@%#x(%d)", addr, size), nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	return addr, node, nil
 }

@@ -141,8 +141,8 @@ func TestDeploySingleOffcode(t *testing.T) {
 	r := newRig(t, Config{})
 	r.stock(t, "net.Checksum", 101, "Network Device", "")
 	h := deploy(t, r, "/offcodes/net.Checksum.odf")
-	if h.State() != StateStarted {
-		t.Fatalf("state = %v", h.State())
+	if h.state != StateStarted {
+		t.Fatalf("state = %v", h.state)
 	}
 	if h.Device() != r.nic {
 		t.Fatalf("placed on %v, want nic0", h.Device())
@@ -298,15 +298,12 @@ func TestGetOffcodePseudo(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", bind, err)
 		}
-		if !h.Pseudo() || h.State() != StateStarted {
+		if !h.Pseudo() || h.state != StateStarted {
 			t.Fatalf("%s: %+v", bind, h)
 		}
 	}
 	if _, err := r.rt.GetOffcode("ghost"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
-	}
-	if _, err := r.rt.GetOffcodeByGUID(guid.IIDHeap); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -320,7 +317,7 @@ func TestOOBChannelWorks(t *testing.T) {
 	}
 	var got []byte
 	fake.ctx.OOB.InstallCallHandler(func(d []byte) { got = d })
-	if err := h.OOB().Write([]byte("mgmt-event")); err != nil {
+	if err := h.oobApp.Write([]byte("mgmt-event")); err != nil {
 		t.Fatal(err)
 	}
 	r.eng.RunAll()
@@ -334,7 +331,7 @@ func TestCreateChannelAndInvoke(t *testing.T) {
 	r.stock(t, "net.Checksum", 101, "Network Device", "")
 	h := deploy(t, r, "/offcodes/net.Checksum.odf")
 
-	appEnd, ch, err := r.rt.CreateChannel(channel.DefaultConfig(), h)
+	appEnd, ch, err := r.rt.DefaultApp().CreateChannel(channel.DefaultConfig(), h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,12 +351,24 @@ func TestCreateChannelAndInvoke(t *testing.T) {
 	_ = ch
 }
 
+// pioProvider models a programmed-I/O fallback: lower setup latency, far
+// lower throughput than the DMA provider.
+type pioProvider struct{ dev *device.Device }
+
+func (p *pioProvider) Name() string { return p.dev.Name() + "/pio" }
+func (p *pioProvider) Endpoint(name string) *channel.Endpoint {
+	return channel.DeviceEndpoint(p.dev, name)
+}
+func (p *pioProvider) Cost(channel.Config) CostMetric {
+	return CostMetric{Latency: 2 * sim.Microsecond, Throughput: 10e6}
+}
+
 func TestExecutivePicksCheapestProvider(t *testing.T) {
 	r := newRig(t, Config{})
 	// Re-register nic with two providers: DMA and PIO.
 	r.rt.providers["nic0"] = []ChannelProvider{
 		NewDMAProvider(r.nic),
-		&PIOProvider{Dev: r.nic},
+		&pioProvider{dev: r.nic},
 	}
 	// Large messages → DMA wins.
 	cfgBig := channel.DefaultConfig()
@@ -389,8 +398,8 @@ func TestStopOffcodeCleansUp(t *testing.T) {
 	if err := r.rt.StopOffcode(h); err != nil {
 		t.Fatal(err)
 	}
-	if h.State() != StateStopped {
-		t.Fatalf("state = %v", h.State())
+	if h.state != StateStopped {
+		t.Fatalf("state = %v", h.state)
 	}
 	found := false
 	for _, l := range r.log {
@@ -405,7 +414,7 @@ func TestStopOffcodeCleansUp(t *testing.T) {
 		t.Fatal("stopped offcode still registered")
 	}
 	// OOB channel is closed via the resource tree.
-	if err := h.OOB().Write([]byte("x")); !errors.Is(err, channel.ErrClosed) {
+	if err := h.oobApp.Write([]byte("x")); !errors.Is(err, channel.ErrClosed) {
 		t.Fatalf("OOB write after stop: %v", err)
 	}
 	// Pseudo offcodes cannot be stopped.
@@ -459,14 +468,14 @@ func TestLoaderLatencyComparison(t *testing.T) {
 
 func TestPinMemory(t *testing.T) {
 	r := newRig(t, Config{})
-	addr, node, err := r.rt.PinMemory(r.rt.Resources(), 4096)
+	addr, node, err := r.rt.DefaultApp().PinMemory(4096)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if addr == 0 || node == nil {
 		t.Fatal("bad pin result")
 	}
-	if _, _, err := r.rt.PinMemory(r.rt.Resources(), 0); err == nil {
+	if _, _, err := r.rt.DefaultApp().PinMemory(0); err == nil {
 		t.Fatal("zero-size pin accepted")
 	}
 }
@@ -656,12 +665,6 @@ func TestDuplicateBindRejectedAcrossPaths(t *testing.T) {
 	}
 	if err := plan.AddRoot("/offcodes/impostor.odf"); !errors.Is(err, ErrDuplicateBind) {
 		t.Fatalf("err = %v, want ErrDuplicateBind", err)
-	}
-	// NoReuse forbids even the same-path reuse.
-	deploy(t, r2, "/offcodes/net.Checksum.odf")
-	p2 := r2.rt.DefaultApp().Plan()
-	if err := p2.AddRoot("/offcodes/net.Checksum.odf", NoReuse()); !errors.Is(err, ErrDuplicateBind) {
-		t.Fatalf("NoReuse err = %v, want ErrDuplicateBind", err)
 	}
 }
 
@@ -883,7 +886,7 @@ func TestMultiRootPlanAtomicity(t *testing.T) {
 	if len(dep.Handles) != 2 || dep.Handles["net.Checksum"] == nil || dep.Handles["fs.Broken"] == nil {
 		t.Fatalf("handles = %+v", dep.Handles)
 	}
-	if got := len(app.Offcodes()); got != 2 {
+	if got := len(app.handles); got != 2 {
 		t.Fatalf("app owns %d offcodes", got)
 	}
 }
@@ -990,7 +993,10 @@ func TestFailedCommitKeepsReusedRootRecords(t *testing.T) {
 // what later tenants can reserve.
 func TestAdmissionDoesNotDoubleCountLiveAllocations(t *testing.T) {
 	r := newRig(t, Config{})
-	capacity := r.rt.DeviceCapacity()
+	var capacity int64
+	for _, d := range r.rt.availableDevices() {
+		capacity += int64(d.Config().LocalMemBytes)
+	}
 	a, err := r.rt.OpenApp("a", AppConfig{DeviceMemory: capacity / 2})
 	if err != nil {
 		t.Fatal(err)
@@ -1064,8 +1070,8 @@ func TestDeviceLinkTeardownReclaimsStagingMemory(t *testing.T) {
 	r.stock(t, "net.Checksum", 101, "Network Device", "")
 	before := r.nic.MemLive()
 	h := deploy(t, r, "/offcodes/net.Checksum.odf")
-	if h.DeviceMemBytes() <= h.ImageSize() {
-		t.Fatalf("device-link devBytes %d should exceed image %d (staging)", h.DeviceMemBytes(), h.ImageSize())
+	if h.devMemBytes <= h.ImageSize() {
+		t.Fatalf("device-link devBytes %d should exceed image %d (staging)", h.devMemBytes, h.ImageSize())
 	}
 	if err := r.rt.StopOffcode(h); err != nil {
 		t.Fatal(err)

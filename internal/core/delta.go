@@ -27,7 +27,7 @@ import (
 // back in, so the service resumes as if the swap was never attempted.
 
 // Delta is one mutation of a session's deployed graph. The concrete
-// types are DeployDelta, ReplaceDelta and RemoveDelta.
+// types are DeployDelta and ReplaceDelta.
 type Delta interface {
 	deltaLabel() string
 }
@@ -46,14 +46,8 @@ type ReplaceDelta struct {
 	Path string
 }
 
-// RemoveDelta stops the live root deployed as Bind and forgets it.
-type RemoveDelta struct {
-	Bind string
-}
-
 func (d DeployDelta) deltaLabel() string  { return "deploy " + d.Path }
 func (d ReplaceDelta) deltaLabel() string { return "replace " + d.Bind }
-func (d RemoveDelta) deltaLabel() string  { return "remove " + d.Bind }
 
 // MutationResult is the typed outcome of App.Mutate / App.Replace.
 type MutationResult struct {
@@ -63,8 +57,6 @@ type MutationResult struct {
 	Deployed map[string]*Handle
 	// Swapped maps each ReplaceDelta bind to its replacement handle.
 	Swapped map[string]*Handle
-	// Removed lists the binds RemoveDelta stopped.
-	Removed []string
 	// QuiescedChannels counts channel endpoints paused across the swaps.
 	QuiescedChannels int
 	// Replayed counts messages held during quiesce windows and re-delivered
@@ -205,8 +197,6 @@ func (a *App) Mutate(deltas []Delta, k func(*MutationResult, error)) {
 			a.applyDeploy(d, res, next)
 		case ReplaceDelta:
 			a.applyReplace(d, res, next)
-		case RemoveDelta:
-			a.applyRemove(d, res, next)
 		default:
 			next(fmt.Errorf("core: unknown delta %T", deltas[i]))
 		}
@@ -234,24 +224,6 @@ func (a *App) applyDeploy(d DeployDelta, res *MutationResult, k func(error)) {
 		}
 		k(nil)
 	})
-}
-
-// applyRemove stops one live root.
-func (a *App) applyRemove(d RemoveDelta, res *MutationResult, k func(error)) {
-	h, ok := a.rt.byBind[d.Bind]
-	if !ok {
-		k(fmt.Errorf("%w: %s", ErrNotFound, d.Bind))
-		return
-	}
-	if err := a.StopOffcode(h); err != nil {
-		k(err)
-		return
-	}
-	res.Removed = append(res.Removed, d.Bind)
-	if a.rt.trm.On() {
-		a.rt.trm.Instant(obs.CatMutate, "mutate.remove", 1)
-	}
-	k(nil)
 }
 
 // applyReplace is the hot-swap: quiesce → checkpoint → stop → re-solve

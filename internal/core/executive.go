@@ -32,7 +32,6 @@ func (c CostMetric) score(msgBytes int) float64 {
 // ("provided as an extended driver for each programmable device").
 type ChannelProvider interface {
 	Name() string
-	Device() *device.Device
 	Cost(cfg channel.Config) CostMetric
 	// Endpoint constructs the device-side endpoint for a new channel.
 	Endpoint(name string) *channel.Endpoint
@@ -47,8 +46,7 @@ type dmaProvider struct {
 // NewDMAProvider returns the default zero-copy DMA channel provider.
 func NewDMAProvider(d *device.Device) ChannelProvider { return &dmaProvider{dev: d} }
 
-func (p *dmaProvider) Name() string           { return p.dev.Name() + "/dma" }
-func (p *dmaProvider) Device() *device.Device { return p.dev }
+func (p *dmaProvider) Name() string { return p.dev.Name() + "/dma" }
 func (p *dmaProvider) Endpoint(name string) *channel.Endpoint {
 	return channel.DeviceEndpoint(p.dev, name)
 }
@@ -61,41 +59,6 @@ func (p *dmaProvider) Cost(cfg channel.Config) CostMetric {
 		m.Throughput /= 2
 	}
 	return m
-}
-
-// PIOProvider models a programmed-I/O fallback provider: lower setup
-// latency, far lower throughput. Registering it alongside the DMA provider
-// exercises the executive's cost-based selection.
-type PIOProvider struct {
-	Dev *device.Device
-}
-
-// Name implements ChannelProvider.
-func (p *PIOProvider) Name() string { return p.Dev.Name() + "/pio" }
-
-// Device implements ChannelProvider.
-func (p *PIOProvider) Device() *device.Device { return p.Dev }
-
-// Endpoint implements ChannelProvider.
-func (p *PIOProvider) Endpoint(name string) *channel.Endpoint {
-	return channel.DeviceEndpoint(p.Dev, name)
-}
-
-// Cost implements ChannelProvider: cheap setup, slow bulk.
-func (p *PIOProvider) Cost(channel.Config) CostMetric {
-	return CostMetric{Latency: 2 * sim.Microsecond, Throughput: 10e6}
-}
-
-// CreateChannel is the Channel Executive: it builds a channel from the
-// application (host) to the target device, choosing the cheapest provider
-// for the configuration, and connects the Offcode-side endpoint.
-// It returns the application endpoint, as in Figure 3.
-//
-// The channel is owned by the runtime root; session-scoped callers should
-// use App.CreateChannel, which additionally books the session's quotas.
-func (rt *Runtime) CreateChannel(cfg channel.Config, target *Handle) (*channel.Endpoint, *channel.Channel, error) {
-	appEnd, ch, _, err := rt.createChannelUnder(rt.root, cfg, target, nil)
-	return appEnd, ch, err
 }
 
 // createChannelUnder builds and connects a channel whose lifetime hangs off

@@ -103,7 +103,6 @@ func (rt *Runtime) Recoveries() []*Recovery {
 type Monitor struct {
 	rt     *Runtime
 	cfg    MonitorConfig
-	ticker *sim.Ticker
 	probes []*deviceProbe
 }
 
@@ -112,16 +111,6 @@ type deviceProbe struct {
 	dev      *device.Device
 	lastPong sim.Time
 	failed   bool
-}
-
-// Config returns the monitor's effective (defaulted) configuration.
-func (m *Monitor) Config() MonitorConfig { return m.cfg }
-
-// Stop halts probing.
-func (m *Monitor) Stop() {
-	if m.ticker != nil {
-		m.ticker.Stop()
-	}
 }
 
 // StartMonitor begins heartbeat monitoring of every registered device and
@@ -146,7 +135,7 @@ func (rt *Runtime) StartMonitor(cfg MonitorConfig) *Monitor {
 		rt.byBind[bind] = h
 		rt.byGUID[g] = h
 	}
-	m.ticker = rt.eng.Tick(m.cfg.Heartbeat, 0, m.tick)
+	rt.eng.Tick(m.cfg.Heartbeat, 0, m.tick)
 	rt.monitor = m
 	return m
 }

@@ -153,8 +153,8 @@ func TestMonitorDetectsCrashAndMigrates(t *testing.T) {
 		t.Fatalf("recovery = %+v", recovered)
 	}
 	detect := recovered.DetectedAt - crashAt
-	if detect <= 0 || detect > m.Config().Timeout+2*m.Config().Heartbeat {
-		t.Fatalf("detection latency = %v (timeout %v)", detect, m.Config().Timeout)
+	if detect <= 0 || detect > m.cfg.Timeout+2*m.cfg.Heartbeat {
+		t.Fatalf("detection latency = %v (timeout %v)", detect, m.cfg.Timeout)
 	}
 	if recovered.MigrationTime() <= 0 {
 		t.Fatalf("migration time = %v", recovered.MigrationTime())
@@ -172,8 +172,8 @@ func TestMonitorDetectsCrashAndMigrates(t *testing.T) {
 	if h2.Device() != r.nic1 {
 		t.Fatalf("migrated to %v, want nic1", h2.Device())
 	}
-	if h2.State() != StateStarted {
-		t.Fatalf("migrated state = %v", h2.State())
+	if h2.state != StateStarted {
+		t.Fatalf("migrated state = %v", h2.state)
 	}
 	if got := h2.Behaviour().(*ckptOffcode).state; len(got) != 1 || got[0] != 42 {
 		t.Fatalf("state after migration = %v, want [42]", got)
@@ -322,8 +322,8 @@ func TestStalledMigrationAbortedAndRetried(t *testing.T) {
 	if h.Device() != nil {
 		t.Fatalf("both NICs dead; offcode on %v, want host fallback", h.Device())
 	}
-	if h.State() != StateStarted {
-		t.Fatalf("state = %v", h.State())
+	if h.state != StateStarted {
+		t.Fatalf("state = %v", h.state)
 	}
 	// The checkpoint survived the aborted migration.
 	if got := h.Behaviour().(*ckptOffcode).state; len(got) != 1 || got[0] != 42 {

@@ -36,14 +36,11 @@ func (k LoaderKind) String() string {
 // loader-private staging (device-link holds the raw object too) — so
 // teardown can return exactly what was taken.
 type Loader interface {
-	Kind() LoaderKind
 	Load(d *device.Device, obj *objfile.Object, k func(addr uint64, size, devBytes int, err error))
 }
 
 // hostLinkLoader: link on the host, ship the placed image.
 type hostLinkLoader struct{ rt *Runtime }
-
-func (l *hostLinkLoader) Kind() LoaderKind { return LoaderHostLink }
 
 func (l *hostLinkLoader) Load(d *device.Device, obj *objfile.Object, k func(uint64, int, int, error)) {
 	// 1. Size calculation + AllocateOffcodeMemory on the device, reached
@@ -81,8 +78,6 @@ func (l *hostLinkLoader) Load(d *device.Device, obj *objfile.Object, k func(uint
 
 // deviceLinkLoader: ship the raw object, link on the device.
 type deviceLinkLoader struct{ rt *Runtime }
-
-func (l *deviceLinkLoader) Kind() LoaderKind { return LoaderDeviceLink }
 
 func (l *deviceLinkLoader) Load(d *device.Device, obj *objfile.Object, k func(uint64, int, int, error)) {
 	encoded := obj.Encode() // raw object: bigger than the placed image

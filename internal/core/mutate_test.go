@@ -88,7 +88,7 @@ func TestReplaceHotSwapZeroLoss(t *testing.T) {
 
 	h := deploy(t, r, "/offcodes/counter.v1.odf")
 	oldDev := h.Device()
-	appEnd, ch, err := r.rt.CreateChannel(channel.DefaultConfig(), h)
+	appEnd, ch, err := r.rt.DefaultApp().CreateChannel(channel.DefaultConfig(), h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,10 +179,6 @@ func TestReplaceHotSwapZeroLoss(t *testing.T) {
 	if st.Replayed != 5 {
 		t.Fatalf("stats.Replayed = %d, want 5", st.Replayed)
 	}
-	// Nothing is parked on the endpoint after the swap.
-	if oc := ch.Creator(); oc.Paused() {
-		t.Fatal("creator endpoint left paused")
-	}
 }
 
 // A mid-swap failure (the replacement's Initialize fails) must roll back
@@ -197,7 +193,7 @@ func TestReplaceRollsBackOnFailure(t *testing.T) {
 
 	h := deploy(t, r, "/offcodes/counter.v1.odf")
 	oldDev := h.Device()
-	appEnd, ch, err := r.rt.CreateChannel(channel.DefaultConfig(), h)
+	appEnd, ch, err := r.rt.DefaultApp().CreateChannel(channel.DefaultConfig(), h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,8 +226,8 @@ func TestReplaceRollsBackOnFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if oh.State() != StateStarted || oh.Device() != oldDev {
-		t.Fatalf("restored handle: state %v dev %v", oh.State(), oh.Device())
+	if oh.state != StateStarted || oh.Device() != oldDev {
+		t.Fatalf("restored handle: state %v dev %v", oh.state, oh.Device())
 	}
 	if rec.last.version != 1 {
 		t.Fatalf("live behaviour is v%d, want the restored v1", rec.last.version)
@@ -309,7 +305,7 @@ func TestReplaceValidation(t *testing.T) {
 	}
 	// None of the rejected attempts disturbed the live instance.
 	h, err := r.rt.GetOffcode("svc.Counter")
-	if err != nil || h.State() != StateStarted {
+	if err != nil || h.state != StateStarted {
 		t.Fatalf("live instance: %v %v", h, err)
 	}
 }
@@ -322,6 +318,7 @@ func TestMutateAppliesDeltasInOrder(t *testing.T) {
 	stockCounter(t, r, rec, "/offcodes/counter.v1.odf", 500, 1, nil)
 	stockCounter(t, r, rec, "/offcodes/counter.v2.odf", 501, 2, nil)
 	r.stock(t, "net.Checksum", 101, "Network Device", "")
+	r.stock(t, "net.Filter", 102, "Network Device", "")
 	deploy(t, r, "/offcodes/counter.v1.odf")
 
 	var res *MutationResult
@@ -329,7 +326,6 @@ func TestMutateAppliesDeltasInOrder(t *testing.T) {
 	r.rt.DefaultApp().Mutate([]Delta{
 		DeployDelta{Path: "/offcodes/net.Checksum.odf"},
 		ReplaceDelta{Bind: "svc.Counter", Path: "/offcodes/counter.v2.odf"},
-		RemoveDelta{Bind: "net.Checksum"},
 	}, func(m *MutationResult, err error) { res, merr = m, err })
 	r.eng.RunAll()
 	if merr != nil {
@@ -341,12 +337,6 @@ func TestMutateAppliesDeltasInOrder(t *testing.T) {
 	if res.Swapped["svc.Counter"] == nil || rec.last.version != 2 {
 		t.Fatalf("Swapped = %+v (v%d live)", res.Swapped, rec.last.version)
 	}
-	if len(res.Removed) != 1 || res.Removed[0] != "net.Checksum" {
-		t.Fatalf("Removed = %v", res.Removed)
-	}
-	if _, err := r.rt.GetOffcode("net.Checksum"); err == nil {
-		t.Fatal("removed root still live")
-	}
 	if res.Finished < res.Started {
 		t.Fatalf("timings: %v..%v", res.Started, res.Finished)
 	}
@@ -356,17 +346,17 @@ func TestMutateAppliesDeltasInOrder(t *testing.T) {
 	var res2 *MutationResult
 	var merr2 error
 	r.rt.DefaultApp().Mutate([]Delta{
-		DeployDelta{Path: "/offcodes/net.Checksum.odf"},
-		RemoveDelta{Bind: "ghost"},
+		DeployDelta{Path: "/offcodes/net.Filter.odf"},
+		ReplaceDelta{Bind: "ghost", Path: "/offcodes/counter.v2.odf"},
 	}, func(m *MutationResult, err error) { res2, merr2 = m, err })
 	r.eng.RunAll()
-	if merr2 == nil || !strings.Contains(merr2.Error(), "remove ghost") {
+	if merr2 == nil || !strings.Contains(merr2.Error(), "replace ghost") {
 		t.Fatalf("err = %v", merr2)
 	}
 	if !res2.RolledBack {
 		t.Fatal("RolledBack not set")
 	}
-	if _, err := r.rt.GetOffcode("net.Checksum"); err != nil {
+	if _, err := r.rt.GetOffcode("net.Filter"); err != nil {
 		t.Fatalf("earlier delta was unwound: %v", err)
 	}
 }

@@ -27,35 +27,9 @@ type planRoot struct {
 	g    guid.GUID
 }
 
-// RootOption tunes one AddRoot call.
-type RootOption func(*rootOpts)
-
-type rootOpts struct {
-	noReuse bool
-}
-
-// NoReuse makes AddRoot fail with ErrDuplicateBind even when the same ODF
-// is already deployed, instead of reusing the running instance — for
-// applications that require a private deployment.
-func NoReuse() RootOption {
-	return func(o *rootOpts) { o.noReuse = true }
-}
-
 // Plan starts an empty deployment plan for the session.
 func (a *App) Plan() *DeployPlan {
 	return &DeployPlan{app: a}
-}
-
-// App returns the owning session.
-func (p *DeployPlan) App() *App { return p.app }
-
-// Roots lists the accumulated root ODF paths in AddRoot order.
-func (p *DeployPlan) Roots() []string {
-	out := make([]string, 0, len(p.roots))
-	for _, r := range p.roots {
-		out = append(out, r.path)
-	}
-	return out
 }
 
 // AddRoot appends the ODF at path as a deployment root. The root's bind
@@ -63,17 +37,13 @@ func (p *DeployPlan) Roots() []string {
 // already present in this plan, is rejected with ErrDuplicateBind — the
 // silent shadowing the callback pipeline allowed. Re-adding an ODF that is
 // already deployed from the same path reuses the running instance (the
-// paper's component reuse) unless the NoReuse option forbids it.
-func (p *DeployPlan) AddRoot(path string, opts ...RootOption) error {
+// paper's component reuse).
+func (p *DeployPlan) AddRoot(path string) error {
 	if p.committed {
 		return fmt.Errorf("core: plan already committed")
 	}
 	if p.app.closed {
 		return fmt.Errorf("%w: %s", ErrAppClosed, p.app.name)
-	}
-	var o rootOpts
-	for _, opt := range opts {
-		opt(&o)
 	}
 	doc, err := p.app.rt.depot.LoadODF(path)
 	if err != nil {
@@ -86,7 +56,7 @@ func (p *DeployPlan) AddRoot(path string, opts ...RootOption) error {
 		}
 	}
 	if existing, ok := p.app.rt.byBind[doc.BindName]; ok {
-		if existing.Pseudo() || existing.srcPath != path || o.noReuse {
+		if existing.Pseudo() || existing.srcPath != path {
 			from := existing.srcPath
 			if existing.Pseudo() {
 				from = "the runtime (pseudo Offcode)"

@@ -11,15 +11,15 @@ import (
 // This file wires the reverse-RPC syscall subsystem (internal/syscall)
 // into application sessions: a session opens a "syscall plane" for one of
 // its deployed Offcodes, which gives the Offcode's device a dedicated
-// batched channel into a host-side dispatcher executing against the
-// runtime's VFS. The Offcode side receives the device endpoint through
-// the ordinary ChannelConnected notification and wraps it in a
-// syscall.Issuer charged against the credit node created here.
+// batched channel into a host-side dispatcher that counts the Offcode's
+// log lines on the runtime's VFS ledger. The Offcode side receives the
+// device endpoint through the ordinary ChannelConnected notification and
+// wraps it in a syscall.Issuer charged against the credit node created
+// here.
 
-// VFS returns the host's virtual file/net surface, creating it on first
-// use. All syscall planes on this runtime share it — device Offcodes
-// extending their storage through host files see one namespace, exactly
-// like processes on one kernel.
+// VFS returns the host's device log ledger, creating it on first use.
+// All syscall planes on this runtime share it, so one count covers every
+// device Offcode's log lines, as one kernel log would.
 func (rt *Runtime) VFS() *hostos.VFS {
 	if rt.vfs == nil {
 		rt.vfs = hostos.NewVFS(rt.host)
@@ -28,18 +28,13 @@ func (rt *Runtime) VFS() *hostos.VFS {
 }
 
 // SyscallPlane is one Offcode's host-syscall wiring, owned by the session
-// that opened it.
+// that opened it: closing the session closes the plane's channel.
 type SyscallPlane struct {
 	Service *syscall.Service
 	// Credits is the resource node limiting the Offcode's in-flight
 	// syscalls (QuotaSyscalls); hand it to syscall.NewIssuer.
 	Credits *resource.Node
-	node    *resource.Node // owns the channel; closing tears the plane down
 }
-
-// Close retires the plane: the channel closes, ring memory frees, and the
-// session quotas it booked release.
-func (p *SyscallPlane) Close() error { return p.node.Close() }
 
 // OpenSyscalls gives target a host-syscall plane: a dedicated reliable
 // channel sized by prof (requests and completions both batch per
@@ -64,7 +59,7 @@ func (a *App) OpenSyscalls(target *Handle, prof syscall.Profile) (*SyscallPlane,
 	credits.SetLimit(syscall.QuotaSyscalls, int64(normalizedCredits(prof)))
 	svc := syscall.NewService(a.rt.VFS(), prof)
 	svc.Attach(appEnd)
-	return &SyscallPlane{Service: svc, Credits: credits, node: node}, nil
+	return &SyscallPlane{Service: svc, Credits: credits}, nil
 }
 
 // normalizedCredits mirrors the profile's defaulting: at least one credit.

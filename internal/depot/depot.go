@@ -11,7 +11,6 @@ package depot
 
 import (
 	"fmt"
-	"sort"
 
 	"hydra/internal/guid"
 	"hydra/internal/objfile"
@@ -27,7 +26,6 @@ type Factory func() any
 type Depot struct {
 	files     map[string][]byte
 	odfCache  map[string]*odf.ODF
-	ifaces    map[string]*odf.Interface
 	objects   map[guid.GUID]*objfile.Object
 	factories map[guid.GUID]Factory
 }
@@ -37,7 +35,6 @@ func New() *Depot {
 	return &Depot{
 		files:     make(map[string][]byte),
 		odfCache:  make(map[string]*odf.ODF),
-		ifaces:    make(map[string]*odf.Interface),
 		objects:   make(map[guid.GUID]*objfile.Object),
 		factories: make(map[guid.GUID]Factory),
 	}
@@ -47,23 +44,6 @@ func New() *Depot {
 func (d *Depot) PutFile(path string, content []byte) {
 	d.files[path] = append([]byte(nil), content...)
 	delete(d.odfCache, path)
-	delete(d.ifaces, path)
-}
-
-// File retrieves a stored file.
-func (d *Depot) File(path string) ([]byte, bool) {
-	b, ok := d.files[path]
-	return b, ok
-}
-
-// Paths lists stored file paths, sorted.
-func (d *Depot) Paths() []string {
-	out := make([]string, 0, len(d.files))
-	for p := range d.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // LoadODF parses (and caches) the ODF at path.
@@ -81,23 +61,6 @@ func (d *Depot) LoadODF(path string) (*odf.ODF, error) {
 	}
 	d.odfCache[path] = o
 	return o, nil
-}
-
-// LoadInterface parses (and caches) the interface definition at path.
-func (d *Depot) LoadInterface(path string) (*odf.Interface, error) {
-	if i, ok := d.ifaces[path]; ok {
-		return i, nil
-	}
-	raw, ok := d.files[path]
-	if !ok {
-		return nil, fmt.Errorf("depot: no such file %q", path)
-	}
-	i, err := odf.ParseInterface(raw)
-	if err != nil {
-		return nil, fmt.Errorf("depot: %s: %w", path, err)
-	}
-	d.ifaces[path] = i
-	return i, nil
 }
 
 // RegisterObject stores an Offcode binary by its GUID.

@@ -17,15 +17,14 @@ func TestFiles(t *testing.T) {
 	d := New()
 	d.PutFile("/a.odf", []byte(odfDoc))
 	d.PutFile("/ia.xml", []byte(idlDoc))
-	if _, ok := d.File("/a.odf"); !ok {
+	if string(d.files["/a.odf"]) != odfDoc {
 		t.Fatal("file missing")
 	}
-	if _, ok := d.File("/ghost"); ok {
+	if _, ok := d.files["/ghost"]; ok {
 		t.Fatal("phantom file")
 	}
-	paths := d.Paths()
-	if len(paths) != 2 || paths[0] != "/a.odf" {
-		t.Fatalf("paths = %v", paths)
+	if len(d.files) != 2 {
+		t.Fatalf("files = %v", d.files)
 	}
 }
 
@@ -52,21 +51,6 @@ func TestLoadODFCached(t *testing.T) {
 	d.PutFile("/bad.odf", []byte("not xml"))
 	if _, err := d.LoadODF("/bad.odf"); err == nil {
 		t.Fatal("bad ODF loaded")
-	}
-}
-
-func TestLoadInterface(t *testing.T) {
-	d := New()
-	d.PutFile("/ia.xml", []byte(idlDoc))
-	i, err := d.LoadInterface("/ia.xml")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if i.Name != "IA" {
-		t.Fatalf("iface = %+v", i)
-	}
-	if _, err := d.LoadInterface("/ghost"); err == nil {
-		t.Fatal("missing interface loaded")
 	}
 }
 

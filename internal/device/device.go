@@ -157,19 +157,13 @@ type Device struct {
 	busyTime sim.Time
 	busy     bool
 	queue    []*devSegment
-	// DMAWritesToHost invalidate host cache lines; reads do not.
-	dmaBytesIn  uint64
-	dmaBytesOut uint64
 
 	// Failure model. epoch increments on every health transition away from
 	// HealthOK, so callbacks armed by dead firmware (in-flight Exec segments,
 	// hardware timers) can recognize they no longer belong to the running
 	// instance and fall silent.
-	health      Health
-	epoch       uint64
-	crashes     uint64
-	hangs       uint64
-	droppedWork uint64
+	health Health
+	epoch  uint64
 }
 
 type devSegment struct {
@@ -203,9 +197,6 @@ func (d *Device) Class() Class { return d.cfg.Class }
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
 
-// Host returns the host machine the device is attached to.
-func (d *Device) Host() *hostos.Machine { return d.host }
-
 // Engine returns the simulation engine the device runs on. Subsystems
 // built beside the device (e.g. a syscall issuer) use it for clocks and
 // trace shards without reaching through the host.
@@ -225,7 +216,6 @@ func (d *Device) CyclesToTime(cycles uint64) sim.Time {
 // stopped fetching instructions.
 func (d *Device) Exec(cycles uint64, k func()) {
 	if d.health != HealthOK {
-		d.droppedWork++
 		return
 	}
 	d.queue = append(d.queue, &devSegment{cycles: cycles, k: k})
@@ -256,9 +246,6 @@ func (d *Device) pump() {
 
 // --- Failure model (driven by internal/faults) ---
 
-// Health reports the device's current failure state.
-func (d *Device) Health() Health { return d.health }
-
 // Healthy reports whether the device is executing work.
 func (d *Device) Healthy() bool { return d.health == HealthOK }
 
@@ -270,7 +257,6 @@ func (d *Device) Crash() {
 		return
 	}
 	d.health = HealthCrashed
-	d.crashes++
 	d.fail()
 }
 
@@ -282,7 +268,6 @@ func (d *Device) Hang() {
 		return
 	}
 	d.health = HealthHung
-	d.hangs++
 	d.fail()
 }
 
@@ -311,15 +296,6 @@ func (d *Device) Restore() {
 	d.health = HealthOK
 }
 
-// Crashes reports how many times the device crashed.
-func (d *Device) Crashes() uint64 { return d.crashes }
-
-// Hangs reports how many times the device hung.
-func (d *Device) Hangs() uint64 { return d.hangs }
-
-// DroppedWork reports firmware work requests discarded while unhealthy.
-func (d *Device) DroppedWork() uint64 { return d.droppedWork }
-
 // BusyTime reports accumulated embedded-CPU busy time.
 func (d *Device) BusyTime() sim.Time { return d.busyTime }
 
@@ -333,31 +309,12 @@ func (d *Device) EnergyJoules() float64 {
 	return busy*d.cfg.PowerBusyW + (now-busy)*d.cfg.PowerIdleW
 }
 
-// Timer arms a hardware timer that fires after d±jitter, with no tick
-// quantization. This is the device-side counterpart of Task.Sleep. The
-// timer belongs to the current firmware instance: if the device fails
-// before the deadline, the callback never runs.
-func (d *Device) Timer(after sim.Time, k func()) {
-	noise := sim.Time(d.rng.NormFloat64() * float64(d.cfg.TimerJitter))
-	t := after + noise
-	if t < 0 {
-		t = 0
-	}
-	epoch := d.epoch
-	d.eng.Schedule(t, func() {
-		if d.epoch != epoch || d.health != HealthOK {
-			return
-		}
-		k()
-	})
-}
-
 // PeriodicTimer fires k every period±jitter. Unlike host timer loops the
 // period does not accumulate drift: each deadline is period after the
-// previous deadline, not after the previous firing.
-// Like Timer, the ticker dies with the firmware instance that armed it: a
-// crash or hang permanently silences it (Restore does not revive it — the
-// restarted firmware must arm its own).
+// previous deadline, not after the previous firing. The ticker dies with
+// the firmware instance that armed it: a crash or hang permanently
+// silences it (Restore does not revive it — the restarted firmware must
+// arm its own).
 func (d *Device) PeriodicTimer(period sim.Time, k func()) *sim.Ticker {
 	tk := &sim.Ticker{}
 	deadline := d.eng.Now()
@@ -469,10 +426,8 @@ func (d *Device) Exports() map[string]uint64 {
 // one bus transaction, then host-side cache invalidation of the target lines.
 func (d *Device) DMAToHost(hostAddr uint64, size int, done func()) {
 	if d.health != HealthOK {
-		d.droppedWork++
 		return
 	}
-	d.dmaBytesIn += uint64(size)
 	d.bsys.Transfer(d.Agent(), bus.MainMemory, size, func() {
 		d.host.DMAWrite(hostAddr, size)
 		if done != nil {
@@ -485,10 +440,8 @@ func (d *Device) DMAToHost(hostAddr uint64, size int, done func()) {
 // invalidate host cache lines.
 func (d *Device) DMAFromHost(hostAddr uint64, size int, done func()) {
 	if d.health != HealthOK {
-		d.droppedWork++
 		return
 	}
-	d.dmaBytesOut += uint64(size)
 	d.bsys.Transfer(bus.MainMemory, d.Agent(), size, func() {
 		if done != nil {
 			done()
@@ -503,14 +456,12 @@ func (d *Device) DMAFromHost(hostAddr uint64, size int, done func()) {
 // descriptor ring retires N completions per interrupt.
 func (d *Device) DMAToHostGather(hostAddr uint64, sizes []int, done func()) {
 	if d.health != HealthOK {
-		d.droppedWork++
 		return
 	}
 	total := 0
 	for _, s := range sizes {
 		total += s
 	}
-	d.dmaBytesIn += uint64(total)
 	d.bsys.TransferGather(d.Agent(), bus.MainMemory, sizes, func() {
 		d.host.DMAWrite(hostAddr, total)
 		if done != nil {
@@ -523,15 +474,9 @@ func (d *Device) DMAToHostGather(hostAddr uint64, sizes []int, done func()) {
 // transaction. Reads do not invalidate host cache lines.
 func (d *Device) DMAFromHostGather(hostAddr uint64, sizes []int, done func()) {
 	if d.health != HealthOK {
-		d.droppedWork++
 		return
 	}
-	total := 0
-	for _, s := range sizes {
-		total += s
-	}
-	_ = hostAddr
-	d.dmaBytesOut += uint64(total)
+	_ = hostAddr // reads leave the host cache alone
 	d.bsys.TransferGather(bus.MainMemory, d.Agent(), sizes, func() {
 		if done != nil {
 			done()
@@ -543,7 +488,6 @@ func (d *Device) DMAFromHostGather(hostAddr uint64, sizes []int, done func()) {
 // gather transaction (no host memory involvement).
 func (d *Device) DMAToPeerGather(peer *Device, sizes []int, done func()) {
 	if d.health != HealthOK {
-		d.droppedWork++
 		return
 	}
 	d.bsys.TransferGather(d.Agent(), peer.Agent(), sizes, done)
@@ -553,7 +497,6 @@ func (d *Device) DMAToPeerGather(peer *Device, sizes []int, done func()) {
 // transaction, no host memory involvement) — the TiVoPC NIC→GPU/disk path.
 func (d *Device) DMAToPeer(peer *Device, size int, done func()) {
 	if d.health != HealthOK {
-		d.droppedWork++
 		return
 	}
 	d.bsys.Transfer(d.Agent(), peer.Agent(), size, func() {
@@ -568,7 +511,6 @@ func (d *Device) DMAToPeer(peer *Device, size int, done func()) {
 // this packet could be transferred in a single bus transaction").
 func (d *Device) DMAToPeers(peers []*Device, size int, done func()) {
 	if d.health != HealthOK {
-		d.droppedWork++
 		return
 	}
 	agents := make([]bus.Agent, len(peers))
@@ -582,13 +524,7 @@ func (d *Device) DMAToPeers(peers []*Device, size int, done func()) {
 // devices raise no interrupts.
 func (d *Device) InterruptHost(cycles uint64, k func()) {
 	if d.health != HealthOK {
-		d.droppedWork++
 		return
 	}
 	d.host.Interrupt(d.cfg.Name, cycles, k)
-}
-
-// DMAStats reports total DMA traffic (bytes written to host, read from host).
-func (d *Device) DMAStats() (toHost, fromHost uint64) {
-	return d.dmaBytesIn, d.dmaBytesOut
 }

@@ -69,7 +69,6 @@ type x9Frontend struct {
 	nopOffcode
 	eps         []*channel.Endpoint
 	outstanding map[*channel.Endpoint]bool
-	replies     uint64
 	req         []byte
 }
 
@@ -77,7 +76,6 @@ func (f *x9Frontend) ChannelConnected(ep *channel.Endpoint) {
 	f.eps = append(f.eps, ep)
 	f.outstanding[ep] = false
 	ep.InstallCallHandler(func([]byte) {
-		f.replies++
 		if ep.Write(f.req) != nil {
 			f.outstanding[ep] = false
 		}

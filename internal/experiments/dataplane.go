@@ -30,7 +30,7 @@ import (
 // memory quota (LRU eviction + idle-timeout expiry) and applies cached
 // verdicts — forward, rewrite to a hashed backend, drop, count — burning
 // fixed firmware cycles per packet on its NIC. Policy drops, evictions
-// and expirations are logged to host files through the X11 fire-forget
+// and expirations are logged as log lines through the X11 fire-forget
 // syscall plane, giving an exactly-once reconciliation ledger. The grid
 // weak-scales hosts at a fixed 0.8 per-NIC utilization, so aggregate
 // sustained msgs/s should scale near-linearly 1→8 hosts while the

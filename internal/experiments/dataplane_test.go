@@ -77,7 +77,7 @@ func TestDataPlaneTraceDeterminism(t *testing.T) {
 }
 
 // TestDataPlaneLogLedger is the PR 9 follow-on regression: NIC pipelines
-// log drops/evictions/expirations to host files through the syscall plane
+// log drops/evictions/expirations as log lines through the syscall plane
 // under load, and the hosts' VFS log-line ledger must reconcile exactly
 // against the flow-table counters — no event unlogged, none doubled.
 func TestDataPlaneLogLedger(t *testing.T) {

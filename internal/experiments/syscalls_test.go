@@ -116,7 +116,7 @@ func TestX11ClientRejectsBadCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	hs := sys.Host("h0")
-	if err := stockX11Client(hs.Depot, x11SwapV1Path, 9980, &x11SwapShared{prof: syscall.DefaultProfile()}); err != nil {
+	if err := stockX11Client(hs.Depot, x11SwapV1Path, 9980, &x11SwapShared{prof: syscall.BlockingProfile()}); err != nil {
 		t.Fatal(err)
 	}
 	hs.Runtime.StageRestore(x11SwapBind, []byte("not a checkpoint"))

@@ -27,6 +27,13 @@ func (w *world) Bus(host string) *bus.Bus {
 	return nil
 }
 
+// busSlowdown probes the bus with one transfer and reports its wire time
+// over the nominal one: the active degradation factor.
+func (w *world) busSlowdown() float64 {
+	took := w.b.Transfer("probe", bus.MainMemory, 1024, nil) - w.eng.Now()
+	return float64(took) / float64(w.b.TransferTime(1024))
+}
+
 func newWorld(seed int64) *world {
 	eng := sim.NewEngine(seed)
 	host := hostos.New(eng, "h0", hostos.PentiumIV())
@@ -50,33 +57,63 @@ func TestArmAppliesScheduleInOrder(t *testing.T) {
 	if err := in.Arm(sched, w); err != nil {
 		t.Fatal(err)
 	}
+	// A crash and a hang differ in what survives the restart: a crashed
+	// device comes back with cleared memory, a hung one keeps it. Mark
+	// both devices' memory so the restarts tell which fault was applied.
+	marker := []byte("survives a hang")
+	addrs := map[string]uint64{}
+	for _, name := range []string{"nic0", "nic1"} {
+		d := w.devs[name]
+		addr, err := d.AllocMem(len(marker))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.WriteMem(addr, marker); err != nil {
+			t.Fatal(err)
+		}
+		addrs[name] = addr
+	}
+	memKept := func(name string) bool {
+		got, err := w.devs[name].ReadMem(addrs[name], len(marker))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(got) == string(marker)
+	}
 
 	w.eng.Run(15 * sim.Millisecond)
-	if w.devs["nic0"].Health() != device.HealthCrashed {
+	if w.devs["nic0"].Healthy() {
 		t.Fatal("crash not applied")
 	}
 	w.eng.Run(25 * sim.Millisecond)
-	if w.devs["nic1"].Health() != device.HealthHung {
+	if w.devs["nic1"].Healthy() {
 		t.Fatal("hang not applied")
 	}
 	w.eng.Run(35 * sim.Millisecond)
 	if !w.devs["nic0"].Healthy() {
 		t.Fatal("bounded crash did not auto-restart")
 	}
-	if w.b.Slowdown() != 3 {
-		t.Fatalf("slowdown = %v", w.b.Slowdown())
+	if memKept("nic0") || w.devs["nic0"].MemLive() != 0 {
+		t.Fatal("nic0 memory survived: a hang was applied for the crash")
+	}
+	if got := w.busSlowdown(); got != 3 {
+		t.Fatalf("slowdown = %v", got)
 	}
 	w.eng.Run(45 * sim.Millisecond)
-	if w.b.Slowdown() != 1 {
+	if w.busSlowdown() != 1 {
 		t.Fatal("bounded degradation did not restore")
 	}
-	w.eng.RunAll()
+	w.eng.Run(60*sim.Millisecond + sim.Microsecond)
 	if !w.devs["nic1"].Healthy() {
 		t.Fatal("explicit restart not applied")
 	}
-	if w.b.Outages() != 1 {
+	if !memKept("nic1") {
+		t.Fatal("nic1 memory cleared: a crash was applied for the hang")
+	}
+	if w.busSlowdown() <= 1 {
 		t.Fatal("outage not applied")
 	}
+	w.eng.RunAll()
 
 	log := in.Log()
 	kinds := make([]Kind, len(log))
@@ -151,15 +188,16 @@ func TestRandomCrashScheduleDeterministic(t *testing.T) {
 }
 
 func TestInjectorStreamIsolated(t *testing.T) {
-	// Creating an injector must not perturb the engine's main stream.
-	draw := func(makeInjector bool) int64 {
+	// The injector draws from its own NewRand stream: another model
+	// drawing from its stream first must not change the schedule.
+	schedule := func(otherDraws bool) Schedule {
 		eng := sim.NewEngine(7)
-		if makeInjector {
-			NewInjector(eng)
+		if otherDraws {
+			eng.NewRand(1).Int63()
 		}
-		return eng.Rand().Int63()
+		return NewInjector(eng).RandomCrashSchedule([]string{"nic0"}, 10*sim.Second, 1, sim.Second)
 	}
-	if draw(true) != draw(false) {
-		t.Fatal("injector perturbed the engine's shared stream")
+	if a, b := schedule(true), schedule(false); len(a) == 0 || !reflect.DeepEqual(a, b) {
+		t.Fatalf("another model's draws perturbed the injector's stream: %v vs %v", a, b)
 	}
 }

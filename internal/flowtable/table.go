@@ -91,18 +91,11 @@ func New(cfg Config, tr *obs.Shard) *Table {
 	return &Table{cfg: cfg, cap: c, m: make(map[Key]*entry, c), tr: tr}
 }
 
-// Capacity is the entry budget QuotaBytes buys.
-func (t *Table) Capacity() int { return t.cap }
-
-// Len is the current entry count, always ≤ Capacity.
+// Len is the current entry count, always within the QuotaBytes budget.
 func (t *Table) Len() int { return len(t.m) }
 
 // Stats returns the operation counters.
 func (t *Table) Stats() Stats { return t.stats }
-
-// Contains reports whether k is tracked, with no side effects on the
-// LRU order, ages or counters.
-func (t *Table) Contains(k Key) bool { _, ok := t.m[k]; return ok }
 
 func (t *Table) expired(e *entry, now sim.Time) bool {
 	return t.cfg.IdleTimeout > 0 && now-e.lastSeen > t.cfg.IdleTimeout
@@ -226,7 +219,7 @@ const ckptEntryBytes = KeyBytes + 1 + 2 + 8 + 8
 
 // Checkpoint serializes the table bit-exactly: entries in LRU order
 // (most recent first) plus the lifetime stats. Restore on an equally
-// configured table reproduces an identical Checkpoint and Digest.
+// configured table reproduces an identical Checkpoint.
 func (t *Table) Checkpoint() []byte {
 	out := make([]byte, 4+len(t.m)*ckptEntryBytes+6*8)
 	binary.LittleEndian.PutUint32(out, uint32(len(t.m)))
@@ -295,15 +288,4 @@ func (t *Table) Restore(b []byte) error {
 		*p = binary.LittleEndian.Uint64(b[off+8*i:])
 	}
 	return nil
-}
-
-// Digest is FNV-1a over the Checkpoint — a compact bit-exactness witness
-// for determinism and hot-swap continuity tests.
-func (t *Table) Digest() uint64 {
-	h := uint64(fnvOffset)
-	for _, c := range t.Checkpoint() {
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	return h
 }

@@ -28,15 +28,6 @@ func Parse(s string) (GUID, error) {
 	return GUID(v), nil
 }
 
-// MustParse is Parse for compile-time-constant inputs; it panics on error.
-func MustParse(s string) GUID {
-	g, err := Parse(s)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 func (g GUID) String() string { return strconv.FormatUint(uint64(g), 10) }
 
 // IsValid reports whether g is usable (non-zero).

@@ -36,15 +36,6 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
-func TestMustParsePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustParse did not panic on invalid input")
-		}
-	}()
-	MustParse("zzz")
-}
-
 func TestNilInvalid(t *testing.T) {
 	if Nil.IsValid() {
 		t.Fatal("Nil GUID reported valid")

@@ -42,19 +42,12 @@ func DefaultIdleLoad() IdleLoadConfig {
 	}
 }
 
-// IdleLoad is a handle on the running background daemons.
-type IdleLoad struct {
-	tasks []*Task
-}
-
 // StartIdleLoad launches the background daemons on m. Experiments start it
 // on every host so "idle" scenarios measure the same baseline the paper's
 // idle rows report.
-func (m *Machine) StartIdleLoad(cfg IdleLoadConfig) *IdleLoad {
-	il := &IdleLoad{}
+func (m *Machine) StartIdleLoad(cfg IdleLoadConfig) {
 	for i := 0; i < cfg.Daemons; i++ {
 		t := m.NewTask(fmt.Sprintf("daemon%d", i))
-		il.tasks = append(il.tasks, t)
 		resident := m.Alloc(cfg.ResidentBytes)
 		stream := m.Alloc(cfg.StreamRegion)
 		streamOff := 0
@@ -84,5 +77,4 @@ func (m *Machine) StartIdleLoad(cfg IdleLoadConfig) *IdleLoad {
 		phase := sim.Time(i) * cfg.Period / sim.Time(cfg.Daemons)
 		m.eng.Schedule(phase, wake)
 	}
-	return il
 }

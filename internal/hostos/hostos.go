@@ -85,15 +85,11 @@ type Machine struct {
 
 	tr *obs.Shard // engine's trace shard when CatHost is enabled, else nil
 
-	busy        sim.Time       // accumulated CPU busy time
-	kernelBusy  sim.Time       // subset spent in kernel context
-	nextAddr    uint64         // bump allocator for synthetic addresses
-	allocBytes  uint64         // lifetime bytes handed out by Alloc
-	freedBytes  uint64         // lifetime bytes returned through Free
-	liveAllocs  map[uint64]int // live allocation sizes by base address
-	interrupts  uint64
-	switches    uint64
-	idleCycleRq uint64
+	busy       sim.Time       // accumulated CPU busy time
+	nextAddr   uint64         // bump allocator for synthetic addresses
+	allocBytes uint64         // lifetime bytes handed out by Alloc
+	freedBytes uint64         // lifetime bytes returned through Free
+	liveAllocs map[uint64]int // live allocation sizes by base address
 }
 
 // New builds a machine on the engine. Each machine takes its own random
@@ -230,9 +226,6 @@ func (m *Machine) Free(addr uint64, size int) error {
 	return nil
 }
 
-// AllocBytes reports lifetime bytes handed out by Alloc.
-func (m *Machine) AllocBytes() uint64 { return m.allocBytes }
-
 // LiveBytes reports modeled host memory currently held (Alloc minus Free).
 // Channel churn that leaks rings shows up here as monotonic growth.
 func (m *Machine) LiveBytes() int64 { return int64(m.allocBytes) - int64(m.freedBytes) }
@@ -252,15 +245,6 @@ func (m *Machine) DMAWrite(addr uint64, size int) {
 
 // BusyTime reports accumulated CPU busy time (all contexts).
 func (m *Machine) BusyTime() sim.Time { return m.busy }
-
-// KernelBusyTime reports accumulated kernel-context busy time.
-func (m *Machine) KernelBusyTime() sim.Time { return m.kernelBusy }
-
-// ContextSwitches reports the number of task switches performed.
-func (m *Machine) ContextSwitches() uint64 { return m.switches }
-
-// Interrupts reports the number of interrupts serviced.
-func (m *Machine) Interrupts() uint64 { return m.interrupts }
 
 // segment is one contiguous slice of CPU work belonging to a task.
 type segment struct {
@@ -284,9 +268,6 @@ func (m *Machine) NewTask(name string) *Task {
 
 // Name returns the task name.
 func (t *Task) Name() string { return t.name }
-
-// Machine returns the machine the task runs on.
-func (t *Task) Machine() *Machine { return t.m }
 
 func (t *Task) String() string { return fmt.Sprintf("task(%s@%s)", t.name, t.m.Name) }
 
@@ -336,13 +317,6 @@ func (t *Task) SleepUntil(deadline sim.Time, k func()) {
 	m.eng.At(fire+lat, k)
 }
 
-// PreciseAfter schedules k after exactly d with no tick quantization; it
-// models event-driven wakeups (interrupt handlers, completions) rather than
-// timer sleeps.
-func (t *Task) PreciseAfter(d sim.Time, k func()) {
-	t.m.eng.Schedule(d, k)
-}
-
 func (m *Machine) schedNoise() sim.Time {
 	n := float64(m.cfg.SchedLatency) + m.rng.NormFloat64()*float64(m.cfg.SchedJitter)
 	if n < 0 {
@@ -354,7 +328,6 @@ func (m *Machine) schedNoise() sim.Time {
 // Interrupt injects an interrupt service routine: kernel work that jumps the
 // run queue. k (optional) runs when the ISR completes.
 func (m *Machine) Interrupt(name string, cycles uint64, k func()) {
-	m.interrupts++
 	_ = name // identifies the source for the caller; ISRs share one identity
 	if m.tr.On() {
 		m.tr.Instant(obs.CatHost, trIRQ, int64(cycles))
@@ -392,18 +365,13 @@ func (m *Machine) dispatch() {
 	// context switch, and whatever runs after it always pays one too.
 	if s.isIRQ {
 		cycles += m.cfg.ContextSwitchCycles
-		m.switches++
 		m.lastTask = nil
 	} else if s.task != m.lastTask {
 		cycles += m.cfg.ContextSwitchCycles
-		m.switches++
 		m.lastTask = s.task
 	}
 	dur := m.CyclesToTime(cycles)
 	m.busy += dur
-	if s.ctx == cache.Kernel {
-		m.kernelBusy += dur
-	}
 	// The segment occupies [now, now+dur]; both ends are known at issue.
 	if m.tr.On() {
 		name := trSeg
@@ -464,29 +432,6 @@ func (q *segQueue) popFront() *segment {
 	q.buf[q.head&(len(q.buf)-1)] = nil
 	q.head++
 	return s
-}
-
-// Publish writes the machine's accounting into the registry under
-// prefix: .busy_ns, .kernel_busy_ns, .utilization, .interrupts,
-// .context_switches, .alloc_bytes, .live_bytes, .runq_depth.
-func (m *Machine) Publish(r *obs.Registry, prefix string) {
-	r.Gauge(prefix + ".busy_ns").Set(float64(m.busy))
-	r.Gauge(prefix + ".kernel_busy_ns").Set(float64(m.kernelBusy))
-	r.Gauge(prefix + ".utilization").Set(m.Utilization())
-	r.Gauge(prefix + ".interrupts").Set(float64(m.interrupts))
-	r.Gauge(prefix + ".context_switches").Set(float64(m.switches))
-	r.Gauge(prefix + ".alloc_bytes").Set(float64(m.allocBytes))
-	r.Gauge(prefix + ".live_bytes").Set(float64(m.LiveBytes()))
-	r.Gauge(prefix + ".runq_depth").Set(float64(m.runq.len()))
-}
-
-// Utilization reports busy/elapsed over the whole run.
-func (m *Machine) Utilization() float64 {
-	now := m.eng.Now()
-	if now == 0 {
-		return 0
-	}
-	return float64(m.busy) / float64(now)
 }
 
 // UtilizationSampler produces periodic utilization samples the way the paper

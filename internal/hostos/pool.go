@@ -14,9 +14,6 @@ type WorkerPool struct {
 	m     *Machine
 	idle  []*Task
 	queue []func(*Task, func())
-
-	submitted uint64
-	maxQueue  int
 }
 
 // NewWorkerPool builds a pool of `workers` kernel tasks named
@@ -37,7 +34,6 @@ func NewWorkerPool(m *Machine, name string, workers int) *WorkerPool {
 // when its (possibly asynchronous) work completes; the worker is held
 // until then.
 func (p *WorkerPool) Submit(fn func(t *Task, done func())) {
-	p.submitted++
 	if n := len(p.idle); n > 0 {
 		t := p.idle[n-1]
 		p.idle = p.idle[:n-1]
@@ -45,9 +41,6 @@ func (p *WorkerPool) Submit(fn func(t *Task, done func())) {
 		return
 	}
 	p.queue = append(p.queue, fn)
-	if len(p.queue) > p.maxQueue {
-		p.maxQueue = len(p.queue)
-	}
 }
 
 func (p *WorkerPool) run(t *Task, fn func(*Task, func())) {
@@ -61,15 +54,3 @@ func (p *WorkerPool) run(t *Task, fn func(*Task, func())) {
 		p.idle = append(p.idle, t)
 	})
 }
-
-// Submitted reports lifetime items accepted by Submit.
-func (p *WorkerPool) Submitted() uint64 { return p.submitted }
-
-// QueueDepth reports items waiting for a worker right now.
-func (p *WorkerPool) QueueDepth() int { return len(p.queue) }
-
-// MaxQueueDepth reports the high-water mark of the wait queue.
-func (p *WorkerPool) MaxQueueDepth() int { return p.maxQueue }
-
-// IdleWorkers reports workers currently free.
-func (p *WorkerPool) IdleWorkers() int { return len(p.idle) }

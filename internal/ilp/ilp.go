@@ -25,18 +25,6 @@ const (
 	GE              // a·x ≥ b
 )
 
-func (s Sense) String() string {
-	switch s {
-	case LE:
-		return "<="
-	case EQ:
-		return "=="
-	case GE:
-		return ">="
-	}
-	return "?"
-}
-
 // Constraint is one linear row over a sparse set of variables.
 type Constraint struct {
 	Coeffs map[int]float64

@@ -109,17 +109,6 @@ func (g *Graph) AddEdge(from, to int, t odf.ConstraintType) error {
 // Placement maps node index → target index (0 = host).
 type Placement []int
 
-// OffloadCount reports how many nodes left the host.
-func (p Placement) OffloadCount() int {
-	c := 0
-	for _, t := range p {
-		if t != 0 {
-			c++
-		}
-	}
-	return c
-}
-
 // Objective selects the ILP optimization target (§5.1.3).
 type Objective int
 

@@ -61,11 +61,6 @@ type ShardGraph struct {
 // ShardPlacement maps shard index → host index.
 type ShardPlacement []int
 
-// NewShardGraph creates an empty problem over the given hosts.
-func NewShardGraph(hosts ...ShardHost) *ShardGraph {
-	return &ShardGraph{Hosts: hosts}
-}
-
 // AddRoot appends a shard and returns its index. pin < 0 leaves the shard
 // free; otherwise it is fixed to that host.
 func (g *ShardGraph) AddRoot(name string, load float64, pin int) (int, error) {

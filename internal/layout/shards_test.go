@@ -10,11 +10,11 @@ import (
 // frontend to every worker with one expensive link.
 func threeHostGraph(t *testing.T) *ShardGraph {
 	t.Helper()
-	g := NewShardGraph(
-		ShardHost{Name: "h0", Capacity: 2},
-		ShardHost{Name: "h1", Capacity: 2},
-		ShardHost{Name: "h2", Capacity: 2},
-	)
+	g := &ShardGraph{Hosts: []ShardHost{
+		{Name: "h0", Capacity: 2},
+		{Name: "h1", Capacity: 2},
+		{Name: "h2", Capacity: 2},
+	}}
 	g.LinkCost = [][]float64{
 		{0, 1, 10},
 		{1, 0, 10},
@@ -98,7 +98,7 @@ func TestShardILPOptimalAndNoWorseThanGreedy(t *testing.T) {
 }
 
 func TestShardCapacityInfeasible(t *testing.T) {
-	g := NewShardGraph(ShardHost{Name: "h0", Capacity: 1})
+	g := &ShardGraph{Hosts: []ShardHost{{Name: "h0", Capacity: 1}}}
 	for i := 0; i < 2; i++ {
 		if _, err := g.AddRoot("r", 1, -1); err != nil {
 			t.Fatal(err)
@@ -113,7 +113,7 @@ func TestShardCapacityInfeasible(t *testing.T) {
 }
 
 func TestShardCostOfRejectsPinViolation(t *testing.T) {
-	g := NewShardGraph(ShardHost{Name: "h0"}, ShardHost{Name: "h1"})
+	g := &ShardGraph{Hosts: []ShardHost{{Name: "h0"}, {Name: "h1"}}}
 	if _, err := g.AddRoot("pinned", 1, 1); err != nil {
 		t.Fatal(err)
 	}

@@ -182,9 +182,6 @@ func (g *Gen) Emit(emit func(Packet)) {
 	}
 }
 
-// Emitted is the total packet count so far.
-func (g *Gen) Emitted() uint64 { return g.seq }
-
 // Spawned counts flows ever created (initial population included) — the
 // size of the client population modeled so far.
 func (g *Gen) Spawned() uint64 { return g.nextID }

@@ -66,8 +66,8 @@ func TestPoissonRateAndSequencing(t *testing.T) {
 			t.Fatalf("packet %d has seq %d", i, p.Seq)
 		}
 	}
-	if g.Emitted() != uint64(len(ps)) {
-		t.Fatalf("Emitted %d, drained %d", g.Emitted(), len(ps))
+	if g.seq != uint64(len(ps)) {
+		t.Fatalf("Emitted %d, drained %d", g.seq, len(ps))
 	}
 }
 

@@ -164,9 +164,8 @@ type Decoder struct {
 	heldAnchor *Frame // decoded anchor not yet displayed (awaiting its Bs)
 	ready      []Frame
 
-	// Decoded counts successfully decoded frames; Corrupt counts resync
-	// events; Dropped counts intact frames skipped for missing references.
-	Decoded int
+	// Corrupt counts resync events; Dropped counts intact frames skipped
+	// for missing references.
 	Corrupt int
 	Dropped int
 }
@@ -275,7 +274,6 @@ func (d *Decoder) reconstruct(t FrameType, seq, w, h int, ref1, ref2 uint32, res
 			pred := byte((uint16(prev.Pix[i]) + uint16(next.Pix[i])) / 2)
 			pix[i] = r + pred
 		}
-		d.Decoded++
 		d.ready = append(d.ready, Frame{Seq: seq, W: w, H: h, Pix: pix})
 		return
 	}
@@ -284,7 +282,6 @@ func (d *Decoder) reconstruct(t FrameType, seq, w, h int, ref1, ref2 uint32, res
 	// arrive after it but display before it) have been emitted. Emitting
 	// the previously held anchor now preserves display order.
 	f := Frame{Seq: seq, W: w, H: h, Pix: pix}
-	d.Decoded++
 	if d.heldAnchor != nil {
 		d.ready = append(d.ready, *d.heldAnchor)
 		d.prevAnchor = d.heldAnchor

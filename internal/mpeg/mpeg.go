@@ -26,8 +26,6 @@ const (
 	TypeB FrameType = 'B'
 )
 
-func (t FrameType) String() string { return string(rune(t)) }
-
 // Frame is one uncompressed grayscale picture.
 type Frame struct {
 	Seq  int // display-order index
@@ -47,12 +45,6 @@ type Config struct {
 	W, H    int
 	GOPSize int // frames per GOP (first is I)
 	BGap    int // B frames between consecutive anchors (0 disables B)
-}
-
-// DefaultConfig is the stream profile the TiVoPC experiments use:
-// QVGA-ish at a small GOP so every frame type is exercised.
-func DefaultConfig() Config {
-	return Config{W: 320, H: 240, GOPSize: 12, BGap: 2}
 }
 
 // Validate reports whether the configuration is usable.
@@ -130,12 +122,6 @@ func DecodeCostCycles(w, h int, t FrameType) uint64 {
 	default: // B: two references
 		return 20_000 + 130*px
 	}
-}
-
-// EncodeCostCycles estimates encode cost for one frame (used by tools that
-// prepare content; the TiVoPC pipeline only decodes).
-func EncodeCostCycles(w, h int, t FrameType) uint64 {
-	return 2 * DecodeCostCycles(w, h, t)
 }
 
 // DecodeWorkingSetBytes reports the decoder's resident working set (current

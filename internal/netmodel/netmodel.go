@@ -20,8 +20,6 @@
 // cycles-per-byte × 8 / 1000 when cycles are counted at nanosecond scale.
 package netmodel
 
-import "fmt"
-
 // Direction selects transmit or receive.
 type Direction int
 
@@ -30,13 +28,6 @@ const (
 	Transmit Direction = iota
 	Receive
 )
-
-func (d Direction) String() string {
-	if d == Receive {
-		return "receive"
-	}
-	return "transmit"
-}
 
 // CostModel holds the calibrated cycle costs of the host TCP path.
 type CostModel struct {
@@ -107,13 +98,4 @@ func (m CostModel) Series(dir Direction) []Point {
 		out = append(out, Point{PacketBytes: size, Ratio: m.GHzPerGbps(dir, size)})
 	}
 	return out
-}
-
-// FormatSeries renders a series as the experiment harness prints it.
-func FormatSeries(dir Direction, pts []Point) string {
-	s := fmt.Sprintf("GHz/Gbps %s ratio:\n", dir)
-	for _, p := range pts {
-		s += fmt.Sprintf("  %6d B  %6.3f\n", p.PacketBytes, p.Ratio)
-	}
-	return s
 }

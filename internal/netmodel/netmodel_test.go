@@ -1,7 +1,6 @@
 package netmodel
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -67,19 +66,5 @@ func TestCyclesPerPacketGuards(t *testing.T) {
 	m := Foong2003()
 	if m.CyclesPerPacket(Transmit, 0) <= 0 || m.GHzPerGbps(Receive, -5) <= 0 {
 		t.Fatal("degenerate sizes must still cost cycles")
-	}
-}
-
-func TestFormatSeries(t *testing.T) {
-	m := Foong2003()
-	out := FormatSeries(Receive, m.Series(Receive))
-	if !strings.Contains(out, "receive") || !strings.Contains(out, "1024") {
-		t.Fatalf("format output missing content:\n%s", out)
-	}
-}
-
-func TestDirectionString(t *testing.T) {
-	if Transmit.String() != "transmit" || Receive.String() != "receive" {
-		t.Fatal("direction strings wrong")
 	}
 }

@@ -50,21 +50,12 @@ type Packet struct {
 // Handler consumes a delivered packet at its destination NIC.
 type Handler func(Packet)
 
-// Stats counts traffic through the network.
-type Stats struct {
-	Sent      uint64
-	Delivered uint64
-	Dropped   uint64
-	Bytes     uint64
-}
-
 // Network is the switch plus attached stations.
 type Network struct {
 	eng      *sim.Engine
 	cfg      Config
 	rng      *rand.Rand
 	stations map[string]*Station
-	stats    Stats
 }
 
 // New creates a network on the engine.
@@ -79,12 +70,6 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		stations: make(map[string]*Station),
 	}
 }
-
-// Config returns the network configuration.
-func (n *Network) Config() Config { return n.cfg }
-
-// Stats reports aggregate traffic counters.
-func (n *Network) Stats() Stats { return n.stats }
 
 // Station is one attachment point (a NIC port on the switch).
 type Station struct {
@@ -105,9 +90,6 @@ func (n *Network) Attach(name string) *Station {
 	n.stations[name] = s
 	return s
 }
-
-// Station looks up an attached station, or nil.
-func (n *Network) Station(name string) *Station { return n.stations[name] }
 
 // Name returns the station's network name.
 func (s *Station) Name() string { return s.name }
@@ -133,11 +115,7 @@ func (s *Station) Send(dst string, port uint16, payload []byte) error {
 	if !ok {
 		return fmt.Errorf("netsim: unknown station %q", dst)
 	}
-	n.stats.Sent++
-	n.stats.Bytes += uint64(len(payload))
-
 	if n.cfg.LossProb > 0 && n.rng.Float64() < n.cfg.LossProb {
-		n.stats.Dropped++
 		return nil
 	}
 
@@ -175,7 +153,6 @@ func (s *Station) Send(dst string, port uint16, payload []byte) error {
 	copy(data, payload)
 	pkt := Packet{Src: s.name, Dst: dst, Port: port, Payload: data, SentAt: now}
 	n.eng.At(deliverAt, func() {
-		n.stats.Delivered++
 		if h, ok := target.handlers[port]; ok {
 			h(pkt)
 		}

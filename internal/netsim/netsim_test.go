@@ -18,7 +18,8 @@ func TestDeliver(t *testing.T) {
 	a := n.Attach("a")
 	b := n.Attach("b")
 	var got Packet
-	b.Bind(9, func(p Packet) { got = p })
+	calls := 0
+	b.Bind(9, func(p Packet) { got = p; calls++ })
 	if err := a.Send("b", 9, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
@@ -26,9 +27,8 @@ func TestDeliver(t *testing.T) {
 	if string(got.Payload) != "hello" || got.Src != "a" || got.Dst != "b" || got.Port != 9 {
 		t.Fatalf("got %+v", got)
 	}
-	st := n.Stats()
-	if st.Sent != 1 || st.Delivered != 1 || st.Bytes != 5 {
-		t.Fatalf("stats = %+v", st)
+	if calls != 1 {
+		t.Fatalf("delivered %d times, want once", calls)
 	}
 }
 
@@ -59,7 +59,7 @@ func TestMTU(t *testing.T) {
 	_, n := rig()
 	a := n.Attach("a")
 	n.Attach("b")
-	if err := a.Send("b", 1, make([]byte, n.Config().MTU+1)); err == nil {
+	if err := a.Send("b", 1, make([]byte, n.cfg.MTU+1)); err == nil {
 		t.Fatal("oversized datagram accepted")
 	}
 }
@@ -67,13 +67,15 @@ func TestMTU(t *testing.T) {
 func TestUnboundPortDropsSilently(t *testing.T) {
 	eng, n := rig()
 	a := n.Attach("a")
-	n.Attach("b")
+	b := n.Attach("b")
+	got := 0
+	b.Bind(1, func(Packet) { got++ })
 	if err := a.Send("b", 42, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunAll() // must not panic
-	if n.Stats().Delivered != 1 {
-		t.Fatal("delivery not counted for unbound port")
+	if got != 0 {
+		t.Fatal("packet for an unbound port reached another port's handler")
 	}
 }
 
@@ -96,7 +98,7 @@ func TestLatencyComponents(t *testing.T) {
 	b.Bind(1, func(Packet) { at = eng.Now() })
 	a.Send("b", 1, make([]byte, 1000))
 	eng.RunAll()
-	cfg := n.Config()
+	cfg := n.cfg
 	wire := sim.Time(1000 / cfg.BytesPerSec * float64(sim.Second))
 	min := 2*wire + cfg.SwitchLatency + 2*cfg.PropDelay
 	if at < min {
@@ -122,10 +124,6 @@ func TestLoss(t *testing.T) {
 	eng.RunAll()
 	if got < 350 || got > 650 {
 		t.Fatalf("delivered %d of 1000 at p=0.5", got)
-	}
-	st := n.Stats()
-	if st.Dropped+st.Delivered != st.Sent {
-		t.Fatalf("loss accounting broken: %+v", st)
 	}
 }
 

@@ -22,8 +22,6 @@ type Client struct {
 	timeout sim.Time
 	nextXID uint64
 	pending map[uint64]func(*message, error)
-	// Retransmits counts timeouts that triggered an error (no retry model).
-	Retransmits uint64
 }
 
 // NewClient creates a client on station talking to the named server station.
@@ -71,7 +69,6 @@ func (c *Client) call(req *message, k func(*message, error)) {
 		c.eng.Schedule(c.timeout, func() {
 			if cb, still := c.pending[xid]; still {
 				delete(c.pending, xid)
-				c.Retransmits++
 				cb(nil, ErrTimeout)
 			}
 		})

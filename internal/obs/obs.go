@@ -88,15 +88,6 @@ const (
 	MaskEverything Mask = 1<<numCats - 1
 )
 
-// MaskOf builds a mask enabling exactly the given categories.
-func MaskOf(cats ...Cat) Mask {
-	var m Mask
-	for _, c := range cats {
-		m |= 1 << c
-	}
-	return m
-}
-
 // Has reports whether category c is enabled.
 func (m Mask) Has(c Cat) bool { return m&(1<<c) != 0 }
 
@@ -153,9 +144,6 @@ func NewTracer(cfg Config) *Tracer {
 	return &Tracer{mask: cfg.Mask, cap: cfg.Cap}
 }
 
-// Mask reports the tracer's enabled categories.
-func (t *Tracer) Mask() Mask { return t.mask }
-
 // Attach creates a shard for eng, registers it as the engine's obs
 // handle (FromEngine finds it), and — when CatSim is enabled — installs
 // the schedule/fire probe. Attach order defines shard indices, so attach
@@ -175,9 +163,6 @@ func (t *Tracer) Attach(eng *sim.Engine, label string) *Shard {
 	}
 	return s
 }
-
-// Shards returns the attached shards in attach order.
-func (t *Tracer) Shards() []*Shard { return t.shards }
 
 // Dropped reports records lost to ring overwrites across all shards.
 func (t *Tracer) Dropped() uint64 {
@@ -253,30 +238,6 @@ func ForCat(eng *sim.Engine, c Cat) *Shard {
 // On is the hot-path guard: true only for a non-nil shard. Call sites
 // must check it before building trace arguments.
 func (s *Shard) On() bool { return s != nil }
-
-// Label reports the attach label (engine/host name).
-func (s *Shard) Label() string {
-	if s == nil {
-		return ""
-	}
-	return s.label
-}
-
-// Index reports the shard's position in the tracer's attach order.
-func (s *Shard) Index() int32 {
-	if s == nil {
-		return -1
-	}
-	return s.idx
-}
-
-// Now reports the owning engine's virtual clock.
-func (s *Shard) Now() sim.Time {
-	if s == nil {
-		return 0
-	}
-	return s.eng.Now()
-}
 
 // append stores one record, overwriting the oldest when the ring is full.
 func (s *Shard) append(r Record) {

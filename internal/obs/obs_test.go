@@ -72,7 +72,7 @@ func TestNilShardIsSafeAndOff(t *testing.T) {
 }
 
 func TestMaskFiltersCategories(t *testing.T) {
-	tr := NewTracer(Config{Mask: MaskOf(CatBus), Cap: 8})
+	tr := NewTracer(Config{Mask: 1 << CatBus, Cap: 8})
 	e := sim.NewEngine(1)
 	s := tr.Attach(e, "h")
 	if ForCat(e, CatChannel) != nil {
@@ -149,19 +149,17 @@ func TestChromeRoundTrip(t *testing.T) {
 
 func TestRegistrySnapshotDeterministicAndTyped(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("b.count").Add(2)
-	r.Counter("b.count").Inc()
+	for i := 0; i < 3; i++ {
+		r.Counter("b.count").Inc()
+	}
 	r.Gauge("a.depth").Set(4)
-	h := r.Histogram("lat")
-	h.Observe(1)
-	h.Observe(3)
 
 	s := r.Snapshot()
 	if v := s.MustGet("b.count"); v != 3 {
 		t.Fatalf("counter = %v", v)
 	}
-	if v := s.MustGet("lat.mean"); v != 2 {
-		t.Fatalf("hist mean = %v", v)
+	if v := s.MustGet("a.depth"); v != 4 {
+		t.Fatalf("gauge = %v", v)
 	}
 	for i := 1; i < len(s.Values); i++ {
 		if s.Values[i-1].Name >= s.Values[i].Name {

@@ -1,16 +1,14 @@
 package obs
 
 // The metrics half of the observability layer: a Registry of named
-// counters, gauges, and histograms with one deterministic snapshot API.
-// Components publish into a registry on demand (PublishStats,
-// hostos.Machine.Publish, CaptureEngine, ...) so experiments read one
-// surface instead of poking fields across packages. A Registry is not
-// safe for concurrent use; publish from one goroutine, e.g. at a
-// sim.Group barrier or after a run settles.
+// counters and gauges with one deterministic snapshot API. Components
+// publish into a registry on demand (PublishStats, CaptureEngine) so
+// experiments read one surface instead of poking fields across
+// packages. A Registry is not safe for concurrent use; publish from one
+// goroutine, e.g. at a sim.Group barrier or after a run settles.
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"sort"
 
@@ -19,14 +17,6 @@ import (
 
 // Counter is a monotonically increasing metric.
 type Counter struct{ v float64 }
-
-// Add increases the counter; negative deltas panic.
-func (c *Counter) Add(d float64) {
-	if d < 0 {
-		panic("obs: negative counter add")
-	}
-	c.v += d
-}
 
 // Inc adds one.
 func (c *Counter) Inc() { c.v++ }
@@ -43,57 +33,12 @@ func (g *Gauge) Set(v float64) { g.v = v }
 // Value reports the current value.
 func (g *Gauge) Value() float64 { return g.v }
 
-// Histogram accumulates an observed distribution: count/sum/min/max plus
-// power-of-two magnitude buckets (bucket i counts values in [2^i, 2^(i+1))
-// for non-negative values; negatives and zero land in bucket 0).
-type Histogram struct {
-	count    uint64
-	sum      float64
-	min, max float64
-	buckets  [64]uint64
-}
-
-// Observe adds one sample.
-func (h *Histogram) Observe(v float64) {
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
-	h.count++
-	h.sum += v
-	i := 0
-	if v >= 1 {
-		i = int(math.Log2(v))
-		if i > 63 {
-			i = 63
-		}
-	}
-	h.buckets[i]++
-}
-
-// Count, Sum, Min, Max report the accumulated aggregates.
-func (h *Histogram) Count() uint64 { return h.count }
-func (h *Histogram) Sum() float64  { return h.sum }
-func (h *Histogram) Min() float64  { return h.min }
-func (h *Histogram) Max() float64  { return h.max }
-
-// Mean reports sum/count (zero when empty).
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
 // Registry is a flat namespace of metrics. Metric constructors are
 // idempotent: asking for an existing name returns the existing metric;
 // asking for a name held by a different metric kind panics.
 type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
@@ -101,7 +46,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
 	}
 }
 
@@ -111,9 +55,6 @@ func (r *Registry) taken(name, want string) {
 	}
 	if _, ok := r.gauges[name]; ok && want != "gauge" {
 		panic(fmt.Sprintf("obs: %q already a gauge", name))
-	}
-	if _, ok := r.hists[name]; ok && want != "histogram" {
-		panic(fmt.Sprintf("obs: %q already a histogram", name))
 	}
 }
 
@@ -139,38 +80,21 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns (creating if needed) the named histogram.
-func (r *Registry) Histogram(name string) *Histogram {
-	if h, ok := r.hists[name]; ok {
-		return h
-	}
-	r.taken(name, "histogram")
-	h := &Histogram{}
-	r.hists[name] = h
-	return h
-}
-
 // MetricValue is one snapshot row.
 type MetricValue struct {
 	Name  string
-	Kind  string // "counter", "gauge", or "histogram" (aggregate rows)
+	Kind  string // "counter" or "gauge"
 	Value float64
 }
 
 // Snapshot is a deterministic point-in-time view: rows sorted by name.
-// Histograms expand to <name>.count/.sum/.mean/.min/.max rows.
 type Snapshot struct {
 	Values []MetricValue
 	byName map[string]float64
 }
 
-// Get looks a row up by name.
-func (s Snapshot) Get(name string) (float64, bool) {
-	v, ok := s.byName[name]
-	return v, ok
-}
-
-// MustGet is Get or panic — for tests and tools where absence is a bug.
+// MustGet looks a row up by name and panics if it is absent — for tests
+// and tools where absence is a bug.
 func (s Snapshot) MustGet(name string) float64 {
 	v, ok := s.byName[name]
 	if !ok {
@@ -192,13 +116,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for name, g := range r.gauges {
 		add(name, "gauge", g.Value())
-	}
-	for name, h := range r.hists {
-		add(name+".count", "histogram", float64(h.Count()))
-		add(name+".sum", "histogram", h.Sum())
-		add(name+".mean", "histogram", h.Mean())
-		add(name+".min", "histogram", h.Min())
-		add(name+".max", "histogram", h.Max())
 	}
 	sort.Slice(s.Values, func(i, j int) bool { return s.Values[i].Name < s.Values[j].Name })
 	return s

@@ -10,7 +10,6 @@ package resource
 import (
 	"errors"
 	"fmt"
-	"strings"
 )
 
 // Node is one managed resource. Create children with NewChild; the zero
@@ -70,20 +69,6 @@ func (n *Node) Path() string {
 	return n.parent.Path() + "/" + n.name
 }
 
-// Closed reports whether Close has run.
-func (n *Node) Closed() bool { return n.closed }
-
-// Children returns the live (unclosed) children.
-func (n *Node) Children() []*Node {
-	out := make([]*Node, 0, len(n.children))
-	for _, c := range n.children {
-		if !c.closed {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // QuotaError reports a Charge that would exceed a limit somewhere on the
 // path to the root.
 type QuotaError struct {
@@ -112,9 +97,6 @@ func (n *Node) SetLimit(kind string, limit int64) {
 	}
 	n.limits[kind] = limit
 }
-
-// Limit reports the node's own limit for kind (0 = unlimited).
-func (n *Node) Limit(kind string) int64 { return n.limits[kind] }
 
 // Usage reports the subtree's current booked usage of kind.
 func (n *Node) Usage(kind string) int64 { return n.usage[kind] }
@@ -203,26 +185,4 @@ func (n *Node) forget(child *Node) {
 			return
 		}
 	}
-}
-
-// Walk visits the subtree depth-first, parents before children.
-func (n *Node) Walk(fn func(*Node)) {
-	fn(n)
-	for _, c := range n.children {
-		c.Walk(fn)
-	}
-}
-
-// Dump renders the subtree for diagnostics.
-func (n *Node) Dump() string {
-	var b strings.Builder
-	var rec func(*Node, int)
-	rec = func(m *Node, depth int) {
-		fmt.Fprintf(&b, "%s%s\n", strings.Repeat("  ", depth), m.name)
-		for _, c := range m.children {
-			rec(c, depth+1)
-		}
-	}
-	rec(n, 0)
-	return b.String()
 }

@@ -55,27 +55,16 @@ func (t Time) String() string {
 //
 // The storage behind a handle is pooled. Once the event fires or is
 // canceled, the engine may recycle its slot for a future Schedule; a
-// generation counter in the handle detects this, so Cancel, Canceled
-// and Active on a stale handle are safe no-ops rather than corruption.
-// The one caveat of recycling: after the slot is reused, Canceled
-// reports false even if Cancel was the reason the event concluded —
-// query it near the cancellation, not eras later.
+// generation counter in the handle detects this, so Cancel on a stale
+// handle is a safe no-op rather than corruption.
 type Event struct {
 	s   *slot
 	gen uint64
-	at  Time
 }
-
-// At reports the virtual time the event fires (or fired).
-func (e Event) At() Time { return e.at }
 
 // live reports whether the handle still refers to its original
 // scheduling (the slot has not been recycled).
 func (e Event) live() bool { return e.s != nil && e.s.gen == e.gen }
-
-// Active reports whether the event is still pending: not yet fired,
-// not canceled.
-func (e Event) Active() bool { return e.live() && e.s.state == statePending }
 
 // Cancel prevents the event from firing and removes it from the pending
 // set immediately, so heavily canceled workloads (timeouts, retries) do
@@ -92,9 +81,6 @@ func (e Event) Cancel() {
 	s.state = stateCanceled
 	own.release(s)
 }
-
-// Canceled reports whether Cancel took effect on this scheduling.
-func (e Event) Canceled() bool { return e.live() && e.s.state == stateCanceled }
 
 // EngineProbe observes the engine's two hot-path transitions. A probe is
 // called synchronously on the engine's own goroutine, so implementations
@@ -114,14 +100,12 @@ type EngineProbe interface {
 // that execution order is deterministic. (A Group coordinates several
 // engines, each still single-threaded within its goroutine.)
 type Engine struct {
-	now     Time
-	seq     uint64
-	q       ladder
-	free    []*slot
-	rng     *rand.Rand
-	seed    int64
-	stopped bool
-	minted  uint64
+	now    Time
+	seq    uint64
+	q      ladder
+	free   []*slot
+	seed   int64
+	minted uint64
 
 	probe EngineProbe
 	obsv  any
@@ -132,7 +116,7 @@ type Engine struct {
 
 // NewEngine returns an engine whose random streams derive from seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed)), seed: seed}
+	return &Engine{seed: seed}
 }
 
 // Seed reports the seed the engine was created with.
@@ -140,9 +124,6 @@ func (e *Engine) Seed() int64 { return e.seed }
 
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// Rand returns the engine's deterministic random source.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // NewRand derives an independent deterministic random stream. Models that
 // need private randomness should take their own stream so that adding a model
@@ -254,11 +235,8 @@ func (e *Engine) At(t Time, fn func()) Event {
 	if e.probe != nil {
 		e.probe.EventScheduled(t)
 	}
-	return Event{s: s, gen: s.gen, at: t}
+	return Event{s: s, gen: s.gen}
 }
-
-// Stop makes Run return after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
 
 // Step executes the single earliest pending event, advancing the clock.
 // It reports false when no events remain.
@@ -282,12 +260,11 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run executes events until the queue drains, Stop is called, or the clock
-// would pass until (events at exactly until still fire). It returns the
-// virtual time at exit.
+// Run executes events until the queue drains or the clock would pass
+// until (events at exactly until still fire). It returns the virtual time
+// at exit.
 func (e *Engine) Run(until Time) Time {
-	e.stopped = false
-	for !e.stopped {
+	for {
 		// Peek: do not fire events beyond the horizon.
 		next := e.q.peek()
 		if next == nil {
@@ -302,10 +279,9 @@ func (e *Engine) Run(until Time) Time {
 	return e.now
 }
 
-// RunAll executes events until the queue drains or Stop is called.
+// RunAll executes events until the queue drains.
 func (e *Engine) RunAll() Time {
-	e.stopped = false
-	for !e.stopped && e.Step() {
+	for e.Step() {
 	}
 	return e.now
 }
@@ -326,10 +302,6 @@ func (e *Engine) runWindow(limit Time, inclusive bool) {
 		e.now = limit
 	}
 }
-
-// Pending reports the number of live events waiting. Canceled events are
-// removed from the pending set eagerly and never counted.
-func (e *Engine) Pending() int { return e.q.len() }
 
 // Ticker invokes fn every period until the returned stop function is called.
 // The first invocation happens one period from now plus phase.

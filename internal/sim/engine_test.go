@@ -44,7 +44,7 @@ func TestEngineCancel(t *testing.T) {
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if !ev.Canceled() {
+	if !ev.canceled() {
 		t.Fatal("Canceled() = false after Cancel")
 	}
 }
@@ -56,8 +56,8 @@ func TestEngineCancelRemovesEagerly(t *testing.T) {
 		i := i
 		evs = append(evs, e.Schedule(Time(1000+i), func() { _ = i }))
 	}
-	if e.Pending() != 100 {
-		t.Fatalf("Pending = %d, want 100", e.Pending())
+	if e.q.len() != 100 {
+		t.Fatalf("Pending = %d, want 100", e.q.len())
 	}
 	// Cancel from the middle, the ends, and twice over: the pending set
 	// must shrink immediately, not at fire time.
@@ -67,8 +67,8 @@ func TestEngineCancelRemovesEagerly(t *testing.T) {
 			ev.Cancel() // double-cancel is a no-op
 		}
 	}
-	if e.Pending() != 50 {
-		t.Fatalf("Pending = %d after canceling half, want 50", e.Pending())
+	if e.q.len() != 50 {
+		t.Fatalf("Pending = %d after canceling half, want 50", e.q.len())
 	}
 	fired := 0
 	e.Schedule(5000, func() {})
@@ -78,8 +78,8 @@ func TestEngineCancelRemovesEagerly(t *testing.T) {
 	if fired != 51 {
 		t.Fatalf("fired %d events, want the 50 live ones + sentinel", fired)
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending = %d after drain, want 0", e.Pending())
+	if e.q.len() != 0 {
+		t.Fatalf("Pending = %d after drain, want 0", e.q.len())
 	}
 }
 
@@ -93,7 +93,7 @@ func TestEngineCancelDuringRun(t *testing.T) {
 	if canceledFired {
 		t.Fatal("event canceled mid-run still fired")
 	}
-	if !later.Canceled() {
+	if !later.canceled() {
 		t.Fatal("Canceled() = false")
 	}
 }
@@ -140,17 +140,6 @@ func TestEnginePastClamped(t *testing.T) {
 		})
 	})
 	e.RunAll()
-}
-
-func TestEngineStop(t *testing.T) {
-	e := NewEngine(1)
-	count := 0
-	e.Schedule(1, func() { count++; e.Stop() })
-	e.Schedule(2, func() { count++ })
-	e.RunAll()
-	if count != 1 {
-		t.Fatalf("Stop did not halt run; count = %d", count)
-	}
 }
 
 func TestTicker(t *testing.T) {

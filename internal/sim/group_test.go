@@ -120,7 +120,7 @@ func TestGroupSettle(t *testing.T) {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
 	}
-	if a.Pending() != 0 || b.Pending() != 0 {
+	if a.q.len() != 0 || b.q.len() != 0 {
 		t.Fatal("Settle left events pending")
 	}
 }

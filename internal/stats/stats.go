@@ -113,9 +113,6 @@ func (h *Histogram) AddAll(xs []float64) {
 	}
 }
 
-// Total reports the number of recorded samples.
-func (h *Histogram) Total() int { return h.total }
-
 // BinCenter reports the midpoint of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
@@ -192,12 +189,4 @@ func (c *CDF) Points(n int) [][2]float64 {
 		pts[i] = [2]float64{x, c.At(x)}
 	}
 	return pts
-}
-
-// RelativeError reports |got-want| / |want|; it returns |got| when want == 0.
-func RelativeError(got, want float64) float64 {
-	if want == 0 {
-		return math.Abs(got)
-	}
-	return math.Abs(got-want) / math.Abs(want)
 }

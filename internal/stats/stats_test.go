@@ -64,8 +64,8 @@ func TestQuantile(t *testing.T) {
 func TestHistogram(t *testing.T) {
 	h := NewHistogram(0, 10, 10)
 	h.AddAll([]float64{0.5, 1.5, 1.6, 9.9, -5, 15})
-	if h.Total() != 6 {
-		t.Fatalf("total = %d", h.Total())
+	if h.total != 6 {
+		t.Fatalf("total = %d", h.total)
 	}
 	if h.Counts[0] != 2 { // 0.5 and clamped -5
 		t.Errorf("bin0 = %d, want 2", h.Counts[0])
@@ -161,18 +161,9 @@ func TestSummaryBoundsProperty(t *testing.T) {
 		}
 		h := NewHistogram(-40000, 40000, 64)
 		h.AddAll(xs)
-		return h.Total() == len(xs)
+		return h.total == len(xs)
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestRelativeError(t *testing.T) {
-	if got := RelativeError(110, 100); !almost(got, 0.1, 1e-12) {
-		t.Errorf("RelativeError = %v", got)
-	}
-	if got := RelativeError(5, 0); got != 5 {
-		t.Errorf("RelativeError vs zero = %v", got)
 	}
 }

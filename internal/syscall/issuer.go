@@ -335,88 +335,7 @@ func (i *Issuer) checkRestored(id uint64, op Op, wire []byte, prevSeq, nextSeq u
 	return nil
 }
 
-// --- typed convenience wrappers ---
-
-// Open resolves a host path (create makes missing files).
-func (i *Issuer) Open(path string, create bool, mode Mode, k func(fd int64, err error)) error {
-	return i.Issue(OpOpen, mode, []any{path, create}, func(c *Completion) {
-		if err := c.Error(); err != nil {
-			k(-1, err)
-			return
-		}
-		fd, _ := c.Results[0].(int64)
-		k(fd, nil)
-	})
-}
-
-// Read reads count bytes at offset from a host descriptor.
-func (i *Issuer) Read(fd, offset, count int64, mode Mode, k func(data []byte, err error)) error {
-	return i.Issue(OpRead, mode, []any{fd, offset, count}, func(c *Completion) {
-		if err := c.Error(); err != nil {
-			k(nil, err)
-			return
-		}
-		data, _ := c.Results[0].([]byte)
-		k(data, nil)
-	})
-}
-
-// Write stores data at offset through a host descriptor.
-func (i *Issuer) Write(fd, offset int64, data []byte, mode Mode, k func(n int64, err error)) error {
-	return i.Issue(OpWrite, mode, []any{fd, offset, data}, func(c *Completion) {
-		if err := c.Error(); err != nil {
-			k(0, err)
-			return
-		}
-		n, _ := c.Results[0].(int64)
-		k(n, nil)
-	})
-}
-
-// CloseFD releases a host descriptor.
-func (i *Issuer) CloseFD(fd int64, mode Mode, k func(err error)) error {
-	return i.Issue(OpClose, mode, []any{fd}, func(c *Completion) { k(c.Error()) })
-}
-
-// Send accounts n bytes toward dst on the host net surface.
-func (i *Issuer) Send(dst string, n int64, mode Mode, k func(err error)) error {
-	done := func(c *Completion) { k(c.Error()) }
-	if k == nil {
-		done = nil
-	}
-	return i.Issue(OpSend, mode, []any{dst, n}, done)
-}
-
-// MapMem asks the host to pin a buffer of size bytes for the device.
-func (i *Issuer) MapMem(size int64, mode Mode, k func(addr uint64, err error)) error {
-	return i.Issue(OpMap, mode, []any{size}, func(c *Completion) {
-		if err := c.Error(); err != nil {
-			k(0, err)
-			return
-		}
-		addr, _ := c.Results[0].(uint64)
-		k(addr, nil)
-	})
-}
-
-// UnmapMem releases a MapMem buffer.
-func (i *Issuer) UnmapMem(addr uint64, mode Mode, k func(err error)) error {
-	return i.Issue(OpUnmap, mode, []any{addr}, func(c *Completion) { k(c.Error()) })
-}
-
 // Log sends one log line to the host (typically fire-and-forget).
 func (i *Issuer) Log(msg string, mode Mode) error {
 	return i.Issue(OpLog, mode, []any{msg}, nil)
-}
-
-// Clock reads the host clock.
-func (i *Issuer) Clock(mode Mode, k func(now sim.Time, err error)) error {
-	return i.Issue(OpClock, mode, nil, func(c *Completion) {
-		if err := c.Error(); err != nil {
-			k(0, err)
-			return
-		}
-		now, _ := c.Results[0].(int64)
-		k(sim.Time(now), nil)
-	})
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hydra/internal/bus"
+	"hydra/internal/call"
 	"hydra/internal/device"
 	"hydra/internal/hostos"
 	"hydra/internal/obs"
@@ -15,7 +16,7 @@ import (
 // pendingCheckpoint issues n async log calls on a fresh rig and
 // checkpoints them while all n are still in flight.
 func pendingCheckpoint(t testing.TB, n int) []byte {
-	r := newRig(t, DefaultProfile(), nil)
+	r := newRig(t, batchedProfile(), nil)
 	for j := 0; j < n; j++ {
 		if err := r.iss.Log("pending", ModeAsync); err != nil {
 			t.Fatal(err)
@@ -46,6 +47,24 @@ func joinCkpt(head []byte, entries ...[]byte) []byte {
 	return b
 }
 
+// removedOpEntry rebuilds a checkpoint entry as a checkpoint from before
+// the file, socket and host-memory ops were removed would hold it: op
+// byte op and a request for method under the entry's id.
+func removedOpEntry(t testing.TB, entry []byte, op byte, method string) []byte {
+	id := binary.LittleEndian.Uint64(entry)
+	wire, err := call.Marshal(&call.Call{Iface: IfaceGUID, Method: method, ReturnDesc: id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := append([]byte(nil), entry[:16]...)
+	e = append(e, op)
+	e = binary.LittleEndian.AppendUint32(e, uint32(len(wire)))
+	return append(e, wire...)
+}
+
+// removedOps are the op bytes and wire names of the deleted syscalls.
+var removedOps = []string{1: "open", 2: "read", 3: "write", 4: "close", 5: "send", 6: "map", 7: "unmap"}
+
 // restoreIssuer is a fresh, unattached issuer with room for four
 // in-flight calls.
 func restoreIssuer() *Issuer {
@@ -60,10 +79,10 @@ func restoreIssuer() *Issuer {
 func TestRestoreReissuesInSequenceOrder(t *testing.T) {
 	ck := pendingCheckpoint(t, 8)
 	for run := 0; run < 20; run++ {
-		r := newRig(t, DefaultProfile(), nil)
-		tr := obs.NewTracer(obs.Config{Mask: obs.MaskOf(obs.CatSyscall)})
+		r := newRig(t, batchedProfile(), nil)
+		tr := obs.NewTracer(obs.Config{Mask: 1 << obs.CatSyscall})
 		tr.Attach(r.eng, "disk0")
-		iss := NewIssuer(r.disk, DefaultProfile(), nil)
+		iss := NewIssuer(r.disk, batchedProfile(), nil)
 		if err := iss.Restore(ck); err != nil {
 			t.Fatal(err)
 		}
@@ -103,6 +122,10 @@ func TestRestoreRejectsAtomically(t *testing.T) {
 		"trailing bytes":         append(append([]byte(nil), full...), 0),
 		"over credit limit":      five,
 		"id past next sequence":  joinCkpt(empty, entries[0]),
+	}
+	for op := 1; op < len(removedOps); op++ {
+		e := removedOpEntry(t, entries[1], byte(op), removedOps[op])
+		cases["removed op "+removedOps[op]] = joinCkpt(head, entries[0], e, entries[2])
 	}
 	for name, b := range cases {
 		iss := restoreIssuer()

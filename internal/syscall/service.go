@@ -10,20 +10,12 @@ import (
 	"hydra/internal/sim"
 )
 
-// Per-op base kernel cycles charged by the dispatcher on its worker task,
-// on top of the channel's amortized interrupt/delivery cost. Reads and
-// writes additionally pay the machine's modeled copy cost for the payload.
-var opBaseCycles = [numOps]uint64{
-	OpOpen:  1200,
-	OpRead:  900,
-	OpWrite: 900,
-	OpClose: 400,
-	OpSend:  700,
-	OpMap:   1500,
-	OpUnmap: 800,
-	OpLog:   250,
-	OpClock: 120,
-}
+// Base kernel cycles the dispatcher charges per op on its worker task, on
+// top of the channel's amortized interrupt/delivery cost.
+const (
+	logCycles   = 250
+	clockCycles = 120
+)
 
 // replyCacheSize bounds the at-most-once reply cache. It only needs to
 // cover the in-flight window (the credit limit) with slack for a swap's
@@ -32,12 +24,11 @@ const replyCacheSize = 4096
 
 // Service is the host side of the syscall subsystem: it decodes requests
 // off the channel, lands them in a hostos.WorkerPool dispatcher, executes
-// them against the VFS with per-op kernel cycle costs, and writes
-// completions back (the channel batches those too). A bounded reply cache
-// makes execution at-most-once: a request id seen before is answered from
-// the cache, so reissue-after-restore never double-executes.
+// them with per-op kernel cycle costs (log lines land on the VFS ledger),
+// and writes completions back (the channel batches those too). A bounded
+// reply cache makes execution at-most-once: a request id seen before is
+// answered from the cache, so reissue-after-restore never double-executes.
 type Service struct {
-	m    *hostos.Machine
 	eng  *sim.Engine
 	vfs  *hostos.VFS
 	pool *hostos.WorkerPool
@@ -56,7 +47,6 @@ func NewService(vfs *hostos.VFS, prof Profile) *Service {
 	prof = prof.withDefaults()
 	m := vfs.Machine()
 	return &Service{
-		m:          m,
 		eng:        m.Engine(),
 		vfs:        vfs,
 		pool:       hostos.NewWorkerPool(m, "syscalld", prof.Workers),
@@ -73,9 +63,6 @@ func (s *Service) Attach(end *channel.Endpoint) {
 	end.InstallCallHandler(s.onRequest)
 }
 
-// VFS returns the surface this service executes against.
-func (s *Service) VFS() *hostos.VFS { return s.vfs }
-
 // Stats returns the host-side accounting.
 func (s *Service) Stats() Stats { return s.stats }
 
@@ -84,7 +71,7 @@ func (s *Service) onRequest(data []byte) {
 	if err != nil || c.Iface != IfaceGUID {
 		return // not a syscall request; ignore unrelated traffic
 	}
-	op, ok := OpByName(c.Method)
+	op, ok := opByName(c.Method)
 	if !ok {
 		s.reply(c.ReturnDesc, &call.Reply{ReturnDesc: c.ReturnDesc, Err: "unknown syscall " + c.Method})
 		return
@@ -120,7 +107,7 @@ func (s *Service) onRequest(data []byte) {
 	args := c.Args
 	s.pool.Submit(func(t *hostos.Task, done func()) {
 		start := s.eng.Now()
-		t.Syscall(s.cycles(op, args), func() {
+		t.Syscall(s.cycles(op), func() {
 			results, err := s.execute(op, args)
 			rep := &call.Reply{ReturnDesc: id, Results: results}
 			if err != nil {
@@ -136,31 +123,12 @@ func (s *Service) onRequest(data []byte) {
 	})
 }
 
-// cycles is the kernel cost of servicing op: base plus the copy cost of
-// any payload moved between host and device buffers.
-func (s *Service) cycles(op Op, args []any) uint64 {
-	cy := opBaseCycles[op]
-	switch op {
-	case OpRead:
-		if len(args) == 3 {
-			if n, ok := args[2].(int64); ok {
-				cy += s.m.CopyCycles(int(n))
-			}
-		}
-	case OpWrite:
-		if len(args) == 3 {
-			if data, ok := args[2].([]byte); ok {
-				cy += s.m.CopyCycles(len(data))
-			}
-		}
-	case OpSend:
-		if len(args) == 2 {
-			if n, ok := args[1].(int64); ok {
-				cy += s.m.CopyCycles(int(n))
-			}
-		}
+// cycles is the kernel cost of servicing op.
+func (s *Service) cycles(op Op) uint64 {
+	if op == OpLog {
+		return logCycles
 	}
-	return cy
+	return clockCycles
 }
 
 // finish caches the reply for at-most-once dedup and sends the completion
@@ -198,108 +166,18 @@ func (s *Service) reply(id uint64, rep *call.Reply) {
 // badArgs is the uniform decode failure for a malformed argument vector.
 func badArgs(op Op) error { return fmt.Errorf("syscall %s: bad argument vector", op) }
 
-// execute runs one decoded syscall against the VFS.
+// execute runs one decoded syscall: the clock reads the engine, a log
+// line (one string argument) counts on the VFS ledger.
 func (s *Service) execute(op Op, args []any) ([]any, error) {
-	switch op {
-	case OpOpen:
-		if len(args) != 2 {
-			return nil, badArgs(op)
-		}
-		path, ok1 := args[0].(string)
-		create, ok2 := args[1].(bool)
-		if !ok1 || !ok2 {
-			return nil, badArgs(op)
-		}
-		fd, err := s.vfs.Open(path, create)
-		if err != nil {
-			return nil, err
-		}
-		return []any{int64(fd)}, nil
-	case OpRead:
-		fd, off, count, ok := threeInts(args)
-		if !ok {
-			return nil, badArgs(op)
-		}
-		data, err := s.vfs.Read(int32(fd), off, int(count))
-		if err != nil {
-			return nil, err
-		}
-		return []any{data}, nil
-	case OpWrite:
-		if len(args) != 3 {
-			return nil, badArgs(op)
-		}
-		fd, ok1 := args[0].(int64)
-		off, ok2 := args[1].(int64)
-		data, ok3 := args[2].([]byte)
-		if !ok1 || !ok2 || !ok3 {
-			return nil, badArgs(op)
-		}
-		n, err := s.vfs.Write(int32(fd), off, data)
-		if err != nil {
-			return nil, err
-		}
-		return []any{int64(n)}, nil
-	case OpClose:
-		if len(args) != 1 {
-			return nil, badArgs(op)
-		}
-		fd, ok := args[0].(int64)
-		if !ok {
-			return nil, badArgs(op)
-		}
-		return nil, s.vfs.CloseFD(int32(fd))
-	case OpSend:
-		if len(args) != 2 {
-			return nil, badArgs(op)
-		}
-		dst, ok1 := args[0].(string)
-		n, ok2 := args[1].(int64)
-		if !ok1 || !ok2 {
-			return nil, badArgs(op)
-		}
-		s.vfs.NetSend(dst, int(n))
-		return nil, nil
-	case OpMap:
-		if len(args) != 1 {
-			return nil, badArgs(op)
-		}
-		size, ok := args[0].(int64)
-		if !ok || size < 0 {
-			return nil, badArgs(op)
-		}
-		return []any{s.vfs.Map(int(size))}, nil
-	case OpUnmap:
-		if len(args) != 1 {
-			return nil, badArgs(op)
-		}
-		addr, ok := args[0].(uint64)
-		if !ok {
-			return nil, badArgs(op)
-		}
-		return nil, s.vfs.Unmap(addr)
-	case OpLog:
-		if len(args) != 1 {
-			return nil, badArgs(op)
-		}
-		if _, ok := args[0].(string); !ok {
-			return nil, badArgs(op)
-		}
-		s.vfs.Log()
-		return nil, nil
-	case OpClock:
+	if op == OpClock {
 		return []any{int64(s.eng.Now())}, nil
-	default:
-		return nil, fmt.Errorf("syscall: op %d not implemented", op)
 	}
-}
-
-func threeInts(args []any) (a, b, c int64, ok bool) {
-	if len(args) != 3 {
-		return 0, 0, 0, false
+	if len(args) != 1 {
+		return nil, badArgs(op)
 	}
-	a, ok1 := args[0].(int64)
-	b, ok2 := args[1].(int64)
-	c, ok3 := args[2].(int64)
-	return a, b, c, ok1 && ok2 && ok3
+	if _, ok := args[0].(string); !ok {
+		return nil, badArgs(op)
+	}
+	s.vfs.Log()
+	return nil, nil
 }

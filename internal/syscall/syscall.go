@@ -1,22 +1,23 @@
 // Package syscall is HYDRA's reverse-RPC subsystem: device-initiated host
 // syscalls. The paper's invocation machinery (§3.1) only flows host→device;
 // following GPU System Calls (Veselý et al.), this package lets an Offcode
-// ask the host OS for files, sockets, host memory, logging and the clock —
-// and makes that practical by aggregating requests with the channel layer's
-// Batch/Coalesce machinery so N syscalls ride one gather DMA and one host
-// interrupt.
+// send the host a log line or read the host clock — the traffic the
+// simulated Offcodes actually issue — and makes that practical by
+// aggregating requests with the channel layer's Batch/Coalesce machinery
+// so N syscalls ride one gather DMA and one host interrupt.
 //
 // The shape is a classic split:
 //
-//   - the device side (Issuer) marshals typed syscalls with the
-//     internal/call codec, charges an in-flight credit against a
-//     resource.Node quota, and tracks the pending table — which it can
-//     checkpoint and restore so in-flight syscalls survive a hot-swap or
-//     failover with exactly-once completion;
+//   - the device side (Issuer) marshals syscalls with the internal/call
+//     codec, charges an in-flight credit against a resource.Node quota,
+//     and tracks the pending table — which it can checkpoint and restore
+//     so in-flight syscalls survive a hot-swap or failover with
+//     exactly-once completion;
 //   - the host side (Service) lands requests in a hostos.WorkerPool
-//     dispatcher, executes them against a hostos.VFS virtual file/net
-//     surface with per-op kernel cycle costs, and replies through the same
-//     channel (replies batch too — the accumulator is per source endpoint).
+//     dispatcher, executes them with per-op kernel cycle costs (log lines
+//     are counted on the host's hostos.VFS ledger), and replies through
+//     the same channel (replies batch too — the accumulator is per source
+//     endpoint).
 //
 // Three dispatch modes: ModeSync (caller issues one call and waits),
 // ModeAsync (up to the credit limit outstanding, completions via the
@@ -25,7 +26,6 @@
 package syscall
 
 import (
-	"fmt"
 	"reflect"
 
 	"hydra/internal/channel"
@@ -45,34 +45,29 @@ const QuotaSyscalls = "syscalls"
 // Op identifies one host syscall.
 type Op uint8
 
-// The syscall surface: files, socket send, host-memory map, log, clock.
+// The syscall surface: a device log line and the host clock. The values
+// are stable because Issuer.Checkpoint records the op byte; 1–7 are
+// reserved, and Restore rejects a checkpoint entry carrying one.
 const (
-	OpOpen Op = iota + 1
-	OpRead
-	OpWrite
-	OpClose
-	OpSend
-	OpMap
-	OpUnmap
-	OpLog
-	OpClock
-	numOps
+	OpLog   Op = 8
+	OpClock Op = 9
 )
 
-var opNames = [numOps]string{"op?", "open", "read", "write", "close", "send", "map", "unmap", "log", "clock"}
-
 func (o Op) String() string {
-	if int(o) < len(opNames) && o > 0 {
-		return opNames[o]
+	switch o {
+	case OpLog:
+		return "log"
+	case OpClock:
+		return "clock"
 	}
 	return "op?"
 }
 
-// OpByName maps a wire method name back to its Op.
-func OpByName(s string) (Op, bool) {
-	for i := 1; i < int(numOps); i++ {
-		if opNames[i] == s {
-			return Op(i), true
+// opByName maps a wire method name back to its Op.
+func opByName(s string) (Op, bool) {
+	for _, o := range []Op{OpLog, OpClock} {
+		if o.String() == s {
+			return o, true
 		}
 	}
 	return 0, false
@@ -130,11 +125,6 @@ type Profile struct {
 
 // maxMessage bounds one marshaled request or reply on a syscall channel.
 const maxMessage = 4096
-
-// DefaultProfile is the batched asynchronous shape X11 centers on.
-func DefaultProfile() Profile {
-	return Profile{Batch: 8, Coalesce: 5 * sim.Microsecond, Credits: 64, Workers: 2}
-}
 
 // BlockingProfile is the degenerate per-call shape: no batching, no
 // coalescing, one call in flight, one dispatcher — the baseline the
@@ -228,11 +218,3 @@ type Completion struct {
 
 // Latency is the issue→completion span.
 func (c *Completion) Latency() sim.Time { return c.Done - c.Issued }
-
-// Error converts the wire error string to a Go error (nil on success).
-func (c *Completion) Error() error {
-	if c.Err == "" {
-		return nil
-	}
-	return fmt.Errorf("syscall %s #%d: %s", c.Op, idSeq(c.ID), c.Err)
-}

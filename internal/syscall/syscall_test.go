@@ -2,9 +2,11 @@ package syscall
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"hydra/internal/bus"
+	"hydra/internal/call"
 	"hydra/internal/channel"
 	"hydra/internal/device"
 	"hydra/internal/hostos"
@@ -49,100 +51,127 @@ func newRig(t testing.TB, prof Profile, res *resource.Node) *rig {
 	return &rig{eng: eng, host: host, b: b, disk: disk, vfs: vfs, svc: svc, iss: iss, ch: ch, dend: dend}
 }
 
+// batchedProfile is the batched asynchronous shape X11 centers on.
+func batchedProfile() Profile {
+	return Profile{Batch: 8, Coalesce: 5 * sim.Microsecond, Credits: 64, Workers: 2}
+}
+
+// TestFileSyscallRoundTrip drives a sync round-trip chain — clock, log,
+// clock — where each call continues from the previous completion: the
+// calls complete in order and the host clock advances across the chain.
 func TestFileSyscallRoundTrip(t *testing.T) {
-	r := newRig(t, DefaultProfile(), nil)
-	var got []byte
-	err := r.iss.Open("/data/blob", true, ModeSync, func(fd int64, err error) {
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		r.iss.Write(fd, 0, []byte("device-written"), ModeSync, func(n int64, err error) {
-			if err != nil || n != 14 {
-				t.Fatalf("write = (%d, %v)", n, err)
+	r := newRig(t, batchedProfile(), nil)
+	var clocks []int64
+	clock := func(next func()) {
+		err := r.iss.Issue(OpClock, ModeSync, nil, func(c *Completion) {
+			if c.Err != "" || len(c.Results) != 1 {
+				t.Fatalf("clock completion = %+v", c)
 			}
-			r.iss.Read(fd, 7, 7, ModeSync, func(data []byte, err error) {
-				if err != nil {
-					t.Fatalf("read: %v", err)
-				}
-				got = data
-				r.iss.CloseFD(fd, ModeSync, func(err error) {
-					if err != nil {
-						t.Fatalf("close: %v", err)
-					}
-				})
-			})
+			clocks = append(clocks, c.Results[0].(int64))
+			next()
 		})
-	})
-	if err != nil {
-		t.Fatal(err)
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
+	clock(func() {
+		err := r.iss.Issue(OpLog, ModeSync, []any{"device-written"}, func(c *Completion) {
+			if c.Err != "" || c.Op != OpLog {
+				t.Fatalf("log completion = %+v", c)
+			}
+			clock(func() {})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
 	r.eng.RunAll()
-	if string(got) != "written" {
-		t.Fatalf("read %q, want written", got)
+	if len(clocks) != 2 || clocks[0] <= 0 || clocks[1] <= clocks[0] {
+		t.Fatalf("host clocks = %v, want two increasing readings", clocks)
 	}
 	st := r.iss.Stats()
-	if st.Issued != 4 || st.Completed != 4 || st.Errors != 0 {
+	if st.Issued != 3 || st.Completed != 3 || st.Errors != 0 {
 		t.Fatalf("issuer stats = %+v", st)
 	}
 	hs := r.svc.Stats()
-	if hs.Dispatched != 4 || hs.Executed != 4 || hs.RepliesSent != 4 {
+	if hs.Dispatched != 3 || hs.Executed != 3 || hs.RepliesSent != 3 {
 		t.Fatalf("service stats = %+v", hs)
 	}
 	if r.iss.InFlight() != 0 {
 		t.Fatalf("in-flight = %d after completion", r.iss.InFlight())
 	}
-	if r.vfs.FileSize("/data/blob") != 14 {
-		t.Fatalf("file size = %d", r.vfs.FileSize("/data/blob"))
+	if r.vfs.LogLines() != 1 {
+		t.Fatalf("log lines = %d", r.vfs.LogLines())
 	}
 }
 
+// TestErrorAndClockAndMap: a host-side failure reaches the device as an
+// error completion. A log call whose argument is not a string completes
+// with Completion.Err set and counts in Stats.Errors, while a clock call
+// beside it succeeds.
 func TestErrorAndClockAndMap(t *testing.T) {
-	r := newRig(t, DefaultProfile(), nil)
-	var openErr error
-	r.iss.Open("/missing", false, ModeAsync, func(fd int64, err error) { openErr = err })
-	var clk sim.Time
-	r.iss.Clock(ModeAsync, func(now sim.Time, err error) { clk = now })
-	var addr uint64
-	r.iss.MapMem(4096, ModeAsync, func(a uint64, err error) {
-		addr = a
-		r.iss.UnmapMem(a, ModeAsync, func(err error) {
-			if err != nil {
-				t.Fatalf("unmap: %v", err)
-			}
-		})
-	})
+	r := newRig(t, batchedProfile(), nil)
+	var logErr string
+	r.iss.Issue(OpLog, ModeAsync, []any{int64(7)}, func(c *Completion) { logErr = c.Err })
+	var clk int64
+	r.iss.Issue(OpClock, ModeAsync, nil, func(c *Completion) { clk = c.Results[0].(int64) })
 	r.eng.RunAll()
-	if openErr == nil {
-		t.Fatal("open of missing file succeeded")
+	if !strings.Contains(logErr, "bad argument vector") {
+		t.Fatalf("malformed log completed with %q, want a bad-argument error", logErr)
 	}
 	if clk == 0 {
 		t.Fatal("clock returned 0")
 	}
-	if addr == 0 {
-		t.Fatal("map returned 0")
+	if st := r.iss.Stats(); st.Errors != 1 || st.Completed != 2 {
+		t.Fatalf("issuer stats = %+v, want 2 completed, 1 error", st)
 	}
-	if r.vfs.LiveMaps() != 0 {
-		t.Fatalf("live maps = %d", r.vfs.LiveMaps())
+	if r.vfs.LogLines() != 0 {
+		t.Fatalf("malformed log counted: %d lines", r.vfs.LogLines())
 	}
-	if st := r.iss.Stats(); st.Errors != 1 {
-		t.Fatalf("errors = %d, want 1", st.Errors)
+}
+
+// The file, socket and host-memory ops are gone: a wire request for one
+// of them is answered with an error completion, not executed.
+func TestServiceRejectsRemovedOp(t *testing.T) {
+	r := newRig(t, batchedProfile(), nil)
+	var replies []*call.Reply
+	r.dend.InstallCallHandler(func(b []byte) {
+		rep, err := call.UnmarshalReply(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replies = append(replies, rep)
+	})
+	id := packID(1, ModeAsync)
+	wire, err := call.Marshal(&call.Call{Iface: IfaceGUID, Method: "open", Args: []any{"/data/blob", true}, ReturnDesc: id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.dend.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	r.eng.RunAll()
+	if len(replies) != 1 || replies[0].ReturnDesc != id || replies[0].Err != "unknown syscall open" {
+		t.Fatalf("replies = %+v, want one \"unknown syscall open\" error for id %#x", replies, id)
+	}
+	if hs := r.svc.Stats(); hs.Executed != 0 || hs.RepliesSent != 1 {
+		t.Fatalf("service stats = %+v, want nothing executed, one reply", hs)
 	}
 }
 
 func TestFireForgetSkipsCompletion(t *testing.T) {
-	r := newRig(t, DefaultProfile(), nil)
+	r := newRig(t, batchedProfile(), nil)
 	for i := 0; i < 5; i++ {
 		if err := r.iss.Log("line", ModeFireForget); err != nil {
 			t.Fatal(err)
 		}
 	}
-	r.iss.Send("nas", 1500, ModeFireForget, nil)
+	if err := r.iss.Issue(OpClock, ModeFireForget, nil, nil); err != nil {
+		t.Fatal(err)
+	}
 	r.eng.RunAll()
 	if r.vfs.LogLines() != 5 {
 		t.Fatalf("log lines = %d", r.vfs.LogLines())
-	}
-	if r.vfs.NetSent("nas") != 1500 {
-		t.Fatalf("net sent = %d", r.vfs.NetSent("nas"))
 	}
 	st, hs := r.iss.Stats(), r.svc.Stats()
 	if st.FireForget != 6 || st.Completed != 0 {
@@ -166,14 +195,14 @@ func TestCreditQuota(t *testing.T) {
 		t.Fatal(err)
 	}
 	node.SetLimit(QuotaSyscalls, 2)
-	r := newRig(t, DefaultProfile(), node)
-	if err := r.iss.Clock(ModeAsync, func(sim.Time, error) {}); err != nil {
+	r := newRig(t, batchedProfile(), node)
+	if err := r.iss.Issue(OpClock, ModeAsync, nil, func(*Completion) {}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.iss.Clock(ModeAsync, func(sim.Time, error) {}); err != nil {
+	if err := r.iss.Issue(OpClock, ModeAsync, nil, func(*Completion) {}); err != nil {
 		t.Fatal(err)
 	}
-	err = r.iss.Clock(ModeAsync, func(sim.Time, error) {})
+	err = r.iss.Issue(OpClock, ModeAsync, nil, func(*Completion) {})
 	var qe *resource.QuotaError
 	if !errors.As(err, &qe) {
 		t.Fatalf("third issue = %v, want *resource.QuotaError", err)
@@ -183,7 +212,7 @@ func TestCreditQuota(t *testing.T) {
 	}
 	r.eng.RunAll()
 	// Credits released; issuing works again.
-	if err := r.iss.Clock(ModeAsync, func(sim.Time, error) {}); err != nil {
+	if err := r.iss.Issue(OpClock, ModeAsync, nil, func(*Completion) {}); err != nil {
 		t.Fatalf("issue after release: %v", err)
 	}
 	r.eng.RunAll()
@@ -197,7 +226,7 @@ func TestCreditQuota(t *testing.T) {
 // its reply cache without re-executing, and each call completes exactly
 // once (via the default handler, since closures don't survive a swap).
 func TestCheckpointRestoreExactlyOnce(t *testing.T) {
-	r := newRig(t, DefaultProfile(), nil)
+	r := newRig(t, batchedProfile(), nil)
 	// Issue 3 calls and let them fully execute host-side, but stop the
 	// engine before... simplest: run to completion of host exec while the
 	// old issuer is still attached, then snapshot at a point where calls
@@ -216,7 +245,7 @@ func TestCheckpointRestoreExactlyOnce(t *testing.T) {
 	// The swap: a fresh issuer restores the checkpoint and re-attaches to
 	// the same endpoint (the runtime re-fires ChannelConnected with the
 	// surviving endpoint during a hot-swap).
-	iss2 := NewIssuer(r.disk, DefaultProfile(), nil)
+	iss2 := NewIssuer(r.disk, batchedProfile(), nil)
 	if err := iss2.Restore(ck); err != nil {
 		t.Fatal(err)
 	}
@@ -255,8 +284,9 @@ func TestCheckpointRestoreExactlyOnce(t *testing.T) {
 }
 
 // Batching amortizes the host's per-syscall interrupt cost: the same call
-// volume with Batch 16 must service far fewer host interrupts and burn
-// measurably fewer host cycles than per-call dispatch.
+// volume with Batch 16 must raise far fewer interrupts (host interrupts and
+// device doorbells, as the channel counts them) and burn measurably fewer
+// host cycles than per-call dispatch.
 func TestBatchingAmortizesHostCost(t *testing.T) {
 	const total = 400
 	run := func(prof Profile) (sim.Time, uint64) {
@@ -279,7 +309,7 @@ func TestBatchingAmortizesHostCost(t *testing.T) {
 		if completed != total {
 			t.Fatalf("completed %d/%d with profile %+v", completed, total, prof)
 		}
-		return r.host.BusyTime(), r.host.Interrupts()
+		return r.host.BusyTime(), r.ch.Stats().Interrupts
 	}
 	blockBusy, blockIRQ := run(BlockingProfile())
 	// The coalesce window must cover per-call service time (≈3 µs of

@@ -29,18 +29,13 @@ type System struct {
 	// Tracer is the observability recorder (nil unless Spec.Trace was set).
 	Tracer *obs.Tracer
 
-	hosts     map[string]*HostSystem
-	hostList  []*HostSystem
-	devices   map[string]*device.Device
-	stations  map[string]*netsim.Station
-	nas       map[string]*NASSystem
-	channels  map[string]channel.Config
-	mutations []MutationOutcome
+	hosts    map[string]*HostSystem
+	hostList []*HostSystem
+	devices  map[string]*device.Device
+	stations map[string]*netsim.Station
+	nas      map[string]*NASSystem
+	channels map[string]channel.Config
 }
-
-// MutationOutcomes returns the results of the Spec.Mutations schedule that
-// have fired so far, in firing order.
-func (sys *System) MutationOutcomes() []MutationOutcome { return sys.mutations }
 
 // HostSystem is one built host with everything attached to it.
 type HostSystem struct {
@@ -60,11 +55,7 @@ type HostSystem struct {
 	Runtime *core.Runtime
 	// Apps holds the opened application sessions in declaration order.
 	Apps []*core.App
-	// Monitor is the running health monitor, if the HostSpec asked for one.
-	Monitor *core.Monitor
-	// IdleLoad is the running background load, if the HostSpec started one.
-	IdleLoad *hostos.IdleLoad
-	// VFS is the host's virtual file/net surface, non-nil iff the HostSpec
+	// VFS is the host's device log ledger, non-nil iff the HostSpec
 	// declared Syscalls (shared with the runtime's VFS when one exists).
 	VFS *hostos.VFS
 	// Syscalls holds the built host-syscall planes in device declaration
@@ -80,16 +71,6 @@ type SyscallSystem struct {
 	// already attached to its endpoint and ready to Issue.
 	Service *syscall.Service
 	Issuer  *syscall.Issuer
-}
-
-// Syscall returns the host's syscall plane for the named device, or nil.
-func (h *HostSystem) Syscall(dev string) *SyscallSystem {
-	for _, sc := range h.Syscalls {
-		if sc.Device.Name() == dev {
-			return sc
-		}
-	}
-	return nil
 }
 
 // App returns the host's application session with the given name, or nil.
@@ -271,7 +252,7 @@ func Build(eng *sim.Engine, spec Spec) (*System, error) {
 				hs.Apps = append(hs.Apps, app)
 			}
 			if h.Monitor != nil {
-				hs.Monitor = hs.Runtime.StartMonitor(*h.Monitor)
+				hs.Runtime.StartMonitor(*h.Monitor)
 			}
 		} else if h.Monitor != nil {
 			return nil, fmt.Errorf("testbed: host %q declares a Monitor but no Runtime", h.Name)
@@ -284,7 +265,7 @@ func Build(eng *sim.Engine, spec Spec) (*System, error) {
 			}
 		}
 		if h.IdleLoad != nil {
-			hs.IdleLoad = hs.Machine.StartIdleLoad(*h.IdleLoad)
+			hs.Machine.StartIdleLoad(*h.IdleLoad)
 		}
 		sys.hosts[h.Name] = hs
 		sys.hostList = append(sys.hostList, hs)
@@ -308,7 +289,7 @@ func Build(eng *sim.Engine, spec Spec) (*System, error) {
 // dedicated batched channel carrying call-coded requests device→host and
 // completions host→device, a dispatcher Service over the host VFS, and an
 // attached Issuer on the device side. Hosts with a runtime share the
-// runtime's VFS so session-opened planes see the same namespace.
+// runtime's VFS so session-opened planes count on the same ledger.
 func (sys *System) buildSyscalls(hs *HostSystem, sc *SyscallSpec) error {
 	if hs.Runtime != nil {
 		hs.VFS = hs.Runtime.VFS()
@@ -359,11 +340,8 @@ func (sys *System) armMutation(i int, m MutationSpec) error {
 	if m.Bind == "" || m.Path == "" {
 		return fmt.Errorf("testbed: mutation %d on host %q needs Bind and Path", i, m.Host)
 	}
-	spec := m
 	hs.Eng.At(m.At, func() {
-		app.Replace(spec.Bind, spec.Path, func(res *core.MutationResult, err error) {
-			sys.mutations = append(sys.mutations, MutationOutcome{Spec: spec, Result: res, Err: err})
-		})
+		app.Replace(m.Bind, m.Path, func(*core.MutationResult, error) {})
 	})
 	return nil
 }
@@ -416,12 +394,6 @@ func (sys *System) Bus(host string) *bus.Bus {
 		return h.Bus
 	}
 	return nil
-}
-
-// ChannelConfig returns the named channel profile's (defaulted) config.
-func (sys *System) ChannelConfig(name string) (channel.Config, bool) {
-	cfg, ok := sys.channels[name]
-	return cfg, ok
 }
 
 // OpenChannel instantiates the named channel profile between a host and a

@@ -98,8 +98,8 @@ type Spec struct {
 	// virtual time, the named host's session hot-swaps the Offcode deployed
 	// as Bind with the ODF at Path (core.App.Replace — quiesce, checkpoint
 	// carry-over, replay, rollback on failure). Build validates the host
-	// and app names and arms the schedule on each host's engine; outcomes
-	// accumulate on System.MutationOutcomes in firing order.
+	// and app names and arms the schedule on each host's engine; the
+	// System records each outcome in firing order.
 	Mutations []MutationSpec
 }
 
@@ -115,13 +115,6 @@ type MutationSpec struct {
 	// Bind is the live root to replace; Path is the replacement ODF.
 	Bind string
 	Path string
-}
-
-// MutationOutcome records one fired MutationSpec.
-type MutationOutcome struct {
-	Spec   MutationSpec
-	Result *core.MutationResult
-	Err    error
 }
 
 // ChannelSpec names one channel configuration profile on a Spec.
@@ -186,11 +179,11 @@ type HostSpec struct {
 	// (the paper's "idle system" baseline).
 	IdleLoad *hostos.IdleLoadConfig
 	// Syscalls, when non-nil, gives every declared device a host-syscall
-	// plane at build time: a dedicated
-	// batched channel into a dispatcher executing against the host's VFS,
-	// plus a ready-made issuer on the device side. Hosts with a Runtime
-	// share the runtime's VFS, so testbed-built planes and session-opened
-	// planes (core.App.OpenSyscalls) see one namespace.
+	// plane at build time: a dedicated batched channel into a dispatcher
+	// that counts log lines on the host's VFS ledger, plus a ready-made
+	// issuer on the device side. Hosts with a Runtime share the runtime's
+	// VFS, so testbed-built planes and session-opened planes
+	// (core.App.OpenSyscalls) count on one ledger.
 	Syscalls *SyscallSpec
 }
 

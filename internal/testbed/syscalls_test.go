@@ -1,7 +1,6 @@
 package testbed
 
 import (
-	"bytes"
 	"testing"
 
 	"hydra/internal/device"
@@ -9,7 +8,7 @@ import (
 )
 
 // TestHostSyscallPlanes builds a host whose devices get build-time syscall
-// planes and drives typed syscalls through the ready-made issuers.
+// planes and drives log and clock syscalls through the ready-made issuers.
 func TestHostSyscallPlanes(t *testing.T) {
 	sys, err := New(7, Spec{
 		Hosts: []HostSpec{{
@@ -18,7 +17,7 @@ func TestHostSyscallPlanes(t *testing.T) {
 				device.XScaleNIC("h-nic"),
 				device.SmartDisk("h-disk"),
 			},
-			Syscalls: &SyscallSpec{Profile: syscall.DefaultProfile()},
+			Syscalls: &SyscallSpec{Profile: syscall.BlockingProfile()},
 		}},
 	})
 	if err != nil {
@@ -28,57 +27,38 @@ func TestHostSyscallPlanes(t *testing.T) {
 	if h.VFS == nil {
 		t.Fatal("no VFS built")
 	}
-	fd, err := h.VFS.Open("/etc/cfg", true)
-	if err != nil {
-		t.Fatal(err)
+	if len(h.Syscalls) != 2 || h.Syscalls[0].Device.Name() != "h-nic" || h.Syscalls[1].Device.Name() != "h-disk" {
+		t.Fatalf("planes = %d, want one per device in declaration order", len(h.Syscalls))
 	}
-	if _, err := h.VFS.Write(fd, 0, []byte("tuned")); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.VFS.CloseFD(fd); err != nil {
-		t.Fatal(err)
-	}
-	if len(h.Syscalls) != 2 {
-		t.Fatalf("planes = %d, want 2 (one per device)", len(h.Syscalls))
-	}
-	if h.Syscall("h-disk") == nil || h.Syscall("h-nic") == nil {
-		t.Fatal("Syscall lookup by device name failed")
-	}
-	if h.Syscall("nope") != nil {
-		t.Fatal("Syscall lookup for unknown device should be nil")
-	}
+	nic, disk := h.Syscalls[0], h.Syscalls[1]
 
-	var got []byte
-	disk := h.Syscall("h-disk").Issuer
-	err = disk.Open("/etc/cfg", false, syscall.ModeSync, func(fd int64, err error) {
-		if err != nil {
-			t.Errorf("open: %v", err)
+	var clock int64
+	err = disk.Issuer.Issue(syscall.OpClock, syscall.ModeSync, nil, func(c *syscall.Completion) {
+		if c.Err != "" {
+			t.Errorf("clock: %s", c.Err)
 			return
 		}
-		disk.Read(fd, 0, 64, syscall.ModeSync, func(data []byte, err error) {
-			if err != nil {
-				t.Errorf("read: %v", err)
-				return
-			}
-			got = data
-		})
+		clock = c.Results[0].(int64)
+		if err := disk.Issuer.Log("disk clock read", syscall.ModeSync); err != nil {
+			t.Error(err)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Syscall("h-nic").Issuer.Log("nic up", syscall.ModeFireForget); err != nil {
+	if err := nic.Issuer.Log("nic up", syscall.ModeFireForget); err != nil {
 		t.Fatal(err)
 	}
 	sys.Eng.RunAll()
 
-	if !bytes.Equal(got, []byte("tuned")) {
-		t.Fatalf("read %q, want %q", got, "tuned")
+	if clock <= 0 {
+		t.Fatalf("host clock = %d", clock)
 	}
-	if h.VFS.LogLines() != 1 {
-		t.Fatalf("log lines = %d, want 1", h.VFS.LogLines())
+	if h.VFS.LogLines() != 2 {
+		t.Fatalf("log lines = %d, want 2", h.VFS.LogLines())
 	}
-	st := disk.Stats()
-	st.Add(h.Syscall("h-disk").Service.Stats())
+	st := disk.Issuer.Stats()
+	st.Add(disk.Service.Stats())
 	if st.Issued != 2 || st.Completed != 2 || st.Executed != 2 {
 		t.Fatalf("stats = %+v, want 2 issued/completed/executed", st)
 	}

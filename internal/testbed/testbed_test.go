@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"hydra/internal/bus"
 	"hydra/internal/channel"
 	"hydra/internal/core"
 	"hydra/internal/device"
@@ -14,6 +15,7 @@ import (
 	"hydra/internal/netsim"
 	"hydra/internal/nfs"
 	"hydra/internal/objfile"
+	"hydra/internal/resource"
 	"hydra/internal/sim"
 )
 
@@ -65,9 +67,6 @@ func TestBuildTopology(t *testing.T) {
 	if alpha.Runtime == nil || alpha.Depot == nil {
 		t.Fatal("alpha declared a runtime but got none")
 	}
-	if alpha.IdleLoad == nil {
-		t.Fatal("alpha idle load not started")
-	}
 	if alpha.Machine.Config().CPUFreqHz != 2.4e9 {
 		t.Fatalf("zero CPU config did not default to PentiumIV: %v", alpha.Machine.Config().CPUFreqHz)
 	}
@@ -100,6 +99,15 @@ func TestBuildTopology(t *testing.T) {
 	}
 	if !strings.Contains(sys.String(), "test-fabric") {
 		t.Fatalf("String() = %q", sys.String())
+	}
+	// Only alpha declared an idle load: its daemons keep its CPU busy
+	// while beta's stays idle.
+	sys.Eng.Run(sim.Second)
+	if alpha.Machine.BusyTime() == 0 {
+		t.Fatal("alpha idle load not started")
+	}
+	if got := beta.Machine.BusyTime(); got != 0 {
+		t.Fatalf("beta, with no idle load, was busy %v", got)
 	}
 }
 
@@ -283,15 +291,18 @@ func TestBuildArmsFaultSchedule(t *testing.T) {
 	if sys.Injector == nil {
 		t.Fatal("no injector for a Spec with faults")
 	}
-	if sys.Host("alpha").Monitor == nil {
-		t.Fatal("no monitor for a HostSpec with Monitor")
+	// A started monitor registers its heartbeat pseudo Offcode per device.
+	if _, err := sys.Host("alpha").Runtime.GetOffcode("hydra.Health.alpha-nic"); err != nil {
+		t.Fatalf("no monitor for a HostSpec with Monitor: %v", err)
 	}
 	sys.Eng.Run(30 * sim.Millisecond)
 	if sys.Device("alpha-nic").Healthy() {
 		t.Fatal("scheduled crash not applied")
 	}
-	if sys.Bus("beta").Slowdown() != 2 {
-		t.Fatalf("beta bus slowdown = %v", sys.Bus("beta").Slowdown())
+	// A probe transfer on the degraded bus takes twice its nominal time.
+	beta := sys.Bus("beta")
+	if took := beta.Transfer("probe", bus.MainMemory, 1024, nil) - sys.Eng.Now(); took != 2*beta.TransferTime(1024) {
+		t.Fatalf("beta bus probe took %v, want 2x nominal %v", took, beta.TransferTime(1024))
 	}
 	if len(sys.Injector.Log()) != 2 {
 		t.Fatalf("injector log = %v", sys.Injector.Log())
@@ -360,7 +371,7 @@ func stockHot(t *testing.T, hs *HostSystem, path string, g uint64, version int, 
 
 // A Spec.Mutations schedule hot-swaps a live Offcode at its virtual time:
 // the replacement inherits the checkpointed count, keeps serving, and the
-// outcome lands on System.MutationOutcomes.
+// swapped-in instance is the one that serves afterwards.
 func TestBuildArmsMutationSchedule(t *testing.T) {
 	sys, err := New(11, Spec{
 		Hosts: []HostSpec{{
@@ -396,7 +407,7 @@ func TestBuildArmsMutationSchedule(t *testing.T) {
 	if h == nil {
 		t.Fatal("v1 not deployed before the mutation epoch")
 	}
-	appEnd, _, err := hs.Runtime.CreateChannel(channel.DefaultConfig(), h)
+	appEnd, _, err := hs.Runtime.DefaultApp().CreateChannel(channel.DefaultConfig(), h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,22 +418,14 @@ func TestBuildArmsMutationSchedule(t *testing.T) {
 	}
 	sys.Eng.RunAll() // delivers the writes, then fires the 50 ms swap
 
-	outs := sys.MutationOutcomes()
-	if len(outs) != 1 {
-		t.Fatalf("outcomes = %d, want 1", len(outs))
-	}
-	out := outs[0]
-	if out.Err != nil {
-		t.Fatalf("mutation failed: %v", out.Err)
-	}
-	if out.Spec.Bind != "svc.Hot" || out.Result == nil || out.Result.Swapped["svc.Hot"] == nil {
-		t.Fatalf("outcome = %+v", out)
-	}
 	if len(made) != 2 || made[1].version != 2 {
 		t.Fatalf("instances = %d, want v2 spawned", len(made))
 	}
 	if made[1].count != 3 {
 		t.Fatalf("v2 count = %d, want checkpointed 3", made[1].count)
+	}
+	if h, err := hs.Runtime.GetOffcode("svc.Hot"); err != nil || h.Behaviour() != made[1] {
+		t.Fatalf("svc.Hot after the swap = %v, %v; want the v2 instance", h, err)
 	}
 	// The swapped-in instance keeps serving on the surviving endpoint.
 	if err := appEnd.Write([]byte{9}); err != nil {
@@ -489,16 +492,16 @@ func TestChannelProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, ok := sys.ChannelConfig("stream")
+	cfg, ok := sys.channels["stream"]
 	if !ok || cfg.Batch != 16 || cfg.RingEntries != 128 {
 		t.Fatalf("profile lookup: ok=%v cfg=%+v", ok, cfg)
 	}
-	def, ok := sys.ChannelConfig("oob")
+	def, ok := sys.channels["oob"]
 	if !ok || def.RingEntries != channel.DefaultConfig().RingEntries ||
 		def.MaxMessage != channel.DefaultConfig().MaxMessage {
 		t.Fatalf("defaults not filled: %+v", def)
 	}
-	if _, ok := sys.ChannelConfig("nope"); ok {
+	if _, ok := sys.channels["nope"]; ok {
 		t.Fatal("unknown profile resolved")
 	}
 
@@ -562,8 +565,8 @@ func TestBuildOpensDeclaredApps(t *testing.T) {
 		t.Fatalf("apps = %d", len(h.Apps))
 	}
 	svc := h.App("svc")
-	if svc == nil || svc.Config().MemoryQuota != 1<<20 {
-		t.Fatalf("svc session = %+v", svc)
+	if svc == nil {
+		t.Fatal("svc session missing")
 	}
 	if h.App("bg") == nil {
 		t.Fatal("bg session missing")
@@ -571,8 +574,26 @@ func TestBuildOpensDeclaredApps(t *testing.T) {
 	if h.App("ghost") != nil {
 		t.Fatal("unknown session resolved")
 	}
-	if got := h.Runtime.ReservedDeviceMemory(); got != 256<<10 {
-		t.Fatalf("reserved device memory = %d", got)
+	// The spec's MemoryQuota reaches the session: pinning one byte past it
+	// fails with a quota error, pinning exactly it succeeds.
+	var qe *resource.QuotaError
+	if _, _, err := svc.PinMemory(1<<20 + 1); !errors.As(err, &qe) {
+		t.Fatalf("pin past quota err = %v, want *resource.QuotaError", err)
+	}
+	if _, pin, err := svc.PinMemory(1 << 20); err != nil {
+		t.Fatalf("pin at quota: %v", err)
+	} else if err := pin.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The spec's DeviceMemory is reserved: while svc's 256 KiB is
+	// outstanding, a session asking for all but 128 KiB of the free device
+	// memory is refused, and one asking for all but 256 KiB is admitted.
+	free := h.Runtime.FreeDeviceMemory()
+	if _, err := h.Runtime.OpenApp("probe", core.AppConfig{DeviceMemory: free - 128<<10}); !errors.Is(err, core.ErrAdmission) {
+		t.Fatalf("over-reserving probe err = %v, want ErrAdmission", err)
+	}
+	if _, err := h.Runtime.OpenApp("probe", core.AppConfig{DeviceMemory: free - 256<<10}); err != nil {
+		t.Fatalf("probe within the unreserved memory: %v", err)
 	}
 
 	// Validation: sessions need a runtime; names must be present and unique.

@@ -76,8 +76,6 @@ const backgroundODF = `<offcode>
 type BackgroundHarness struct {
 	App    *core.App
 	Worker *bgWorkerOffcode
-	// PinnedBytes is what the session pinned at start.
-	PinnedBytes int
 
 	deploy deployOutcome
 }
@@ -111,7 +109,6 @@ func StartBackgroundApp(tb *Testbed, stopAt sim.Time) (*BackgroundHarness, error
 	if _, _, err := tb.BackgroundApp.PinMemory(BackgroundPinBytes); err != nil {
 		return nil, err
 	}
-	h.PinnedBytes = BackgroundPinBytes
 	plan := tb.BackgroundApp.Plan()
 	if err := plan.AddRoot("/tivo/tivo.BackgroundWorker.odf"); err != nil {
 		return nil, err

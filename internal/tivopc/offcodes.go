@@ -356,10 +356,9 @@ func (d *decoderOffcode) Feed(chunk []byte) {
 
 // displayOffcode owns the GPU framebuffer.
 type displayOffcode struct {
-	tb     *Testbed
-	ctx    *core.Context
-	fbAddr uint64
-	Shown  int
+	tb    *Testbed
+	ctx   *core.Context
+	Shown int
 	// LastChecksum fingerprints the most recent frame.
 	LastChecksum uint64
 	// VerifiedOK / VerifyFail compare early frames pixel-for-pixel against
@@ -371,11 +370,9 @@ type displayOffcode struct {
 func (d *displayOffcode) Initialize(ctx *core.Context) error {
 	d.ctx = ctx
 	if ctx.Device != nil {
-		addr, err := ctx.Device.AllocMem(4 << 20) // framebuffer
-		if err != nil {
+		if _, err := ctx.Device.AllocMem(4 << 20); err != nil { // framebuffer
 			return err
 		}
-		d.fbAddr = addr
 	}
 	return nil
 }
@@ -472,7 +469,6 @@ type clientStreamerOffcode struct {
 	ctx     *core.Context
 	decoder *decoderOffcode
 	disk    *diskFileOffcode
-	Packets int
 }
 
 func (s *clientStreamerOffcode) Initialize(ctx *core.Context) error {
@@ -498,7 +494,6 @@ func (s *clientStreamerOffcode) Stop() error { return nil }
 
 // Packet handles one arriving media packet on the NIC.
 func (s *clientStreamerOffcode) Packet(data []byte) {
-	s.Packets++
 	s.ctx.Device.Exec(1200, func() {
 		// One bus transaction reaches both peers (PCIe multicast, §1 fn.2).
 		peers := []*device.Device{s.tb.ClientGPU, s.tb.ClientDisk}

@@ -339,10 +339,22 @@ func TestOffloadedServerRunsInItsSession(t *testing.T) {
 			t.Fatalf("%s owned by %v, want %s session", bind, h.App(), ServerAppName)
 		}
 	}
-	if got := len(tb.ServerApp.Offcodes()); got != 3 {
-		t.Fatalf("session owns %d offcodes", got)
+	// Walking every deployed Offcode: the server session owns exactly its
+	// three, and the background session owns none it never deployed.
+	owned := 0
+	for _, bind := range tb.ServerRT.Offcodes() {
+		h, err := tb.ServerRT.GetOffcode(bind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch h.App() {
+		case tb.ServerApp:
+			owned++
+		case tb.BackgroundApp:
+			t.Fatalf("background session owns %s", bind)
+		}
 	}
-	if len(tb.BackgroundApp.Offcodes()) != 0 {
-		t.Fatal("background session owns offcodes it never deployed")
+	if owned != 3 {
+		t.Fatalf("server session owns %d offcodes, want 3", owned)
 	}
 }

@@ -14,11 +14,13 @@ import (
 )
 
 // buildBinaries compiles every main package under cmd/ and examples/ into
-// a temp dir and returns it.
-func buildBinaries(t *testing.T) string {
+// a temp dir, passing flags to go build, and returns the dir.
+func buildBinaries(t *testing.T, flags ...string) string {
 	t.Helper()
 	bin := t.TempDir()
-	cmd := exec.Command("go", "build", "-o", bin+string(os.PathSeparator), "./cmd/...", "./examples/...")
+	args := append([]string{"build"}, flags...)
+	args = append(args, "-o", bin+string(os.PathSeparator), "./cmd/...", "./examples/...")
+	cmd := exec.Command("go", args...)
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}

@@ -436,37 +436,3 @@ func BenchmarkSimulationEngine(b *testing.B) {
 	eng.Schedule(1, chain)
 	eng.RunAll()
 }
-
-// BenchmarkSimulationEngineChurn is the schedule/cancel-heavy variant:
-// each fired event plants four far-horizon decoys (timeouts that never
-// fire) and cancels them immediately, over a wide 100k-event pending
-// set. This is the workload that rewards eager cancel removal and slot
-// recycling in the ladder queue.
-func BenchmarkSimulationEngineChurn(b *testing.B) {
-	eng := sim.NewEngine(1)
-	const pending = 100_000
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		for d := 0; d < 4; d++ {
-			decoy := eng.Schedule(sim.Time(1_000_000_000+n%997), func() {})
-			decoy.Cancel()
-		}
-		if n < b.N {
-			eng.Schedule(sim.Time(10+n%89), tick)
-		}
-	}
-	for i := 0; i < pending; i++ {
-		// Far-spread timers keep the pending set wide for the whole run.
-		eng.Schedule(sim.Time(1+i)*1000, func() {})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	eng.Schedule(1, tick)
-	eng.Run(eng.Now() + 1_000_000)
-	for n < b.N {
-		// Horizon exhausted before b.N events: extend in fixed strides.
-		eng.Run(eng.Now() + 1_000_000)
-	}
-}

@@ -1,15 +1,15 @@
 package experiments
 
 // Engine microbenchmark suite: the raw-speed gate for the simulator
-// core (ladder queue + pooled events). Three workloads isolate the
+// core (binary heap + pooled events). Three workloads isolate the
 // queue behaviours the full experiments mix together:
 //
 //   - chain: a handful of self-rescheduling timers — the pending set
-//     stays tiny, so this is pure pop/reschedule overhead (the plain
-//     binary-heap regime of the ladder).
-//   - wide: 100k concurrent timers with spread-out deadlines — deep
-//     pending set, the regime where the ladder's O(1) bucketed inserts
-//     beat an O(log n) heap.
+//     stays tiny, the size real workloads run at, so this is pure
+//     pop/reschedule overhead.
+//   - wide: 100k concurrent timers with spread-out deadlines — a deep
+//     pending set, 50× the largest any scenario reaches, so every
+//     operation pays the heap's full O(log n) depth.
 //   - churn: schedule/cancel-heavy — every fired event plants several
 //     far-horizon decoys and immediately cancels them, the pattern of
 //     timeouts that almost never fire (retransmit timers, watchdogs).
@@ -179,8 +179,8 @@ func RunEngineBench(seed int64, target uint64) (*EngineBenchResults, error) {
 			engineChurnLoop(seed, engineChainTimers, target)),
 	)
 
-	// Trace-overhead rows, both against chain (the hot-path regime the
-	// 16.7 ns/event contract is written against):
+	// Trace-overhead rows, both against chain (the small-heap regime
+	// every real workload runs in):
 	//   - trace-off: recorder attached but the sim category masked out, so
 	//     the engine probe is never installed — the disabled fast path the
 	//     2% overhead budget covers.
@@ -203,7 +203,7 @@ func RunEngineBench(seed int64, target uint64) (*EngineBenchResults, error) {
 
 // CheckEngineBenchShape asserts each workload fired at least its target
 // (determinism of the counts themselves is covered by the sim package's
-// ladder-vs-reference tests).
+// reference-heap oracle test).
 func CheckEngineBenchShape(r *EngineBenchResults, target uint64) error {
 	for _, row := range r.Rows {
 		if row.Events < target {
@@ -221,16 +221,16 @@ func CheckEngineBenchShape(r *EngineBenchResults, target uint64) error {
 // Render prints the engine suite.
 func (r *EngineBenchResults) Render() string {
 	var b strings.Builder
-	b.WriteString("ENGINE — Simulator-core microbenchmarks: ladder queue + pooled events\n")
+	b.WriteString("ENGINE — Simulator-core microbenchmarks: binary heap + pooled events\n")
 	b.WriteString("  Workload         pending   events fired  canceled   wall(ms)    events/s  allocs/event  trace-recs\n")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "  %-15s  %7d  %12d  %8d  %9.1f  %10.0f  %12.3f  %10d\n",
 			row.Scenario, row.Pending, row.Events, row.Canceled,
 			row.WallMS, row.EventsPerSec, row.AllocsPerEvent, row.TraceRecords)
 	}
-	b.WriteString("  shape: allocs/event ≈ 0 in steady state; wide exercises the ladder's bucketed\n")
-	b.WriteString("  regime, churn the cancel/recycle path. events/s is hardware-dependent — CI\n")
-	b.WriteString("  fails it only below 0.8x the committed baseline (one-sided), never bit-for-bit.\n")
+	b.WriteString("  shape: allocs/event ≈ 0 in steady state; wide exercises a deep heap, churn the\n")
+	b.WriteString("  cancel/recycle path. events/s is hardware-dependent — CI fails it only below\n")
+	b.WriteString("  0.8x the committed baseline (one-sided), never bit-for-bit.\n")
 	b.WriteString("  chain-trace-off must sit in chain's noise band (disabled-recorder contract);\n")
 	b.WriteString("  chain-trace-on pays for two ring records per event.\n")
 	return b.String()

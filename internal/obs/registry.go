@@ -155,21 +155,13 @@ func snakeCase(name string) string {
 
 // CaptureEngine publishes an engine's Diag under prefix (gauges, since a
 // capture overwrites the previous one): <prefix>.fired, .scheduled,
-// .pending, .ladder_on, .ladder_rungs, .ladder_converts, .slots_minted,
-// .slots_free, .slots_live, .now_ns.
+// .pending, .slots_minted, .slots_free, .slots_live, .now_ns.
 func CaptureEngine(r *Registry, prefix string, eng *sim.Engine) {
 	d := eng.Diag()
 	set := func(suffix string, v float64) { r.Gauge(prefix + suffix).Set(v) }
 	set(".fired", float64(d.Fired))
 	set(".scheduled", float64(d.Scheduled))
 	set(".pending", float64(d.Pending))
-	on := 0.0
-	if d.LadderOn {
-		on = 1
-	}
-	set(".ladder_on", on)
-	set(".ladder_rungs", float64(d.Rungs))
-	set(".ladder_converts", float64(d.LadderConverts))
 	set(".slots_minted", float64(d.SlotsMinted))
 	set(".slots_free", float64(d.SlotsFree))
 	set(".slots_live", float64(d.SlotsMinted)-float64(d.SlotsFree))

@@ -5,7 +5,7 @@
 // Engine. Events scheduled at the same instant fire in the order they were
 // scheduled, which makes runs bit-for-bit reproducible for a fixed seed.
 //
-// The pending set is a ladder queue (ladder.go) and event storage is
+// The pending set is a binary heap (heap.go) and event storage is
 // pooled: Schedule/At hand out value handles into engine-owned slots
 // that are recycled after the event fires or is canceled, so the
 // steady-state hot path does not allocate. Generation counters make
@@ -102,7 +102,7 @@ type EngineProbe interface {
 type Engine struct {
 	now    Time
 	seq    uint64
-	q      ladder
+	q      eventHeap
 	free   []*slot
 	seed   int64
 	minted uint64
@@ -145,7 +145,7 @@ func (e *Engine) SetObs(v any) { e.obsv = v }
 func (e *Engine) Obs() any { return e.obsv }
 
 // Diag is a point-in-time snapshot of engine run diagnostics: progress
-// counters, queue regime, and event-pool occupancy. It is plain data —
+// counters, pending-set size, and event-pool occupancy. It is plain data —
 // capture it into an obs.Registry rather than poking Engine fields.
 type Diag struct {
 	// Now is the virtual clock; Fired and Scheduled count events
@@ -153,14 +153,8 @@ type Diag struct {
 	Now       Time
 	Fired     uint64
 	Scheduled uint64
-	// Pending is the live pending-set size. LadderOn reports whether the
-	// queue is in ladder (bucketed) mode, Rungs how deep the rung stack
-	// is, and LadderConverts how many plain-heap→ladder transitions the
-	// run has made.
-	Pending        int
-	LadderOn       bool
-	Rungs          int
-	LadderConverts uint64
+	// Pending is the live pending-set size.
+	Pending int
 	// SlotsMinted counts event slots ever allocated; SlotsFree is the
 	// current free-list depth. Minted minus free is pool occupancy.
 	SlotsMinted uint64
@@ -170,15 +164,12 @@ type Diag struct {
 // Diag snapshots the engine's run diagnostics.
 func (e *Engine) Diag() Diag {
 	return Diag{
-		Now:            e.now,
-		Fired:          e.Fired,
-		Scheduled:      e.seq,
-		Pending:        e.q.len(),
-		LadderOn:       e.q.ladderOn,
-		Rungs:          len(e.q.rungs),
-		LadderConverts: e.q.converts,
-		SlotsMinted:    e.minted,
-		SlotsFree:      len(e.free),
+		Now:         e.now,
+		Fired:       e.Fired,
+		Scheduled:   e.seq,
+		Pending:     len(e.q),
+		SlotsMinted: e.minted,
+		SlotsFree:   len(e.free),
 	}
 }
 
@@ -205,8 +196,6 @@ func (e *Engine) alloc() *slot {
 // holder's Canceled/Active queries stay meaningful in the interim.
 func (e *Engine) release(s *slot) {
 	s.fn = nil
-	s.where = whereNone
-	s.r = nil
 	e.free = append(e.free, s)
 }
 
@@ -261,8 +250,9 @@ func (e *Engine) Step() bool {
 }
 
 // Run executes events until the queue drains or the clock would pass
-// until (events at exactly until still fire). It returns the virtual time
-// at exit.
+// until (events at exactly until still fire). When events remain beyond
+// until, the clock advances to until; it never moves backwards. It
+// returns the virtual time at exit.
 func (e *Engine) Run(until Time) Time {
 	for {
 		// Peek: do not fire events beyond the horizon.
@@ -271,7 +261,9 @@ func (e *Engine) Run(until Time) Time {
 			break
 		}
 		if next.at > until {
-			e.now = until
+			if e.now < until {
+				e.now = until
+			}
 			break
 		}
 		e.Step()

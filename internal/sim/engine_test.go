@@ -56,8 +56,8 @@ func TestEngineCancelRemovesEagerly(t *testing.T) {
 		i := i
 		evs = append(evs, e.Schedule(Time(1000+i), func() { _ = i }))
 	}
-	if e.q.len() != 100 {
-		t.Fatalf("Pending = %d, want 100", e.q.len())
+	if len(e.q) != 100 {
+		t.Fatalf("Pending = %d, want 100", len(e.q))
 	}
 	// Cancel from the middle, the ends, and twice over: the pending set
 	// must shrink immediately, not at fire time.
@@ -67,8 +67,8 @@ func TestEngineCancelRemovesEagerly(t *testing.T) {
 			ev.Cancel() // double-cancel is a no-op
 		}
 	}
-	if e.q.len() != 50 {
-		t.Fatalf("Pending = %d after canceling half, want 50", e.q.len())
+	if len(e.q) != 50 {
+		t.Fatalf("Pending = %d after canceling half, want 50", len(e.q))
 	}
 	fired := 0
 	e.Schedule(5000, func() {})
@@ -78,8 +78,8 @@ func TestEngineCancelRemovesEagerly(t *testing.T) {
 	if fired != 51 {
 		t.Fatalf("fired %d events, want the 50 live ones + sentinel", fired)
 	}
-	if e.q.len() != 0 {
-		t.Fatalf("Pending = %d after drain, want 0", e.q.len())
+	if len(e.q) != 0 {
+		t.Fatalf("Pending = %d after drain, want 0", len(e.q))
 	}
 }
 
@@ -114,6 +114,24 @@ func TestEngineRunHorizon(t *testing.T) {
 	e.Run(100)
 	if len(fired) != 3 {
 		t.Fatalf("fired %d events total, want 3", len(fired))
+	}
+}
+
+// A horizon behind the clock must not rewind it: an event scheduled
+// afterwards would otherwise fire before one that already fired.
+func TestEngineRunPastHorizonKeepsClock(t *testing.T) {
+	e := NewEngine(1)
+	e.At(10, func() {})
+	e.At(20, func() {})
+	e.Run(10)
+	if got := e.Run(5); got != 10 {
+		t.Fatalf("Run(5) after Run(10) returned %v, want 10", got)
+	}
+	var at Time
+	e.Schedule(0, func() { at = e.Now() })
+	e.Run(15)
+	if at != 10 {
+		t.Fatalf("zero-delay event fired at %v, want 10", at)
 	}
 }
 

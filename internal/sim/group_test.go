@@ -120,7 +120,7 @@ func TestGroupSettle(t *testing.T) {
 			t.Fatalf("order = %v, want %v", order, want)
 		}
 	}
-	if a.q.len() != 0 || b.q.len() != 0 {
+	if len(a.q) != 0 || len(b.q) != 0 {
 		t.Fatal("Settle left events pending")
 	}
 }

@@ -650,11 +650,13 @@ func readReport(path string) (*report, error) {
 
 // compareBaseline checks every metric rep shares with base: deterministic
 // metrics must be equal, *_events_per_sec must stay above eventsBand× the
-// baseline, and the host-dependent rest is not compared. It returns one
-// line per compared metric and one per regression, each list sorted.
-// Scenario or metric keys present on only one side are ignored, so old
-// baselines stay usable as the suite grows; nothing comparable at all is
-// an error.
+// baseline, and the host-dependent rest is not compared. A scenario that
+// ran must also report every deterministic key its baseline holds: a
+// missing key is a regression, not a silent skip. It returns one line per
+// compared metric and one per regression, each list sorted. Scenarios that
+// did not run, and keys only the run has, are ignored, so a baseline
+// stays usable for a -scenario subset and as the suite grows; nothing
+// comparable at all is an error.
 func compareBaseline(rep, base *report) (compared, regressions []string, err error) {
 	baseMetrics := map[string]map[string]float64{}
 	for _, s := range base.Scenarios {
@@ -662,6 +664,12 @@ func compareBaseline(rep, base *report) (compared, regressions []string, err err
 	}
 	for _, s := range rep.Scenarios {
 		bm := baseMetrics[s.Name]
+		for key := range bm {
+			if _, ok := s.Metrics[key]; !ok && gatedExactly(key) {
+				regressions = append(regressions, fmt.Sprintf("%s/%s: missing from the run (baseline %v)",
+					s.Name, key, bm[key]))
+			}
+		}
 		for key, got := range s.Metrics {
 			want, ok := bm[key]
 			switch {

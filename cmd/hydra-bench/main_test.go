@@ -53,10 +53,12 @@ func TestCompareBaselineDeterministicMetricsExact(t *testing.T) {
 	}
 }
 
-// Keys on one side only, and the host-dependent keys, are not compared.
+// Scenarios that did not run, keys only the run has, host-dependent keys
+// only the baseline has, and the host-dependent keys themselves are not
+// compared.
 func TestCompareBaselineIgnoresOneSidedKeys(t *testing.T) {
 	base := rep(map[string]map[string]float64{
-		"x9":  {"a_msgs_per_sec": 100, "gone_msgs_per_sec": 100},
+		"x9":  {"a_msgs_per_sec": 100, "gone_events_per_sec": 100},
 		"old": {"b_msgs_per_sec": 100},
 		"x12": {"serial_ms": 10, "parallel_ms": 10, "speedup": 1, "workers": 2, "chain_allocs_per_event": 0},
 	})
@@ -71,6 +73,20 @@ func TestCompareBaselineIgnoresOneSidedKeys(t *testing.T) {
 	}
 	if len(compared) != 1 || !strings.HasPrefix(compared[0], "x9/a_msgs_per_sec:") {
 		t.Fatalf("compared %q, want only x9/a_msgs_per_sec", compared)
+	}
+}
+
+// A scenario that ran but lacks a deterministic key its baseline holds
+// regresses: the gate cannot vouch for a metric the run no longer reports.
+func TestCompareBaselineMissingDeterministicKeyFails(t *testing.T) {
+	base := rep(map[string]map[string]float64{
+		"x9":  {"a_msgs_per_sec": 100, "gone_msgs_per_sec": 100, "gone_events_per_sec": 100},
+		"old": {"b_msgs_per_sec": 100},
+	})
+	cur := rep(map[string]map[string]float64{"x9": {"a_msgs_per_sec": 100}})
+	_, reg, err := compareBaseline(cur, base)
+	if err != nil || len(reg) != 1 || !strings.HasPrefix(reg[0], "x9/gone_msgs_per_sec: missing") {
+		t.Fatalf("regressions %q, err %v; want only x9/gone_msgs_per_sec missing", reg, err)
 	}
 }
 

@@ -29,10 +29,10 @@
 //
 // Sessions carry memory/channel/Offcode quotas and an admission-controlled
 // device-memory reservation; Commit rolls back every Offcode and pinned
-// ring on partial failure. A committed deployment stays mutable: App.Mutate
-// applies deploy/replace/remove deltas against the live session, and
-// App.Replace hot-swaps one running Offcode with its channel traffic
-// quiesced, held and replayed exactly once.
+// ring on partial failure. A committed deployment stays mutable: later
+// plans deploy further roots into the live session, and App.Replace
+// hot-swaps one running Offcode with its channel traffic quiesced, held
+// and replayed exactly once.
 //
 // Above the single host, NewCluster opens a coordinator over every runtime
 // host of a multi-host testbed: it shards an Offcode graph across machines

@@ -76,10 +76,6 @@ type Bus struct {
 
 	// tr is the engine's trace shard when CatBus is enabled, else nil.
 	tr *obs.Shard
-
-	// Degradation state (driven by internal/faults): slowdown multiplies
-	// every transfer's wire time; outages block the link entirely.
-	slowdown float64
 }
 
 // New creates a bus on the given engine.
@@ -150,9 +146,6 @@ func (b *Bus) TransferGather(src, dst Agent, sizes []int, done func()) sim.Time 
 
 func (b *Bus) transferDur(size int, extra sim.Time, done func()) sim.Time {
 	dur := b.TransferTime(size) + extra
-	if b.slowdown > 1 {
-		dur = sim.Time(float64(dur) * b.slowdown)
-	}
 	start := b.eng.Now()
 	if b.busy > start {
 		start = b.busy
@@ -180,31 +173,3 @@ func (b *Bus) transferDur(size int, extra sim.Time, done func()) sim.Time {
 
 // Total reports aggregate traffic since creation.
 func (b *Bus) Total() Stats { return b.total }
-
-// --- Degradation (driven by internal/faults) ---
-
-// SetSlowdown scales every subsequent transfer's wire time by factor
-// (≥ 1; values below 1 restore full speed). TransferTime still reports the
-// nominal wire time, so cost estimates (channel provider selection) keep
-// reflecting the hardware's rated speed.
-func (b *Bus) SetSlowdown(factor float64) {
-	if factor < 1 {
-		factor = 1
-	}
-	b.slowdown = factor
-}
-
-// Outage blocks the interconnect for d: transfers issued during (or queued
-// behind) the outage wait for the link to come back, exactly like a bus
-// segment that stopped arbitrating. Transfers already in flight committed
-// their completion time at issue and finish on schedule.
-func (b *Bus) Outage(d sim.Time) {
-	if d <= 0 {
-		return
-	}
-	start := b.eng.Now()
-	if b.busy > start {
-		start = b.busy
-	}
-	b.busy = start + d
-}

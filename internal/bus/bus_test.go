@@ -145,49 +145,6 @@ func TestFIFOProperty(t *testing.T) {
 	}
 }
 
-func TestSlowdownScalesWireTime(t *testing.T) {
-	eng, b := testBus(true)
-	b.SetSlowdown(4)
-	if b.slowdown != 4 {
-		t.Fatalf("slowdown = %v", b.slowdown)
-	}
-	var doneAt sim.Time
-	b.Transfer("nic", MainMemory, 1000, func() { doneAt = eng.Now() })
-	eng.RunAll()
-	if doneAt != 4400 { // 4 × (100 + 1000)
-		t.Fatalf("degraded transfer completed at %v, want 4400", doneAt)
-	}
-	// Nominal estimate is unchanged; restoring goes back to full speed.
-	if got := b.TransferTime(1000); got != 1100 {
-		t.Fatalf("TransferTime = %v, want nominal 1100", got)
-	}
-	b.SetSlowdown(0.5) // clamps to 1
-	var secondAt sim.Time
-	b.Transfer("nic", MainMemory, 1000, func() { secondAt = eng.Now() })
-	eng.RunAll()
-	if secondAt-doneAt != 1100 {
-		t.Fatalf("restored transfer took %v, want 1100", secondAt-doneAt)
-	}
-}
-
-func TestOutageBlocksTransfers(t *testing.T) {
-	eng, b := testBus(true)
-	b.Outage(10_000)
-	var doneAt sim.Time
-	b.Transfer("nic", MainMemory, 1000, func() { doneAt = eng.Now() })
-	eng.RunAll()
-	if doneAt != 11_100 { // waits out the outage, then 1100 of wire time
-		t.Fatalf("transfer completed at %v, want 11100", doneAt)
-	}
-	b.Outage(0) // no-op: the next transfer starts at once
-	start := eng.Now()
-	b.Transfer("nic", MainMemory, 1000, func() { doneAt = eng.Now() })
-	eng.RunAll()
-	if doneAt-start != 1100 {
-		t.Fatalf("transfer after a zero-length outage took %v, want 1100", doneAt-start)
-	}
-}
-
 func TestTransferGatherOneTransaction(t *testing.T) {
 	eng, b := testBus(true)
 	var doneAt sim.Time

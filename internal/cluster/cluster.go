@@ -7,17 +7,16 @@
 //
 //   - cluster.Plan accepts deployment roots ("shards") that may land on
 //     different hosts, plus Connect edges carrying traffic estimates.
-//     Solve extends the §5 layout objective one level up — the
-//     layout.ShardGraph assignment charges inter-host link costs derived
-//     from netmodel cycle accounting and each link's latency/bandwidth,
-//     while co-located shards communicate for free — and previews both the
-//     host assignment and each host's own device-level placement.
+//     Its shard assignment extends the §5 layout objective one level up —
+//     the layout.ShardGraph assignment charges inter-host link costs
+//     derived from netmodel cycle accounting and each link's
+//     latency/bandwidth, while co-located shards communicate for free.
 //   - Commit drives each host's transactional core.DeployPlan as a
-//     sub-transaction with cluster-wide rollback: if any host's commit (or
-//     any bridge build) fails, every Offcode already committed on peer
-//     hosts is stopped in reverse order, leaving each host's
-//     hostos.LiveBytes and device.MemLive ledgers at their pre-plan
-//     values.
+//     sub-transaction (which places the host's shards on its devices)
+//     with cluster-wide rollback: if any host's commit (or any bridge
+//     build) fails, every Offcode already committed on peer hosts is
+//     stopped in reverse order, leaving each host's hostos.LiveBytes and
+//     device.MemLive ledgers at their pre-plan values.
 //   - Cross-host edges materialize as proxy-channel pairs (bridge.go): a
 //     host-side forwarder Offcode on each end bridges two ordinary
 //     channel.Endpoints over a simulated point-to-point link with

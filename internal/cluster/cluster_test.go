@@ -273,18 +273,12 @@ func TestSolverColocatesChattyShardsUnderOpenCapacity(t *testing.T) {
 	if err := p.Connect("chatA", "chatB", Traffic{BytesPerSec: 10e6, MsgsPerSec: 1000}); err != nil {
 		t.Fatal(err)
 	}
-	pre, err := solve(p)
+	asg, err := p.solveAssign()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pre.Assignments[0].Host != pre.Assignments[1].Host {
-		t.Fatalf("chatty shards split: %+v", pre.Assignments)
-	}
-	if pre.Cost != 0 {
-		t.Fatalf("co-located cost = %v, want 0", pre.Cost)
-	}
-	if pre.Edges[0].Cross {
-		t.Fatal("edge previewed as crossing")
+	if a, b := asg.byRoot["chatA"].name(), asg.byRoot["chatB"].name(); a != b {
+		t.Fatalf("chatty shards split: chatA on %s, chatB on %s", a, b)
 	}
 }
 
@@ -352,8 +346,8 @@ func TestCommitRollbackOnMidCommitHostFailure(t *testing.T) {
 	if !strings.Contains(derr.Error(), "factory") {
 		t.Fatalf("unexpected commit error: %v", derr)
 	}
-	if dep.FailedHost != "h2" {
-		t.Fatalf("FailedHost = %q, want h2", dep.FailedHost)
+	if !strings.Contains(derr.Error(), "host h2") {
+		t.Fatalf("commit error does not name the failing host h2: %v", derr)
 	}
 	if len(dep.Handles) != 0 {
 		t.Fatalf("failed commit left handles: %v", dep.Handles)
@@ -441,9 +435,6 @@ func TestFailHostMigratesCheckpointedShardsAcrossHosts(t *testing.T) {
 	if len(rec.Moved) != 1 || rec.Moved[0] != (MovedRoot{Bind: "worker", From: "h1", To: "h0"}) {
 		t.Fatalf("Moved = %+v", rec.Moved)
 	}
-	if len(rec.Checkpointed) != 1 || rec.Checkpointed[0] != "worker" {
-		t.Fatalf("Checkpointed = %v", rec.Checkpointed)
-	}
 	if rec.Finished < rec.Started {
 		t.Fatalf("migration time negative: %+v", rec)
 	}
@@ -510,7 +501,7 @@ func TestSolveRejectsPinToHostThatDiedAfterAddRoot(t *testing.T) {
 	}
 	r.coord.FailHost("h1", func(*Migration, error) {})
 	r.sys.Eng.RunAll()
-	if _, err := solve(p); err == nil || !strings.Contains(err.Error(), "no longer live") {
+	if _, err := p.solveAssign(); err == nil || !strings.Contains(err.Error(), "no longer live") {
 		t.Fatalf("Solve err = %v, want pinned-host-dead error", err)
 	}
 }
@@ -585,14 +576,4 @@ func TestFailHostRedeployFailureUnwindsPartialMigration(t *testing.T) {
 	if h := r.coord.HostOf("saved"); h == "" || h == "h2" {
 		t.Fatalf("post-unwind redeploy landed on %q", h)
 	}
-}
-
-// solve assigns every root and previews the deployment without touching
-// hardware or committing the plan.
-func solve(p *Plan) (*Preview, error) {
-	asg, err := p.solveAssign()
-	if err != nil {
-		return nil, err
-	}
-	return p.preview(asg)
 }

@@ -35,8 +35,6 @@ type Migration struct {
 	// Moved lists the displaced shards and where they landed, in
 	// deployment order.
 	Moved []MovedRoot
-	// Checkpointed lists the shards whose state crossed hosts.
-	Checkpointed []string
 	// Err is non-nil when re-deployment failed (e.g. the survivors cannot
 	// satisfy a pin or capacity).
 	Err error
@@ -113,7 +111,6 @@ func (c *Coordinator) FailHost(name string, k func(*Migration, error)) {
 		if h, err := back.hs.Runtime.GetOffcode(bind); err == nil {
 			if cp, ok := h.Behaviour().(core.Checkpointer); ok {
 				states[bind] = cp.Checkpoint()
-				rec.Checkpointed = append(rec.Checkpointed, bind)
 				if tr.On() {
 					tr.Instant(obs.CatCluster, "cluster.checkpoint", int64(len(states[bind])))
 				}

@@ -86,8 +86,6 @@ type ShardSwap struct {
 type ClusterMutation struct {
 	// Added maps each new shard bind to its host.
 	Added map[string]string
-	// Removed lists the binds RemoveShard stopped.
-	Removed []string
 	// Swaps records each SwapShard in order.
 	Swaps []ShardSwap
 	// RedeployedHosts lists the hosts whose runtimes ran a deployment
@@ -175,7 +173,7 @@ func (c *Coordinator) Mutate(deltas []ShardDelta, k func(*ClusterMutation, error
 		case AddShard:
 			c.applyAddShard(d, res, trm, next)
 		case RemoveShard:
-			c.applyRemoveShard(d, res, trm, next)
+			c.applyRemoveShard(d, trm, next)
 		case SwapShard:
 			c.applySwapShard(d, res, trm, next)
 		default:
@@ -303,7 +301,7 @@ func (c *Coordinator) applyAddShard(d AddShard, res *ClusterMutation, trm *obs.S
 // first (so no relay writes into a dying channel), then the shard stops
 // on its host, then the coordinator forgets its placement, order slot
 // and edges.
-func (c *Coordinator) applyRemoveShard(d RemoveShard, res *ClusterMutation, trm *obs.Shard, k func(error)) {
+func (c *Coordinator) applyRemoveShard(d RemoveShard, trm *obs.Shard, k func(error)) {
 	pl, ok := c.placements[d.Bind]
 	if !ok {
 		k(fmt.Errorf("cluster: %s is not a committed shard", d.Bind))
@@ -344,7 +342,6 @@ func (c *Coordinator) applyRemoveShard(d RemoveShard, res *ClusterMutation, trm 
 		}
 	}
 	c.rootOrder = kept
-	res.Removed = append(res.Removed, d.Bind)
 	if trm.On() {
 		trm.Instant(obs.CatMutate, "mutate.shard.remove", int64(torn))
 	}

@@ -138,8 +138,8 @@ func TestMutateRemoveShardTearsDownBridges(t *testing.T) {
 	}
 
 	res := mutate(t, r, []ShardDelta{RemoveShard{Bind: "drop"}})
-	if len(res.Removed) != 1 || res.Removed[0] != "drop" {
-		t.Fatalf("Removed = %v", res.Removed)
+	if h := r.coord.HostOf("drop"); h != "" {
+		t.Fatalf("removed shard still placed on %s", h)
 	}
 	if len(res.RedeployedHosts) != 0 {
 		t.Fatalf("a removal redeployed hosts: %v", res.RedeployedHosts)

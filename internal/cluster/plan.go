@@ -2,11 +2,11 @@ package cluster
 
 // This file is the cluster-wide transactional deployment pipeline, the
 // two-level analogue of core.DeployPlan: AddRoot/Connect accumulate a
-// multi-host Offcode graph, Solve assigns shards to hosts (link-cost
-// objective over layout.ShardGraph, then each host's own §3.4 pipeline for
-// the device-level preview), and Commit drives every host's DeployPlan as
-// a sub-transaction — any host's failure unwinds the hosts already
-// committed, restoring every ledger to its pre-plan value.
+// multi-host Offcode graph, and Commit assigns shards to hosts (link-cost
+// objective over layout.ShardGraph) and then drives every host's
+// DeployPlan as a sub-transaction, in which that host's own §3.4 pipeline
+// places the shard on its devices. Any host's failure unwinds the hosts
+// already committed, restoring every ledger to its pre-plan value.
 
 import (
 	"fmt"
@@ -133,39 +133,9 @@ func (p *Plan) Connect(a, b string, t Traffic) error {
 	return nil
 }
 
-// Assignment is one shard's host in a Preview.
-type Assignment struct {
-	Bind, Path string
-	Host       string
-}
-
-// EdgePreview is one edge's fate in a Preview.
-type EdgePreview struct {
-	A, B string
-	// Cross reports whether the endpoints land on different hosts (the
-	// edge will be bridged over HostA↔HostB's link).
-	Cross        bool
-	HostA, HostB string
-}
-
-// Preview is a solved cluster plan: the host every shard would land on,
-// which edges cross hosts, the assignment's link cost, and each involved
-// host's own device-level placement preview.
-type Preview struct {
-	Assignments []Assignment
-	Edges       []EdgePreview
-	// Cost is the summed link cost of the cut edges under the solved
-	// assignment (layout.ShardGraph.CostOf).
-	Cost float64
-	// PerHost maps host name → that host's core placement preview.
-	PerHost map[string]*core.Preview
-}
-
-// assignment is the solved shard→backend mapping plus bookkeeping shared
-// by Solve and Commit.
+// assignment is the solved shard→backend mapping.
 type assignment struct {
 	byRoot map[string]*backend // plan root bind → backend
-	cost   float64
 }
 
 // solveAssign places the plan's roots over the live backends: committed
@@ -240,7 +210,7 @@ func (p *Plan) solveAssign() (*assignment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: shard assignment: %w", err)
 	}
-	out := &assignment{byRoot: make(map[string]*backend), cost: g.CostOf(placed)}
+	out := &assignment{byRoot: make(map[string]*backend)}
 	for _, r := range p.roots {
 		out.byRoot[r.bind] = live[placed[nodeIdx[r.bind]]]
 	}
@@ -274,50 +244,13 @@ func (p *Plan) hostRoots(asg *assignment) []struct {
 	return out
 }
 
-func (p *Plan) preview(asg *assignment) (*Preview, error) {
-	pre := &Preview{PerHost: make(map[string]*core.Preview)}
-	for _, r := range p.roots {
-		pre.Assignments = append(pre.Assignments, Assignment{
-			Bind: r.bind, Path: r.path, Host: asg.byRoot[r.bind].name(),
-		})
-	}
-	for _, e := range p.edges {
-		ha, hb := asg.byRoot[e.a].name(), asg.byRoot[e.b].name()
-		pre.Edges = append(pre.Edges, EdgePreview{
-			A: e.a, B: e.b, Cross: ha != hb, HostA: ha, HostB: hb,
-		})
-	}
-	pre.Cost = asg.cost
-	for _, hr := range p.hostRoots(asg) {
-		plan := hr.back.app.Plan()
-		for _, r := range hr.roots {
-			if err := plan.AddRoot(r.path); err != nil {
-				return nil, fmt.Errorf("cluster: host %s: %w", hr.back.name(), err)
-			}
-		}
-		hp, err := plan.Solve()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: host %s: %w", hr.back.name(), err)
-		}
-		pre.PerHost[hr.back.name()] = hp
-	}
-	return pre, nil
-}
-
 // Deployment is the typed result of a cluster Commit.
 type Deployment struct {
-	// Preview is the assignment the commit executed.
-	Preview *Preview
 	// Handles maps each root bind to its handle on its host's runtime.
 	// Empty when the commit failed: the cluster rollback revoked them.
 	Handles map[string]*core.Handle
 	// Bridges maps edge keys (EdgeKey) to the materialized bridges.
 	Bridges map[string]*Bridge
-	// PerHost maps host name → that host's core Deployment.
-	PerHost map[string]*core.Deployment
-	// FailedHost names the backend whose sub-transaction failed ("" on
-	// success).
-	FailedHost string
 	// Started and Finished bracket the commit on the virtual clock.
 	Started, Finished sim.Time
 }
@@ -344,7 +277,6 @@ func (p *Plan) Commit(k func(*Deployment, error)) {
 	dep := &Deployment{
 		Handles: make(map[string]*core.Handle),
 		Bridges: make(map[string]*Bridge),
-		PerHost: make(map[string]*core.Deployment),
 		Started: eng.Now(),
 	}
 	if p.committed {
@@ -361,17 +293,12 @@ func (p *Plan) Commit(k func(*Deployment, error)) {
 	c.committing = true
 
 	asg, err := p.solveAssign()
-	var pre *Preview
-	if err == nil {
-		pre, err = p.preview(asg)
-	}
 	if err != nil {
 		c.committing = false
 		dep.Finished = eng.Now()
 		k(dep, err)
 		return
 	}
-	dep.Preview = pre
 
 	hostPlans := p.hostRoots(asg)
 	var committed []*core.Deployment // for reverse unwind
@@ -388,7 +315,6 @@ func (p *Plan) Commit(k func(*Deployment, error)) {
 		// a failed commit's result must not expose any of them.
 		dep.Handles = make(map[string]*core.Handle)
 		dep.Bridges = make(map[string]*Bridge)
-		dep.PerHost = make(map[string]*core.Deployment)
 		c.committing = false
 		dep.Finished = eng.Now()
 		k(dep, err)
@@ -453,19 +379,16 @@ func (p *Plan) Commit(k func(*Deployment, error)) {
 		plan := hp.back.app.Plan()
 		for _, r := range hp.roots {
 			if err := plan.AddRoot(r.path); err != nil {
-				dep.FailedHost = hp.back.name()
 				fail(fmt.Errorf("cluster: host %s: %w", hp.back.name(), err))
 				return
 			}
 		}
 		plan.Commit(func(hdep *core.Deployment, err error) {
 			if err != nil {
-				dep.FailedHost = hp.back.name()
 				fail(fmt.Errorf("cluster: host %s: %w", hp.back.name(), err))
 				return
 			}
 			committed = append(committed, hdep)
-			dep.PerHost[hp.back.name()] = hdep
 			for bind, h := range hdep.Handles {
 				dep.Handles[bind] = h
 			}

@@ -586,8 +586,8 @@ func TestDeployMidListFailureRollsBackPinnedMemory(t *testing.T) {
 				if len(dep.Handles) != 0 {
 					t.Fatalf("failed commit left handles: %v", dep.Handles)
 				}
-				if dep.RootErrs["net.Socket"] == nil {
-					t.Fatalf("RootErrs missing the failing root: %+v", dep.RootErrs)
+				if !strings.Contains(derr.Error(), "root net.Socket") {
+					t.Fatalf("error does not name the failing root: %v", derr)
 				}
 			}
 			return derr
@@ -861,8 +861,8 @@ func TestMultiRootPlanAtomicity(t *testing.T) {
 	if r.host.LiveBytes() != live {
 		t.Fatalf("ledger leaked %d bytes", r.host.LiveBytes()-live)
 	}
-	if dep.RootErrs["fs.Broken"] == nil {
-		t.Fatalf("RootErrs = %+v", dep.RootErrs)
+	if !strings.Contains(derr.Error(), "root fs.Broken") {
+		t.Fatalf("error does not name the failing root: %v", derr)
 	}
 	if len(r.rt.roots) != 0 {
 		t.Fatalf("failed commit left root records: %+v", r.rt.roots)

@@ -9,11 +9,9 @@ import (
 )
 
 // This file is the mutation side of the deployment spine: the delta
-// executor shared by DeployPlan.Commit and App.Mutate, and the live
-// hot-swap path. A deployed graph is no longer a one-shot transaction —
-// App.Mutate applies a list of deltas (deploy a new root, replace a live
-// root with a new ODF, remove a root) atomically per delta, and
-// App.Replace hot-swaps one Offcode under traffic:
+// executor DeployPlan.Commit drives, and the live hot-swap path. A
+// deployed graph is no longer a one-shot transaction — App.Replace
+// hot-swaps one Offcode under traffic:
 //
 //	pause the attached channel endpoints (senders keep flowing; arrivals
 //	are held) → drain coalesced batches → checkpoint → stop the old
@@ -26,53 +24,20 @@ import (
 // re-instantiated on its old placement with the staged checkpoint fed
 // back in, so the service resumes as if the swap was never attempted.
 
-// Delta is one mutation of a session's deployed graph. The concrete
-// types are DeployDelta and ReplaceDelta.
-type Delta interface {
-	deltaLabel() string
-}
-
-// DeployDelta deploys a new root ODF, exactly like a plan root.
-type DeployDelta struct {
-	Path string
-}
-
-// ReplaceDelta hot-swaps the live root deployed as Bind with the ODF at
-// Path. The new ODF must carry the same bind name; its placement is
-// pinned to the old instance's target so the surviving channel endpoints
-// stay valid. Checkpointed state carries across the swap.
-type ReplaceDelta struct {
-	Bind string
-	Path string
-}
-
-func (d DeployDelta) deltaLabel() string  { return "deploy " + d.Path }
-func (d ReplaceDelta) deltaLabel() string { return "replace " + d.Bind }
-
-// MutationResult is the typed outcome of App.Mutate / App.Replace.
+// MutationResult is the typed outcome of App.Replace. A failed swap has
+// already rolled back to the old instance when the callback runs.
 type MutationResult struct {
-	// App is the owning session.
-	App *App
-	// Deployed maps each DeployDelta root bind to its new handle.
-	Deployed map[string]*Handle
-	// Swapped maps each ReplaceDelta bind to its replacement handle.
-	Swapped map[string]*Handle
-	// QuiescedChannels counts channel endpoints paused across the swaps.
-	QuiescedChannels int
-	// Replayed counts messages held during quiesce windows and re-delivered
-	// by the post-swap resume.
+	// Replayed counts messages held during the quiesce window and
+	// re-delivered by the post-swap resume.
 	Replayed int
-	// RolledBack reports that a delta failed and the pre-mutation graph was
-	// restored (the error the callback receives says which delta).
-	RolledBack bool
-	// Started and Finished bracket the mutation on the virtual clock.
+	// Started and Finished bracket the swap on the virtual clock.
 	Started, Finished sim.Time
 }
 
 // deltaExec is the shared execution engine of the deployment spine: it
 // instantiates, initializes and starts solved roots, tracking everything
-// it creates so a failure unwinds to the pre-mutation graph. Both
-// DeployPlan.Commit and App.Mutate drive it.
+// it creates so a failure unwinds to the pre-mutation graph.
+// DeployPlan.Commit and the hot-swap rollback drive it.
 type deltaExec struct {
 	rt  *Runtime
 	app *App
@@ -145,32 +110,19 @@ func (rt *Runtime) clearStagedRestore(binds []string) {
 }
 
 // Replace hot-swaps the live root deployed as bind with the ODF at path,
-// quiescing its channels, carrying checkpointed state across, and rolling
-// back to the old instance on failure. It is shorthand for a single-delta
-// Mutate.
+// over simulated time: it quiesces the root's channels, carries
+// checkpointed state across, and rolls back to the old instance on
+// failure. The new ODF must carry the same bind name; its placement is
+// pinned to the old instance's target so the surviving channel endpoints
+// stay valid.
 func (a *App) Replace(bind, path string, k func(*MutationResult, error)) {
-	a.Mutate([]Delta{ReplaceDelta{Bind: bind, Path: path}}, k)
-}
-
-// Mutate applies deltas to the session's deployed graph in order, over
-// simulated time. Each delta is atomic: a failed replace rolls back to
-// the pre-swap instance, a failed deploy unwinds its own closure, and in
-// every failure case the mutation stops at the failed delta with
-// RolledBack set — earlier deltas in the list stay applied (they already
-// committed), exactly like successive plan commits.
-func (a *App) Mutate(deltas []Delta, k func(*MutationResult, error)) {
 	rt := a.rt
-	res := &MutationResult{
-		App:      a,
-		Deployed: make(map[string]*Handle),
-		Swapped:  make(map[string]*Handle),
-		Started:  rt.eng.Now(),
-	}
+	res := &MutationResult{Started: rt.eng.Now()}
 	done := func(err error) {
 		res.Finished = rt.eng.Now()
 		if rt.trm.On() {
 			rt.trm.Complete(obs.CatMutate, "mutate.apply", res.Started,
-				res.Finished-res.Started, int64(len(deltas)))
+				res.Finished-res.Started, 1) // one swap per span
 		}
 		k(res, err)
 	}
@@ -178,85 +130,36 @@ func (a *App) Mutate(deltas []Delta, k func(*MutationResult, error)) {
 		done(fmt.Errorf("%w: %s", ErrAppClosed, a.name))
 		return
 	}
-	var apply func(i int)
-	apply = func(i int) {
-		if i == len(deltas) {
-			done(nil)
-			return
-		}
-		next := func(err error) {
-			if err != nil {
-				res.RolledBack = true
-				done(fmt.Errorf("core: mutate %s: %w", deltas[i].deltaLabel(), err))
-				return
-			}
-			apply(i + 1)
-		}
-		switch d := deltas[i].(type) {
-		case DeployDelta:
-			a.applyDeploy(d, res, next)
-		case ReplaceDelta:
-			a.applyReplace(d, res, next)
-		default:
-			next(fmt.Errorf("core: unknown delta %T", deltas[i]))
-		}
-	}
-	apply(0)
-}
-
-// applyDeploy deploys one new root — a single-root plan commit reusing
-// the same delta executor.
-func (a *App) applyDeploy(d DeployDelta, res *MutationResult, k func(error)) {
-	plan := a.Plan()
-	if err := plan.AddRoot(d.Path); err != nil {
-		k(err)
-		return
-	}
-	bind := plan.roots[0].bind
-	plan.Commit(func(dep *Deployment, err error) {
+	swapped := func(err error) {
 		if err != nil {
-			k(err)
-			return
+			err = fmt.Errorf("core: mutate replace %s: %w", bind, err)
 		}
-		res.Deployed[bind] = dep.Handles[bind]
-		if a.rt.trm.On() {
-			a.rt.trm.Instant(obs.CatMutate, "mutate.deploy", int64(len(dep.Created)))
-		}
-		k(nil)
-	})
-}
-
-// applyReplace is the hot-swap: quiesce → checkpoint → stop → re-solve
-// pinned → instantiate/restore/start → reattach → replay; rollback
-// re-establishes the old instance on any failure.
-func (a *App) applyReplace(d ReplaceDelta, res *MutationResult, k func(error)) {
-	rt := a.rt
-	old, ok := rt.byBind[d.Bind]
+		done(err)
+	}
+	old, ok := rt.byBind[bind]
 	switch {
 	case !ok:
-		k(fmt.Errorf("%w: %s", ErrNotFound, d.Bind))
+		swapped(fmt.Errorf("%w: %s", ErrNotFound, bind))
 		return
 	case old.pseudo:
-		k(fmt.Errorf("core: cannot replace pseudo Offcode %s", d.Bind))
+		swapped(fmt.Errorf("core: cannot replace pseudo Offcode %s", bind))
 		return
 	case old.app != a:
-		k(fmt.Errorf("core: %s is not owned by app %s", d.Bind, a.name))
+		swapped(fmt.Errorf("core: %s is not owned by app %s", bind, a.name))
 		return
 	case old.state != StateStarted:
-		k(fmt.Errorf("core: %s is %s, not started", d.Bind, old.state))
+		swapped(fmt.Errorf("core: %s is %s, not started", bind, old.state))
 		return
 	}
-	doc, err := rt.depot.LoadODF(d.Path)
+	doc, err := rt.depot.LoadODF(path)
 	if err != nil {
-		k(err)
+		swapped(err)
 		return
 	}
-	if doc.BindName != d.Bind {
-		k(fmt.Errorf("core: replacement ODF %s binds %s, not %s", d.Path, doc.BindName, d.Bind))
+	if doc.BindName != bind {
+		swapped(fmt.Errorf("core: replacement ODF %s binds %s, not %s", path, doc.BindName, bind))
 		return
 	}
-
-	swapStart := rt.eng.Now()
 
 	// Quiesce: pause every surviving session channel attached to the
 	// instance. Senders keep writing — arrivals are held, credits recycle
@@ -266,7 +169,6 @@ func (a *App) applyReplace(d ReplaceDelta, res *MutationResult, k func(error)) {
 	for _, at := range attached {
 		at.end.Pause()
 	}
-	res.QuiescedChannels += len(attached)
 	if rt.trm.On() {
 		rt.trm.Instant(obs.CatMutate, "mutate.quiesce", int64(len(attached)))
 	}
@@ -282,22 +184,22 @@ func (a *App) applyReplace(d ReplaceDelta, res *MutationResult, k func(error)) {
 		}
 		attached[i].end.Drain(func() { drain(i+1, k) })
 	}
-	drain(0, func() { a.replaceQuiesced(d, res, old, attached, swapStart, k) })
+	drain(0, func() { a.replaceQuiesced(bind, path, res, old, attached, swapped) })
 }
 
-// replaceQuiesced is the back half of applyReplace, entered once the old
+// replaceQuiesced is the back half of Replace, entered once the old
 // instance's channels are paused and drained.
-func (a *App) replaceQuiesced(d ReplaceDelta, res *MutationResult, old *Handle,
-	attached []attachedEnd, swapStart sim.Time, k func(error)) {
+func (a *App) replaceQuiesced(bind, path string, res *MutationResult, old *Handle,
+	attached []attachedEnd, k func(error)) {
 	rt := a.rt
 	oldPath, oldDev := old.srcPath, old.dev
-	pins := map[string]placementPin{d.Bind: {dev: oldDev}}
+	pins := map[string]placementPin{bind: {dev: oldDev}}
 
 	// Checkpoint the live state and stage it for the replacement (or, on
 	// rollback, for the re-instantiated original).
 	if cp, ok := old.behaviour.(Checkpointer); ok {
 		state := cp.Checkpoint()
-		rt.StageRestore(d.Bind, state)
+		rt.StageRestore(bind, state)
 		if rt.tr.On() {
 			rt.tr.Instant(obs.CatCore, "core.checkpoint", int64(len(state)))
 		}
@@ -317,15 +219,15 @@ func (a *App) replaceQuiesced(d ReplaceDelta, res *MutationResult, old *Handle,
 		}
 	}
 
-	finish := func(nh *Handle, rolledBack bool) {
-		rt.clearStagedRestore([]string{d.Bind})
+	finish := func(rolledBack bool) {
+		rt.clearStagedRestore([]string{bind})
 		if rt.trm.On() {
 			arg := int64(res.Replayed)
 			name := "mutate.swap"
 			if rolledBack {
 				name = "mutate.rollback"
 			}
-			rt.trm.Complete(obs.CatMutate, name, swapStart, rt.eng.Now()-swapStart, arg)
+			rt.trm.Complete(obs.CatMutate, name, res.Started, rt.eng.Now()-res.Started, arg)
 		}
 	}
 
@@ -339,20 +241,20 @@ func (a *App) replaceQuiesced(d ReplaceDelta, res *MutationResult, old *Handle,
 		rb := &deltaExec{rt: rt, app: a}
 		s, err := rt.solveRootPinned(oldPath, newPlacedSet(), pins)
 		if err != nil {
-			finish(nil, true)
-			k(errors.Join(cause, fmt.Errorf("core: rollback re-solve %s: %w", d.Bind, err)))
+			finish(true)
+			k(errors.Join(cause, fmt.Errorf("core: rollback re-solve %s: %w", bind, err)))
 			return
 		}
 		rb.deployRoot(s, func(err error) {
 			if err != nil {
 				rb.rollback()
-				finish(nil, true)
-				k(errors.Join(cause, fmt.Errorf("core: rollback redeploy %s: %w", d.Bind, err)))
+				finish(true)
+				k(errors.Join(cause, fmt.Errorf("core: rollback redeploy %s: %w", bind, err)))
 				return
 			}
-			oh := rt.byBind[d.Bind]
+			oh := rt.byBind[bind]
 			resume(oh)
-			finish(oh, true)
+			finish(true)
 			k(cause)
 		})
 	}
@@ -363,12 +265,12 @@ func (a *App) replaceQuiesced(d ReplaceDelta, res *MutationResult, old *Handle,
 	if err := rt.stopHandle(old); err != nil {
 		// The old instance is already gone; restoring it is the only path
 		// back to the pre-mutation graph.
-		rollback(&deltaExec{rt: rt, app: a}, fmt.Errorf("core: stop %s: %w", d.Bind, err))
+		rollback(&deltaExec{rt: rt, app: a}, fmt.Errorf("core: stop %s: %w", bind, err))
 		return
 	}
 
 	x := &deltaExec{rt: rt, app: a}
-	s, err := rt.solveRootPinned(d.Path, newPlacedSet(), pins)
+	s, err := rt.solveRootPinned(path, newPlacedSet(), pins)
 	if err != nil {
 		rollback(x, err)
 		return
@@ -378,15 +280,14 @@ func (a *App) replaceQuiesced(d ReplaceDelta, res *MutationResult, old *Handle,
 			rollback(x, err)
 			return
 		}
-		nh, ok := rt.byBind[d.Bind]
+		nh, ok := rt.byBind[bind]
 		if !ok {
-			rollback(x, fmt.Errorf("core: replacement %s vanished during swap", d.Bind))
+			rollback(x, fmt.Errorf("core: replacement %s vanished during swap", bind))
 			return
 		}
-		rt.rerecordRoot(d.Bind, d.Path)
+		rt.rerecordRoot(bind, path)
 		resume(nh)
-		res.Swapped[d.Bind] = nh
-		finish(nh, false)
+		finish(false)
 		k(nil)
 	})
 }

@@ -259,7 +259,7 @@ func (rt *Runtime) solveRootPinned(path string, placed *placedSet, pinTo map[str
 		return out, nil // everything already deployed (or planned)
 	}
 
-	// Solve over the *available* targets only: a crashed or hung device is
+	// Solve over the *available* targets only: a crashed device is
 	// not a placement candidate, which is how failover re-layouts route
 	// around dead hardware.
 	avail := rt.availableDevices()

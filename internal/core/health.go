@@ -16,8 +16,8 @@ import (
 // Detection: per device, the monitor registers a heartbeat pseudo Offcode
 // (hydra.Health.<device>) whose only job is to answer probes. Every
 // Heartbeat the monitor submits a probe to the device's firmware queue;
-// healthy firmware answers within microseconds, while crashed or hung
-// firmware silently drops it (device.Exec's failure semantics). A device
+// healthy firmware answers within microseconds, while crashed firmware
+// silently drops it (device.Exec's failure semantics). A device
 // silent for longer than Timeout is declared failed.
 //
 // Recovery: failover checkpoints every Offcode implementing Checkpointer,

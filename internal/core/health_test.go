@@ -188,24 +188,6 @@ func TestMonitorDetectsCrashAndMigrates(t *testing.T) {
 	}
 }
 
-func TestMonitorHangDetectedLikeCrash(t *testing.T) {
-	r := newTwoNICRig(t, 12)
-	r.deployFilter(t)
-	r.rt.StartMonitor(MonitorConfig{Heartbeat: 5 * sim.Millisecond})
-	r.eng.At(30*sim.Millisecond, r.nic0.Hang)
-	r.eng.Run(sim.Second)
-	h, err := r.rt.GetOffcode("net.Filter")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Device() != r.nic1 {
-		t.Fatalf("hung-NIC offcode on %v, want nic1", h.Device())
-	}
-	if len(r.rt.Recoveries()) != 1 {
-		t.Fatalf("recoveries = %d", len(r.rt.Recoveries()))
-	}
-}
-
 func TestFailoverStopsImportersFirst(t *testing.T) {
 	r := newRig(t, Config{})
 	r.stock(t, "net.Checksum", 101, "Network Device", "")

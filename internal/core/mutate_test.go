@@ -120,20 +120,17 @@ func TestReplaceHotSwapZeroLoss(t *testing.T) {
 	if rerr != nil {
 		t.Fatal(rerr)
 	}
-	if res == nil || res.RolledBack {
-		t.Fatalf("mutation result = %+v", res)
+	if res == nil {
+		t.Fatal("no mutation result")
 	}
-	nh := res.Swapped["svc.Counter"]
-	if nh == nil || nh == h {
-		t.Fatalf("Swapped = %+v", res.Swapped)
+	nh, err := r.rt.GetOffcode("svc.Counter")
+	if err != nil || nh == h {
+		t.Fatalf("live svc.Counter after the swap = %v, %v", nh, err)
 	}
 	// Placement pinned: the replacement landed where the original ran, so
 	// the surviving channel endpoints stayed valid.
 	if nh.Device() != oldDev {
 		t.Fatalf("replacement on %v, want pinned to %v", nh.Device(), oldDev)
-	}
-	if res.QuiescedChannels != 1 {
-		t.Fatalf("QuiescedChannels = %d, want 1", res.QuiescedChannels)
 	}
 	if res.Replayed != 5 {
 		t.Fatalf("Replayed = %d, want 5 (the swap-window writes)", res.Replayed)
@@ -217,8 +214,8 @@ func TestReplaceRollsBackOnFailure(t *testing.T) {
 	if rerr == nil || !strings.Contains(rerr.Error(), "v2 refuses to boot") {
 		t.Fatalf("err = %v", rerr)
 	}
-	if res == nil || !res.RolledBack {
-		t.Fatalf("result = %+v, want RolledBack", res)
+	if res == nil {
+		t.Fatal("no mutation result")
 	}
 
 	// The bind is live again: a fresh v1 instance on the old placement.
@@ -303,61 +300,17 @@ func TestReplaceValidation(t *testing.T) {
 	if err := replaceErr(other, "svc.Counter", "/offcodes/counter.v1.odf"); err == nil || !strings.Contains(err.Error(), "not owned") {
 		t.Fatalf("ownership: %v", err)
 	}
+	// A closed session cannot swap anything.
+	if err := other.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := replaceErr(other, "svc.Counter", "/offcodes/counter.v1.odf"); !errors.Is(err, ErrAppClosed) {
+		t.Fatalf("closed session: %v", err)
+	}
 	// None of the rejected attempts disturbed the live instance.
 	h, err := r.rt.GetOffcode("svc.Counter")
 	if err != nil || h.state != StateStarted {
 		t.Fatalf("live instance: %v %v", h, err)
-	}
-}
-
-// Mutate applies a delta list in order — deploy, replace, remove — and a
-// failed delta stops the mutation with earlier deltas still applied.
-func TestMutateAppliesDeltasInOrder(t *testing.T) {
-	r := newRig(t, Config{})
-	rec := &swapRecorder{}
-	stockCounter(t, r, rec, "/offcodes/counter.v1.odf", 500, 1, nil)
-	stockCounter(t, r, rec, "/offcodes/counter.v2.odf", 501, 2, nil)
-	r.stock(t, "net.Checksum", 101, "Network Device", "")
-	r.stock(t, "net.Filter", 102, "Network Device", "")
-	deploy(t, r, "/offcodes/counter.v1.odf")
-
-	var res *MutationResult
-	var merr error
-	r.rt.DefaultApp().Mutate([]Delta{
-		DeployDelta{Path: "/offcodes/net.Checksum.odf"},
-		ReplaceDelta{Bind: "svc.Counter", Path: "/offcodes/counter.v2.odf"},
-	}, func(m *MutationResult, err error) { res, merr = m, err })
-	r.eng.RunAll()
-	if merr != nil {
-		t.Fatal(merr)
-	}
-	if res.Deployed["net.Checksum"] == nil {
-		t.Fatalf("Deployed = %+v", res.Deployed)
-	}
-	if res.Swapped["svc.Counter"] == nil || rec.last.version != 2 {
-		t.Fatalf("Swapped = %+v (v%d live)", res.Swapped, rec.last.version)
-	}
-	if res.Finished < res.Started {
-		t.Fatalf("timings: %v..%v", res.Started, res.Finished)
-	}
-
-	// A failing middle delta: the first delta stays applied, the mutation
-	// reports the failed label, and RolledBack is set.
-	var res2 *MutationResult
-	var merr2 error
-	r.rt.DefaultApp().Mutate([]Delta{
-		DeployDelta{Path: "/offcodes/net.Filter.odf"},
-		ReplaceDelta{Bind: "ghost", Path: "/offcodes/counter.v2.odf"},
-	}, func(m *MutationResult, err error) { res2, merr2 = m, err })
-	r.eng.RunAll()
-	if merr2 == nil || !strings.Contains(merr2.Error(), "replace ghost") {
-		t.Fatalf("err = %v", merr2)
-	}
-	if !res2.RolledBack {
-		t.Fatal("RolledBack not set")
-	}
-	if _, err := r.rt.GetOffcode("net.Filter"); err != nil {
-		t.Fatalf("earlier delta was unwound: %v", err)
 	}
 }
 

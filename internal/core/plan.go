@@ -159,10 +159,6 @@ type Deployment struct {
 	// this deployment by stopping them in reverse. Empty on failure: the
 	// plan's own rollback already stopped them.
 	Created []*Handle
-	// RootErrs records which root's subgraph failed a rolled-back commit.
-	RootErrs map[string]error
-	// Preview is the placement the commit executed.
-	Preview *Preview
 	// Started and Finished bracket the commit on the virtual clock.
 	Started, Finished sim.Time
 }
@@ -177,10 +173,9 @@ type Deployment struct {
 func (p *DeployPlan) Commit(k func(*Deployment, error)) {
 	rt := p.app.rt
 	dep := &Deployment{
-		App:      p.app,
-		Handles:  make(map[string]*Handle),
-		RootErrs: make(map[string]error),
-		Started:  rt.eng.Now(),
+		App:     p.app,
+		Handles: make(map[string]*Handle),
+		Started: rt.eng.Now(),
 	}
 	fail := func(err error) {
 		dep.Handles = make(map[string]*Handle)
@@ -210,7 +205,7 @@ func (p *DeployPlan) Commit(k func(*Deployment, error)) {
 		fail(err)
 		return
 	}
-	dep.Preview = p.preview(solved)
+	pre := p.preview(solved)
 
 	// Every bind this plan covers — new assignments and reused instances
 	// alike. Once the commit settles, staged restore state for these binds
@@ -218,17 +213,17 @@ func (p *DeployPlan) Commit(k func(*Deployment, error)) {
 	// non-Checkpointer behaviour, a failed commit) must not silently feed
 	// stale checkpoint bytes into a later, unrelated deployment of the
 	// same bind name.
-	covered := make([]string, 0, len(dep.Preview.Assignments)+len(dep.Preview.Reused))
-	for _, asg := range dep.Preview.Assignments {
+	covered := make([]string, 0, len(pre.Assignments)+len(pre.Reused))
+	for _, asg := range pre.Assignments {
 		covered = append(covered, asg.BindName)
 	}
-	covered = append(covered, dep.Preview.Reused...)
+	covered = append(covered, pre.Reused...)
 
 	// Admission against the session's Offcode quota happens before any
 	// hardware is touched: an over-quota plan is rejected wholesale. The
 	// probe charge validates the whole plan at once; each instantiated
 	// Offcode books its own unit afterwards.
-	newCount := int64(len(dep.Preview.Assignments))
+	newCount := int64(len(pre.Assignments))
 	if err := p.app.res.Charge(QuotaOffcodes, newCount); err != nil {
 		fail(fmt.Errorf("core: plan needs %d offcodes: %w", newCount, err))
 		return
@@ -257,7 +252,6 @@ func (p *DeployPlan) Commit(k func(*Deployment, error)) {
 			if err != nil {
 				x.rollback()
 				rt.clearStagedRestore(covered)
-				dep.RootErrs[s.bind] = err
 				fail(fmt.Errorf("core: root %s: %w", s.bind, err))
 				return
 			}

@@ -112,35 +112,6 @@ func SmartDisk(name string) Config {
 	}
 }
 
-// Health describes a device's failure state. Healthy devices execute work;
-// hung firmware silently drops it; crashed devices additionally lose their
-// local memory contents when they come back.
-type Health int
-
-// Health states.
-const (
-	// HealthOK: firmware is running normally.
-	HealthOK Health = iota
-	// HealthHung: the embedded core is wedged — work is dropped, timers do
-	// not fire — but local memory survives a Restore.
-	HealthHung
-	// HealthCrashed: the device is dead; Restore resets it to power-on state
-	// (local memory cleared, every allocation lost).
-	HealthCrashed
-)
-
-func (h Health) String() string {
-	switch h {
-	case HealthOK:
-		return "ok"
-	case HealthHung:
-		return "hung"
-	case HealthCrashed:
-		return "crashed"
-	}
-	return "invalid"
-}
-
 // Device is one programmable peripheral attached to a host.
 type Device struct {
 	cfg  Config
@@ -158,12 +129,12 @@ type Device struct {
 	busy     bool
 	queue    []*devSegment
 
-	// Failure model. epoch increments on every health transition away from
-	// HealthOK, so callbacks armed by dead firmware (in-flight Exec segments,
-	// hardware timers) can recognize they no longer belong to the running
-	// instance and fall silent.
-	health Health
-	epoch  uint64
+	// Failure model. epoch increments on every crash, so callbacks armed
+	// by dead firmware (in-flight Exec segments, hardware timers) can
+	// recognize they no longer belong to the running instance and fall
+	// silent.
+	crashed bool
+	epoch   uint64
 }
 
 type devSegment struct {
@@ -211,11 +182,11 @@ func (d *Device) CyclesToTime(cycles uint64) sim.Time {
 }
 
 // Exec runs cycles of firmware work on the embedded CPU, serialized with
-// other device work, then calls k. On an unhealthy device the work is
+// other device work, then calls k. On a crashed device the work is
 // dropped silently — k is never invoked — exactly like firmware that has
 // stopped fetching instructions.
 func (d *Device) Exec(cycles uint64, k func()) {
-	if d.health != HealthOK {
+	if d.crashed {
 		return
 	}
 	d.queue = append(d.queue, &devSegment{cycles: cycles, k: k})
@@ -247,53 +218,36 @@ func (d *Device) pump() {
 // --- Failure model (driven by internal/faults) ---
 
 // Healthy reports whether the device is executing work.
-func (d *Device) Healthy() bool { return d.health == HealthOK }
+func (d *Device) Healthy() bool { return !d.crashed }
 
 // Crash kills the device: queued and in-flight firmware work vanishes,
 // timers stop, DMA engines halt. Crashing an already-crashed device is a
-// no-op; crashing a hung device upgrades the failure.
+// no-op.
 func (d *Device) Crash() {
-	if d.health == HealthCrashed {
+	if d.crashed {
 		return
 	}
-	d.health = HealthCrashed
-	d.fail()
-}
-
-// Hang wedges the embedded core: work is dropped exactly as after a crash,
-// but local memory survives a later Restore. Hanging a crashed device is a
-// no-op (it is already worse).
-func (d *Device) Hang() {
-	if d.health != HealthOK {
-		return
-	}
-	d.health = HealthHung
-	d.fail()
-}
-
-func (d *Device) fail() {
+	d.crashed = true
 	d.epoch++
 	d.queue = nil
 	d.busy = false
 }
 
-// Restore brings the device back. After a crash this is a power-on reset:
-// local memory is cleared and every allocation is lost (firmware exports
-// live in ROM and survive). After a hang, memory contents are preserved.
-// The runtime must reload and restart any Offcodes that lived here.
+// Restore brings a crashed device back with a power-on reset: local
+// memory is cleared and every allocation is lost (firmware exports live
+// in ROM and survive). The runtime must reload and restart any Offcodes
+// that lived here.
 func (d *Device) Restore() {
-	if d.health == HealthOK {
+	if !d.crashed {
 		return
 	}
-	if d.health == HealthCrashed {
-		for i := range d.mem {
-			d.mem[i] = 0
-		}
-		d.memUsed = 0
-		d.memFreed = 0
-		d.memGen++
+	for i := range d.mem {
+		d.mem[i] = 0
 	}
-	d.health = HealthOK
+	d.memUsed = 0
+	d.memFreed = 0
+	d.memGen++
+	d.crashed = false
 }
 
 // BusyTime reports accumulated embedded-CPU busy time.
@@ -312,7 +266,7 @@ func (d *Device) EnergyJoules() float64 {
 // PeriodicTimer fires k every period±jitter. Unlike host timer loops the
 // period does not accumulate drift: each deadline is period after the
 // previous deadline, not after the previous firing. The ticker dies with
-// the firmware instance that armed it: a crash or hang permanently
+// the firmware instance that armed it: a crash permanently
 // silences it (Restore does not revive it — the restarted firmware must
 // arm its own).
 func (d *Device) PeriodicTimer(period sim.Time, k func()) *sim.Ticker {
@@ -344,8 +298,8 @@ func (d *Device) AllocMem(size int) (uint64, error) {
 	if size <= 0 {
 		return 0, fmt.Errorf("device %s: alloc of %d bytes", d.cfg.Name, size)
 	}
-	if d.health != HealthOK {
-		return 0, fmt.Errorf("device %s: allocation while %v", d.cfg.Name, d.health)
+	if d.crashed {
+		return 0, fmt.Errorf("device %s: allocation while crashed", d.cfg.Name)
 	}
 	const align = 16
 	base := (d.memUsed + align - 1) &^ (align - 1)
@@ -425,7 +379,7 @@ func (d *Device) Exports() map[string]uint64 {
 // DMAToHost writes size bytes from the device into host memory at hostAddr:
 // one bus transaction, then host-side cache invalidation of the target lines.
 func (d *Device) DMAToHost(hostAddr uint64, size int, done func()) {
-	if d.health != HealthOK {
+	if d.crashed {
 		return
 	}
 	d.bsys.Transfer(d.Agent(), bus.MainMemory, size, func() {
@@ -439,7 +393,7 @@ func (d *Device) DMAToHost(hostAddr uint64, size int, done func()) {
 // DMAFromHost reads size bytes of host memory into the device. Reads do not
 // invalidate host cache lines.
 func (d *Device) DMAFromHost(hostAddr uint64, size int, done func()) {
-	if d.health != HealthOK {
+	if d.crashed {
 		return
 	}
 	d.bsys.Transfer(bus.MainMemory, d.Agent(), size, func() {
@@ -455,7 +409,7 @@ func (d *Device) DMAFromHost(hostAddr uint64, size int, done func()) {
 // cache invalidation of the whole landing range. This is how a batched
 // descriptor ring retires N completions per interrupt.
 func (d *Device) DMAToHostGather(hostAddr uint64, sizes []int, done func()) {
-	if d.health != HealthOK {
+	if d.crashed {
 		return
 	}
 	total := 0
@@ -473,7 +427,7 @@ func (d *Device) DMAToHostGather(hostAddr uint64, sizes []int, done func()) {
 // DMAFromHostGather reads several payloads from host memory in one gather
 // transaction. Reads do not invalidate host cache lines.
 func (d *Device) DMAFromHostGather(hostAddr uint64, sizes []int, done func()) {
-	if d.health != HealthOK {
+	if d.crashed {
 		return
 	}
 	_ = hostAddr // reads leave the host cache alone
@@ -487,7 +441,7 @@ func (d *Device) DMAFromHostGather(hostAddr uint64, sizes []int, done func()) {
 // DMAToPeerGather moves several payloads directly to another device in one
 // gather transaction (no host memory involvement).
 func (d *Device) DMAToPeerGather(peer *Device, sizes []int, done func()) {
-	if d.health != HealthOK {
+	if d.crashed {
 		return
 	}
 	d.bsys.TransferGather(d.Agent(), peer.Agent(), sizes, done)
@@ -496,7 +450,7 @@ func (d *Device) DMAToPeerGather(peer *Device, sizes []int, done func()) {
 // DMAToPeer moves size bytes directly to another device (peer-to-peer bus
 // transaction, no host memory involvement) — the TiVoPC NIC→GPU/disk path.
 func (d *Device) DMAToPeer(peer *Device, size int, done func()) {
-	if d.health != HealthOK {
+	if d.crashed {
 		return
 	}
 	d.bsys.Transfer(d.Agent(), peer.Agent(), size, func() {
@@ -510,7 +464,7 @@ func (d *Device) DMAToPeer(peer *Device, size int, done func()) {
 // the bus supports it (paper §1 fn.2: "if the bus architecture allows it,
 // this packet could be transferred in a single bus transaction").
 func (d *Device) DMAToPeers(peers []*Device, size int, done func()) {
-	if d.health != HealthOK {
+	if d.crashed {
 		return
 	}
 	agents := make([]bus.Agent, len(peers))
@@ -523,7 +477,7 @@ func (d *Device) DMAToPeers(peers []*Device, size int, done func()) {
 // InterruptHost raises a host interrupt attributed to this device. Dead
 // devices raise no interrupts.
 func (d *Device) InterruptHost(cycles uint64, k func()) {
-	if d.health != HealthOK {
+	if d.crashed {
 		return
 	}
 	d.host.Interrupt(d.cfg.Name, cycles, k)

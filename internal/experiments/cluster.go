@@ -82,7 +82,7 @@ func (f *x9Frontend) ChannelConnected(ep *channel.Endpoint) {
 	})
 }
 
-// Kick issues a request on every idle endpooint — after the initial commit
+// Kick issues a request on every idle endpoint — after the initial commit
 // and again after a migration rebuilds bridges (replacing the endpoints
 // whose channels died with the failed host).
 func (f *x9Frontend) Kick() {

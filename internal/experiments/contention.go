@@ -212,21 +212,9 @@ func RunContentionCell(seed int64, duration sim.Time, apps int, tight bool, reso
 			func() any { return worker }); err != nil {
 			return nil, err
 		}
-		plan := t.app.Plan()
-		if err := plan.AddRoot("/x8/" + bind + ".odf"); err != nil {
-			return nil, err
-		}
-		var commitErr error
-		var handle *core.Handle
-		plan.Commit(func(d *core.Deployment, err error) {
-			commitErr = err
-			if err == nil {
-				handle = d.Handles[bind]
-			}
-		})
-		eng.RunAll()
-		if commitErr != nil {
-			return nil, fmt.Errorf("tenant %d: %w", i, commitErr)
+		handle, err := deployRoot(t.app, eng, "/x8/"+bind+".odf", bind)
+		if err != nil {
+			return nil, fmt.Errorf("tenant %d: %w", i, err)
 		}
 		send, ch, err := t.app.CreateChannel(chCfg, handle)
 		if err != nil {

@@ -653,8 +653,8 @@ type X12Ledger struct {
 	// is the hosts' VFS ledger. Exactly-once: both equal
 	// PolicyDrops + Evicted + Expired.
 	Logged, LogLines uint64
-	// FlowsSpawned / FlowsRetired witness the generators' churn.
-	FlowsSpawned, FlowsRetired uint64
+	// FlowsRetired witnesses the generators' churn.
+	FlowsRetired uint64
 }
 
 // ledger sums the cell's conservation ledger; it fails if a shard never
@@ -664,7 +664,6 @@ func (cell *x12Cell) ledger() (X12Ledger, error) {
 	for _, f := range cell.fronts {
 		l.Offered += f.offered
 		l.Shed += f.shed
-		l.FlowsSpawned += f.gen.Spawned()
 		l.FlowsRetired += f.gen.Retired()
 	}
 	for i := 0; i < cell.shards; i++ {

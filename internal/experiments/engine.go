@@ -60,10 +60,9 @@ type EngineBenchRow struct {
 	WallMS         float64
 	EventsPerSec   float64
 	AllocsPerEvent float64
-	// TraceRecords / TraceDropped report the recorder's record and
-	// ring-overflow counts for the trace-overhead rows (zero elsewhere).
+	// TraceRecords reports the recorder's record count for the
+	// trace-on row (zero elsewhere).
 	TraceRecords uint64
-	TraceDropped uint64
 }
 
 // EngineBenchResults holds the engine suite.
@@ -196,7 +195,7 @@ func RunEngineBench(seed int64, target uint64) (*EngineBenchResults, error) {
 	onTr.Attach(onEng, "bench")
 	rowOn := measureEngine("chain-trace-on", engineChainTimers,
 		engineTimerLoop(onEng, seed, engineChainTimers, 97, target))
-	rowOn.TraceRecords, rowOn.TraceDropped = uint64(onTr.Len()), onTr.Dropped()
+	rowOn.TraceRecords = uint64(onTr.Len())
 	res.Rows = append(res.Rows, rowOn)
 	return res, nil
 }

@@ -119,6 +119,23 @@ func commitPlan(what string, plan *cluster.Plan, drive func()) error {
 	}, drive)
 }
 
+// deployRoot commits a one-root plan for the ODF at path on app, drives
+// eng until it settles, and returns the handle of the root bound as bind.
+func deployRoot(app *core.App, eng *sim.Engine, path, bind string) (*core.Handle, error) {
+	plan := app.Plan()
+	if err := plan.AddRoot(path); err != nil {
+		return nil, err
+	}
+	var h *core.Handle
+	err := settle("deploy "+bind, func(done func(error)) {
+		plan.Commit(func(d *core.Deployment, err error) {
+			h = d.Handles[bind]
+			done(err)
+		})
+	}, func() { eng.RunAll() })
+	return h, err
+}
+
 // mutateShards applies deltas to a live cluster deployment and drives
 // simulated time until the mutation settles.
 func mutateShards(what string, coord *cluster.Coordinator, deltas []cluster.ShardDelta, drive func()) (*cluster.ClusterMutation, error) {

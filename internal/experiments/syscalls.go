@@ -173,9 +173,9 @@ type X11Swap struct {
 	// Issued counts syscalls the two instances issued; Completed counts
 	// completions their continuations received. Equal after the drain.
 	Issued, Completed uint64
-	// HostExecuted counts actual executions against the VFS; HostLogLines
-	// is the side-effect ledger — both must equal Issued (exactly once).
-	HostExecuted, HostLogLines uint64
+	// HostLogLines is the side-effect ledger — it must equal Issued
+	// (exactly once).
+	HostLogLines uint64
 	// Reissued counts in-flight calls the replacement re-sent after its
 	// restore; Deduped counts the host's cache/in-flight hits answering
 	// them; Orphaned counts duplicate completions the device absorbed.
@@ -275,20 +275,9 @@ func RunX11Swap(seed int64) (*X11Swap, error) {
 	}
 
 	app := hs.Runtime.DefaultApp()
-	var handle *core.Handle
-	var deployErr error
-	app.Mutate([]core.Delta{core.DeployDelta{Path: x11SwapV1Path}}, func(m *core.MutationResult, err error) {
-		deployErr = err
-		if m != nil {
-			handle = m.Deployed[x11SwapBind]
-		}
-	})
-	sys.Eng.RunAll()
-	if deployErr != nil {
-		return nil, fmt.Errorf("x11: deploy: %w", deployErr)
-	}
-	if handle == nil {
-		return nil, fmt.Errorf("x11: %s not deployed", x11SwapBind)
+	handle, err := deployRoot(app, sys.Eng, x11SwapV1Path, x11SwapBind)
+	if err != nil {
+		return nil, fmt.Errorf("x11: %w", err)
 	}
 	plane, err := app.OpenSyscalls(handle, shared.prof)
 	if err != nil {
@@ -319,8 +308,8 @@ func RunX11Swap(seed int64) (*X11Swap, error) {
 	if swapErr != nil {
 		return nil, fmt.Errorf("x11: swap: %w", swapErr)
 	}
-	if res == nil || res.RolledBack {
-		return nil, fmt.Errorf("x11: swap result %+v", res)
+	if res == nil {
+		return nil, fmt.Errorf("x11: swap never settled")
 	}
 
 	st := shared.issuer.Stats()
@@ -328,7 +317,6 @@ func RunX11Swap(seed int64) (*X11Swap, error) {
 	return &X11Swap{
 		Issued:         issued,
 		Completed:      shared.completed,
-		HostExecuted:   svc.Executed,
 		HostLogLines:   hs.Runtime.VFS().LogLines(),
 		Reissued:       st.Reissued,
 		Deduped:        svc.Deduped,

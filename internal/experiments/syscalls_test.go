@@ -120,10 +120,7 @@ func TestX11ClientRejectsBadCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	hs.Runtime.StageRestore(x11SwapBind, []byte("not a checkpoint"))
-	var deployErr error
-	hs.Runtime.DefaultApp().Mutate([]core.Delta{core.DeployDelta{Path: x11SwapV1Path}},
-		func(_ *core.MutationResult, err error) { deployErr = err })
-	sys.Eng.RunAll()
+	_, deployErr := deployRoot(hs.Runtime.DefaultApp(), sys.Eng, x11SwapV1Path, x11SwapBind)
 	if deployErr == nil || !strings.Contains(deployErr.Error(), "Restore") {
 		t.Fatalf("deploy with a corrupt checkpoint: err %v, want the client's Restore error", deployErr)
 	}

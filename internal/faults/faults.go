@@ -1,7 +1,7 @@
 // Package faults is the deterministic fault injector: it replays declarative
-// fault schedules — device crashes, firmware hangs, restarts, bus
-// degradation and outages — against a running simulation, driven entirely by
-// the engine's virtual clock and a private seeded random stream.
+// crash-only fault schedules — device crashes and restarts — against a
+// running simulation, driven entirely by the engine's virtual clock and a
+// private seeded random stream.
 //
 // The determinism contract extends to failures: a fixed seed plus a fixed
 // schedule produces a bit-identical run, including every fault, every
@@ -19,7 +19,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"hydra/internal/bus"
 	"hydra/internal/device"
 	"hydra/internal/sim"
 )
@@ -32,71 +31,46 @@ const (
 	// DeviceCrash kills a device; local memory is lost. With a Duration,
 	// the device restarts (power-on reset) that long after the crash.
 	DeviceCrash Kind = iota
-	// DeviceHang wedges a device's firmware; memory survives. With a
-	// Duration, the device un-wedges that long after the hang.
-	DeviceHang
-	// DeviceRestart restores a previously crashed or hung device.
+	// DeviceRestart restores a previously crashed device.
 	DeviceRestart
-	// BusDegrade multiplies a host bus's wire time by Factor. With a
-	// Duration, full speed returns that long after the degradation.
-	BusDegrade
-	// BusOutage blocks a host bus entirely for Duration.
-	BusOutage
 )
 
 func (k Kind) String() string {
 	switch k {
 	case DeviceCrash:
 		return "device-crash"
-	case DeviceHang:
-		return "device-hang"
 	case DeviceRestart:
 		return "device-restart"
-	case BusDegrade:
-		return "bus-degrade"
-	case BusOutage:
-		return "bus-outage"
 	}
 	return "invalid"
 }
 
-// Entry is one declarative fault. Device faults name a device; bus faults
-// name the host whose interconnect degrades.
+// Entry is one declarative fault against a named device.
 type Entry struct {
 	// At is the virtual time the fault strikes.
 	At sim.Time
 	// Kind selects the fault.
 	Kind Kind
-	// Device names the target device (device faults).
+	// Device names the target device.
 	Device string
-	// Host names the host whose bus is targeted (bus faults).
-	Host string
-	// Factor is the BusDegrade wire-time multiplier (≥ 1).
-	Factor float64
-	// Duration bounds the fault where the Kind supports it; see the Kind
-	// constants. Zero means the fault persists until a later entry undoes it.
+	// Duration bounds a DeviceCrash: the device restarts that long after
+	// the crash. Zero means it stays down until a later DeviceRestart.
 	Duration sim.Time
 }
 
 func (e Entry) String() string {
-	target := e.Device
-	if target == "" {
-		target = e.Host
-	}
-	return fmt.Sprintf("%v@%v(%s)", e.Kind, e.At, target)
+	return fmt.Sprintf("%v@%v(%s)", e.Kind, e.At, e.Device)
 }
 
 // Schedule is a replayable fault script. Entries may be listed in any
 // order; Arm applies them in (At, declaration-index) order.
 type Schedule []Entry
 
-// Targets resolves the names a Schedule uses to live components.
+// Targets resolves the device names a Schedule uses to live devices.
 // testbed.System satisfies it.
 type Targets interface {
 	// Device returns the named device, or nil.
 	Device(name string) *device.Device
-	// Bus returns the named host's I/O interconnect, or nil.
-	Bus(host string) *bus.Bus
 }
 
 // Record is one fault the injector actually applied.
@@ -134,46 +108,20 @@ func (in *Injector) Arm(sched Schedule, t Targets) error {
 }
 
 func (in *Injector) armEntry(e Entry, t Targets) error {
-	switch e.Kind {
-	case DeviceCrash, DeviceHang, DeviceRestart:
-		d := t.Device(e.Device)
-		if d == nil {
-			return fmt.Errorf("faults: %v targets unknown device %q", e.Kind, e.Device)
-		}
-		switch e.Kind {
-		case DeviceCrash:
-			in.CrashDevice(e.At, d)
-			if e.Duration > 0 {
-				in.RestartDevice(e.At+e.Duration, d)
-			}
-		case DeviceHang:
-			in.HangDevice(e.At, d)
-			if e.Duration > 0 {
-				in.RestartDevice(e.At+e.Duration, d)
-			}
-		case DeviceRestart:
-			in.RestartDevice(e.At, d)
-		}
-	case BusDegrade:
-		b := t.Bus(e.Host)
-		if b == nil {
-			return fmt.Errorf("faults: %v targets unknown host %q", e.Kind, e.Host)
-		}
-		if e.Factor < 1 {
-			return fmt.Errorf("faults: %v factor %v < 1", e.Kind, e.Factor)
-		}
-		in.DegradeBus(e.At, e.Host, b, e.Factor, e.Duration)
-	case BusOutage:
-		b := t.Bus(e.Host)
-		if b == nil {
-			return fmt.Errorf("faults: %v targets unknown host %q", e.Kind, e.Host)
-		}
-		if e.Duration <= 0 {
-			return fmt.Errorf("faults: %v needs a positive duration", e.Kind)
-		}
-		in.BusOutage(e.At, e.Host, b, e.Duration)
-	default:
+	if e.Kind != DeviceCrash && e.Kind != DeviceRestart {
 		return fmt.Errorf("faults: unknown kind %d", e.Kind)
+	}
+	d := t.Device(e.Device)
+	if d == nil {
+		return fmt.Errorf("faults: %v targets unknown device %q", e.Kind, e.Device)
+	}
+	if e.Kind == DeviceRestart {
+		in.RestartDevice(e.At, d)
+		return nil
+	}
+	in.CrashDevice(e.At, d)
+	if e.Duration > 0 {
+		in.RestartDevice(e.At+e.Duration, d)
 	}
 	return nil
 }
@@ -195,39 +143,11 @@ func (in *Injector) CrashDevice(at sim.Time, d *device.Device) {
 	})
 }
 
-// HangDevice wedges d's firmware at virtual time at.
-func (in *Injector) HangDevice(at sim.Time, d *device.Device) {
-	in.at(at, func() {
-		in.record(DeviceHang, d.Name())
-		d.Hang()
-	})
-}
-
 // RestartDevice restores d at virtual time at.
 func (in *Injector) RestartDevice(at sim.Time, d *device.Device) {
 	in.at(at, func() {
 		in.record(DeviceRestart, d.Name())
 		d.Restore()
-	})
-}
-
-// DegradeBus multiplies b's wire time by factor at virtual time at; with a
-// positive duration, full speed returns afterwards.
-func (in *Injector) DegradeBus(at sim.Time, host string, b *bus.Bus, factor float64, duration sim.Time) {
-	in.at(at, func() {
-		in.record(BusDegrade, host)
-		b.SetSlowdown(factor)
-	})
-	if duration > 0 {
-		in.at(at+duration, func() { b.SetSlowdown(1) })
-	}
-}
-
-// BusOutage blocks b for duration starting at virtual time at.
-func (in *Injector) BusOutage(at sim.Time, host string, b *bus.Bus, duration sim.Time) {
-	in.at(at, func() {
-		in.record(BusOutage, host)
-		b.Outage(duration)
 	})
 }
 

@@ -14,31 +14,16 @@ import (
 // world is a minimal Targets implementation over one host.
 type world struct {
 	eng  *sim.Engine
-	host *hostos.Machine
-	b    *bus.Bus
 	devs map[string]*device.Device
 }
 
 func (w *world) Device(name string) *device.Device { return w.devs[name] }
-func (w *world) Bus(host string) *bus.Bus {
-	if host == "h0" {
-		return w.b
-	}
-	return nil
-}
-
-// busSlowdown probes the bus with one transfer and reports its wire time
-// over the nominal one: the active degradation factor.
-func (w *world) busSlowdown() float64 {
-	took := w.b.Transfer("probe", bus.MainMemory, 1024, nil) - w.eng.Now()
-	return float64(took) / float64(w.b.TransferTime(1024))
-}
 
 func newWorld(seed int64) *world {
 	eng := sim.NewEngine(seed)
 	host := hostos.New(eng, "h0", hostos.PentiumIV())
 	b := bus.New(eng, bus.DefaultConfig())
-	w := &world{eng: eng, host: host, b: b, devs: map[string]*device.Device{}}
+	w := &world{eng: eng, devs: map[string]*device.Device{}}
 	w.devs["nic0"] = device.New(eng, host, b, device.XScaleNIC("nic0"))
 	w.devs["nic1"] = device.New(eng, host, b, device.XScaleNIC("nic1"))
 	return w
@@ -48,83 +33,61 @@ func TestArmAppliesScheduleInOrder(t *testing.T) {
 	w := newWorld(1)
 	in := NewInjector(w.eng)
 	sched := Schedule{
-		{At: 30 * sim.Millisecond, Kind: BusDegrade, Host: "h0", Factor: 3, Duration: 10 * sim.Millisecond},
+		{At: 30 * sim.Millisecond, Kind: DeviceCrash, Device: "nic1"},
 		{At: 10 * sim.Millisecond, Kind: DeviceCrash, Device: "nic0", Duration: 20 * sim.Millisecond},
-		{At: 20 * sim.Millisecond, Kind: DeviceHang, Device: "nic1"},
 		{At: 50 * sim.Millisecond, Kind: DeviceRestart, Device: "nic1"},
-		{At: 60 * sim.Millisecond, Kind: BusOutage, Host: "h0", Duration: sim.Millisecond},
 	}
 	if err := in.Arm(sched, w); err != nil {
 		t.Fatal(err)
 	}
-	// A crash and a hang differ in what survives the restart: a crashed
-	// device comes back with cleared memory, a hung one keeps it. Mark
-	// both devices' memory so the restarts tell which fault was applied.
-	marker := []byte("survives a hang")
-	addrs := map[string]uint64{}
-	for _, name := range []string{"nic0", "nic1"} {
-		d := w.devs[name]
-		addr, err := d.AllocMem(len(marker))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := d.WriteMem(addr, marker); err != nil {
-			t.Fatal(err)
-		}
-		addrs[name] = addr
+	// A crashed device comes back with cleared memory: mark nic0's memory
+	// so its restart shows the crash was a power-on reset.
+	marker := []byte("lost in a crash")
+	addr, err := w.devs["nic0"].AllocMem(len(marker))
+	if err != nil {
+		t.Fatal(err)
 	}
-	memKept := func(name string) bool {
-		got, err := w.devs[name].ReadMem(addrs[name], len(marker))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(got) == string(marker)
+	if err := w.devs["nic0"].WriteMem(addr, marker); err != nil {
+		t.Fatal(err)
 	}
 
 	w.eng.Run(15 * sim.Millisecond)
 	if w.devs["nic0"].Healthy() {
 		t.Fatal("crash not applied")
 	}
-	w.eng.Run(25 * sim.Millisecond)
-	if w.devs["nic1"].Healthy() {
-		t.Fatal("hang not applied")
-	}
 	w.eng.Run(35 * sim.Millisecond)
 	if !w.devs["nic0"].Healthy() {
 		t.Fatal("bounded crash did not auto-restart")
 	}
-	if memKept("nic0") || w.devs["nic0"].MemLive() != 0 {
-		t.Fatal("nic0 memory survived: a hang was applied for the crash")
+	got, err := w.devs["nic0"].ReadMem(addr, len(marker))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := w.busSlowdown(); got != 3 {
-		t.Fatalf("slowdown = %v", got)
+	if string(got) == string(marker) || w.devs["nic0"].MemLive() != 0 {
+		t.Fatal("nic0 memory survived the crash")
+	}
+	if w.devs["nic1"].Healthy() {
+		t.Fatal("unbounded crash not applied")
 	}
 	w.eng.Run(45 * sim.Millisecond)
-	if w.busSlowdown() != 1 {
-		t.Fatal("bounded degradation did not restore")
+	if w.devs["nic1"].Healthy() {
+		t.Fatal("unbounded crash restarted on its own")
 	}
-	w.eng.Run(60*sim.Millisecond + sim.Microsecond)
+	w.eng.RunAll()
 	if !w.devs["nic1"].Healthy() {
 		t.Fatal("explicit restart not applied")
 	}
-	if !memKept("nic1") {
-		t.Fatal("nic1 memory cleared: a crash was applied for the hang")
-	}
-	if w.busSlowdown() <= 1 {
-		t.Fatal("outage not applied")
-	}
-	w.eng.RunAll()
 
 	log := in.Log()
-	kinds := make([]Kind, len(log))
+	applied := make([]string, len(log))
 	for i, r := range log {
-		kinds[i] = r.Kind
+		applied[i] = r.Kind.String() + " " + r.Target
 	}
-	// The bounded crash's auto-restart appears in the log too, at 30 ms —
-	// armed before the degradation entry, so it fires first.
-	want := []Kind{DeviceCrash, DeviceHang, DeviceRestart, BusDegrade, DeviceRestart, BusOutage}
-	if !reflect.DeepEqual(kinds, want) {
-		t.Fatalf("log kinds = %v, want %v", kinds, want)
+	// The bounded crash's auto-restart fires at 30 ms, armed before the
+	// nic1 crash entry at the same instant, so it fires first.
+	want := []string{"device-crash nic0", "device-restart nic0", "device-crash nic1", "device-restart nic1"}
+	if !reflect.DeepEqual(applied, want) {
+		t.Fatalf("log = %v, want %v", applied, want)
 	}
 	for i := 1; i < len(log); i++ {
 		if log[i].At < log[i-1].At {
@@ -138,10 +101,8 @@ func TestArmValidatesNames(t *testing.T) {
 	in := NewInjector(w.eng)
 	cases := []Entry{
 		{Kind: DeviceCrash, Device: "ghost"},
-		{Kind: BusDegrade, Host: "ghost", Factor: 2},
-		{Kind: BusDegrade, Host: "h0", Factor: 0.5},
-		{Kind: BusOutage, Host: "h0"},
-		{Kind: Kind(99)},
+		{Kind: DeviceRestart, Device: "ghost"},
+		{Kind: Kind(99), Device: "nic0"},
 	}
 	for i, e := range cases {
 		if err := in.Arm(Schedule{e}, w); err == nil {

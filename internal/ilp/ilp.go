@@ -68,8 +68,7 @@ func (p *Problem) Validate() error {
 type Solution struct {
 	X         []int // binary assignment
 	Objective float64
-	Nodes     int  // branch-and-bound nodes explored
-	Optimal   bool // proven optimal (always true on success)
+	Nodes     int // branch-and-bound nodes explored
 }
 
 // ErrInfeasible is returned when no binary assignment satisfies the rows.
@@ -104,7 +103,7 @@ func Solve(p *Problem, opts Options) (*Solution, error) {
 	if s.best == nil {
 		return nil, ErrInfeasible
 	}
-	return &Solution{X: s.best, Objective: s.bestObj, Nodes: s.nodes, Optimal: true}, nil
+	return &Solution{X: s.best, Objective: s.bestObj, Nodes: s.nodes}, nil
 }
 
 type solver struct {

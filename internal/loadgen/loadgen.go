@@ -67,7 +67,6 @@ type Gen struct {
 	cfg          Config
 	rng          *rand.Rand
 	zipf         *rand.Zipf
-	lambda       float64
 	expNegLambda float64
 	flows        []activeFlow
 	nextID       uint64
@@ -97,7 +96,6 @@ func New(cfg Config) (*Gen, error) {
 	g := &Gen{
 		cfg:          cfg,
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
-		lambda:       lambda,
 		expNegLambda: math.Exp(-lambda),
 		flows:        make([]activeFlow, cfg.Flows),
 		digest:       fnvOffset,
@@ -181,10 +179,6 @@ func (g *Gen) Emit(emit func(Packet)) {
 		emit(p)
 	}
 }
-
-// Spawned counts flows ever created (initial population included) — the
-// size of the client population modeled so far.
-func (g *Gen) Spawned() uint64 { return g.nextID }
 
 // Retired counts flows that finished — the churn the flow tables must
 // absorb (each retirement eventually ages one entry out).

@@ -80,9 +80,9 @@ func TestChurnKeepsConcurrencyConstant(t *testing.T) {
 	if g.Retired() == 0 {
 		t.Fatal("no flow ever retired — churn is dead")
 	}
-	if g.Spawned() != uint64(g.cfg.Flows)+g.Retired() {
+	if g.nextID != uint64(g.cfg.Flows)+g.Retired() {
 		t.Fatalf("spawned %d, want initial %d + retired %d",
-			g.Spawned(), g.cfg.Flows, g.Retired())
+			g.nextID, g.cfg.Flows, g.Retired())
 	}
 	// A flow's key is stable for its whole life, and flow IDs are unique
 	// per spawn.
@@ -93,8 +93,8 @@ func TestChurnKeepsConcurrencyConstant(t *testing.T) {
 		}
 		lastSeen[p.FlowID] = p.Key
 	}
-	if uint64(len(lastSeen)) > g.Spawned() {
-		t.Fatalf("%d distinct flow IDs with only %d spawns", len(lastSeen), g.Spawned())
+	if uint64(len(lastSeen)) > g.nextID {
+		t.Fatalf("%d distinct flow IDs with only %d spawns", len(lastSeen), g.nextID)
 	}
 }
 

@@ -44,7 +44,6 @@ type Packet struct {
 	Src, Dst string
 	Port     uint16
 	Payload  []byte
-	SentAt   sim.Time
 }
 
 // Handler consumes a delivered packet at its destination NIC.
@@ -151,7 +150,7 @@ func (s *Station) Send(dst string, port uint16, payload []byte) error {
 
 	data := make([]byte, len(payload))
 	copy(data, payload)
-	pkt := Packet{Src: s.name, Dst: dst, Port: port, Payload: data, SentAt: now}
+	pkt := Packet{Src: s.name, Dst: dst, Port: port, Payload: data}
 	n.eng.At(deliverAt, func() {
 		if h, ok := target.handlers[port]; ok {
 			h(pkt)

@@ -277,11 +277,6 @@ func Build(eng *sim.Engine, spec Spec) (*System, error) {
 			return nil, err
 		}
 	}
-	for i, m := range spec.Mutations {
-		if err := sys.armMutation(i, m); err != nil {
-			return nil, err
-		}
-	}
 	return sys, nil
 }
 
@@ -315,34 +310,6 @@ func (sys *System) buildSyscalls(hs *HostSystem, sc *SyscallSpec) error {
 		iss.Attach(dend)
 		hs.Syscalls = append(hs.Syscalls, &SyscallSystem{Device: d, Channel: ch, Service: svc, Issuer: iss})
 	}
-	return nil
-}
-
-// armMutation validates one MutationSpec against the built hosts and
-// schedules the hot-swap on the owning host's engine. The mutation is armed
-// after construction, so under EnginePerHost it fires inside the host's own
-// clock domain; cluster drivers that need the swap between conservative
-// windows should use cluster.Coordinator.Mutate instead.
-func (sys *System) armMutation(i int, m MutationSpec) error {
-	hs := sys.hosts[m.Host]
-	if hs == nil {
-		return fmt.Errorf("testbed: mutation %d names unknown host %q", i, m.Host)
-	}
-	if hs.Runtime == nil {
-		return fmt.Errorf("testbed: mutation %d: host %q has no runtime", i, m.Host)
-	}
-	app := hs.Runtime.DefaultApp()
-	if m.App != "" {
-		if app = hs.Runtime.App(m.App); app == nil {
-			return fmt.Errorf("testbed: mutation %d: host %q has no app %q", i, m.Host, m.App)
-		}
-	}
-	if m.Bind == "" || m.Path == "" {
-		return fmt.Errorf("testbed: mutation %d on host %q needs Bind and Path", i, m.Host)
-	}
-	hs.Eng.At(m.At, func() {
-		app.Replace(m.Bind, m.Path, func(*core.MutationResult, error) {})
-	})
 	return nil
 }
 
@@ -386,15 +353,6 @@ func (sys *System) RuntimeHosts() []*HostSystem {
 
 // Device returns the device with the given name from any host, or nil.
 func (sys *System) Device(name string) *device.Device { return sys.devices[name] }
-
-// Bus returns the named host's I/O interconnect, or nil. Together with
-// Device this makes a System a faults.Targets.
-func (sys *System) Bus(host string) *bus.Bus {
-	if h := sys.hosts[host]; h != nil {
-		return h.Bus
-	}
-	return nil
-}
 
 // OpenChannel instantiates the named channel profile between a host and a
 // device: the creator endpoint runs on the host (an OA-application side),

@@ -42,7 +42,6 @@ import (
 	"hydra/internal/netsim"
 	"hydra/internal/nfs"
 	"hydra/internal/obs"
-	"hydra/internal/sim"
 	"hydra/internal/syscall"
 )
 
@@ -66,9 +65,8 @@ type Spec struct {
 	// Hosts are the machines of the testbed, built in order.
 	Hosts []HostSpec
 	// Faults, when non-empty, is the declarative fault schedule replayed
-	// against the built system: device crashes/hangs/restarts by device
-	// name, bus degradation and outages by host name. Build validates every
-	// name and arms the schedule on a seed-derived injector, so fault
+	// against the built system: device crashes and restarts by device
+	// name. Build validates every name and arms the schedule on a seed-derived injector, so fault
 	// histories are replica-private and bit-identical for a fixed seed.
 	Faults faults.Schedule
 	// Channels declares named channel configuration profiles — ring depth,
@@ -94,27 +92,6 @@ type Spec struct {
 	// up from their engine automatically. Read the trace via
 	// System.Tracer.
 	Trace *obs.Config
-	// Mutations is the declarative live-mutation schedule: at each entry's
-	// virtual time, the named host's session hot-swaps the Offcode deployed
-	// as Bind with the ODF at Path (core.App.Replace — quiesce, checkpoint
-	// carry-over, replay, rollback on failure). Build validates the host
-	// and app names and arms the schedule on each host's engine; the
-	// System records each outcome in firing order.
-	Mutations []MutationSpec
-}
-
-// MutationSpec schedules one live hot-swap against a built system.
-type MutationSpec struct {
-	// Host names the runtime host whose deployment mutates.
-	Host string
-	// App names the session owning the deployment ("" = the runtime's
-	// default session).
-	App string
-	// At is the virtual time the mutation fires.
-	At sim.Time
-	// Bind is the live root to replace; Path is the replacement ODF.
-	Bind string
-	Path string
 }
 
 // ChannelSpec names one channel configuration profile on a Spec.

@@ -2,19 +2,15 @@ package testbed
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
-	"hydra/internal/bus"
 	"hydra/internal/channel"
 	"hydra/internal/core"
 	"hydra/internal/device"
 	"hydra/internal/faults"
-	"hydra/internal/guid"
 	"hydra/internal/netsim"
 	"hydra/internal/nfs"
-	"hydra/internal/objfile"
 	"hydra/internal/resource"
 	"hydra/internal/sim"
 )
@@ -282,7 +278,7 @@ func TestBuildArmsFaultSchedule(t *testing.T) {
 	spec.Hosts[0].Monitor = &core.MonitorConfig{Heartbeat: 5 * sim.Millisecond}
 	spec.Faults = faults.Schedule{
 		{At: 10 * sim.Millisecond, Kind: faults.DeviceCrash, Device: "alpha-nic"},
-		{At: 20 * sim.Millisecond, Kind: faults.BusDegrade, Host: "beta", Factor: 2},
+		{At: 20 * sim.Millisecond, Kind: faults.DeviceCrash, Device: "beta-nic", Duration: 5 * sim.Millisecond},
 	}
 	sys, err := New(5, spec)
 	if err != nil {
@@ -299,12 +295,11 @@ func TestBuildArmsFaultSchedule(t *testing.T) {
 	if sys.Device("alpha-nic").Healthy() {
 		t.Fatal("scheduled crash not applied")
 	}
-	// A probe transfer on the degraded bus takes twice its nominal time.
-	beta := sys.Bus("beta")
-	if took := beta.Transfer("probe", bus.MainMemory, 1024, nil) - sys.Eng.Now(); took != 2*beta.TransferTime(1024) {
-		t.Fatalf("beta bus probe took %v, want 2x nominal %v", took, beta.TransferTime(1024))
+	// The bounded crash restarted beta-nic on its own.
+	if !sys.Device("beta-nic").Healthy() {
+		t.Fatal("bounded crash did not auto-restart")
 	}
-	if len(sys.Injector.Log()) != 2 {
+	if len(sys.Injector.Log()) != 3 {
 		t.Fatalf("injector log = %v", sys.Injector.Log())
 	}
 }
@@ -316,150 +311,9 @@ func TestBuildRejectsBadFaultTargets(t *testing.T) {
 		t.Fatalf("err = %v, want unknown device", err)
 	}
 	spec = twoHostSpec()
-	spec.Faults = faults.Schedule{{Kind: faults.BusOutage, Host: "ghost", Duration: sim.Millisecond}}
-	if _, err := New(1, spec); err == nil {
-		t.Fatal("unknown host armed")
-	}
-}
-
-// hotWorker is a versioned channel-served behaviour whose delivery count
-// rides checkpoints across hot-swaps.
-type hotWorker struct {
-	version int
-	count   int
-	ep      *channel.Endpoint
-}
-
-func (w *hotWorker) Initialize(*core.Context) error { return nil }
-func (w *hotWorker) Start() error                   { return nil }
-func (w *hotWorker) Stop() error                    { return nil }
-func (w *hotWorker) ChannelConnected(ep *channel.Endpoint) {
-	w.ep = ep
-	ep.InstallCallHandler(func([]byte) { w.count++ })
-}
-func (w *hotWorker) Checkpoint() []byte { return []byte{byte(w.count)} }
-func (w *hotWorker) Restore(b []byte) error {
-	if len(b) > 0 {
-		w.count = int(b[0])
-	}
-	return nil
-}
-
-// stockHot registers one hotWorker version on a built host's depot.
-func stockHot(t *testing.T, hs *HostSystem, path string, g uint64, version int, made *[]*hotWorker) {
-	t.Helper()
-	doc := fmt.Sprintf(`<offcode>
-  <package><bindname>svc.Hot</bindname><GUID>%d</GUID></package>
-  <targets>
-    <device-class><name>Network Device</name></device-class>
-    <host-fallback>true</host-fallback>
-  </targets>
-</offcode>`, g)
-	hs.Depot.PutFile(path, []byte(doc))
-	obj := objfile.Synthesize("svc.Hot", guid.GUID(g), 512, []string{"hydra.Heap.Alloc", "hydra.Channel.Write"})
-	if err := hs.Depot.RegisterObject(obj); err != nil {
-		t.Fatal(err)
-	}
-	if err := hs.Depot.RegisterFactory(guid.GUID(g), func() any {
-		w := &hotWorker{version: version}
-		*made = append(*made, w)
-		return w
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// A Spec.Mutations schedule hot-swaps a live Offcode at its virtual time:
-// the replacement inherits the checkpointed count, keeps serving, and the
-// swapped-in instance is the one that serves afterwards.
-func TestBuildArmsMutationSchedule(t *testing.T) {
-	sys, err := New(11, Spec{
-		Hosts: []HostSpec{{
-			Name:    "m0",
-			Devices: []device.Config{device.XScaleNIC("m0-nic")},
-			Runtime: &core.Config{},
-		}},
-		Mutations: []MutationSpec{{
-			Host: "m0", At: 50 * sim.Millisecond, Bind: "svc.Hot", Path: "/hot/v2.odf",
-		}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := sys.Host("m0")
-	var made []*hotWorker
-	stockHot(t, hs, "/hot/v1.odf", 7001, 1, &made)
-	stockHot(t, hs, "/hot/v2.odf", 7002, 2, &made)
-
-	var h *core.Handle
-	plan := hs.Runtime.DefaultApp().Plan()
-	if err := plan.AddRoot("/hot/v1.odf"); err != nil {
-		t.Fatal(err)
-	}
-	plan.Commit(func(dep *core.Deployment, err error) {
-		if err != nil {
-			t.Errorf("deploy: %v", err)
-			return
-		}
-		h = dep.Handles["svc.Hot"]
-	})
-	sys.Eng.Run(10 * sim.Millisecond)
-	if h == nil {
-		t.Fatal("v1 not deployed before the mutation epoch")
-	}
-	appEnd, _, err := hs.Runtime.DefaultApp().CreateChannel(channel.DefaultConfig(), h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := appEnd.Write([]byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sys.Eng.RunAll() // delivers the writes, then fires the 50 ms swap
-
-	if len(made) != 2 || made[1].version != 2 {
-		t.Fatalf("instances = %d, want v2 spawned", len(made))
-	}
-	if made[1].count != 3 {
-		t.Fatalf("v2 count = %d, want checkpointed 3", made[1].count)
-	}
-	if h, err := hs.Runtime.GetOffcode("svc.Hot"); err != nil || h.Behaviour() != made[1] {
-		t.Fatalf("svc.Hot after the swap = %v, %v; want the v2 instance", h, err)
-	}
-	// The swapped-in instance keeps serving on the surviving endpoint.
-	if err := appEnd.Write([]byte{9}); err != nil {
-		t.Fatal(err)
-	}
-	sys.Eng.RunAll()
-	if made[1].count != 4 {
-		t.Fatalf("post-swap count = %d, want 4", made[1].count)
-	}
-}
-
-func TestBuildRejectsBadMutations(t *testing.T) {
-	base := func() Spec {
-		return Spec{Hosts: []HostSpec{
-			{Name: "r", Devices: []device.Config{device.XScaleNIC("r-nic")}, Runtime: &core.Config{}},
-			{Name: "bare"},
-		}}
-	}
-	cases := []struct {
-		name string
-		mut  MutationSpec
-		want string
-	}{
-		{"unknown host", MutationSpec{Host: "ghost", Bind: "b", Path: "/p"}, "unknown host"},
-		{"no runtime", MutationSpec{Host: "bare", Bind: "b", Path: "/p"}, "no runtime"},
-		{"unknown app", MutationSpec{Host: "r", App: "ghost", Bind: "b", Path: "/p"}, "no app"},
-		{"missing bind", MutationSpec{Host: "r", Path: "/p"}, "Bind and Path"},
-	}
-	for _, c := range cases {
-		spec := base()
-		spec.Mutations = []MutationSpec{c.mut}
-		if _, err := New(1, spec); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%s: err = %v, want containing %q", c.name, err, c.want)
-		}
+	spec.Faults = faults.Schedule{{Kind: faults.DeviceRestart, Device: "ghost-disk"}}
+	if _, err := New(1, spec); err == nil || !strings.Contains(err.Error(), "ghost-disk") {
+		t.Fatalf("err = %v, want unknown device", err)
 	}
 }
 

@@ -112,13 +112,13 @@ func (r *FailoverRun) PostRecoveryJitter() stats.Summary {
 // it: time from injection to the monitor's declaration.
 func (r *FailoverRun) DetectionLatencies() []sim.Time {
 	// Faults and recoveries are both chronological; match each recovery to
-	// the most recent preceding crash/hang of its device.
+	// the most recent preceding crash of its device.
 	var out []sim.Time
 	for _, rec := range r.Recoveries {
 		var faultAt sim.Time = -1
 		for _, f := range r.Faults {
 			if f.Target == rec.Device && f.At <= rec.DetectedAt &&
-				(f.Kind == faults.DeviceCrash || f.Kind == faults.DeviceHang) {
+				f.Kind == faults.DeviceCrash {
 				faultAt = f.At
 			}
 		}

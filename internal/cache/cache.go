@@ -11,6 +11,8 @@
 // report the kernel-only miss rate exactly as the paper does.
 package cache
 
+import "math/bits"
+
 // Context labels who performed a memory access.
 type Context int
 
@@ -50,19 +52,19 @@ type Stats struct {
 	Misses   uint64
 }
 
-type line struct {
-	valid bool
-	tag   uint64
-	lru   uint64 // last-touch stamp; larger is more recent
-}
-
 // Cache is the set-associative model. It is not safe for concurrent use;
 // the simulation is single-threaded.
+//
+// Way w of set i sits at index i*Ways+w of two flat arrays. tags holds each
+// line's tag plus one, so 0 marks an invalid way and an 8-way set's tags
+// fill one 64-byte host line. lru holds each way's last-touch stamp (larger
+// is more recent; 0 for an invalid way, so a miss fills invalid ways first).
 type Cache struct {
 	cfg      Config
-	sets     [][]line
-	numSets  int
+	tags     []uint64
+	lru      []uint64
 	lineBits uint
+	tagShift uint
 	setMask  uint64
 	stamp    uint64
 	stats    [numContexts]Stats
@@ -79,55 +81,40 @@ func New(cfg Config) *Cache {
 	if numSets == 0 || numSets&(numSets-1) != 0 {
 		panic("cache: set count must be a non-zero power of two")
 	}
-	lineBits := uint(0)
-	for 1<<lineBits < cfg.LineBytes {
-		lineBits++
-	}
-	if 1<<lineBits != cfg.LineBytes {
+	if cfg.LineBytes&(cfg.LineBytes-1) != 0 {
 		panic("cache: line size must be a power of two")
-	}
-	sets := make([][]line, numSets)
-	backing := make([]line, numSets*cfg.Ways)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
 	}
 	return &Cache{
 		cfg:      cfg,
-		sets:     sets,
-		numSets:  numSets,
-		lineBits: lineBits,
+		tags:     make([]uint64, numSets*cfg.Ways),
+		lru:      make([]uint64, numSets*cfg.Ways),
+		lineBits: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		tagShift: uint(bits.TrailingZeros(uint(numSets))),
 		setMask:  uint64(numSets - 1),
 	}
 }
 
-// Touch accesses one address and reports whether it missed.
-func (c *Cache) Touch(ctx Context, addr uint64) bool {
+// touchLine accesses one line address and reports whether it missed. The
+// caller counts the access.
+func (c *Cache) touchLine(lineAddr uint64) bool {
 	c.stamp++
-	lineAddr := addr >> c.lineBits
-	setIdx := lineAddr & c.setMask
-	tag := lineAddr >> uint64(bitsFor(c.numSets))
-	set := c.sets[setIdx]
-
-	st := &c.stats[ctx]
-	st.Accesses++
-
-	victim := 0
-	var victimLRU uint64 = ^uint64(0)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].lru = c.stamp
+	base := int(lineAddr&c.setMask) * c.cfg.Ways
+	tags := c.tags[base : base+c.cfg.Ways]
+	lru := c.lru[base : base+len(tags)]
+	tag := lineAddr>>c.tagShift + 1
+	for w, t := range tags {
+		if t == tag {
+			lru[w] = c.stamp
 			return false // hit
 		}
-		if !set[i].valid {
-			victim = i
-			victimLRU = 0
-		} else if set[i].lru < victimLRU {
-			victim = i
-			victimLRU = set[i].lru
+	}
+	victim := 0
+	for w := range lru {
+		if lru[w] < lru[victim] {
+			victim = w
 		}
 	}
-	set[victim] = line{valid: true, tag: tag, lru: c.stamp}
-	st.Misses++
+	tags[victim], lru[victim] = tag, c.stamp
 	return true
 }
 
@@ -138,18 +125,16 @@ func (c *Cache) AccessRange(ctx Context, addr uint64, size int) int {
 	if size <= 0 {
 		return 0
 	}
+	first, last := addr>>c.lineBits, (addr+uint64(size)-1)>>c.lineBits
 	misses := 0
-	lineSize := uint64(c.cfg.LineBytes)
-	first := addr &^ (lineSize - 1)
-	last := (addr + uint64(size) - 1) &^ (lineSize - 1)
-	for a := first; ; a += lineSize {
-		if c.Touch(ctx, a) {
+	for l := first; l <= last; l++ {
+		if c.touchLine(l) {
 			misses++
 		}
-		if a == last {
-			break
-		}
 	}
+	st := &c.stats[ctx]
+	st.Accesses += last - first + 1
+	st.Misses += uint64(misses)
 	return misses
 }
 
@@ -174,29 +159,14 @@ func (c *Cache) InvalidateRange(addr uint64, size int) {
 	if size <= 0 {
 		return
 	}
-	lineSize := uint64(c.cfg.LineBytes)
-	first := addr &^ (lineSize - 1)
-	last := (addr + uint64(size) - 1) &^ (lineSize - 1)
-	for a := first; ; a += lineSize {
-		lineAddr := a >> c.lineBits
-		setIdx := lineAddr & c.setMask
-		tag := lineAddr >> uint64(bitsFor(c.numSets))
-		set := c.sets[setIdx]
-		for i := range set {
-			if set[i].valid && set[i].tag == tag {
-				set[i] = line{}
+	last := (addr + uint64(size) - 1) >> c.lineBits
+	for l := addr >> c.lineBits; l <= last; l++ {
+		base := int(l&c.setMask) * c.cfg.Ways
+		tag := l>>c.tagShift + 1
+		for w := base; w < base+c.cfg.Ways; w++ {
+			if c.tags[w] == tag {
+				c.tags[w], c.lru[w] = 0, 0
 			}
 		}
-		if a == last {
-			break
-		}
 	}
-}
-
-func bitsFor(n int) int {
-	b := 0
-	for 1<<b < n {
-		b++
-	}
-	return b
 }

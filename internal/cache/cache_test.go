@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -10,18 +11,23 @@ func small() *Cache {
 	return New(Config{SizeBytes: 512, LineBytes: 64, Ways: 2})
 }
 
+// touch accesses one address and reports whether it missed.
+func touch(c *Cache, ctx Context, addr uint64) bool {
+	return c.AccessRange(ctx, addr, 1) == 1
+}
+
 func TestColdMissThenHit(t *testing.T) {
 	c := small()
-	if !c.Touch(Kernel, 0) {
+	if !touch(c, Kernel, 0) {
 		t.Fatal("first access should miss")
 	}
-	if c.Touch(Kernel, 0) {
+	if touch(c, Kernel, 0) {
 		t.Fatal("second access should hit")
 	}
-	if c.Touch(Kernel, 63) {
+	if touch(c, Kernel, 63) {
 		t.Fatal("same-line access should hit")
 	}
-	if !c.Touch(Kernel, 64) {
+	if !touch(c, Kernel, 64) {
 		t.Fatal("next-line access should miss")
 	}
 	st := c.Stats(Kernel)
@@ -32,22 +38,22 @@ func TestColdMissThenHit(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	c := small() // 4 sets; addresses 0, 256, 512 map to set 0 (stride 4*64)
-	c.Touch(Kernel, 0)
-	c.Touch(Kernel, 256)
-	c.Touch(Kernel, 0)   // make line 0 most recent
-	c.Touch(Kernel, 512) // evicts 256 (LRU), not 0
-	if c.Touch(Kernel, 0) {
+	touch(c, Kernel, 0)
+	touch(c, Kernel, 256)
+	touch(c, Kernel, 0)   // make line 0 most recent
+	touch(c, Kernel, 512) // evicts 256 (LRU), not 0
+	if touch(c, Kernel, 0) {
 		t.Fatal("line 0 was evicted but was most recently used")
 	}
-	if !c.Touch(Kernel, 256) {
+	if !touch(c, Kernel, 256) {
 		t.Fatal("line 256 should have been evicted")
 	}
 }
 
 func TestContextsSeparate(t *testing.T) {
 	c := small()
-	c.Touch(Kernel, 0)
-	c.Touch(User, 1024)
+	touch(c, Kernel, 0)
+	touch(c, User, 1024)
 	if c.Stats(Kernel).Accesses != 1 || c.Stats(User).Accesses != 1 {
 		t.Fatalf("kernel=%+v user=%+v", c.Stats(Kernel), c.Stats(User))
 	}
@@ -125,7 +131,7 @@ func TestAccountingProperty(t *testing.T) {
 	prop := func(addrs []uint32) bool {
 		c := small()
 		for _, a := range addrs {
-			c.Touch(User, uint64(a))
+			touch(c, User, uint64(a))
 		}
 		st := c.Stats(User)
 		if st.Accesses != uint64(len(addrs)) {
@@ -143,8 +149,8 @@ func TestRetouchProperty(t *testing.T) {
 	prop := func(addrs []uint32) bool {
 		c := small()
 		for _, a := range addrs {
-			c.Touch(User, uint64(a))
-			if c.Touch(User, uint64(a)) {
+			touch(c, User, uint64(a))
+			if touch(c, User, uint64(a)) {
 				return false
 			}
 		}
@@ -152,5 +158,141 @@ func TestRetouchProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestInvalidateRange(t *testing.T) {
+	c := small()
+	c.AccessRange(Kernel, 0, 256) // lines 0..3, one per set
+	before := c.Stats(Kernel)
+	c.InvalidateRange(70, 50) // inside line 1 only
+	if got := c.Stats(Kernel); got != before {
+		t.Fatalf("invalidate counted accesses: %+v -> %+v", before, got)
+	}
+	if !touch(c, Kernel, 64) {
+		t.Fatal("invalidated line should miss")
+	}
+	for _, addr := range []uint64{0, 128, 192} {
+		if touch(c, Kernel, addr) {
+			t.Fatalf("neighbouring line %d should still hit", addr)
+		}
+	}
+	c.InvalidateRange(0, 0)
+	if touch(c, Kernel, 0) {
+		t.Fatal("zero-size invalidate dropped a line")
+	}
+}
+
+// refCache is a plain per-set LRU list, the obvious model the flat tag
+// arrays must match access for access.
+type refCache struct {
+	lineBits uint
+	numSets  uint64
+	ways     int
+	sets     [][]uint64 // line addresses, most recent first
+	stats    [numContexts]Stats
+}
+
+func newRef(cfg Config) *refCache {
+	numSets := cfg.SizeBytes / cfg.LineBytes / cfg.Ways
+	r := &refCache{numSets: uint64(numSets), ways: cfg.Ways, sets: make([][]uint64, numSets)}
+	for 1<<r.lineBits < cfg.LineBytes {
+		r.lineBits++
+	}
+	return r
+}
+
+func (r *refCache) find(l uint64) (set []uint64, i int) {
+	set = r.sets[l%r.numSets]
+	for i, x := range set {
+		if x == l {
+			return set, i
+		}
+	}
+	return set, -1
+}
+
+func (r *refCache) accessRange(ctx Context, addr uint64, size int) int {
+	if size <= 0 {
+		return 0
+	}
+	misses := 0
+	for l := addr >> r.lineBits; l <= (addr+uint64(size)-1)>>r.lineBits; l++ {
+		set, i := r.find(l)
+		if i < 0 {
+			misses++
+			if len(set) < r.ways {
+				set = append(set, 0)
+			}
+			i = len(set) - 1 // the LRU line, or the slot just added
+		}
+		copy(set[1:i+1], set[:i])
+		set[0] = l
+		r.sets[l%r.numSets] = set
+		r.stats[ctx].Accesses++
+	}
+	r.stats[ctx].Misses += uint64(misses)
+	return misses
+}
+
+func (r *refCache) invalidateRange(addr uint64, size int) {
+	if size <= 0 {
+		return
+	}
+	for l := addr >> r.lineBits; l <= (addr+uint64(size)-1)>>r.lineBits; l++ {
+		if set, i := r.find(l); i >= 0 {
+			r.sets[l%r.numSets] = append(set[:i], set[i+1:]...)
+		}
+	}
+}
+
+// TestMatchesReference drives the cache and the reference LRU lists with
+// the same seeded mix of ranged accesses and invalidations: every return
+// value and every per-context counter must agree.
+func TestMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		span int // address span, a few times the capacity
+	}{
+		{"small", small().cfg, 4 << 10},
+		{"PentiumIVL2", PentiumIVL2(), 1 << 20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, ref := New(tc.cfg), newRef(tc.cfg)
+			rng := rand.New(rand.NewSource(1))
+			for op := 0; op < 50000; op++ {
+				addr := uint64(rng.Intn(tc.span))
+				size := rng.Intn(4*tc.cfg.LineBytes+2) - 1 // -1 .. 4 lines
+				if rng.Intn(5) == 0 {
+					c.InvalidateRange(addr, size)
+					ref.invalidateRange(addr, size)
+					continue
+				}
+				ctx := Context(rng.Intn(int(numContexts)))
+				if got, want := c.AccessRange(ctx, addr, size), ref.accessRange(ctx, addr, size); got != want {
+					t.Fatalf("op %d: AccessRange(%v, %d, %d) = %d misses, reference %d", op, ctx, addr, size, got, want)
+				}
+			}
+			for ctx := Context(0); ctx < numContexts; ctx++ {
+				if got, want := c.Stats(ctx), ref.stats[ctx]; got != want {
+					t.Fatalf("%v stats = %+v, reference %+v", ctx, got, want)
+				}
+				if c.Stats(ctx).Misses == 0 || c.Stats(ctx).Misses == c.Stats(ctx).Accesses {
+					t.Fatalf("%v stats %+v: the mix should both hit and miss", ctx, c.Stats(ctx))
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkAccessRange walks 1 kB copies over twice the L2's capacity, the
+// shape of the kernel/user buffer copies behind Figure 10.
+func BenchmarkAccessRange(b *testing.B) {
+	c := New(PentiumIVL2())
+	const span = 512 << 10
+	b.SetBytes(1 << 10)
+	for i := 0; i < b.N; i++ {
+		c.AccessRange(Kernel, uint64(i*(1<<10)%span), 1<<10)
 	}
 }

@@ -237,9 +237,7 @@ func (m *Machine) DMAWrite(addr uint64, size int) {
 	if size <= 0 {
 		return
 	}
-	// Invalidate by touching through a throwaway context would pollute the
-	// stats; instead flush the lines directly by touching with distinct tags
-	// is wrong too. Model invalidation precisely:
+	// Non-allocating DMA invalidates the lines without counting accesses.
 	m.l2.InvalidateRange(addr, size)
 }
 

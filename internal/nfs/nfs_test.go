@@ -2,6 +2,7 @@ package nfs
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -247,5 +248,79 @@ func TestStorePaths(t *testing.T) {
 	}
 	if len(s.files["/a"]) != 1 || s.files["/nope"] != nil {
 		t.Fatalf("sizes wrong")
+	}
+}
+
+// nas builds a bare server whose handle method the tests call directly.
+func nas() *Server {
+	eng := sim.NewEngine(9)
+	station := netsim.New(eng, netsim.GigabitSwitched()).Attach("nas")
+	return NewServer(eng, station, NewStore(), DefaultServerConfig())
+}
+
+// TestAppendGrowthAmortized records a file 1 kB at a time, as the tivopc
+// client does, and bounds the bytes allocated: regrowing the file by a
+// fresh copy on every append would allocate about n²/2 kB.
+func TestAppendGrowthAmortized(t *testing.T) {
+	const chunk, n = 1 << 10, 512
+	s := nas()
+	h := s.handle(&message{op: OpCreate, name: "/rec"}).handle
+	want := make([]byte, chunk*n)
+	for i := range want {
+		want[i] = byte(i*7 + i>>10)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for off := 0; off < len(want); off += chunk {
+		rep := s.handle(&message{op: OpWrite, handle: h, offset: uint64(off), data: want[off : off+chunk]})
+		if rep.status != StatusOK || rep.count != chunk {
+			t.Fatalf("append at %d: status %d count %d", off, rep.status, rep.count)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8*uint64(len(want)) {
+		t.Fatalf("%d appends allocated %d bytes, more than 8x the %d-byte file", n, alloc, len(want))
+	}
+
+	// An overwrite in the middle, then a write past the end leaving a hole.
+	mid := []byte("overwritten in the middle")
+	s.handle(&message{op: OpWrite, handle: h, offset: 100000, data: mid})
+	copy(want[100000:], mid)
+	tail := []byte("after the hole")
+	s.handle(&message{op: OpWrite, handle: h, offset: uint64(len(want) + 5000), data: tail})
+	want = append(append(want, make([]byte, 5000)...), tail...)
+
+	var got []byte
+	for off := 0; ; {
+		rep := s.handle(&message{op: OpRead, handle: h, offset: uint64(off), count: 8192})
+		if len(rep.data) == 0 {
+			break
+		}
+		got = append(got, rep.data...)
+		off += len(rep.data)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("read back %d bytes, want %d (contents differ)", len(got), len(want))
+	}
+	if size := s.handle(&message{op: OpGetAttr, handle: h}).offset; size != uint64(len(want)) {
+		t.Fatalf("GetAttr size = %d, want %d", size, len(want))
+	}
+}
+
+// BenchmarkNASAppend appends 1 kB writes to a recording, starting a new
+// one every 4 MB so the file stays bounded at any b.N.
+func BenchmarkNASAppend(b *testing.B) {
+	const chunk, limit = 1 << 10, 4 << 20
+	s := nas()
+	h := s.handle(&message{op: OpCreate, name: "/rec"}).handle
+	data := make([]byte, chunk)
+	b.SetBytes(chunk)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		off := i * chunk % limit
+		if off == 0 {
+			s.store.Put("/rec", nil)
+		}
+		s.handle(&message{op: OpWrite, handle: h, offset: uint64(off), data: data})
 	}
 }

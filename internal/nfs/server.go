@@ -153,9 +153,9 @@ func (s *Server) handle(req *message) *message {
 		data := s.store.files[path]
 		end := int(req.offset) + len(req.data)
 		if end > len(data) {
-			grown := make([]byte, end)
-			copy(grown, data)
-			data = grown
+			// Amortized growth: appending the recording 1 KB at a time
+			// must not copy the whole file on every write.
+			data = append(data, make([]byte, end-len(data))...)
 		}
 		copy(data[req.offset:], req.data)
 		s.store.files[path] = data

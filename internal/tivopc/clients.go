@@ -50,7 +50,6 @@ type ClientHarness struct {
 	// Host-decode state (user-space variant).
 	dec           *mpeg.Decoder
 	FramesDecoded int
-	LastChecksum  uint64
 
 	// Offloaded components, for end-to-end verification.
 	Streamer *clientStreamerOffcode
@@ -150,7 +149,6 @@ func (h *ClientHarness) runUserspace() {
 				task.Compute(cycles, func() {
 					for _, f := range frames {
 						h.FramesDecoded++
-						h.LastChecksum = frameChecksum(f)
 						// Display: blit to the GPU aperture
 						// (write-combining: costs cycles, not L2).
 						task.Compute(tb.Client.CopyCycles(len(f.Pix)), nil)

@@ -53,7 +53,7 @@ func main() {
 		}
 	}
 
-	g, err := layout.FromODFs(odfs, targets, nil)
+	g, err := layout.FromODFs(odfs, targets)
 	if err != nil {
 		log.Fatal(err)
 	}

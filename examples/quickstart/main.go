@@ -19,7 +19,6 @@ import (
 
 	"hydra"
 	"hydra/internal/call"
-	"hydra/internal/channel"
 	"hydra/internal/core"
 )
 
@@ -150,9 +149,7 @@ func main() {
 
 		// "Set up the channel": reliable unicast, zero-copy, sequential —
 		// owned by the session and charged against its quotas.
-		cfg := hydra.DefaultChannelConfig()
-		cfg.Sync = channel.SyncSequential
-		appEnd, _, err := app.CreateChannel(cfg, h)
+		appEnd, _, err := app.CreateChannel(hydra.DefaultChannelConfig(), h)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -64,7 +64,7 @@ type (
 	DeviceConfig = device.Config
 	// Runtime is the HYDRA runtime: deployment, channels, resources.
 	Runtime = core.Runtime
-	// RuntimeConfig tunes resolver, objective and loader choices.
+	// RuntimeConfig tunes the layout resolver and loader choices.
 	RuntimeConfig = core.Config
 	// AppConfig sizes a session at admission: quotas plus the
 	// device-memory reservation admission control checks.
@@ -130,8 +130,8 @@ var (
 	// NewAutoscaler creates an epoch-driven autoscale controller over a
 	// target shard set.
 	NewAutoscaler = autoscale.New
-	// DefaultChannelConfig is the Figure 3 channel: reliable, zero-copy,
-	// sequential unicast.
+	// DefaultChannelConfig is the Figure 3 channel: zero-copy, with the
+	// reliable, sequential, unicast delivery every channel has.
 	DefaultChannelConfig = channel.DefaultConfig
 	// ParseInterface parses an interface definition.
 	ParseInterface = odf.ParseInterface

@@ -35,9 +35,6 @@ type Config struct {
 	// a gather transaction (TransferGather): far cheaper than a full
 	// arbitration, but not free. Zero models an ideal gather engine.
 	SegmentOverhead sim.Time
-	// MulticastCapable reports whether a single transaction can target
-	// multiple agents (PCIe peer-to-peer multicast, paper §1 fn.2).
-	MulticastCapable bool
 }
 
 // DefaultConfig approximates a 32-bit/66 MHz PCI segment: ~266 MB/s with a
@@ -48,7 +45,6 @@ func DefaultConfig() Config {
 		BytesPerSec:         266e6,
 		TransactionOverhead: 500 * sim.Nanosecond,
 		SegmentOverhead:     50 * sim.Nanosecond,
-		MulticastCapable:    true,
 	}
 }
 
@@ -101,27 +97,14 @@ func (b *Bus) Transfer(src, dst Agent, size int, done func()) sim.Time {
 	return b.transferDur(size, 0, done)
 }
 
-// TransferMulti moves size bytes from src to every agent in dsts. On a
-// multicast-capable bus this is a single transaction (single wire time);
-// otherwise it degrades to one transaction per destination, back to back.
+// TransferMulti moves size bytes from src to every agent in dsts in a
+// single transaction (single wire time): the modeled bus is PCIe-style
+// and multicasts (paper §1 fn.2).
 func (b *Bus) TransferMulti(src Agent, dsts []Agent, size int, done func()) sim.Time {
 	if len(dsts) == 0 {
 		panic("bus: multicast with no destinations")
 	}
-	if b.cfg.MulticastCapable || len(dsts) == 1 {
-		return b.transferDur(size, 0, done)
-	}
-	var finish sim.Time
-	remaining := len(dsts)
-	for range dsts {
-		finish = b.transferDur(size, 0, func() {
-			remaining--
-			if remaining == 0 && done != nil {
-				done()
-			}
-		})
-	}
-	return finish
+	return b.transferDur(size, 0, done)
 }
 
 // TransferGather moves several logically distinct payloads from src to dst

@@ -7,18 +7,17 @@ import (
 	"hydra/internal/sim"
 )
 
-func testBus(multicast bool) (*sim.Engine, *Bus) {
+func testBus() (*sim.Engine, *Bus) {
 	eng := sim.NewEngine(1)
 	cfg := Config{
 		BytesPerSec:         1e9, // 1 GB/s: 1 byte per ns, easy arithmetic
 		TransactionOverhead: 100,
-		MulticastCapable:    multicast,
 	}
 	return eng, New(eng, cfg)
 }
 
 func TestTransferTime(t *testing.T) {
-	_, b := testBus(true)
+	_, b := testBus()
 	if got := b.TransferTime(0); got != 100 {
 		t.Fatalf("TransferTime(0) = %v, want 100", got)
 	}
@@ -28,7 +27,7 @@ func TestTransferTime(t *testing.T) {
 }
 
 func TestTransferCompletion(t *testing.T) {
-	eng, b := testBus(true)
+	eng, b := testBus()
 	var doneAt sim.Time
 	b.Transfer("nic", MainMemory, 1000, func() { doneAt = eng.Now() })
 	eng.RunAll()
@@ -38,7 +37,7 @@ func TestTransferCompletion(t *testing.T) {
 }
 
 func TestSerialization(t *testing.T) {
-	eng, b := testBus(true)
+	eng, b := testBus()
 	var first, second sim.Time
 	b.Transfer("nic", MainMemory, 1000, func() { first = eng.Now() })
 	b.Transfer("gpu", MainMemory, 1000, func() { second = eng.Now() })
@@ -52,7 +51,7 @@ func TestSerialization(t *testing.T) {
 }
 
 func TestMulticastSingleTransaction(t *testing.T) {
-	eng, b := testBus(true)
+	eng, b := testBus()
 	var doneAt sim.Time
 	b.TransferMulti("nic", []Agent{"gpu", "disk"}, 1000, func() { doneAt = eng.Now() })
 	eng.RunAll()
@@ -64,25 +63,8 @@ func TestMulticastSingleTransaction(t *testing.T) {
 	}
 }
 
-func TestMulticastFallback(t *testing.T) {
-	eng, b := testBus(false)
-	var doneAt sim.Time
-	calls := 0
-	b.TransferMulti("nic", []Agent{"gpu", "disk"}, 1000, func() { calls++; doneAt = eng.Now() })
-	eng.RunAll()
-	if doneAt != 2200 {
-		t.Fatalf("fallback multicast done at %v, want 2200", doneAt)
-	}
-	if calls != 1 {
-		t.Fatalf("done called %d times, want once", calls)
-	}
-	if b.Total().Transactions != 2 {
-		t.Fatalf("transactions = %d, want 2", b.Total().Transactions)
-	}
-}
-
 func TestAccounting(t *testing.T) {
-	eng, b := testBus(true)
+	eng, b := testBus()
 	b.Transfer("nic", MainMemory, 500, nil)
 	b.Transfer("nic", "gpu", 300, nil)
 	eng.RunAll()
@@ -92,7 +74,7 @@ func TestAccounting(t *testing.T) {
 }
 
 func TestUtilization(t *testing.T) {
-	eng, b := testBus(true)
+	eng, b := testBus()
 	b.Transfer("nic", MainMemory, 900, func() {}) // 1000ns wire time
 	eng.RunAll()                                  // now = 1000
 	eng.Schedule(1000, func() {})
@@ -107,7 +89,7 @@ func TestUtilization(t *testing.T) {
 }
 
 func TestNegativeSizePanics(t *testing.T) {
-	_, b := testBus(true)
+	_, b := testBus()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on negative size")
@@ -120,7 +102,7 @@ func TestNegativeSizePanics(t *testing.T) {
 // total bytes equal the sum of transfer sizes.
 func TestFIFOProperty(t *testing.T) {
 	prop := func(sizes []uint16) bool {
-		eng, b := testBus(true)
+		eng, b := testBus()
 		var completions []sim.Time
 		var total uint64
 		for _, s := range sizes {
@@ -146,7 +128,7 @@ func TestFIFOProperty(t *testing.T) {
 }
 
 func TestTransferGatherOneTransaction(t *testing.T) {
-	eng, b := testBus(true)
+	eng, b := testBus()
 	var doneAt sim.Time
 	b.TransferGather("nic", MainMemory, []int{400, 300, 300}, func() { doneAt = eng.Now() })
 	eng.RunAll()
@@ -195,7 +177,7 @@ func TestTransferGatherCheaperThanSeparateTransfers(t *testing.T) {
 }
 
 func TestTransferGatherPanicsOnBadInput(t *testing.T) {
-	_, b := testBus(true)
+	_, b := testBus()
 	for _, sizes := range [][]int{nil, {}, {10, -1}} {
 		sizes := sizes
 		func() {

@@ -1,16 +1,19 @@
 // Package channel implements HYDRA's communication channels (§3.2, §4.1):
 // the bidirectional pathways connecting OA-applications and Offcodes.
 //
-// A channel is created by one endpoint with a chosen configuration — unicast
-// or multicast, reliable or unreliable, sequential or concurrent dispatch,
-// zero-copy or staged buffering — and then Offcode endpoints are connected
-// to it. Transfers ride the simulated bus exactly as §4.1's zero-copy NIC
-// channel does: descriptor rings bound the number of in-flight messages
-// (InRing toward the device, pre-posted OutRing entries for spontaneous
-// device→host messages), reliable channels queue when descriptors run out
-// ("careful not to drop messages even though buffer descriptors are not
-// available") while unreliable channels drop, and completions recycle ring
-// slots.
+// A channel is created by a host endpoint (the OA-application side) with
+// a chosen buffering configuration — zero-copy or staged, ring depth,
+// batching — and then one Offcode endpoint, on a device or on the host, is
+// connected to it. Every channel is unicast, reliable and sequential: the
+// paper's ChannelConfig also offers multicast, unreliable and concurrent
+// channels, but no workload here uses them, so they are not modeled.
+// Transfers ride the simulated bus exactly as §4.1's zero-copy NIC channel
+// does: descriptor rings bound the number of in-flight messages (InRing
+// toward the device, pre-posted OutRing entries for spontaneous
+// device→host messages), sends queue when descriptors run out ("careful
+// not to drop messages even though buffer descriptors are not available"),
+// completions recycle ring slots, and each endpoint runs its handler
+// invocations one group at a time, in arrival order.
 //
 // The cost model is what distinguishes endpoint placements:
 //
@@ -19,8 +22,6 @@
 //   - device→host: DMA into a host ring buffer (invalidating those cache
 //     lines), an interrupt, then handler dispatch; a staged read copies
 //     once more.
-//   - device→device: a peer-to-peer bus transaction, no host involvement —
-//     the TiVoPC NIC→GPU path.
 //   - host→host: a plain in-memory copy.
 package channel
 
@@ -38,14 +39,13 @@ import (
 
 // Trace record names (obs.CatChannel). Counts reconcile with Stats:
 // chan.send == Sent, chan.delivered == Delivered, chan.irq == Interrupts,
-// chan.drop == Dropped, chan.queued == Queued, chan.batch + chan.coalesce
+// chan.queued == Queued, chan.batch + chan.coalesce
 // == Batches, chan.coalesce == CoalesceFlushes, chan.replay == Replayed
 // (messages in chan.hold groups either replay or surface as Undelivered).
 const (
 	trSend      = "chan.send"
 	trDelivered = "chan.delivered"
 	trIRQ       = "chan.irq"
-	trDrop      = "chan.drop"
 	trQueued    = "chan.queued"
 	trBatch     = "chan.batch"
 	trCoalesce  = "chan.coalesce"
@@ -57,23 +57,9 @@ const (
 	trReplay    = "chan.replay"
 )
 
-// SyncMode selects handler dispatch semantics (§3.2 "synchronization
-// requirements").
-type SyncMode int
-
-// Sync modes.
-const (
-	// SyncSequential serializes handler invocations per endpoint.
-	SyncSequential SyncMode = iota
-	// SyncConcurrent dispatches each message as it arrives.
-	SyncConcurrent
-)
-
-// Config mirrors the paper's ChannelConfig (Figure 3).
+// Config mirrors the buffering half of the paper's ChannelConfig (Figure
+// 3); the delivery semantics are fixed (see the package comment).
 type Config struct {
-	Multicast     bool
-	Reliable      bool
-	Sync          SyncMode
 	ZeroCopyRead  bool // DIRECT_READ: no staging copy at the receiver
 	ZeroCopyWrite bool // DIRECT_WRITE: no staging copy at the sender
 	RingEntries   int  // per-direction descriptor ring depth
@@ -93,12 +79,10 @@ type Config struct {
 	Coalesce sim.Time
 }
 
-// DefaultConfig is a reliable, zero-copy, sequential unicast channel — the
-// configuration built in the paper's Figure 3 listing.
+// DefaultConfig is a zero-copy channel — the configuration built in the
+// paper's Figure 3 listing.
 func DefaultConfig() Config {
 	return Config{
-		Reliable:      true,
-		Sync:          SyncSequential,
 		ZeroCopyRead:  true,
 		ZeroCopyWrite: true,
 		RingEntries:   64,
@@ -107,12 +91,10 @@ func DefaultConfig() Config {
 }
 
 // OOBConfig is the runtime's default connectionless out-of-band channel:
-// small, staged, reliable — "used to communicate with the Offcode ... for
+// small and staged — "used to communicate with the Offcode ... for
 // initialization and control traffic that is not performance critical".
 func OOBConfig() Config {
 	return Config{
-		Reliable:    true,
-		Sync:        SyncSequential,
 		RingEntries: 8,
 		MaxMessage:  4 << 10,
 	}
@@ -123,15 +105,14 @@ var (
 	ErrClosed     = errors.New("channel: closed")
 	ErrTooLarge   = errors.New("channel: payload exceeds MaxMessage")
 	ErrNoPeer     = errors.New("channel: no connected peer")
-	ErrNotAllowed = errors.New("channel: operation not allowed by config")
+	ErrNotAllowed = errors.New("channel: operation not allowed")
 )
 
 // Stats counts channel activity.
 type Stats struct {
 	Sent      uint64
 	Delivered uint64
-	Dropped   uint64 // unreliable overruns
-	Queued    uint64 // reliable sends that waited for a descriptor
+	Queued    uint64 // sends that waited for a descriptor
 	Bytes     uint64
 
 	// Interrupts counts receiver notifications raised for handler dispatch:
@@ -146,7 +127,7 @@ type Stats struct {
 	// timer rather than by filling up — partial batches paying the latency
 	// bound instead of waiting for load.
 	CoalesceFlushes uint64
-	// Undelivered counts reliable sends accepted by Write but discarded by
+	// Undelivered counts sends accepted by Write but discarded by
 	// Close before delivery: descriptor-starved queued sends, batched
 	// messages still waiting for a flush, and messages held at a paused
 	// endpoint that was closed before Resume replayed them.
@@ -164,7 +145,6 @@ type Stats struct {
 func (s *Stats) Add(other Stats) {
 	s.Sent += other.Sent
 	s.Delivered += other.Delivered
-	s.Dropped += other.Dropped
 	s.Queued += other.Queued
 	s.Bytes += other.Bytes
 	s.Interrupts += other.Interrupts
@@ -184,8 +164,7 @@ type Handler func(data []byte)
 // message is one queued payload. Messages and their buffers are pooled
 // per channel: they travel from Write through transmit/deliver and back
 // to the free list. id is a per-channel monotonic trace identifier,
-// stamped only when tracing is enabled; multicast copies share the
-// original's id.
+// stamped only when tracing is enabled.
 type message struct {
 	data []byte
 	id   uint64
@@ -231,7 +210,7 @@ type Endpoint struct {
 
 // heldGroup is one delivery group parked at a paused endpoint: the copied
 // payloads, their trace ids, and the host hold-buffer backing them (0 for
-// device/loopback endpoints, which hold in device memory already counted).
+// device endpoints, which hold in device memory already counted).
 type heldGroup struct {
 	data [][]byte
 	ids  []uint64
@@ -242,20 +221,20 @@ type heldGroup struct {
 // Name identifies the endpoint for diagnostics.
 func (e *Endpoint) Name() string { return e.name }
 
-// Channel is the shared pathway between a creator endpoint and one or more
-// connected endpoints.
+// Channel is the pathway between a host-side creator endpoint and the one
+// endpoint connected to it.
 type Channel struct {
 	eng *sim.Engine
 	b   *bus.Bus
 	cfg Config
 
 	creator *Endpoint
-	peers   []*Endpoint
+	peer    *Endpoint // nil until Connect
 
 	// credits[dir] is per-direction ring availability; dir 0 is
-	// creator→peers (InRing), dir 1 is peers→creator (OutRing).
+	// creator→peer (InRing), dir 1 is peer→creator (OutRing).
 	credits [2]int
-	pending [2][]func() // reliable sends awaiting a descriptor
+	pending [2][]func() // sends awaiting a descriptor
 
 	stats  Stats
 	closed bool
@@ -335,8 +314,12 @@ func (c *Channel) putSizes(s []int) {
 	}
 }
 
-// New creates a channel owned by the creator endpoint.
+// New creates a channel owned by the creator endpoint, which must be a
+// host endpoint: channels are opened by OA-applications and the runtime.
 func New(eng *sim.Engine, b *bus.Bus, cfg Config, creator *Endpoint) (*Channel, error) {
+	if creator.host == nil {
+		return nil, fmt.Errorf("%w: creator %s is not a host endpoint", ErrNotAllowed, creator.name)
+	}
 	if cfg.RingEntries <= 0 {
 		return nil, fmt.Errorf("channel: ring must have entries")
 	}
@@ -388,29 +371,26 @@ func RingFootprint(cfg Config) int {
 	return size
 }
 
-// Config returns the channel configuration.
-func (c *Channel) Config() Config { return c.cfg }
-
 // Stats returns activity counters.
 func (c *Channel) Stats() Stats { return c.stats }
 
-// Connect attaches an Offcode endpoint (the paper's ConnectOffcode). The
-// second endpoint is constructed at the target implicitly; connecting more
-// than one peer requires a multicast channel.
+// Connect attaches the Offcode endpoint (the paper's ConnectOffcode). The
+// second endpoint is constructed at the target implicitly; a channel
+// connects exactly one.
 func (c *Channel) Connect(peer *Endpoint) error {
 	if c.closed {
 		return ErrClosed
 	}
-	if len(c.peers) >= 1 && !c.cfg.Multicast {
+	if c.peer != nil {
 		return fmt.Errorf("%w: unicast channel already connected", ErrNotAllowed)
 	}
 	peer.ch = c
 	peer.allocRing()
-	c.peers = append(c.peers, peer)
+	c.peer = peer
 	return nil
 }
 
-// Close tears the channel down; further sends fail. Reliable sends that
+// Close tears the channel down; further sends fail. Sends that
 // were accepted but not yet delivered — descriptor-starved queued sends and
 // batched messages awaiting a flush — are surfaced in Stats.Undelivered
 // rather than vanishing, and every host-side ring buffer is returned to its
@@ -423,7 +403,10 @@ func (c *Channel) Close() {
 	c.stats.Undelivered += uint64(len(c.pending[0]) + len(c.pending[1]))
 	c.pending[0] = nil
 	c.pending[1] = nil
-	for _, e := range append([]*Endpoint{c.creator}, c.peers...) {
+	for _, e := range [2]*Endpoint{c.creator, c.peer} {
+		if e == nil {
+			continue
+		}
 		e.closed = true
 		c.stats.Undelivered += uint64(len(e.batchMsgs))
 		e.batchMsgs = nil
@@ -464,9 +447,8 @@ func (e *Endpoint) freeRing() {
 // application to poll" (§3.2).
 func (e *Endpoint) InstallCallHandler(h Handler) { e.handler = h }
 
-// Write sends payload toward the peer side: creator→all peers, or
-// peer→creator. Reliable channels queue when the ring is full; unreliable
-// channels drop and count it.
+// Write sends payload toward the other end: creator→peer, or
+// peer→creator. A send that finds the ring full queues for a descriptor.
 func (e *Endpoint) Write(payload []byte) error {
 	c := e.ch
 	if c == nil {
@@ -479,7 +461,7 @@ func (e *Endpoint) Write(payload []byte) error {
 
 // write consumes msg: it is either forwarded toward transmit (possibly
 // deferred behind a descriptor credit) or returned to the pool on
-// rejection and drop paths.
+// rejection.
 func (e *Endpoint) write(msg *message) error {
 	c := e.ch
 	if c.closed || e.closed {
@@ -492,7 +474,7 @@ func (e *Endpoint) write(msg *message) error {
 	}
 	dir := 0
 	if e == c.creator {
-		if len(c.peers) == 0 {
+		if c.peer == nil {
 			c.putMsg(msg)
 			return ErrNoPeer
 		}
@@ -505,14 +487,6 @@ func (e *Endpoint) write(msg *message) error {
 	}
 
 	if c.credits[dir] <= 0 {
-		if !c.cfg.Reliable {
-			c.stats.Dropped++
-			if c.tr.On() {
-				c.tr.Instant(obs.CatChannel, trDrop, int64(msg.id))
-			}
-			c.putMsg(msg)
-			return nil
-		}
 		c.stats.Queued++
 		if c.tr.On() {
 			c.tr.Instant(obs.CatChannel, trQueued, int64(msg.id))
@@ -582,19 +556,14 @@ func (c *Channel) flushBatch(src *Endpoint, dir int, coalesced bool) {
 // transmit models the sender-side cost, the wire, and receiver dispatch for
 // a group of messages moving as one transfer. A single message is the
 // classic per-message path; larger groups pay one syscall/doorbell, one bus
-// transaction per destination, and one receiver notification, with only an
-// incremental per-descriptor cost for each extra message.
+// transaction, and one receiver notification, with only an incremental
+// per-descriptor cost for each extra message.
 func (c *Channel) transmit(src *Endpoint, dir int, msgs []*message) {
-	var dests []*Endpoint
+	dst := c.creator
 	if src == c.creator {
-		dests = c.peers
-	} else {
-		dests = []*Endpoint{c.creator}
+		dst = c.peer
 	}
 	n := len(msgs)
-	if len(dests) == 0 || n == 0 {
-		return
-	}
 	total := 0
 	sizes := c.getSizes()
 	for _, m := range msgs {
@@ -610,40 +579,15 @@ func (c *Channel) transmit(src *Endpoint, dir int, msgs []*message) {
 	}
 
 	afterPrep := func() {
-		remaining := len(dests)
-		for _, dst := range dests {
-			dst := dst
-			// Multicast destinations each get private payload copies: a
-			// handler that mutates its message must never corrupt what a
-			// sibling receiver observes.
-			batch := msgs
-			if len(dests) > 1 {
-				batch = c.getBatch()
-				for _, m := range msgs {
-					cm := c.getMsg()
-					cm.data = append(cm.data, m.data...)
-					cm.id = m.id
-					batch = append(batch, cm)
+		c.wire(src, dst, sizes, total, func() {
+			c.deliver(dst, msgs, func() {
+				for i := 0; i < n; i++ {
+					c.releaseCredit(dir)
 				}
-			}
-			c.wire(src, dst, sizes, total, func() {
-				c.deliver(dst, batch, func() {
-					remaining--
-					if remaining == 0 {
-						for i := 0; i < n; i++ {
-							c.releaseCredit(dir)
-						}
-					}
-				})
 			})
-		}
-		// The gather list is consumed synchronously by wire's DMA issue;
-		// multicast originals die here too, every receiver holding its
-		// own private copy by now.
+		})
+		// The gather list is consumed synchronously by wire's DMA issue.
 		c.putSizes(sizes)
-		if len(dests) > 1 {
-			c.putBatch(msgs)
-		}
 	}
 
 	// Sender-side preparation: one kernel entry / firmware dispatch posts
@@ -663,10 +607,8 @@ func (c *Channel) transmit(src *Endpoint, dir int, msgs []*message) {
 			cycles += src.host.CopyCycles(total)
 		}
 		src.task.Syscall(cycles, afterPrep)
-	case src.dev != nil:
-		src.dev.Exec(500+100*uint64(n-1), afterPrep)
 	default:
-		afterPrep()
+		src.dev.Exec(500+100*uint64(n-1), afterPrep)
 	}
 }
 
@@ -686,10 +628,8 @@ func (c *Channel) wire(src, dst *Endpoint, sizes []int, total int, done func()) 
 		switch {
 		case src.host != nil && dst.dev != nil:
 			dst.dev.DMAFromHostGather(src.ringBuf, sizes, done)
-		case src.dev != nil && dst.host != nil:
+		case src.dev != nil:
 			src.dev.DMAToHostGather(dst.ringBuf, sizes, done)
-		case src.dev != nil && dst.dev != nil:
-			src.dev.DMAToPeerGather(dst.dev, sizes, done)
 		default:
 			// host→host: one in-memory copy, no bus.
 			src.task.Copy(cache.Kernel, src.ringBuf, dst.ringBuf, total, done)
@@ -700,11 +640,9 @@ func (c *Channel) wire(src, dst *Endpoint, sizes []int, total int, done func()) 
 	case src.host != nil && dst.dev != nil:
 		// Device pulls from pinned host memory.
 		dst.dev.DMAFromHost(src.ringBuf, total, done)
-	case src.dev != nil && dst.host != nil:
+	case src.dev != nil:
 		// Device pushes into the host ring; lines are invalidated.
 		src.dev.DMAToHost(dst.ringBuf, total, done)
-	case src.dev != nil && dst.dev != nil:
-		src.dev.DMAToPeer(dst.dev, total, done)
 	default:
 		// host→host: one in-memory copy, no bus.
 		src.task.Copy(cache.Kernel, src.ringBuf, dst.ringBuf, total, done)
@@ -798,30 +736,23 @@ func (c *Channel) deliver(dst *Endpoint, msgs []*message, done func()) {
 				}
 				dst.task.Syscall(cycles, invoke)
 			})
-		case dst.dev != nil:
+		default:
 			c.stats.Interrupts++
 			if c.tr.On() {
 				c.tr.Instant(obs.CatChannel, trIRQ, int64(n))
 			}
 			dst.dev.Exec(800+200*uint64(n-1), invoke)
-		default:
-			invoke()
 		}
 	}
 
-	if c.cfg.Sync == SyncSequential {
-		seq := func() {
-			run(func() {
-				finish()
-				dst.dispatchB = false
-				dst.pumpSequential(c)
-			})
-		}
-		dst.seqFns = append(dst.seqFns, seq)
-		dst.pumpSequential(c)
-		return
-	}
-	run(finish)
+	dst.seqFns = append(dst.seqFns, func() {
+		run(func() {
+			finish()
+			dst.dispatchB = false
+			dst.pumpSequential(c)
+		})
+	})
+	dst.pumpSequential(c)
 }
 
 func (e *Endpoint) pumpSequential(c *Channel) {
@@ -889,11 +820,11 @@ func (e *Endpoint) Pause() {
 		return
 	}
 	e.paused = true
-	// Drain the senders feeding this endpoint: peers write toward the
-	// creator on dir 1, the creator writes toward its peers on dir 0.
+	// Drain the sender feeding this endpoint: the peer writes toward the
+	// creator on dir 1, the creator toward the peer on dir 0.
 	if e == c.creator {
-		for _, p := range c.peers {
-			c.flushBatch(p, 1, false)
+		if c.peer != nil {
+			c.flushBatch(c.peer, 1, false)
 		}
 	} else {
 		c.flushBatch(c.creator, 0, false)

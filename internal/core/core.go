@@ -1,7 +1,7 @@
 // Package core is the HYDRA runtime (§4): the Offloading Access Layer that
 // OA-applications program against, the deployment pipeline that turns ODF
 // manifests into placed, linked, running Offcodes, the Channel Executive
-// that builds communication channels through per-device Channel Providers,
+// that builds communication channels to the Offcodes,
 // the hierarchical Resource Management unit, the Memory Management module
 // (user-memory pinning for zero-copy channels), and the pseudo Offcodes
 // (hydra.Runtime, hydra.Heap, hydra.ChannelExecutive) that firmware and
@@ -19,7 +19,6 @@ import (
 	"hydra/internal/device"
 	"hydra/internal/guid"
 	"hydra/internal/hostos"
-	"hydra/internal/layout"
 	"hydra/internal/obs"
 	"hydra/internal/odf"
 	"hydra/internal/resource"
@@ -145,14 +144,12 @@ const (
 	ResolveILP
 )
 
-// Config tunes the runtime.
+// Config tunes the runtime. Placement always maximizes the number of
+// offloaded Offcodes (layout.MaximizeOffload).
 type Config struct {
-	Resolver  Resolver
-	Objective layout.Objective
+	Resolver Resolver
 	// Loader selects the dynamic-loading strategy of §4.2; see loaders.go.
 	Loader LoaderKind
-	// Prices supplies per-BindName bus Price values for MaximizeBusUsage.
-	Prices map[string]float64
 }
 
 // Runtime is one host's HYDRA instance.
@@ -163,9 +160,8 @@ type Runtime struct {
 	depot *depot.Depot
 	cfg   Config
 
-	devices   []*device.Device
-	providers map[string][]ChannelProvider // device name → providers
-	loaders   map[LoaderKind]Loader
+	devices []*device.Device
+	loaders map[LoaderKind]Loader
 
 	root    *resource.Node
 	byGUID  map[guid.GUID]*Handle
@@ -217,14 +213,13 @@ type rootRecord struct {
 func New(eng *sim.Engine, host *hostos.Machine, b *bus.Bus, dep *depot.Depot, cfg Config) *Runtime {
 	rt := &Runtime{
 		eng: eng, host: host, bus: b, depot: dep, cfg: cfg,
-		providers: make(map[string][]ChannelProvider),
-		loaders:   make(map[LoaderKind]Loader),
-		root:      resource.NewRoot("hydra"),
-		byGUID:    make(map[guid.GUID]*Handle),
-		byBind:    make(map[string]*Handle),
-		apps:      make(map[string]*App),
-		tr:        obs.ForCat(eng, obs.CatCore),
-		trm:       obs.ForCat(eng, obs.CatMutate),
+		loaders: make(map[LoaderKind]Loader),
+		root:    resource.NewRoot("hydra"),
+		byGUID:  make(map[guid.GUID]*Handle),
+		byBind:  make(map[string]*Handle),
+		apps:    make(map[string]*App),
+		tr:      obs.ForCat(eng, obs.CatCore),
+		trm:     obs.ForCat(eng, obs.CatMutate),
 	}
 	rt.loaders[LoaderHostLink] = &hostLinkLoader{rt: rt}
 	rt.loaders[LoaderDeviceLink] = &deviceLinkLoader{rt: rt}
@@ -240,10 +235,10 @@ func New(eng *sim.Engine, host *hostos.Machine, b *bus.Bus, dep *depot.Depot, cf
 // DefaultApp returns the runtime's built-in session.
 func (rt *Runtime) DefaultApp() *App { return rt.defaultApp }
 
-// RegisterDevice attaches a programmable device and its channel provider.
-// The device firmware's exports gain the runtime's pseudo-Offcode symbols,
-// which user Offcodes link against.
-func (rt *Runtime) RegisterDevice(d *device.Device, providers ...ChannelProvider) {
+// RegisterDevice attaches a programmable device. The device firmware's
+// exports gain the runtime's pseudo-Offcode symbols, which user Offcodes
+// link against.
+func (rt *Runtime) RegisterDevice(d *device.Device) {
 	rt.devices = append(rt.devices, d)
 	// Firmware symbol table: addresses are synthetic but stable.
 	base := uint64(0xF000_0000)
@@ -260,10 +255,6 @@ func (rt *Runtime) RegisterDevice(d *device.Device, providers ...ChannelProvider
 	} {
 		d.Export(sym, base+uint64(i)*0x100)
 	}
-	if len(providers) == 0 {
-		providers = []ChannelProvider{NewDMAProvider(d)}
-	}
-	rt.providers[d.Name()] = providers
 }
 
 // availableDevices lists the registered devices currently healthy enough to

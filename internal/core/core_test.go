@@ -351,46 +351,6 @@ func TestCreateChannelAndInvoke(t *testing.T) {
 	_ = ch
 }
 
-// pioProvider models a programmed-I/O fallback: lower setup latency, far
-// lower throughput than the DMA provider.
-type pioProvider struct{ dev *device.Device }
-
-func (p *pioProvider) Name() string { return p.dev.Name() + "/pio" }
-func (p *pioProvider) Endpoint(name string) *channel.Endpoint {
-	return channel.DeviceEndpoint(p.dev, name)
-}
-func (p *pioProvider) Cost(channel.Config) CostMetric {
-	return CostMetric{Latency: 2 * sim.Microsecond, Throughput: 10e6}
-}
-
-func TestExecutivePicksCheapestProvider(t *testing.T) {
-	r := newRig(t, Config{})
-	// Re-register nic with two providers: DMA and PIO.
-	r.rt.providers["nic0"] = []ChannelProvider{
-		NewDMAProvider(r.nic),
-		&pioProvider{dev: r.nic},
-	}
-	// Large messages → DMA wins.
-	cfgBig := channel.DefaultConfig()
-	p, err := r.rt.bestProvider(r.nic, cfgBig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasSuffix(p.Name(), "/dma") {
-		t.Fatalf("large-message provider = %s, want dma", p.Name())
-	}
-	// Tiny messages → PIO's low latency wins.
-	cfgSmall := channel.DefaultConfig()
-	cfgSmall.MaxMessage = 16
-	p, err = r.rt.bestProvider(r.nic, cfgSmall)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasSuffix(p.Name(), "/pio") {
-		t.Fatalf("small-message provider = %s, want pio", p.Name())
-	}
-}
-
 func TestStopOffcodeCleansUp(t *testing.T) {
 	r := newRig(t, Config{})
 	r.stock(t, "net.Checksum", 101, "Network Device", "")

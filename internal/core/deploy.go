@@ -267,7 +267,7 @@ func (rt *Runtime) solveRootPinned(path string, placed *placedSet, pinTo map[str
 	for _, d := range avail {
 		targets = append(targets, layout.Target{Name: d.Name(), Class: d.Class()})
 	}
-	graph, err := layout.FromODFs(out.odfs, targets, rt.cfg.Prices)
+	graph, err := layout.FromODFs(out.odfs, targets)
 	if err != nil {
 		return nil, err
 	}
@@ -353,9 +353,9 @@ func (rt *Runtime) solveRootPinned(path string, placed *placedSet, pinTo map[str
 	var placement layout.Placement
 	switch rt.cfg.Resolver {
 	case ResolveILP:
-		placement, _, err = graph.SolveILP(rt.cfg.Objective)
+		placement, _, err = graph.SolveILP(layout.MaximizeOffload)
 	default:
-		placement, err = graph.SolveGreedy(rt.cfg.Objective)
+		placement, err = graph.SolveGreedy(layout.MaximizeOffload)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("core: layout resolution: %w", err)

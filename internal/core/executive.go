@@ -1,65 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"hydra/internal/channel"
-	"hydra/internal/device"
 	"hydra/internal/resource"
-	"hydra/internal/sim"
 )
-
-// CostMetric is a Channel Provider's self-reported "price for communicating
-// with the device through a specific channel, in terms of latency and
-// throughput" (§4). The Channel Executive "uses this capability information
-// to decide on the best provider for a specific Offcode".
-type CostMetric struct {
-	Latency    sim.Time
-	Throughput float64 // bytes/sec
-}
-
-// score orders providers: lower is better. Latency dominates for small
-// messages; throughput for large ones — the executive scores against the
-// channel's MaxMessage.
-func (c CostMetric) score(msgBytes int) float64 {
-	if c.Throughput <= 0 {
-		return float64(c.Latency) + 1e18
-	}
-	return float64(c.Latency) + float64(msgBytes)/c.Throughput*float64(sim.Second)
-}
-
-// ChannelProvider is the per-device, target-specific factory for channels
-// ("provided as an extended driver for each programmable device").
-type ChannelProvider interface {
-	Name() string
-	Cost(cfg channel.Config) CostMetric
-	// Endpoint constructs the device-side endpoint for a new channel.
-	Endpoint(name string) *channel.Endpoint
-}
-
-// dmaProvider is the standard DMA ring provider every registered device
-// gets by default: zero-copy capable, bus-speed throughput.
-type dmaProvider struct {
-	dev *device.Device
-}
-
-// NewDMAProvider returns the default zero-copy DMA channel provider.
-func NewDMAProvider(d *device.Device) ChannelProvider { return &dmaProvider{dev: d} }
-
-func (p *dmaProvider) Name() string { return p.dev.Name() + "/dma" }
-func (p *dmaProvider) Endpoint(name string) *channel.Endpoint {
-	return channel.DeviceEndpoint(p.dev, name)
-}
-
-func (p *dmaProvider) Cost(cfg channel.Config) CostMetric {
-	m := CostMetric{Latency: 15 * sim.Microsecond, Throughput: 250e6}
-	if !cfg.ZeroCopyWrite || !cfg.ZeroCopyRead {
-		// Staging copies halve effective throughput and add latency.
-		m.Latency += 10 * sim.Microsecond
-		m.Throughput /= 2
-	}
-	return m
-}
 
 // createChannelUnder builds and connects a channel whose lifetime hangs off
 // owner, returning the owning resource node alongside; onClose, if non-nil,
@@ -99,18 +43,14 @@ type attachedEnd struct {
 }
 
 // ConnectOffcode attaches target's endpoint to an existing channel
-// (the paper's Channel.ConnectOffcode), selecting the best provider for
-// the target's device by cost.
+// (the paper's Channel.ConnectOffcode). Every device has one channel
+// provider, the zero-copy DMA ring, so the endpoint is built directly.
 func (rt *Runtime) ConnectOffcode(ch *channel.Channel, target *Handle) error {
 	var ocEnd *channel.Endpoint
 	if target.dev == nil {
 		ocEnd = channel.HostEndpoint(rt.host, target.BindName+"@host")
 	} else {
-		prov, err := rt.bestProvider(target.dev, ch.Config())
-		if err != nil {
-			return err
-		}
-		ocEnd = prov.Endpoint(target.BindName + "@" + target.dev.Name())
+		ocEnd = channel.DeviceEndpoint(target.dev, target.BindName+"@"+target.dev.Name())
 	}
 	if err := ch.Connect(ocEnd); err != nil {
 		return err
@@ -132,21 +72,6 @@ func (h *Handle) liveAttachments() []attachedEnd {
 	}
 	h.attached = kept
 	return kept
-}
-
-func (rt *Runtime) bestProvider(d *device.Device, cfg channel.Config) (ChannelProvider, error) {
-	provs := rt.providers[d.Name()]
-	if len(provs) == 0 {
-		return nil, fmt.Errorf("core: no channel provider for device %s", d.Name())
-	}
-	best := provs[0]
-	bestScore := best.Cost(cfg).score(cfg.MaxMessage)
-	for _, p := range provs[1:] {
-		if s := p.Cost(cfg).score(cfg.MaxMessage); s < bestScore {
-			best, bestScore = p, s
-		}
-	}
-	return best, nil
 }
 
 // ChannelAware is implemented by Offcode behaviours that want to be told

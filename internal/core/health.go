@@ -18,7 +18,7 @@ import (
 // Heartbeat the monitor submits a probe to the device's firmware queue;
 // healthy firmware answers within microseconds, while crashed firmware
 // silently drops it (device.Exec's failure semantics). A device
-// silent for longer than Timeout is declared failed.
+// silent for longer than two heartbeats is declared failed.
 //
 // Recovery: failover checkpoints every Offcode implementing Checkpointer,
 // stops all deployed Offcodes in reverse instantiation order (importers
@@ -29,32 +29,14 @@ import (
 // the virtual clock, so for a fixed seed and fault schedule a recovery is
 // bit-identical across runs.
 
-// MonitorConfig tunes the runtime health monitor.
-type MonitorConfig struct {
-	// Heartbeat is the probe interval (default 10 ms).
-	Heartbeat sim.Time
-	// Timeout is how long a device may stay silent before it is declared
-	// failed (default 2×Heartbeat).
-	Timeout sim.Time
-	// ProbeCycles is the firmware cost of answering one probe (default 2000).
-	ProbeCycles uint64
-	// OnRecovery, when non-nil, is called after each recovery attempt
-	// completes (successfully or not).
-	OnRecovery func(*Recovery)
-}
-
-func (cfg MonitorConfig) withDefaults() MonitorConfig {
-	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = 10 * sim.Millisecond
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 2 * cfg.Heartbeat
-	}
-	if cfg.ProbeCycles == 0 {
-		cfg.ProbeCycles = 2000
-	}
-	return cfg
-}
+// Monitor timing: the probe interval, how long a device may stay silent
+// before it is declared failed, and the firmware cost of answering one
+// probe.
+const (
+	Heartbeat        = 10 * sim.Millisecond
+	heartbeatTimeout = 2 * Heartbeat
+	probeCycles      = 2000
+)
 
 // Recovery records one device failure handled by the runtime.
 type Recovery struct {
@@ -102,7 +84,6 @@ func (rt *Runtime) Recoveries() []*Recovery {
 // Monitor is the runtime health monitor started by StartMonitor.
 type Monitor struct {
 	rt     *Runtime
-	cfg    MonitorConfig
 	probes []*deviceProbe
 }
 
@@ -116,11 +97,11 @@ type deviceProbe struct {
 // StartMonitor begins heartbeat monitoring of every registered device and
 // enables automatic failover. Devices must already be registered. Calling
 // it again returns the existing monitor.
-func (rt *Runtime) StartMonitor(cfg MonitorConfig) *Monitor {
+func (rt *Runtime) StartMonitor() *Monitor {
 	if rt.monitor != nil {
 		return rt.monitor
 	}
-	m := &Monitor{rt: rt, cfg: cfg.withDefaults()}
+	m := &Monitor{rt: rt}
 	now := rt.eng.Now()
 	for i, d := range rt.devices {
 		m.probes = append(m.probes, &deviceProbe{dev: d, lastPong: now})
@@ -135,7 +116,7 @@ func (rt *Runtime) StartMonitor(cfg MonitorConfig) *Monitor {
 		rt.byBind[bind] = h
 		rt.byGUID[g] = h
 	}
-	rt.eng.Tick(m.cfg.Heartbeat, 0, m.tick)
+	rt.eng.Tick(Heartbeat, 0, m.tick)
 	rt.monitor = m
 	return m
 }
@@ -155,29 +136,30 @@ func (m *Monitor) tick() {
 			}
 			continue
 		}
-		if now-p.lastPong > m.cfg.Timeout {
+		if now-p.lastPong > heartbeatTimeout {
 			if m.rt.migrating {
 				// Overlapping failure. A healthy migration settles in far
-				// less simulated time than Timeout (stops are synchronous,
-				// loads take microseconds), so one still in flight after a
-				// whole Timeout is stalled — its redeploy landed on a
-				// device that died mid-load and dropped the continuation.
+				// less simulated time than the timeout (stops are
+				// synchronous, loads take microseconds), so one still in
+				// flight after a whole timeout is stalled — its redeploy
+				// landed on a device that died mid-load and dropped the
+				// continuation.
 				// Abort it (its checkpoints stay pending) and recover over
 				// the currently healthy set; a younger migration instead
 				// gets until the next tick to finish.
 				rec := m.rt.activeRec
-				if rec == nil || now-rec.MigrationStart <= m.cfg.Timeout {
+				if rec == nil || now-rec.MigrationStart <= heartbeatTimeout {
 					continue
 				}
 				m.rt.abortMigration(fmt.Errorf(
 					"core: migration interrupted: device %s failed", p.dev.Name()))
 			}
 			p.failed = true
-			m.rt.failover(p.dev, now, m.cfg.OnRecovery)
+			m.rt.failover(p.dev, now)
 			continue
 		}
 		probe := p
-		probe.dev.Exec(m.cfg.ProbeCycles, func() {
+		probe.dev.Exec(probeCycles, func() {
 			probe.lastPong = m.rt.eng.Now()
 		})
 	}
@@ -185,9 +167,8 @@ func (m *Monitor) tick() {
 
 // failover migrates every deployed Offcode off the failed device:
 // checkpoint → stop all (reverse instantiation order) → redeploy each
-// recorded root over the surviving targets → restore checkpoints. done, if
-// non-nil, runs when the recovery attempt settles.
-func (rt *Runtime) failover(failed *device.Device, detected sim.Time, done func(*Recovery)) *Recovery {
+// recorded root over the surviving targets → restore checkpoints.
+func (rt *Runtime) failover(failed *device.Device, detected sim.Time) *Recovery {
 	rec := &Recovery{
 		Device:         failed.Name(),
 		DetectedAt:     detected,
@@ -213,9 +194,6 @@ func (rt *Runtime) failover(failed *device.Device, detected sim.Time, done func(
 		rt.pendingRestore = nil
 		rt.migrating = false
 		rt.activeRec = nil
-		if done != nil {
-			done(rec)
-		}
 	}
 
 	// Snapshot the roots before stopping anything: stopHandle (unlike

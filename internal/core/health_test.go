@@ -134,18 +134,16 @@ func TestMonitorDetectsCrashAndMigrates(t *testing.T) {
 	}
 	r.last.state = []byte{42}
 
-	var recovered *Recovery
-	m := r.rt.StartMonitor(MonitorConfig{
-		Heartbeat:  5 * sim.Millisecond,
-		OnRecovery: func(rec *Recovery) { recovered = rec },
-	})
+	r.rt.StartMonitor()
 	crashAt := 50 * sim.Millisecond
 	r.eng.At(crashAt, r.nic0.Crash)
 	r.eng.Run(sim.Second)
 
-	if recovered == nil {
-		t.Fatal("no recovery")
+	recs := r.rt.Recoveries()
+	if len(recs) != 1 {
+		t.Fatalf("recoveries = %d, want 1", len(recs))
 	}
+	recovered := recs[0]
 	if recovered.Err != nil {
 		t.Fatal(recovered.Err)
 	}
@@ -153,8 +151,8 @@ func TestMonitorDetectsCrashAndMigrates(t *testing.T) {
 		t.Fatalf("recovery = %+v", recovered)
 	}
 	detect := recovered.DetectedAt - crashAt
-	if detect <= 0 || detect > m.cfg.Timeout+2*m.cfg.Heartbeat {
-		t.Fatalf("detection latency = %v (timeout %v)", detect, m.cfg.Timeout)
+	if detect <= 0 || detect > heartbeatTimeout+2*Heartbeat {
+		t.Fatalf("detection latency = %v (timeout %v)", detect, heartbeatTimeout)
 	}
 	if recovered.MigrationTime() <= 0 {
 		t.Fatalf("migration time = %v", recovered.MigrationTime())
@@ -193,7 +191,7 @@ func TestFailoverStopsImportersFirst(t *testing.T) {
 	r.stock(t, "net.Checksum", 101, "Network Device", "")
 	r.stock(t, "net.Socket", 100, "Network Device", importRef("net.Checksum", 101, "Pull"))
 	deploy(t, r, "/offcodes/net.Socket.odf")
-	r.rt.StartMonitor(MonitorConfig{Heartbeat: 5 * sim.Millisecond})
+	r.rt.StartMonitor()
 	r.eng.At(20*sim.Millisecond, r.nic.Crash)
 	r.eng.Run(sim.Second)
 
@@ -221,7 +219,7 @@ func TestFailoverStopsImportersFirst(t *testing.T) {
 func TestRejoinedDeviceUsedByNextFailover(t *testing.T) {
 	r := newTwoNICRig(t, 13)
 	r.deployFilter(t)
-	r.rt.StartMonitor(MonitorConfig{Heartbeat: 5 * sim.Millisecond})
+	r.rt.StartMonitor()
 	// nic0 crashes and later restarts; then nic1 crashes — the second
 	// failover must land back on the restored nic0.
 	r.eng.At(50*sim.Millisecond, r.nic0.Crash)
@@ -246,7 +244,7 @@ func TestFailoverDeterministic(t *testing.T) {
 	run := func() []sim.Time {
 		r := newTwoNICRig(t, 77)
 		r.deployFilter(t)
-		r.rt.StartMonitor(MonitorConfig{Heartbeat: 5 * sim.Millisecond})
+		r.rt.StartMonitor()
 		r.eng.At(50*sim.Millisecond, r.nic0.Crash)
 		r.eng.Run(sim.Second)
 		var out []sim.Time
@@ -268,11 +266,11 @@ func TestStalledMigrationAbortedAndRetried(t *testing.T) {
 	r := newTwoNICRig(t, 21)
 	r.deployFilter(t)
 	r.last.state = []byte{42}
-	r.rt.StartMonitor(MonitorConfig{Heartbeat: 5 * sim.Millisecond})
+	r.rt.StartMonitor()
 
 	// Crash nic0; after detection the failover redeploys onto nic1. Kill
 	// nic1 just after each failover for nic0 starts, so the in-flight load
-	// stalls. Detection happens on a monitor tick (a 5 ms multiple); the
+	// stalls. Detection happens on a monitor tick (a Heartbeat multiple); the
 	// exact tick depends on probe timing, so arm a watcher that crashes
 	// nic1 the moment the first migration begins.
 	r.eng.At(50*sim.Millisecond, r.nic0.Crash)
@@ -323,7 +321,7 @@ func TestRecoveryCompleteAtTimeZero(t *testing.T) {
 	}
 	// No Offcodes are deployed, so the failover settles synchronously
 	// within the same (zeroth) instant.
-	rec := r.rt.failover(r.nic, 0, nil)
+	rec := r.rt.failover(r.nic, 0)
 	if rec.Err != nil {
 		t.Fatal(rec.Err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hydra/internal/guid"
-	"hydra/internal/layout"
 	"hydra/internal/obs"
 	"hydra/internal/sim"
 )
@@ -85,9 +84,6 @@ type Assignment struct {
 // Preview is a solved plan: the placement every new Offcode would get,
 // computed without touching hardware or consuming simulated time.
 type Preview struct {
-	// Resolver and Objective echo the runtime configuration the solve used.
-	Resolver  Resolver
-	Objective layout.Objective
 	// Assignments lists the new Offcodes in instantiation order.
 	Assignments []Assignment
 	// Reused lists closure members satisfied by already-running instances.
@@ -114,7 +110,7 @@ func (p *DeployPlan) Solve() (*Preview, error) {
 }
 
 func (p *DeployPlan) preview(solved []*solvedRoot) *Preview {
-	pre := &Preview{Resolver: p.app.rt.cfg.Resolver, Objective: p.app.rt.cfg.Objective}
+	pre := &Preview{}
 	for _, s := range solved {
 		for i, o := range s.odfs {
 			target := "host"

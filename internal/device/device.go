@@ -438,31 +438,9 @@ func (d *Device) DMAFromHostGather(hostAddr uint64, sizes []int, done func()) {
 	})
 }
 
-// DMAToPeerGather moves several payloads directly to another device in one
-// gather transaction (no host memory involvement).
-func (d *Device) DMAToPeerGather(peer *Device, sizes []int, done func()) {
-	if d.crashed {
-		return
-	}
-	d.bsys.TransferGather(d.Agent(), peer.Agent(), sizes, done)
-}
-
-// DMAToPeer moves size bytes directly to another device (peer-to-peer bus
-// transaction, no host memory involvement) — the TiVoPC NIC→GPU/disk path.
-func (d *Device) DMAToPeer(peer *Device, size int, done func()) {
-	if d.crashed {
-		return
-	}
-	d.bsys.Transfer(d.Agent(), peer.Agent(), size, func() {
-		if done != nil {
-			done()
-		}
-	})
-}
-
-// DMAToPeers multicasts size bytes to several devices in one transaction if
-// the bus supports it (paper §1 fn.2: "if the bus architecture allows it,
-// this packet could be transferred in a single bus transaction").
+// DMAToPeers multicasts size bytes to several devices in one bus
+// transaction (paper §1 fn.2: "if the bus architecture allows it, this
+// packet could be transferred in a single bus transaction").
 func (d *Device) DMAToPeers(peers []*Device, size int, done func()) {
 	if d.crashed {
 		return

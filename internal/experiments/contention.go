@@ -199,7 +199,6 @@ func RunContentionCell(seed int64, duration sim.Time, apps int, tight bool, reso
 	// Each admitted tenant stocks and deploys its private worker, then
 	// opens a session-owned channel to it and tries to pin a host buffer.
 	chCfg := channel.Config{
-		Reliable: true, Sync: channel.SyncSequential,
 		ZeroCopyRead: true, ZeroCopyWrite: true,
 		RingEntries: 64, MaxMessage: X8MsgBytes,
 	}

@@ -40,6 +40,42 @@ func TestJitterSweepMatchesSerial(t *testing.T) {
 	}
 }
 
+// A serial/parallel mismatch must name the first differing field and both
+// values, not dump the two results whole.
+func TestRunTwinNamesFirstDivergence(t *testing.T) {
+	type row struct {
+		Scenario string
+		P99LatUS float64
+	}
+	type result struct {
+		Rows   []row
+		Counts map[string]int
+	}
+	cases := []struct {
+		mutate func(*result)
+		want   string
+	}{
+		{func(r *result) { r.Rows[2].P99LatUS = 1850.01 }, "differ at Rows[2].P99LatUS: 1849.86 vs 1850.01"},
+		{func(r *result) { r.Rows = r.Rows[:2] }, "differ at len(Rows): 3 vs 2"},
+		{func(r *result) { r.Counts["b"] = 3 }, "differ at Counts[b]: missing vs 3"},
+	}
+	for _, c := range cases {
+		_, err := RunTwin("twin", 2, func(workers int) (*result, error) {
+			r := &result{
+				Rows:   []row{{"a", 1}, {"b", 2}, {"c", 1849.86}},
+				Counts: map[string]int{"a": 1},
+			}
+			if workers > 1 {
+				c.mutate(r)
+			}
+			return r, nil
+		})
+		if err == nil || !strings.HasSuffix(err.Error(), c.want) {
+			t.Errorf("err = %v, want suffix %q", err, c.want)
+		}
+	}
+}
+
 func TestFigure1(t *testing.T) {
 	f := RunFigure1()
 	if len(f.TX) != len(f.RX) || len(f.TX) == 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"hydra/internal/core"
 	"hydra/internal/faults"
 	"hydra/internal/sim"
 	"hydra/internal/stats"
@@ -152,7 +153,7 @@ func (r *FailoverResults) Render() string {
 	var b strings.Builder
 	b.WriteString("X6 — NIC failover: detection, migration, client-visible availability\n")
 	fmt.Fprintf(&b, "  (offloaded server, %v streamed, standby NIC, %v heartbeat)\n",
-		r.Duration, tivopc.FailoverHeartbeat)
+		r.Duration, core.Heartbeat)
 	b.WriteString("  Scenario           faults  recov  detect(ms)  migrate(ms)  lost  avail   post-σ(ms)  final NIC\n")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "  %-18s %5d  %5d  %9.2f  %11.3f  %4d  %5.3f  %9.4f  %s\n",

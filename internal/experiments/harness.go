@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"sort"
+	"strings"
 	"time"
 
 	"hydra/internal/cluster"
@@ -211,8 +213,89 @@ func RunTwin[T any](what string, workers int, cell func(workers int) (T, error))
 	}
 	parallelMS := float64(time.Since(t0).Microseconds()) / 1000
 	if !reflect.DeepEqual(serial, parallel) {
-		return nil, fmt.Errorf("experiments: %s determinism violated:\n  serial   %+v\n  %d workers %+v",
-			what, serial, workers, parallel)
+		return nil, fmt.Errorf("experiments: %s determinism violated: serial vs %d workers differ at %s",
+			what, workers, firstDiff("", reflect.ValueOf(serial), reflect.ValueOf(parallel)))
 	}
 	return &Twin[T]{Result: parallel, Workers: workers, SerialMS: serialMS, ParallelMS: parallelMS}, nil
+}
+
+// firstDiff walks a and b in field, index and sorted-key order, the way
+// reflect.DeepEqual compares them, and describes the first difference as
+// "path: a vs b", e.g. "Rows[2].P99LatUS: 1849.86 vs 1850.01". It
+// returns "" when it finds none.
+func firstDiff(path string, a, b reflect.Value) string {
+	show := func(v reflect.Value) string {
+		if !v.IsValid() {
+			return "missing" // a map key only one side holds
+		}
+		return fmt.Sprint(v)
+	}
+	diff := func() string {
+		return fmt.Sprintf("%s: %s vs %s", strings.TrimPrefix(path, "."), show(a), show(b))
+	}
+	if a.IsValid() != b.IsValid() {
+		return diff()
+	}
+	if !a.IsValid() {
+		return ""
+	}
+	if a.Type() != b.Type() {
+		return fmt.Sprintf("%s: type %v vs %v", strings.TrimPrefix(path, "."), a.Type(), b.Type())
+	}
+	switch a.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		if a.IsNil() != b.IsNil() {
+			return diff()
+		}
+		if a.IsNil() {
+			return ""
+		}
+		return firstDiff(path, a.Elem(), b.Elem())
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if d := firstDiff(path+"."+a.Type().Field(i).Name, a.Field(i), b.Field(i)); d != "" {
+				return d
+			}
+		}
+		return ""
+	case reflect.Slice, reflect.Array:
+		if a.Kind() == reflect.Slice && a.IsNil() != b.IsNil() {
+			return diff()
+		}
+		if a.Len() != b.Len() {
+			return fmt.Sprintf("len(%s): %d vs %d", strings.TrimPrefix(path, "."), a.Len(), b.Len())
+		}
+		for i := 0; i < a.Len(); i++ {
+			if d := firstDiff(fmt.Sprintf("%s[%d]", path, i), a.Index(i), b.Index(i)); d != "" {
+				return d
+			}
+		}
+		return ""
+	case reflect.Map:
+		if a.IsNil() != b.IsNil() {
+			return diff()
+		}
+		keys := a.MapKeys()
+		for _, k := range b.MapKeys() {
+			if !a.MapIndex(k).IsValid() {
+				keys = append(keys, k)
+			}
+		}
+		sort.Slice(keys, func(i, j int) bool { return fmt.Sprint(keys[i]) < fmt.Sprint(keys[j]) })
+		for _, k := range keys {
+			if d := firstDiff(fmt.Sprintf("%s[%v]", path, k), a.MapIndex(k), b.MapIndex(k)); d != "" {
+				return d
+			}
+		}
+		return ""
+	case reflect.Func:
+		if a.IsNil() && b.IsNil() {
+			return ""
+		}
+		return diff()
+	}
+	if !a.Equal(b) { // comparable kinds: ==, as DeepEqual uses
+		return diff()
+	}
+	return ""
 }

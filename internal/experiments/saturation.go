@@ -115,8 +115,8 @@ func RunSaturation(seed int64, duration sim.Time) (*SaturationResults, error) {
 }
 
 // RunSaturationCell streams NIC→host at rateHz for duration under one
-// batching policy and measures the host-side cost of receiving it
-// (cmd/chan-saturate drives single cells directly). When trace is non-nil
+// batching policy and measures the host-side cost of receiving it. When
+// trace is non-nil
 // the cell runs with the recorder attached and the Tracer comes back
 // alongside the row so callers can export or reconcile the trace.
 func RunSaturationCell(seed int64, duration sim.Time, rateHz, batch int, coalesce sim.Time, trace *obs.Config) (*SaturationRow, *obs.Tracer, error) {
@@ -126,35 +126,35 @@ func RunSaturationCell(seed int64, duration sim.Time, rateHz, batch int, coalesc
 			Name:    "host",
 			Devices: []device.Config{device.XScaleNIC("nic0")},
 		}},
-		Channels: []testbed.ChannelSpec{{
-			Name: "nic-stream",
-			Config: channel.Config{
-				Reliable:      true,
-				Sync:          channel.SyncSequential,
-				ZeroCopyRead:  true,
-				ZeroCopyWrite: true,
-				RingEntries:   256,
-				MaxMessage:    X7MsgBytes,
-				Batch:         batch,
-				Coalesce:      coalesce,
-			},
-		}},
 		Trace: trace,
 	}
 	sys, err := testbed.New(seed, spec)
 	if err != nil {
 		return nil, nil, err
 	}
-	ch, app, oc, err := sys.OpenChannel("nic-stream", "host", "nic0")
+	eng := sys.Eng
+	hs := sys.Host("host")
+	host := hs.Machine
+	nic := sys.Device("nic0")
+	app := channel.HostEndpoint(host, "nic-stream:host")
+	ch, err := channel.New(eng, hs.Bus, channel.Config{
+		ZeroCopyRead:  true,
+		ZeroCopyWrite: true,
+		RingEntries:   256,
+		MaxMessage:    X7MsgBytes,
+		Batch:         batch,
+		Coalesce:      coalesce,
+	}, app)
 	if err != nil {
 		return nil, nil, err
 	}
-	eng := sys.Eng
-	host := sys.Host("host").Machine
-	nic := sys.Device("nic0")
+	oc := channel.DeviceEndpoint(nic, "nic-stream:nic0")
+	if err := ch.Connect(oc); err != nil {
+		return nil, nil, err
+	}
 
-	// Delivery is FIFO on a reliable sequential channel, so send timestamps
-	// pair with arrivals in order.
+	// Channels deliver in FIFO order, so send timestamps pair with
+	// arrivals in order.
 	var sentAt []sim.Time
 	var latSum, latMax sim.Time
 	delivered := 0
@@ -197,7 +197,7 @@ func RunSaturationCell(seed int64, duration sim.Time, rateHz, batch int, coalesc
 		Interrupts:      st.Interrupts,
 		Batches:         st.Batches,
 		CoalesceFlushes: st.CoalesceFlushes,
-		BusTransactions: sys.Host("host").Bus.Total().Transactions,
+		BusTransactions: hs.Bus.Total().Transactions,
 		EventsFired:     uint64(reg.Snapshot().MustGet("engine.fired")),
 	}
 	if delivered > 0 {

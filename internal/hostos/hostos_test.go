@@ -169,7 +169,7 @@ func TestAllocAligned(t *testing.T) {
 
 func TestIdleLoadBaseline(t *testing.T) {
 	eng, m := testMachine()
-	m.StartIdleLoad(DefaultIdleLoad())
+	m.StartIdleLoad()
 	samp := m.SampleUtilization(5 * sim.Second)
 	eng.Run(60 * sim.Second)
 	s := stats.Summarize(samp.Samples)
@@ -187,7 +187,7 @@ func TestIdleLoadBaseline(t *testing.T) {
 
 func TestIdleLoadKernelMissRateSteady(t *testing.T) {
 	eng, m := testMachine()
-	m.StartIdleLoad(DefaultIdleLoad())
+	m.StartIdleLoad()
 	samp := m.SampleKernelMissRate(5 * sim.Second)
 	eng.Run(60 * sim.Second)
 	if len(samp.Samples) < 10 {
@@ -232,7 +232,7 @@ func TestDeterministicRuns(t *testing.T) {
 	run := func() (sim.Time, float64) {
 		eng := sim.NewEngine(11)
 		m := New(eng, "host", PentiumIV())
-		m.StartIdleLoad(DefaultIdleLoad())
+		m.StartIdleLoad()
 		eng.Run(10 * sim.Second)
 		st := m.L2().Stats(cache.Kernel)
 		return m.BusyTime(), float64(st.Misses) / float64(st.Accesses)

@@ -12,9 +12,8 @@ import (
 //
 // Compatibility vectors come from matching each ODF's target device classes
 // against the installed targets; imports become edges, resolved by GUID
-// first and bind name second. prices optionally supplies the per-Offcode
-// bus Price (defaults to 1).
-func FromODFs(odfs []*odf.ODF, devices []Target, prices map[string]float64) (*Graph, error) {
+// first and bind name second. Every node's bus Price is 1.
+func FromODFs(odfs []*odf.ODF, devices []Target) (*Graph, error) {
 	g := NewGraph(devices...)
 	index := map[string]int{}
 	byGUID := map[uint64]int{}
@@ -30,13 +29,7 @@ func FromODFs(odfs []*odf.ODF, devices []Target, prices map[string]float64) (*Gr
 				}
 			}
 		}
-		price := 1.0
-		if prices != nil {
-			if p, ok := prices[o.BindName]; ok {
-				price = p
-			}
-		}
-		n, err := g.AddNode(o.BindName, o.GUID, price, compat)
+		n, err := g.AddNode(o.BindName, o.GUID, 1, compat)
 		if err != nil {
 			return nil, fmt.Errorf("layout: %s: %w", o.BindName, err)
 		}

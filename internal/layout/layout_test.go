@@ -288,7 +288,7 @@ func TestFromODFs(t *testing.T) {
     <host-fallback>true</host-fallback>
   </targets>
 </offcode>`)
-	g, err := FromODFs([]*odf.ODF{socket, checksum}, targets(), map[string]float64{"net.Socket": 3})
+	g, err := FromODFs([]*odf.ODF{socket, checksum}, targets())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,9 +297,6 @@ func TestFromODFs(t *testing.T) {
 	}
 	if g.Edges[0].Type != odf.Pull {
 		t.Fatalf("edge type %v", g.Edges[0].Type)
-	}
-	if g.Nodes[0].Price != 3 || g.Nodes[1].Price != 1 {
-		t.Fatalf("prices %v %v", g.Nodes[0].Price, g.Nodes[1].Price)
 	}
 	// Compat: both match only nic0 (target 1) plus host.
 	if !g.Nodes[0].Compat[0] || !g.Nodes[0].Compat[1] || g.Nodes[0].Compat[2] {
@@ -321,7 +318,7 @@ func TestFromODFsErrors(t *testing.T) {
   <sw-env><import><bindname>ghost</bindname><reference type="Pull"><GUID>999</GUID></reference></import></sw-env>
   <targets><host-fallback>true</host-fallback></targets>
 </offcode>`)
-	if _, err := FromODFs([]*odf.ODF{orphan}, targets(), nil); err == nil {
+	if _, err := FromODFs([]*odf.ODF{orphan}, targets()); err == nil {
 		t.Fatal("unresolved import accepted")
 	}
 
@@ -330,7 +327,7 @@ func TestFromODFsErrors(t *testing.T) {
   <package><bindname>a</bindname><GUID>1</GUID></package>
   <targets><host-fallback>true</host-fallback></targets>
 </offcode>`)
-	if _, err := FromODFs([]*odf.ODF{dup, dup}, targets(), nil); err == nil {
+	if _, err := FromODFs([]*odf.ODF{dup, dup}, targets()); err == nil {
 		t.Fatal("duplicate bindname accepted")
 	}
 }

@@ -7,7 +7,7 @@
 // and a small Gaussian wire-to-application jitter. It is intentionally
 // lossless — the paper's streams are unreliable UDP, but on an idle switched
 // network loss is negligible and the paper measures jitter, not loss
-// recovery. A configurable loss probability exists for channel tests.
+// recovery.
 package netsim
 
 import (
@@ -23,7 +23,6 @@ type Config struct {
 	PropDelay     sim.Time // cable propagation + NIC MAC latency, per hop
 	SwitchLatency sim.Time // store-and-forward latency in the switch
 	Jitter        sim.Time // stddev of per-packet delivery noise
-	LossProb      float64  // independent drop probability (0 for the testbed)
 	MTU           int      // maximum datagram size
 }
 
@@ -34,7 +33,6 @@ func GigabitSwitched() Config {
 		PropDelay:     5 * sim.Microsecond,
 		SwitchLatency: 12 * sim.Microsecond,
 		Jitter:        8 * sim.Microsecond,
-		LossProb:      0,
 		MTU:           9000,
 	}
 }
@@ -114,10 +112,6 @@ func (s *Station) Send(dst string, port uint16, payload []byte) error {
 	if !ok {
 		return fmt.Errorf("netsim: unknown station %q", dst)
 	}
-	if n.cfg.LossProb > 0 && n.rng.Float64() < n.cfg.LossProb {
-		return nil
-	}
-
 	wire := sim.Time(float64(len(payload)) / n.cfg.BytesPerSec * float64(sim.Second))
 	now := n.eng.Now()
 

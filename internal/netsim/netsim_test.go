@@ -109,24 +109,6 @@ func TestLatencyComponents(t *testing.T) {
 	}
 }
 
-func TestLoss(t *testing.T) {
-	eng := sim.NewEngine(5)
-	cfg := GigabitSwitched()
-	cfg.LossProb = 0.5
-	n := New(eng, cfg)
-	a := n.Attach("a")
-	b := n.Attach("b")
-	got := 0
-	b.Bind(1, func(Packet) { got++ })
-	for i := 0; i < 1000; i++ {
-		a.Send("b", 1, []byte("x"))
-	}
-	eng.RunAll()
-	if got < 350 || got > 650 {
-		t.Fatalf("delivered %d of 1000 at p=0.5", got)
-	}
-}
-
 func TestJitterIsSmall(t *testing.T) {
 	eng, n := rig()
 	a := n.Attach("a")

@@ -172,12 +172,9 @@ func TestConcurrentRequests(t *testing.T) {
 
 func TestTimeoutOnLoss(t *testing.T) {
 	eng := sim.NewEngine(9)
-	cfg := netsim.GigabitSwitched()
-	cfg.LossProb = 1.0 // everything dropped
-	net := netsim.New(eng, cfg)
-	nas := net.Attach("nas")
+	net := netsim.New(eng, netsim.GigabitSwitched())
+	net.Attach("nas") // no server bound: every request is lost
 	host := net.Attach("host")
-	NewServer(eng, nas, NewStore(), DefaultServerConfig())
 	c := NewClient(eng, host, "nas", 5000, 10*sim.Millisecond)
 	var gotErr error
 	c.Lookup("/f", func(h uint64, err error) { gotErr = err })
@@ -305,6 +302,46 @@ func TestAppendGrowthAmortized(t *testing.T) {
 	if size := s.handle(&message{op: OpGetAttr, handle: h}).offset; size != uint64(len(want)) {
 		t.Fatalf("GetAttr size = %d, want %d", size, len(want))
 	}
+}
+
+// TestOutOfRangeOffsetsRefused sends READ and WRITE requests whose byte
+// range reaches past maxFileSize: offsets come off the wire, so each must
+// get StatusBadRequest and leave the file alone, not panic or allocate
+// the gap.
+func TestOutOfRangeOffsetsRefused(t *testing.T) {
+	s := nas()
+	h := s.handle(&message{op: OpCreate, name: "/f"}).handle
+	s.handle(&message{op: OpWrite, handle: h, data: []byte("abc")})
+	for _, req := range []*message{
+		{op: OpRead, handle: h, offset: ^uint64(0), count: 8},
+		{op: OpWrite, handle: h, offset: 1 << 63, data: []byte("xyz")},
+		{op: OpWrite, handle: h, offset: maxFileSize, data: []byte("x")},
+		{op: OpRead, handle: h, offset: maxFileSize + 1},
+	} {
+		if rep := s.handle(req); rep.status != StatusBadRequest {
+			t.Errorf("op %d at offset %d: status %d, want StatusBadRequest", req.op, req.offset, rep.status)
+		}
+	}
+	if got, _ := s.store.Get("/f"); string(got) != "abc" {
+		t.Fatalf("file = %q after refused requests, want \"abc\"", got)
+	}
+}
+
+// FuzzServerHandle decodes arbitrary datagrams and serves them against a
+// NAS holding one file (handle 1): no request may panic the server. The
+// committed corpus holds a READ at offset 2^64-1 and a WRITE at 2^63.
+func FuzzServerHandle(f *testing.F) {
+	f.Add((&message{op: OpRead, handle: 1, count: 8}).encode())
+	f.Add((&message{op: OpWrite, handle: 1, offset: 2, data: []byte("xyz")}).encode())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		req, err := decodeMessage(b)
+		if err != nil {
+			return
+		}
+		s := nas()
+		s.handle(&message{op: OpCreate, name: "/f"})
+		s.handle(req)
+	})
 }
 
 // BenchmarkNASAppend appends 1 kB writes to a recording, starting a new

@@ -40,6 +40,20 @@ func (s *Store) Paths() []string {
 	return out
 }
 
+// maxFileSize bounds the byte range a READ or WRITE may name (1 GiB,
+// about 87 minutes of the §6.4 stream). Offsets arrive off the wire, so a
+// request reaching past it is refused rather than indexed or allocated.
+const maxFileSize = 1 << 30
+
+// fileRange converts a request's offset and length into int bounds
+// [off, end), reporting false when the range reaches past maxFileSize.
+func fileRange(offset uint64, n int) (off, end int, ok bool) {
+	if offset > maxFileSize || uint64(n) > maxFileSize-offset {
+		return 0, 0, false
+	}
+	return int(offset), int(offset) + n, true
+}
+
 // ServerConfig models the NAS service time.
 type ServerConfig struct {
 	// BaseLatency is charged per request (lookup, metadata, scheduling).
@@ -131,33 +145,34 @@ func (s *Server) handle(req *message) *message {
 			return rep
 		}
 		data := s.store.files[path]
-		off := int(req.offset)
-		n := int(req.count)
-		if n > s.cfg.MaxRead {
-			n = s.cfg.MaxRead
+		off, end, ok := fileRange(req.offset, min(int(req.count), s.cfg.MaxRead))
+		if !ok {
+			rep.status = StatusBadRequest
+			return rep
 		}
 		if off >= len(data) {
 			rep.data = nil // EOF: empty read
 			return rep
 		}
-		if off+n > len(data) {
-			n = len(data) - off
-		}
-		rep.data = append([]byte(nil), data[off:off+n]...)
+		rep.data = append([]byte(nil), data[off:min(end, len(data))]...)
 	case OpWrite:
 		path, ok := s.handles[req.handle]
 		if !ok {
 			rep.status = StatusStale
 			return rep
 		}
+		off, end, ok := fileRange(req.offset, len(req.data))
+		if !ok {
+			rep.status = StatusBadRequest
+			return rep
+		}
 		data := s.store.files[path]
-		end := int(req.offset) + len(req.data)
 		if end > len(data) {
 			// Amortized growth: appending the recording 1 KB at a time
 			// must not copy the whole file on every write.
 			data = append(data, make([]byte, end-len(data))...)
 		}
-		copy(data[req.offset:], req.data)
+		copy(data[off:], req.data)
 		s.store.files[path] = data
 		rep.count = uint32(len(req.data))
 	case OpGetAttr:

@@ -149,13 +149,12 @@ func (p Profile) withDefaults() Profile {
 	return p
 }
 
-// ChannelConfig derives the syscall channel's configuration: reliable
-// (syscalls must not be dropped on ring overrun), batched and coalesced
-// per the profile.
+// ChannelConfig derives the syscall channel's configuration, batched and
+// coalesced per the profile (channels are reliable, so syscalls are never
+// dropped on ring overrun).
 func (p Profile) ChannelConfig() channel.Config {
 	p = p.withDefaults()
 	return channel.Config{
-		Reliable:    true,
 		RingEntries: p.RingEntries,
 		MaxMessage:  maxMessage,
 		Batch:       p.Batch,

@@ -34,7 +34,6 @@ type System struct {
 	devices  map[string]*device.Device
 	stations map[string]*netsim.Station
 	nas      map[string]*NASSystem
-	channels map[string]channel.Config
 }
 
 // HostSystem is one built host with everything attached to it.
@@ -117,25 +116,6 @@ func Build(eng *sim.Engine, spec Spec) (*System, error) {
 		devices:  make(map[string]*device.Device),
 		stations: make(map[string]*netsim.Station),
 		nas:      make(map[string]*NASSystem),
-		channels: make(map[string]channel.Config),
-	}
-
-	for _, cs := range spec.Channels {
-		if cs.Name == "" {
-			return nil, fmt.Errorf("testbed: %s declares an unnamed channel profile", label(spec))
-		}
-		if _, dup := sys.channels[cs.Name]; dup {
-			return nil, fmt.Errorf("testbed: duplicate channel profile %q", cs.Name)
-		}
-		cfg := cs.Config
-		def := channel.DefaultConfig()
-		if cfg.RingEntries == 0 {
-			cfg.RingEntries = def.RingEntries
-		}
-		if cfg.MaxMessage == 0 {
-			cfg.MaxMessage = def.MaxMessage
-		}
-		sys.channels[cs.Name] = cfg
 	}
 
 	if spec.Trace != nil {
@@ -251,10 +231,10 @@ func Build(eng *sim.Engine, spec Spec) (*System, error) {
 				}
 				hs.Apps = append(hs.Apps, app)
 			}
-			if h.Monitor != nil {
-				hs.Runtime.StartMonitor(*h.Monitor)
+			if h.Monitor {
+				hs.Runtime.StartMonitor()
 			}
-		} else if h.Monitor != nil {
+		} else if h.Monitor {
 			return nil, fmt.Errorf("testbed: host %q declares a Monitor but no Runtime", h.Name)
 		} else if len(h.Apps) > 0 {
 			return nil, fmt.Errorf("testbed: host %q declares Apps but no Runtime", h.Name)
@@ -264,8 +244,8 @@ func Build(eng *sim.Engine, spec Spec) (*System, error) {
 				return nil, err
 			}
 		}
-		if h.IdleLoad != nil {
-			hs.Machine.StartIdleLoad(*h.IdleLoad)
+		if h.IdleLoad {
+			hs.Machine.StartIdleLoad()
 		}
 		sys.hosts[h.Name] = hs
 		sys.hostList = append(sys.hostList, hs)
@@ -353,38 +333,6 @@ func (sys *System) RuntimeHosts() []*HostSystem {
 
 // Device returns the device with the given name from any host, or nil.
 func (sys *System) Device(name string) *device.Device { return sys.devices[name] }
-
-// OpenChannel instantiates the named channel profile between a host and a
-// device: the creator endpoint runs on the host (an OA-application side),
-// the peer endpoint on the device (the Offcode side). Returned in that
-// order alongside the channel itself.
-func (sys *System) OpenChannel(profile, host, dev string) (*channel.Channel, *channel.Endpoint, *channel.Endpoint, error) {
-	cfg, ok := sys.channels[profile]
-	if !ok {
-		return nil, nil, nil, fmt.Errorf("testbed: unknown channel profile %q", profile)
-	}
-	h := sys.hosts[host]
-	if h == nil {
-		return nil, nil, nil, fmt.Errorf("testbed: unknown host %q", host)
-	}
-	// Resolve the device on this host specifically: a channel rides the
-	// host's own bus, so a device attached elsewhere must be rejected, not
-	// silently wired across fabrics.
-	d := h.Device(dev)
-	if d == nil {
-		return nil, nil, nil, fmt.Errorf("testbed: host %q has no device %q", host, dev)
-	}
-	app := channel.HostEndpoint(h.Machine, profile+":"+host)
-	ch, err := channel.New(h.Eng, h.Bus, cfg, app)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	oc := channel.DeviceEndpoint(d, profile+":"+dev)
-	if err := ch.Connect(oc); err != nil {
-		return nil, nil, nil, err
-	}
-	return ch, app, oc, nil
-}
 
 // Station returns the network station with the given name, or nil.
 func (sys *System) Station(name string) *netsim.Station { return sys.stations[name] }

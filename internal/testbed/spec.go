@@ -34,11 +34,9 @@
 package testbed
 
 import (
-	"hydra/internal/channel"
 	"hydra/internal/core"
 	"hydra/internal/device"
 	"hydra/internal/faults"
-	"hydra/internal/hostos"
 	"hydra/internal/netsim"
 	"hydra/internal/nfs"
 	"hydra/internal/obs"
@@ -69,12 +67,6 @@ type Spec struct {
 	// name. Build validates every name and arms the schedule on a seed-derived injector, so fault
 	// histories are replica-private and bit-identical for a fixed seed.
 	Faults faults.Schedule
-	// Channels declares named channel configuration profiles — ring depth,
-	// zero-copy policy, batching and interrupt coalescing — so scenarios
-	// tune the host↔device hot path declaratively. Build validates the
-	// names; System.OpenChannel instantiates a profile between a host and
-	// one of its devices.
-	Channels []ChannelSpec
 	// EnginePerHost gives every host its own simulation engine (seeded
 	// deterministically from the build seed) instead of sharing one
 	// clock. A cluster coordinator can then execute hosts in parallel
@@ -92,15 +84,6 @@ type Spec struct {
 	// up from their engine automatically. Read the trace via
 	// System.Tracer.
 	Trace *obs.Config
-}
-
-// ChannelSpec names one channel configuration profile on a Spec.
-type ChannelSpec struct {
-	// Name identifies the profile; must be unique and non-empty.
-	Name string
-	// Config is the channel configuration; zero RingEntries/MaxMessage are
-	// filled from channel.DefaultConfig.
-	Config channel.Config
 }
 
 // NetSpec configures the inter-host network.
@@ -148,13 +131,13 @@ type HostSpec struct {
 	// admission reservation already applied. Sessions are opened after
 	// every device is registered, so admission sees the full capacity.
 	Apps []AppSpec
-	// Monitor, when non-nil (requires Runtime), starts the runtime health
-	// monitor over the host's devices: heartbeat probing, failure
-	// detection, and automatic Offcode migration onto surviving targets.
-	Monitor *core.MonitorConfig
-	// IdleLoad, when non-nil, starts background daemons after construction
-	// (the paper's "idle system" baseline).
-	IdleLoad *hostos.IdleLoadConfig
+	// Monitor (requires Runtime) starts the runtime health monitor over
+	// the host's devices: heartbeat probing, failure detection, and
+	// automatic Offcode migration onto surviving targets.
+	Monitor bool
+	// IdleLoad starts background daemons after construction (the paper's
+	// "idle system" baseline).
+	IdleLoad bool
 	// Syscalls, when non-nil, gives every declared device a host-syscall
 	// plane at build time: a dedicated batched channel into a dispatcher
 	// that counts log lines on the host's VFS ledger, plus a ready-made
@@ -179,11 +162,4 @@ type AppSpec struct {
 	Name string
 	// Config carries the session's quotas and admission reservation.
 	Config core.AppConfig
-}
-
-// DefaultIdleLoad returns a pointer to hostos.DefaultIdleLoad, the common
-// HostSpec.IdleLoad value.
-func DefaultIdleLoad() *hostos.IdleLoadConfig {
-	cfg := hostos.DefaultIdleLoad()
-	return &cfg
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"hydra/internal/channel"
 	"hydra/internal/core"
 	"hydra/internal/device"
 	"hydra/internal/faults"
@@ -29,7 +28,7 @@ func twoHostSpec() Spec {
 				Devices:  []device.Config{device.XScaleNIC("alpha-nic")},
 				Stations: []string{"alpha"},
 				Runtime:  &core.Config{},
-				IdleLoad: DefaultIdleLoad(),
+				IdleLoad: true,
 			},
 			{
 				Name: "beta",
@@ -169,7 +168,7 @@ func miniScenario(seed int64) (sim.Time, error) {
 		Hosts: []HostSpec{{
 			Name:     "h",
 			Devices:  []device.Config{device.XScaleNIC("nic")},
-			IdleLoad: DefaultIdleLoad(),
+			IdleLoad: true,
 		}},
 	})
 	if err != nil {
@@ -275,7 +274,7 @@ func TestMergeSamples(t *testing.T) {
 
 func TestBuildArmsFaultSchedule(t *testing.T) {
 	spec := twoHostSpec()
-	spec.Hosts[0].Monitor = &core.MonitorConfig{Heartbeat: 5 * sim.Millisecond}
+	spec.Hosts[0].Monitor = true
 	spec.Faults = faults.Schedule{
 		{At: 10 * sim.Millisecond, Kind: faults.DeviceCrash, Device: "alpha-nic"},
 		{At: 20 * sim.Millisecond, Kind: faults.DeviceCrash, Device: "beta-nic", Duration: 5 * sim.Millisecond},
@@ -320,82 +319,9 @@ func TestBuildRejectsBadFaultTargets(t *testing.T) {
 func TestBuildRejectsMonitorWithoutRuntime(t *testing.T) {
 	spec := twoHostSpec()
 	spec.Hosts[1].Runtime = nil
-	spec.Hosts[1].Monitor = &core.MonitorConfig{}
+	spec.Hosts[1].Monitor = true
 	if _, err := New(1, spec); err == nil || !strings.Contains(err.Error(), "Monitor") {
 		t.Fatalf("err = %v, want monitor-without-runtime error", err)
-	}
-}
-
-func TestChannelProfiles(t *testing.T) {
-	spec := Spec{
-		Name: "chan-profiles",
-		Hosts: []HostSpec{
-			{Name: "h0", Devices: []device.Config{device.XScaleNIC("nic0")}},
-			{Name: "h1", Devices: []device.Config{device.XScaleNIC("nic1")}},
-		},
-		Channels: []ChannelSpec{
-			{Name: "stream", Config: channel.Config{
-				Reliable: true, ZeroCopyRead: true, ZeroCopyWrite: true,
-				RingEntries: 128, MaxMessage: 2048,
-				Batch: 16, Coalesce: 100 * sim.Microsecond,
-			}},
-			{Name: "oob"}, // zero config: defaults fill ring and message size
-		},
-	}
-	sys, err := New(7, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, ok := sys.channels["stream"]
-	if !ok || cfg.Batch != 16 || cfg.RingEntries != 128 {
-		t.Fatalf("profile lookup: ok=%v cfg=%+v", ok, cfg)
-	}
-	def, ok := sys.channels["oob"]
-	if !ok || def.RingEntries != channel.DefaultConfig().RingEntries ||
-		def.MaxMessage != channel.DefaultConfig().MaxMessage {
-		t.Fatalf("defaults not filled: %+v", def)
-	}
-	if _, ok := sys.channels["nope"]; ok {
-		t.Fatal("unknown profile resolved")
-	}
-
-	ch, app, oc, err := sys.OpenChannel("stream", "h0", "nic0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ch.Config().Batch != 16 {
-		t.Fatalf("opened channel config = %+v", ch.Config())
-	}
-	var got []byte
-	oc.InstallCallHandler(func(d []byte) { got = d })
-	if err := app.Write([]byte("profiled")); err != nil {
-		t.Fatal(err)
-	}
-	sys.Eng.RunAll()
-	if string(got) != "profiled" {
-		t.Fatalf("delivery through profiled channel: %q", got)
-	}
-
-	for _, bad := range [][3]string{
-		{"nope", "h0", "nic0"},
-		{"stream", "nope", "nic0"},
-		{"stream", "h0", "nope"},
-		// A device on another host must be rejected, not silently wired
-		// onto the wrong bus.
-		{"stream", "h0", "nic1"},
-	} {
-		if _, _, _, err := sys.OpenChannel(bad[0], bad[1], bad[2]); err == nil {
-			t.Fatalf("OpenChannel(%v) accepted bad names", bad)
-		}
-	}
-}
-
-func TestBuildRejectsBadChannelProfiles(t *testing.T) {
-	if _, err := New(1, Spec{Channels: []ChannelSpec{{Name: ""}}}); err == nil {
-		t.Fatal("unnamed channel profile accepted")
-	}
-	if _, err := New(1, Spec{Channels: []ChannelSpec{{Name: "a"}, {Name: "a"}}}); err == nil {
-		t.Fatal("duplicate channel profile accepted")
 	}
 }
 

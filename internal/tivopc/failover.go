@@ -24,9 +24,6 @@ const (
 	StandbyNIC = "server-nic2"
 )
 
-// FailoverHeartbeat is the monitor probe interval used by the scenario.
-const FailoverHeartbeat = 10 * sim.Millisecond
-
 // FailoverSpec is SystemSpec plus a standby NIC and a health monitor on the
 // Video Server, with the given fault schedule armed.
 func FailoverSpec(runFor sim.Time, sched faults.Schedule) testbed.Spec {
@@ -35,7 +32,7 @@ func FailoverSpec(runFor sim.Time, sched faults.Schedule) testbed.Spec {
 	for i := range spec.Hosts {
 		if spec.Hosts[i].Name == "server" {
 			spec.Hosts[i].Devices = append(spec.Hosts[i].Devices, device.XScaleNIC(StandbyNIC))
-			spec.Hosts[i].Monitor = &core.MonitorConfig{Heartbeat: FailoverHeartbeat}
+			spec.Hosts[i].Monitor = true
 		}
 	}
 	spec.Faults = sched

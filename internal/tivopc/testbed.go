@@ -171,7 +171,7 @@ func SystemSpec(runFor sim.Time) testbed.Spec {
 					{Name: ServerAppName},
 					{Name: BackgroundAppName},
 				},
-				IdleLoad: testbed.DefaultIdleLoad(),
+				IdleLoad: true,
 			},
 			{
 				Name: "client",
@@ -183,7 +183,7 @@ func SystemSpec(runFor sim.Time) testbed.Spec {
 				Stations: []string{"client", "client-disk"},
 				Runtime:  &core.Config{},
 				Apps:     []testbed.AppSpec{{Name: ClientAppName}},
-				IdleLoad: testbed.DefaultIdleLoad(),
+				IdleLoad: true,
 			},
 		},
 	}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"hydra/internal/core"
 	"hydra/internal/sim"
 )
 
@@ -218,7 +219,7 @@ func TestFailoverRecoversOnStandbyNIC(t *testing.T) {
 		t.Fatalf("recovery = %+v", rec)
 	}
 	lat := run.DetectionLatencies()
-	if len(lat) != 1 || lat[0] <= 0 || lat[0] > 4*FailoverHeartbeat {
+	if len(lat) != 1 || lat[0] <= 0 || lat[0] > 4*core.Heartbeat {
 		t.Fatalf("detection latencies = %v", lat)
 	}
 	if rec.MigrationTime() <= 0 || rec.MigrationTime() > sim.Second {

@@ -1,10 +1,10 @@
 // Command quickstart reproduces the paper's Figure 3 flow end to end on
 // the session API: open an application session, plan and commit the
-// Offcode deployment transactionally (with a placement preview before any
-// hardware is touched), build a reliable zero-copy unicast channel to it
-// via the Channel Executive — owned and quota-accounted by the session —
-// install a callback handler, invoke the Offcode through a typed proxy,
-// and close the session, which reclaims everything it created.
+// Offcode deployment transactionally, build a reliable zero-copy unicast
+// channel to it via the Channel Executive — owned and quota-accounted by
+// the session — install a callback handler, invoke the Offcode through a
+// typed proxy, and close the session, which reclaims everything it
+// created.
 //
 // The next step up from this single-host flow is cluster deployment:
 // hydra.NewCluster opens a coordinator over a multi-host testbed, and a
@@ -123,21 +123,13 @@ func main() {
 	}
 
 	// "Get our runtime and create the Offcode" (Figure 3) — as a
-	// transactional plan on our session. Solve previews the placement
-	// before a single byte moves; Commit deploys atomically.
+	// transactional plan on our session. Commit solves the placement and
+	// deploys atomically.
 	app := sys.Host("host").App("checksum-app")
 	plan := app.Plan()
 	if err := plan.AddRoot("/offcodes/checksum.odf"); err != nil {
 		log.Fatal(err) // e.g. hydra.ErrDuplicateBind
 	}
-	preview, err := plan.Solve()
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, asg := range preview.Assignments {
-		fmt.Printf("plan: %s → %s\n", asg.BindName, asg.Target)
-	}
-
 	plan.Commit(func(dep *hydra.Deployment, err error) {
 		if err != nil {
 			log.Fatal(err) // a failed commit rolled everything back
@@ -149,7 +141,7 @@ func main() {
 
 		// "Set up the channel": reliable unicast, zero-copy, sequential —
 		// owned by the session and charged against its quotas.
-		appEnd, _, err := app.CreateChannel(hydra.DefaultChannelConfig(), h)
+		appEnd, _, _, err := app.CreateChannel(hydra.DefaultChannelConfig(), h)
 		if err != nil {
 			log.Fatal(err)
 		}

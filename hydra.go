@@ -21,11 +21,9 @@
 //	// stock sys.Host("host").Depot with ODFs, objects and factories, then:
 //	plan := app.Plan()
 //	_ = plan.AddRoot("/offcodes/checksum.odf") // rejects duplicate binds
-//	preview, _ := plan.Solve()                 // placement, no hardware touched
-//	plan.Commit(func(dep *hydra.Deployment, err error) { ... }) // atomic
+//	plan.Commit(func(dep *hydra.Deployment, err error) { ... }) // solve, then deploy atomically
 //	sys.Eng.Run(hydra.Seconds(1))
 //	_ = app.Close() // stops the app's Offcodes, releases every ring and pin
-//	_ = preview
 //
 // Sessions carry memory/channel/Offcode quotas and an admission-controlled
 // device-memory reservation; Commit rolls back every Offcode and pinned
@@ -38,7 +36,8 @@
 // host of a multi-host testbed: it shards an Offcode graph across machines
 // with cluster-wide rollback, bridges cross-host edges over simulated
 // links, migrates a dead machine's checkpointed Offcodes, and re-shards a
-// live deployment incrementally. NewAutoscaler grows and shrinks a shard
+// live deployment incrementally — the plan commit, shard adds and
+// migration all through one shard transaction. NewAutoscaler grows and shrinks a shard
 // set from observed per-epoch load, and Sweep runs scenario fleets, one
 // engine per replica on a worker pool, bit-identical to a serial loop.
 //

@@ -140,7 +140,7 @@ func (c *Coordinator) buildLeg(br *Bridge, side int, bind string, back *backend,
 		k(fmt.Errorf("cluster: bridge endpoint %s on %s: %w", bind, back.name(), err))
 		return
 	}
-	end, ch, node, err := back.app.CreateChannelOwned(c.cfg.Channel, h)
+	end, ch, node, err := back.app.CreateChannel(c.cfg.Channel, h)
 	if err != nil {
 		k(fmt.Errorf("cluster: bridge channel to %s: %w", bind, err))
 		return

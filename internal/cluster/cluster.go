@@ -109,17 +109,8 @@ func (b *backend) name() string { return b.hs.Spec.Name }
 
 // placement records where one committed shard currently lives.
 type placement struct {
-	bind, path string
-	load       float64
-	pin        string // user pin (host name), "" = free to migrate
-	back       *backend
-}
-
-// edgeRec is one committed Connect edge, kept so failover can rebuild its
-// bridge after an endpoint migrates.
-type edgeRec struct {
-	a, b    string
-	traffic Traffic
+	planRoot
+	back *backend
 }
 
 // Traffic estimates one edge's load for the placement objective.
@@ -141,8 +132,8 @@ type Coordinator struct {
 	byHost map[string]*backend
 
 	placements map[string]*placement
-	rootOrder  []string // deterministic iteration over placements
-	edges      []edgeRec
+	rootOrder  []string   // deterministic iteration over placements
+	edges      []planEdge // committed Connect edges, rebuilt on failover
 	bridges    map[string]*Bridge
 	// linkBusy holds per-directed-link serialization watermarks ("a→b"),
 	// shared by every bridge riding that host pair: N bridges on one link

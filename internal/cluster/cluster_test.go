@@ -273,11 +273,11 @@ func TestSolverColocatesChattyShardsUnderOpenCapacity(t *testing.T) {
 	if err := p.Connect("chatA", "chatB", Traffic{BytesPerSec: 10e6, MsgsPerSec: 1000}); err != nil {
 		t.Fatal(err)
 	}
-	asg, err := p.solveAssign()
+	hosts, err := r.coord.solveAssign(p.roots, p.edges)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := asg.byRoot["chatA"].name(), asg.byRoot["chatB"].name(); a != b {
+	if a, b := hosts["chatA"].name(), hosts["chatB"].name(); a != b {
 		t.Fatalf("chatty shards split: chatA on %s, chatB on %s", a, b)
 	}
 }
@@ -501,7 +501,7 @@ func TestSolveRejectsPinToHostThatDiedAfterAddRoot(t *testing.T) {
 	}
 	r.coord.FailHost("h1", func(*Migration, error) {})
 	r.sys.Eng.RunAll()
-	if _, err := p.solveAssign(); err == nil || !strings.Contains(err.Error(), "no longer live") {
+	if _, err := r.coord.solveAssign(p.roots, p.edges); err == nil || !strings.Contains(err.Error(), "no longer live") {
 		t.Fatalf("Solve err = %v, want pinned-host-dead error", err)
 	}
 }
@@ -575,5 +575,50 @@ func TestFailHostRedeployFailureUnwindsPartialMigration(t *testing.T) {
 	commit(t, r, p2)
 	if h := r.coord.HostOf("saved"); h == "" || h == "h2" {
 		t.Fatalf("post-unwind redeploy landed on %q", h)
+	}
+}
+
+// A failed migration forgets the edges of the shards it lost: a later
+// FailHost of the surviving endpoint's host must not solve or rebridge
+// against a shard that no longer exists, and migrates the survivor.
+func TestFailHostFailureForgetsLostShardEdges(t *testing.T) {
+	r := newRig(t, 3, Config{})
+	keep := r.stock(t, "keep", 9931, false, false)
+	// "lost" has its behaviour factory only on h2, so its redeploy fails.
+	lost := r.stock(t, "lost", 9932, false, false, "h2")
+	for _, hs := range r.sys.RuntimeHosts() {
+		if hs.Spec.Name != "h2" {
+			hs.Depot.PutFile(lost, []byte(`<offcode>
+  <package><bindname>lost</bindname><GUID>9932</GUID></package>
+  <targets><host-fallback>true</host-fallback></targets>
+</offcode>`))
+		}
+	}
+	p := r.coord.Plan()
+	if err := p.AddRoot(keep, PinTo("h0")); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AddRoot(lost, PinTo("h2")); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Connect("keep", "lost", Traffic{MsgsPerSec: 1}); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, r, p)
+
+	var ferr error
+	r.coord.FailHost("h2", func(_ *Migration, err error) { ferr = err })
+	r.sys.Eng.RunAll()
+	if ferr == nil {
+		t.Fatal("migration of the unstockable shard succeeded")
+	}
+	var rec *Migration
+	r.coord.FailHost("h0", func(m *Migration, err error) { rec, ferr = m, err })
+	r.sys.Eng.RunAll()
+	if ferr != nil {
+		t.Fatalf("second migration: %v", ferr)
+	}
+	if len(rec.Moved) != 1 || rec.Moved[0].Bind != "keep" || r.coord.HostOf("keep") != "h1" {
+		t.Fatalf("moved %+v, keep on %q; want keep on h1", rec.Moved, r.coord.HostOf("keep"))
 	}
 }

@@ -13,6 +13,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"hydra/internal/core"
 	"hydra/internal/obs"
@@ -90,7 +91,7 @@ func (c *Coordinator) FailHost(name string, k func(*Migration, error)) {
 	// Commit interleaving with the re-solve/redeploy would read placements
 	// mid-surgery.
 	c.committing = true
-	fail := func(err error) {
+	settle := func(err error) {
 		c.committing = false
 		record(err)
 	}
@@ -99,15 +100,23 @@ func (c *Coordinator) FailHost(name string, k func(*Migration, error)) {
 	// stops. The behaviour objects are host-side bookkeeping — their last
 	// coherent state is exactly what a production cluster would have
 	// replicated off the machine before it died (the same stance core's
-	// local failover takes for Offcodes on a crashed device).
+	// local failover takes for Offcodes on a crashed device). A pin to the
+	// dead host cannot be honoured any more, so those shards migrate
+	// freely.
 	var displaced []planRoot
+	displacedSet := make(map[string]bool)
 	states := make(map[string][]byte)
 	for _, bind := range c.rootOrder {
 		pl := c.placements[bind]
 		if pl.back != back {
 			continue
 		}
-		displaced = append(displaced, planRoot{path: pl.path, bind: bind, load: pl.load, pin: pl.pin})
+		r := pl.planRoot
+		if r.pin == name {
+			r.pin = ""
+		}
+		displaced = append(displaced, r)
+		displacedSet[bind] = true
 		if h, err := back.hs.Runtime.GetOffcode(bind); err == nil {
 			if cp, ok := h.Behaviour().(core.Checkpointer); ok {
 				states[bind] = cp.Checkpoint()
@@ -129,11 +138,7 @@ func (c *Coordinator) FailHost(name string, k func(*Migration, error)) {
 	// Bridges touching the dead host are torn down now (the live legs
 	// release their channels and forwarders; the dead legs die with the
 	// session below) and rebuilt after the displaced shards land.
-	var rebuild []edgeRec
-	displacedSet := make(map[string]bool, len(displaced))
-	for _, r := range displaced {
-		displacedSet[r.bind] = true
-	}
+	var rebuild []planEdge
 	for _, e := range c.edges {
 		if displacedSet[e.a] || displacedSet[e.b] {
 			rebuild = append(rebuild, e)
@@ -146,123 +151,38 @@ func (c *Coordinator) FailHost(name string, k func(*Migration, error)) {
 	}
 
 	// The dead host's session teardown settles its simulation ledgers
-	// (pinned rings, device memory, reservations); a pin to the dead host
-	// cannot be honoured any more, so those shards migrate freely.
+	// (pinned rings, device memory, reservations).
 	if err := back.app.Close(); err != nil && rec.Err == nil {
 		rec.Err = fmt.Errorf("cluster: drain %s: %w", name, err)
 	}
-	for i := range displaced {
-		if displaced[i].pin == name {
-			displaced[i].pin = ""
-		}
-	}
-	finish := func() {
-		c.committing = false
-		record(rec.Err)
-	}
 	if len(displaced) == 0 {
-		finish()
+		settle(rec.Err)
 		return
 	}
 
-	// Re-solve over the survivors: surviving placements stay pinned (their
-	// load still bounds capacities, and edges to them still pull), while
-	// displaced shards go wherever the link costs and capacities point.
-	// The plan pipeline is reused wholesale; survivors enter the shard
-	// graph as pinned nodes, so edges to them are valid objective terms.
-	p := &Plan{coord: c, roots: displaced}
-	for _, e := range rebuild {
-		p.edges = append(p.edges, planEdge{a: e.a, b: e.b, traffic: e.traffic})
-	}
-	asg, err := p.solveAssign()
-	if err != nil {
-		fail(err)
-		return
-	}
-
-	// A redeploy or rebridge failure must not strand half-migrated shards
-	// as running-but-untracked: everything this migration committed or
-	// rebridged unwinds, mirroring Plan.Commit's cluster-wide rollback.
-	// The displaced shards are then simply gone (their checkpoints were
-	// already lost with the machine in any real deployment); rec.Err says
-	// so, and a later Plan may redeploy them fresh.
-	var committedDeps []*core.Deployment
-	var rebuilt []*Bridge
-	failUnwind := func(err error) {
-		for i := len(rebuilt) - 1; i >= 0; i-- {
-			rebuilt[i].teardown()
-			delete(c.bridges, EdgeKey(rebuilt[i].A, rebuilt[i].B))
-		}
-		for i := len(committedDeps) - 1; i >= 0; i-- {
-			unwindDeployment(committedDeps[i])
-		}
-		fail(err)
-	}
-	// Backend of an edge endpoint during the rebuild: freshly assigned for
-	// displaced shards (placements update only once everything succeeds),
-	// current placement for survivors.
-	backOf := func(bind string) *backend {
-		if b, ok := asg.byRoot[bind]; ok {
-			return b
-		}
-		return c.placements[bind].back
-	}
-
-	hostPlans := p.hostRoots(asg)
-	var commitHost func(i int)
-	commitHost = func(i int) {
-		if i == len(hostPlans) {
-			var rebuildEdge func(j int)
-			rebuildEdge = func(j int) {
-				if j == len(rebuild) {
-					for _, r := range displaced {
-						c.placements[r.bind] = &placement{
-							bind: r.bind, path: r.path, load: r.load, pin: r.pin,
-							back: asg.byRoot[r.bind],
-						}
-						c.rootOrder = append(c.rootOrder, r.bind)
-						rec.Moved = append(rec.Moved, MovedRoot{
-							Bind: r.bind, From: name, To: asg.byRoot[r.bind].name(),
-						})
-					}
-					for _, br := range rebuilt {
-						c.bridges[EdgeKey(br.A, br.B)] = br
-					}
-					finish()
-					return
-				}
-				e := rebuild[j]
-				c.buildBridge(e.a, e.b, backOf(e.a), backOf(e.b), func(br *Bridge, err error) {
-					if err != nil {
-						failUnwind(fmt.Errorf("cluster: rebridge %s↔%s: %w", e.a, e.b, err))
-						return
-					}
-					rebuilt = append(rebuilt, br)
-					rebuildEdge(j + 1)
-				})
-			}
-			rebuildEdge(0)
+	// Re-solve over the survivors and redeploy through the shard
+	// transaction: surviving placements stay pinned (their load still
+	// bounds capacities, and edges to them still pull), while displaced
+	// shards go wherever the link costs and capacities point, with their
+	// checkpoints staged. A redeploy or rebridge failure unwinds everything
+	// this migration committed or rebridged, so no half-migrated shard is
+	// left running but untracked. The displaced shards are then simply
+	// gone (their checkpoints were already lost with the machine in any
+	// real deployment); rec.Err says so, and a later Plan may redeploy
+	// them fresh.
+	c.commitShards(displaced, rebuild, states, func(txn *shardTxn, err error) {
+		if err != nil {
+			// Their edges go with them: a later solve or rebridge must not
+			// meet an endpoint that no longer exists.
+			c.edges = slices.DeleteFunc(c.edges, func(e planEdge) bool {
+				return displacedSet[e.a] || displacedSet[e.b]
+			})
+			settle(err)
 			return
 		}
-		hp := hostPlans[i]
-		plan := hp.back.app.Plan()
-		for _, r := range hp.roots {
-			if err := plan.AddRoot(r.path); err != nil {
-				failUnwind(fmt.Errorf("cluster: redeploy on %s: %w", hp.back.name(), err))
-				return
-			}
-			if state, ok := states[r.bind]; ok {
-				hp.back.hs.Runtime.StageRestore(r.bind, state)
-			}
+		for _, r := range displaced {
+			rec.Moved = append(rec.Moved, MovedRoot{Bind: r.bind, From: name, To: txn.hosts[r.bind].name()})
 		}
-		plan.Commit(func(d *core.Deployment, err error) {
-			if err != nil {
-				failUnwind(fmt.Errorf("cluster: redeploy on %s: %w", hp.back.name(), err))
-				return
-			}
-			committedDeps = append(committedDeps, d)
-			commitHost(i + 1)
-		})
-	}
-	commitHost(0)
+		settle(rec.Err)
+	})
 }

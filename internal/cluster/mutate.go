@@ -183,39 +183,22 @@ func (c *Coordinator) Mutate(deltas []ShardDelta, k func(*ClusterMutation, error
 	apply(0)
 }
 
-// applyAddShard deploys one new shard through the incremental pipeline:
-// a single-root plan whose solve pins every committed shard in place, a
-// sub-commit on only the chosen host, and a bridge per declared edge. A
-// failure unwinds the sub-commit and the bridges already built.
+// applyAddShard deploys one new shard through the coordinator's shard
+// transaction: a single-root plan (so AddRoot's pin, depot and
+// duplicate-bind checks apply) whose solve pins every committed shard in
+// place, a sub-commit on only the chosen host, and a bridge per declared
+// edge. A failure unwinds the sub-commit and the bridges already built.
 func (c *Coordinator) applyAddShard(d AddShard, res *ClusterMutation, trm *obs.Shard, k func(error)) {
-	if d.Pin != "" {
-		back, ok := c.byHost[d.Pin]
-		if !ok || back.dead {
-			k(fmt.Errorf("cluster: pin to unavailable host %q", d.Pin))
-			return
-		}
+	opts := []RootOption{PinTo(d.Pin)}
+	if d.Load != 0 {
+		opts = append(opts, WithLoad(d.Load))
 	}
-	live := c.live()
-	if len(live) == 0 {
-		k(fmt.Errorf("cluster: no live hosts"))
-		return
-	}
-	doc, err := live[0].hs.Depot.LoadODF(d.Path)
-	if err != nil {
+	p := c.Plan()
+	if err := p.AddRoot(d.Path, opts...); err != nil {
 		k(err)
 		return
 	}
-	bind := doc.BindName
-	if cur, ok := c.placements[bind]; ok {
-		k(fmt.Errorf("%w: %s already deployed on host %s", core.ErrDuplicateBind, bind, cur.back.name()))
-		return
-	}
-	load := d.Load
-	if load == 0 {
-		load = 1
-	}
-	root := planRoot{path: d.Path, bind: bind, load: load, pin: d.Pin}
-	p := &Plan{coord: c, roots: []planRoot{root}}
+	bind := p.roots[0].bind
 	for _, e := range d.Connect {
 		if e.To == bind {
 			k(fmt.Errorf("cluster: edge %s→%s connects a shard to itself", bind, e.To))
@@ -227,73 +210,16 @@ func (c *Coordinator) applyAddShard(d AddShard, res *ClusterMutation, trm *obs.S
 		}
 		p.edges = append(p.edges, planEdge{a: bind, b: e.To, traffic: e.Traffic})
 	}
-
-	// Incremental re-solve: solveAssign pins every committed shard to its
-	// current host, so only the new root is assignable and edge pulls can
-	// only move *it*.
-	asg, err := p.solveAssign()
-	if err != nil {
-		k(err)
-		return
-	}
-	target := asg.byRoot[bind]
-
-	backOf := func(b string) *backend {
-		if b == bind {
-			return target
-		}
-		return c.placements[b].back
-	}
-
-	plan := target.app.Plan()
-	if err := plan.AddRoot(d.Path); err != nil {
-		k(fmt.Errorf("cluster: host %s: %w", target.name(), err))
-		return
-	}
-	plan.Commit(func(hdep *core.Deployment, err error) {
+	c.commitShards(p.roots, p.edges, nil, func(txn *shardTxn, err error) {
 		if err != nil {
-			k(fmt.Errorf("cluster: host %s: %w", target.name(), err))
+			k(err)
 			return
 		}
-		var built []*Bridge
-		unwind := func(cause error) {
-			for i := len(built) - 1; i >= 0; i-- {
-				built[i].teardown()
-			}
-			unwindDeployment(hdep)
-			k(cause)
+		res.Added[bind] = txn.hosts[bind].name()
+		if trm.On() {
+			trm.Instant(obs.CatMutate, "mutate.shard.add", int64(len(p.edges)))
 		}
-		var buildEdge func(j int)
-		buildEdge = func(j int) {
-			if j == len(p.edges) {
-				c.placements[bind] = &placement{
-					bind: bind, path: d.Path, load: load, pin: d.Pin, back: target,
-				}
-				c.rootOrder = append(c.rootOrder, bind)
-				for _, e := range p.edges {
-					c.edges = append(c.edges, edgeRec{a: e.a, b: e.b, traffic: e.traffic})
-				}
-				for _, br := range built {
-					c.bridges[EdgeKey(br.A, br.B)] = br
-				}
-				res.Added[bind] = target.name()
-				if trm.On() {
-					trm.Instant(obs.CatMutate, "mutate.shard.add", int64(len(p.edges)))
-				}
-				k(nil)
-				return
-			}
-			e := p.edges[j]
-			c.buildBridge(e.a, e.b, backOf(e.a), backOf(e.b), func(br *Bridge, err error) {
-				if err != nil {
-					unwind(fmt.Errorf("cluster: bridge %s↔%s: %w", e.a, e.b, err))
-					return
-				}
-				built = append(built, br)
-				buildEdge(j + 1)
-			})
-		}
-		buildEdge(0)
+		k(nil)
 	})
 }
 

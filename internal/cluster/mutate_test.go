@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 	"testing"
 
@@ -263,9 +264,10 @@ func TestMutateSwapShardHotSwapsUnderTraffic(t *testing.T) {
 	}
 }
 
-// A failed delta unwinds itself: a poisoned add leaves no placement, no
-// bridge and clean ledgers; a failed swap rolls back to the old shard,
-// which keeps serving. Deltas before the failure stay applied.
+// A failed delta unwinds itself: a poisoned add whose shard committed
+// before its bridge failed leaves no placement, no bridge, no running
+// shard and every ledger where the previous delta left it; a failed swap
+// rolls back to the old shard, which keeps serving.
 func TestMutateFailedDeltaUnwindsAndKeepsServing(t *testing.T) {
 	r := newRig(t, 2, Config{HostCapacity: 8})
 	pw := r.stock(t, "svc", 9981, false, false)
@@ -275,24 +277,35 @@ func TestMutateFailedDeltaUnwindsAndKeepsServing(t *testing.T) {
 	}
 	commit(t, r, p)
 
-	// Poisoned add: manifest everywhere, factory nowhere.
-	poison := "/shards/poison.odf"
-	for _, hs := range r.sys.RuntimeHosts() {
-		hs.Depot.PutFile(poison, []byte(`<offcode>
-  <package><bindname>poison</bindname><GUID>9666</GUID></package>
-  <targets><host-fallback>true</host-fallback></targets>
-</offcode>`))
-	}
+	// The ledgers after a first, successful delta are what the failed
+	// delta must restore.
 	okPath := r.stock(t, "ok", 9982, false, false)
-	liveBefore := map[string]int64{}
-	for _, hs := range r.sys.RuntimeHosts() {
-		liveBefore[hs.Spec.Name] = hs.Machine.LiveBytes()
+	mutate(t, r, []ShardDelta{AddShard{Path: okPath, Pin: "h1"}})
+	ledgers := func() map[string]int64 {
+		out := map[string]int64{}
+		for _, hs := range r.sys.RuntimeHosts() {
+			out[hs.Spec.Name] = hs.Machine.LiveBytes()
+			for _, d := range hs.Devices {
+				out[d.Name()] = int64(d.MemLive())
+			}
+		}
+		return out
+	}
+	before := ledgers()
+
+	// Poisoned add: the shard commits on h1, but its cross-host bridge to
+	// svc cannot deploy h1's forwarder, whose GUID is already taken in
+	// h1's depot. The shared rollback must tear down the half-built bridge
+	// and stop the committed shard.
+	poison := r.stock(t, "poison", 9666, false, false)
+	taken := fwdGUIDBase + guid.GUID(r.coord.fwdSeq+1)
+	if err := r.sys.Host("h1").Depot.RegisterFactory(taken, func() any { return &forwarder{} }); err != nil {
+		t.Fatal(err)
 	}
 	var res *ClusterMutation
 	var merr error
 	r.coord.Mutate([]ShardDelta{
-		AddShard{Path: okPath, Pin: "h1"},
-		AddShard{Path: poison, Connect: []ShardEdge{{To: "svc", Traffic: Traffic{MsgsPerSec: 1}}}},
+		AddShard{Path: poison, Pin: "h1", Connect: []ShardEdge{{To: "svc", Traffic: Traffic{MsgsPerSec: 1}}}},
 	}, func(m *ClusterMutation, err error) { res, merr = m, err })
 	r.sys.Eng.RunAll()
 	if merr == nil || !strings.Contains(merr.Error(), "factory") {
@@ -301,15 +314,23 @@ func TestMutateFailedDeltaUnwindsAndKeepsServing(t *testing.T) {
 	if !res.RolledBack {
 		t.Fatal("RolledBack not set")
 	}
-	// The earlier delta stays applied; the failed one left nothing behind.
-	if r.coord.HostOf("ok") != "h1" {
-		t.Fatalf("earlier delta unwound: ok on %q", r.coord.HostOf("ok"))
+	if len(r.instances["poison"]) != 1 {
+		t.Fatalf("poison instantiated %d times, want once (commit before the bridge)", len(r.instances["poison"]))
+	}
+	if _, err := r.sys.Host("h1").Runtime.GetOffcode("poison"); err == nil {
+		t.Fatal("failed add left the shard running")
 	}
 	if r.coord.HostOf("poison") != "" {
 		t.Fatal("failed add left a placement")
 	}
 	if r.coord.bridges[EdgeKey("poison", "svc")] != nil {
 		t.Fatal("failed add left a bridge")
+	}
+	if after := ledgers(); !maps.Equal(after, before) {
+		t.Fatalf("ledgers after the failed add = %v, want %v", after, before)
+	}
+	if r.coord.HostOf("ok") != "h1" {
+		t.Fatalf("earlier delta unwound: ok on %q", r.coord.HostOf("ok"))
 	}
 
 	// A failed swap (replacement has no factory on the host) rolls back:

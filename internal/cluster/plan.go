@@ -6,10 +6,14 @@ package cluster
 // objective over layout.ShardGraph) and then drives every host's
 // DeployPlan as a sub-transaction, in which that host's own §3.4 pipeline
 // places the shard on its devices. Any host's failure unwinds the hosts
-// already committed, restoring every ledger to its pre-plan value.
+// already committed, restoring every ledger to its pre-plan value. That
+// transaction (commitShards) is the only code that commits shards on
+// hosts: Mutate's AddShard and FailHost run it too.
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"hydra/internal/core"
 	"hydra/internal/layout"
@@ -133,17 +137,12 @@ func (p *Plan) Connect(a, b string, t Traffic) error {
 	return nil
 }
 
-// assignment is the solved shard→backend mapping.
-type assignment struct {
-	byRoot map[string]*backend // plan root bind → backend
-}
-
-// solveAssign places the plan's roots over the live backends: committed
-// shards are pinned where they run (their load still counts against
-// capacities), new roots are free unless user-pinned, and edges charge
-// netmodel-derived forwarding cycles scaled by each candidate link.
-func (p *Plan) solveAssign() (*assignment, error) {
-	c := p.coord
+// solveAssign places roots over the live backends: committed shards are
+// pinned where they run (their load still counts against capacities), new
+// roots are free unless user-pinned, and edges charge netmodel-derived
+// forwarding cycles scaled by each candidate link. It returns each root's
+// backend.
+func (c *Coordinator) solveAssign(roots []planRoot, edges []planEdge) (map[string]*backend, error) {
 	live := c.live()
 	if len(live) == 0 {
 		return nil, fmt.Errorf("cluster: no live hosts")
@@ -165,7 +164,7 @@ func (p *Plan) solveAssign() (*assignment, error) {
 		}
 	}
 
-	// Committed shards first (pinned in place), then the plan's roots.
+	// Committed shards first (pinned in place), then the new roots.
 	total := 0.0
 	nodeIdx := make(map[string]int)
 	for _, bind := range c.rootOrder {
@@ -177,7 +176,7 @@ func (p *Plan) solveAssign() (*assignment, error) {
 		nodeIdx[bind] = n
 		total += pl.load
 	}
-	for _, r := range p.roots {
+	for _, r := range roots {
 		pin := -1
 		if r.pin != "" {
 			idx, alive := hostIdx[r.pin]
@@ -200,7 +199,7 @@ func (p *Plan) solveAssign() (*assignment, error) {
 	for i := range g.Hosts {
 		g.Hosts[i].Capacity = cap
 	}
-	for _, e := range p.edges {
+	for _, e := range edges {
 		if err := g.AddLink(nodeIdx[e.a], nodeIdx[e.b], edgeWeight(e.traffic)); err != nil {
 			return nil, err
 		}
@@ -210,38 +209,11 @@ func (p *Plan) solveAssign() (*assignment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: shard assignment: %w", err)
 	}
-	out := &assignment{byRoot: make(map[string]*backend)}
-	for _, r := range p.roots {
-		out.byRoot[r.bind] = live[placed[nodeIdx[r.bind]]]
+	hosts := make(map[string]*backend, len(roots))
+	for _, r := range roots {
+		hosts[r.bind] = live[placed[nodeIdx[r.bind]]]
 	}
-	return out, nil
-}
-
-// hostRoots groups the plan roots per backend, preserving both backend
-// declaration order and within-host root order.
-func (p *Plan) hostRoots(asg *assignment) []struct {
-	back  *backend
-	roots []planRoot
-} {
-	var out []struct {
-		back  *backend
-		roots []planRoot
-	}
-	for _, b := range p.coord.live() {
-		var mine []planRoot
-		for _, r := range p.roots {
-			if asg.byRoot[r.bind] == b {
-				mine = append(mine, r)
-			}
-		}
-		if len(mine) > 0 {
-			out = append(out, struct {
-				back  *backend
-				roots []planRoot
-			}{b, mine})
-		}
-	}
-	return out
+	return hosts, nil
 }
 
 // Deployment is the typed result of a cluster Commit.
@@ -263,14 +235,12 @@ func EdgeKey(a, b string) string {
 	return a + "↔" + b
 }
 
-// Commit executes the plan: every host's roots deploy through that host's
-// transactional DeployPlan (in backend declaration order, over simulated
-// time), then every edge materializes as a bridge. The whole sequence is
-// atomic at cluster scope — a failure on any host (or in any bridge
-// build) stops every Offcode the already-committed sub-transactions
-// created, in reverse order, and tears down every bridge built, before k
-// receives the error; each host's LiveBytes/MemLive ledgers return to
-// their pre-plan values.
+// Commit executes the plan through the coordinator's shard transaction
+// (commitShards): every host's roots deploy through that host's
+// transactional DeployPlan, then every edge materializes as a bridge. The
+// whole sequence is atomic at cluster scope — on any failure each host's
+// LiveBytes/MemLive ledgers return to their pre-plan values before k
+// receives the error.
 func (p *Plan) Commit(k func(*Deployment, error)) {
 	c := p.coord
 	eng := c.sys.Eng
@@ -279,133 +249,154 @@ func (p *Plan) Commit(k func(*Deployment, error)) {
 		Bridges: make(map[string]*Bridge),
 		Started: eng.Now(),
 	}
-	if p.committed {
+	done := func(err error) {
 		dep.Finished = eng.Now()
-		k(dep, fmt.Errorf("cluster: plan already committed"))
+		k(dep, err)
+	}
+	if p.committed {
+		done(fmt.Errorf("cluster: plan already committed"))
 		return
 	}
 	p.committed = true
 	if c.committing {
-		dep.Finished = eng.Now()
-		k(dep, fmt.Errorf("cluster: another commit is in flight"))
+		done(fmt.Errorf("cluster: another commit is in flight"))
 		return
 	}
 	c.committing = true
-
-	asg, err := p.solveAssign()
-	if err != nil {
+	c.commitShards(p.roots, p.edges, nil, func(txn *shardTxn, err error) {
 		c.committing = false
-		dep.Finished = eng.Now()
-		k(dep, err)
+		if err == nil {
+			dep.Handles, dep.Bridges = txn.handles, txn.bridges
+		}
+		done(err)
+	})
+}
+
+// shardTxn is what a successful commitShards produced.
+type shardTxn struct {
+	hosts   map[string]*backend     // root bind → the host it landed on
+	handles map[string]*core.Handle // root bind → its handle there
+	bridges map[string]*Bridge      // EdgeKey → the edge's bridge
+}
+
+// commitShards is the coordinator's one host-level transaction, shared by
+// Plan.Commit, Mutate's AddShard and FailHost. It solves the assignment of
+// roots (every committed shard pinned where it runs), then commits each
+// receiving host's core.DeployPlan in backend order, first staging
+// states[bind] as the restore of every root that has one, then builds a
+// bridge per edge; an edge endpoint is either one of roots or a committed
+// shard. On success it records the placements, root order, edges and
+// bridges before k runs. On any failure it tears down the bridges it
+// built and stops every Offcode the host commits created, both in reverse
+// order, so every host's LiveBytes/MemLive ledgers are back at their
+// pre-transaction values when k receives the error.
+func (c *Coordinator) commitShards(roots []planRoot, edges []planEdge, states map[string][]byte,
+	k func(*shardTxn, error)) {
+	hosts, err := c.solveAssign(roots, edges)
+	if err != nil {
+		k(nil, err)
 		return
 	}
-
-	hostPlans := p.hostRoots(asg)
-	var committed []*core.Deployment // for reverse unwind
+	txn := &shardTxn{
+		hosts:   hosts,
+		handles: make(map[string]*core.Handle),
+		bridges: make(map[string]*Bridge),
+	}
+	var committed []*core.Deployment
 	var built []*Bridge
-
 	fail := func(err error) {
 		for i := len(built) - 1; i >= 0; i-- {
 			built[i].teardown()
 		}
 		for i := len(committed) - 1; i >= 0; i-- {
-			unwindDeployment(committed[i])
+			d := committed[i]
+			for j := len(d.Created) - 1; j >= 0; j-- {
+				d.App.Runtime().StopOffcode(d.Created[j])
+			}
 		}
-		// The unwound sub-deployments hold handles of now-stopped Offcodes;
-		// a failed commit's result must not expose any of them.
-		dep.Handles = make(map[string]*core.Handle)
-		dep.Bridges = make(map[string]*Bridge)
-		c.committing = false
-		dep.Finished = eng.Now()
-		k(dep, err)
+		k(nil, err)
 	}
 
 	finish := func() {
-		for _, r := range p.roots {
-			c.placements[r.bind] = &placement{
-				bind: r.bind, path: r.path, load: r.load, pin: r.pin,
-				back: asg.byRoot[r.bind],
-			}
+		for _, r := range roots {
+			c.placements[r.bind] = &placement{planRoot: r, back: hosts[r.bind]}
 			c.rootOrder = append(c.rootOrder, r.bind)
 		}
-		for _, e := range p.edges {
-			// Re-connecting an edge whose shards were unwound by an earlier
-			// failure updates the record instead of duplicating it.
-			dup := false
-			for i := range c.edges {
-				if EdgeKey(c.edges[i].a, c.edges[i].b) == EdgeKey(e.a, e.b) {
-					c.edges[i].traffic = e.traffic
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				c.edges = append(c.edges, edgeRec{a: e.a, b: e.b, traffic: e.traffic})
+		for _, e := range edges {
+			// FailHost passes the recorded edges it rebuilds.
+			if !slices.Contains(c.edges, e) {
+				c.edges = append(c.edges, e)
 			}
 		}
-		for _, b := range built {
-			c.bridges[EdgeKey(b.A, b.B)] = b
-		}
-		c.committing = false
-		dep.Finished = eng.Now()
-		k(dep, nil)
+		maps.Copy(c.bridges, txn.bridges)
+		k(txn, nil)
 	}
 
+	backOf := func(bind string) *backend {
+		if b, ok := hosts[bind]; ok {
+			return b
+		}
+		return c.placements[bind].back
+	}
 	var buildEdge func(i int)
 	buildEdge = func(i int) {
-		if i == len(p.edges) {
+		if i == len(edges) {
 			finish()
 			return
 		}
-		e := p.edges[i]
-		c.buildBridge(e.a, e.b, asg.byRoot[e.a], asg.byRoot[e.b], func(br *Bridge, err error) {
+		e := edges[i]
+		c.buildBridge(e.a, e.b, backOf(e.a), backOf(e.b), func(br *Bridge, err error) {
 			if err != nil {
 				fail(fmt.Errorf("cluster: bridge %s↔%s: %w", e.a, e.b, err))
 				return
 			}
 			built = append(built, br)
-			dep.Bridges[EdgeKey(e.a, e.b)] = br
+			txn.bridges[EdgeKey(e.a, e.b)] = br
 			buildEdge(i + 1)
 		})
 	}
 
+	// Host commits run in backend declaration order, each host's roots in
+	// their given order.
+	var targets []*backend
+	for _, b := range c.live() {
+		for _, r := range roots {
+			if hosts[r.bind] == b {
+				targets = append(targets, b)
+				break
+			}
+		}
+	}
 	var commitHost func(i int)
 	commitHost = func(i int) {
-		if i == len(hostPlans) {
+		if i == len(targets) {
 			buildEdge(0)
 			return
 		}
-		hp := hostPlans[i]
-		plan := hp.back.app.Plan()
-		for _, r := range hp.roots {
+		back := targets[i]
+		hostFail := func(err error) { fail(fmt.Errorf("cluster: host %s: %w", back.name(), err)) }
+		plan := back.app.Plan()
+		for _, r := range roots {
+			if hosts[r.bind] != back {
+				continue
+			}
 			if err := plan.AddRoot(r.path); err != nil {
-				fail(fmt.Errorf("cluster: host %s: %w", hp.back.name(), err))
+				hostFail(err)
 				return
+			}
+			if state, ok := states[r.bind]; ok {
+				back.hs.Runtime.StageRestore(r.bind, state)
 			}
 		}
-		plan.Commit(func(hdep *core.Deployment, err error) {
+		plan.Commit(func(d *core.Deployment, err error) {
 			if err != nil {
-				fail(fmt.Errorf("cluster: host %s: %w", hp.back.name(), err))
+				hostFail(err)
 				return
 			}
-			committed = append(committed, hdep)
-			for bind, h := range hdep.Handles {
-				dep.Handles[bind] = h
-			}
+			committed = append(committed, d)
+			maps.Copy(txn.handles, d.Handles)
 			commitHost(i + 1)
 		})
 	}
 	commitHost(0)
-}
-
-// unwindDeployment reverses one host's committed sub-transaction: every
-// Offcode the commit created stops in reverse instantiation order, and the
-// roots it recorded are forgotten so local failover will not resurrect
-// them. This restores the host's LiveBytes/MemLive ledgers to their
-// pre-plan values, mirroring core.DeployPlan's own mid-commit rollback.
-func unwindDeployment(d *core.Deployment) {
-	rt := d.App.Runtime()
-	for i := len(d.Created) - 1; i >= 0; i-- {
-		rt.StopOffcode(d.Created[i])
-	}
 }

@@ -195,18 +195,12 @@ func (a *App) PinMemory(size int) (uint64, *resource.Node, error) {
 // CreateChannel builds a channel from the application to target through
 // the Channel Executive, owned by — and charged to — this session: one
 // channel against the channel quota plus the host-side ring footprint
-// against the memory quota. Closing the session closes the channel.
-func (a *App) CreateChannel(cfg channel.Config, target *Handle) (*channel.Endpoint, *channel.Channel, error) {
-	appEnd, ch, _, err := a.CreateChannelOwned(cfg, target)
-	return appEnd, ch, err
-}
-
-// CreateChannelOwned is CreateChannel returning, additionally, the resource
-// node that owns the channel. Closing that node closes the channel, frees
-// its ring memory and releases the session quotas it booked — for callers
-// (like a cluster bridge) that retire individual channels before the
-// session ends. Closing the session still closes the channel either way.
-func (a *App) CreateChannelOwned(cfg channel.Config, target *Handle) (*channel.Endpoint, *channel.Channel, *resource.Node, error) {
+// against the memory quota. It returns the resource node that owns the
+// channel: closing that node closes the channel, frees its ring memory
+// and releases the session quotas it booked, for callers (like a cluster
+// bridge) that retire individual channels before the session ends.
+// Closing the session closes the channel either way.
+func (a *App) CreateChannel(cfg channel.Config, target *Handle) (*channel.Endpoint, *channel.Channel, *resource.Node, error) {
 	if a.closed {
 		return nil, nil, nil, fmt.Errorf("%w: %s", ErrAppClosed, a.name)
 	}

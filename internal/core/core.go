@@ -189,7 +189,7 @@ type Runtime struct {
 	// monitor, and the recovery history.
 	roots          []rootRecord
 	pendingRestore map[string][]byte
-	monitor        *Monitor
+	monitor        *monitor
 	migrating      bool
 	activeRec      *Recovery
 	recoveries     []*Recovery

@@ -331,7 +331,7 @@ func TestCreateChannelAndInvoke(t *testing.T) {
 	r.stock(t, "net.Checksum", 101, "Network Device", "")
 	h := deploy(t, r, "/offcodes/net.Checksum.odf")
 
-	appEnd, ch, err := r.rt.DefaultApp().CreateChannel(channel.DefaultConfig(), h)
+	appEnd, ch, _, err := r.rt.DefaultApp().CreateChannel(channel.DefaultConfig(), h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -720,53 +720,49 @@ func TestAppQuotasEnforced(t *testing.T) {
 		t.Fatal("commit did not produce a handle")
 	}
 	cfg := channel.DefaultConfig()
-	if _, _, err := app2.CreateChannel(cfg, h); err != nil {
+	if _, _, _, err := app2.CreateChannel(cfg, h); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := app2.CreateChannel(cfg, h); !errors.As(err, &qerr) || qerr.Kind != QuotaChannels {
+	if _, _, _, err := app2.CreateChannel(cfg, h); !errors.As(err, &qerr) || qerr.Kind != QuotaChannels {
 		t.Fatalf("channel-quota err = %v", err)
 	}
 }
 
-func TestPlanSolvePreviewTouchesNoHardware(t *testing.T) {
+// The pure front half of the pipeline (closure → layout graph → resolve)
+// touches no hardware and consumes no simulated time; Commit then places
+// exactly what it solved.
+func TestSolveRootTouchesNoHardware(t *testing.T) {
 	r := newRig(t, Config{})
 	r.stock(t, "net.Checksum", 101, "Network Device", "")
 	r.stock(t, "net.Socket", 100, "Network Device", importRef("net.Checksum", 101, "Pull"))
-	app, err := r.rt.OpenApp("previewer", AppConfig{})
+	app, err := r.rt.OpenApp("solver", AppConfig{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	live, devMem, now := r.host.LiveBytes(), r.nic.MemUsed(), r.eng.Now()
+	s, err := r.rt.solveRoot("/offcodes/net.Socket.odf", newPlacedSet(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.host.LiveBytes() != live || r.nic.MemUsed() != devMem || r.eng.Now() != now {
+		t.Fatal("solveRoot touched hardware or consumed simulated time")
+	}
+	if len(r.rt.deployedHandles()) != 0 {
+		t.Fatal("solveRoot registered offcodes")
+	}
+	// Instantiation order: the Pull import first, both on the NIC.
+	if len(s.odfs) != 2 || s.odfs[0].BindName != "net.Checksum" || s.odfs[1].BindName != "net.Socket" {
+		t.Fatalf("solved %d offcodes: %+v", len(s.odfs), s.odfs)
+	}
+	for i, o := range s.odfs {
+		if ref := s.target(i); ref == nil || ref.d != r.nic {
+			t.Fatalf("%s not solved onto nic0", o.BindName)
+		}
 	}
 	plan := app.Plan()
 	if err := plan.AddRoot("/offcodes/net.Socket.odf"); err != nil {
 		t.Fatal(err)
 	}
-	live, devMem, now := r.host.LiveBytes(), r.nic.MemUsed(), r.eng.Now()
-	pre, err := plan.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.host.LiveBytes() != live || r.nic.MemUsed() != devMem || r.eng.Now() != now {
-		t.Fatal("Solve touched hardware or consumed simulated time")
-	}
-	if len(r.rt.deployedHandles()) != 0 {
-		t.Fatal("Solve registered offcodes")
-	}
-	if len(pre.Assignments) != 2 {
-		t.Fatalf("assignments = %+v", pre.Assignments)
-	}
-	// Instantiation order: the Pull import first, both on the NIC.
-	if pre.Assignments[0].BindName != "net.Checksum" || pre.Assignments[1].BindName != "net.Socket" {
-		t.Fatalf("order = %+v", pre.Assignments)
-	}
-	for _, a := range pre.Assignments {
-		if a.Target != "nic0" {
-			t.Fatalf("%s on %s, want nic0", a.BindName, a.Target)
-		}
-		if a.Root != "net.Socket" {
-			t.Fatalf("%s root = %s", a.BindName, a.Root)
-		}
-	}
-	// The preview matches what Commit then does.
 	var dep *Deployment
 	plan.Commit(func(d *Deployment, err error) {
 		if err != nil {
@@ -779,12 +775,14 @@ func TestPlanSolvePreviewTouchesNoHardware(t *testing.T) {
 	if dep == nil {
 		t.Fatal("commit incomplete")
 	}
-	got, err := r.rt.GetOffcode("net.Checksum")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Device() == nil || got.Device().Name() != "nic0" {
-		t.Fatal("commit diverged from preview")
+	for _, bind := range []string{"net.Checksum", "net.Socket"} {
+		got, err := r.rt.GetOffcode(bind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Device() != r.nic {
+			t.Fatalf("commit placed %s off the solved target", bind)
+		}
 	}
 	if dep.Finished < dep.Started {
 		t.Fatalf("timings: %v..%v", dep.Started, dep.Finished)
@@ -1008,9 +1006,6 @@ func TestPlanResolvesGUIDOnlyImportAcrossRoots(t *testing.T) {
 	if err := plan.AddRoot("/offcodes/consumer.odf"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plan.Solve(); err != nil {
-		t.Fatalf("GUID-only cross-root import did not solve: %v", err)
-	}
 	var dep *Deployment
 	var derr error
 	plan.Commit(func(d *Deployment, err error) { dep, derr = d, err })
@@ -1072,8 +1067,9 @@ func TestReservationCapsDeviceLoads(t *testing.T) {
 	}
 }
 
-// Solve refuses the states Commit would refuse.
-func TestSolveChecksPlanState(t *testing.T) {
+// Commit refuses a plan that already committed and a plan of a closed
+// session, without touching anything.
+func TestCommitChecksPlanState(t *testing.T) {
 	r := newRig(t, Config{})
 	r.stock(t, "net.Checksum", 101, "Network Device", "")
 	app, err := r.rt.OpenApp("solver", AppConfig{})
@@ -1086,14 +1082,25 @@ func TestSolveChecksPlanState(t *testing.T) {
 	}
 	plan.Commit(func(*Deployment, error) {})
 	r.eng.RunAll()
-	if _, err := plan.Solve(); err == nil || !strings.Contains(err.Error(), "committed") {
-		t.Fatalf("Solve after commit: %v", err)
+	deploys := r.rt.Deployments()
+	var again error
+	plan.Commit(func(_ *Deployment, err error) { again = err })
+	if again == nil || !strings.Contains(again.Error(), "committed") {
+		t.Fatalf("Commit after commit: %v", again)
 	}
 	plan2 := app.Plan()
+	if err := plan2.AddRoot("/offcodes/net.Checksum.odf"); err != nil {
+		t.Fatal(err)
+	}
 	if err := app.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plan2.Solve(); !errors.Is(err, ErrAppClosed) {
-		t.Fatalf("Solve on closed app: %v", err)
+	var closed error
+	plan2.Commit(func(_ *Deployment, err error) { closed = err })
+	if !errors.Is(closed, ErrAppClosed) {
+		t.Fatalf("Commit on closed app: %v", closed)
+	}
+	if r.rt.Deployments() != deploys {
+		t.Fatal("a refused Commit counted as a deployment")
 	}
 }

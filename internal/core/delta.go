@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"hydra/internal/device"
 	"hydra/internal/obs"
 	"hydra/internal/sim"
 )
@@ -192,8 +193,8 @@ func (a *App) Replace(bind, path string, k func(*MutationResult, error)) {
 func (a *App) replaceQuiesced(bind, path string, res *MutationResult, old *Handle,
 	attached []attachedEnd, k func(error)) {
 	rt := a.rt
-	oldPath, oldDev := old.srcPath, old.dev
-	pins := map[string]placementPin{bind: {dev: oldDev}}
+	oldPath := old.srcPath
+	pins := map[string]*device.Device{bind: old.dev}
 
 	// Checkpoint the live state and stage it for the replacement (or, on
 	// rollback, for the re-instantiated original).
@@ -239,7 +240,7 @@ func (a *App) replaceQuiesced(bind, path string, res *MutationResult, old *Handl
 	rollback := func(x *deltaExec, cause error) {
 		x.rollback()
 		rb := &deltaExec{rt: rt, app: a}
-		s, err := rt.solveRootPinned(oldPath, newPlacedSet(), pins)
+		s, err := rt.solveRoot(oldPath, newPlacedSet(), pins)
 		if err != nil {
 			finish(true)
 			k(errors.Join(cause, fmt.Errorf("core: rollback re-solve %s: %w", bind, err)))
@@ -270,7 +271,7 @@ func (a *App) replaceQuiesced(bind, path string, res *MutationResult, old *Handl
 	}
 
 	x := &deltaExec{rt: rt, app: a}
-	s, err := rt.solveRootPinned(path, newPlacedSet(), pins)
+	s, err := rt.solveRoot(path, newPlacedSet(), pins)
 	if err != nil {
 		rollback(x, err)
 		return

@@ -22,27 +22,9 @@ import (
 //  5. offload (transfer the image, modeled on the bus) and instantiate,
 //  6. Initialize every new Offcode, then StartOffcode each one.
 //
-// Steps 1–3 are pure — no hardware is touched — and are what
-// DeployPlan.Solve (plan.go) exposes as a placement preview; steps 4–6
-// take simulated time and run under DeployPlan.Commit with rollback.
-
-// deployOne plans and commits a single root under the session, adapting
-// the typed Deployment result to a (*Handle, error) callback — the form
-// failover's sequential redeploy loop drives.
-func (a *App) deployOne(path string, k func(*Handle, error)) {
-	plan := a.Plan()
-	if err := plan.AddRoot(path); err != nil {
-		k(nil, err)
-		return
-	}
-	plan.Commit(func(dep *Deployment, err error) {
-		if err != nil {
-			k(nil, err)
-			return
-		}
-		k(dep.Handles[plan.roots[0].bind], nil)
-	})
-}
+// Steps 1–3 are pure — no hardware is touched — and run in solveRoot;
+// steps 4–6 take simulated time and run under DeployPlan.Commit (plan.go)
+// with rollback.
 
 // deviceRef wraps a device placement; nil means host placement.
 type deviceRef struct{ d *device.Device }
@@ -73,7 +55,7 @@ func (rt *Runtime) closure(path string, placed *placedSet) (map[string]*odf.ODF,
 			if imp.File == "" {
 				// Import resolved by GUID against already-deployed (or
 				// earlier-planned) Offcodes; nothing to load.
-				if _, err := rt.lookupImportPlaced(imp, placed); err != nil {
+				if _, err := rt.resolveImport(imp, placed); err != nil {
 					return fmt.Errorf("core: %s: %w", o.BindName, err)
 				}
 				continue
@@ -91,79 +73,58 @@ func (rt *Runtime) closure(path string, placed *placedSet) (map[string]*odf.ODF,
 	return docs, order, nil
 }
 
+// peer is where an import's target runs, or will run once the plan
+// commits: its bind name and device (nil = host).
+type peer struct {
+	bind string
+	dev  *device.Device
+}
+
 // placedSet tracks the Offcodes earlier roots of the same plan will have
 // deployed, so later roots solve against the full planned state without
 // any hardware having been touched yet. Indexed by bind name and by GUID,
 // mirroring how deployed handles resolve imports.
 type placedSet struct {
-	byBind map[string]placedInfo
-	byGUID map[guid.GUID]placedInfo
-}
-
-type placedInfo struct {
-	bind string
-	dev  *device.Device // nil = host placement
-	path string
+	byBind map[string]peer
+	byGUID map[guid.GUID]peer
 }
 
 func newPlacedSet() *placedSet {
 	return &placedSet{
-		byBind: make(map[string]placedInfo),
-		byGUID: make(map[guid.GUID]placedInfo),
+		byBind: make(map[string]peer),
+		byGUID: make(map[guid.GUID]peer),
 	}
 }
 
-// lookup resolves an import reference against the planned set, GUID first
-// like Runtime.lookupImport.
-func (ps *placedSet) lookup(imp odf.Reference) (placedInfo, bool) {
-	if imp.GUID.IsValid() {
-		if info, ok := ps.byGUID[imp.GUID]; ok {
-			return info, true
-		}
+// resolveImport finds the peer an import names: a deployed Offcode
+// first, then one an earlier root of the plan will deploy; each by GUID
+// before bind name. No index holds the zero GUID or an empty bind name
+// (odf.Parse rejects both), so a reference that omits one matches by the
+// other.
+func (rt *Runtime) resolveImport(imp odf.Reference, placed *placedSet) (peer, error) {
+	if h, ok := rt.byGUID[imp.GUID]; ok {
+		return peer{h.BindName, h.dev}, nil
 	}
-	if imp.BindName != "" {
-		if info, ok := ps.byBind[imp.BindName]; ok {
-			return info, true
-		}
+	if h, ok := rt.byBind[imp.BindName]; ok {
+		return peer{h.BindName, h.dev}, nil
 	}
-	return placedInfo{}, false
+	if p, ok := placed.byGUID[imp.GUID]; ok {
+		return p, nil
+	}
+	if p, ok := placed.byBind[imp.BindName]; ok {
+		return p, nil
+	}
+	return peer{}, fmt.Errorf("unresolved import %s (GUID %v)", imp.BindName, imp.GUID)
 }
 
-// lookupImportPlaced resolves an import against deployed Offcodes first,
-// then against the plan's already-placed set.
-func (rt *Runtime) lookupImportPlaced(imp odf.Reference, placed *placedSet) (*Handle, error) {
-	if h, err := rt.lookupImport(imp); err == nil {
-		return h, nil
+// targetIndex maps a device to its layout target among avail: 0 for the
+// host (nil), i+1 for avail[i]; false when the device is not available.
+func targetIndex(avail []*device.Device, dev *device.Device) (int, bool) {
+	if dev == nil {
+		return 0, true
 	}
-	if placed != nil {
-		if _, ok := placed.lookup(imp); ok {
-			return nil, nil // planned but not yet instantiated: no handle yet
-		}
-	}
-	return nil, fmt.Errorf("unresolved import %s (GUID %v)", imp.BindName, imp.GUID)
-}
-
-func (rt *Runtime) lookupImport(imp odf.Reference) (*Handle, error) {
-	if imp.GUID.IsValid() {
-		if h, ok := rt.byGUID[imp.GUID]; ok {
-			return h, nil
-		}
-	}
-	if imp.BindName != "" {
-		if h, ok := rt.byBind[imp.BindName]; ok {
-			return h, nil
-		}
-	}
-	return nil, fmt.Errorf("unresolved import %s (GUID %v)", imp.BindName, imp.GUID)
-}
-
-// importInSet reports whether an import (possibly GUID-only) resolves to a
-// member of the new deployment set.
-func importInSet(imp odf.Reference, newSet map[string]bool) bool {
-	if imp.BindName != "" {
-		return newSet[imp.BindName]
-	}
-	return false
+	i := slices.Index(avail, dev)
+	return i + 1, i >= 0
 }
 
 // solvedRoot is the pure front half of the pipeline for one root: the new
@@ -179,25 +140,15 @@ type solvedRoot struct {
 	reused     []string
 }
 
-// placementPin forces one bind name of a solved root onto a fixed target
-// (nil dev = host). Hot-swap uses it: the replacement must land exactly
-// where the instance it replaces ran, because the surviving channel
-// endpoints are bound to that execution context.
-type placementPin struct {
-	dev *device.Device
-}
-
 // solveRoot runs steps 1–3 for the root at path: closure, layout graph,
 // resolution. It touches no hardware and consumes no simulated time.
 // placed carries the state earlier plan roots will have established and is
-// extended with this root's outcome.
-func (rt *Runtime) solveRoot(path string, placed *placedSet) (*solvedRoot, error) {
-	return rt.solveRootPinned(path, placed, nil)
-}
-
-// solveRootPinned is solveRoot with per-bind placement pins applied on top
-// of the ODF constraint graph.
-func (rt *Runtime) solveRootPinned(path string, placed *placedSet, pinTo map[string]placementPin) (*solvedRoot, error) {
+// extended with this root's outcome. pins forces named Offcodes onto one
+// fixed target (nil device = host) on top of the ODF constraint graph:
+// hot-swap uses it, because a replacement must land exactly where the
+// instance it replaces ran — the surviving channel endpoints are bound to
+// that execution context.
+func (rt *Runtime) solveRoot(path string, placed *placedSet, pins map[string]*device.Device) (*solvedRoot, error) {
 	docs, order, err := rt.closure(path, placed)
 	if err != nil {
 		return nil, err
@@ -213,10 +164,9 @@ func (rt *Runtime) solveRootPinned(path string, placed *placedSet, pinTo map[str
 	type pinned struct {
 		node int
 		imp  odf.Reference
-		peer string         // bind name, for error messages
-		dev  *device.Device // nil = host placement
+		peer peer
 	}
-	var pins []pinned
+	var peerPins []pinned
 	newSet := make(map[string]bool)
 	for _, p := range order {
 		o := docs[p]
@@ -226,7 +176,6 @@ func (rt *Runtime) solveRootPinned(path string, placed *placedSet, pinTo map[str
 			newSet[o.BindName] = true
 		}
 	}
-	var srcPaths []string
 	for _, p := range order {
 		o := docs[p]
 		if !newSet[o.BindName] {
@@ -236,25 +185,20 @@ func (rt *Runtime) solveRootPinned(path string, placed *placedSet, pinTo map[str
 		filtered := *o
 		filtered.Imports = nil
 		for _, imp := range o.Imports {
-			if (imp.BindName != "" && newSet[imp.BindName]) || importInSet(imp, newSet) {
+			if newSet[imp.BindName] {
 				filtered.Imports = append(filtered.Imports, imp)
 				continue
 			}
 			// Peer exists already (deployed) or will exist (planned).
-			if h, err := rt.lookupImport(imp); err == nil {
-				pins = append(pins, pinned{node: len(out.odfs), imp: imp, peer: h.BindName, dev: h.Device()})
-				continue
+			pr, err := rt.resolveImport(imp, placed)
+			if err != nil {
+				return nil, fmt.Errorf("core: %s: %w", o.BindName, err)
 			}
-			if info, ok := placed.lookup(imp); ok {
-				pins = append(pins, pinned{node: len(out.odfs), imp: imp, peer: info.bind, dev: info.dev})
-				continue
-			}
-			return nil, fmt.Errorf("core: %s: unresolved import %s (GUID %v)", o.BindName, imp.BindName, imp.GUID)
+			peerPins = append(peerPins, pinned{node: len(out.odfs), imp: imp, peer: pr})
 		}
 		out.odfs = append(out.odfs, &filtered)
-		srcPaths = append(srcPaths, p)
+		out.paths = append(out.paths, p)
 	}
-	out.paths = srcPaths
 	if len(out.odfs) == 0 {
 		return out, nil // everything already deployed (or planned)
 	}
@@ -273,19 +217,11 @@ func (rt *Runtime) solveRootPinned(path string, placed *placedSet, pinTo map[str
 	}
 	// Apply constraints against existing peers by narrowing the importer's
 	// compatibility vector.
-	for _, pin := range pins {
-		peerTarget := 0
-		if pin.dev != nil {
-			for i, dev := range avail {
-				if dev == pin.dev {
-					peerTarget = i + 1
-					break
-				}
-			}
-			if peerTarget == 0 {
-				return nil, fmt.Errorf("core: %s: peer %s is placed on failed device %s",
-					out.odfs[pin.node].BindName, pin.peer, pin.dev.Name())
-			}
+	for _, pin := range peerPins {
+		peerTarget, ok := targetIndex(avail, pin.peer.dev)
+		if !ok {
+			return nil, fmt.Errorf("core: %s: peer %s is placed on failed device %s",
+				out.odfs[pin.node].BindName, pin.peer.bind, pin.peer.dev.Name())
 		}
 		node := &graph.Nodes[pin.node]
 		switch pin.imp.Type {
@@ -312,34 +248,22 @@ func (rt *Runtime) solveRootPinned(path string, placed *placedSet, pinTo map[str
 				}
 			}
 		}
-		ok := false
-		for _, c := range node.Compat {
-			ok = ok || c
-		}
-		if !ok {
+		if !slices.Contains(node.Compat, true) {
 			return nil, fmt.Errorf("core: %s: constraint %s against deployed peer %s is unsatisfiable",
-				node.BindName, pin.imp.Type, pin.peer)
+				node.BindName, pin.imp.Type, pin.peer.bind)
 		}
 	}
 	// Placement pins narrow a node to one fixed target on top of whatever
 	// the ODF constraints allow.
 	for i, o := range out.odfs {
-		pin, pinned := pinTo[o.BindName]
-		if !pinned {
+		dev, pinnedHere := pins[o.BindName]
+		if !pinnedHere {
 			continue
 		}
-		target := 0
-		if pin.dev != nil {
-			for j, dev := range avail {
-				if dev == pin.dev {
-					target = j + 1
-					break
-				}
-			}
-			if target == 0 {
-				return nil, fmt.Errorf("core: %s: pinned device %s is not an available target",
-					o.BindName, pin.dev.Name())
-			}
+		target, ok := targetIndex(avail, dev)
+		if !ok {
+			return nil, fmt.Errorf("core: %s: pinned device %s is not an available target",
+				o.BindName, dev.Name())
 		}
 		node := &graph.Nodes[i]
 		for t := range node.Compat {
@@ -347,7 +271,7 @@ func (rt *Runtime) solveRootPinned(path string, placed *placedSet, pinTo map[str
 		}
 		if !node.Compat[target] {
 			return nil, fmt.Errorf("core: %s: replacement cannot keep placement %s",
-				o.BindName, targetName(pin.dev))
+				o.BindName, targetName(dev))
 		}
 	}
 	var placement layout.Placement
@@ -370,13 +294,12 @@ func (rt *Runtime) solveRootPinned(path string, placed *placedSet, pinTo map[str
 
 	// Extend the planned state for the roots that follow.
 	for i, o := range out.odfs {
-		var dev *device.Device
+		pr := peer{bind: o.BindName}
 		if t := placement[i]; t != 0 {
-			dev = avail[t-1]
+			pr.dev = avail[t-1]
 		}
-		info := placedInfo{bind: o.BindName, dev: dev, path: out.paths[i]}
-		placed.byBind[o.BindName] = info
-		placed.byGUID[o.GUID] = info
+		placed.byBind[o.BindName] = pr
+		placed.byGUID[o.GUID] = pr
 	}
 	return out, nil
 }

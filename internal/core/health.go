@@ -81,8 +81,8 @@ func (rt *Runtime) Recoveries() []*Recovery {
 	return append([]*Recovery(nil), rt.recoveries...)
 }
 
-// Monitor is the runtime health monitor started by StartMonitor.
-type Monitor struct {
+// monitor is the runtime health monitor started by StartMonitor.
+type monitor struct {
 	rt     *Runtime
 	probes []*deviceProbe
 }
@@ -96,12 +96,12 @@ type deviceProbe struct {
 
 // StartMonitor begins heartbeat monitoring of every registered device and
 // enables automatic failover. Devices must already be registered. Calling
-// it again returns the existing monitor.
-func (rt *Runtime) StartMonitor() *Monitor {
+// it again is a no-op.
+func (rt *Runtime) StartMonitor() {
 	if rt.monitor != nil {
-		return rt.monitor
+		return
 	}
-	m := &Monitor{rt: rt}
+	m := &monitor{rt: rt}
 	now := rt.eng.Now()
 	for i, d := range rt.devices {
 		m.probes = append(m.probes, &deviceProbe{dev: d, lastPong: now})
@@ -118,13 +118,12 @@ func (rt *Runtime) StartMonitor() *Monitor {
 	}
 	rt.eng.Tick(Heartbeat, 0, m.tick)
 	rt.monitor = m
-	return m
 }
 
 // tick runs once per heartbeat: it checks silence thresholds, triggers
 // failover for newly failed devices, notices restored devices rejoining,
 // and launches the next round of probes.
-func (m *Monitor) tick() {
+func (m *monitor) tick() {
 	now := m.rt.eng.Now()
 	for _, p := range m.probes {
 		if p.failed {
@@ -248,9 +247,17 @@ func (rt *Runtime) failover(failed *device.Device, detected sim.Time) *Recovery 
 		if owner == nil || owner.closed {
 			owner = rt.defaultApp
 		}
-		owner.deployOne(roots[i].path, func(_ *Handle, err error) {
+		fail := func(err error) {
+			finish(fmt.Errorf("core: failover redeploy %s: %w", roots[i].path, err))
+		}
+		plan := owner.Plan()
+		if err := plan.AddRoot(roots[i].path); err != nil {
+			fail(err)
+			return
+		}
+		plan.Commit(func(_ *Deployment, err error) {
 			if err != nil {
-				finish(fmt.Errorf("core: failover redeploy %s: %w", roots[i].path, err))
+				fail(err)
 				return
 			}
 			redeploy(i + 1)

@@ -88,7 +88,7 @@ func TestReplaceHotSwapZeroLoss(t *testing.T) {
 
 	h := deploy(t, r, "/offcodes/counter.v1.odf")
 	oldDev := h.Device()
-	appEnd, ch, err := r.rt.DefaultApp().CreateChannel(channel.DefaultConfig(), h)
+	appEnd, ch, _, err := r.rt.DefaultApp().CreateChannel(channel.DefaultConfig(), h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestReplaceRollsBackOnFailure(t *testing.T) {
 
 	h := deploy(t, r, "/offcodes/counter.v1.odf")
 	oldDev := h.Device()
-	appEnd, ch, err := r.rt.DefaultApp().CreateChannel(channel.DefaultConfig(), h)
+	appEnd, ch, _, err := r.rt.DefaultApp().CreateChannel(channel.DefaultConfig(), h)
 	if err != nil {
 		t.Fatal(err)
 	}

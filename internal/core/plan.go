@@ -3,17 +3,15 @@ package core
 import (
 	"fmt"
 
-	"hydra/internal/guid"
 	"hydra/internal/obs"
 	"hydra/internal/sim"
 )
 
-// DeployPlan is the transactional replacement for the callback Deploy:
-// roots accumulate with AddRoot, Solve previews the placement without
-// touching hardware, and Commit deploys everything atomically — on a
-// partial failure every Offcode instantiated and every ring pinned by the
-// plan is rolled back, leaving the host memory ledger and the device
-// Offcode population exactly at their pre-plan values.
+// DeployPlan is a transactional deployment: roots accumulate with
+// AddRoot, and Commit solves their placement and deploys everything
+// atomically — on a partial failure every Offcode instantiated and every
+// ring pinned by the plan is rolled back, leaving the host memory ledger
+// and the device Offcode population exactly at their pre-plan values.
 type DeployPlan struct {
 	app       *App
 	roots     []planRoot
@@ -23,7 +21,6 @@ type DeployPlan struct {
 type planRoot struct {
 	path string
 	bind string
-	g    guid.GUID
 }
 
 // Plan starts an empty deployment plan for the session.
@@ -64,82 +61,8 @@ func (p *DeployPlan) AddRoot(path string) error {
 				ErrDuplicateBind, doc.BindName, from)
 		}
 	}
-	p.roots = append(p.roots, planRoot{path: path, bind: doc.BindName, g: doc.GUID})
+	p.roots = append(p.roots, planRoot{path: path, bind: doc.BindName})
 	return nil
-}
-
-// Assignment is one Offcode's placement decision in a Preview.
-type Assignment struct {
-	// BindName and GUID identify the Offcode.
-	BindName string
-	GUID     guid.GUID
-	// Path is the depot ODF the instance will be loaded from.
-	Path string
-	// Target is the placement: a device name, or "host".
-	Target string
-	// Root is the plan root whose closure brought this Offcode in.
-	Root string
-}
-
-// Preview is a solved plan: the placement every new Offcode would get,
-// computed without touching hardware or consuming simulated time.
-type Preview struct {
-	// Assignments lists the new Offcodes in instantiation order.
-	Assignments []Assignment
-	// Reused lists closure members satisfied by already-running instances.
-	Reused []string
-}
-
-// Solve resolves the plan's layout — ODF closures, constraint graph,
-// greedy or ILP placement — and returns the per-Offcode preview. Nothing
-// is instantiated, no device memory moves, and no simulated time passes;
-// Commit re-solves against the then-current device health, so a Preview is
-// a forecast, not a lease.
-func (p *DeployPlan) Solve() (*Preview, error) {
-	if p.committed {
-		return nil, fmt.Errorf("core: plan already committed")
-	}
-	if p.app.closed {
-		return nil, fmt.Errorf("%w: %s", ErrAppClosed, p.app.name)
-	}
-	solved, err := p.solveAll()
-	if err != nil {
-		return nil, err
-	}
-	return p.preview(solved), nil
-}
-
-func (p *DeployPlan) preview(solved []*solvedRoot) *Preview {
-	pre := &Preview{}
-	for _, s := range solved {
-		for i, o := range s.odfs {
-			target := "host"
-			if ref := s.target(i); ref != nil {
-				target = ref.d.Name()
-			}
-			pre.Assignments = append(pre.Assignments, Assignment{
-				BindName: o.BindName, GUID: o.GUID, Path: s.paths[i],
-				Target: target, Root: s.bind,
-			})
-		}
-		pre.Reused = append(pre.Reused, s.reused...)
-	}
-	return pre
-}
-
-// solveAll runs the pure front half for every root in order, threading the
-// planned state so later roots see earlier ones as placed.
-func (p *DeployPlan) solveAll() ([]*solvedRoot, error) {
-	placed := newPlacedSet()
-	solved := make([]*solvedRoot, 0, len(p.roots))
-	for _, r := range p.roots {
-		s, err := p.app.rt.solveRoot(r.path, placed)
-		if err != nil {
-			return nil, fmt.Errorf("core: root %s: %w", r.bind, err)
-		}
-		solved = append(solved, s)
-	}
-	return solved, nil
 }
 
 // Deployment is the typed result of a Commit.
@@ -194,32 +117,38 @@ func (p *DeployPlan) Commit(k func(*Deployment, error)) {
 	}
 	rt.deploys++
 
-	// Steps 1–3 (pure): re-solve now so the placement reflects current
-	// device health, not the health at Solve time.
-	solved, err := p.solveAll()
-	if err != nil {
-		fail(err)
-		return
+	// Steps 1–3 (pure) for every root in order, threading the planned
+	// state so later roots see earlier ones as placed. The placement
+	// reflects device health at commit time.
+	//
+	// covered is every bind this plan covers — new Offcodes and reused
+	// instances alike. Once the commit settles, staged restore state for
+	// these binds is cleared: whatever initialize did not consume (a
+	// reused root, a non-Checkpointer behaviour, a failed commit) must not
+	// silently feed stale checkpoint bytes into a later, unrelated
+	// deployment of the same bind name.
+	placed := newPlacedSet()
+	solved := make([]*solvedRoot, 0, len(p.roots))
+	var covered []string
+	var newCount int64
+	for _, r := range p.roots {
+		s, err := rt.solveRoot(r.path, placed, nil)
+		if err != nil {
+			fail(fmt.Errorf("core: root %s: %w", r.bind, err))
+			return
+		}
+		solved = append(solved, s)
+		for _, o := range s.odfs {
+			covered = append(covered, o.BindName)
+		}
+		covered = append(covered, s.reused...)
+		newCount += int64(len(s.odfs))
 	}
-	pre := p.preview(solved)
-
-	// Every bind this plan covers — new assignments and reused instances
-	// alike. Once the commit settles, staged restore state for these binds
-	// is cleared: whatever initialize did not consume (a reused root, a
-	// non-Checkpointer behaviour, a failed commit) must not silently feed
-	// stale checkpoint bytes into a later, unrelated deployment of the
-	// same bind name.
-	covered := make([]string, 0, len(pre.Assignments)+len(pre.Reused))
-	for _, asg := range pre.Assignments {
-		covered = append(covered, asg.BindName)
-	}
-	covered = append(covered, pre.Reused...)
 
 	// Admission against the session's Offcode quota happens before any
 	// hardware is touched: an over-quota plan is rejected wholesale. The
 	// probe charge validates the whole plan at once; each instantiated
 	// Offcode books its own unit afterwards.
-	newCount := int64(len(pre.Assignments))
 	if err := p.app.res.Charge(QuotaOffcodes, newCount); err != nil {
 		fail(fmt.Errorf("core: plan needs %d offcodes: %w", newCount, err))
 		return

@@ -47,7 +47,7 @@ func (a *App) OpenSyscalls(target *Handle, prof syscall.Profile) (*SyscallPlane,
 	if a.closed {
 		return nil, fmt.Errorf("%w: %s", ErrAppClosed, a.name)
 	}
-	appEnd, _, node, err := a.CreateChannelOwned(prof.ChannelConfig(), target)
+	appEnd, _, node, err := a.CreateChannel(prof.ChannelConfig(), target)
 	if err != nil {
 		return nil, err
 	}

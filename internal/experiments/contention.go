@@ -215,7 +215,7 @@ func RunContentionCell(seed int64, duration sim.Time, apps int, tight bool, reso
 		if err != nil {
 			return nil, fmt.Errorf("tenant %d: %w", i, err)
 		}
-		send, ch, err := t.app.CreateChannel(chCfg, handle)
+		send, ch, _, err := t.app.CreateChannel(chCfg, handle)
 		if err != nil {
 			return nil, fmt.Errorf("tenant %d channel: %w", i, err)
 		}

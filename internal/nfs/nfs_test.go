@@ -327,9 +327,33 @@ func TestOutOfRangeOffsetsRefused(t *testing.T) {
 	}
 }
 
+// TestWriteHoleBounded writes past EOF: a hole up to MaxRead bytes (the
+// most one request moves) is zero-filled, a wider one is refused and
+// leaves the file alone.
+func TestWriteHoleBounded(t *testing.T) {
+	s := nas()
+	maxRead := DefaultServerConfig().MaxRead
+	h := s.handle(&message{op: OpCreate, name: "/f"}).handle
+	s.handle(&message{op: OpWrite, handle: h, data: []byte("abc")})
+	if rep := s.handle(&message{op: OpWrite, handle: h, offset: uint64(3 + maxRead), data: []byte("x")}); rep.status != StatusOK {
+		t.Fatalf("write after a %d-byte hole: status %d, want StatusOK", maxRead, rep.status)
+	}
+	size := 4 + maxRead
+	for _, off := range []int{size + maxRead + 1, 1 << 20} {
+		if rep := s.handle(&message{op: OpWrite, handle: h, offset: uint64(off), data: []byte("y")}); rep.status != StatusBadRequest {
+			t.Errorf("write after a %d-byte hole: status %d, want StatusBadRequest", off-size, rep.status)
+		}
+	}
+	if got, _ := s.store.Get("/f"); len(got) != size {
+		t.Fatalf("file is %d bytes after refused writes, want %d", len(got), size)
+	}
+}
+
 // FuzzServerHandle decodes arbitrary datagrams and serves them against a
-// NAS holding one file (handle 1): no request may panic the server. The
-// committed corpus holds a READ at offset 2^64-1 and a WRITE at 2^63.
+// NAS holding one empty file (handle 1): no request may panic the server
+// or grow the file past one request's hole and payload. The committed
+// corpus holds a READ at offset 2^64-1, a WRITE at 2^63 and a WRITE just
+// below maxFileSize.
 func FuzzServerHandle(f *testing.F) {
 	f.Add((&message{op: OpRead, handle: 1, count: 8}).encode())
 	f.Add((&message{op: OpWrite, handle: 1, offset: 2, data: []byte("xyz")}).encode())
@@ -341,6 +365,9 @@ func FuzzServerHandle(f *testing.F) {
 		s := nas()
 		s.handle(&message{op: OpCreate, name: "/f"})
 		s.handle(req)
+		if n := len(s.store.files["/f"]); n > DefaultServerConfig().MaxRead+len(req.data) {
+			t.Fatalf("one request grew the file to %d bytes", n)
+		}
 	})
 }
 

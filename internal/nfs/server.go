@@ -167,6 +167,12 @@ func (s *Server) handle(req *message) *message {
 			return rep
 		}
 		data := s.store.files[path]
+		if off-len(data) > s.cfg.MaxRead {
+			// A hole past EOF wider than one request moves would have
+			// one datagram zero-fill up to maxFileSize of memory.
+			rep.status = StatusBadRequest
+			return rep
+		}
 		if end > len(data) {
 			// Amortized growth: appending the recording 1 KB at a time
 			// must not copy the whole file on every write.

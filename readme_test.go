@@ -58,7 +58,7 @@ func TestReadmeQuickstartCompilesAndRuns(t *testing.T) {
 	if err != nil {
 		t.Fatalf("README quickstart failed at runtime: %v\n%s", err, out)
 	}
-	for _, want := range []string{"planned: demo.Counter → nic0", "deployed in"} {
+	for _, want := range []string{"deployed demo.Counter to nic0 in"} {
 		if !strings.Contains(string(out), want) {
 			t.Fatalf("README quickstart output missing %q:\n%s", want, out)
 		}

@@ -12,7 +12,8 @@
 # the binaries, the run outputs and the coverage counters. The runs take
 # a few minutes on two cores. Output: `go tool covdata percent` per
 # package, then every file with never-executed statements, as
-# "count file" lines each followed by the line ranges.
+# "count file" lines each followed by the line ranges, then the
+# never-executed count per package and their total.
 set -euo pipefail
 
 root=$(cd "$(dirname "$0")/.." && pwd)
@@ -72,19 +73,31 @@ go tool covdata textfmt -i="$GOCOVERDIR" -o "$work/cover.txt"
 # once per binary, so it ran if any copy's count is non-zero.
 echo
 echo "never-executed statements by file:"
-awk 'NR > 1 {
-	if (!($1 in stmts)) { stmts[$1] = $2; order[++n] = $1 }
-	if ($3 > 0) ran[$1] = 1
-}
-END {
-	for (i = 1; i <= n; i++) {
-		b = order[i]
-		if (b in ran) continue
-		split(b, parts, ":")
-		file = parts[1]
-		split(parts[2], span, "[.,]")
-		cnt[file] += stmts[b]
-		lines[file] = lines[file] " " span[1] "-" span[3]
+never() {
+	awk 'NR > 1 {
+		if (!($1 in stmts)) { stmts[$1] = $2; order[++n] = $1 }
+		if ($3 > 0) ran[$1] = 1
 	}
-	for (f in cnt) printf "%d %s\n %s\n", cnt[f], f, lines[f]
-}' "$work/cover.txt" | paste - - | sort -k1,1nr -k2,2 | tr '\t' '\n'
+	END {
+		for (i = 1; i <= n; i++) {
+			b = order[i]
+			if (b in ran) continue
+			split(b, parts, ":")
+			file = parts[1]
+			split(parts[2], span, "[.,]")
+			cnt[file] += stmts[b]
+			lines[file] = lines[file] " " span[1] "-" span[3]
+		}
+		for (f in cnt) printf "%d %s\n %s\n", cnt[f], f, lines[f]
+	}' "$work/cover.txt" | paste - - | sort -k1,1nr -k2,2
+}
+never | tr '\t' '\n'
+
+# The same counts summed per package (the file's directory), then the
+# total over every package.
+echo
+echo "never-executed statements by package:"
+never | awk '{ pkg = $2; sub(/\/[^\/]*$/, "", pkg); cnt[pkg] += $1 }
+	END { for (p in cnt) printf "%d %s\n", cnt[p], p }' |
+	sort -k1,1nr -k2,2 | tee "$work/packages.txt"
+awk '{ total += $1 } END { printf "%d total\n", total }' "$work/packages.txt"

@@ -126,7 +126,7 @@ func TestSmokeBinaries(t *testing.T) {
 
 	t.Run("quickstart-session", func(t *testing.T) {
 		out := runBinary(t, bin, "quickstart")
-		for _, want := range []string{"plan: hydra.net.utils.Checksum → nic0", "session closed: reclaimed"} {
+		for _, want := range []string{"deployed to nic0", "session closed: reclaimed"} {
 			if !strings.Contains(out, want) {
 				t.Fatalf("quickstart session output missing %q:\n%s", want, out)
 			}

@@ -11,7 +11,10 @@
 // report the kernel-only miss rate exactly as the paper does.
 package cache
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // Context labels who performed a memory access.
 type Context int
@@ -55,14 +58,20 @@ type Stats struct {
 // Cache is the set-associative model. It is not safe for concurrent use;
 // the simulation is single-threaded.
 //
-// Way w of set i sits at index i*Ways+w of two flat arrays. tags holds each
-// line's tag plus one, so 0 marks an invalid way and an 8-way set's tags
-// fill one 64-byte host line. lru holds each way's last-touch stamp (larger
-// is more recent; 0 for an invalid way, so a miss fills invalid ways first).
+// Way w of set i sits at index i*Ways+w of three flat arrays. tags holds
+// each line's tag plus one, so 0 marks an invalid way and an 8-way set's
+// tags fill one 64-byte host line. lru holds each way's last-touch stamp
+// (larger is more recent; 0 for an invalid way, so a miss fills invalid
+// ways first). A way that holds a line of a resident Region has ownedBit
+// set in lru and the region's index+1 in own; its effective stamp is the
+// later of lru's stamp and the region's pending stamp for that line.
 type Cache struct {
 	cfg      Config
 	tags     []uint64
 	lru      []uint64
+	own      []int32
+	regions  []*Region
+	floor    uint64 // at most the base of every resident region
 	lineBits uint
 	tagShift uint
 	setMask  uint64
@@ -70,11 +79,18 @@ type Cache struct {
 	stats    [numContexts]Stats
 }
 
+// ownedBit marks an lru entry whose line a resident region holds. Stamps
+// never reach it, so a marked way is never the plain minimum of its set.
+const ownedBit = 1 << 63
+
 // New builds a cache with the given geometry. SizeBytes must be a multiple
 // of LineBytes*Ways, and the set count must be a power of two.
 func New(cfg Config) *Cache {
 	if cfg.LineBytes <= 0 || cfg.Ways <= 0 || cfg.SizeBytes <= 0 {
 		panic("cache: non-positive geometry")
+	}
+	if cfg.SizeBytes%(cfg.LineBytes*cfg.Ways) != 0 {
+		panic("cache: size must be a multiple of LineBytes*Ways")
 	}
 	lines := cfg.SizeBytes / cfg.LineBytes
 	numSets := lines / cfg.Ways
@@ -88,34 +104,71 @@ func New(cfg Config) *Cache {
 		cfg:      cfg,
 		tags:     make([]uint64, numSets*cfg.Ways),
 		lru:      make([]uint64, numSets*cfg.Ways),
+		own:      make([]int32, numSets*cfg.Ways),
 		lineBits: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		tagShift: uint(bits.TrailingZeros(uint(numSets))),
 		setMask:  uint64(numSets - 1),
 	}
 }
 
-// touchLine accesses one line address and reports whether it missed. The
-// caller counts the access.
-func (c *Cache) touchLine(lineAddr uint64) bool {
+// touchLine accesses one line address and reports the way that now holds
+// it and whether it missed. The caller counts the access.
+func (c *Cache) touchLine(lineAddr uint64) (int, bool) {
 	c.stamp++
-	base := int(lineAddr&c.setMask) * c.cfg.Ways
+	set := lineAddr & c.setMask
+	base := int(set) * c.cfg.Ways
 	tags := c.tags[base : base+c.cfg.Ways]
 	lru := c.lru[base : base+len(tags)]
 	tag := lineAddr>>c.tagShift + 1
 	for w, t := range tags {
 		if t == tag {
-			lru[w] = c.stamp
-			return false // hit
+			lru[w] = lru[w]&ownedBit | c.stamp
+			return base + w, false
 		}
+	}
+	// The plain minimum skips marked ways. If it is older than every
+	// resident region's base, no region line in the set can be older.
+	oldest := lru[0]
+	for _, s := range lru {
+		oldest = min(oldest, s)
 	}
 	victim := 0
-	for w := range lru {
-		if lru[w] < lru[victim] {
-			victim = w
-		}
+	for lru[victim] != oldest {
+		victim++
+	}
+	if oldest >= c.floor {
+		victim = c.oldestEffective(set, base)
+	}
+	if lru[victim]&ownedBit != 0 {
+		c.regions[c.own[base+victim]-1].flush()
 	}
 	tags[victim], lru[victim] = tag, c.stamp
-	return true
+	return base + victim, true
+}
+
+// oldestEffective returns the way of the set at base with the oldest
+// effective stamp. It first raises floor to the oldest resident region's
+// base, so that the plain minimum settles the next misses.
+func (c *Cache) oldestEffective(set uint64, base int) int {
+	c.floor = c.stamp
+	for _, r := range c.regions {
+		if r.base != 0 && r.base < c.floor {
+			c.floor = r.base
+		}
+	}
+	victim, oldest := 0, uint64(math.MaxUint64)
+	for w := 0; w < c.cfg.Ways; w++ {
+		s := c.lru[base+w]
+		if s&ownedBit != 0 {
+			r := c.regions[c.own[base+w]-1]
+			line := (c.tags[base+w]-1)<<c.tagShift | set
+			s = max(s&^ownedBit, r.base+line-r.first)
+		}
+		if s < oldest {
+			victim, oldest = w, s
+		}
+	}
+	return victim
 }
 
 // AccessRange walks [addr, addr+size) one line at a time, modelling a
@@ -128,7 +181,7 @@ func (c *Cache) AccessRange(ctx Context, addr uint64, size int) int {
 	first, last := addr>>c.lineBits, (addr+uint64(size)-1)>>c.lineBits
 	misses := 0
 	for l := first; l <= last; l++ {
-		if c.touchLine(l) {
+		if _, miss := c.touchLine(l); miss {
 			misses++
 		}
 	}
@@ -165,8 +218,93 @@ func (c *Cache) InvalidateRange(addr uint64, size int) {
 		tag := l>>c.tagShift + 1
 		for w := base; w < base+c.cfg.Ways; w++ {
 			if c.tags[w] == tag {
+				if c.lru[w]&ownedBit != 0 {
+					c.regions[c.own[w]-1].flush()
+				}
 				c.tags[w], c.lru[w] = 0, 0
 			}
 		}
 	}
+}
+
+// Region is a fixed line range that its owner walks whole, over and over,
+// such as a daemon's resident working set. Walking it has exactly the
+// effect of AccessRange over the same bytes, but while every line of the
+// region is resident a walk is O(1): it counts its accesses, records base,
+// the stamp its first line would get, and advances the stamp past its
+// lines. Line first+k's effective stamp is then max(lru, base+k), which is
+// the stamp a per-line walk would have left, so every hit, miss and victim
+// is the same. Evicting or invalidating any of its lines writes those
+// stamps back into lru and drops residency, and the next walk runs per
+// line again.
+type Region struct {
+	c     *Cache
+	ctx   Context
+	id    int32   // own mark of the ways this region holds: index in regions + 1
+	first uint64  // first line address
+	ways  []int32 // way holding line first+k, valid while resident
+	base  uint64  // stamp of line first at the latest walk; 0 while not resident
+}
+
+// NewRegion registers the lines covering [addr, addr+size) as a region
+// walked in context ctx. It panics if the range is empty, overlaps another
+// region, or puts more than Ways of its lines in one set, so that a walk
+// would evict the region's own lines.
+func (c *Cache) NewRegion(ctx Context, addr uint64, size int) *Region {
+	if size <= 0 {
+		panic("cache: empty region")
+	}
+	first, last := addr>>c.lineBits, (addr+uint64(size)-1)>>c.lineBits
+	n := last - first + 1
+	if n > uint64(len(c.tags)) {
+		panic("cache: region puts more than Ways lines in one set")
+	}
+	for _, o := range c.regions {
+		if first < o.first+uint64(len(o.ways)) && o.first <= last {
+			panic("cache: region overlaps another region")
+		}
+	}
+	r := &Region{c: c, ctx: ctx, id: int32(len(c.regions) + 1), first: first, ways: make([]int32, n)}
+	c.regions = append(c.regions, r)
+	return r
+}
+
+// Walk accesses every line of the region in order and returns the number
+// of misses, exactly as AccessRange over the region's bytes would.
+func (r *Region) Walk() int {
+	c := r.c
+	n := uint64(len(r.ways))
+	c.stats[r.ctx].Accesses += n
+	if r.base != 0 {
+		r.base = c.stamp + 1
+		c.stamp += n
+		return 0
+	}
+	base := c.stamp + 1
+	misses := 0
+	for k := range r.ways {
+		w, miss := c.touchLine(r.first + uint64(k))
+		r.ways[k] = int32(w)
+		if miss {
+			misses++
+		}
+	}
+	// No walked line can have been evicted by a later one: at most Ways of
+	// them share a set, and they are the set's newest lines.
+	for _, w := range r.ways {
+		c.lru[w] |= ownedBit
+		c.own[w] = r.id
+	}
+	r.base = base
+	c.stats[r.ctx].Misses += uint64(misses)
+	return misses
+}
+
+// flush writes the region's pending stamps into lru and drops residency.
+func (r *Region) flush() {
+	c := r.c
+	for k, w := range r.ways {
+		c.lru[w] = max(c.lru[w]&^ownedBit, r.base+uint64(k))
+	}
+	r.base = 0
 }

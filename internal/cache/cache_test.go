@@ -90,6 +90,7 @@ func TestGeometryValidation(t *testing.T) {
 		{SizeBytes: 512, LineBytes: 60, Ways: 2}, // line not power of two
 		{SizeBytes: 576, LineBytes: 64, Ways: 3}, // sets=3, not power of two
 		{SizeBytes: 64, LineBytes: 64, Ways: 2},  // zero sets
+		{SizeBytes: 576, LineBytes: 64, Ways: 2}, // 4.5 sets
 	}
 	for i, cfg := range bad {
 		func() {
@@ -248,7 +249,11 @@ func (r *refCache) invalidateRange(addr uint64, size int) {
 
 // TestMatchesReference drives the cache and the reference LRU lists with
 // the same seeded mix of ranged accesses and invalidations: every return
-// value and every per-context counter must agree.
+// value and every per-context counter must agree. A second mix adds
+// regions, walked whole and over again, and long repeated ranges of up to
+// Ways*numSets lines; its accesses and invalidations land on region lines,
+// so regions lose residency by eviction and by invalidation, and
+// their pending stamps must be written back exactly.
 func TestMatchesReference(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -274,15 +279,135 @@ func TestMatchesReference(t *testing.T) {
 					t.Fatalf("op %d: AccessRange(%v, %d, %d) = %d misses, reference %d", op, ctx, addr, size, got, want)
 				}
 			}
-			for ctx := Context(0); ctx < numContexts; ctx++ {
-				if got, want := c.Stats(ctx), ref.stats[ctx]; got != want {
-					t.Fatalf("%v stats = %+v, reference %+v", ctx, got, want)
+			checkStats(t, c, ref)
+		})
+		t.Run(tc.name+"Regions", func(t *testing.T) {
+			c, ref := New(tc.cfg), newRef(tc.cfg)
+			capLines := tc.cfg.SizeBytes / tc.cfg.LineBytes // Ways*numSets
+			line := tc.cfg.LineBytes
+			rng := rand.New(rand.NewSource(2))
+			// Regions of 1 to capLines lines, unaligned, with gaps, over
+			// about twice the capacity, so they evict one another.
+			var regions []walked
+			for next := uint64(line); len(regions) < 6; {
+				n := 1 + rng.Intn(capLines/2)
+				if len(regions) == 0 {
+					n = capLines // the largest region that stays resident
 				}
-				if c.Stats(ctx).Misses == 0 || c.Stats(ctx).Misses == c.Stats(ctx).Accesses {
-					t.Fatalf("%v stats %+v: the mix should both hit and miss", ctx, c.Stats(ctx))
+				addr := next + uint64(rng.Intn(line))
+				size := (n-1)*line + 1
+				ctx := Context(rng.Intn(int(numContexts)))
+				regions = append(regions, walked{c.NewRegion(ctx, addr, size), addr, size})
+				next = (addr+uint64(size)+uint64(line)-1)&^uint64(line-1) + uint64(rng.Intn(4)*line)
+			}
+			end := regions[len(regions)-1].addr + uint64(regions[len(regions)-1].size)
+			longAddr := uint64(rng.Intn(int(end)))
+			var lazy, evicted, invalidated int
+			for op := 0; op < 4000; op++ {
+				switch k := rng.Intn(10); {
+				case k < 5:
+					i := rng.Intn(len(regions))
+					if rng.Intn(3) > 0 {
+						i = op / 50 % len(regions) // bursts that repeat one region
+					}
+					s := regions[i]
+					if s.r.base != 0 {
+						lazy++
+					}
+					if got, want := s.r.Walk(), ref.accessRange(s.r.ctx, s.addr, s.size); got != want {
+						t.Fatalf("op %d: region %d Walk = %d misses, reference %d", op, i, got, want)
+					}
+				case k < 8:
+					addr, size := uint64(rng.Intn(int(end))), rng.Intn(4*line+2)-1
+					if k == 7 { // a long range, often the same one again
+						if rng.Intn(2) == 0 {
+							longAddr = uint64(rng.Intn(int(end)))
+						}
+						addr, size = longAddr, rng.Intn(capLines*line)+1
+					}
+					ctx := Context(rng.Intn(int(numContexts)))
+					before := resident(regions)
+					if got, want := c.AccessRange(ctx, addr, size), ref.accessRange(ctx, addr, size); got != want {
+						t.Fatalf("op %d: AccessRange(%v, %d, %d) = %d misses, reference %d", op, ctx, addr, size, got, want)
+					}
+					evicted += before - resident(regions)
+				default:
+					addr, size := uint64(rng.Intn(int(end))), rng.Intn(16*line)
+					before := resident(regions)
+					c.InvalidateRange(addr, size)
+					ref.invalidateRange(addr, size)
+					invalidated += before - resident(regions)
 				}
 			}
+			checkStats(t, c, ref)
+			if lazy == 0 || evicted == 0 || invalidated == 0 {
+				t.Fatalf("mix did not cover every path: %d lazy walks, %d regions lost to eviction, %d to invalidation", lazy, evicted, invalidated)
+			}
 		})
+	}
+}
+
+func TestNewRegionRejects(t *testing.T) {
+	c := small()                       // 4 sets x 2 ways: a region may cover at most 8 lines
+	c.NewRegion(Kernel, 0, 8*64)       // lines 0..7, the largest allowed
+	c.NewRegion(User, 8*64, 64)        // line 8, adjacent
+	c.NewRegion(User, 21*64+1, 6*64-1) // lines 21..26, unaligned
+	for _, tc := range []struct {
+		name string
+		addr uint64
+		size int
+	}{
+		{"same range", 0, 8 * 64},
+		{"overlaps the end", 7 * 64, 64},
+		{"shares a line", 8*64 + 63, 2},
+		{"contains another", 20 * 64, 8 * 64},
+		{"9 lines", 1 << 20, 9 * 64},
+		{"8 lines of bytes over 9 lines", 1<<20 + 1, 8 * 64},
+		{"empty", 1 << 20, 0},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: NewRegion(%d, %d) did not panic", tc.name, tc.addr, tc.size)
+				}
+			}()
+			c.NewRegion(Kernel, tc.addr, tc.size)
+		}()
+	}
+	if len(c.regions) != 3 {
+		t.Fatalf("%d regions registered, want 3", len(c.regions))
+	}
+}
+
+// walked is a region with the bytes it covers, for the reference model.
+type walked struct {
+	r    *Region
+	addr uint64
+	size int
+}
+
+// resident counts the regions whose next walk is O(1). Only a walk makes a
+// region resident, so a drop across an access or an invalidation counts
+// the regions it took residency from.
+func resident(regions []walked) int {
+	n := 0
+	for _, s := range regions {
+		if s.r.base != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+func checkStats(t *testing.T, c *Cache, ref *refCache) {
+	t.Helper()
+	for ctx := Context(0); ctx < numContexts; ctx++ {
+		if got, want := c.Stats(ctx), ref.stats[ctx]; got != want {
+			t.Fatalf("%v stats = %+v, reference %+v", ctx, got, want)
+		}
+		if c.Stats(ctx).Misses == 0 || c.Stats(ctx).Misses == c.Stats(ctx).Accesses {
+			t.Fatalf("%v stats %+v: the mix should both hit and miss", ctx, c.Stats(ctx))
+		}
 	}
 }
 
@@ -295,4 +420,46 @@ func BenchmarkAccessRange(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.AccessRange(Kernel, uint64(i*(1<<10)%span), 1<<10)
 	}
+}
+
+// BenchmarkIdleLoad drives the idle daemons' pattern from hostos: four
+// daemons, each walking a 30 kB kernel and a 10 kB user resident set as
+// regions plus the next 4 kB of its own rotating 2 MB stream, waking in
+// turn. Addresses follow the host allocator's layout. It reports host ns
+// per line walked and the L2 miss rate.
+func BenchmarkIdleLoad(b *testing.B) {
+	const (
+		daemons  = 4
+		kernel   = 30 << 10
+		user     = 10 << 10
+		stream   = 4 << 10
+		rotating = 2 << 20
+		lines    = (kernel + user + stream) / 64
+	)
+	c := New(PentiumIVL2())
+	type daemon struct {
+		kernelSet, userSet *Region
+		stream             uint64
+		off                int
+	}
+	var ds [daemons]daemon
+	next := uint64(1 << 20)
+	for i := range ds {
+		ds[i].kernelSet = c.NewRegion(Kernel, next, kernel)
+		ds[i].userSet = c.NewRegion(User, next+kernel, user)
+		ds[i].stream = next + kernel + user
+		next += kernel + user + rotating
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := &ds[i%daemons]
+		d.kernelSet.Walk()
+		d.userSet.Walk()
+		c.AccessRange(Kernel, d.stream+uint64(d.off), stream)
+		d.off = (d.off + stream) % (rotating - stream)
+	}
+	b.StopTimer()
+	st := c.TotalStats()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lines), "ns/line")
+	b.ReportMetric(float64(st.Misses)/float64(st.Accesses), "miss_rate")
 }

@@ -37,15 +37,17 @@ func (m *Machine) StartIdleLoad() {
 	for i := 0; i < idleDaemons; i++ {
 		t := m.NewTask(fmt.Sprintf("daemon%d", i))
 		resident := m.Alloc(idleResidentBytes)
+		kBytes := int(float64(idleResidentBytes) * idleKernelFraction)
+		kernelSet := m.l2.NewRegion(cache.Kernel, resident, kBytes)
+		userSet := m.l2.NewRegion(cache.User, resident+uint64(kBytes), idleResidentBytes-kBytes)
 		stream := m.Alloc(idleStreamRegion)
 		streamOff := 0
 		rng := m.eng.NewRand(int64(1000 + i))
 
 		var wake func()
 		wake = func() {
-			kBytes := int(float64(idleResidentBytes) * idleKernelFraction)
-			m.l2.AccessRange(cache.Kernel, resident, kBytes)
-			m.l2.AccessRange(cache.User, resident+uint64(kBytes), idleResidentBytes-kBytes)
+			kernelSet.Walk()
+			userSet.Walk()
 			m.l2.AccessRange(cache.Kernel, stream+uint64(streamOff), idleStreamBytes)
 			streamOff = (streamOff + idleStreamBytes) % (idleStreamRegion - idleStreamBytes)
 

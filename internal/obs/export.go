@@ -10,9 +10,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
+	"slices"
 	"sort"
+	"strconv"
 
 	"hydra/internal/sim"
 )
@@ -42,19 +45,28 @@ const chromePid = 1
 // complete events, instants are thread-scoped "i" events. Record seq and
 // arg ride in args so ReadChrome can reconstruct the records.
 func (t *Tracer) WriteChrome(w io.Writer) error {
-	recs := t.Merged()
+	labels := make(map[int32]string, len(t.shards))
+	for _, s := range t.shards {
+		labels[s.idx] = s.label
+	}
+	return writeChrome(w, t.Merged(), labels, t.Dropped())
+}
+
+// writeChrome writes recs as Chrome trace-event JSON after one named
+// thread per label, in shard order.
+func writeChrome(w io.Writer, recs []Record, labels map[int32]string, dropped uint64) error {
 	tr := chromeTrace{
-		TraceEvents:     make([]chromeEvent, 0, len(recs)+len(t.shards)),
+		TraceEvents:     make([]chromeEvent, 0, len(recs)+len(labels)),
 		DisplayTimeUnit: "ms",
 		OtherData: map[string]any{
-			"dropped": t.Dropped(),
+			"dropped": dropped,
 			"records": len(recs),
 		},
 	}
-	for _, s := range t.shards {
+	for _, idx := range slices.Sorted(maps.Keys(labels)) {
 		tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: chromePid, Tid: int(s.idx),
-			Args: map[string]any{"name": s.label},
+			Name: "thread_name", Ph: "M", Pid: chromePid, Tid: int(idx),
+			Args: map[string]any{"name": labels[idx]},
 		})
 	}
 	for i := range recs {
@@ -91,23 +103,28 @@ type ChromeTrace struct {
 	Dropped uint64
 }
 
-// ReadChrome parses a trace written by WriteChrome.
+// ReadChrome parses a trace written by WriteChrome. It returns an error
+// for an unknown category, a tid past int32, a seq or dropped count that
+// is not a non-negative integer, an arg that is not an int64, and a ts or
+// dur past maxTraceNS, so every trace it accepts writes back out
+// unchanged.
 func ReadChrome(rd io.Reader) (*ChromeTrace, error) {
 	var tr chromeTrace
-	if err := json.NewDecoder(rd).Decode(&tr); err != nil {
+	dec := json.NewDecoder(rd)
+	dec.UseNumber()
+	if err := dec.Decode(&tr); err != nil {
 		return nil, fmt.Errorf("obs: parse chrome trace: %w", err)
 	}
+	var err error
 	out := &ChromeTrace{Labels: make(map[int32]string)}
-	if d, ok := tr.OtherData["dropped"].(float64); ok {
-		out.Dropped = uint64(d)
-	}
-	argNum := func(args map[string]any, key string) int64 {
-		if v, ok := args[key].(float64); ok {
-			return int64(v)
-		}
-		return 0
+	out.Dropped = number(tr.OtherData, "dropped", strconv.ParseUint, &err)
+	if err != nil {
+		return nil, fmt.Errorf("obs: chrome trace: %w", err)
 	}
 	for _, ev := range tr.TraceEvents {
+		if ev.Tid != int(int32(ev.Tid)) {
+			return nil, fmt.Errorf("obs: chrome trace event %q: tid %d is not a shard index", ev.Name, ev.Tid)
+		}
 		switch ev.Ph {
 		case "M":
 			if ev.Name == "thread_name" {
@@ -116,24 +133,30 @@ func ReadChrome(rd io.Reader) (*ChromeTrace, error) {
 				}
 			}
 		case "X", "i", "I":
-			cat, _ := CatByName(ev.Cat)
+			cat, ok := CatByName(ev.Cat)
+			if !ok {
+				return nil, fmt.Errorf("obs: chrome trace event %q: unknown category %q", ev.Name, ev.Cat)
+			}
 			r := Record{
 				Name:  ev.Name,
-				At:    roundNS(ev.Ts),
-				Arg:   argNum(ev.Args, "arg"),
-				Seq:   uint64(argNum(ev.Args, "seq")),
+				At:    traceNS(ev.Ts, &err),
+				Arg:   number(ev.Args, "arg", strconv.ParseInt, &err),
+				Seq:   number(ev.Args, "seq", strconv.ParseUint, &err),
 				Shard: int32(ev.Tid),
 				Cat:   cat,
 			}
 			if ev.Ph == "X" {
 				r.Kind = KindSpan
 				if ev.Dur != nil {
-					r.Dur = roundNS(*ev.Dur)
+					r.Dur = traceNS(*ev.Dur, &err)
 				}
 			} else {
 				r.Kind = KindInstant
 			}
 			out.Records = append(out.Records, r)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("obs: chrome trace event %q: %w", ev.Name, err)
 		}
 	}
 	sort.Slice(out.Records, func(i, j int) bool {
@@ -149,8 +172,40 @@ func ReadChrome(rd io.Reader) (*ChromeTrace, error) {
 	return out, nil
 }
 
-// roundNS converts a microsecond ts back to integer virtual nanoseconds.
-func roundNS(us float64) sim.Time { return sim.Time(math.Round(us * 1000)) }
+// maxTraceNS bounds |ts| and |dur| in nanoseconds (about 13 days): below
+// it a count survives the trip to microseconds and back exactly.
+const maxTraceNS = 1 << 50
+
+// traceNS converts a microsecond ts or dur back to integer virtual
+// nanoseconds, setting *err if it is out of range.
+func traceNS(us float64, err *error) sim.Time {
+	ns := math.Round(us * 1000)
+	if !(math.Abs(ns) <= maxTraceNS) && *err == nil {
+		*err = fmt.Errorf("time %vµs out of range", us)
+	}
+	return sim.Time(ns)
+}
+
+// number reads m[key], an integer that parse must accept, as 0 if the key
+// is absent. It sets *err if the value is anything else.
+func number[T int64 | uint64](m map[string]any, key string, parse func(string, int, int) (T, error), err *error) T {
+	v, ok := m[key]
+	if !ok {
+		return 0
+	}
+	n, ok := v.(json.Number)
+	if !ok {
+		if *err == nil {
+			*err = fmt.Errorf("%s %v is not a number", key, v)
+		}
+		return 0
+	}
+	x, perr := parse(string(n), 10, 64)
+	if perr != nil && *err == nil {
+		*err = fmt.Errorf("%s: %w", key, perr)
+	}
+	return x
+}
 
 // WriteFile exports the trace to path as Chrome trace-event JSON.
 func (t *Tracer) WriteFile(path string) error {

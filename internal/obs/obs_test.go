@@ -3,7 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hydra/internal/sim"
@@ -144,6 +146,35 @@ func TestChromeRoundTrip(t *testing.T) {
 	}
 	if got.Labels[0] != "host0" {
 		t.Fatalf("labels = %v", got.Labels)
+	}
+}
+
+// TestReadChromeBounds: ReadChrome keeps int64 args and uint64 seqs
+// exact, and rejects what would not write back out unchanged.
+func TestReadChromeBounds(t *testing.T) {
+	event := func(fields string) string {
+		return `{"traceEvents":[{"name":"a","cat":"host","ph":"i","pid":1,` + fields + `}]}`
+	}
+	got, err := ReadChrome(strings.NewReader(event(`"ts":1,"tid":0,"args":{"arg":-9223372036854775808,"seq":18446744073709551615}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := got.Records[0]; r.Arg != math.MinInt64 || r.Seq != math.MaxUint64 {
+		t.Fatalf("arg %d seq %d, want the int64 and uint64 extremes", r.Arg, r.Seq)
+	}
+	for _, bad := range []string{
+		event(`"ts":1,"tid":0,"args":{"seq":-1}`),
+		event(`"ts":1,"tid":0,"args":{"arg":1.5}`),
+		event(`"ts":1,"tid":0,"args":{"arg":"7"}`),
+		event(`"ts":1e300,"tid":0`),
+		event(`"ts":2e12,"tid":0`), // 2e15 ns, past maxTraceNS
+		event(`"ts":1,"tid":4294967296`),
+		`{"traceEvents":[{"name":"a","cat":"bogus","ph":"i","pid":1,"ts":1,"tid":0}]}`,
+		`{"traceEvents":[],"otherData":{"dropped":-3}}`,
+	} {
+		if _, err := ReadChrome(strings.NewReader(bad)); err == nil {
+			t.Errorf("accepted %s", bad)
+		}
 	}
 }
 

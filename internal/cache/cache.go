@@ -71,7 +71,7 @@ type Cache struct {
 	lru      []uint64
 	own      []int32
 	regions  []*Region
-	floor    uint64 // at most the base of every resident region
+	floor    uint64 // at most the base of every resident region; MaxUint64 if none
 	lineBits uint
 	tagShift uint
 	setMask  uint64
@@ -105,6 +105,7 @@ func New(cfg Config) *Cache {
 		tags:     make([]uint64, numSets*cfg.Ways),
 		lru:      make([]uint64, numSets*cfg.Ways),
 		own:      make([]int32, numSets*cfg.Ways),
+		floor:    math.MaxUint64,
 		lineBits: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		tagShift: uint(bits.TrailingZeros(uint(numSets))),
 		setMask:  uint64(numSets - 1),
@@ -150,10 +151,10 @@ func (c *Cache) touchLine(lineAddr uint64) (int, bool) {
 // effective stamp. It first raises floor to the oldest resident region's
 // base, so that the plain minimum settles the next misses.
 func (c *Cache) oldestEffective(set uint64, base int) int {
-	c.floor = c.stamp
+	c.floor = math.MaxUint64
 	for _, r := range c.regions {
-		if r.base != 0 && r.base < c.floor {
-			c.floor = r.base
+		if r.base != 0 {
+			c.floor = min(c.floor, r.base)
 		}
 	}
 	victim, oldest := 0, uint64(math.MaxUint64)
@@ -296,6 +297,7 @@ func (r *Region) Walk() int {
 		c.own[w] = r.id
 	}
 	r.base = base
+	c.floor = min(c.floor, base)
 	c.stats[r.ctx].Misses += uint64(misses)
 	return misses
 }

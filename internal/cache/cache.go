@@ -63,8 +63,9 @@ type Stats struct {
 // tags fill one 64-byte host line. lru holds each way's last-touch stamp
 // (larger is more recent; 0 for an invalid way, so a miss fills invalid
 // ways first). A way that holds a line of a resident Region has ownedBit
-// set in lru and the region's index+1 in own; its effective stamp is the
-// later of lru's stamp and the region's pending stamp for that line.
+// set in lru and the region's index+1 in own, which the first region
+// allocates; its effective stamp is the later of lru's stamp and the
+// region's pending stamp for that line.
 type Cache struct {
 	cfg      Config
 	tags     []uint64
@@ -104,7 +105,6 @@ func New(cfg Config) *Cache {
 		cfg:      cfg,
 		tags:     make([]uint64, numSets*cfg.Ways),
 		lru:      make([]uint64, numSets*cfg.Ways),
-		own:      make([]int32, numSets*cfg.Ways),
 		floor:    math.MaxUint64,
 		lineBits: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		tagShift: uint(bits.TrailingZeros(uint(numSets))),
@@ -264,6 +264,9 @@ func (c *Cache) NewRegion(ctx Context, addr uint64, size int) *Region {
 		if first < o.first+uint64(len(o.ways)) && o.first <= last {
 			panic("cache: region overlaps another region")
 		}
+	}
+	if c.own == nil {
+		c.own = make([]int32, len(c.tags))
 	}
 	r := &Region{c: c, ctx: ctx, id: int32(len(c.regions) + 1), first: first, ways: make([]int32, n)}
 	c.regions = append(c.regions, r)

@@ -92,6 +92,14 @@ type opts struct {
 	replicas int      // jitter-sweep seeds
 }
 
+// newOpts returns the options -seed and -quick select.
+func newOpts(seed int64, quick bool) opts {
+	if quick {
+		return opts{seed: seed, duration: experiments.QuickDuration, replicas: 4}
+	}
+	return opts{seed: seed, duration: experiments.DefaultDuration, replicas: 8}
+}
+
 // scenario is one table entry. run executes it, gates its shape, and
 // returns its flat metrics plus the rendered table. trace, when set, runs
 // one representative cell with the recorder attached and returns the
@@ -466,10 +474,7 @@ func main() {
 	traceList := flag.String("trace", "", "name=path[,name=path]: write one traced, reconciled cell of scenario x7, x11 or x12 to path as Chrome trace-event JSON")
 	flag.Parse()
 
-	o := opts{seed: *seed, duration: experiments.DefaultDuration, replicas: 8}
-	if *quick {
-		o.duration, o.replicas = experiments.QuickDuration, 4
-	}
+	o := newOpts(*seed, *quick)
 	selected, err := selectScenarios(*scenarioList)
 	check(err)
 	traces, err := parseTraces(*traceList)

@@ -219,13 +219,7 @@ func RunLoaderAblation(objectBytes int, seed int64) (*LoaderAblation, error) {
 			return 0, 0, 0, err
 		}
 		obj, _ := dep.Object(77)
-		plan := rt.DefaultApp().Plan()
-		if err := plan.AddRoot("/oc.odf"); err != nil {
-			return 0, 0, 0, err
-		}
-		if err := settle("x4: deployment", func(done func(error)) {
-			plan.Commit(func(_ *core.Deployment, err error) { done(err) })
-		}, func() { eng.RunAll() }); err != nil {
+		if _, err := deployRoot(rt.DefaultApp(), eng, "/oc.odf", "bench.oc"); err != nil {
 			return 0, 0, 0, err
 		}
 		return eng.Now(), nic.MemUsed(), len(obj.Relocs), nil

@@ -7,8 +7,6 @@ import (
 	"hydra/internal/autoscale"
 	"hydra/internal/channel"
 	"hydra/internal/cluster"
-	"hydra/internal/depot"
-	"hydra/internal/guid"
 	"hydra/internal/obs"
 	"hydra/internal/sim"
 	"hydra/internal/testbed"
@@ -83,15 +81,10 @@ func x10RateFor(epoch int) int {
 	return x10Phases[len(x10Phases)-1].rate
 }
 
-const (
-	x10FrontBind  = "x10.Front"
-	x10FrontPath  = "/x10/front.odf"
-	x10SwapV2Path = "/x10/Shard00.v2.odf"
-)
+const x10FrontBind = "x10.Front"
 
-func x10ShardBind(i int) string { return fmt.Sprintf("x10.Shard%02d", i) }
-func x10ShardPath(i int) string { return "/x10/" + x10ShardBind(i) + ".odf" }
-func x10HostOf(i int) string    { return fmt.Sprintf("h%d", i+1) }
+// x10HostOf is shard i's dedicated host.
+func x10HostOf(i int) string { return fmt.Sprintf("h%d", i+1) }
 
 // x10Worker counts deliveries; the count rides checkpoints across
 // hot-swaps so a replacement continues where its predecessor stopped.
@@ -104,27 +97,17 @@ func (w *x10Worker) ChannelConnected(ep *channel.Endpoint) {
 	ep.InstallCallHandler(func([]byte) { w.recv++ })
 }
 
-// x10Front is the frontend shard: it only collects its bridge endpoints
-// (one per connected shard, in bridge build order); the cell's pacer does
-// the writing.
-type x10Front struct {
-	nopOffcode
-	eps []*channel.Endpoint
-}
-
-func (f *x10Front) ChannelConnected(ep *channel.Endpoint) { f.eps = append(f.eps, ep) }
-
-// x10Cell is one X10 world: the fabric, coordinator, frontend and routing
-// state. It implements autoscale.Target for the elastic run.
+// x10Cell is one X10 world: the sharded cell (one frontend host h0 plus
+// X10MaxShards worker hosts, every depot stocked with the frontend,
+// every shard and the shard-00 swap image, always on per-host engines)
+// and the routing state. It implements autoscale.Target for the elastic
+// run.
 type x10Cell struct {
-	sys   *testbed.System
-	coord *cluster.Coordinator
-	group *sim.Group
-	h0    *sim.Engine
-	front *x10Front
-	// workers maps each bind to its latest live instance (a swap's
-	// replacement overwrites its predecessor after restoring its count).
-	workers map[string]*x10Worker
+	*shardCell[*x10Worker]
+	h0 *sim.Engine
+	// front only collects its bridge endpoints (one per connected shard,
+	// in bridge build order); the cell's pacer does the writing.
+	front *shardFront
 	// order mirrors front.eps: order[i] is the bind front.eps[i] reaches.
 	// Entries for removed shards stay (their endpoints are closed); a
 	// re-added bind appends a fresh entry, so lookups scan from the end.
@@ -143,84 +126,31 @@ type x10Cell struct {
 	req   []byte
 }
 
-// buildX10Cell constructs the X10 fabric: one frontend host h0 plus
-// X10MaxShards worker hosts (one XScale NIC each), every depot stocked
-// with the frontend, every shard version and the shard-00 v2 swap image.
-// Always Spec.EnginePerHost — X10 is a windowed-parallel experiment.
-func buildX10Cell(seed int64, trace *obs.Config) (*x10Cell, error) {
-	sys, coord, err := nicCluster(seed,
-		testbed.Spec{Name: "x10-autoscale", EnginePerHost: true, Trace: trace}, X10MaxShards+1, nil,
-		cluster.Config{AppName: "x10", DefaultLink: cluster.DefaultLink(), HostCapacity: 2})
-	if err != nil {
-		return nil, err
-	}
-	cell := &x10Cell{
-		sys: sys, coord: coord, h0: sys.Host("h0").Eng,
-		front:   &x10Front{},
-		workers: make(map[string]*x10Worker),
-		req:     make([]byte, X10MsgBytes),
-	}
-	stockShard := func(dep *depot.Depot, bind, path string, g guid.GUID, size int) error {
-		return stockOffcode(dep, path, bind, g, size, nicImports, func() any {
-			w := &x10Worker{}
-			cell.workers[bind] = w
-			return w
-		})
-	}
-	for _, hs := range sys.RuntimeHosts() {
-		if err := stockOffcode(hs.Depot, x10FrontPath, x10FrontBind, 9950, 0, nil,
-			func() any { return cell.front }); err != nil {
-			return nil, err
-		}
-		for i := 0; i < X10MaxShards; i++ {
-			if err := stockShard(hs.Depot, x10ShardBind(i), x10ShardPath(i), guid.GUID(9951+i), 8<<10); err != nil {
-				return nil, err
-			}
-		}
-		// The swap image: same bind as shard 00, a fresh GUID, and a much
-		// bigger image — its bus transfer is what makes the quiesce window
-		// long enough to be worth measuring (and to catch live traffic).
-		if err := stockShard(hs.Depot, x10ShardBind(0), x10SwapV2Path, guid.GUID(9990), 256<<10); err != nil {
-			return nil, err
-		}
-	}
-	return cell, nil
-}
-
 // x10Traffic is the per-edge traffic estimate the solver charges.
 func x10Traffic() cluster.Traffic {
 	return cluster.Traffic{BytesPerSec: 800 * X10MsgBytes, MsgsPerSec: 800}
 }
 
-// commit deploys the frontend plus the first n shards (shard i pinned to
-// its dedicated host) and connects each to the frontend.
-func (cell *x10Cell) commit(n int) error {
-	plan := cell.coord.Plan()
-	if err := plan.AddRoot(x10FrontPath, cluster.PinTo("h0"), cluster.WithLoad(0)); err != nil {
-		return err
+// openX10Cell builds the X10 world and commits the frontend plus the
+// first n shards, shard i pinned to its dedicated host.
+func openX10Cell(seed int64, n int, trace *obs.Config) (*x10Cell, error) {
+	front := &shardFront{}
+	sc, err := openShardCell(seed, testbed.Spec{Name: "x10-autoscale", EnginePerHost: true, Trace: trace}, X10MaxShards+1, nil,
+		cluster.Config{AppName: "x10", DefaultLink: cluster.DefaultLink(), HostCapacity: 2},
+		[]cellFront{{x10FrontBind, "/x10/front.odf", 9950, front}}, X10MaxShards, 9951, 9990,
+		func(int) *x10Worker { return &x10Worker{} })
+	if err != nil {
+		return nil, err
+	}
+	cell := &x10Cell{shardCell: sc, h0: sc.sys.Host("h0").Eng, front: front, req: make([]byte, X10MsgBytes)}
+	if err := sc.commit(n, x10HostOf, x10Traffic()); err != nil {
+		return nil, err
 	}
 	for i := 0; i < n; i++ {
-		if err := plan.AddRoot(x10ShardPath(i), cluster.PinTo(x10HostOf(i))); err != nil {
-			return err
-		}
+		cell.order = append(cell.order, cell.bind(i))
+		cell.routable = append(cell.routable, cell.bind(i))
 	}
-	for i := 0; i < n; i++ {
-		if err := plan.Connect(x10FrontBind, x10ShardBind(i), x10Traffic()); err != nil {
-			return err
-		}
-	}
-	if err := commitPlan("x10", plan, cell.group.Settle); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		cell.order = append(cell.order, x10ShardBind(i))
-		cell.routable = append(cell.routable, x10ShardBind(i))
-	}
-	if len(cell.front.eps) != n {
-		return fmt.Errorf("x10: frontend holds %d endpoints after committing %d shards",
-			len(cell.front.eps), n)
-	}
-	return nil
+	return cell, nil
 }
 
 // epOf finds the newest frontend endpoint reaching bind.
@@ -261,7 +191,7 @@ func (cell *x10Cell) armPacer(start, end sim.Time, rate int) {
 func (cell *x10Cell) delivered() uint64 {
 	total := cell.retired
 	for i := 0; i < X10MaxShards; i++ {
-		bind := x10ShardBind(i)
+		bind := cell.bind(i)
 		if cell.coord.HostOf(bind) == "" {
 			continue
 		}
@@ -270,11 +200,6 @@ func (cell *x10Cell) delivered() uint64 {
 		}
 	}
 	return total
-}
-
-// mutate applies deltas between windows and settles the group.
-func (cell *x10Cell) mutate(deltas []cluster.ShardDelta) (*cluster.ClusterMutation, error) {
-	return mutateShards("x10", cell.coord, deltas, cell.group.Settle)
 }
 
 // flushRemovals retires the shards drained during the last epoch.
@@ -290,7 +215,7 @@ func (cell *x10Cell) flushRemovals() error {
 		deltas = append(deltas, cluster.RemoveShard{Bind: bind})
 	}
 	cell.pendingRemove = nil
-	_, err := cell.mutate(deltas)
+	_, err := cell.mutate(deltas...)
 	return err
 }
 
@@ -310,7 +235,7 @@ func (cell *x10Cell) Grow(done func(error)) {
 	}
 	idx := -1
 	for i := 0; i < X10MaxShards; i++ {
-		if !used[x10ShardBind(i)] {
+		if !used[cell.bind(i)] {
 			idx = i
 			break
 		}
@@ -319,14 +244,14 @@ func (cell *x10Cell) Grow(done func(error)) {
 		done(fmt.Errorf("x10: no free shard slot"))
 		return
 	}
-	bind := x10ShardBind(idx)
-	res, err := cell.mutate([]cluster.ShardDelta{cluster.AddShard{
-		Path: x10ShardPath(idx),
+	bind := cell.bind(idx)
+	res, err := cell.mutate(cluster.AddShard{
+		Path: cell.path(idx),
 		Pin:  x10HostOf(idx),
 		Connect: []cluster.ShardEdge{
 			{To: x10FrontBind, Traffic: x10Traffic()},
 		},
-	}})
+	})
 	if err == nil && res.Added[bind] == "" {
 		err = fmt.Errorf("x10: %s not added", bind)
 	}
@@ -381,19 +306,12 @@ type X10Row struct {
 // recorder; the returned tracer's merged stream (CatMutate swap/scale
 // spans included) is bit-identical for any workers value.
 func RunX10Cell(seed int64, workers int, auto bool, trace *obs.Config) (*X10Row, *obs.Tracer, error) {
-	cell, err := buildX10Cell(seed, trace)
-	if err != nil {
-		return nil, nil, err
-	}
-	cell.group, err = cell.coord.EngineGroup()
-	if err != nil {
-		return nil, nil, err
-	}
 	initial := X10MaxShards
 	if auto {
 		initial = X10MinShards
 	}
-	if err := cell.commit(initial); err != nil {
+	cell, err := openX10Cell(seed, initial, trace)
+	if err != nil {
 		return nil, nil, err
 	}
 
@@ -411,7 +329,7 @@ func RunX10Cell(seed int64, workers int, auto bool, trace *obs.Config) (*X10Row,
 		}
 	}
 
-	base := latestClock(cell.group.Engines())
+	base := cell.base
 
 	mode := "static"
 	if auto {
@@ -434,18 +352,13 @@ func RunX10Cell(seed int64, workers int, auto bool, trace *obs.Config) (*X10Row,
 			// replaced and run the epoch inside Settle so the hot-swap
 			// proceeds under live traffic — writes landing in the quiesce
 			// window are held and replayed to the replacement.
-			cell.focus = x10ShardBind(0)
+			cell.focus = cell.bind(0)
 			cell.armPacer(start, end, x10RateFor(epoch))
-			res, err := cell.mutate([]cluster.ShardDelta{
-				cluster.SwapShard{Bind: x10ShardBind(0), Path: x10SwapV2Path},
-			})
+			row.SwapWindowMS, row.SwapReplayed, err = cell.swap()
 			cell.focus = ""
 			if err != nil {
-				return nil, nil, fmt.Errorf("x10: swap: %w", err)
+				return nil, nil, err
 			}
-			sw := res.Swaps[0]
-			row.SwapWindowMS = float64(sw.Window) / float64(sim.Millisecond)
-			row.SwapReplayed = sw.Replayed
 		} else {
 			cell.armPacer(start, end, x10RateFor(epoch))
 			cell.group.Run(end, workers)

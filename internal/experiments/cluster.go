@@ -7,7 +7,6 @@ import (
 	"hydra/internal/channel"
 	"hydra/internal/cluster"
 	"hydra/internal/core"
-	"hydra/internal/guid"
 	"hydra/internal/obs"
 	"hydra/internal/sim"
 	"hydra/internal/testbed"
@@ -66,14 +65,13 @@ func (w *x9Worker) ChannelConnected(ep *channel.Endpoint) {
 // x9Frontend drives the closed loops: one endpoint per shard (handed over
 // as each bridge leg connects), one outstanding request per endpoint.
 type x9Frontend struct {
-	nopOffcode
-	eps         []*channel.Endpoint
+	shardFront
 	outstanding map[*channel.Endpoint]bool
 	req         []byte
 }
 
 func (f *x9Frontend) ChannelConnected(ep *channel.Endpoint) {
-	f.eps = append(f.eps, ep)
+	f.shardFront.ChannelConnected(ep)
 	f.outstanding[ep] = false
 	ep.InstallCallHandler(func([]byte) {
 		if ep.Write(f.req) != nil {
@@ -135,20 +133,17 @@ type ClusterResults struct {
 func x9Link() cluster.Link     { return cluster.DefaultLink() }
 func x9SlowLink() cluster.Link { return cluster.Link{Latency: 5 * sim.Millisecond, BytesPerSec: 125e6} }
 
-// clusterVariants is the X9 grid.
-func clusterVariants() []struct {
+// clusterVariant is one X9 grid cell.
+type clusterVariant struct {
 	name  string
 	hosts int
 	link  cluster.Link
 	kill  bool
-} {
-	type v = struct {
-		name  string
-		hosts int
-		link  cluster.Link
-		kill  bool
-	}
-	return []v{
+}
+
+// clusterVariants is the X9 grid.
+func clusterVariants() []clusterVariant {
+	return []clusterVariant{
 		{"1 host", 1, x9Link(), false},
 		{"2 hosts", 2, x9Link(), false},
 		{"4 hosts", 4, x9Link(), false},
@@ -157,23 +152,18 @@ func clusterVariants() []struct {
 	}
 }
 
-// RunCluster executes the X9 grid through testbed.Sweep on workers
-// goroutines (0 = GOMAXPROCS, 1 = serial; one private engine per cell,
-// results bit-identical for any workers value).
+// RunCluster executes the X9 grid on workers goroutines (0 = GOMAXPROCS,
+// 1 = serial; results bit-identical for any workers value).
 func RunCluster(seed int64, duration sim.Time, workers int) (*ClusterResults, error) {
-	variants := clusterVariants()
-	rows, err := testbed.Sweep(testbed.SweepConfig{Seeds: sameSeed(seed, len(variants)), Workers: workers},
-		func(r testbed.Replica) (*ClusterRow, error) {
-			v := variants[r.Index]
-			row, err := RunClusterCell(r.Seed, duration, v.hosts, X9Shards, v.link, v.kill)
-			if err != nil {
-				return nil, err
-			}
+	rows, err := grid("cluster", seed, workers, clusterVariants(), func(seed int64, v clusterVariant) (*ClusterRow, error) {
+		row, err := RunClusterCell(seed, duration, v.hosts, X9Shards, v.link, v.kill)
+		if err == nil {
 			row.Scenario = v.name
-			return row, nil
-		})
+		}
+		return row, err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: cluster: %w", err)
+		return nil, err
 	}
 	out := &ClusterResults{Duration: duration}
 	for _, row := range rows {
@@ -182,99 +172,30 @@ func RunCluster(seed int64, duration sim.Time, workers int) (*ClusterResults, er
 	return out, nil
 }
 
-// x9Cell is one X9 topology: the fabric, the coordinator, the frontend
-// and the live worker instances. The serial and windowed-parallel cells
-// share everything except the engine layout (one shared clock vs one
-// engine per host) and the loop that drives simulated time.
-type x9Cell struct {
-	sys     *testbed.System
-	coord   *cluster.Coordinator
-	front   *x9Frontend
-	workers map[string]*x9Worker // bind → live (latest) instance
-	shards  int
-}
-
-func x9ShardBind(i int) string { return fmt.Sprintf("x9.Shard%02d", i) }
-
-// buildX9Cell constructs the cell fabric — hosts machines with one
-// XScale NIC each, every depot stocked identically so any shard may
-// land anywhere — without yet committing a plan. perHost selects
+// openX9Cell builds and commits one X9 topology: hosts machines with one
+// XScale NIC each, the frontend pinned to h0 (weightless), shards
+// unit-load shard workers placed by the solver, and one closed-loop edge
+// per shard whose traffic estimate (≈1000 req/s of 1 kB messages) is
+// what the solver charges against each candidate link. perHost selects
 // Spec.EnginePerHost (conservative-window execution); trace, when
 // non-nil, attaches the obs recorder to every engine.
-func buildX9Cell(seed int64, hosts, shards int, link cluster.Link, perHost bool, trace *obs.Config) (*x9Cell, error) {
-	sys, coord, err := nicCluster(seed,
-		testbed.Spec{Name: "x9-cluster", EnginePerHost: perHost, Trace: trace}, hosts, nil,
-		cluster.Config{AppName: "x9", DefaultLink: link})
-	if err != nil {
-		return nil, err
+func openX9Cell(seed int64, hosts, shards int, link cluster.Link, perHost bool, trace *obs.Config) (*shardCell[*x9Worker], *x9Frontend, error) {
+	front := &x9Frontend{outstanding: make(map[*channel.Endpoint]bool), req: make([]byte, X9MsgBytes)}
+	cell, err := openShardCell(seed, testbed.Spec{Name: "x9-cluster", EnginePerHost: perHost, Trace: trace}, hosts, nil,
+		cluster.Config{AppName: "x9", DefaultLink: link},
+		[]cellFront{{"x9.Front", "/x9/front.odf", 9900, front}}, shards, 9901, 0,
+		func(int) *x9Worker { return &x9Worker{} })
+	if err == nil {
+		err = cell.commit(shards, nil, cluster.Traffic{BytesPerSec: 1000 * X9MsgBytes, MsgsPerSec: 1000})
 	}
-	cell := &x9Cell{
-		sys:   sys,
-		coord: coord,
-		front: &x9Frontend{
-			outstanding: make(map[*channel.Endpoint]bool),
-			req:         make([]byte, X9MsgBytes),
-		},
-		workers: make(map[string]*x9Worker),
-		shards:  shards,
-	}
-	for _, hs := range sys.RuntimeHosts() {
-		if err := stockOffcode(hs.Depot, x9FrontPath, x9FrontBind, 9900, 0, nil,
-			func() any { return cell.front }); err != nil {
-			return nil, err
-		}
-		for i := 0; i < shards; i++ {
-			bind := x9ShardBind(i)
-			if err := stockOffcode(hs.Depot, x9ShardPath(i), bind, guid.GUID(9901+i), 8<<10, nicImports,
-				func() any {
-					w := &x9Worker{}
-					cell.workers[bind] = w
-					return w
-				}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return cell, nil
+	return cell, front, err
 }
 
-const (
-	x9FrontBind = "x9.Front"
-	x9FrontPath = "/x9/front.odf"
-)
-
-func x9ShardPath(i int) string { return "/x9/" + x9ShardBind(i) + ".odf" }
-
-// commit submits the cluster plan — frontend pinned to h0 (weightless),
-// every shard a unit-load root, one closed-loop edge per shard; the
-// per-edge traffic estimate (≈1000 req/s of 1 kB messages) is what the
-// solver charges against each candidate link — then calls drive to
-// advance simulated time until the deployment settles (Engine.RunAll on
-// a shared clock, Group.Settle under per-host engines).
-func (cell *x9Cell) commit(drive func()) error {
-	plan := cell.coord.Plan()
-	if err := plan.AddRoot(x9FrontPath, cluster.PinTo("h0"), cluster.WithLoad(0)); err != nil {
-		return err
-	}
+// collectX9 fills the throughput and bridge columns of row from the
+// cell's final state.
+func collectX9(cell *shardCell[*x9Worker], row *ClusterRow, duration sim.Time) {
 	for i := 0; i < cell.shards; i++ {
-		if err := plan.AddRoot(x9ShardPath(i)); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < cell.shards; i++ {
-		if err := plan.Connect(x9FrontBind, x9ShardBind(i),
-			cluster.Traffic{BytesPerSec: 1000 * X9MsgBytes, MsgsPerSec: 1000}); err != nil {
-			return err
-		}
-	}
-	return commitPlan("x9", plan, drive)
-}
-
-// collect fills the throughput and bridge columns of row from the cell's
-// final state.
-func (cell *x9Cell) collect(row *ClusterRow, duration sim.Time) {
-	for i := 0; i < cell.shards; i++ {
-		got := cell.workers[x9ShardBind(i)].recv
+		got := cell.workers[cell.bind(i)].recv
 		row.Total += got
 		if i == 0 || got < row.MinShard {
 			row.MinShard = got
@@ -294,27 +215,22 @@ func (cell *x9Cell) collect(row *ClusterRow, duration sim.Time) {
 	}
 }
 
-// RunClusterCell runs one X9 cell: hosts machines (one XScale NIC each),
-// shards closed-loop worker streams sharded by the cluster solver, and —
-// when kill is set — a whole-host failure at half time with cross-host
-// migration.
+// RunClusterCell runs one X9 cell on a shared clock: hosts machines (one
+// XScale NIC each), shards closed-loop worker streams sharded by the
+// cluster solver, and — when kill is set — a whole-host failure at half
+// time with cross-host migration.
 func RunClusterCell(seed int64, duration sim.Time, hosts, shards int, link cluster.Link, kill bool) (*ClusterRow, error) {
-	cell, err := buildX9Cell(seed, hosts, shards, link, false, nil)
+	cell, front, err := openX9Cell(seed, hosts, shards, link, false, nil)
 	if err != nil {
 		return nil, err
 	}
-	eng := cell.sys.Eng
-	front, workers := cell.front, cell.workers
-	if err := cell.commit(func() { eng.RunAll() }); err != nil {
-		return nil, err
-	}
-
+	eng, workers := cell.sys.Eng, cell.workers
 	row := &ClusterRow{
 		Hosts: hosts, Shards: shards, Killed: kill,
 		LinkLatencyMS: float64(link.Latency) / float64(sim.Millisecond),
 	}
 
-	start := eng.Now()
+	start := cell.base
 	end := start + duration
 	front.Kick()
 
@@ -344,7 +260,7 @@ func RunClusterCell(seed int64, duration sim.Time, hosts, shards int, link clust
 		return nil, fmt.Errorf("x9: migration: %w", migErr)
 	}
 
-	cell.collect(row, duration)
+	collectX9(cell, row, duration)
 	var post uint64
 	for _, bind := range movedBinds {
 		post += workers[bind].recv
@@ -366,27 +282,18 @@ func RunClusterCell(seed int64, duration sim.Time, hosts, shards int, link clust
 // Tracer comes back alongside the row; its merged record stream is
 // bit-identical for any workers value too.
 func RunClusterCellParallel(seed int64, duration sim.Time, hosts, shards, workers int, link cluster.Link, trace *obs.Config) (*ClusterRow, *obs.Tracer, error) {
-	cell, err := buildX9Cell(seed, hosts, shards, link, true, trace)
+	cell, front, err := openX9Cell(seed, hosts, shards, link, true, trace)
 	if err != nil {
 		return nil, nil, err
 	}
-	group, err := cell.coord.EngineGroup()
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := cell.commit(group.Settle); err != nil {
-		return nil, nil, err
-	}
-
-	start := latestClock(group.Engines())
-	cell.front.Kick()
-	group.Run(start+duration, workers)
+	front.Kick()
+	cell.group.Run(cell.base+duration, workers)
 
 	row := &ClusterRow{
 		Hosts: hosts, Shards: shards,
 		LinkLatencyMS: float64(link.Latency) / float64(sim.Millisecond),
 	}
-	cell.collect(row, duration)
+	collectX9(cell, row, duration)
 	return row, cell.sys.Tracer, nil
 }
 

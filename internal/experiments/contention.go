@@ -71,20 +71,17 @@ type ContentionResults struct {
 	Rows     []ContentionRow
 }
 
-// contentionVariants is the app-count × quota × resolver grid.
-func contentionVariants() []struct {
+// contentionVariant is one X8 cell: tenant count, quota and resolver.
+type contentionVariant struct {
 	name     string
 	apps     int
 	tight    bool
 	resolver core.Resolver
-} {
-	type v = struct {
-		name     string
-		apps     int
-		tight    bool
-		resolver core.Resolver
-	}
-	var out []v
+}
+
+// contentionVariants is the app-count × quota × resolver grid.
+func contentionVariants() []contentionVariant {
+	var out []contentionVariant
 	for _, apps := range []int{4, 12} {
 		for _, tight := range []bool{false, true} {
 			for _, res := range []core.Resolver{core.ResolveGreedy, core.ResolveILP} {
@@ -95,7 +92,7 @@ func contentionVariants() []struct {
 				if res == core.ResolveILP {
 					solver = "ilp"
 				}
-				out = append(out, v{
+				out = append(out, contentionVariant{
 					name:     fmt.Sprintf("%d apps, %s, %s", apps, quota, solver),
 					apps:     apps,
 					tight:    tight,
@@ -107,23 +104,18 @@ func contentionVariants() []struct {
 	return out
 }
 
-// RunContention executes the X8 grid through testbed.Sweep on workers
-// goroutines (0 = GOMAXPROCS, 1 = serial; one private engine per cell,
-// results bit-identical for any workers value).
+// RunContention executes the X8 grid on workers goroutines (0 =
+// GOMAXPROCS, 1 = serial; results bit-identical for any workers value).
 func RunContention(seed int64, duration sim.Time, workers int) (*ContentionResults, error) {
-	variants := contentionVariants()
-	rows, err := testbed.Sweep(testbed.SweepConfig{Seeds: sameSeed(seed, len(variants)), Workers: workers},
-		func(r testbed.Replica) (*ContentionRow, error) {
-			v := variants[r.Index]
-			row, err := RunContentionCell(r.Seed, duration, v.apps, v.tight, v.resolver)
-			if err != nil {
-				return nil, err
-			}
+	rows, err := grid("contention", seed, workers, contentionVariants(), func(seed int64, v contentionVariant) (*ContentionRow, error) {
+		row, err := RunContentionCell(seed, duration, v.apps, v.tight, v.resolver)
+		if err == nil {
 			row.Scenario = v.name
-			return row, nil
-		})
+		}
+		return row, err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: contention: %w", err)
+		return nil, err
 	}
 	out := &ContentionResults{Duration: duration}
 	for _, row := range rows {

@@ -8,7 +8,6 @@ import (
 	"hydra/internal/channel"
 	"hydra/internal/cluster"
 	"hydra/internal/core"
-	"hydra/internal/depot"
 	"hydra/internal/device"
 	"hydra/internal/flowtable"
 	"hydra/internal/guid"
@@ -100,13 +99,6 @@ const x12QueueCap = 256
 
 // X12HostGrid is the weak-scaling ladder.
 var X12HostGrid = []int{1, 2, 4, 8}
-
-const x12SwapV2Path = "/x12/Shard00.v2.odf"
-
-func x12FrontBind(i int) string { return fmt.Sprintf("x12.Front%02d", i) }
-func x12FrontPath(i int) string { return "/x12/" + x12FrontBind(i) + ".odf" }
-func x12ShardBind(i int) string { return fmt.Sprintf("x12.Shard%02d", i) }
-func x12ShardPath(i int) string { return "/x12/" + x12ShardBind(i) + ".odf" }
 
 // x12TableConfig is the grid's per-shard conntrack budget: 32 KB of NIC
 // SRAM (512 entries) and a 20 ms idle timeout — roomy enough that only
@@ -390,18 +382,15 @@ func (s *x12Shard) applyCkpt(b []byte) error {
 // no single host's send path becomes the bottleneck the scaling curve
 // measures.
 type x12Front struct {
-	nopOffcode
+	shardFront
 	cell *x12Cell
 	host int
 
-	eps  []*channel.Endpoint
 	gen  *loadgen.Gen
 	bufs [][]byte // per-shard pending records awaiting a batched flush
 
 	offered, shed uint64
 }
-
-func (f *x12Front) ChannelConnected(ep *channel.Endpoint) { f.eps = append(f.eps, ep) }
 
 // route stamps one generated packet into its hash-selected shard's
 // pending buffer, flushing eagerly once the buffer holds a full batch.
@@ -440,22 +429,15 @@ func (f *x12Front) flushAll() {
 	}
 }
 
-// x12Cell is one X12 world: fabric, coordinator, per-host frontends,
-// shard set.
+// x12Cell is one X12 world: the sharded cell, its per-host frontends and
+// the pipeline shards' shared configuration.
 type x12Cell struct {
-	sys    *testbed.System
-	coord  *cluster.Coordinator
-	group  *sim.Group
+	*shardCell[*x12Shard]
 	fronts []*x12Front
-	shards int
 
 	pipeCfg flowtable.PipelineConfig
 	issuers map[string]*syscall.Issuer
-	workers map[string]*x12Shard // bind → latest live instance
 
-	// base is the virtual time traffic may start at: the latest engine
-	// clock once the commit has settled.
-	base                     sim.Time
 	measureStart, measureEnd sim.Time
 
 	// Hot-swap continuity witnesses (soak cell only).
@@ -463,78 +445,58 @@ type x12Cell struct {
 	queuedAtSwap              int
 }
 
-// openX12Cell is the one X12 lifecycle up to traffic: it constructs the
-// fabric (hosts machines, one XScale NIC plus a build-time syscall log
-// plane each, every depot stocked identically so the solver may place any
-// shard anywhere), commits the frontends and shards under the cell's
-// engine group, and builds one generator per frontend (genSeed, with
-// flowsPerFront active flows each). withSwap also stocks the shard-00 v2
-// hot-swap image (same bind, fresh GUID, a much larger image so the
-// quiesce window is long enough to catch live traffic).
+// openX12Cell is the one X12 lifecycle up to traffic. It gives each host
+// a frontend with its own generator (seeded from genSeed, offering
+// X12PerHostRate over flowsPerFront active flows), opens the sharded cell
+// (one XScale NIC plus a build-time syscall log plane per host), and
+// commits the frontends and the shard set, which the solver spreads
+// evenly; each frontend connects to every shard in shard order, so
+// fronts[h].eps[i] reaches shard i. withSwap also stocks the shard-00 v2
+// hot-swap image.
 func openX12Cell(seed int64, hosts, shards int, table flowtable.Config, withSwap bool, trace *obs.Config,
 	genSeed int64, flowsPerFront int) (*x12Cell, error) {
-	sys, coord, err := nicCluster(seed,
-		testbed.Spec{Name: "x12-dataplane", EnginePerHost: true, Trace: trace}, hosts,
-		&testbed.SyscallSpec{Profile: x12SyscallProfile()},
-		cluster.Config{AppName: "x12", DefaultLink: cluster.DefaultLink(), Channel: x12ChannelProfile()})
-	if err != nil {
-		return nil, err
-	}
 	cell := &x12Cell{
-		sys:    sys,
-		coord:  coord,
-		shards: shards,
 		pipeCfg: flowtable.PipelineConfig{
 			Table: table, Rules: x12Rules(),
 			Default: flowtable.ActForward, Backends: 8,
 		},
 		issuers: make(map[string]*syscall.Issuer),
-		workers: make(map[string]*x12Shard),
 	}
-	for _, hs := range sys.Hosts() {
-		for _, sc := range hs.Syscalls {
-			cell.issuers[sc.Device.Name()] = sc.Issuer
-		}
-	}
-	stockShard := func(dep *depot.Depot, idx int, path string, g guid.GUID, size int) error {
-		bind := x12ShardBind(idx)
-		return stockOffcode(dep, path, bind, g, size, nicImports, func() any {
-			s := &x12Shard{cell: cell, index: idx}
-			cell.workers[bind] = s
-			return s
-		})
-	}
+	var fronts []cellFront
 	for i := 0; i < hosts; i++ {
-		cell.fronts = append(cell.fronts, &x12Front{
-			cell: cell, host: i, bufs: make([][]byte, shards),
+		gen, err := loadgen.New(loadgen.Config{
+			Seed: genSeed + int64(i)*7919, RateHz: X12PerHostRate, Tick: x12Tick,
+			Flows: flowsPerFront, SizeBase: x12SizeBase,
+			SizeS: 2.0, SizeV: 1.0, SizeMax: 1 << 20,
+			DstPorts: x12Ports(),
 		})
+		if err != nil {
+			return nil, err
+		}
+		f := &x12Front{cell: cell, host: i, gen: gen, bufs: make([][]byte, shards)}
+		cell.fronts = append(cell.fronts, f)
+		bind := fmt.Sprintf("x12.Front%02d", i)
+		fronts = append(fronts, cellFront{bind, "/x12/" + bind + ".odf", guid.GUID(12950 + i), f})
 	}
-	for _, hs := range sys.RuntimeHosts() {
-		for i, front := range cell.fronts {
-			if err := stockOffcode(hs.Depot, x12FrontPath(i), x12FrontBind(i), guid.GUID(12950+i), 0, nil,
-				func() any { return front }); err != nil {
-				return nil, err
-			}
-		}
-		for i := 0; i < shards; i++ {
-			if err := stockShard(hs.Depot, i, x12ShardPath(i), guid.GUID(12901+i), 8<<10); err != nil {
-				return nil, err
-			}
-		}
-		if withSwap {
-			if err := stockShard(hs.Depot, 0, x12SwapV2Path, guid.GUID(12980), 256<<10); err != nil {
-				return nil, err
-			}
-		}
+	var swap guid.GUID
+	if withSwap {
+		swap = 12980
 	}
-	if cell.group, err = coord.EngineGroup(); err != nil {
+	sc, err := openShardCell(seed, testbed.Spec{Name: "x12-dataplane", EnginePerHost: true, Trace: trace}, hosts,
+		&testbed.SyscallSpec{Profile: x12SyscallProfile()},
+		cluster.Config{AppName: "x12", DefaultLink: cluster.DefaultLink(), Channel: x12ChannelProfile()},
+		fronts, shards, 12901, swap,
+		func(i int) *x12Shard { return &x12Shard{cell: cell, index: i} })
+	if err != nil {
 		return nil, err
 	}
-	if err := cell.commit(X12PerHostRate); err != nil {
-		return nil, err
+	cell.shardCell = sc
+	for _, hs := range sc.sys.Hosts() {
+		for _, p := range hs.Syscalls {
+			cell.issuers[p.Device.Name()] = p.Issuer
+		}
 	}
-	cell.base = latestClock(cell.group.Engines())
-	if err := cell.makeGens(genSeed, flowsPerFront); err != nil {
+	if err := sc.commit(shards, nil, x12Traffic(X12PerHostRate, shards)); err != nil {
 		return nil, err
 	}
 	return cell, nil
@@ -548,61 +510,6 @@ func x12Traffic(perHostRate, shards int) cluster.Traffic {
 		BytesPerSec: per * x12RecBytes,
 		MsgsPerSec:  per / (x12FrontBatch / 4), // records ride batched messages
 	}
-}
-
-// commit deploys one weightless frontend pinned to every host plus the
-// shard set as unit-load roots the solver spreads evenly. Each frontend
-// connects to every shard in shard order, so fronts[h].eps[i] reaches
-// shard i.
-func (cell *x12Cell) commit(perHostRate int) error {
-	plan := cell.coord.Plan()
-	for h := range cell.fronts {
-		if err := plan.AddRoot(x12FrontPath(h),
-			cluster.PinTo(fmt.Sprintf("h%d", h)), cluster.WithLoad(0)); err != nil {
-			return err
-		}
-	}
-	for i := 0; i < cell.shards; i++ {
-		if err := plan.AddRoot(x12ShardPath(i)); err != nil {
-			return err
-		}
-	}
-	for h := range cell.fronts {
-		for i := 0; i < cell.shards; i++ {
-			if err := plan.Connect(x12FrontBind(h), x12ShardBind(i),
-				x12Traffic(perHostRate, cell.shards)); err != nil {
-				return err
-			}
-		}
-	}
-	if err := commitPlan("x12", plan, cell.group.Settle); err != nil {
-		return err
-	}
-	for h, f := range cell.fronts {
-		if len(f.eps) != cell.shards {
-			return fmt.Errorf("x12: frontend %d holds %d endpoints after committing %d shards",
-				h, len(f.eps), cell.shards)
-		}
-	}
-	return nil
-}
-
-// makeGens builds one generator per frontend, each seeded independently
-// and offering X12PerHostRate over flowsPerFront active flows.
-func (cell *x12Cell) makeGens(seed int64, flowsPerFront int) error {
-	for h, f := range cell.fronts {
-		gen, err := loadgen.New(loadgen.Config{
-			Seed: seed + int64(h)*7919, RateHz: X12PerHostRate, Tick: x12Tick,
-			Flows: flowsPerFront, SizeBase: x12SizeBase,
-			SizeS: 2.0, SizeV: 1.0, SizeMax: 1 << 20,
-			DstPorts: x12Ports(),
-		})
-		if err != nil {
-			return err
-		}
-		f.gen = gen
-	}
-	return nil
 }
 
 // armPacers schedules one generator tick per x12Tick on every host's own
@@ -667,7 +574,7 @@ func (cell *x12Cell) ledger() (X12Ledger, error) {
 		l.FlowsRetired += f.gen.Retired()
 	}
 	for i := 0; i < cell.shards; i++ {
-		s := cell.workers[x12ShardBind(i)]
+		s := cell.workers[cell.bind(i)]
 		if s == nil || s.pipe == nil {
 			return l, fmt.Errorf("x12: shard %d never deployed", i)
 		}
@@ -742,7 +649,7 @@ func RunX12Cell(seed int64, hosts, workers int, trace *obs.Config) (*X12Row, *ob
 	var lats []float64
 	var wHits, wMisses uint64
 	for i := 0; i < cell.shards; i++ {
-		s := cell.workers[x12ShardBind(i)]
+		s := cell.workers[cell.bind(i)]
 		row.InWindow += s.inWindow
 		wHits += s.wHits
 		wMisses += s.wMisses
@@ -811,14 +718,12 @@ func RunX12Soak(seed int64, workers int) (*X12Soak, error) {
 	cell.armPacers(base, base+half)
 	cell.group.Run(base+half, workers)
 
-	victim := x12ShardBind(0)
+	victim := cell.bind(0)
 	preSwap := cell.workers[victim].processed
 	cell.armPacers(base+half, base+duration)
-	res, err := mutateShards("x12 soak", cell.coord, []cluster.ShardDelta{
-		cluster.SwapShard{Bind: victim, Path: x12SwapV2Path},
-	}, cell.group.Settle)
+	swapMS, swapReplayed, err := cell.swap()
 	if err != nil {
-		return nil, fmt.Errorf("x12: swap: %w", err)
+		return nil, err
 	}
 	cell.group.Run(base+duration+2*sim.Millisecond, workers)
 	cell.group.Settle()
@@ -829,16 +734,14 @@ func RunX12Soak(seed int64, workers int) (*X12Soak, error) {
 	}
 	soak := &X12Soak{
 		Hosts: hosts, Shards: shards, X12Ledger: ledger,
+		SwapWindowMS:  swapMS,
+		SwapReplayed:  swapReplayed,
 		QueuedAtSwap:  cell.queuedAtSwap,
 		CkptDigest:    cell.ckptDigest,
 		RestoreDigest: cell.restoreDigest,
 	}
 	if soak.Offered > soak.Processed+soak.QueueDrops {
 		soak.Lost = soak.Offered - soak.Processed - soak.QueueDrops
-	}
-	if len(res.Swaps) > 0 {
-		soak.SwapWindowMS = float64(res.Swaps[0].Window) / float64(sim.Millisecond)
-		soak.SwapReplayed = res.Swaps[0].Replayed
 	}
 	if post := cell.workers[victim].processed; post > preSwap {
 		soak.PostSwapProcessed = post - preSwap

@@ -161,7 +161,7 @@ func TestDataPlaneSoak(t *testing.T) {
 // state changes — pipeline, queue and counters stay as they were — while
 // the intact checkpoint still restores bit-exactly.
 func TestShardRestoreRejectsAtomically(t *testing.T) {
-	cell := &x12Cell{shards: 1, pipeCfg: flowtable.PipelineConfig{
+	cell := &x12Cell{pipeCfg: flowtable.PipelineConfig{
 		Table: x12TableConfig(), Rules: x12Rules(), Default: flowtable.ActForward, Backends: 8}}
 	src := &x12Shard{cell: cell, pipe: flowtable.NewPipeline(cell.pipeCfg, nil), processed: 5}
 	src.pipe.Process(flowtable.Key{SrcIP: 1, DstPort: 80, Proto: 6}, 0)

@@ -6,7 +6,6 @@ import (
 
 	"hydra/internal/device"
 	"hydra/internal/sim"
-	"hydra/internal/testbed"
 	"hydra/internal/tivopc"
 )
 
@@ -72,21 +71,21 @@ func RunEnergy(seed int64, duration sim.Time) (*EnergyResults, error) {
 		}, nil
 	}
 
-	specs := []struct {
+	type spec struct {
 		kind ServerKind
 		name string
-	}{
+	}
+	specs := []spec{
 		{0, "Idle"},
 		{tivopc.SimpleServer, "Simple Server"},
 		{tivopc.SendfileServer, "Sendfile Server"},
 		{tivopc.OffloadedServer, "Offloaded Server"},
 	}
-	runs, err := testbed.Sweep(testbed.SweepConfig{Seeds: sameSeed(seed, len(specs))},
-		func(r testbed.Replica) (energyRun, error) {
-			return measure(specs[r.Index].kind, r.Seed)
-		})
+	runs, err := grid("energy", seed, 0, specs, func(seed int64, s spec) (energyRun, error) {
+		return measure(s.kind, seed)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: energy: %w", err)
+		return nil, err
 	}
 
 	idleFrac, idleDev := runs[0].hostBusyFrac, runs[0].deviceBusy

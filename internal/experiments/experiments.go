@@ -12,20 +12,8 @@ import (
 	"hydra/internal/netmodel"
 	"hydra/internal/sim"
 	"hydra/internal/stats"
-	"hydra/internal/testbed"
 	"hydra/internal/tivopc"
 )
-
-// sameSeed builds a testbed.SweepConfig seed list that runs n scenario
-// variants at one shared seed: the tables compare variants, not seeds, so
-// every row must see the same world.
-func sameSeed(seed int64, n int) []int64 {
-	seeds := make([]int64, n)
-	for i := range seeds {
-		seeds[i] = seed
-	}
-	return seeds
-}
 
 // DefaultDuration mirrors a paper-scale run at reduced length: the paper
 // samples every 5 s for 10 minutes; 120 s keeps the same 5 s windows.
@@ -83,21 +71,21 @@ type JitterResults struct {
 // RunTable2Figure9 executes the three server variants and collects
 // client-side inter-arrival statistics.
 func RunTable2Figure9(seed int64, duration sim.Time) (*JitterResults, error) {
-	specs := []struct {
+	type spec struct {
 		kind                ServerKind
 		name                string
 		median, mean, stdev float64
-	}{
+	}
+	specs := []spec{
 		{tivopc.SimpleServer, "Simple Server", 6.99, 7.00, 0.5521},
 		{tivopc.SendfileServer, "Sendfile Server", 6.00, 5.99, 0.4720},
 		{tivopc.OffloadedServer, "Offloaded Server", 5.00, 5.00, 0.0369},
 	}
-	runs, err := testbed.Sweep(testbed.SweepConfig{Seeds: sameSeed(seed, len(specs))},
-		func(r testbed.Replica) (*tivopc.ServerRun, error) {
-			return tivopc.RunServerScenario(specs[r.Index].kind, r.Seed, duration)
-		})
+	runs, err := grid("table 2", seed, 0, specs, func(seed int64, s spec) (*tivopc.ServerRun, error) {
+		return tivopc.RunServerScenario(s.kind, seed, duration)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: table 2: %w", err)
+		return nil, err
 	}
 	out := &JitterResults{}
 	for i, s := range specs {
@@ -164,22 +152,22 @@ type ServerLoadResults struct {
 // RunTable3Figure10 measures server CPU utilization and kernel L2 miss
 // rates for idle plus the three variants.
 func RunTable3Figure10(seed int64, duration sim.Time) (*ServerLoadResults, error) {
-	specs := []struct {
+	type spec struct {
 		kind  ServerKind
 		name  string
 		paper [3]float64
-	}{
+	}
+	specs := []spec{
 		{0, "Idle", [3]float64{2.90, 2.86, 0.09}},
 		{tivopc.SimpleServer, "Simple Server", [3]float64{7.50, 7.50, 0.12}},
 		{tivopc.SendfileServer, "Sendfile Server", [3]float64{5.90, 6.20, 0.08}},
 		{tivopc.OffloadedServer, "Offloaded Server", [3]float64{2.90, 2.86, 0.09}},
 	}
-	runs, err := testbed.Sweep(testbed.SweepConfig{Seeds: sameSeed(seed, len(specs))},
-		func(r testbed.Replica) (*tivopc.ServerRun, error) {
-			return tivopc.RunServerScenario(specs[r.Index].kind, r.Seed, duration)
-		})
+	runs, err := grid("table 3", seed, 0, specs, func(seed int64, s spec) (*tivopc.ServerRun, error) {
+		return tivopc.RunServerScenario(s.kind, seed, duration)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: table 3: %w", err)
+		return nil, err
 	}
 	out := &ServerLoadResults{}
 	var idleMiss float64
@@ -250,21 +238,21 @@ type ClientResults struct {
 
 // RunTable4 measures the client variants.
 func RunTable4(seed int64, duration sim.Time) (*ClientResults, error) {
-	specs := []struct {
+	type spec struct {
 		kind  tivopc.ClientKind
 		name  string
 		paper [3]float64
-	}{
+	}
+	specs := []spec{
 		{tivopc.IdleClient, "Idle Client", [3]float64{2.90, 2.86, 0.09}},
 		{tivopc.UserspaceClient, "User-space Client", [3]float64{7.30, 6.90, 0.32}},
 		{tivopc.OffloadedClient, "Offloaded Client", [3]float64{2.90, 2.86, 0.09}},
 	}
-	runs, err := testbed.Sweep(testbed.SweepConfig{Seeds: sameSeed(seed, len(specs))},
-		func(r testbed.Replica) (*tivopc.ClientRun, error) {
-			return tivopc.RunClientScenario(specs[r.Index].kind, r.Seed, duration)
-		})
+	runs, err := grid("table 4", seed, 0, specs, func(seed int64, s spec) (*tivopc.ClientRun, error) {
+		return tivopc.RunClientScenario(s.kind, seed, duration)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: table 4: %w", err)
+		return nil, err
 	}
 	out := &ClientResults{}
 	var idleMisses uint64

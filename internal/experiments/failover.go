@@ -8,7 +8,6 @@ import (
 	"hydra/internal/faults"
 	"hydra/internal/sim"
 	"hydra/internal/stats"
-	"hydra/internal/testbed"
 	"hydra/internal/tivopc"
 )
 
@@ -49,18 +48,18 @@ type FailoverResults struct {
 	Rows     []FailoverRow
 }
 
+// failoverVariant is one rung of the X6 ladder: a named fault schedule.
+type failoverVariant struct {
+	name  string
+	sched faults.Schedule
+}
+
 // failoverVariants is the fault-rate ladder: a fault-free baseline, one
 // crash with permanent failover, and a crash → restart → second crash
 // sequence that forces a failback onto the restored primary.
-func failoverVariants(duration sim.Time) []struct {
-	name  string
-	sched faults.Schedule
-} {
+func failoverVariants(duration sim.Time) []failoverVariant {
 	third := duration / 3
-	return []struct {
-		name  string
-		sched faults.Schedule
-	}{
+	return []failoverVariant{
 		{"No Faults", nil},
 		{"Single NIC Crash", tivopc.CrashPrimaryNIC(third, 0)},
 		{"Crash + Failback", faults.Schedule{
@@ -75,12 +74,11 @@ func failoverVariants(duration sim.Time) []struct {
 // to a serial loop).
 func RunFailover(seed int64, duration sim.Time) (*FailoverResults, error) {
 	variants := failoverVariants(duration)
-	runs, err := testbed.Sweep(testbed.SweepConfig{Seeds: sameSeed(seed, len(variants))},
-		func(r testbed.Replica) (*tivopc.FailoverRun, error) {
-			return tivopc.RunFailoverScenario(r.Seed, duration, variants[r.Index].sched)
-		})
+	runs, err := grid("failover", seed, 0, variants, func(seed int64, v failoverVariant) (*tivopc.FailoverRun, error) {
+		return tivopc.RunFailoverScenario(seed, duration, v.sched)
+	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: failover: %w", err)
+		return nil, err
 	}
 	out := &FailoverResults{Duration: duration}
 	for i, v := range variants {

@@ -9,10 +9,8 @@ import (
 	"strings"
 	"time"
 
-	"hydra/internal/cluster"
 	"hydra/internal/core"
 	"hydra/internal/depot"
-	"hydra/internal/device"
 	"hydra/internal/guid"
 	"hydra/internal/objfile"
 	"hydra/internal/sim"
@@ -20,8 +18,8 @@ import (
 )
 
 // The scaffolding every cell shares: no-op Offcode lifecycles, depot
-// stocking, commit/settle plumbing, the shared clock base of per-host
-// engine groups, and the serial-vs-parallel determinism double run.
+// stocking, settle plumbing, the variant grid, and the serial-vs-parallel
+// determinism double run. The sharded cell is in shardcell.go.
 
 // nopOffcode is the empty Offcode lifecycle; experiment Offcodes embed it
 // and add only the hooks they need.
@@ -75,30 +73,6 @@ func (c *recvCounter) Restore(state []byte) error {
 	return nil
 }
 
-// nicCluster adds hosts machines h0…h(n-1) to spec, each with one XScale
-// NIC, a HYDRA runtime and (when sc is set) a syscall plane, builds it,
-// and opens a cluster coordinator over every host.
-func nicCluster(seed int64, spec testbed.Spec, hosts int, sc *testbed.SyscallSpec, cfg cluster.Config) (*testbed.System, *cluster.Coordinator, error) {
-	for i := 0; i < hosts; i++ {
-		name := fmt.Sprintf("h%d", i)
-		spec.Hosts = append(spec.Hosts, testbed.HostSpec{
-			Name:     name,
-			Devices:  []device.Config{device.XScaleNIC(name + "-nic")},
-			Runtime:  &core.Config{},
-			Syscalls: sc,
-		})
-	}
-	sys, err := testbed.New(seed, spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	coord, err := cluster.New(sys, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sys, coord, nil
-}
-
 // settle starts a commit or mutation with begin, which must arrange for
 // done to be called, drives simulated time with drive, and fails if done
 // never ran.
@@ -111,14 +85,6 @@ func settle(what string, begin func(done func(error)), drive func()) error {
 		return fmt.Errorf("%s never settled", what)
 	}
 	return err
-}
-
-// commitPlan commits a cluster plan and drives simulated time until it
-// settles.
-func commitPlan(what string, plan *cluster.Plan, drive func()) error {
-	return settle(what+": commit", func(done func(error)) {
-		plan.Commit(func(_ *cluster.Deployment, err error) { done(err) })
-	}, drive)
 }
 
 // deployRoot commits a one-root plan for the ODF at path on app, drives
@@ -136,29 +102,6 @@ func deployRoot(app *core.App, eng *sim.Engine, path, bind string) (*core.Handle
 		})
 	}, func() { eng.RunAll() })
 	return h, err
-}
-
-// mutateShards applies deltas to a live cluster deployment and drives
-// simulated time until the mutation settles.
-func mutateShards(what string, coord *cluster.Coordinator, deltas []cluster.ShardDelta, drive func()) (*cluster.ClusterMutation, error) {
-	var res *cluster.ClusterMutation
-	err := settle(what+": mutation", func(done func(error)) {
-		coord.Mutate(deltas, func(m *cluster.ClusterMutation, err error) { res = m; done(err) })
-	}, drive)
-	return res, err
-}
-
-// latestClock is the furthest clock among engines: engines settle at
-// different times, so a measured window starting there sees every host
-// for its full length.
-func latestClock(engines []*sim.Engine) sim.Time {
-	var t sim.Time
-	for _, e := range engines {
-		if n := e.Now(); n > t {
-			t = n
-		}
-	}
-	return t
 }
 
 // pace calls tick at start, start+every, … up to (not including) end on
@@ -181,6 +124,24 @@ func pace(eng *sim.Engine, start, end, every sim.Time, tick func(t sim.Time, las
 	if first < end {
 		eng.At(first, func() { step(first) })
 	}
+}
+
+// grid runs cell once per variant through testbed.Sweep on workers
+// goroutines (0 = GOMAXPROCS, 1 = serial; one private engine per cell,
+// results bit-identical for any workers value) and returns the results
+// in variant order. Every variant runs at the one seed: the tables
+// compare variants, not seeds, so every row must see the same world.
+func grid[V, R any](what string, seed int64, workers int, variants []V, cell func(seed int64, v V) (R, error)) ([]R, error) {
+	seeds := make([]int64, len(variants))
+	for i := range seeds {
+		seeds[i] = seed
+	}
+	rows, err := testbed.Sweep(testbed.SweepConfig{Seeds: seeds, Workers: workers},
+		func(r testbed.Replica) (R, error) { return cell(r.Seed, variants[r.Index]) })
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", what, err)
+	}
+	return rows, nil
 }
 
 // Twin is a result verified serial ≡ parallel: the cell ran on one worker,

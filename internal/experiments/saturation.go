@@ -64,48 +64,39 @@ type SaturationResults struct {
 	Rows     []SaturationRow
 }
 
-// saturationVariants is the rate × policy grid: each rate runs per-message
-// delivery next to two batched/coalesced ring configurations.
-func saturationVariants() []struct {
+// saturationVariant is one X7 cell: an offered rate under one ring policy.
+type saturationVariant struct {
 	name     string
 	rateHz   int
 	batch    int
 	coalesce sim.Time
-} {
-	type v = struct {
-		name     string
-		rateHz   int
-		batch    int
-		coalesce sim.Time
-	}
-	var out []v
+}
+
+// saturationVariants is the rate × policy grid: each rate runs per-message
+// delivery next to two batched/coalesced ring configurations.
+func saturationVariants() []saturationVariant {
+	var out []saturationVariant
 	for _, rate := range []int{5_000, 50_000} {
 		out = append(out,
-			v{fmt.Sprintf("per-message @%dk/s", rate/1000), rate, 1, 0},
-			v{fmt.Sprintf("batch 8/100µs @%dk/s", rate/1000), rate, 8, 100 * sim.Microsecond},
-			v{fmt.Sprintf("batch 32/500µs @%dk/s", rate/1000), rate, 32, 500 * sim.Microsecond},
+			saturationVariant{fmt.Sprintf("per-message @%dk/s", rate/1000), rate, 1, 0},
+			saturationVariant{fmt.Sprintf("batch 8/100µs @%dk/s", rate/1000), rate, 8, 100 * sim.Microsecond},
+			saturationVariant{fmt.Sprintf("batch 32/500µs @%dk/s", rate/1000), rate, 32, 500 * sim.Microsecond},
 		)
 	}
 	return out
 }
 
-// RunSaturation executes the X7 grid, fanning the cells out through
-// testbed.Sweep (one private engine per cell; results bit-identical to a
-// serial loop).
+// RunSaturation executes the X7 grid, one private engine per cell.
 func RunSaturation(seed int64, duration sim.Time) (*SaturationResults, error) {
-	variants := saturationVariants()
-	rows, err := testbed.Sweep(testbed.SweepConfig{Seeds: sameSeed(seed, len(variants))},
-		func(r testbed.Replica) (*SaturationRow, error) {
-			v := variants[r.Index]
-			row, _, err := RunSaturationCell(r.Seed, duration, v.rateHz, v.batch, v.coalesce, nil)
-			if err != nil {
-				return nil, err
-			}
+	rows, err := grid("saturation", seed, 0, saturationVariants(), func(seed int64, v saturationVariant) (*SaturationRow, error) {
+		row, _, err := RunSaturationCell(seed, duration, v.rateHz, v.batch, v.coalesce, nil)
+		if err == nil {
 			row.Scenario = v.name
-			return row, nil
-		})
+		}
+		return row, err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: saturation: %w", err)
+		return nil, err
 	}
 	out := &SaturationResults{Duration: duration, MsgBytes: X7MsgBytes}
 	for _, row := range rows {

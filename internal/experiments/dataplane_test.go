@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"hydra/internal/flowtable"
@@ -156,31 +157,66 @@ func TestDataPlaneSoak(t *testing.T) {
 	}
 }
 
-// TestShardRestoreRejectsAtomically: a shard checkpoint whose pipeline
-// part is intact but whose tail is malformed must be rejected before any
-// state changes — pipeline, queue and counters stay as they were — while
-// the intact checkpoint still restores bit-exactly.
-func TestShardRestoreRejectsAtomically(t *testing.T) {
+// restoreFixture returns the checkpoint of a shard with a non-empty
+// pipeline, queue and counters, and a fresh shard to restore into.
+func restoreFixture() (ck []byte, dst *x12Shard) {
 	cell := &x12Cell{pipeCfg: flowtable.PipelineConfig{
 		Table: x12TableConfig(), Rules: x12Rules(), Default: flowtable.ActForward, Backends: 8}}
 	src := &x12Shard{cell: cell, pipe: flowtable.NewPipeline(cell.pipeCfg, nil), processed: 5}
 	src.pipe.Process(flowtable.Key{SrcIP: 1, DstPort: 80, Proto: 6}, 0)
 	src.queue = []x12Packet{{key: flowtable.Key{SrcIP: 2, DstPort: 443, Proto: 6}, seq: 9}}
-	ck := src.Checkpoint()
+	return src.Checkpoint(), &x12Shard{cell: cell, pipe: flowtable.NewPipeline(cell.pipeCfg, nil), processed: 1}
+}
 
-	dst := &x12Shard{cell: cell, pipe: flowtable.NewPipeline(cell.pipeCfg, nil), processed: 1}
-	before := dst.pipe.Digest()
-	if err := dst.Restore(ck[:len(ck)-1]); err == nil {
+// restoreAtomically restores b into s and checks the all-or-nothing
+// contract: an accepted checkpoint re-checkpoints byte-identically, and
+// a rejected one leaves the pipeline digest, queue and counters as they
+// were. It returns Restore's error.
+func restoreAtomically(t *testing.T, s *x12Shard, b []byte) error {
+	t.Helper()
+	counts := func() (out []uint64) {
+		for _, p := range s.counters() {
+			out = append(out, *p)
+		}
+		return out
+	}
+	digest, queue, before := s.pipe.Digest(), slices.Clone(s.queue), counts()
+	err := s.Restore(b)
+	if err == nil {
+		if got := s.Checkpoint(); !bytes.Equal(got, b) {
+			t.Fatalf("accepted %d-byte checkpoint re-checkpoints as %d different bytes", len(b), len(got))
+		}
+		return nil
+	}
+	if s.pipe.Digest() != digest || !slices.Equal(s.queue, queue) || !slices.Equal(counts(), before) {
+		t.Fatalf("rejected checkpoint (%v) changed the shard: digest %x (was %x), queue %d (was %d), counters %v (were %v)",
+			err, s.pipe.Digest(), digest, len(s.queue), len(queue), counts(), before)
+	}
+	return err
+}
+
+// TestShardRestoreRejectsAtomically: a shard checkpoint whose pipeline
+// part is intact but whose tail is malformed must be rejected before any
+// state changes, while the intact checkpoint still restores bit-exactly.
+func TestShardRestoreRejectsAtomically(t *testing.T) {
+	ck, dst := restoreFixture()
+	if restoreAtomically(t, dst, ck[:len(ck)-1]) == nil {
 		t.Fatal("truncated shard checkpoint accepted")
 	}
-	if dst.pipe.Digest() != before || dst.processed != 1 || len(dst.queue) != 0 {
-		t.Fatalf("rejected checkpoint changed the shard: digest %x (was %x), processed %d, queue %d",
-			dst.pipe.Digest(), before, dst.processed, len(dst.queue))
-	}
-	if err := dst.Restore(ck); err != nil {
+	if err := restoreAtomically(t, dst, ck); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(dst.Checkpoint(), ck) {
-		t.Fatal("restored shard does not re-checkpoint identically")
-	}
+}
+
+// FuzzShardRestore: any input either restores and re-checkpoints
+// byte-identically, or is rejected with the shard unchanged. The corpus
+// under testdata/fuzz seeds it with the fixture's checkpoint, truncated
+// and corrupted forms of it.
+func FuzzShardRestore(f *testing.F) {
+	ck, _ := restoreFixture()
+	f.Add(ck)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		_, dst := restoreFixture()
+		restoreAtomically(t, dst, b)
+	})
 }

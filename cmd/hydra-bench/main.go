@@ -94,10 +94,11 @@ type opts struct {
 
 // newOpts returns the options -seed and -quick select.
 func newOpts(seed int64, quick bool) opts {
+	o := opts{seed: seed, duration: experiments.DefaultDuration, replicas: 8}
 	if quick {
-		return opts{seed: seed, duration: experiments.QuickDuration, replicas: 4}
+		o.duration, o.replicas = experiments.QuickDuration, 4
 	}
-	return opts{seed: seed, duration: experiments.DefaultDuration, replicas: 8}
+	return o
 }
 
 // scenario is one table entry. run executes it, gates its shape, and

@@ -51,42 +51,77 @@ const (
 	tagBytes
 )
 
-func appendValue(b []byte, v any) ([]byte, error) {
+// valueSize is v's exact wire size: the tag plus the payload. It rejects
+// what the wire cannot carry, so the writers after it cannot fail.
+func valueSize(v any) (int, error) {
 	switch x := v.(type) {
 	case bool:
-		b = append(b, tagBool)
-		if x {
-			return append(b, 1), nil
-		}
-		return append(b, 0), nil
-	case int:
-		return appendValue(b, int64(x))
-	case int64:
-		b = append(b, tagInt64)
-		return binary.LittleEndian.AppendUint64(b, uint64(x)), nil
-	case uint64:
-		b = append(b, tagUint64)
-		return binary.LittleEndian.AppendUint64(b, x), nil
-	case float64:
-		b = append(b, tagFloat64)
-		return binary.LittleEndian.AppendUint64(b, math.Float64bits(x)), nil
+		return 1 + 1, nil
+	case int, int64, uint64, float64:
+		return 1 + 8, nil
 	case string:
 		if uint64(len(x)) > math.MaxUint32 {
-			return nil, fmt.Errorf("%w: string of %d bytes", ErrTooLarge, len(x))
+			return 0, fmt.Errorf("%w: string of %d bytes", ErrTooLarge, len(x))
 		}
-		b = append(b, tagString)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(x)))
-		return append(b, x...), nil
+		return 1 + 4 + len(x), nil
 	case []byte:
 		if uint64(len(x)) > math.MaxUint32 {
-			return nil, fmt.Errorf("%w: blob of %d bytes", ErrTooLarge, len(x))
+			return 0, fmt.Errorf("%w: blob of %d bytes", ErrTooLarge, len(x))
 		}
-		b = append(b, tagBytes)
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(x)))
-		return append(b, x...), nil
+		return 1 + 4 + len(x), nil
 	default:
-		return nil, fmt.Errorf("%w: %T", ErrUnsupported, v)
+		return 0, fmt.Errorf("%w: %T", ErrUnsupported, v)
 	}
+}
+
+// appendValue writes one value valueSize accepted.
+func appendValue(b []byte, v any) []byte {
+	switch x := v.(type) {
+	case bool:
+		if x {
+			return append(b, tagBool, 1)
+		}
+		return append(b, tagBool, 0)
+	case int:
+		return binary.LittleEndian.AppendUint64(append(b, tagInt64), uint64(x))
+	case int64:
+		return binary.LittleEndian.AppendUint64(append(b, tagInt64), uint64(x))
+	case uint64:
+		return binary.LittleEndian.AppendUint64(append(b, tagUint64), x)
+	case float64:
+		return binary.LittleEndian.AppendUint64(append(b, tagFloat64), math.Float64bits(x))
+	case string:
+		b = binary.LittleEndian.AppendUint32(append(b, tagString), uint32(len(x)))
+		return append(b, x...)
+	default: // []byte, the one type left after valueSize
+		blob := v.([]byte)
+		b = binary.LittleEndian.AppendUint32(append(b, tagBytes), uint32(len(blob)))
+		return append(b, blob...)
+	}
+}
+
+// valuesSize sums the wire sizes of vals.
+func valuesSize(vals []any) (int, error) {
+	n := 0
+	for _, v := range vals {
+		s, err := valueSize(v)
+		if err != nil {
+			return 0, err
+		}
+		n += s
+	}
+	return n, nil
+}
+
+// reserve returns b with room for n more bytes, reallocating to exactly
+// len(b)+n when it has less: a fresh buffer is never larger than its wire.
+func reserve(b []byte, n int) []byte {
+	if cap(b)-len(b) >= n {
+		return b
+	}
+	nb := make([]byte, len(b), len(b)+n)
+	copy(nb, b)
+	return nb
 }
 
 func readValue(b []byte) (any, []byte, error) {
@@ -130,6 +165,24 @@ func readValue(b []byte) (any, []byte, error) {
 	}
 }
 
+// readValues decodes count values into dst's storage. A zero count
+// yields nil, as a fresh decode does.
+func readValues(dst []any, b []byte, count int) ([]any, []byte, error) {
+	if count == 0 {
+		return nil, b, nil
+	}
+	dst = dst[:0]
+	for i := 0; i < count; i++ {
+		v, rest, err := readValue(b)
+		if err != nil {
+			return dst, nil, err
+		}
+		dst = append(dst, v)
+		b = rest
+	}
+	return dst, b, nil
+}
+
 func readBlob(b []byte) ([]byte, []byte, error) {
 	if len(b) < 4 {
 		return nil, nil, ErrBadWire
@@ -142,112 +195,138 @@ func readBlob(b []byte) ([]byte, []byte, error) {
 	return b[:n], b[n:], nil
 }
 
-// Marshal serializes a Call.
+// Marshal serializes a Call into a buffer of exactly its wire size.
 //
 // Wire: 'C', iface u64, returnDesc u64, methodLen u16 + method,
 // argc u16, tagged values. The u16 fields bound the method name and the
 // argument count; exceeding either is ErrTooLarge, never a silent
 // truncation (a truncated length would desynchronize the decoder into
 // reading method bytes as argument tags).
-func Marshal(c *Call) ([]byte, error) {
+func Marshal(c *Call) ([]byte, error) { return AppendCall(nil, c) }
+
+// AppendCall appends c's wire form (see Marshal) to b, growing b only
+// when it lacks room. On error b is returned unchanged.
+func AppendCall(b []byte, c *Call) ([]byte, error) {
 	if len(c.Method) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: method name of %d bytes", ErrTooLarge, len(c.Method))
+		return b, fmt.Errorf("%w: method name of %d bytes", ErrTooLarge, len(c.Method))
 	}
 	if len(c.Args) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: %d arguments", ErrTooLarge, len(c.Args))
+		return b, fmt.Errorf("%w: %d arguments", ErrTooLarge, len(c.Args))
 	}
-	b := []byte{'C'}
+	n, err := valuesSize(c.Args)
+	if err != nil {
+		return b, fmt.Errorf("call %s: %w", c.Method, err)
+	}
+	b = reserve(b, 1+8+8+2+len(c.Method)+2+n)
+	b = append(b, 'C')
 	b = binary.LittleEndian.AppendUint64(b, uint64(c.Iface))
 	b = binary.LittleEndian.AppendUint64(b, c.ReturnDesc)
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(c.Method)))
 	b = append(b, c.Method...)
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(c.Args)))
-	var err error
 	for _, a := range c.Args {
-		if b, err = appendValue(b, a); err != nil {
-			return nil, fmt.Errorf("call %s: %w", c.Method, err)
-		}
+		b = appendValue(b, a)
 	}
 	return b, nil
 }
 
 // Unmarshal parses a serialized Call.
 func Unmarshal(b []byte) (*Call, error) {
-	if len(b) < 1+8+8+2 || b[0] != 'C' {
-		return nil, ErrBadWire
-	}
-	c := &Call{Iface: guid.GUID(binary.LittleEndian.Uint64(b[1:]))}
-	c.ReturnDesc = binary.LittleEndian.Uint64(b[9:])
-	mlen := int(binary.LittleEndian.Uint16(b[17:]))
-	rest := b[19:]
-	if len(rest) < mlen+2 {
-		return nil, ErrBadWire
-	}
-	c.Method = string(rest[:mlen])
-	rest = rest[mlen:]
-	argc := int(binary.LittleEndian.Uint16(rest))
-	rest = rest[2:]
-	for i := 0; i < argc; i++ {
-		v, r, err := readValue(rest)
-		if err != nil {
-			return nil, err
-		}
-		c.Args = append(c.Args, v)
-		rest = r
+	c := &Call{}
+	if err := UnmarshalInto(b, c); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
 
-// MarshalReply serializes a Reply.
+// UnmarshalInto parses a serialized Call into c, reusing c's Args storage
+// and keeping c.Method when it already holds the decoded name, so a
+// caller-owned Call decodes without allocating for argument-free or
+// fixed-width calls. On success c equals what Unmarshal returns; on error
+// its contents are unspecified.
+func UnmarshalInto(b []byte, c *Call) error {
+	if len(b) < 1+8+8+2 || b[0] != 'C' {
+		return ErrBadWire
+	}
+	c.Iface = guid.GUID(binary.LittleEndian.Uint64(b[1:]))
+	c.ReturnDesc = binary.LittleEndian.Uint64(b[9:])
+	mlen := int(binary.LittleEndian.Uint16(b[17:]))
+	rest := b[19:]
+	if len(rest) < mlen+2 {
+		return ErrBadWire
+	}
+	if c.Method != string(rest[:mlen]) {
+		c.Method = string(rest[:mlen])
+	}
+	rest = rest[mlen:]
+	argc := int(binary.LittleEndian.Uint16(rest))
+	var err error
+	c.Args, _, err = readValues(c.Args, rest[2:], argc)
+	return err
+}
+
+// MarshalReply serializes a Reply into a buffer of exactly its wire size.
 //
 // Wire: 'R', returnDesc u64, errLen u16 + err, count u16, tagged values.
 // As with Marshal, overflowing a u16 length field is ErrTooLarge rather
 // than silent truncation.
-func MarshalReply(r *Reply) ([]byte, error) {
+func MarshalReply(r *Reply) ([]byte, error) { return AppendReply(nil, r) }
+
+// AppendReply appends r's wire form (see MarshalReply) to b, growing b
+// only when it lacks room. On error b is returned unchanged.
+func AppendReply(b []byte, r *Reply) ([]byte, error) {
 	if len(r.Err) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: error string of %d bytes", ErrTooLarge, len(r.Err))
+		return b, fmt.Errorf("%w: error string of %d bytes", ErrTooLarge, len(r.Err))
 	}
 	if len(r.Results) > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: %d results", ErrTooLarge, len(r.Results))
+		return b, fmt.Errorf("%w: %d results", ErrTooLarge, len(r.Results))
 	}
-	b := []byte{'R'}
+	n, err := valuesSize(r.Results)
+	if err != nil {
+		return b, err
+	}
+	b = reserve(b, 1+8+2+len(r.Err)+2+n)
+	b = append(b, 'R')
 	b = binary.LittleEndian.AppendUint64(b, r.ReturnDesc)
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(r.Err)))
 	b = append(b, r.Err...)
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(r.Results)))
-	var err error
 	for _, v := range r.Results {
-		if b, err = appendValue(b, v); err != nil {
-			return nil, err
-		}
+		b = appendValue(b, v)
 	}
 	return b, nil
 }
 
 // UnmarshalReply parses a serialized Reply.
 func UnmarshalReply(b []byte) (*Reply, error) {
-	if len(b) < 1+8+2 || b[0] != 'R' {
-		return nil, ErrBadWire
+	r := &Reply{}
+	if err := UnmarshalReplyInto(b, r); err != nil {
+		return nil, err
 	}
-	r := &Reply{ReturnDesc: binary.LittleEndian.Uint64(b[1:])}
+	return r, nil
+}
+
+// UnmarshalReplyInto parses a serialized Reply into r, reusing r's
+// Results storage and keeping r.Err when it already holds the decoded
+// text (see UnmarshalInto). On error r's contents are unspecified.
+func UnmarshalReplyInto(b []byte, r *Reply) error {
+	if len(b) < 1+8+2 || b[0] != 'R' {
+		return ErrBadWire
+	}
+	r.ReturnDesc = binary.LittleEndian.Uint64(b[1:])
 	elen := int(binary.LittleEndian.Uint16(b[9:]))
 	rest := b[11:]
 	if len(rest) < elen+2 {
-		return nil, ErrBadWire
+		return ErrBadWire
 	}
-	r.Err = string(rest[:elen])
+	if r.Err != string(rest[:elen]) {
+		r.Err = string(rest[:elen])
+	}
 	rest = rest[elen:]
 	count := int(binary.LittleEndian.Uint16(rest))
-	rest = rest[2:]
-	for i := 0; i < count; i++ {
-		v, rr, err := readValue(rest)
-		if err != nil {
-			return nil, err
-		}
-		r.Results = append(r.Results, v)
-		rest = rr
-	}
-	return r, nil
+	var err error
+	r.Results, _, err = readValues(r.Results, rest[2:], count)
+	return err
 }
 
 // --- Proxy: transparent invocation (§3.1) ---

@@ -182,12 +182,28 @@ func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := Unmarshal(data)
+		// A destination still holding the seed's decode must end up equal
+		// to the fresh decode: nothing stale survives.
+		var reused Call
+		if err := UnmarshalInto(seed, &reused); err != nil {
+			t.Fatal(err)
+		}
+		if errInto := UnmarshalInto(data, &reused); (errInto == nil) != (err == nil) {
+			t.Fatalf("UnmarshalInto err = %v, Unmarshal err = %v", errInto, err)
+		}
 		if err != nil {
 			return
 		}
 		wire, err := Marshal(c)
 		if err != nil {
 			t.Fatalf("accepted call does not re-marshal: %v", err)
+		}
+		if cap(wire) != len(wire) {
+			t.Fatalf("Marshal sized %d bytes for a %d-byte wire", cap(wire), len(wire))
+		}
+		reusedWire, err := Marshal(&reused)
+		if err != nil || !bytes.Equal(reusedWire, wire) || (reused.Args == nil) != (c.Args == nil) {
+			t.Fatalf("reused decode differs (%v):\n  fresh  %x\n  reused %x", err, wire, reusedWire)
 		}
 		again, err := Unmarshal(wire)
 		if err != nil {
@@ -214,12 +230,28 @@ func FuzzUnmarshalReply(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := UnmarshalReply(data)
+		// A destination still holding the seed's decode must end up equal
+		// to the fresh decode: nothing stale survives.
+		var reused Reply
+		if err := UnmarshalReplyInto(seed, &reused); err != nil {
+			t.Fatal(err)
+		}
+		if errInto := UnmarshalReplyInto(data, &reused); (errInto == nil) != (err == nil) {
+			t.Fatalf("UnmarshalReplyInto err = %v, UnmarshalReply err = %v", errInto, err)
+		}
 		if err != nil {
 			return
 		}
 		wire, err := MarshalReply(r)
 		if err != nil {
 			t.Fatalf("accepted reply does not re-marshal: %v", err)
+		}
+		if cap(wire) != len(wire) {
+			t.Fatalf("MarshalReply sized %d bytes for a %d-byte wire", cap(wire), len(wire))
+		}
+		reusedWire, err := MarshalReply(&reused)
+		if err != nil || !bytes.Equal(reusedWire, wire) || (reused.Results == nil) != (r.Results == nil) {
+			t.Fatalf("reused decode differs (%v):\n  fresh  %x\n  reused %x", err, wire, reusedWire)
 		}
 		again, err := UnmarshalReply(wire)
 		if err != nil {

@@ -264,3 +264,35 @@ func TestTimeString(t *testing.T) {
 		}
 	}
 }
+
+// A FIFO keeps order across pushes and pops and, with a backlog that never
+// drains, reuses its array instead of growing: the popped prefix is
+// compacted before append would reallocate.
+func TestFIFOOrderAndReuse(t *testing.T) {
+	var q FIFO[int]
+	next, want := 0, 0
+	for i := 0; i < 4; i++ {
+		q.Push(next)
+		next++
+	}
+	for round := 0; round < 1000; round++ {
+		q.Push(next)
+		next++
+		if got := q.Pop(); got != want {
+			t.Fatalf("round %d: popped %d, want %d", round, got, want)
+		}
+		want++
+	}
+	if q.Len() != 4 || cap(q.buf) > 8 {
+		t.Fatalf("len %d, cap %d after a steady 4-deep backlog; want 4 and at most 8", q.Len(), cap(q.buf))
+	}
+	for q.Len() > 0 {
+		if got := q.Pop(); got != want {
+			t.Fatalf("drain popped %d, want %d", got, want)
+		}
+		want++
+	}
+	if q.head != 0 || len(q.buf) != 0 {
+		t.Fatalf("drained queue keeps head %d, len %d", q.head, len(q.buf))
+	}
+}

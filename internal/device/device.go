@@ -127,7 +127,8 @@ type Device struct {
 	exports  map[string]uint64
 	busyTime sim.Time
 	busy     bool
-	queue    []*devSegment
+	queue    sim.FIFO[*devSegment]
+	segFree  []*devSegment // recycled segments; Exec runs alloc-free once warm
 
 	// Failure model. epoch increments on every crash, so callbacks armed
 	// by dead firmware (in-flight Exec segments, hardware timers) can
@@ -137,9 +138,16 @@ type Device struct {
 	epoch   uint64
 }
 
+// devSegment is one Exec: pooled per device, with its fire step bound
+// once when minted. epoch is the firmware instance that scheduled it, kept
+// on the segment because a crash and Restore can start a newer segment
+// while this one's engine event is still pending.
 type devSegment struct {
+	d      *Device
 	cycles uint64
 	k      func()
+	epoch  uint64
+	fireFn func()
 }
 
 // New attaches a device to host over b.
@@ -189,30 +197,59 @@ func (d *Device) Exec(cycles uint64, k func()) {
 	if d.crashed {
 		return
 	}
-	d.queue = append(d.queue, &devSegment{cycles: cycles, k: k})
+	s := d.getSeg()
+	s.cycles, s.k = cycles, k
+	d.queue.Push(s)
 	d.pump()
 }
 
+func (d *Device) getSeg() *devSegment {
+	if n := len(d.segFree); n > 0 {
+		s := d.segFree[n-1]
+		d.segFree[n-1] = nil
+		d.segFree = d.segFree[:n-1]
+		return s
+	}
+	s := &devSegment{d: d}
+	s.fireFn = s.fire
+	return s
+}
+
+// putSeg recycles a segment whose engine event has fired (or that never
+// got one), dropping its continuation.
+func (d *Device) putSeg(s *devSegment) {
+	s.k = nil
+	if len(d.segFree) < 256 {
+		d.segFree = append(d.segFree, s)
+	}
+}
+
 func (d *Device) pump() {
-	if d.busy || len(d.queue) == 0 {
+	if d.busy || d.queue.Len() == 0 {
 		return
 	}
-	s := d.queue[0]
-	d.queue = d.queue[1:]
+	s := d.queue.Pop()
 	d.busy = true
 	dur := d.CyclesToTime(s.cycles)
 	d.busyTime += dur
-	epoch := d.epoch
-	d.eng.Schedule(dur, func() {
-		if d.epoch != epoch {
-			return // the firmware that issued this work died mid-segment
-		}
-		d.busy = false
-		if s.k != nil {
-			s.k()
-		}
-		d.pump()
-	})
+	s.epoch = d.epoch
+	d.eng.Schedule(dur, s.fireFn)
+}
+
+// fire ends the segment's engine event. The segment returns to the pool
+// either way: its event is the only reference the engine held.
+func (s *devSegment) fire() {
+	d, k := s.d, s.k
+	stale := d.epoch != s.epoch
+	d.putSeg(s)
+	if stale {
+		return // the firmware that issued this work died mid-segment
+	}
+	d.busy = false
+	if k != nil {
+		k()
+	}
+	d.pump()
 }
 
 // --- Failure model (driven by internal/faults) ---
@@ -229,7 +266,9 @@ func (d *Device) Crash() {
 	}
 	d.crashed = true
 	d.epoch++
-	d.queue = nil
+	for d.queue.Len() > 0 {
+		d.putSeg(d.queue.Pop()) // queued work never reached the engine
+	}
 	d.busy = false
 }
 
@@ -396,11 +435,7 @@ func (d *Device) DMAFromHost(hostAddr uint64, size int, done func()) {
 	if d.crashed {
 		return
 	}
-	d.bsys.Transfer(bus.MainMemory, d.Agent(), size, func() {
-		if done != nil {
-			done()
-		}
-	})
+	d.bsys.Transfer(bus.MainMemory, d.Agent(), size, orNop(done))
 }
 
 // DMAToHostGather writes several logically distinct payloads into host
@@ -431,12 +466,19 @@ func (d *Device) DMAFromHostGather(hostAddr uint64, sizes []int, done func()) {
 		return
 	}
 	_ = hostAddr // reads leave the host cache alone
-	d.bsys.TransferGather(bus.MainMemory, d.Agent(), sizes, func() {
-		if done != nil {
-			done()
-		}
-	})
+	d.bsys.TransferGather(bus.MainMemory, d.Agent(), sizes, orNop(done))
 }
+
+// orNop stands in a no-op for a nil done, so a transfer always schedules
+// its completion event, whether or not anyone waits on it.
+func orNop(done func()) func() {
+	if done == nil {
+		return nop
+	}
+	return done
+}
+
+func nop() {}
 
 // DMAToPeers multicasts size bytes to several devices in one bus
 // transaction (paper §1 fn.2: "if the bus architecture allows it, this

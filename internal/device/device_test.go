@@ -289,6 +289,43 @@ func TestCrashDropsWorkAndTimers(t *testing.T) {
 	}
 }
 
+// A crash silences the segment in flight even when a Restore lets newer
+// work start before the stale segment's event comes due: the stale
+// callback never runs, and the segments started after the Restore each run
+// once, at their own times, though the stale event fires between them.
+func TestCrashedSegmentStaysSilentAfterRestore(t *testing.T) {
+	eng, _, _, d := rig()
+	var stale int
+	d.Exec(600_000, func() { stale++ }) // 1 ms at 600 MHz
+	staleDue := d.CyclesToTime(600_000)
+	crashAt := 100 * sim.Microsecond
+	var shortAt, lastAt []sim.Time
+	eng.At(crashAt, func() {
+		d.Crash()
+		d.Restore()
+		d.Exec(60_000, func() { // ends 100 µs later, well before staleDue
+			shortAt = append(shortAt, eng.Now())
+			// In flight when the stale event fires.
+			d.Exec(600_000, func() { lastAt = append(lastAt, eng.Now()) })
+		})
+	})
+	eng.RunAll()
+	if stale != 0 {
+		t.Fatalf("stale segment ran %d times after the crash", stale)
+	}
+	wantShort := crashAt + d.CyclesToTime(60_000)
+	if len(shortAt) != 1 || shortAt[0] != wantShort {
+		t.Fatalf("short segment ran at %v, want once at %v", shortAt, wantShort)
+	}
+	wantLast := wantShort + d.CyclesToTime(600_000)
+	if wantLast <= staleDue {
+		t.Fatalf("fixture: last segment (%v) must straddle the stale event (%v)", wantLast, staleDue)
+	}
+	if len(lastAt) != 1 || lastAt[0] != wantLast {
+		t.Fatalf("last segment ran at %v, want once at %v", lastAt, wantLast)
+	}
+}
+
 func TestRestoreAfterCrashResetsMemory(t *testing.T) {
 	eng, _, _, d := rig()
 	addr, err := d.AllocMem(1024)

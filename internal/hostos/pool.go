@@ -1,6 +1,10 @@
 package hostos
 
-import "fmt"
+import (
+	"fmt"
+
+	"hydra/internal/sim"
+)
 
 // WorkerPool is a fixed set of kernel worker tasks — the model of a host
 // dispatcher goroutine pool. Submitted items run FIFO with at most
@@ -12,8 +16,16 @@ import "fmt"
 // layer needs.
 type WorkerPool struct {
 	m     *Machine
-	idle  []*Task
-	queue []func(*Task, func())
+	idle  []*worker
+	queue sim.FIFO[func(*Task, func())]
+}
+
+// worker is one pool task with its done signal bound once, so handing an
+// item to a worker allocates nothing.
+type worker struct {
+	p      *WorkerPool
+	t      *Task
+	doneFn func()
 }
 
 // NewWorkerPool builds a pool of `workers` kernel tasks named
@@ -24,7 +36,9 @@ func NewWorkerPool(m *Machine, name string, workers int) *WorkerPool {
 	}
 	p := &WorkerPool{m: m}
 	for i := workers - 1; i >= 0; i-- {
-		p.idle = append(p.idle, m.NewTask(fmt.Sprintf("%s/%d", name, i)))
+		w := &worker{p: p, t: m.NewTask(fmt.Sprintf("%s/%d", name, i))}
+		w.doneFn = w.done
+		p.idle = append(p.idle, w)
 	}
 	return p
 }
@@ -35,22 +49,20 @@ func NewWorkerPool(m *Machine, name string, workers int) *WorkerPool {
 // until then.
 func (p *WorkerPool) Submit(fn func(t *Task, done func())) {
 	if n := len(p.idle); n > 0 {
-		t := p.idle[n-1]
+		w := p.idle[n-1]
 		p.idle = p.idle[:n-1]
-		p.run(t, fn)
+		fn(w.t, w.doneFn)
 		return
 	}
-	p.queue = append(p.queue, fn)
+	p.queue.Push(fn)
 }
 
-func (p *WorkerPool) run(t *Task, fn func(*Task, func())) {
-	fn(t, func() {
-		if len(p.queue) > 0 {
-			next := p.queue[0]
-			p.queue = p.queue[1:]
-			p.run(t, next)
-			return
-		}
-		p.idle = append(p.idle, t)
-	})
+// done hands the worker the next waiting item, or parks it idle.
+func (w *worker) done() {
+	p := w.p
+	if p.queue.Len() == 0 {
+		p.idle = append(p.idle, w)
+		return
+	}
+	p.queue.Pop()(w.t, w.doneFn)
 }

@@ -75,7 +75,7 @@ func TestWorkerPoolBoundsConcurrency(t *testing.T) {
 			t.Fatalf("completion order %v, want FIFO", order)
 		}
 	}
-	if len(p.queue) != 0 || len(p.idle) != 2 {
-		t.Fatalf("pool after drain: queue=%d idle=%d, want 0/2", len(p.queue), len(p.idle))
+	if p.queue.Len() != 0 || len(p.idle) != 2 {
+		t.Fatalf("pool after drain: queue=%d idle=%d, want 0/2", p.queue.Len(), len(p.idle))
 	}
 }

@@ -33,13 +33,67 @@ var ErrDetached = errors.New("syscall: issuer not attached to a channel")
 // silently drop their effects. New work belongs to the restored issuer.
 var ErrSealed = errors.New("syscall: issuer sealed by checkpoint")
 
+// pendingCall is one issued syscall. Records are pooled per issuer with
+// their send step bound once: a record returns to the pool when its
+// completion is delivered, or, for fire-and-forget, once it is sent.
 type pendingCall struct {
+	iss      *Issuer
 	op       Op
 	mode     Mode
 	issued   sim.Time
 	k        func(*Completion)
 	wire     []byte // retained while pending, for checkpoint + reissue
 	restored bool   // entry rebuilt by Restore; completion routes to the default handler
+	queued   bool   // a send is queued on the device
+	sendFn   func() // p.send, bound once
+}
+
+func (i *Issuer) newCall() *pendingCall {
+	p := &pendingCall{iss: i}
+	p.sendFn = p.send
+	return p
+}
+
+func (i *Issuer) getCall() *pendingCall {
+	if n := len(i.callFree); n > 0 {
+		p := i.callFree[n-1]
+		i.callFree[n-1] = nil
+		i.callFree = i.callFree[:n-1]
+		return p
+	}
+	return i.newCall()
+}
+
+// putCall recycles a finished record, keeping its wire buffer. A record
+// whose send is still queued is left to the collector instead: a
+// completion can beat its own send (the original request of a reissued
+// restore was already in the air), and that send must still write this
+// request, not a later call's.
+func (i *Issuer) putCall(p *pendingCall) {
+	if p.queued {
+		return
+	}
+	p.k = nil
+	if len(i.callFree) < 256 {
+		i.callFree = append(i.callFree, p)
+	}
+}
+
+// post queues the record's send behind issueCycles of device work.
+func (p *pendingCall) post() {
+	p.queued = true
+	p.iss.dev.Exec(issueCycles, p.sendFn)
+}
+
+// send writes the marshaled request to the syscall ring.
+func (p *pendingCall) send() {
+	i := p.iss
+	p.queued = false
+	_ = i.end.Write(p.wire)
+	if p.mode == ModeFireForget {
+		i.releaseCredit()
+		i.putCall(p)
+	}
 }
 
 // Issuer is the device side of the syscall subsystem: it marshals typed
@@ -62,6 +116,12 @@ type Issuer struct {
 	defaultK func(*Completion)
 	stats    Stats
 	lats     []sim.Time // completion latencies, issue→done
+	callFree []*pendingCall
+
+	// rep and comp are decoded into and handed to each continuation in
+	// turn: a *Completion is valid only during the call to k.
+	rep  call.Reply
+	comp Completion
 }
 
 // NewIssuer builds an issuer for the device. res, when non-nil, is
@@ -97,8 +157,7 @@ func (i *Issuer) Attach(end *channel.Endpoint) {
 		if i.tr.On() {
 			i.tr.Instant(obs.CatSyscall, trReissue, int64(idSeq(id)))
 		}
-		wire := p.wire
-		i.dev.Exec(issueCycles, func() { _ = i.end.Write(wire) })
+		p.post()
 	}
 }
 
@@ -136,9 +195,11 @@ func (i *Issuer) releaseCredit() {
 }
 
 // Issue marshals one syscall and posts it to the host. k receives the
-// completion (nil k is allowed for ModeFireForget). The credit is held
-// until completion — or, for fire-and-forget, until the request is handed
-// to the channel.
+// completion (nil k is allowed for ModeFireForget). The *Completion and
+// its Results are valid only during the call to k: the issuer reuses them
+// for the next completion, so k copies out what it keeps. The credit is
+// held until completion — or, for fire-and-forget, until the request is
+// handed to the channel.
 func (i *Issuer) Issue(op Op, mode Mode, args []any, k func(*Completion)) error {
 	if i.end == nil {
 		return ErrDetached
@@ -152,32 +213,31 @@ func (i *Issuer) Issue(op Op, mode Mode, args []any, k func(*Completion)) error 
 	}
 	id := packID(i.nextSeq, mode)
 	i.nextSeq++
-	wire, err := call.Marshal(&call.Call{Iface: IfaceGUID, Method: op.String(), Args: args, ReturnDesc: id})
+	p := i.getCall()
+	wire, err := call.AppendCall(p.wire[:0], &call.Call{Iface: IfaceGUID, Method: op.String(), Args: args, ReturnDesc: id})
 	if err != nil {
+		i.putCall(p)
 		i.releaseCredit()
 		return err
 	}
+	p.op, p.mode, p.issued, p.k, p.wire = op, mode, i.eng.Now(), k, wire
 	i.stats.Issued++
 	if i.tr.On() {
 		i.tr.Instant(obs.CatSyscall, trIssue, int64(idSeq(id)))
 	}
 	if mode == ModeFireForget {
 		i.stats.FireForget++
-		i.dev.Exec(issueCycles, func() {
-			_ = i.end.Write(wire)
-			i.releaseCredit()
-		})
-		return nil
+	} else {
+		i.pending[id] = p
 	}
-	i.pending[id] = &pendingCall{op: op, mode: mode, issued: i.eng.Now(), k: k, wire: wire}
-	i.dev.Exec(issueCycles, func() { _ = i.end.Write(wire) })
+	p.post()
 	return nil
 }
 
 // onCompletion handles a reply payload arriving on the device endpoint.
 func (i *Issuer) onCompletion(data []byte) {
-	rep, err := call.UnmarshalReply(data)
-	if err != nil {
+	rep := &i.rep
+	if err := call.UnmarshalReplyInto(data, rep); err != nil {
 		return // not a completion (e.g. unrelated traffic on a shared channel)
 	}
 	id := rep.ReturnDesc
@@ -193,7 +253,10 @@ func (i *Issuer) onCompletion(data []byte) {
 	delete(i.pending, id)
 	i.releaseCredit()
 	now := i.eng.Now()
-	c := &Completion{ID: id, Op: p.op, Results: rep.Results, Err: rep.Err, Issued: p.issued, Done: now}
+	op, issued, k, restored := p.op, p.issued, p.k, p.restored
+	i.putCall(p)
+	c := &i.comp
+	*c = Completion{ID: id, Op: op, Results: rep.Results, Err: rep.Err, Issued: issued, Done: now}
 	i.stats.Completed++
 	if rep.Err != "" {
 		i.stats.Errors++
@@ -202,12 +265,12 @@ func (i *Issuer) onCompletion(data []byte) {
 	if i.tr.On() {
 		i.tr.Instant(obs.CatSyscall, trComplete, int64(idSeq(id)))
 		// End-to-end per-call span on the device shard: issue→complete.
-		i.tr.Complete(obs.CatSyscall, trCallSpan+p.op.String(), p.issued, now-p.issued, int64(idSeq(id)))
+		i.tr.Complete(obs.CatSyscall, trCallSpan+op.String(), issued, now-issued, int64(idSeq(id)))
 	}
 	switch {
-	case p.k != nil:
-		p.k(c)
-	case p.restored && i.defaultK != nil:
+	case k != nil:
+		k(c)
+	case restored && i.defaultK != nil:
 		i.defaultK(c)
 	}
 }
@@ -289,8 +352,9 @@ func (i *Issuer) Restore(b []byte) error {
 			return fmt.Errorf("syscall: checkpoint entry %d: %w", j, err)
 		}
 		ids = append(ids, id)
-		calls = append(calls, &pendingCall{op: op, mode: idMode(id), issued: issued,
-			wire: append([]byte(nil), wire...), restored: true})
+		p := i.newCall()
+		p.op, p.mode, p.issued, p.wire, p.restored = op, idMode(id), issued, append([]byte(nil), wire...), true
+		calls = append(calls, p)
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("syscall: %d trailing bytes after checkpoint", len(rest))

@@ -23,6 +23,12 @@
 // ModeAsync (up to the credit limit outstanding, completions via the
 // reply ring), and ModeFireForget (no completion at all). The mode rides
 // in the top bits of the call id so the host knows whether to reply.
+//
+// Once warm, the round trip allocates only the boxed clock readings: both
+// sides keep pooled per-call records, and the issuer hands every
+// continuation the same issuer-owned Completion. A *Completion and its Results are
+// therefore valid only during the continuation; keep a copy, not the
+// pointer.
 package syscall
 
 import (
@@ -205,7 +211,8 @@ const (
 	trCallSpan = "syscall.call." // + op
 )
 
-// Completion is what a syscall continuation receives.
+// Completion is what a syscall continuation receives. It is owned by the
+// Issuer and valid only during the continuation call.
 type Completion struct {
 	ID      uint64
 	Op      Op

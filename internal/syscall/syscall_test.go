@@ -283,6 +283,52 @@ func TestCheckpointRestoreExactlyOnce(t *testing.T) {
 	}
 }
 
+// A restored call's completion can beat its own reissue: here the swap
+// happens inside the delivery of the original replies, so the restored
+// entries complete while their reissue sends are still queued on the
+// device. The default handler's new fire-and-forget calls must not take
+// over those records: each reissue still carries its restored request
+// (the host answers it from the reply cache and the issuer counts an
+// orphan), and every credit is released exactly once.
+func TestCompletionBeforeReissueSend(t *testing.T) {
+	r := newRig(t, batchedProfile(), nil)
+	for i := 0; i < 3; i++ {
+		if err := r.iss.Log("pending", ModeAsync); err != nil {
+			t.Fatal(err)
+		}
+	}
+	iss2 := NewIssuer(r.disk, batchedProfile(), nil)
+	restored := 0
+	iss2.SetDefaultHandler(func(c *Completion) {
+		restored++
+		if err := iss2.Log("after", ModeFireForget); err != nil {
+			t.Fatal(err)
+		}
+	})
+	r.dend.InstallCallHandler(func(data []byte) {
+		// The first original reply triggers the swap; Attach replaces
+		// this handler for the rest of the group.
+		if err := iss2.Restore(r.iss.Checkpoint()); err != nil {
+			t.Fatal(err)
+		}
+		iss2.Attach(r.dend)
+		iss2.onCompletion(data)
+	})
+	r.eng.RunAll()
+
+	st := iss2.Stats()
+	if restored != 3 || st.Reissued != 3 || st.Orphaned != 3 {
+		t.Fatalf("restored completions %d, reissued %d, orphaned %d; want 3 each", restored, st.Reissued, st.Orphaned)
+	}
+	if iss2.InFlight() != 0 {
+		t.Fatalf("in-flight = %d after every call finished", iss2.InFlight())
+	}
+	hs := r.svc.Stats()
+	if hs.Executed != 6 || hs.Deduped != 3 || r.vfs.LogLines() != 6 {
+		t.Fatalf("service stats = %+v, log lines %d; want 6 executed, 3 deduped, 6 lines", hs, r.vfs.LogLines())
+	}
+}
+
 // Batching amortizes the host's per-syscall interrupt cost: the same call
 // volume with Batch 16 must raise far fewer interrupts (host interrupts and
 // device doorbells, as the channel counts them) and burn measurably fewer

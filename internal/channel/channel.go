@@ -187,14 +187,15 @@ type Endpoint struct {
 	ringSize int
 
 	handler   Handler
-	seqFns    []func() // sequential dispatch backlog
-	dispatchB bool     // a sequential dispatch is running
+	seq       sim.FIFO[*xfer] // sequential dispatch backlog
+	dispatchB bool            // a sequential dispatch is running
 	closed    bool
 
 	// Batching state: messages credited but not yet flushed, plus the
 	// coalescing timer armed when the first of them arrived.
 	batchMsgs  []*message
 	batchTimer sim.Event
+	flushFn    func() // e.coalesced, bound on first use
 
 	// Quiesce state: while paused, groups arriving at this endpoint are
 	// held — payload copied into a kernel hold buffer, descriptor credits
@@ -234,7 +235,7 @@ type Channel struct {
 	// credits[dir] is per-direction ring availability; dir 0 is
 	// creator→peer (InRing), dir 1 is peer→creator (OutRing).
 	credits [2]int
-	pending [2][]func() // sends awaiting a descriptor
+	pending [2]sim.FIFO[*message] // sends awaiting a descriptor
 
 	stats  Stats
 	closed bool
@@ -246,13 +247,56 @@ type Channel struct {
 	nextID uint64
 
 	// Free lists for the steady-state hot path: message envelopes (with
-	// their payload buffers) and the transient batch slices and gather
-	// size lists built per transmit. Everything cycles
-	// Write → transmit → deliver → free list, so a saturated channel
-	// stops allocating once warm.
+	// their payload buffers), the transient batch slices and gather
+	// size lists built per transmit, and the transfer-group records.
+	// Everything cycles Write → transmit → deliver → free list, so a
+	// saturated channel stops allocating once warm.
 	msgFree   []*message
 	batchFree [][]*message
 	sizeFree  [][]int
+	xferFree  []*xfer
+}
+
+// xfer is one transfer group's trip: the sender's preparation, the wire,
+// and the receiver's sequential dispatch. Records are pooled per channel
+// with their steps bound once when minted, in place of a closure per
+// step. A record returns to the pool when its group completes at the
+// receiver; a group lost with a crashed device is left to the collector.
+type xfer struct {
+	c        *Channel
+	src, dst *Endpoint
+	dir      int
+	msgs     []*message
+	sizes    []int // gather list, held until the wire is issued
+	total    int
+	credits  int // descriptor credits released at completion (0 on replay)
+
+	discarded bool // the destination closed while the group was on the wire
+	heldOff   bool // parked at a paused endpoint
+
+	tx, dma, dl obs.SpanHandle // open trace spans, when tracing
+
+	sentFn, wiredFn, isrFn, invokeFn func()
+}
+
+func (c *Channel) getXfer() *xfer {
+	if n := len(c.xferFree); n > 0 {
+		x := c.xferFree[n-1]
+		c.xferFree[n-1] = nil
+		c.xferFree = c.xferFree[:n-1]
+		return x
+	}
+	x := &xfer{c: c}
+	x.sentFn, x.wiredFn, x.isrFn, x.invokeFn = x.sent, x.wired, x.isr, x.invoke
+	return x
+}
+
+func (c *Channel) putXfer(x *xfer) {
+	x.src, x.dst, x.msgs, x.sizes = nil, nil, nil, nil
+	x.tx, x.dma, x.dl = obs.SpanHandle{}, obs.SpanHandle{}, obs.SpanHandle{}
+	if len(c.xferFree) < poolCap {
+		c.xferFree = append(c.xferFree, x)
+	}
 }
 
 // poolCap bounds each free list so an idle channel does not pin the
@@ -400,9 +444,8 @@ func (c *Channel) Close() {
 		return
 	}
 	c.closed = true
-	c.stats.Undelivered += uint64(len(c.pending[0]) + len(c.pending[1]))
-	c.pending[0] = nil
-	c.pending[1] = nil
+	c.stats.Undelivered += uint64(c.pending[0].Len() + c.pending[1].Len())
+	c.pending = [2]sim.FIFO[*message]{}
 	for _, e := range [2]*Endpoint{c.creator, c.peer} {
 		if e == nil {
 			continue
@@ -491,7 +534,7 @@ func (e *Endpoint) write(msg *message) error {
 		if c.tr.On() {
 			c.tr.Instant(obs.CatChannel, trQueued, int64(msg.id))
 		}
-		c.pending[dir] = append(c.pending[dir], func() { c.dispatchSend(e, dir, msg) })
+		c.pending[dir].Push(msg)
 		return nil
 	}
 	c.credits[dir]--
@@ -523,11 +566,25 @@ func (c *Channel) enqueueBatch(src *Endpoint, dir int, msg *message) {
 		return
 	}
 	if len(src.batchMsgs) == 1 {
-		src.batchTimer = c.eng.Schedule(c.cfg.Coalesce, func() {
-			src.batchTimer = sim.Event{}
-			c.flushBatch(src, dir, true)
-		})
+		if src.flushFn == nil {
+			src.flushFn = src.coalesced
+		}
+		src.batchTimer = c.eng.Schedule(c.cfg.Coalesce, src.flushFn)
 	}
+}
+
+// coalesced flushes e's partial batch when its Coalesce timer fires.
+func (e *Endpoint) coalesced() {
+	e.batchTimer = sim.Event{}
+	e.ch.flushBatch(e, e.dir(), true)
+}
+
+// dir is the ring direction e sends on: 0 from the creator, 1 toward it.
+func (e *Endpoint) dir() int {
+	if e == e.ch.creator {
+		return 0
+	}
+	return 1
 }
 
 // flushBatch sends everything accumulated at src as one transfer.
@@ -559,44 +616,32 @@ func (c *Channel) flushBatch(src *Endpoint, dir int, coalesced bool) {
 // transaction, and one receiver notification, with only an incremental
 // per-descriptor cost for each extra message.
 func (c *Channel) transmit(src *Endpoint, dir int, msgs []*message) {
-	dst := c.creator
+	x := c.getXfer()
+	x.src, x.dir, x.msgs = src, dir, msgs
+	x.dst = c.creator
 	if src == c.creator {
-		dst = c.peer
+		x.dst = c.peer
 	}
 	n := len(msgs)
+	x.credits = n
 	total := 0
 	sizes := c.getSizes()
 	for _, m := range msgs {
 		total += len(m.data)
 		sizes = append(sizes, len(m.data))
 	}
+	x.sizes, x.total = sizes, total
 	c.stats.Sent += uint64(n)
 	c.stats.Bytes += uint64(total)
 	if c.tr.On() {
 		for _, m := range msgs {
 			c.tr.Instant(obs.CatChannel, trSend, int64(m.id))
 		}
-	}
-
-	afterPrep := func() {
-		c.wire(src, dst, sizes, total, func() {
-			c.deliver(dst, msgs, func() {
-				for i := 0; i < n; i++ {
-					c.releaseCredit(dir)
-				}
-			})
-		})
-		// The gather list is consumed synchronously by wire's DMA issue.
-		c.putSizes(sizes)
+		x.tx = c.tr.Begin(obs.CatChannel, trTx, int64(n))
 	}
 
 	// Sender-side preparation: one kernel entry / firmware dispatch posts
 	// the whole group; descriptors beyond the first cost only their post.
-	if c.tr.On() {
-		h := c.tr.Begin(obs.CatChannel, trTx, int64(n))
-		inner := afterPrep
-		afterPrep = func() { c.tr.End(h); inner() }
-	}
 	switch {
 	case src.host != nil:
 		cycles := uint64(1500) + 300*uint64(n-1) // syscall + descriptor posts
@@ -606,152 +651,183 @@ func (c *Channel) transmit(src *Endpoint, dir int, msgs []*message) {
 			src.task.Copy(cache.Kernel, srcAddr, src.ringBuf, total, nil)
 			cycles += src.host.CopyCycles(total)
 		}
-		src.task.Syscall(cycles, afterPrep)
+		src.task.Syscall(cycles, x.sentFn)
 	default:
-		src.dev.Exec(500+100*uint64(n-1), afterPrep)
+		src.dev.Exec(500+100*uint64(n-1), x.sentFn)
 	}
+}
+
+// sent puts the prepared group on the wire.
+func (x *xfer) sent() {
+	c := x.c
+	if c.tr.On() {
+		c.tr.End(x.tx)
+	}
+	c.wire(x)
+	// The gather list is consumed synchronously by wire's DMA issue.
+	c.putSizes(x.sizes)
+	x.sizes = nil
 }
 
 // wire moves the payload between execution domains. A batch rides one
 // gather DMA; a single message is a plain transfer.
-func (c *Channel) wire(src, dst *Endpoint, sizes []int, total int, done func()) {
+func (c *Channel) wire(x *xfer) {
+	src, dst, sizes, total := x.src, x.dst, x.sizes, x.total
 	if c.tr.On() {
 		name := trDMA
 		if len(sizes) > 1 {
 			name = trDMAGather
 		}
-		h := c.tr.Begin(obs.CatChannel, name, int64(total))
-		inner := done
-		done = func() { c.tr.End(h); inner() }
+		x.dma = c.tr.Begin(obs.CatChannel, name, int64(total))
 	}
 	if len(sizes) > 1 {
 		switch {
 		case src.host != nil && dst.dev != nil:
-			dst.dev.DMAFromHostGather(src.ringBuf, sizes, done)
+			dst.dev.DMAFromHostGather(src.ringBuf, sizes, x.wiredFn)
 		case src.dev != nil:
-			src.dev.DMAToHostGather(dst.ringBuf, sizes, done)
+			src.dev.DMAToHostGather(dst.ringBuf, sizes, x.wiredFn)
 		default:
 			// host→host: one in-memory copy, no bus.
-			src.task.Copy(cache.Kernel, src.ringBuf, dst.ringBuf, total, done)
+			src.task.Copy(cache.Kernel, src.ringBuf, dst.ringBuf, total, x.wiredFn)
 		}
 		return
 	}
 	switch {
 	case src.host != nil && dst.dev != nil:
 		// Device pulls from pinned host memory.
-		dst.dev.DMAFromHost(src.ringBuf, total, done)
+		dst.dev.DMAFromHost(src.ringBuf, total, x.wiredFn)
 	case src.dev != nil:
 		// Device pushes into the host ring; lines are invalidated.
-		src.dev.DMAToHost(dst.ringBuf, total, done)
+		src.dev.DMAToHost(dst.ringBuf, total, x.wiredFn)
 	default:
 		// host→host: one in-memory copy, no bus.
-		src.task.Copy(cache.Kernel, src.ringBuf, dst.ringBuf, total, done)
+		src.task.Copy(cache.Kernel, src.ringBuf, dst.ringBuf, total, x.wiredFn)
 	}
 }
 
-// deliver dispatches a delivered group at the receiver and recycles its
-// descriptors. One notification — host interrupt or device doorbell —
-// retires the whole group; each message still gets its own handler
-// invocation, in order.
-func (c *Channel) deliver(dst *Endpoint, msgs []*message, done func()) {
-	n := len(msgs)
-	discarded := false
-	heldOff := false
+// wired hands the landed group to the receiver.
+func (x *xfer) wired() {
+	if x.c.tr.On() {
+		x.c.tr.End(x.dma)
+	}
+	x.c.deliver(x)
+}
+
+// deliver queues a delivered group for dispatch at the receiver, which
+// recycles its descriptors. One notification — host interrupt or device
+// doorbell — retires the whole group; each message still gets its own
+// handler invocation, in order.
+func (c *Channel) deliver(x *xfer) {
+	dst := x.dst
 	dst.inflight++
-	finish := func() {
-		dst.inflight--
-		dst.checkDrained()
-		switch {
-		case discarded:
-			// The destination closed while the group was on the wire: the
-			// messages were never handed to a handler, so they are
-			// undelivered, not delivered.
-			c.stats.Undelivered += uint64(n)
-		case heldOff:
-			// Parked at a paused endpoint; Delivered counts at replay.
-		default:
-			c.stats.Delivered += uint64(n)
+	x.discarded, x.heldOff = false, false
+	if c.tr.On() {
+		x.dl = c.tr.Begin(obs.CatChannel, trDeliver, int64(len(x.msgs)))
+	}
+	dst.seq.Push(x)
+	dst.pumpSequential(c)
+}
+
+// run dispatches the group once it reaches the head of the receiver's
+// sequential backlog.
+func (x *xfer) run() {
+	c, dst, msgs := x.c, x.dst, x.msgs
+	n := len(msgs)
+	if dst.closed {
+		x.discarded = true
+		x.complete()
+		return
+	}
+	if dst.paused {
+		x.heldOff = true
+		c.holdGroup(dst, msgs)
+		x.complete()
+		return
+	}
+	if dst.handler == nil {
+		// No handler installed: the messages count as delivered and
+		// their buffers go straight back to the pool.
+		if c.tr.On() {
+			for _, m := range msgs {
+				c.tr.Instant(obs.CatChannel, trDelivered, int64(m.id))
+			}
 		}
-		// Handlers have returned: the batch and its envelopes go back to
-		// the pool.
-		c.putBatch(msgs)
-		done()
+		x.complete()
+		return
+	}
+	c.stats.Interrupts++
+	if c.tr.On() {
+		c.tr.Instant(obs.CatChannel, trIRQ, int64(n))
+	}
+	if dst.host != nil {
+		// One interrupt, then one kernel entry dispatching the group.
+		dst.host.Interrupt(dst.name, 600, x.isrFn)
+		return
+	}
+	dst.dev.Exec(800+200*uint64(n-1), x.invokeFn)
+}
+
+// isr is the host's interrupt service for the group: one kernel entry
+// reads the landed payload and dispatches the handlers.
+func (x *xfer) isr() {
+	c, dst := x.c, x.dst
+	total := 0
+	for _, m := range x.msgs {
+		total += len(m.data)
+	}
+	cycles := uint64(2000) + 500*uint64(len(x.msgs)-1)
+	// Zero copy still reads the DMA-ed payload once.
+	dst.task.TouchRange(cache.Kernel, dst.ringBuf, total)
+	if !c.cfg.ZeroCopyRead {
+		cycles += dst.host.CopyCycles(total)
+	}
+	dst.task.Syscall(cycles, x.invokeFn)
+}
+
+// invoke runs the handler once per message, in order.
+func (x *xfer) invoke() {
+	c, dst := x.c, x.dst
+	for _, m := range x.msgs {
+		dst.handler(m.data)
 	}
 	if c.tr.On() {
-		h := c.tr.Begin(obs.CatChannel, trDeliver, int64(n))
-		inner := finish
-		finish = func() { c.tr.End(h); inner() }
-	}
-	run := func(complete func()) {
-		if dst.closed {
-			discarded = true
-			complete()
-			return
-		}
-		if dst.paused {
-			heldOff = true
-			c.holdGroup(dst, msgs)
-			complete()
-			return
-		}
-		if dst.handler == nil {
-			// No handler installed: the messages count as delivered and
-			// their buffers go straight back to the pool.
-			if c.tr.On() {
-				for _, m := range msgs {
-					c.tr.Instant(obs.CatChannel, trDelivered, int64(m.id))
-				}
-			}
-			complete()
-			return
-		}
-		total := 0
-		for _, m := range msgs {
-			total += len(m.data)
-		}
-		invoke := func() {
-			for _, m := range msgs {
-				dst.handler(m.data)
-			}
-			if c.tr.On() {
-				for _, m := range msgs {
-					c.tr.Instant(obs.CatChannel, trDelivered, int64(m.id))
-				}
-			}
-			complete()
-		}
-		switch {
-		case dst.host != nil:
-			// One interrupt, then one kernel entry dispatching the group.
-			c.stats.Interrupts++
-			if c.tr.On() {
-				c.tr.Instant(obs.CatChannel, trIRQ, int64(n))
-			}
-			dst.host.Interrupt(dst.name, 600, func() {
-				cycles := uint64(2000) + 500*uint64(n-1)
-				// Zero copy still reads the DMA-ed payload once.
-				dst.task.TouchRange(cache.Kernel, dst.ringBuf, total)
-				if !c.cfg.ZeroCopyRead {
-					cycles += dst.host.CopyCycles(total)
-				}
-				dst.task.Syscall(cycles, invoke)
-			})
-		default:
-			c.stats.Interrupts++
-			if c.tr.On() {
-				c.tr.Instant(obs.CatChannel, trIRQ, int64(n))
-			}
-			dst.dev.Exec(800+200*uint64(n-1), invoke)
+		for _, m := range x.msgs {
+			c.tr.Instant(obs.CatChannel, trDelivered, int64(m.id))
 		}
 	}
+	x.complete()
+}
 
-	dst.seqFns = append(dst.seqFns, func() {
-		run(func() {
-			finish()
-			dst.dispatchB = false
-			dst.pumpSequential(c)
-		})
-	})
+// complete retires the group: counts it, recycles its envelopes, record
+// and descriptors, and starts the receiver's next group.
+func (x *xfer) complete() {
+	c, dst, n := x.c, x.dst, uint64(len(x.msgs))
+	if c.tr.On() {
+		c.tr.End(x.dl)
+	}
+	dst.inflight--
+	dst.checkDrained()
+	switch {
+	case x.discarded:
+		// The destination closed while the group was on the wire: the
+		// messages were never handed to a handler, so they are
+		// undelivered, not delivered.
+		c.stats.Undelivered += n
+	case x.heldOff:
+		// Parked at a paused endpoint; Delivered counts at replay.
+	default:
+		c.stats.Delivered += n
+	}
+	// Handlers have returned: the batch and its envelopes go back to the
+	// pool, and so does the record before the credits it releases can
+	// start new transfers.
+	c.putBatch(x.msgs)
+	dir, credits := x.dir, x.credits
+	c.putXfer(x)
+	for i := 0; i < credits; i++ {
+		c.releaseCredit(dir)
+	}
+	dst.dispatchB = false
 	dst.pumpSequential(c)
 }
 
@@ -759,14 +835,12 @@ func (e *Endpoint) pumpSequential(c *Channel) {
 	if e.dispatchB {
 		return
 	}
-	if len(e.seqFns) == 0 {
+	if e.seq.Len() == 0 {
 		e.checkDrained()
 		return
 	}
 	e.dispatchB = true
-	fn := e.seqFns[0]
-	e.seqFns = e.seqFns[1:]
-	fn()
+	e.seq.Pop().run()
 }
 
 // Drain invokes fn once every dispatch already accepted toward this
@@ -776,7 +850,7 @@ func (e *Endpoint) pumpSequential(c *Channel) {
 // drained endpoint is fully quiesced. fn runs immediately when nothing is
 // in flight.
 func (e *Endpoint) Drain(fn func()) {
-	if e.inflight == 0 && !e.dispatchB && len(e.seqFns) == 0 {
+	if e.inflight == 0 && !e.dispatchB && e.seq.Len() == 0 {
 		fn()
 		return
 	}
@@ -785,7 +859,7 @@ func (e *Endpoint) Drain(fn func()) {
 
 // checkDrained fires pending Drain callbacks once the endpoint is idle.
 func (e *Endpoint) checkDrained() {
-	if e.inflight > 0 || e.dispatchB || len(e.seqFns) > 0 || len(e.drainFns) == 0 {
+	if e.inflight > 0 || e.dispatchB || e.seq.Len() > 0 || len(e.drainFns) == 0 {
 		return
 	}
 	fns := e.drainFns
@@ -796,10 +870,13 @@ func (e *Endpoint) checkDrained() {
 }
 
 func (c *Channel) releaseCredit(dir int) {
-	if len(c.pending[dir]) > 0 {
-		next := c.pending[dir][0]
-		c.pending[dir] = c.pending[dir][1:]
-		next() // reuse the credit immediately
+	if c.pending[dir].Len() > 0 {
+		// Reuse the credit immediately, for the sender on this ring.
+		src := c.creator
+		if dir == 1 {
+			src = c.peer
+		}
+		c.dispatchSend(src, dir, c.pending[dir].Pop())
 		return
 	}
 	c.credits[dir]++
@@ -867,7 +944,9 @@ func (e *Endpoint) Resume() int {
 		}
 		// Credits were released when the group was first held, so the
 		// replayed delivery completes without touching the rings.
-		c.deliver(e, batch, func() {})
+		x := c.getXfer()
+		x.dst, x.msgs, x.credits = e, batch, 0
+		c.deliver(x)
 	}
 	return replayed
 }

@@ -214,10 +214,7 @@ func (s *x12Shard) ChannelConnected(ep *channel.Endpoint) {
 		// decode immediately (the slice may alias the ring).
 		for off := 0; off+x12RecBytes <= len(data); off += x12RecBytes {
 			b := data[off : off+x12RecBytes]
-			key, err := flowtable.DecodeKey(b[:flowtable.KeyBytes])
-			if err != nil {
-				continue
-			}
+			key, _ := flowtable.DecodeKey(b[:flowtable.KeyBytes]) // every 13-byte slice is a key
 			rec := x12Packet{key: key,
 				seq:    binary.LittleEndian.Uint64(b[flowtable.KeyBytes:]),
 				sentAt: sim.Time(binary.LittleEndian.Uint64(b[flowtable.KeyBytes+8:]))}
@@ -352,10 +349,7 @@ func (s *x12Shard) applyCkpt(b []byte) error {
 	}
 	queue := make([]x12Packet, 0, qn)
 	for i := 0; i < qn; i++ {
-		key, err := flowtable.DecodeKey(b[off : off+flowtable.KeyBytes])
-		if err != nil {
-			return err
-		}
+		key, _ := flowtable.DecodeKey(b[off : off+flowtable.KeyBytes]) // every 13-byte slice is a key
 		queue = append(queue, x12Packet{key: key,
 			seq:    binary.LittleEndian.Uint64(b[off+flowtable.KeyBytes:]),
 			sentAt: sim.Time(binary.LittleEndian.Uint64(b[off+flowtable.KeyBytes+8:]))})

@@ -83,7 +83,7 @@ func (o *Object) Validate() error {
 		}
 	}
 	for _, r := range o.Relocs {
-		if r.Offset+8 > uint64(len(o.Code)) {
+		if uint64(len(o.Code)) < 8 || r.Offset > uint64(len(o.Code))-8 { // no wrap past 2^64
 			return fmt.Errorf("%w: relocation at %d beyond code", ErrBadImage, r.Offset)
 		}
 		if r.Symbol == "" {
@@ -137,17 +137,18 @@ func Decode(b []byte) (*Object, error) {
 	o.Name = r.str()
 	o.GUID = guid.GUID(r.u64())
 	o.Code = append([]byte(nil), r.bytes(int(r.u32()))...)
+	// A count past the data ends in a short read: each entry is at least
+	// 10 bytes, so the loops stop within the image.
 	nd := int(r.u32())
-	if r.err == nil && nd >= 0 && nd < 1<<20 {
-		for i := 0; i < nd && r.err == nil; i++ {
-			o.Defined = append(o.Defined, Symbol{Name: r.str(), Offset: r.u64()})
-		}
+	for i := 0; i < nd && r.err == nil; i++ {
+		o.Defined = append(o.Defined, Symbol{Name: r.str(), Offset: r.u64()})
 	}
 	nr := int(r.u32())
-	if r.err == nil && nr >= 0 && nr < 1<<20 {
-		for i := 0; i < nr && r.err == nil; i++ {
-			o.Relocs = append(o.Relocs, Reloc{Symbol: r.str(), Offset: r.u64()})
-		}
+	for i := 0; i < nr && r.err == nil; i++ {
+		o.Relocs = append(o.Relocs, Reloc{Symbol: r.str(), Offset: r.u64()})
+	}
+	if r.err == nil && len(r.buf) != 0 {
+		r.err = fmt.Errorf("%d trailing bytes", len(r.buf))
 	}
 	if r.err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadImage, r.err)

@@ -268,7 +268,7 @@ type xfer struct {
 	dir      int
 	msgs     []*message
 	sizes    []int // gather list, held until the wire is issued
-	total    int
+	total    int   // payload bytes in msgs
 	credits  int // descriptor credits released at completion (0 on replay)
 
 	discarded bool // the destination closed while the group was on the wire
@@ -771,15 +771,11 @@ func (x *xfer) run() {
 // reads the landed payload and dispatches the handlers.
 func (x *xfer) isr() {
 	c, dst := x.c, x.dst
-	total := 0
-	for _, m := range x.msgs {
-		total += len(m.data)
-	}
 	cycles := uint64(2000) + 500*uint64(len(x.msgs)-1)
 	// Zero copy still reads the DMA-ed payload once.
-	dst.task.TouchRange(cache.Kernel, dst.ringBuf, total)
+	dst.task.TouchRange(cache.Kernel, dst.ringBuf, x.total)
 	if !c.cfg.ZeroCopyRead {
-		cycles += dst.host.CopyCycles(total)
+		cycles += dst.host.CopyCycles(x.total)
 	}
 	dst.task.Syscall(cycles, x.invokeFn)
 }
@@ -945,7 +941,7 @@ func (e *Endpoint) Resume() int {
 		// Credits were released when the group was first held, so the
 		// replayed delivery completes without touching the rings.
 		x := c.getXfer()
-		x.dst, x.msgs, x.credits = e, batch, 0
+		x.dst, x.msgs, x.total, x.credits = e, batch, g.size, 0
 		c.deliver(x)
 	}
 	return replayed

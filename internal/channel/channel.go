@@ -269,7 +269,7 @@ type xfer struct {
 	msgs     []*message
 	sizes    []int // gather list, held until the wire is issued
 	total    int   // payload bytes in msgs
-	credits  int // descriptor credits released at completion (0 on replay)
+	credits  int   // descriptor credits released at completion (0 on replay)
 
 	discarded bool // the destination closed while the group was on the wire
 	heldOff   bool // parked at a paused endpoint

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -226,38 +228,47 @@ func TestLinkPatchesOnlyRelocsProperty(t *testing.T) {
 
 // Fuzz: any image either decodes to an object that re-encodes to the same
 // bytes and decodes to an equal object, or fails with ErrBadImage; and a
-// decoded object links with every symbol resolved without panicking. The
-// committed corpus holds sample()'s image and truncated and corrupted
-// forms of it, most with the CRC recomputed so they reach the structural
-// checks (a relocation offset that wraps past 2^64, a symbol count past
-// the data, trailing bytes).
+// decoded object links with every symbol resolved without panicking. Each
+// input is also checked with its CRC trailer recomputed, so mutations
+// reach the structural checks behind the CRC. The committed corpus holds
+// sample()'s image and truncated and corrupted forms of it (a relocation
+// offset that wraps past 2^64, a symbol count past the data, trailing
+// bytes).
 func FuzzDecode(f *testing.F) {
 	f.Add(sample().Encode())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		o, err := Decode(data)
-		if err != nil {
-			if !errors.Is(err, ErrBadImage) {
-				t.Fatalf("error %v is not ErrBadImage", err)
-			}
-			return
-		}
-		img := o.Encode()
-		if !bytes.Equal(img, data) {
-			t.Fatalf("accepted image re-encodes differently:\n  in  %x\n  out %x", data, img)
-		}
-		again, err := Decode(img)
-		if err != nil {
-			t.Fatalf("decoded object does not re-encode: %v", err)
-		}
-		if !reflect.DeepEqual(again, o) {
-			t.Fatalf("round trip changed the object:\n  first  %+v\n  second %+v", o, again)
-		}
-		exports := map[string]uint64{}
-		for _, r := range o.Relocs {
-			exports[r.Symbol] = 0xE000
-		}
-		if _, err := Link(o, 0x1000, exports); err != nil {
-			t.Fatalf("decoded object fails to link: %v", err)
+		checkImage(t, data)
+		if len(data) >= 4 {
+			body := data[:len(data)-4]
+			checkImage(t, binary.LittleEndian.AppendUint32(slices.Clone(body), crc32.ChecksumIEEE(body)))
 		}
 	})
+}
+
+func checkImage(t *testing.T, data []byte) {
+	o, err := Decode(data)
+	if err != nil {
+		if !errors.Is(err, ErrBadImage) {
+			t.Fatalf("error %v is not ErrBadImage", err)
+		}
+		return
+	}
+	img := o.Encode()
+	if !bytes.Equal(img, data) {
+		t.Fatalf("accepted image re-encodes differently:\n  in  %x\n  out %x", data, img)
+	}
+	again, err := Decode(img)
+	if err != nil {
+		t.Fatalf("decoded object does not re-encode: %v", err)
+	}
+	if !reflect.DeepEqual(again, o) {
+		t.Fatalf("round trip changed the object:\n  first  %+v\n  second %+v", o, again)
+	}
+	exports := map[string]uint64{}
+	for _, r := range o.Relocs {
+		exports[r.Symbol] = 0xE000
+	}
+	if _, err := Link(o, 0x1000, exports); err != nil {
+		t.Fatalf("decoded object fails to link: %v", err)
+	}
 }

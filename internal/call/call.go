@@ -167,20 +167,20 @@ func readValue(b []byte) (any, []byte, error) {
 
 // readValues decodes count values into dst's storage. A zero count
 // yields nil, as a fresh decode does.
-func readValues(dst []any, b []byte, count int) ([]any, []byte, error) {
+func readValues(dst []any, b []byte, count int) ([]any, error) {
 	if count == 0 {
-		return nil, b, nil
+		return nil, nil
 	}
 	dst = dst[:0]
 	for i := 0; i < count; i++ {
 		v, rest, err := readValue(b)
 		if err != nil {
-			return dst, nil, err
+			return dst, err
 		}
 		dst = append(dst, v)
 		b = rest
 	}
-	return dst, b, nil
+	return dst, nil
 }
 
 func readBlob(b []byte) ([]byte, []byte, error) {
@@ -259,9 +259,8 @@ func UnmarshalInto(b []byte, c *Call) error {
 		c.Method = string(rest[:mlen])
 	}
 	rest = rest[mlen:]
-	argc := int(binary.LittleEndian.Uint16(rest))
 	var err error
-	c.Args, _, err = readValues(c.Args, rest[2:], argc)
+	c.Args, err = readValues(c.Args, rest[2:], int(binary.LittleEndian.Uint16(rest)))
 	return err
 }
 
@@ -323,9 +322,8 @@ func UnmarshalReplyInto(b []byte, r *Reply) error {
 		r.Err = string(rest[:elen])
 	}
 	rest = rest[elen:]
-	count := int(binary.LittleEndian.Uint16(rest))
 	var err error
-	r.Results, _, err = readValues(r.Results, rest[2:], count)
+	r.Results, err = readValues(r.Results, rest[2:], int(binary.LittleEndian.Uint16(rest)))
 	return err
 }
 

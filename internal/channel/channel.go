@@ -293,7 +293,6 @@ func (c *Channel) getXfer() *xfer {
 
 func (c *Channel) putXfer(x *xfer) {
 	x.src, x.dst, x.msgs, x.sizes = nil, nil, nil, nil
-	x.tx, x.dma, x.dl = obs.SpanHandle{}, obs.SpanHandle{}, obs.SpanHandle{}
 	if len(c.xferFree) < poolCap {
 		c.xferFree = append(c.xferFree, x)
 	}
@@ -515,14 +514,10 @@ func (e *Endpoint) write(msg *message) error {
 		c.putMsg(msg)
 		return ErrTooLarge
 	}
-	dir := 0
-	if e == c.creator {
-		if c.peer == nil {
-			c.putMsg(msg)
-			return ErrNoPeer
-		}
-	} else {
-		dir = 1
+	dir := e.dir()
+	if dir == 0 && c.peer == nil {
+		c.putMsg(msg)
+		return ErrNoPeer
 	}
 	if c.tr.On() {
 		c.nextID++

@@ -435,7 +435,10 @@ func (d *Device) DMAFromHost(hostAddr uint64, size int, done func()) {
 	if d.crashed {
 		return
 	}
-	d.bsys.Transfer(bus.MainMemory, d.Agent(), size, orNop(done))
+	if done == nil {
+		done = func() {} // the transfer still schedules its completion event
+	}
+	d.bsys.Transfer(bus.MainMemory, d.Agent(), size, done)
 }
 
 // DMAToHostGather writes several logically distinct payloads into host
@@ -466,19 +469,11 @@ func (d *Device) DMAFromHostGather(hostAddr uint64, sizes []int, done func()) {
 		return
 	}
 	_ = hostAddr // reads leave the host cache alone
-	d.bsys.TransferGather(bus.MainMemory, d.Agent(), sizes, orNop(done))
-}
-
-// orNop stands in a no-op for a nil done, so a transfer always schedules
-// its completion event, whether or not anyone waits on it.
-func orNop(done func()) func() {
 	if done == nil {
-		return nop
+		done = func() {} // the transfer still schedules its completion event
 	}
-	return done
+	d.bsys.TransferGather(bus.MainMemory, d.Agent(), sizes, done)
 }
-
-func nop() {}
 
 // DMAToPeers multicasts size bytes to several devices in one bus
 // transaction (paper §1 fn.2: "if the bus architecture allows it, this

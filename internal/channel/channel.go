@@ -191,9 +191,10 @@ type Endpoint struct {
 	dispatchB bool            // a sequential dispatch is running
 	closed    bool
 
-	// Batching state: messages credited but not yet flushed, plus the
-	// coalescing timer armed when the first of them arrived.
-	batchMsgs  []*message
+	// Batching state: the transfer record collecting messages credited
+	// but not yet flushed (nil when none are), plus the coalescing timer
+	// armed when the first of them arrived.
+	batch      *xfer
 	batchTimer sim.Event
 	flushFn    func() // e.coalesced, bound on first use
 
@@ -247,27 +248,26 @@ type Channel struct {
 	nextID uint64
 
 	// Free lists for the steady-state hot path: message envelopes (with
-	// their payload buffers), the transient batch slices and gather
-	// size lists built per transmit, and the transfer-group records.
-	// Everything cycles Write → transmit → deliver → free list, so a
-	// saturated channel stops allocating once warm.
-	msgFree   []*message
-	batchFree [][]*message
-	sizeFree  [][]int
-	xferFree  []*xfer
+	// their payload buffers) and transfer-group records (with their
+	// message and gather lists). Everything cycles Write → transmit →
+	// deliver → free list, so a saturated channel stops allocating once
+	// warm.
+	msgFree  []*message
+	xferFree []*xfer
 }
 
 // xfer is one transfer group's trip: the sender's preparation, the wire,
 // and the receiver's sequential dispatch. Records are pooled per channel
 // with their steps bound once when minted, in place of a closure per
-// step. A record returns to the pool when its group completes at the
-// receiver; a group lost with a crashed device is left to the collector.
+// step, and keep their message and gather lists across trips. A record
+// returns to the pool when its group completes at the receiver; a group
+// lost with a crashed device is left to the collector.
 type xfer struct {
 	c        *Channel
 	src, dst *Endpoint
 	dir      int
 	msgs     []*message
-	sizes    []int // gather list, held until the wire is issued
+	sizes    []int // gather list: the size of each message
 	total    int   // payload bytes in msgs
 	credits  int   // descriptor credits released at completion (0 on replay)
 
@@ -291,8 +291,13 @@ func (c *Channel) getXfer() *xfer {
 	return x
 }
 
+// putXfer recycles a finished record and the messages it carried.
 func (c *Channel) putXfer(x *xfer) {
-	x.src, x.dst, x.msgs, x.sizes = nil, nil, nil, nil
+	for i, m := range x.msgs {
+		c.putMsg(m)
+		x.msgs[i] = nil
+	}
+	x.src, x.dst, x.msgs, x.sizes = nil, nil, x.msgs[:0], x.sizes[:0]
 	if len(c.xferFree) < poolCap {
 		c.xferFree = append(c.xferFree, x)
 	}
@@ -317,43 +322,6 @@ func (c *Channel) putMsg(m *message) {
 	m.id = 0
 	if len(c.msgFree) < poolCap {
 		c.msgFree = append(c.msgFree, m)
-	}
-}
-
-func (c *Channel) getBatch() []*message {
-	if n := len(c.batchFree); n > 0 {
-		b := c.batchFree[n-1]
-		c.batchFree[n-1] = nil
-		c.batchFree = c.batchFree[:n-1]
-		return b
-	}
-	return nil
-}
-
-// putBatch recycles a delivered batch and its messages.
-func (c *Channel) putBatch(b []*message) {
-	for i, m := range b {
-		c.putMsg(m)
-		b[i] = nil
-	}
-	if len(c.batchFree) < poolCap {
-		c.batchFree = append(c.batchFree, b[:0])
-	}
-}
-
-func (c *Channel) getSizes() []int {
-	if n := len(c.sizeFree); n > 0 {
-		s := c.sizeFree[n-1]
-		c.sizeFree[n-1] = nil
-		c.sizeFree = c.sizeFree[:n-1]
-		return s
-	}
-	return nil
-}
-
-func (c *Channel) putSizes(s []int) {
-	if len(c.sizeFree) < poolCap {
-		c.sizeFree = append(c.sizeFree, s[:0])
 	}
 }
 
@@ -450,8 +418,10 @@ func (c *Channel) Close() {
 			continue
 		}
 		e.closed = true
-		c.stats.Undelivered += uint64(len(e.batchMsgs))
-		e.batchMsgs = nil
+		if e.batch != nil {
+			c.stats.Undelivered += uint64(len(e.batch.msgs))
+			e.batch = nil
+		}
 		e.batchTimer.Cancel()
 		e.batchTimer = sim.Event{}
 		// Messages held at a paused endpoint die with the channel: they
@@ -545,22 +515,25 @@ func (c *Channel) dispatchSend(src *Endpoint, dir int, msg *message) {
 		c.enqueueBatch(src, dir, msg)
 		return
 	}
-	c.transmit(src, dir, append(c.getBatch(), msg))
+	x := c.getXfer()
+	x.msgs = append(x.msgs, msg)
+	c.transmit(src, dir, x)
 }
 
 // enqueueBatch accumulates a credited message and flushes when the batch
 // fills; the first message of a fresh batch arms the coalescing timer so a
 // partial batch waits at most Coalesce before going out anyway.
 func (c *Channel) enqueueBatch(src *Endpoint, dir int, msg *message) {
-	if src.batchMsgs == nil {
-		src.batchMsgs = c.getBatch()
+	if src.batch == nil {
+		src.batch = c.getXfer()
 	}
-	src.batchMsgs = append(src.batchMsgs, msg)
-	if len(src.batchMsgs) >= c.cfg.Batch {
+	x := src.batch
+	x.msgs = append(x.msgs, msg)
+	if len(x.msgs) >= c.cfg.Batch {
 		c.flushBatch(src, dir, false)
 		return
 	}
-	if len(src.batchMsgs) == 1 {
+	if len(x.msgs) == 1 {
 		if src.flushFn == nil {
 			src.flushFn = src.coalesced
 		}
@@ -586,9 +559,9 @@ func (e *Endpoint) dir() int {
 func (c *Channel) flushBatch(src *Endpoint, dir int, coalesced bool) {
 	src.batchTimer.Cancel()
 	src.batchTimer = sim.Event{}
-	msgs := src.batchMsgs
-	src.batchMsgs = nil
-	if len(msgs) == 0 || c.closed {
+	x := src.batch
+	src.batch = nil
+	if x == nil || c.closed {
 		return
 	}
 	c.stats.Batches++
@@ -600,36 +573,34 @@ func (c *Channel) flushBatch(src *Endpoint, dir int, coalesced bool) {
 		if coalesced {
 			name = trCoalesce
 		}
-		c.tr.Instant(obs.CatChannel, name, int64(len(msgs)))
+		c.tr.Instant(obs.CatChannel, name, int64(len(x.msgs)))
 	}
-	c.transmit(src, dir, msgs)
+	c.transmit(src, dir, x)
 }
 
 // transmit models the sender-side cost, the wire, and receiver dispatch for
-// a group of messages moving as one transfer. A single message is the
-// classic per-message path; larger groups pay one syscall/doorbell, one bus
-// transaction, and one receiver notification, with only an incremental
+// the group of messages in x moving as one transfer. A single message is
+// the classic per-message path; larger groups pay one syscall/doorbell, one
+// bus transaction, and one receiver notification, with only an incremental
 // per-descriptor cost for each extra message.
-func (c *Channel) transmit(src *Endpoint, dir int, msgs []*message) {
-	x := c.getXfer()
-	x.src, x.dir, x.msgs = src, dir, msgs
+func (c *Channel) transmit(src *Endpoint, dir int, x *xfer) {
+	x.src, x.dir = src, dir
 	x.dst = c.creator
 	if src == c.creator {
 		x.dst = c.peer
 	}
-	n := len(msgs)
+	n := len(x.msgs)
 	x.credits = n
 	total := 0
-	sizes := c.getSizes()
-	for _, m := range msgs {
+	for _, m := range x.msgs {
 		total += len(m.data)
-		sizes = append(sizes, len(m.data))
+		x.sizes = append(x.sizes, len(m.data))
 	}
-	x.sizes, x.total = sizes, total
+	x.total = total
 	c.stats.Sent += uint64(n)
 	c.stats.Bytes += uint64(total)
 	if c.tr.On() {
-		for _, m := range msgs {
+		for _, m := range x.msgs {
 			c.tr.Instant(obs.CatChannel, trSend, int64(m.id))
 		}
 		x.tx = c.tr.Begin(obs.CatChannel, trTx, int64(n))
@@ -659,9 +630,6 @@ func (x *xfer) sent() {
 		c.tr.End(x.tx)
 	}
 	c.wire(x)
-	// The gather list is consumed synchronously by wire's DMA issue.
-	c.putSizes(x.sizes)
-	x.sizes = nil
 }
 
 // wire moves the payload between execution domains. A batch rides one
@@ -809,10 +777,8 @@ func (x *xfer) complete() {
 	default:
 		c.stats.Delivered += n
 	}
-	// Handlers have returned: the batch and its envelopes go back to the
-	// pool, and so does the record before the credits it releases can
-	// start new transfers.
-	c.putBatch(x.msgs)
+	// Handlers have returned: the record and its envelopes go back to the
+	// pool before the credits it releases can start new transfers.
 	dir, credits := x.dir, x.credits
 	c.putXfer(x)
 	for i := 0; i < credits; i++ {
@@ -921,22 +887,21 @@ func (e *Endpoint) Resume() int {
 			c.stats.Undelivered += uint64(len(g.data))
 			continue
 		}
-		batch := c.getBatch()
+		x := c.getXfer()
 		for i, d := range g.data {
 			m := c.getMsg()
 			m.data = append(m.data, d...)
 			m.id = g.ids[i]
-			batch = append(batch, m)
+			x.msgs = append(x.msgs, m)
 		}
-		replayed += len(batch)
-		c.stats.Replayed += uint64(len(batch))
+		replayed += len(x.msgs)
+		c.stats.Replayed += uint64(len(x.msgs))
 		if c.tr.On() {
-			c.tr.Instant(obs.CatChannel, trReplay, int64(len(batch)))
+			c.tr.Instant(obs.CatChannel, trReplay, int64(len(x.msgs)))
 		}
 		// Credits were released when the group was first held, so the
 		// replayed delivery completes without touching the rings.
-		x := c.getXfer()
-		x.dst, x.msgs, x.total, x.credits = e, batch, g.size, 0
+		x.dst, x.total, x.credits = e, g.size, 0
 		c.deliver(x)
 	}
 	return replayed

@@ -57,12 +57,6 @@ func (f *forwarder) Start() error { return nil }
 // Stop implements core.Offcode.
 func (f *forwarder) Stop() error { return nil }
 
-// exec charges cycles of forwarding work on the forwarder's host CPU
-// (kernel context: the proxy is protocol processing), then runs k.
-func (f *forwarder) exec(cycles uint64, k func()) {
-	f.task.Syscall(cycles, k)
-}
-
 // bridgeLeg is one end of a bridge: the shard's handle on its host, the
 // proxy channel to it, and (for cross-host edges) the forwarder.
 type bridgeLeg struct {
@@ -109,73 +103,57 @@ func (b *Bridge) Stats() channel.Stats {
 }
 
 // buildBridge constructs the bridge for edge a↔b whose endpoints live on
-// backA/backB, completing through k over simulated time (forwarder
-// deployment runs each host's deployment pipeline).
+// backA/backB, completing through k over simulated time: both legs first,
+// then — when the edge crosses hosts — A's forwarder and B's (each runs its
+// host's deployment pipeline), then the relay taps.
 func (c *Coordinator) buildBridge(a, b string, backA, backB *backend, k func(*Bridge, error)) {
 	br := &Bridge{A: a, B: b, coord: c}
-	c.buildLeg(br, 0, a, backA, func(err error) {
+	done := func(err error) {
 		if err != nil {
 			br.teardown()
 			k(nil, err)
 			return
 		}
-		c.buildLeg(br, 1, b, backB, func(err error) {
-			if err != nil {
-				br.teardown()
-				k(nil, err)
-				return
-			}
-			br.wire()
-			k(br, nil)
-		})
+		br.wire()
+		k(br, nil)
+	}
+	var err error
+	if br.legs[0], err = c.buildLeg(a, backA); err == nil {
+		br.legs[1], err = c.buildLeg(b, backB)
+	}
+	if err != nil || !br.Cross() {
+		done(err)
+		return
+	}
+	c.deployForwarder(br.legs[0], func(err error) {
+		if err != nil {
+			done(err)
+			return
+		}
+		c.deployForwarder(br.legs[1], done)
 	})
 }
 
-// buildLeg assembles one end: resolve the shard's handle, open the proxy
-// channel to it under the cluster session, and — when the far end lives on
-// another host — deploy the host-side forwarder Offcode.
-func (c *Coordinator) buildLeg(br *Bridge, side int, bind string, back *backend, k func(error)) {
+// buildLeg assembles one end: resolve the shard's handle and open the
+// proxy channel to it under the cluster session.
+func (c *Coordinator) buildLeg(bind string, back *backend) (*bridgeLeg, error) {
 	h, err := back.hs.Runtime.GetOffcode(bind)
 	if err != nil {
-		k(fmt.Errorf("cluster: bridge endpoint %s on %s: %w", bind, back.name(), err))
-		return
+		return nil, fmt.Errorf("cluster: bridge endpoint %s on %s: %w", bind, back.name(), err)
 	}
 	end, ch, node, err := back.app.CreateChannel(c.cfg.Channel, h)
 	if err != nil {
-		k(fmt.Errorf("cluster: bridge channel to %s: %w", bind, err))
-		return
+		return nil, fmt.Errorf("cluster: bridge channel to %s: %w", bind, err)
 	}
-	leg := &bridgeLeg{
+	return &bridgeLeg{
 		back: back, handle: h, ch: ch, end: end, node: node,
-		tr: obs.ForCat(c.engineOf(back), obs.CatCluster),
-	}
-	br.legs[side] = leg
-
-	cross := br.legs[0] != nil && br.legs[1] != nil && br.legs[0].back != br.legs[1].back
-	needFwd := side == 1 && cross
-	if side == 0 {
-		// A's end cannot know yet whether the edge crosses hosts; the
-		// forwarder (if needed) is added when B's end resolves.
-		k(nil)
-		return
-	}
-	if !needFwd {
-		k(nil)
-		return
-	}
-	c.deployForwarder(br, 0, func(err error) {
-		if err != nil {
-			k(err)
-			return
-		}
-		c.deployForwarder(br, 1, k)
-	})
+		tr: obs.ForCat(back.hs.Eng, obs.CatCluster),
+	}, nil
 }
 
 // deployForwarder synthesizes, stocks and commits the host-side forwarder
 // Offcode for one end of a cross-host bridge.
-func (c *Coordinator) deployForwarder(br *Bridge, side int, k func(error)) {
-	leg := br.legs[side]
+func (c *Coordinator) deployForwarder(leg *bridgeLeg, k func(error)) {
 	c.fwdSeq++
 	seq := c.fwdSeq
 	bind := fmt.Sprintf("hydra.cluster.fwd%d", seq)
@@ -237,23 +215,21 @@ func (b *Bridge) relay(dir int, payload []byte) {
 		return
 	}
 	dtr := dst.tr
+	// Forwarding work runs in kernel context on the forwarder's host CPU:
+	// the proxy is protocol processing.
 	txCycles := uint64(costModel.PerPacketTX + costModel.PerByteTX*float64(len(data)))
-	src.fwd.exec(txCycles, func() {
+	src.fwd.task.Syscall(txCycles, func() {
 		l := b.coord.cfg.DefaultLink
-		srcEng, dstEng := b.coord.engineOf(src.back), b.coord.engineOf(dst.back)
+		srcEng, dstEng := src.back.hs.Eng, dst.back.hs.Eng
 		wire := sim.Time(float64(len(data)) / l.BytesPerSec * float64(sim.Second))
 		// Serialize on the directed physical link, shared with every other
-		// bridge riding this host pair. The watermark map is guarded:
-		// under windowed parallel execution relays run on per-host engine
-		// goroutines.
-		linkKey := src.back.name() + "→" + dst.back.name()
+		// bridge riding this host pair. The source host owns the watermark
+		// and this step runs on its engine.
 		start := srcEng.Now()
-		b.coord.linkMu.Lock()
-		if busy := b.coord.linkBusy[linkKey]; busy > start {
+		if busy := src.back.linkFree[dst.back]; busy > start {
 			start = busy
 		}
-		b.coord.linkBusy[linkKey] = start + wire
-		b.coord.linkMu.Unlock()
+		src.back.linkFree[dst.back] = start + wire
 		// The link occupancy window is committed here, on the source
 		// engine; the span records on the source shard.
 		if src.tr.On() {
@@ -274,7 +250,7 @@ func (b *Bridge) relay(dir int, payload []byte) {
 				dtr.Instant(obs.CatCluster, trBridgeRx, int64(len(data)))
 			}
 			rxCycles := uint64(costModel.PerPacketRX + costModel.InterruptRX + costModel.PerByteRX*float64(len(data)))
-			far.fwd.exec(rxCycles, func() { b.deliver(dir, data) })
+			far.fwd.task.Syscall(rxCycles, func() { b.deliver(dir, data) })
 		})
 	})
 }

@@ -34,10 +34,9 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"sort"
-	"sync"
 
 	"hydra/internal/channel"
 	"hydra/internal/core"
@@ -103,6 +102,13 @@ type backend struct {
 	hs   *testbed.HostSystem
 	app  *core.App
 	dead bool
+	// linkFree holds the serialization watermark of each outgoing link,
+	// keyed by the far host and shared by every bridge riding that
+	// directed pair: N bridges on one link contend for its bandwidth
+	// instead of each getting the full rate. Only relays running on this
+	// host's engine touch it, so windowed parallel execution needs no
+	// lock.
+	linkFree map[*backend]sim.Time
 }
 
 func (b *backend) name() string { return b.hs.Spec.Name }
@@ -131,18 +137,8 @@ type Coordinator struct {
 	backs  []*backend
 	byHost map[string]*backend
 
-	placements map[string]*placement
-	rootOrder  []string   // deterministic iteration over placements
-	edges      []planEdge // committed Connect edges, rebuilt on failover
-	bridges    map[string]*Bridge
-	// linkBusy holds per-directed-link serialization watermarks ("a→b"),
-	// shared by every bridge riding that host pair: N bridges on one link
-	// contend for its bandwidth instead of each getting the full rate.
-	// linkMu guards it: under windowed parallel execution relays run on
-	// per-host engine goroutines concurrently. (Distinct directed links
-	// never race on a value, only on the map itself.)
-	linkMu   sync.Mutex
-	linkBusy map[string]sim.Time
+	shards []*placement // committed shards, in commit order
+	edges  []*edge      // committed Connect edges, rebuilt on failover
 	// group coordinates per-host engines (EnginePerHost testbeds) for
 	// conservative-window execution; nil on shared-engine systems.
 	group *sim.Group
@@ -162,17 +158,14 @@ func New(sys *testbed.System, cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		sys: sys, cfg: cfg,
-		byHost:     make(map[string]*backend),
-		placements: make(map[string]*placement),
-		bridges:    make(map[string]*Bridge),
-		linkBusy:   make(map[string]sim.Time),
+		byHost: make(map[string]*backend),
 	}
 	for _, hs := range hosts {
 		app, err := hs.Runtime.OpenApp(cfg.AppName, core.AppConfig{})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: host %s: %w", hs.Spec.Name, err)
 		}
-		b := &backend{hs: hs, app: app}
+		b := &backend{hs: hs, app: app, linkFree: make(map[*backend]sim.Time)}
 		c.backs = append(c.backs, b)
 		c.byHost[b.name()] = b
 	}
@@ -209,9 +202,6 @@ func (c *Coordinator) EngineGroup() (*sim.Group, error) {
 	return g, nil
 }
 
-// engineOf resolves the engine a backend's components schedule on.
-func (c *Coordinator) engineOf(b *backend) *sim.Engine { return b.hs.Eng }
-
 // across schedules fn at absolute time at on the destination engine.
 // Same-engine hops (shared-clock systems, co-located edges) go straight
 // to the queue; cross-engine hops route through the group so windowed
@@ -237,24 +227,32 @@ func (c *Coordinator) live() []*backend {
 	return out
 }
 
+// shard returns the committed shard bound to bind, or nil. A scan is
+// enough: the largest cell commits 24 roots.
+func (c *Coordinator) shard(bind string) *placement {
+	for _, pl := range c.shards {
+		if pl.bind == bind {
+			return pl
+		}
+	}
+	return nil
+}
+
 // HostOf reports which host currently runs the named shard ("" if none).
 func (c *Coordinator) HostOf(bind string) string {
-	if p, ok := c.placements[bind]; ok {
-		return p.back.name()
+	if pl := c.shard(bind); pl != nil {
+		return pl.back.name()
 	}
 	return ""
 }
 
-// Bridges lists the live bridges sorted by edge key.
+// Bridges lists the live bridges in edge commit order.
 func (c *Coordinator) Bridges() []*Bridge {
-	keys := make([]string, 0, len(c.bridges))
-	for k := range c.bridges {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]*Bridge, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, c.bridges[k])
+	out := make([]*Bridge, 0, len(c.edges))
+	for _, e := range c.edges {
+		if e.br != nil {
+			out = append(out, e.br)
+		}
 	}
 	return out
 }
@@ -301,11 +299,9 @@ func (c *Coordinator) Close() error {
 	c.closed = true
 	var errs []error
 	for _, b := range c.Bridges() {
-		if err := b.teardown(); err != nil {
-			errs = append(errs, err)
-		}
+		errs = append(errs, b.teardown())
 	}
-	c.bridges = make(map[string]*Bridge)
+	c.edges = nil
 	for _, b := range c.backs {
 		if b.dead {
 			continue
@@ -314,10 +310,6 @@ func (c *Coordinator) Close() error {
 			errs = append(errs, fmt.Errorf("cluster: host %s: %w", b.name(), err))
 		}
 	}
-	c.placements = make(map[string]*placement)
-	c.rootOrder = nil
-	if len(errs) > 0 {
-		return fmt.Errorf("cluster: close: %v", errs)
-	}
-	return nil
+	c.shards = nil
+	return errors.Join(errs...)
 }

@@ -20,14 +20,15 @@ import (
 // echoes them back (feeding the bridge's reverse direction). Its received
 // count rides checkpoints across migrations.
 type testWorker struct {
-	ep   *channel.Endpoint
-	recv uint64
-	echo bool
+	ep      *channel.Endpoint
+	recv    uint64
+	echo    bool
+	stopErr error // what Stop returns
 }
 
 func (w *testWorker) Initialize(*core.Context) error { return nil }
 func (w *testWorker) Start() error                   { return nil }
-func (w *testWorker) Stop() error                    { return nil }
+func (w *testWorker) Stop() error                    { return w.stopErr }
 
 func (w *testWorker) ChannelConnected(ep *channel.Endpoint) {
 	w.ep = ep
@@ -61,13 +62,20 @@ type rig struct {
 	// creation order — so migration tests can tell a restored re-instance
 	// from the original.
 	instances map[string][]*testWorker
+	// drive runs simulated time until every engine drains.
+	drive func()
 }
 
 // newRig builds n hosts ("h0".."h<n-1>"), each with one XScale NIC
-// ("h<i>-nic") and a runtime, and opens a coordinator over them.
-func newRig(t *testing.T, n int, cfg Config) *rig {
+// ("h<i>-nic") and a runtime, on one shared engine, and opens a
+// coordinator over them.
+func newRig(t *testing.T, n int, cfg Config) *rig { return newRigOn(t, n, cfg, false) }
+
+// newRigOn is newRig with one engine per host when perHost is set; drive
+// then settles the coordinator's engine group.
+func newRigOn(t *testing.T, n int, cfg Config, perHost bool) *rig {
 	t.Helper()
-	spec := testbed.Spec{Name: "cluster-test"}
+	spec := testbed.Spec{Name: "cluster-test", EnginePerHost: perHost}
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("h%d", i)
 		spec.Hosts = append(spec.Hosts, testbed.HostSpec{
@@ -84,7 +92,16 @@ func newRig(t *testing.T, n int, cfg Config) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &rig{sys: sys, coord: coord, instances: make(map[string][]*testWorker)}
+	r := &rig{sys: sys, coord: coord, instances: make(map[string][]*testWorker)}
+	r.drive = func() { sys.Eng.RunAll() }
+	if perHost {
+		g, err := coord.EngineGroup()
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.drive = g.Settle
+	}
+	return r
 }
 
 // stock registers a worker ODF + object + factory on the given hosts
@@ -148,7 +165,7 @@ func commit(t *testing.T, r *rig, p *Plan) *Deployment {
 	var derr error
 	done := false
 	p.Commit(func(d *Deployment, err error) { dep, derr, done = d, err, true })
-	r.sys.Eng.RunAll()
+	r.drive()
 	if !done {
 		t.Fatal("commit never completed")
 	}
@@ -156,6 +173,16 @@ func commit(t *testing.T, r *rig, p *Plan) *Deployment {
 		t.Fatalf("commit: %v", derr)
 	}
 	return dep
+}
+
+// bridgeOf returns the live bridge of the a↔b edge, in either order, or nil.
+func bridgeOf(c *Coordinator, a, b string) *Bridge {
+	for _, e := range c.edges {
+		if (e.a == a && e.b == b) || (e.a == b && e.b == a) {
+			return e.br
+		}
+	}
+	return nil
 }
 
 func TestCommitSpreadsShardsAndCloseRestoresLedgers(t *testing.T) {
@@ -223,10 +250,10 @@ func TestBridgeRelaysAcrossHostsWithLinkLatency(t *testing.T) {
 	}
 	dep := commit(t, r, p)
 
-	br := dep.Bridges[EdgeKey("echoA", "sinkB")]
-	if br == nil {
-		t.Fatal("no bridge materialized")
+	if len(dep.Bridges) != 1 {
+		t.Fatalf("%d bridges materialized, want 1", len(dep.Bridges))
 	}
+	br := dep.Bridges[0]
 	if !br.Cross() {
 		t.Fatal("pinned-apart endpoints did not cross hosts")
 	}
@@ -256,6 +283,96 @@ func TestBridgeRelaysAcrossHostsWithLinkLatency(t *testing.T) {
 	// Both forwarders exist.
 	if br.legs[0].fwd == nil || br.legs[1].fwd == nil {
 		t.Fatal("cross bridge missing forwarders")
+	}
+}
+
+// Bridges on one directed host pair share its serialization watermark,
+// and the reverse direction keeps its own: two same-instant h0→h1
+// payloads on two bridges arrive one wire time apart, while an h1→h0
+// payload sent at the same instant queues behind neither. Under
+// per-host engines h0 and h1 advance their own watermarks in the same
+// conservative window.
+func TestBridgesShareDirectedLinkWatermark(t *testing.T) {
+	for _, perHost := range []bool{false, true} {
+		t.Run(fmt.Sprintf("perHost=%v", perHost), func(t *testing.T) {
+			link := Link{Latency: 100 * sim.Microsecond, BytesPerSec: 1e6}
+			const size = 1000
+			wire := sim.Time(float64(size) / link.BytesPerSec * float64(sim.Second))
+			r := newRigOn(t, 2, Config{DefaultLink: link}, perHost)
+			p := r.coord.Plan()
+			for i, bind := range []string{"a0", "a1", "b0", "b1"} {
+				host := "h0"
+				if bind[0] == 'b' {
+					host = "h1"
+				}
+				if err := p.AddRoot(r.stock(t, bind, guid.GUID(9951+i), false, false), PinTo(host)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, e := range [][2]string{{"a0", "b0"}, {"a1", "b1"}} {
+				if err := p.Connect(e[0], e[1], Traffic{MsgsPerSec: 1}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			commit(t, r, p)
+
+			// Each arrival time is written only on its receiver's engine.
+			h0, h1 := r.coord.byHost["h0"].hs.Eng, r.coord.byHost["h1"].hs.Eng
+			var atA sim.Time
+			var atB [2]sim.Time
+			record := func(bind string, eng *sim.Engine, into *sim.Time) {
+				r.latest(t, bind).ep.InstallCallHandler(func([]byte) { *into = eng.Now() })
+			}
+			record("a0", h0, &atA)
+			record("b0", h1, &atB[0])
+			record("b1", h1, &atB[1])
+			a0, a1, b0 := r.latest(t, "a0").ep, r.latest(t, "a1").ep, r.latest(t, "b0").ep
+			payload := make([]byte, size)
+			at := max(h0.Now(), h1.Now()) + sim.Millisecond
+			h0.At(at, func() {
+				a0.Write(payload)
+				a1.Write(payload)
+			})
+			h1.At(at, func() { b0.Write(payload) })
+			if perHost {
+				g, err := r.coord.EngineGroup()
+				if err != nil {
+					t.Fatal(err)
+				}
+				g.Run(at+10*sim.Millisecond, 2)
+			} else {
+				r.sys.Eng.RunAll()
+			}
+
+			if atA == 0 || atB[0] == 0 || atB[1] == 0 {
+				t.Fatalf("arrivals a0=%v b0=%v b1=%v; want all three", atA, atB[0], atB[1])
+			}
+			first, second := min(atB[0], atB[1]), max(atB[0], atB[1])
+			if gap := second - first; gap < wire || gap > wire+wire/10 {
+				t.Fatalf("h0→h1 arrivals %v apart, want one wire time (%v)", gap, wire)
+			}
+			// Each direction found its own link free: the h1→h0 payload
+			// and the first h0→h1 one arrive together.
+			if d := atA - first; d <= -wire/2 || d >= wire/2 {
+				t.Fatalf("h1→h0 payload arrived %v after the first h0→h1 one: a direction queued behind the other", d)
+			}
+		})
+	}
+}
+
+// Close keeps the typed errors of what it tears down: a shard whose Stop
+// fails surfaces through errors.Is.
+func TestCloseWrapsShardStopError(t *testing.T) {
+	errStop := errors.New("stop failed")
+	r := newRig(t, 2, Config{})
+	p := r.coord.Plan()
+	if err := p.AddRoot(r.stock(t, "w", 9961, false, false), PinTo("h1")); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, r, p)
+	r.latest(t, "w").stopErr = errStop
+	if err := r.coord.Close(); !errors.Is(err, errStop) {
+		t.Fatalf("Close() = %v, want an error wrapping %v", err, errStop)
 	}
 }
 
@@ -401,7 +518,7 @@ func TestFailHostMigratesCheckpointedShardsAcrossHosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	dep := commit(t, r, p)
-	br := dep.Bridges[EdgeKey("front", "worker")]
+	br := dep.Bridges[0]
 	if !br.Cross() {
 		t.Fatal("bridge not cross-host")
 	}
@@ -454,7 +571,7 @@ func TestFailHostMigratesCheckpointedShardsAcrossHosts(t *testing.T) {
 	}
 
 	// The rebuilt bridge is now co-located and still delivers.
-	br2 := r.coord.bridges[EdgeKey("front", "worker")]
+	br2 := bridgeOf(r.coord, "front", "worker")
 	if br2 == nil {
 		t.Fatal("bridge not rebuilt")
 	}

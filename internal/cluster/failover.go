@@ -106,47 +106,36 @@ func (c *Coordinator) FailHost(name string, k func(*Migration, error)) {
 	var displaced []planRoot
 	displacedSet := make(map[string]bool)
 	states := make(map[string][]byte)
-	for _, bind := range c.rootOrder {
-		pl := c.placements[bind]
+	c.shards = slices.DeleteFunc(c.shards, func(pl *placement) bool {
 		if pl.back != back {
-			continue
+			return false
 		}
 		r := pl.planRoot
 		if r.pin == name {
 			r.pin = ""
 		}
 		displaced = append(displaced, r)
-		displacedSet[bind] = true
-		if h, err := back.hs.Runtime.GetOffcode(bind); err == nil {
+		displacedSet[r.bind] = true
+		if h, err := back.hs.Runtime.GetOffcode(r.bind); err == nil {
 			if cp, ok := h.Behaviour().(core.Checkpointer); ok {
-				states[bind] = cp.Checkpoint()
+				states[r.bind] = cp.Checkpoint()
 				if tr.On() {
-					tr.Instant(obs.CatCluster, "cluster.checkpoint", int64(len(states[bind])))
+					tr.Instant(obs.CatCluster, "cluster.checkpoint", int64(len(states[r.bind])))
 				}
 			}
 		}
-		delete(c.placements, bind)
-	}
-	kept := c.rootOrder[:0]
-	for _, bind := range c.rootOrder {
-		if _, alive := c.placements[bind]; alive {
-			kept = append(kept, bind)
-		}
-	}
-	c.rootOrder = kept
+		return true
+	})
 
 	// Bridges touching the dead host are torn down now (the live legs
 	// release their channels and forwarders; the dead legs die with the
 	// session below) and rebuilt after the displaced shards land.
-	var rebuild []planEdge
+	var rebuild []*edge
 	for _, e := range c.edges {
 		if displacedSet[e.a] || displacedSet[e.b] {
 			rebuild = append(rebuild, e)
-			key := EdgeKey(e.a, e.b)
-			if br := c.bridges[key]; br != nil {
-				br.teardown()
-				delete(c.bridges, key)
-			}
+			e.br.teardown()
+			e.br = nil
 		}
 	}
 
@@ -174,7 +163,7 @@ func (c *Coordinator) FailHost(name string, k func(*Migration, error)) {
 		if err != nil {
 			// Their edges go with them: a later solve or rebridge must not
 			// meet an endpoint that no longer exists.
-			c.edges = slices.DeleteFunc(c.edges, func(e planEdge) bool {
+			c.edges = slices.DeleteFunc(c.edges, func(e *edge) bool {
 				return displacedSet[e.a] || displacedSet[e.b]
 			})
 			settle(err)

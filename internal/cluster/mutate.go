@@ -18,6 +18,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"hydra/internal/core"
@@ -204,11 +205,11 @@ func (c *Coordinator) applyAddShard(d AddShard, res *ClusterMutation, trm *obs.S
 			k(fmt.Errorf("cluster: edge %s→%s connects a shard to itself", bind, e.To))
 			return
 		}
-		if _, committed := c.placements[e.To]; !committed {
+		if c.shard(e.To) == nil {
 			k(fmt.Errorf("cluster: edge endpoint %s is not a committed shard", e.To))
 			return
 		}
-		p.edges = append(p.edges, planEdge{a: bind, b: e.To, traffic: e.Traffic})
+		p.edges = append(p.edges, &edge{a: bind, b: e.To, traffic: e.Traffic})
 	}
 	c.commitShards(p.roots, p.edges, nil, func(txn *shardTxn, err error) {
 		if err != nil {
@@ -225,33 +226,22 @@ func (c *Coordinator) applyAddShard(d AddShard, res *ClusterMutation, trm *obs.S
 
 // applyRemoveShard stops one committed shard: its bridges tear down
 // first (so no relay writes into a dying channel), then the shard stops
-// on its host, then the coordinator forgets its placement, order slot
-// and edges.
+// on its host, then the coordinator forgets the shard.
 func (c *Coordinator) applyRemoveShard(d RemoveShard, trm *obs.Shard, k func(error)) {
-	pl, ok := c.placements[d.Bind]
-	if !ok {
+	pl := c.shard(d.Bind)
+	if pl == nil {
 		k(fmt.Errorf("cluster: %s is not a committed shard", d.Bind))
 		return
 	}
 	torn := 0
-	for _, e := range c.edges {
+	c.edges = slices.DeleteFunc(c.edges, func(e *edge) bool {
 		if e.a != d.Bind && e.b != d.Bind {
-			continue
+			return false
 		}
-		key := EdgeKey(e.a, e.b)
-		if br := c.bridges[key]; br != nil {
-			br.teardown()
-			delete(c.bridges, key)
-			torn++
-		}
-	}
-	keptEdges := c.edges[:0]
-	for _, e := range c.edges {
-		if e.a != d.Bind && e.b != d.Bind {
-			keptEdges = append(keptEdges, e)
-		}
-	}
-	c.edges = keptEdges
+		e.br.teardown()
+		torn++
+		return true
+	})
 
 	h, err := pl.back.hs.Runtime.GetOffcode(d.Bind)
 	if err == nil {
@@ -260,14 +250,7 @@ func (c *Coordinator) applyRemoveShard(d RemoveShard, trm *obs.Shard, k func(err
 			return
 		}
 	}
-	delete(c.placements, d.Bind)
-	kept := c.rootOrder[:0]
-	for _, bind := range c.rootOrder {
-		if bind != d.Bind {
-			kept = append(kept, bind)
-		}
-	}
-	c.rootOrder = kept
+	c.shards = slices.DeleteFunc(c.shards, func(p *placement) bool { return p == pl })
 	if trm.On() {
 		trm.Instant(obs.CatMutate, "mutate.shard.remove", int64(torn))
 	}
@@ -280,8 +263,8 @@ func (c *Coordinator) applyRemoveShard(d RemoveShard, trm *obs.Shard, k func(err
 // replacement. The placement's host does not change (the core layer pins
 // the replacement to the old target), so no bridge needs rebuilding.
 func (c *Coordinator) applySwapShard(d SwapShard, res *ClusterMutation, trm *obs.Shard, k func(error)) {
-	pl, ok := c.placements[d.Bind]
-	if !ok {
+	pl := c.shard(d.Bind)
+	if pl == nil {
 		k(fmt.Errorf("cluster: %s is not a committed shard", d.Bind))
 		return
 	}

@@ -101,7 +101,7 @@ func TestMutateAddShardLeavesOtherHostsUntouched(t *testing.T) {
 	}
 
 	// The new edge materialized and delivers.
-	br := r.coord.bridges[EdgeKey("w2", "w0")]
+	br := bridgeOf(r.coord, "w2", "w0")
 	if br == nil {
 		t.Fatal("no bridge for the new edge")
 	}
@@ -134,7 +134,7 @@ func TestMutateRemoveShardTearsDownBridges(t *testing.T) {
 		t.Fatal(err)
 	}
 	commit(t, r, p)
-	if r.coord.bridges[EdgeKey("keep", "drop")] == nil {
+	if bridgeOf(r.coord, "keep", "drop") == nil {
 		t.Fatal("edge did not materialize")
 	}
 
@@ -148,7 +148,7 @@ func TestMutateRemoveShardTearsDownBridges(t *testing.T) {
 	if r.coord.HostOf("drop") != "" {
 		t.Fatal("removed shard still placed")
 	}
-	if r.coord.bridges[EdgeKey("keep", "drop")] != nil {
+	if bridgeOf(r.coord, "keep", "drop") != nil {
 		t.Fatal("removed shard's bridge survived")
 	}
 	if _, err := r.sys.Host("h0").Runtime.GetOffcode("drop"); err == nil {
@@ -161,7 +161,7 @@ func TestMutateRemoveShardTearsDownBridges(t *testing.T) {
 	if res2.Added["drop"] != "h1" {
 		t.Fatalf("re-add = %v", res2.Added)
 	}
-	if br := r.coord.bridges[EdgeKey("keep", "drop")]; br == nil || !br.Cross() {
+	if br := bridgeOf(r.coord, "keep", "drop"); br == nil || !br.Cross() {
 		t.Fatalf("re-added edge bridge = %+v", br)
 	}
 }
@@ -185,7 +185,7 @@ func TestMutateSwapShardHotSwapsUnderTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	commit(t, r, p)
-	br := r.coord.bridges[EdgeKey("front", "worker")]
+	br := bridgeOf(r.coord, "front", "worker")
 
 	for i := 0; i < 3; i++ {
 		if err := br.legs[1].end.Write([]byte("m")); err != nil {
@@ -323,7 +323,7 @@ func TestMutateFailedDeltaUnwindsAndKeepsServing(t *testing.T) {
 	if r.coord.HostOf("poison") != "" {
 		t.Fatal("failed add left a placement")
 	}
-	if r.coord.bridges[EdgeKey("poison", "svc")] != nil {
+	if bridgeOf(r.coord, "poison", "svc") != nil {
 		t.Fatal("failed add left a bridge")
 	}
 	if after := ledgers(); !maps.Equal(after, before) {

@@ -24,7 +24,7 @@ import (
 type Plan struct {
 	coord     *Coordinator
 	roots     []planRoot
-	edges     []planEdge
+	edges     []*edge
 	committed bool
 }
 
@@ -34,9 +34,12 @@ type planRoot struct {
 	pin        string // host name, "" = free
 }
 
-type planEdge struct {
+// edge is one Connect edge and, once committed, the bridge that
+// materializes it (nil while a failover rebuilds it).
+type edge struct {
 	a, b    string
 	traffic Traffic
+	br      *Bridge
 }
 
 // RootOption tunes one Plan.AddRoot call.
@@ -97,7 +100,7 @@ func (p *Plan) AddRoot(path string, opts ...RootOption) error {
 				core.ErrDuplicateBind, doc.BindName, r.path)
 		}
 	}
-	if cur, ok := p.coord.placements[doc.BindName]; ok {
+	if cur := p.coord.shard(doc.BindName); cur != nil {
 		return fmt.Errorf("%w: %s already deployed on host %s",
 			core.ErrDuplicateBind, doc.BindName, cur.back.name())
 	}
@@ -133,7 +136,7 @@ func (p *Plan) Connect(a, b string, t Traffic) error {
 			return fmt.Errorf("cluster: edge %s↔%s already declared", a, b)
 		}
 	}
-	p.edges = append(p.edges, planEdge{a: a, b: b, traffic: t})
+	p.edges = append(p.edges, &edge{a: a, b: b, traffic: t})
 	return nil
 }
 
@@ -142,7 +145,7 @@ func (p *Plan) Connect(a, b string, t Traffic) error {
 // roots are free unless user-pinned, and edges charge netmodel-derived
 // forwarding cycles scaled by each candidate link. It returns each root's
 // backend.
-func (c *Coordinator) solveAssign(roots []planRoot, edges []planEdge) (map[string]*backend, error) {
+func (c *Coordinator) solveAssign(roots []planRoot, edges []*edge) (map[string]*backend, error) {
 	live := c.live()
 	if len(live) == 0 {
 		return nil, fmt.Errorf("cluster: no live hosts")
@@ -167,13 +170,12 @@ func (c *Coordinator) solveAssign(roots []planRoot, edges []planEdge) (map[strin
 	// Committed shards first (pinned in place), then the new roots.
 	total := 0.0
 	nodeIdx := make(map[string]int)
-	for _, bind := range c.rootOrder {
-		pl := c.placements[bind]
-		n, err := g.AddRoot(bind, pl.load, hostIdx[pl.back.name()])
+	for _, pl := range c.shards {
+		n, err := g.AddRoot(pl.bind, pl.load, hostIdx[pl.back.name()])
 		if err != nil {
 			return nil, err
 		}
-		nodeIdx[bind] = n
+		nodeIdx[pl.bind] = n
 		total += pl.load
 	}
 	for _, r := range roots {
@@ -221,18 +223,10 @@ type Deployment struct {
 	// Handles maps each root bind to its handle on its host's runtime.
 	// Empty when the commit failed: the cluster rollback revoked them.
 	Handles map[string]*core.Handle
-	// Bridges maps edge keys (EdgeKey) to the materialized bridges.
-	Bridges map[string]*Bridge
+	// Bridges lists the materialized bridges in Connect order.
+	Bridges []*Bridge
 	// Started and Finished bracket the commit on the virtual clock.
 	Started, Finished sim.Time
-}
-
-// EdgeKey is the canonical (order-independent) key of an a↔b edge.
-func EdgeKey(a, b string) string {
-	if b < a {
-		a, b = b, a
-	}
-	return a + "↔" + b
 }
 
 // Commit executes the plan through the coordinator's shard transaction
@@ -246,7 +240,6 @@ func (p *Plan) Commit(k func(*Deployment, error)) {
 	eng := c.sys.Eng
 	dep := &Deployment{
 		Handles: make(map[string]*core.Handle),
-		Bridges: make(map[string]*Bridge),
 		Started: eng.Now(),
 	}
 	done := func(err error) {
@@ -276,7 +269,7 @@ func (p *Plan) Commit(k func(*Deployment, error)) {
 type shardTxn struct {
 	hosts   map[string]*backend     // root bind → the host it landed on
 	handles map[string]*core.Handle // root bind → its handle there
-	bridges map[string]*Bridge      // EdgeKey → the edge's bridge
+	bridges []*Bridge               // one per edge, in edge order
 }
 
 // commitShards is the coordinator's one host-level transaction, shared by
@@ -285,28 +278,23 @@ type shardTxn struct {
 // receiving host's core.DeployPlan in backend order, first staging
 // states[bind] as the restore of every root that has one, then builds a
 // bridge per edge; an edge endpoint is either one of roots or a committed
-// shard. On success it records the placements, root order, edges and
-// bridges before k runs. On any failure it tears down the bridges it
+// shard. On success it records the shards, appends the new edges and
+// attaches each edge's bridge before k runs. On any failure it tears down the bridges it
 // built and stops every Offcode the host commits created, both in reverse
 // order, so every host's LiveBytes/MemLive ledgers are back at their
 // pre-transaction values when k receives the error.
-func (c *Coordinator) commitShards(roots []planRoot, edges []planEdge, states map[string][]byte,
+func (c *Coordinator) commitShards(roots []planRoot, edges []*edge, states map[string][]byte,
 	k func(*shardTxn, error)) {
 	hosts, err := c.solveAssign(roots, edges)
 	if err != nil {
 		k(nil, err)
 		return
 	}
-	txn := &shardTxn{
-		hosts:   hosts,
-		handles: make(map[string]*core.Handle),
-		bridges: make(map[string]*Bridge),
-	}
+	txn := &shardTxn{hosts: hosts, handles: make(map[string]*core.Handle)}
 	var committed []*core.Deployment
-	var built []*Bridge
 	fail := func(err error) {
-		for i := len(built) - 1; i >= 0; i-- {
-			built[i].teardown()
+		for i := len(txn.bridges) - 1; i >= 0; i-- {
+			txn.bridges[i].teardown()
 		}
 		for i := len(committed) - 1; i >= 0; i-- {
 			d := committed[i]
@@ -319,16 +307,15 @@ func (c *Coordinator) commitShards(roots []planRoot, edges []planEdge, states ma
 
 	finish := func() {
 		for _, r := range roots {
-			c.placements[r.bind] = &placement{planRoot: r, back: hosts[r.bind]}
-			c.rootOrder = append(c.rootOrder, r.bind)
+			c.shards = append(c.shards, &placement{planRoot: r, back: hosts[r.bind]})
 		}
-		for _, e := range edges {
+		for i, e := range edges {
+			e.br = txn.bridges[i]
 			// FailHost passes the recorded edges it rebuilds.
 			if !slices.Contains(c.edges, e) {
 				c.edges = append(c.edges, e)
 			}
 		}
-		maps.Copy(c.bridges, txn.bridges)
 		k(txn, nil)
 	}
 
@@ -336,7 +323,7 @@ func (c *Coordinator) commitShards(roots []planRoot, edges []planEdge, states ma
 		if b, ok := hosts[bind]; ok {
 			return b
 		}
-		return c.placements[bind].back
+		return c.shard(bind).back
 	}
 	var buildEdge func(i int)
 	buildEdge = func(i int) {
@@ -350,8 +337,7 @@ func (c *Coordinator) commitShards(roots []planRoot, edges []planEdge, states ma
 				fail(fmt.Errorf("cluster: bridge %s↔%s: %w", e.a, e.b, err))
 				return
 			}
-			built = append(built, br)
-			txn.bridges[EdgeKey(e.a, e.b)] = br
+			txn.bridges = append(txn.bridges, br)
 			buildEdge(i + 1)
 		})
 	}

@@ -190,8 +190,7 @@ type Runtime struct {
 	roots          []rootRecord
 	pendingRestore map[string][]byte
 	monitor        *monitor
-	migrating      bool
-	activeRec      *Recovery
+	activeRec      *Recovery // the in-flight failover, nil when none
 	recoveries     []*Recovery
 
 	// vfs is the host's virtual file/net surface, built lazily the first

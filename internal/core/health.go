@@ -136,7 +136,7 @@ func (m *monitor) tick() {
 			continue
 		}
 		if now-p.lastPong > heartbeatTimeout {
-			if m.rt.migrating {
+			if rec := m.rt.activeRec; rec != nil {
 				// Overlapping failure. A healthy migration settles in far
 				// less simulated time than the timeout (stops are
 				// synchronous, loads take microseconds), so one still in
@@ -146,8 +146,7 @@ func (m *monitor) tick() {
 				// Abort it (its checkpoints stay pending) and recover over
 				// the currently healthy set; a younger migration instead
 				// gets until the next tick to finish.
-				rec := m.rt.activeRec
-				if rec == nil || now-rec.MigrationStart <= heartbeatTimeout {
+				if now-rec.MigrationStart <= heartbeatTimeout {
 					continue
 				}
 				m.rt.abortMigration(fmt.Errorf(
@@ -174,7 +173,6 @@ func (rt *Runtime) failover(failed *device.Device, detected sim.Time) *Recovery 
 		MigrationStart: rt.eng.Now(),
 	}
 	rt.recoveries = append(rt.recoveries, rec)
-	rt.migrating = true
 	rt.activeRec = rec
 
 	finish := func(err error) {
@@ -191,7 +189,6 @@ func (rt *Runtime) failover(failed *device.Device, detected sim.Time) *Recovery 
 		}
 		rec.done = true
 		rt.pendingRestore = nil
-		rt.migrating = false
 		rt.activeRec = nil
 	}
 
@@ -290,6 +287,5 @@ func (rt *Runtime) abortMigration(err error) {
 		rec.MigrationEnd = rt.eng.Now()
 		rec.done = true
 	}
-	rt.migrating = false
 	rt.activeRec = nil
 }

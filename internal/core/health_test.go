@@ -331,7 +331,7 @@ func TestRecoveryCompleteAtTimeZero(t *testing.T) {
 	if rec.MigrationEnd != 0 || rec.MigrationTime() != 0 {
 		t.Fatalf("migration end %v, time %v; want both zero", rec.MigrationEnd, rec.MigrationTime())
 	}
-	if r.rt.migrating {
+	if r.rt.activeRec != nil {
 		t.Fatal("runtime still thinks a migration is in flight")
 	}
 }
@@ -342,7 +342,6 @@ func TestRecoveryAbortMarksComplete(t *testing.T) {
 	r := newRig(t, Config{})
 	rec := &Recovery{MigrationStart: 5}
 	r.rt.activeRec = rec
-	r.rt.migrating = true
 	if rec.Complete() {
 		t.Fatal("fresh recovery already complete")
 	}

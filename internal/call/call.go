@@ -124,44 +124,48 @@ func reserve(b []byte, n int) []byte {
 	return nb
 }
 
-func readValue(b []byte) (any, []byte, error) {
+// nextValue splits the first encoded value off b: its tag, its payload
+// (the fixed-width bytes, or a blob's contents) and the bytes after it.
+func nextValue(b []byte) (tag byte, v, rest []byte, err error) {
 	if len(b) < 1 {
-		return nil, nil, ErrBadWire
+		return 0, nil, nil, ErrBadWire
 	}
-	tag := b[0]
-	b = b[1:]
+	tag, b = b[0], b[1:]
+	n := 8
 	switch tag {
 	case tagBool:
-		if len(b) < 1 {
-			return nil, nil, ErrBadWire
-		}
-		return b[0] != 0, b[1:], nil
-	case tagInt64:
-		if len(b) < 8 {
-			return nil, nil, ErrBadWire
-		}
-		return int64(binary.LittleEndian.Uint64(b)), b[8:], nil
-	case tagUint64:
-		if len(b) < 8 {
-			return nil, nil, ErrBadWire
-		}
-		return binary.LittleEndian.Uint64(b), b[8:], nil
-	case tagFloat64:
-		if len(b) < 8 {
-			return nil, nil, ErrBadWire
-		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(b)), b[8:], nil
-	case tagString:
-		s, rest, err := readBlob(b)
-		return string(s), rest, err
-	case tagBytes:
-		s, rest, err := readBlob(b)
-		if err != nil {
-			return nil, nil, err
-		}
-		return append([]byte(nil), s...), rest, nil
+		n = 1
+	case tagInt64, tagUint64, tagFloat64:
+	case tagString, tagBytes:
+		v, rest, err = readBlob(b)
+		return tag, v, rest, err
 	default:
-		return nil, nil, fmt.Errorf("%w: tag %d", ErrBadWire, tag)
+		return 0, nil, nil, fmt.Errorf("%w: tag %d", ErrBadWire, tag)
+	}
+	if len(b) < n {
+		return 0, nil, nil, ErrBadWire
+	}
+	return tag, b[:n], b[n:], nil
+}
+
+func readValue(b []byte) (any, []byte, error) {
+	tag, v, rest, err := nextValue(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	switch tag {
+	case tagBool:
+		return v[0] != 0, rest, nil
+	case tagInt64:
+		return int64(binary.LittleEndian.Uint64(v)), rest, nil
+	case tagUint64:
+		return binary.LittleEndian.Uint64(v), rest, nil
+	case tagFloat64:
+		return math.Float64frombits(binary.LittleEndian.Uint64(v)), rest, nil
+	case tagString:
+		return string(v), rest, nil
+	default: // tagBytes
+		return append([]byte(nil), v...), rest, nil
 	}
 }
 
@@ -217,17 +221,20 @@ func AppendCall(b []byte, c *Call) ([]byte, error) {
 	if err != nil {
 		return b, fmt.Errorf("call %s: %w", c.Method, err)
 	}
-	b = reserve(b, 1+8+8+2+len(c.Method)+2+n)
-	b = append(b, 'C')
-	b = binary.LittleEndian.AppendUint64(b, uint64(c.Iface))
-	b = binary.LittleEndian.AppendUint64(b, c.ReturnDesc)
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(c.Method)))
-	b = append(b, c.Method...)
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(c.Args)))
+	b = appendCallHead(reserve(b, 1+8+8+2+len(c.Method)+2+n), c.Iface, c.Method, c.ReturnDesc, len(c.Args))
 	for _, a := range c.Args {
 		b = appendValue(b, a)
 	}
 	return b, nil
+}
+
+func appendCallHead(b []byte, iface guid.GUID, method string, desc uint64, argc int) []byte {
+	b = append(b, 'C')
+	b = binary.LittleEndian.AppendUint64(b, uint64(iface))
+	b = binary.LittleEndian.AppendUint64(b, desc)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(method)))
+	b = append(b, method...)
+	return binary.LittleEndian.AppendUint16(b, uint16(argc))
 }
 
 // Unmarshal parses a serialized Call.
@@ -245,23 +252,32 @@ func Unmarshal(b []byte) (*Call, error) {
 // fixed-width calls. On success c equals what Unmarshal returns; on error
 // its contents are unspecified.
 func UnmarshalInto(b []byte, c *Call) error {
+	vals, argc, err := unmarshalHead(b, c)
+	if err != nil {
+		return err
+	}
+	c.Args, err = readValues(c.Args, vals, argc)
+	return err
+}
+
+// unmarshalHead decodes all of a Call but its arguments, returning their
+// count and their still-encoded bytes.
+func unmarshalHead(b []byte, c *Call) ([]byte, int, error) {
 	if len(b) < 1+8+8+2 || b[0] != 'C' {
-		return ErrBadWire
+		return nil, 0, ErrBadWire
 	}
 	c.Iface = guid.GUID(binary.LittleEndian.Uint64(b[1:]))
 	c.ReturnDesc = binary.LittleEndian.Uint64(b[9:])
 	mlen := int(binary.LittleEndian.Uint16(b[17:]))
 	rest := b[19:]
 	if len(rest) < mlen+2 {
-		return ErrBadWire
+		return nil, 0, ErrBadWire
 	}
 	if c.Method != string(rest[:mlen]) {
 		c.Method = string(rest[:mlen])
 	}
 	rest = rest[mlen:]
-	var err error
-	c.Args, err = readValues(c.Args, rest[2:], int(binary.LittleEndian.Uint16(rest)))
-	return err
+	return rest[2:], int(binary.LittleEndian.Uint16(rest)), nil
 }
 
 // MarshalReply serializes a Reply into a buffer of exactly its wire size.
@@ -284,16 +300,19 @@ func AppendReply(b []byte, r *Reply) ([]byte, error) {
 	if err != nil {
 		return b, err
 	}
-	b = reserve(b, 1+8+2+len(r.Err)+2+n)
-	b = append(b, 'R')
-	b = binary.LittleEndian.AppendUint64(b, r.ReturnDesc)
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(r.Err)))
-	b = append(b, r.Err...)
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(r.Results)))
+	b = appendReplyHead(reserve(b, 1+8+2+len(r.Err)+2+n), r.ReturnDesc, r.Err, len(r.Results))
 	for _, v := range r.Results {
 		b = appendValue(b, v)
 	}
 	return b, nil
+}
+
+func appendReplyHead(b []byte, desc uint64, errText string, count int) []byte {
+	b = append(b, 'R')
+	b = binary.LittleEndian.AppendUint64(b, desc)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(errText)))
+	b = append(b, errText...)
+	return binary.LittleEndian.AppendUint16(b, uint16(count))
 }
 
 // UnmarshalReply parses a serialized Reply.
@@ -309,22 +328,142 @@ func UnmarshalReply(b []byte) (*Reply, error) {
 // Results storage and keeping r.Err when it already holds the decoded
 // text (see UnmarshalInto). On error r's contents are unspecified.
 func UnmarshalReplyInto(b []byte, r *Reply) error {
+	vals, count, err := unmarshalReplyHead(b, r)
+	if err != nil {
+		return err
+	}
+	r.Results, err = readValues(r.Results, vals, count)
+	return err
+}
+
+// unmarshalReplyHead decodes all of a Reply but its results, returning
+// their count and their still-encoded bytes.
+func unmarshalReplyHead(b []byte, r *Reply) ([]byte, int, error) {
 	if len(b) < 1+8+2 || b[0] != 'R' {
-		return ErrBadWire
+		return nil, 0, ErrBadWire
 	}
 	r.ReturnDesc = binary.LittleEndian.Uint64(b[1:])
 	elen := int(binary.LittleEndian.Uint16(b[9:]))
 	rest := b[11:]
 	if len(rest) < elen+2 {
-		return ErrBadWire
+		return nil, 0, ErrBadWire
 	}
 	if r.Err != string(rest[:elen]) {
 		r.Err = string(rest[:elen])
 	}
 	rest = rest[elen:]
-	var err error
-	r.Results, err = readValues(r.Results, rest[2:], int(binary.LittleEndian.Uint16(rest)))
-	return err
+	return rest[2:], int(binary.LittleEndian.Uint16(rest)), nil
+}
+
+// --- Unboxed values, for fixed-shape protocols ---
+//
+// Call.Args and Reply.Results hold values as []any, and boxing an int64
+// or copying a string out of the wire allocates. A protocol whose value
+// shapes are fixed (the syscall plane) instead appends its head and each
+// value itself, and decodes the head with the values left encoded, read
+// one at a time with ReadInt64 and ReadString. The wire bytes are the
+// same either way.
+
+// AppendCallHead appends the wire form of a Call with argc arguments, up
+// to its first argument; the caller appends exactly argc values after it.
+// On error b is returned unchanged.
+func AppendCallHead(b []byte, iface guid.GUID, method string, desc uint64, argc int) ([]byte, error) {
+	if len(method) > math.MaxUint16 {
+		return b, fmt.Errorf("%w: method name of %d bytes", ErrTooLarge, len(method))
+	}
+	if argc > math.MaxUint16 {
+		return b, fmt.Errorf("%w: %d arguments", ErrTooLarge, argc)
+	}
+	return appendCallHead(b, iface, method, desc, argc), nil
+}
+
+// AppendReplyHead appends the wire form of a Reply with count results, up
+// to its first result; the caller appends exactly count values after it.
+// On error b is returned unchanged.
+func AppendReplyHead(b []byte, desc uint64, errText string, count int) ([]byte, error) {
+	if len(errText) > math.MaxUint16 {
+		return b, fmt.Errorf("%w: error string of %d bytes", ErrTooLarge, len(errText))
+	}
+	if count > math.MaxUint16 {
+		return b, fmt.Errorf("%w: %d results", ErrTooLarge, count)
+	}
+	return appendReplyHead(b, desc, errText, count), nil
+}
+
+// AppendInt64 appends one int64 value.
+func AppendInt64(b []byte, v int64) []byte {
+	return binary.LittleEndian.AppendUint64(append(b, tagInt64), uint64(v))
+}
+
+// AppendString appends one string value. On error b is returned
+// unchanged.
+func AppendString(b []byte, s string) ([]byte, error) {
+	if uint64(len(s)) > math.MaxUint32 {
+		return b, fmt.Errorf("%w: string of %d bytes", ErrTooLarge, len(s))
+	}
+	b = binary.LittleEndian.AppendUint32(append(b, tagString), uint32(len(s)))
+	return append(b, s...), nil
+}
+
+// UnmarshalHeadInto decodes b into c like UnmarshalInto, except that the
+// arguments stay encoded: it returns their count and bytes, checked well
+// formed, and leaves c.Args untouched.
+func UnmarshalHeadInto(b []byte, c *Call) ([]byte, int, error) {
+	vals, argc, err := unmarshalHead(b, c)
+	if err == nil {
+		err = checkValues(vals, argc)
+	}
+	return vals, argc, err
+}
+
+// UnmarshalReplyHeadInto decodes b into r like UnmarshalReplyInto, except
+// that the results stay encoded: it returns their count and bytes, checked
+// well formed, and leaves r.Results untouched.
+func UnmarshalReplyHeadInto(b []byte, r *Reply) ([]byte, int, error) {
+	vals, count, err := unmarshalReplyHead(b, r)
+	if err == nil {
+		err = checkValues(vals, count)
+	}
+	return vals, count, err
+}
+
+// checkValues walks count encoded values without decoding them, failing
+// where readValues would.
+func checkValues(b []byte, count int) error {
+	for i := 0; i < count; i++ {
+		var err error
+		if _, _, b, err = nextValue(b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ReadInt64 decodes one int64 value from the front of b and returns it
+// with the bytes after it. A value of another type is ErrBadWire.
+func ReadInt64(b []byte) (int64, []byte, error) {
+	tag, v, rest, err := nextValue(b)
+	if err == nil && tag != tagInt64 {
+		err = ErrBadWire
+	}
+	if err != nil {
+		return 0, nil, err
+	}
+	return int64(binary.LittleEndian.Uint64(v)), rest, nil
+}
+
+// ReadString decodes one string value from the front of b without
+// copying it: the returned bytes alias b. A value of another type is
+// ErrBadWire.
+func ReadString(b []byte) ([]byte, []byte, error) {
+	tag, v, rest, err := nextValue(b)
+	if err == nil && tag != tagString {
+		err = ErrBadWire
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return v, rest, nil
 }
 
 // --- Proxy: transparent invocation (§3.1) ---

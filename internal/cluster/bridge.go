@@ -21,6 +21,7 @@ import (
 	"hydra/internal/guid"
 	"hydra/internal/hostos"
 	"hydra/internal/obs"
+	"hydra/internal/odf"
 	"hydra/internal/resource"
 	"hydra/internal/sim"
 )
@@ -160,10 +161,9 @@ func (c *Coordinator) deployForwarder(leg *bridgeLeg, k func(error)) {
 	g := fwdGUIDBase + guid.GUID(seq)
 	path := fmt.Sprintf("/cluster/%s.odf", bind)
 	dep := leg.back.hs.Depot
-	dep.PutFile(path, []byte(fmt.Sprintf(`<offcode>
-  <package><bindname>%s</bindname><GUID>%d</GUID></package>
-  <targets><host-fallback>true</host-fallback></targets>
-</offcode>`, bind, g)))
+	// A host-fallback Offcode with no imports or interfaces: built in code
+	// rather than parsed from XML, as each bridge deploys two.
+	dep.PutODF(path, &odf.ODF{BindName: bind, GUID: g, HostFallback: true})
 	fwd := &forwarder{}
 	if err := dep.RegisterFactory(g, func() any { return fwd }); err != nil {
 		k(err)
@@ -203,56 +203,113 @@ func (b *Bridge) wire() {
 // a direct handoff when co-located, otherwise TX forwarding cycles on the
 // source host, FIFO serialization plus propagation on the link, and RX
 // forwarding cycles on the destination host before the far proxy channel
-// delivers it.
+// delivers it. A cross-host payload rides a pooled relay record; the
+// direct handoff needs no copy, because Endpoint.Write copies.
 func (b *Bridge) relay(dir int, payload []byte) {
-	data := append([]byte(nil), payload...)
 	src, dst := b.legs[dir], b.legs[1-dir]
 	if src.tr.On() {
-		src.tr.Instant(obs.CatCluster, trBridgeTx, int64(len(data)))
+		src.tr.Instant(obs.CatCluster, trBridgeTx, int64(len(payload)))
 	}
 	if src.back == dst.back {
-		b.deliver(dir, data)
+		b.deliver(dir, payload)
 		return
 	}
-	dtr := dst.tr
+	r := src.back.getRelay()
+	r.b, r.dir, r.src, r.dst = b, dir, src, dst
+	r.data = append(r.data[:0], payload...)
 	// Forwarding work runs in kernel context on the forwarder's host CPU:
 	// the proxy is protocol processing.
-	txCycles := uint64(costModel.PerPacketTX + costModel.PerByteTX*float64(len(data)))
-	src.fwd.task.Syscall(txCycles, func() {
-		l := b.coord.cfg.DefaultLink
-		srcEng, dstEng := src.back.hs.Eng, dst.back.hs.Eng
-		wire := sim.Time(float64(len(data)) / l.BytesPerSec * float64(sim.Second))
-		// Serialize on the directed physical link, shared with every other
-		// bridge riding this host pair. The source host owns the watermark
-		// and this step runs on its engine.
-		start := srcEng.Now()
-		if busy := src.back.linkFree[dst.back]; busy > start {
-			start = busy
+	txCycles := uint64(costModel.PerPacketTX + costModel.PerByteTX*float64(len(r.data)))
+	src.fwd.task.Syscall(txCycles, r.txFn)
+}
+
+// relayRec is one cross-host message in flight: the bridge direction,
+// the legs it left and was sent toward, and a payload buffer it owns and
+// keeps across trips. Its tx, arrive and rx steps are bound once when
+// minted. Records are pooled per backend and taken on the source host;
+// each returns to the pool of the backend whose engine runs its last step
+// (arrive on a drop, rx on a delivery), so under parallel windows a pool
+// is only touched from its own host's engine.
+type relayRec struct {
+	b        *Bridge
+	dir      int
+	src, dst *bridgeLeg // the legs at send time
+	far      *bridgeLeg // the far leg at arrival, which rx delivers through
+	data     []byte
+
+	txFn, arriveFn, rxFn func()
+}
+
+func (bk *backend) getRelay() *relayRec {
+	if n := len(bk.relayFree); n > 0 {
+		r := bk.relayFree[n-1]
+		bk.relayFree[n-1] = nil
+		bk.relayFree = bk.relayFree[:n-1]
+		return r
+	}
+	r := &relayRec{}
+	r.txFn, r.arriveFn, r.rxFn = r.tx, r.arrive, r.rx
+	return r
+}
+
+// putRelay recycles a record into bk's pool, keeping its payload buffer.
+func (bk *backend) putRelay(r *relayRec) {
+	r.b, r.src, r.dst, r.far = nil, nil, nil, nil
+	if len(bk.relayFree) < 256 {
+		bk.relayFree = append(bk.relayFree, r)
+	}
+}
+
+// tx runs on the source host once its forwarding cycles are spent: it
+// commits the payload's slot on the directed link and sends it across.
+func (r *relayRec) tx() {
+	src, dst := r.src, r.dst
+	l := r.b.coord.cfg.DefaultLink
+	srcEng := src.back.hs.Eng
+	wire := sim.Time(float64(len(r.data)) / l.BytesPerSec * float64(sim.Second))
+	// Serialize on the directed physical link, shared with every other
+	// bridge riding this host pair. The source host owns the watermark
+	// and this step runs on its engine.
+	start := srcEng.Now()
+	if busy := src.back.linkFree[dst.back]; busy > start {
+		start = busy
+	}
+	src.back.linkFree[dst.back] = start + wire
+	// The link occupancy window is committed here, on the source
+	// engine; the span records on the source shard.
+	if src.tr.On() {
+		src.tr.Complete(obs.CatCluster, trBridgeLink, start, wire+l.Latency, int64(len(r.data)))
+	}
+	r.b.coord.across(srcEng, dst.back.hs.Eng, start+wire+l.Latency, r.arriveFn)
+}
+
+// arrive runs on the destination host when the payload comes off the
+// link.
+func (r *relayRec) arrive() {
+	b, dir, dtr := r.b, r.dir, r.dst.tr
+	// Re-read the far leg: a failover may have rebuilt it while the
+	// payload was in flight, and the new leg is the right target.
+	far := b.legs[1-dir]
+	if far == nil || far.fwd == nil {
+		b.dropped[dir]++
+		if dtr.On() {
+			dtr.Instant(obs.CatCluster, trBridgeDrop, int64(len(r.data)))
 		}
-		src.back.linkFree[dst.back] = start + wire
-		// The link occupancy window is committed here, on the source
-		// engine; the span records on the source shard.
-		if src.tr.On() {
-			src.tr.Complete(obs.CatCluster, trBridgeLink, start, wire+l.Latency, int64(len(data)))
-		}
-		b.coord.across(srcEng, dstEng, start+wire+l.Latency, func() {
-			// Re-read the far leg: a failover may have rebuilt it while the
-			// payload was in flight, and the new leg is the right target.
-			far := b.legs[1-dir]
-			if far == nil || far.fwd == nil {
-				b.dropped[dir]++
-				if dtr.On() {
-					dtr.Instant(obs.CatCluster, trBridgeDrop, int64(len(data)))
-				}
-				return
-			}
-			if dtr.On() {
-				dtr.Instant(obs.CatCluster, trBridgeRx, int64(len(data)))
-			}
-			rxCycles := uint64(costModel.PerPacketRX + costModel.InterruptRX + costModel.PerByteRX*float64(len(data)))
-			far.fwd.task.Syscall(rxCycles, func() { b.deliver(dir, data) })
-		})
-	})
+		r.dst.back.putRelay(r)
+		return
+	}
+	if dtr.On() {
+		dtr.Instant(obs.CatCluster, trBridgeRx, int64(len(r.data)))
+	}
+	r.far = far
+	rxCycles := uint64(costModel.PerPacketRX + costModel.InterruptRX + costModel.PerByteRX*float64(len(r.data)))
+	far.fwd.task.Syscall(rxCycles, r.rxFn)
+}
+
+// rx runs on the far leg's host once its forwarding cycles are spent.
+func (r *relayRec) rx() {
+	r.b.deliver(r.dir, r.data)
+	r.far.back.putRelay(r)
 }
 
 // deliver writes into the far proxy channel (which models the final

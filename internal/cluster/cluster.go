@@ -109,6 +109,9 @@ type backend struct {
 	// host's engine touch it, so windowed parallel execution needs no
 	// lock.
 	linkFree map[*backend]sim.Time
+	// relayFree pools the relay records whose last step ran on this
+	// host's engine (bridge.go).
+	relayFree []*relayRec
 }
 
 func (b *backend) name() string { return b.hs.Spec.Name }

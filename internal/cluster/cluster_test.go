@@ -73,7 +73,7 @@ func newRig(t *testing.T, n int, cfg Config) *rig { return newRigOn(t, n, cfg, f
 
 // newRigOn is newRig with one engine per host when perHost is set; drive
 // then settles the coordinator's engine group.
-func newRigOn(t *testing.T, n int, cfg Config, perHost bool) *rig {
+func newRigOn(t testing.TB, n int, cfg Config, perHost bool) *rig {
 	t.Helper()
 	spec := testbed.Spec{Name: "cluster-test", EnginePerHost: perHost}
 	for i := 0; i < n; i++ {
@@ -107,7 +107,7 @@ func newRigOn(t *testing.T, n int, cfg Config, perHost bool) *rig {
 // stock registers a worker ODF + object + factory on the given hosts
 // (nil = every host). Fresh instances are created per factory call and
 // recorded in r.instances[bind].
-func (r *rig) stock(t *testing.T, bind string, g guid.GUID, echo, hostOnly bool, hosts ...string) string {
+func (r *rig) stock(t testing.TB, bind string, g guid.GUID, echo, hostOnly bool, hosts ...string) string {
 	t.Helper()
 	targets := `<device-class id="0x0001"><name>Network Device</name></device-class><host-fallback>true</host-fallback>`
 	if hostOnly {
@@ -150,7 +150,7 @@ func (r *rig) stock(t *testing.T, bind string, g guid.GUID, echo, hostOnly bool,
 }
 
 // latest returns the most recently created instance of bind.
-func (r *rig) latest(t *testing.T, bind string) *testWorker {
+func (r *rig) latest(t testing.TB, bind string) *testWorker {
 	t.Helper()
 	insts := r.instances[bind]
 	if len(insts) == 0 {
@@ -159,7 +159,7 @@ func (r *rig) latest(t *testing.T, bind string) *testWorker {
 	return insts[len(insts)-1]
 }
 
-func commit(t *testing.T, r *rig, p *Plan) *Deployment {
+func commit(t testing.TB, r *rig, p *Plan) *Deployment {
 	t.Helper()
 	var dep *Deployment
 	var derr error

@@ -46,6 +46,13 @@ func (d *Depot) PutFile(path string, content []byte) {
 	delete(d.odfCache, path)
 }
 
+// PutODF stores an already-parsed ODF at path, in place of any file
+// there, for a caller that builds its manifest in code.
+func (d *Depot) PutODF(path string, o *odf.ODF) {
+	delete(d.files, path)
+	d.odfCache[path] = o
+}
+
 // LoadODF parses (and caches) the ODF at path.
 func (d *Depot) LoadODF(path string) (*odf.ODF, error) {
 	if o, ok := d.odfCache[path]; ok {

@@ -1,9 +1,11 @@
 package depot
 
 import (
+	"reflect"
 	"testing"
 
 	"hydra/internal/objfile"
+	"hydra/internal/odf"
 )
 
 const odfDoc = `<offcode>
@@ -51,6 +53,17 @@ func TestLoadODFCached(t *testing.T) {
 	d.PutFile("/bad.odf", []byte("not xml"))
 	if _, err := d.LoadODF("/bad.odf"); err == nil {
 		t.Fatal("bad ODF loaded")
+	}
+	// A manifest built in code replaces the file and loads as given, and
+	// a later file replaces it in turn.
+	built := &odf.ODF{BindName: "a", GUID: 11, HostFallback: true}
+	d.PutODF("/a.odf", built)
+	if o, err := d.LoadODF("/a.odf"); err != nil || o != built {
+		t.Fatalf("LoadODF after PutODF = %v, %v", o, err)
+	}
+	d.PutFile("/a.odf", []byte(odfDoc))
+	if o, _ := d.LoadODF("/a.odf"); o == built || !reflect.DeepEqual(o, built) {
+		t.Fatalf("LoadODF after PutFile = %+v, want a fresh parse equal to %+v", o, built)
 	}
 }
 

@@ -13,8 +13,11 @@
 //   - "Reduced power consumption" (§1.1 #3): devices carry idle/busy power
 //     ratings (the paper contrasts a 68 W Pentium 4 with a 0.5 W XScale).
 //
-// Device memory is a real byte slice: the HYDRA loader writes linked Offcode
-// images into it, and tests verify relocation bytes end to end.
+// Device memory holds real bytes: the HYDRA loader writes linked Offcode
+// images into it, and tests verify relocation bytes end to end. It is
+// paged: a fixed-size page is allocated on its first write, and a page
+// never written reads as zeros, so a device costs host memory in
+// proportion to what was loaded, not to its rated local memory.
 package device
 
 import (
@@ -120,7 +123,7 @@ type Device struct {
 	bsys *bus.Bus
 	rng  *rand.Rand
 
-	mem      []byte
+	pages    []*page // local memory; nil until a page is first written
 	memUsed  int
 	memFreed int
 	memGen   uint64
@@ -129,6 +132,7 @@ type Device struct {
 	busy     bool
 	queue    sim.FIFO[*devSegment]
 	segFree  []*devSegment // recycled segments; Exec runs alloc-free once warm
+	dmaFree  []*dmaStep    // recycled host-bound DMA completions
 
 	// Failure model. epoch increments on every crash, so callbacks armed
 	// by dead firmware (in-flight Exec segments, hardware timers) can
@@ -161,7 +165,7 @@ func New(eng *sim.Engine, host *hostos.Machine, b *bus.Bus, cfg Config) *Device 
 		host:    host,
 		bsys:    b,
 		rng:     eng.NewRand(int64(cfg.Class.ID)*977 + int64(len(cfg.Name))),
-		mem:     make([]byte, cfg.LocalMemBytes),
+		pages:   make([]*page, (cfg.LocalMemBytes+pageSize-1)/pageSize),
 		exports: make(map[string]uint64),
 	}
 	return d
@@ -280,9 +284,7 @@ func (d *Device) Restore() {
 	if !d.crashed {
 		return
 	}
-	for i := range d.mem {
-		d.mem[i] = 0
-	}
+	clear(d.pages)
 	d.memUsed = 0
 	d.memFreed = 0
 	d.memGen++
@@ -342,9 +344,9 @@ func (d *Device) AllocMem(size int) (uint64, error) {
 	}
 	const align = 16
 	base := (d.memUsed + align - 1) &^ (align - 1)
-	if base+size > len(d.mem) {
+	if base+size > d.cfg.LocalMemBytes {
 		return 0, fmt.Errorf("device %s: out of local memory (%d used, %d requested, %d total)",
-			d.cfg.Name, d.memUsed, size, len(d.mem))
+			d.cfg.Name, d.memUsed, size, d.cfg.LocalMemBytes)
 	}
 	d.memUsed = base + size
 	return uint64(base), nil
@@ -381,22 +383,67 @@ func (d *Device) MemUsed() int { return d.memUsed }
 // churn that leaks device memory shows up here as monotonic growth.
 func (d *Device) MemLive() int { return d.memUsed - d.memFreed }
 
-// WriteMem copies data into device memory at addr.
-func (d *Device) WriteMem(addr uint64, data []byte) error {
-	if int(addr)+len(data) > len(d.mem) {
-		return fmt.Errorf("device %s: write beyond local memory", d.cfg.Name)
+// pageSize is the granule local memory is allocated in on first write.
+const pageSize = 4 << 10
+
+type page [pageSize]byte
+
+// MemError is the typed error WriteMem and ReadMem return for an access
+// that does not lie inside local memory: a negative size, or an address
+// range that runs past the end (however large the address).
+type MemError struct {
+	Device string
+	Op     string // "read" or "write"
+	Addr   uint64
+	Size   int
+}
+
+func (e *MemError) Error() string {
+	return fmt.Sprintf("device %s: %s of %d bytes at %#x: beyond local memory", e.Device, e.Op, e.Size, e.Addr)
+}
+
+// checkRange validates [addr, addr+size) against local memory without
+// computing addr+size, which could overflow.
+func (d *Device) checkRange(op string, addr uint64, size int) error {
+	limit := uint64(d.cfg.LocalMemBytes)
+	if size < 0 || addr > limit || uint64(size) > limit-addr {
+		return &MemError{Device: d.cfg.Name, Op: op, Addr: addr, Size: size}
 	}
-	copy(d.mem[addr:], data)
 	return nil
 }
 
-// ReadMem returns a copy of size bytes at addr.
+// WriteMem copies data into device memory at addr, allocating each page
+// it touches for the first time.
+func (d *Device) WriteMem(addr uint64, data []byte) error {
+	if err := d.checkRange("write", addr, len(data)); err != nil {
+		return err
+	}
+	for len(data) > 0 {
+		i, off := addr/pageSize, addr%pageSize
+		if d.pages[i] == nil {
+			d.pages[i] = new(page)
+		}
+		n := copy(d.pages[i][off:], data)
+		data, addr = data[n:], addr+uint64(n)
+	}
+	return nil
+}
+
+// ReadMem returns a copy of size bytes at addr. Pages never written read
+// as zeros.
 func (d *Device) ReadMem(addr uint64, size int) ([]byte, error) {
-	if int(addr)+size > len(d.mem) {
-		return nil, fmt.Errorf("device %s: read beyond local memory", d.cfg.Name)
+	if err := d.checkRange("read", addr, size); err != nil {
+		return nil, err
 	}
 	out := make([]byte, size)
-	copy(out, d.mem[addr:])
+	for rest := out; len(rest) > 0; {
+		i, off := addr/pageSize, addr%pageSize
+		n := min(len(rest), int(pageSize-off))
+		if p := d.pages[i]; p != nil {
+			copy(rest, p[off:])
+		}
+		rest, addr = rest[n:], addr+uint64(n)
+	}
 	return out, nil
 }
 
@@ -415,18 +462,55 @@ func (d *Device) Exports() map[string]uint64 {
 
 // --- DMA ---
 
+// dmaStep is one host-bound DMA's completion: pooled per device, with its
+// land step bound once when minted. It returns to the pool when the
+// transfer lands.
+type dmaStep struct {
+	d      *Device
+	addr   uint64
+	size   int
+	done   func()
+	landFn func()
+}
+
+// toHost takes a landing step for a host-bound transfer of size bytes at
+// hostAddr: when the transfer lands it invalidates the host's cached copy
+// of those bytes and then calls done.
+func (d *Device) toHost(hostAddr uint64, size int, done func()) *dmaStep {
+	var s *dmaStep
+	if n := len(d.dmaFree); n > 0 {
+		s = d.dmaFree[n-1]
+		d.dmaFree[n-1] = nil
+		d.dmaFree = d.dmaFree[:n-1]
+	} else {
+		s = &dmaStep{d: d}
+		s.landFn = s.land
+	}
+	s.addr, s.size, s.done = hostAddr, size, done
+	return s
+}
+
+// land ends the transfer: host-side cache invalidation of the target
+// lines, then the caller's continuation.
+func (s *dmaStep) land() {
+	d, done := s.d, s.done
+	d.host.DMAWrite(s.addr, s.size)
+	s.done = nil
+	if len(d.dmaFree) < 256 {
+		d.dmaFree = append(d.dmaFree, s)
+	}
+	if done != nil {
+		done()
+	}
+}
+
 // DMAToHost writes size bytes from the device into host memory at hostAddr:
 // one bus transaction, then host-side cache invalidation of the target lines.
 func (d *Device) DMAToHost(hostAddr uint64, size int, done func()) {
 	if d.crashed {
 		return
 	}
-	d.bsys.Transfer(d.Agent(), bus.MainMemory, size, func() {
-		d.host.DMAWrite(hostAddr, size)
-		if done != nil {
-			done()
-		}
-	})
+	d.bsys.Transfer(d.Agent(), bus.MainMemory, size, d.toHost(hostAddr, size, done).landFn)
 }
 
 // DMAFromHost reads size bytes of host memory into the device. Reads do not
@@ -454,12 +538,7 @@ func (d *Device) DMAToHostGather(hostAddr uint64, sizes []int, done func()) {
 	for _, s := range sizes {
 		total += s
 	}
-	d.bsys.TransferGather(d.Agent(), bus.MainMemory, sizes, func() {
-		d.host.DMAWrite(hostAddr, total)
-		if done != nil {
-			done()
-		}
-	})
+	d.bsys.TransferGather(d.Agent(), bus.MainMemory, sizes, d.toHost(hostAddr, total, done).landFn)
 }
 
 // DMAFromHostGather reads several payloads from host memory in one gather

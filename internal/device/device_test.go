@@ -1,6 +1,8 @@
 package device
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"testing"
 
@@ -156,6 +158,103 @@ func TestMemBoundsChecks(t *testing.T) {
 	}
 	if _, err := d.ReadMem(end-2, 3); err == nil {
 		t.Fatal("out-of-bounds read succeeded")
+	}
+}
+
+// pagesHeld counts the pages local memory has allocated.
+func (d *Device) pagesHeld() int {
+	n := 0
+	for _, p := range d.pages {
+		if p != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// Local memory is paged on first write and bounds-checked without
+// overflow: every out-of-range access is a *MemError, never a panic.
+func TestLocalMemoryPaging(t *testing.T) {
+	end := uint64(XScaleNIC("").LocalMemBytes)
+	cases := []struct {
+		name      string
+		access    func(d *Device) ([]byte, error) // the bytes it read, if any
+		wantErr   bool
+		want      []byte
+		wantPages int
+	}{
+		{"write at an overflowing address", func(d *Device) ([]byte, error) {
+			return nil, d.WriteMem(1<<63, []byte{1})
+		}, true, nil, 0},
+		{"read at an overflowing address", func(d *Device) ([]byte, error) {
+			return d.ReadMem(1<<63, 1)
+		}, true, nil, 0},
+		{"write whose end wraps around", func(d *Device) ([]byte, error) {
+			return nil, d.WriteMem(math.MaxUint64, []byte{1, 2})
+		}, true, nil, 0},
+		{"negative read size", func(d *Device) ([]byte, error) {
+			return d.ReadMem(0, -1)
+		}, true, nil, 0},
+		{"empty read at the end", func(d *Device) ([]byte, error) {
+			return d.ReadMem(end, 0)
+		}, false, []byte{}, 0},
+		{"write across a page boundary", func(d *Device) ([]byte, error) {
+			if err := d.WriteMem(pageSize-2, []byte{1, 2, 3, 4}); err != nil {
+				return nil, err
+			}
+			return d.ReadMem(pageSize-3, 6)
+		}, false, []byte{0, 1, 2, 3, 4, 0}, 2},
+		{"read of a page never written", func(d *Device) ([]byte, error) {
+			return d.ReadMem(5*pageSize+7, 16)
+		}, false, make([]byte, 16), 0},
+		{"restore releases every page", func(d *Device) ([]byte, error) {
+			if err := d.WriteMem(3*pageSize, []byte{9, 9}); err != nil {
+				return nil, err
+			}
+			d.Crash()
+			d.Restore()
+			return d.ReadMem(3*pageSize, 2)
+		}, false, []byte{0, 0}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, _, d := rig()
+			got, err := tc.access(d)
+			if tc.wantErr {
+				var me *MemError
+				if !errors.As(err, &me) {
+					t.Fatalf("err = %v, want a *MemError", err)
+				}
+			} else if err != nil {
+				t.Fatal(err)
+			} else if !bytes.Equal(got, tc.want) {
+				t.Fatalf("read %v, want %v", got, tc.want)
+			}
+			if n := d.pagesHeld(); n != tc.wantPages {
+				t.Fatalf("%d pages held, want %d", n, tc.wantPages)
+			}
+		})
+	}
+}
+
+// A device costs no page of host memory until something is written to
+// it: a 16 MiB GPU with an allocation but no write holds none.
+func TestNewHoldsNoPageUntilFirstWrite(t *testing.T) {
+	eng := sim.NewEngine(3)
+	host := hostos.New(eng, "host", hostos.PentiumIV())
+	d := New(eng, host, bus.New(eng, bus.DefaultConfig()), GPU("gpu0"))
+	addr, err := d.AllocMem(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := d.pagesHeld(); n != 0 {
+		t.Fatalf("fresh GPU holds %d pages, want 0", n)
+	}
+	if err := d.WriteMem(addr+100, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if n := d.pagesHeld(); n != 1 {
+		t.Fatalf("GPU holds %d pages after a one-byte write, want 1", n)
 	}
 }
 

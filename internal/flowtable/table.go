@@ -82,13 +82,14 @@ type Table struct {
 }
 
 // New builds an empty table under cfg; tr (nil to disable) receives
-// obs.CatFlow instants.
+// obs.CatFlow instants. The map grows with the flows it tracks rather
+// than being sized for the whole quota up front.
 func New(cfg Config, tr *obs.Shard) *Table {
 	c := cfg.QuotaBytes / EntryBytes
 	if c < 1 {
 		c = 1
 	}
-	return &Table{cfg: cfg, cap: c, m: make(map[Key]*entry, c), tr: tr}
+	return &Table{cfg: cfg, cap: c, m: make(map[Key]*entry), tr: tr}
 }
 
 // Len is the current entry count, always within the QuotaBytes budget.
@@ -254,7 +255,7 @@ func (t *Table) Restore(b []byte) error {
 	if n > t.cap {
 		return fmt.Errorf("flowtable: checkpoint holds %d entries over capacity %d", n, t.cap)
 	}
-	m := make(map[Key]*entry, t.cap)
+	m := make(map[Key]*entry, n)
 	var front, back *entry
 	off := 4
 	for i := 0; i < n; i++ {

@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -147,13 +148,16 @@ func (g *Group) Run(until Time, workers int) {
 			inclusive = true
 		}
 		if workers > 1 {
+			// The window bounds go in as arguments: a goroutine closure
+			// capturing them would move them to the heap on every window,
+			// serial ones included.
 			var wg sync.WaitGroup
 			for _, e := range g.engines {
 				wg.Add(1)
-				go func(e *Engine) {
+				go func(e *Engine, h Time, inclusive bool) {
 					defer wg.Done()
 					e.runWindow(h, inclusive)
-				}(e)
+				}(e, h, inclusive)
 			}
 			wg.Wait()
 		} else {
@@ -176,15 +180,14 @@ func (g *Group) flush() {
 	if len(g.inj) == 0 {
 		return
 	}
-	sort.Slice(g.inj, func(a, b int) bool {
-		x, y := &g.inj[a], &g.inj[b]
-		if x.at != y.at {
-			return x.at < y.at
+	slices.SortFunc(g.inj, func(x, y xmsg) int {
+		if c := cmp.Compare(x.at, y.at); c != 0 {
+			return c
 		}
-		if x.src != y.src {
-			return x.src < y.src
+		if c := cmp.Compare(x.src, y.src); c != 0 {
+			return c
 		}
-		return x.seq < y.seq
+		return cmp.Compare(x.seq, y.seq)
 	})
 	for i := range g.inj {
 		m := &g.inj[i]

@@ -168,3 +168,41 @@ func TestGroupRunFiresAtHorizon(t *testing.T) {
 		t.Fatalf("clocks = %v, %v, want 1000", a.Now(), b.Now())
 	}
 }
+
+// A warm windowed serial run allocates nothing per window: the window
+// bounds stay on the stack and the barrier sorts injections without a
+// reflection swapper, with cross-engine sends in every window.
+func TestGroupWindowAllocs(t *testing.T) {
+	const look = 10 * Microsecond
+	a, b := NewEngine(1), NewEngine(2)
+	g, err := NewGroup([]*Engine{a, b}, look)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each engine answers every message with one back to the other, and
+	// both start at once, so every window carries two sends.
+	hops := 0
+	var onA, onB func()
+	onA = func() { hops++; g.Send(a, b, a.Now()+look, onB) }
+	onB = func() { hops++; g.Send(b, a, b.Now()+look, onA) }
+	a.At(1, onA)
+	b.At(1, onB)
+	var until Time
+	run := func() {
+		until += 100 * look
+		g.Run(until, 1)
+	}
+	for i := 0; i < 10; i++ {
+		run()
+	}
+	before := hops
+	allocs := testing.AllocsPerRun(50, run)
+	// AllocsPerRun adds one warm-up call to its 50; each call spans 100
+	// windows of two hops.
+	if got := hops - before; got < 51*100*2 {
+		t.Fatalf("%d hops in 51 runs, want at least %d", got, 51*100*2)
+	}
+	if allocs != 0 {
+		t.Fatalf("%.2f allocations per 100 windows, want 0", allocs)
+	}
+}

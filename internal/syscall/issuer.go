@@ -115,7 +115,7 @@ type Issuer struct {
 	sealed   bool
 	defaultK func(*Completion)
 	stats    Stats
-	lats     []sim.Time // completion latencies, issue→done
+	lats     [][]sim.Time // completion latencies, issue→done, in latChunk runs
 	callFree []*pendingCall
 
 	// rep and comp are decoded into and handed to each continuation in
@@ -171,8 +171,22 @@ func (i *Issuer) InFlight() int { return i.inFlight }
 // Stats returns the device-side accounting.
 func (i *Issuer) Stats() Stats { return i.stats }
 
-// Latencies returns the issue→completion spans recorded so far.
-func (i *Issuer) Latencies() []sim.Time { return i.lats }
+// latChunk is the length of one run of recorded latencies: recording
+// fills fixed runs instead of regrowing one slice, so it never copies.
+const latChunk = 1024
+
+// Latencies returns the issue→completion spans recorded so far, in
+// completion order, as a fresh slice.
+func (i *Issuer) Latencies() []sim.Time { return slices.Concat(i.lats...) }
+
+func (i *Issuer) recordLatency(l sim.Time) {
+	n := len(i.lats)
+	if n == 0 || len(i.lats[n-1]) == latChunk {
+		i.lats = append(i.lats, make([]sim.Time, 0, latChunk))
+		n++
+	}
+	i.lats[n-1] = append(i.lats[n-1], l)
+}
 
 // chargeCredits takes n in-flight credits, all or none.
 func (i *Issuer) chargeCredits(n int) error {
@@ -195,26 +209,56 @@ func (i *Issuer) releaseCredit() {
 }
 
 // Issue marshals one syscall and posts it to the host. k receives the
-// completion (nil k is allowed for ModeFireForget). The *Completion and
-// its Results are valid only during the call to k: the issuer reuses them
-// for the next completion, so k copies out what it keeps. The credit is
-// held until completion — or, for fire-and-forget, until the request is
-// handed to the channel.
+// completion (nil k is allowed for ModeFireForget). The *Completion is
+// valid only during the call to k: the issuer reuses it for the next
+// completion, so k copies out what it keeps. The credit is held until
+// completion — or, for fire-and-forget, until the request is handed to
+// the channel.
 func (i *Issuer) Issue(op Op, mode Mode, args []any, k func(*Completion)) error {
+	p, id, err := i.begin(mode)
+	if err != nil {
+		return err
+	}
+	wire, err := call.AppendCall(p.wire[:0], &call.Call{Iface: IfaceGUID, Method: op.String(), Args: args, ReturnDesc: id})
+	return i.post(p, id, op, mode, k, wire, err)
+}
+
+// Log sends one log line to the host (typically fire-and-forget). It
+// encodes the line straight onto the wire, so issuing it boxes nothing.
+func (i *Issuer) Log(msg string, mode Mode) error {
+	p, id, err := i.begin(mode)
+	if err != nil {
+		return err
+	}
+	wire, err := call.AppendCallHead(p.wire[:0], IfaceGUID, OpLog.String(), id, 1)
+	if err == nil {
+		wire, err = call.AppendString(wire, msg)
+	}
+	return i.post(p, id, OpLog, mode, nil, wire, err)
+}
+
+// begin takes a credit and a sequence number for one call and a record
+// to carry it.
+func (i *Issuer) begin(mode Mode) (*pendingCall, uint64, error) {
 	if i.end == nil {
-		return ErrDetached
+		return nil, 0, ErrDetached
 	}
 	if i.sealed {
-		return ErrSealed
+		return nil, 0, ErrSealed
 	}
 	if err := i.chargeCredits(1); err != nil {
 		i.stats.CreditDenied++
-		return err
+		return nil, 0, err
 	}
 	id := packID(i.nextSeq, mode)
 	i.nextSeq++
-	p := i.getCall()
-	wire, err := call.AppendCall(p.wire[:0], &call.Call{Iface: IfaceGUID, Method: op.String(), Args: args, ReturnDesc: id})
+	return i.getCall(), id, nil
+}
+
+// post records the call that begin started and queues its send. When
+// its request failed to marshal, post returns the record and the credit
+// instead.
+func (i *Issuer) post(p *pendingCall, id uint64, op Op, mode Mode, k func(*Completion), wire []byte, err error) error {
 	if err != nil {
 		i.putCall(p)
 		i.releaseCredit()
@@ -237,8 +281,15 @@ func (i *Issuer) Issue(op Op, mode Mode, args []any, k func(*Completion)) error 
 // onCompletion handles a reply payload arriving on the device endpoint.
 func (i *Issuer) onCompletion(data []byte) {
 	rep := &i.rep
-	if err := call.UnmarshalReplyInto(data, rep); err != nil {
+	vals, n, err := call.UnmarshalReplyHeadInto(data, rep)
+	if err != nil {
 		return // not a completion (e.g. unrelated traffic on a shared channel)
+	}
+	var clock int64
+	if n > 0 {
+		if clock, _, err = call.ReadInt64(vals); err != nil {
+			return // a completion carries at most a clock reading
+		}
 	}
 	id := rep.ReturnDesc
 	p, ok := i.pending[id]
@@ -256,12 +307,12 @@ func (i *Issuer) onCompletion(data []byte) {
 	op, issued, k, restored := p.op, p.issued, p.k, p.restored
 	i.putCall(p)
 	c := &i.comp
-	*c = Completion{ID: id, Op: op, Results: rep.Results, Err: rep.Err, Issued: issued, Done: now}
+	*c = Completion{ID: id, Op: op, Clock: sim.Time(clock), Err: rep.Err, Issued: issued, Done: now}
 	i.stats.Completed++
 	if rep.Err != "" {
 		i.stats.Errors++
 	}
-	i.lats = append(i.lats, c.Latency())
+	i.recordLatency(c.Latency())
 	if i.tr.On() {
 		i.tr.Instant(obs.CatSyscall, trComplete, int64(idSeq(id)))
 		// End-to-end per-call span on the device shard: issue→complete.
@@ -397,9 +448,4 @@ func (i *Issuer) checkRestored(id uint64, op Op, wire []byte, prevSeq, nextSeq u
 		return fmt.Errorf("sequence %d: request is not %v call %#x", seq, op, id)
 	}
 	return nil
-}
-
-// Log sends one log line to the host (typically fire-and-forget).
-func (i *Issuer) Log(msg string, mode Mode) error {
-	return i.Issue(OpLog, mode, []any{msg}, nil)
 }

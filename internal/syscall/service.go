@@ -19,8 +19,12 @@ const (
 
 // replyCacheSize bounds the at-most-once reply cache. It only needs to
 // cover the in-flight window (the credit limit) with slack for a swap's
-// replayed traffic, not the whole run.
-const replyCacheSize = 4096
+// replayed traffic, not the whole run. The cache is allocated replyChunk
+// slots at a time, on first use.
+const (
+	replyCacheSize = 4096
+	replyChunk     = 256
+)
 
 // Service is the host side of the syscall subsystem: it decodes requests
 // off the channel, lands them in a hostos.WorkerPool dispatcher, executes
@@ -35,19 +39,25 @@ type Service struct {
 	end  *channel.Endpoint
 	tr   *obs.Shard
 
-	// The reply cache is a FIFO ring of the last replyCacheSize replies,
-	// grown lazily; the oldest slot's wire buffer is reused on eviction.
-	replyCache map[uint64]int  // id → slot in replies
-	replies    []cachedReply   // the ring
-	oldest     int             // next slot to evict once the ring is full
-	executing  map[uint64]bool // ids submitted to the pool, not yet finished
-	reqFree    []*request
-	stats      Stats
+	// The reply cache holds the outcome of call sequence seq in slot
+	// seq % replyCacheSize. A channel's calls number one ascending
+	// sequence (a restored issuer continues its predecessor's), so a slot
+	// is overwritten only replyCacheSize calls later. A reply is encoded
+	// from its outcome whenever it is sent, into the one wire buffer.
+	replies   [replyCacheSize / replyChunk]*[replyChunk]outcome
+	wire      []byte          // encoding buffer; Endpoint.Write copies it
+	executing map[uint64]bool // ids submitted to the pool, not yet finished
+	reqFree   []*request
+	stats     Stats
 }
 
-type cachedReply struct {
-	id   uint64
-	wire []byte
+// outcome is what executing one request produced: all its reply holds.
+// A zero op marks a cache slot never filled.
+type outcome struct {
+	id    uint64
+	op    Op
+	clock sim.Time // a clock's reading, taken at execution
+	err   string   // the execution error, if any
 }
 
 // request is one dispatched syscall. Records are pooled per service with
@@ -56,12 +66,11 @@ type cachedReply struct {
 // rejected or answered as a duplicate.
 type request struct {
 	s        *Service
-	c        call.Call // decoded request; its Args storage is reused
-	op       Op
+	c        call.Call // decoded request head; the arguments stay encoded
+	argsOK   bool      // the arguments fit the op: a log takes one string
 	start    sim.Time
 	done     func() // the worker's release, held from submit to exec
-	results  [1]any
-	rep      call.Reply
+	out      outcome
 	submitFn func(*hostos.Task, func())
 	execFn   func()
 }
@@ -79,7 +88,7 @@ func (s *Service) getRequest() *request {
 }
 
 func (s *Service) putRequest(r *request) {
-	r.done, r.results[0], r.rep.Results = nil, nil, nil
+	r.done = nil
 	if len(s.reqFree) < 256 {
 		s.reqFree = append(s.reqFree, r)
 	}
@@ -91,12 +100,11 @@ func NewService(vfs *hostos.VFS, prof Profile) *Service {
 	prof = prof.withDefaults()
 	m := vfs.Machine()
 	return &Service{
-		eng:        m.Engine(),
-		vfs:        vfs,
-		pool:       hostos.NewWorkerPool(m, "syscalld", prof.Workers),
-		tr:         obs.ForCat(m.Engine(), obs.CatSyscall),
-		replyCache: make(map[uint64]int),
-		executing:  make(map[uint64]bool),
+		eng:       m.Engine(),
+		vfs:       vfs,
+		pool:      hostos.NewWorkerPool(m, "syscalld", prof.Workers),
+		tr:        obs.ForCat(m.Engine(), obs.CatSyscall),
+		executing: make(map[uint64]bool),
 	}
 }
 
@@ -113,7 +121,8 @@ func (s *Service) Stats() Stats { return s.stats }
 func (s *Service) onRequest(data []byte) {
 	r := s.getRequest()
 	c := &r.c
-	if err := call.UnmarshalInto(data, c); err != nil || c.Iface != IfaceGUID {
+	args, argc, err := call.UnmarshalHeadInto(data, c)
+	if err != nil || c.Iface != IfaceGUID {
 		s.putRequest(r)
 		return // not a syscall request; ignore unrelated traffic
 	}
@@ -128,7 +137,7 @@ func (s *Service) onRequest(data []byte) {
 	if s.tr.On() {
 		s.tr.Instant(obs.CatSyscall, trDispatch, int64(idSeq(id)))
 	}
-	if slot, ok := s.replyCache[id]; ok {
+	if o := s.slot(id); o != nil && o.op != 0 && o.id == id {
 		// Duplicate (reissue after a swap): answer from the cache without
 		// re-executing, preserving exactly-once side effects.
 		s.putRequest(r)
@@ -136,10 +145,8 @@ func (s *Service) onRequest(data []byte) {
 		if s.tr.On() {
 			s.tr.Instant(obs.CatSyscall, trDedup, int64(idSeq(id)))
 		}
-		if idMode(id) != ModeFireForget {
-			s.stats.RepliesSent++
-			_ = s.end.Write(s.replies[slot].wire)
-		}
+		s.stats.RepliesSent++
+		_ = s.end.Write(s.encode(o))
 		return
 	}
 	if s.executing[id] {
@@ -153,29 +160,34 @@ func (s *Service) onRequest(data []byte) {
 		return
 	}
 	s.executing[id] = true
-	r.op = op
+	r.out.op = op
+	r.argsOK = op == OpClock // the clock ignores any arguments
+	if op == OpLog && argc == 1 {
+		_, _, err := call.ReadString(args)
+		r.argsOK = err == nil
+	}
 	s.pool.Submit(r.submitFn)
 }
 
 // submit starts the request on a dispatcher worker.
 func (r *request) submit(t *hostos.Task, done func()) {
 	r.start, r.done = r.s.eng.Now(), done
-	t.Syscall(r.s.cycles(r.op), r.execFn)
+	t.Syscall(r.s.cycles(r.out.op), r.execFn)
 }
 
 // exec runs the request once its kernel cycles are spent, replies, and
 // releases the worker.
 func (r *request) exec() {
 	s, id := r.s, r.c.ReturnDesc
-	r.rep = call.Reply{ReturnDesc: id}
+	r.out.id, r.out.err = id, ""
 	if err := s.execute(r); err != nil {
-		r.rep.Err = err.Error()
+		r.out.err = err.Error()
 	}
 	s.stats.Executed++
 	if s.tr.On() {
 		s.tr.Complete(obs.CatSyscall, trExec+idMode(id).String(), r.start, s.eng.Now()-r.start, int64(idSeq(id)))
 	}
-	s.finish(id, &r.rep)
+	s.finish(r)
 	done := r.done
 	s.putRequest(r)
 	done()
@@ -189,29 +201,50 @@ func (s *Service) cycles(op Op) uint64 {
 	return clockCycles
 }
 
-// finish caches the reply for at-most-once dedup and sends the completion
-// unless the call was fire-and-forget.
-func (s *Service) finish(id uint64, rep *call.Reply) {
+// finish caches r's outcome for at-most-once dedup and sends the
+// completion. A fire-and-forget call is neither: it is sent once and
+// never reissued (Restore rejects it), so no duplicate can arrive.
+func (s *Service) finish(r *request) {
+	id := r.out.id
 	delete(s.executing, id)
-	slot := s.oldest
-	if len(s.replies) < replyCacheSize {
-		slot = len(s.replies)
-		s.replies = append(s.replies, cachedReply{})
+	if idMode(id) == ModeFireForget {
+		return
+	}
+	i := idSeq(id) % replyCacheSize
+	c := s.replies[i/replyChunk]
+	if c == nil {
+		c = new([replyChunk]outcome)
+		s.replies[i/replyChunk] = c
+	}
+	c[i%replyChunk] = r.out
+	s.stats.RepliesSent++
+	_ = s.end.Write(s.encode(&r.out))
+}
+
+// slot returns the reply cache slot of id's sequence, or nil while its
+// chunk is unallocated.
+func (s *Service) slot(id uint64) *outcome {
+	i := idSeq(id) % replyCacheSize
+	if c := s.replies[i/replyChunk]; c != nil {
+		return &c[i%replyChunk]
+	}
+	return nil
+}
+
+// encode writes o's reply into the service's wire buffer: the error
+// text, or a clock's reading as its one result.
+func (s *Service) encode(o *outcome) []byte {
+	var err error
+	if o.err != "" || o.op != OpClock {
+		s.wire, err = call.AppendReplyHead(s.wire[:0], o.id, o.err, 0)
 	} else {
-		delete(s.replyCache, s.replies[slot].id)
-		s.oldest = (slot + 1) % replyCacheSize
+		s.wire, err = call.AppendReplyHead(s.wire[:0], o.id, "", 1)
+		s.wire = call.AppendInt64(s.wire, int64(o.clock))
 	}
-	e := &s.replies[slot]
-	wire, err := call.AppendReply(e.wire[:0], rep)
 	if err != nil {
-		wire, _ = call.AppendReply(e.wire[:0], &call.Reply{ReturnDesc: id, Err: "syscall: unmarshalable results"})
+		s.wire, _ = call.AppendReplyHead(s.wire[:0], o.id, "syscall: unmarshalable results", 0)
 	}
-	e.id, e.wire = id, wire
-	s.replyCache[id] = slot
-	if idMode(id) != ModeFireForget {
-		s.stats.RepliesSent++
-		_ = s.end.Write(wire)
-	}
+	return s.wire
 }
 
 func (s *Service) reply(id uint64, rep *call.Reply) {
@@ -229,20 +262,15 @@ func (s *Service) reply(id uint64, rep *call.Reply) {
 // badArgs is the uniform decode failure for a malformed argument vector.
 func badArgs(op Op) error { return fmt.Errorf("syscall %s: bad argument vector", op) }
 
-// execute runs one decoded syscall into r.rep.Results: the clock reads
-// the engine, a log line (one string argument) counts on the VFS ledger.
+// execute runs one decoded syscall: the clock reads the engine into
+// r.out, a log line (one string argument) counts on the VFS ledger.
 func (s *Service) execute(r *request) error {
-	if r.op == OpClock {
-		r.results[0] = int64(s.eng.Now())
-		r.rep.Results = r.results[:]
+	if !r.argsOK {
+		return badArgs(r.out.op)
+	}
+	if r.out.op == OpClock {
+		r.out.clock = s.eng.Now()
 		return nil
-	}
-	args := r.c.Args
-	if len(args) != 1 {
-		return badArgs(r.op)
-	}
-	if _, ok := args[0].(string); !ok {
-		return badArgs(r.op)
 	}
 	s.vfs.Log()
 	return nil

@@ -24,11 +24,11 @@
 // reply ring), and ModeFireForget (no completion at all). The mode rides
 // in the top bits of the call id so the host knows whether to reply.
 //
-// Once warm, the round trip allocates only the boxed clock readings: both
-// sides keep pooled per-call records, and the issuer hands every
-// continuation the same issuer-owned Completion. A *Completion and its Results are
-// therefore valid only during the continuation; keep a copy, not the
-// pointer.
+// Once warm, the round trip allocates nothing: both sides keep pooled
+// per-call records, encode and decode the fixed-shape requests and
+// replies without boxing a value, and the issuer hands every continuation
+// the same issuer-owned Completion. A *Completion is therefore valid only
+// during the continuation; keep a copy, not the pointer.
 package syscall
 
 import (
@@ -214,12 +214,12 @@ const (
 // Completion is what a syscall continuation receives. It is owned by the
 // Issuer and valid only during the continuation call.
 type Completion struct {
-	ID      uint64
-	Op      Op
-	Results []any
-	Err     string // empty on success
-	Issued  sim.Time
-	Done    sim.Time
+	ID     uint64
+	Op     Op
+	Clock  sim.Time // OpClock's result: the host clock when it executed
+	Err    string   // empty on success
+	Issued sim.Time
+	Done   sim.Time
 }
 
 // Latency is the issue→completion span.

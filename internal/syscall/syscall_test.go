@@ -64,10 +64,10 @@ func TestFileSyscallRoundTrip(t *testing.T) {
 	var clocks []int64
 	clock := func(next func()) {
 		err := r.iss.Issue(OpClock, ModeSync, nil, func(c *Completion) {
-			if c.Err != "" || len(c.Results) != 1 {
+			if c.Err != "" || c.Op != OpClock {
 				t.Fatalf("clock completion = %+v", c)
 			}
-			clocks = append(clocks, c.Results[0].(int64))
+			clocks = append(clocks, int64(c.Clock))
 			next()
 		})
 		if err != nil {
@@ -114,7 +114,7 @@ func TestErrorAndClockAndMap(t *testing.T) {
 	var logErr string
 	r.iss.Issue(OpLog, ModeAsync, []any{int64(7)}, func(c *Completion) { logErr = c.Err })
 	var clk int64
-	r.iss.Issue(OpClock, ModeAsync, nil, func(c *Completion) { clk = c.Results[0].(int64) })
+	r.iss.Issue(OpClock, ModeAsync, nil, func(c *Completion) { clk = int64(c.Clock) })
 	r.eng.RunAll()
 	if !strings.Contains(logErr, "bad argument vector") {
 		t.Fatalf("malformed log completed with %q, want a bad-argument error", logErr)

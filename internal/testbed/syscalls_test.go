@@ -38,7 +38,7 @@ func TestHostSyscallPlanes(t *testing.T) {
 			t.Errorf("clock: %s", c.Err)
 			return
 		}
-		clock = c.Results[0].(int64)
+		clock = int64(c.Clock)
 		if err := disk.Issuer.Log("disk clock read", syscall.ModeSync); err != nil {
 			t.Error(err)
 		}

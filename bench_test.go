@@ -1,8 +1,8 @@
-// Benchmarks regenerating every table and figure in the paper's evaluation
-// (see DESIGN.md's per-experiment index), plus microbenchmarks of the
-// framework's hot paths. Figure/table benches report the headline measured
-// values as custom metrics so `go test -bench` output documents the
-// reproduction directly.
+// Microbenchmarks of the framework's hot paths: the ILP solver, a
+// host-to-device channel message, the linker, HOBJ encode/decode, the MPEG
+// codec and the simulation engine's event loop. The paper's tables and
+// figures and the X2–X12 ablations are regenerated by cmd/hydra-bench,
+// whose golden test pins their results.
 package hydra_test
 
 import (
@@ -10,173 +10,12 @@ import (
 
 	"hydra/internal/channel"
 	"hydra/internal/device"
-	"hydra/internal/experiments"
 	"hydra/internal/ilp"
 	"hydra/internal/mpeg"
-	"hydra/internal/netmodel"
 	"hydra/internal/objfile"
 	"hydra/internal/sim"
 	"hydra/internal/testbed"
-	"hydra/internal/tivopc"
 )
-
-// --- Figure 1 ---
-
-func BenchmarkFigure1Transmit(b *testing.B) {
-	m := netmodel.Foong2003()
-	var last float64
-	for i := 0; i < b.N; i++ {
-		for _, p := range m.Series(netmodel.Transmit) {
-			last = p.Ratio
-		}
-	}
-	b.ReportMetric(m.GHzPerGbps(netmodel.Transmit, 1024), "GHz/Gbps@1kB")
-	b.ReportMetric(m.GHzPerGbps(netmodel.Transmit, 64), "GHz/Gbps@64B")
-	_ = last
-}
-
-func BenchmarkFigure1Receive(b *testing.B) {
-	m := netmodel.Foong2003()
-	var last float64
-	for i := 0; i < b.N; i++ {
-		for _, p := range m.Series(netmodel.Receive) {
-			last = p.Ratio
-		}
-	}
-	b.ReportMetric(m.GHzPerGbps(netmodel.Receive, 1024), "GHz/Gbps@1kB")
-	b.ReportMetric(m.GHzPerGbps(netmodel.Receive, 64), "GHz/Gbps@64B")
-	_ = last
-}
-
-// --- Table 2 / Figure 9 ---
-
-func BenchmarkTable2Jitter(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunTable2Figure9(experiments.DefaultSeed, experiments.QuickDuration)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, row := range r.Rows {
-				switch row.Scenario {
-				case "Simple Server":
-					b.ReportMetric(row.Measured.Median, "simple-median-ms")
-				case "Sendfile Server":
-					b.ReportMetric(row.Measured.Median, "sendfile-median-ms")
-				case "Offloaded Server":
-					b.ReportMetric(row.Measured.Median, "offloaded-median-ms")
-					b.ReportMetric(row.Measured.StdDev, "offloaded-stddev-ms")
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkFigure9JitterDistribution(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunTable2Figure9(experiments.DefaultSeed, experiments.QuickDuration)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(r.RenderFigure9()) == 0 {
-			b.Fatal("empty figure")
-		}
-	}
-}
-
-// --- Table 3 / Figure 10 ---
-
-func BenchmarkTable3ServerCPU(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunTable3Figure10(experiments.DefaultSeed, experiments.QuickDuration)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, row := range r.Rows {
-				switch row.Scenario {
-				case "Idle":
-					b.ReportMetric(row.CPU.Mean, "idle-cpu-pct")
-				case "Simple Server":
-					b.ReportMetric(row.CPU.Mean, "simple-cpu-pct")
-				case "Sendfile Server":
-					b.ReportMetric(row.CPU.Mean, "sendfile-cpu-pct")
-				case "Offloaded Server":
-					b.ReportMetric(row.CPU.Mean, "offloaded-cpu-pct")
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkFigure10L2Slowdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunTable3Figure10(experiments.DefaultSeed, experiments.QuickDuration)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, row := range r.Rows {
-				if row.Scenario == "Simple Server" {
-					b.ReportMetric(row.L2Slowdown, "simple-l2-slowdown")
-				}
-				if row.Scenario == "Offloaded Server" {
-					b.ReportMetric(row.L2Slowdown, "offloaded-l2-slowdown")
-				}
-			}
-		}
-	}
-}
-
-// --- Table 4 / X1 ---
-
-func BenchmarkTable4ClientCPU(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunTable4(experiments.DefaultSeed, experiments.QuickDuration)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, row := range r.Rows {
-				switch row.Scenario {
-				case "User-space Client":
-					b.ReportMetric(row.CPU.Mean, "user-cpu-pct")
-					b.ReportMetric(100*row.MissDelta, "user-l2-delta-pct")
-				case "Offloaded Client":
-					b.ReportMetric(row.CPU.Mean, "offloaded-cpu-pct")
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkClientL2Misses(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		run, err := tivopc.RunClientScenario(tivopc.UserspaceClient, experiments.DefaultSeed, experiments.QuickDuration)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(run.L2Misses), "l2-misses")
-			b.ReportMetric(float64(run.FramesDecoded), "frames")
-		}
-	}
-}
-
-// --- X2–X4 ablations ---
-
-func BenchmarkLayoutILPvsGreedy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		a, err := experiments.RunLayoutAblation(20, int64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(100*a.MeanGapFrac, "greedy-gap-pct")
-			b.ReportMetric(a.MeanILPNodes, "ilp-nodes")
-		}
-	}
-}
 
 func BenchmarkILPSolverScaling(b *testing.B) {
 	// 12 offcodes × 4 targets with gang edges and budgets.
@@ -210,124 +49,6 @@ func BenchmarkILPSolverScaling(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkChannelZeroCopyVsStaged(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		a, err := experiments.RunChannelAblation(8192, 64, int64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(a.StagedTime)/float64(a.ZeroCopyTime), "staged-vs-zc-slowdown")
-		}
-	}
-}
-
-func BenchmarkLoaderHostVsDevice(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		a, err := experiments.RunLoaderAblation(32<<10, int64(i+1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			b.ReportMetric(float64(a.DeviceLink)/float64(a.HostLink), "devlink-vs-hostlink-slowdown")
-		}
-	}
-}
-
-// --- X6: NIC failover ---
-
-func BenchmarkX6Failover(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunFailover(experiments.DefaultSeed, experiments.QuickDuration)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, row := range r.Rows {
-				if row.Scenario == "Single NIC Crash" {
-					b.ReportMetric(row.DetectMS, "detect-ms")
-					b.ReportMetric(row.MigrateMS, "migrate-ms")
-					b.ReportMetric(row.Availability, "availability")
-				}
-			}
-		}
-	}
-}
-
-// --- X7: channel saturation ---
-
-func BenchmarkX7Saturation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunSaturation(experiments.DefaultSeed, experiments.X7Duration)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, row := range r.Rows {
-				if row.RateHz != 50_000 {
-					continue
-				}
-				switch row.Batch {
-				case 1:
-					b.ReportMetric(row.CyclesPerMsg, "permsg-cycles")
-					b.ReportMetric(row.MeanLatencyMS, "permsg-lat-ms")
-				case 32:
-					b.ReportMetric(row.CyclesPerMsg, "batch32-cycles")
-					b.ReportMetric(row.MeanLatencyMS, "batch32-lat-ms")
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkX8Contention(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunContention(experiments.DefaultSeed, experiments.X8Duration, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := experiments.CheckContentionShape(r); err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, row := range r.Rows {
-				if row.Apps == 12 && !row.TightQuota && row.Resolver == 0 {
-					b.ReportMetric(float64(row.Admitted), "admitted")
-					b.ReportMetric(float64(row.Rejected), "rejected")
-					b.ReportMetric(float64(row.MinMsgs), "msgs-per-app")
-					b.ReportMetric(float64(row.ReclaimedHostBytes), "reclaimed-B")
-				}
-			}
-		}
-	}
-}
-
-func BenchmarkX9Cluster(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunCluster(experiments.DefaultSeed, experiments.X9Duration, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := experiments.CheckClusterShape(r); err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, row := range r.Rows {
-				switch row.Scenario {
-				case "1 host":
-					b.ReportMetric(row.MsgsPerSec, "msgs/s-1h")
-				case "4 hosts":
-					b.ReportMetric(row.MsgsPerSec, "msgs/s-4h")
-				case "4 hosts, kill h3":
-					b.ReportMetric(row.MigrationMS, "migration-ms")
-				}
-			}
-		}
-	}
-}
-
-// --- Framework microbenchmarks ---
 
 func BenchmarkChannelMessageHostToDevice(b *testing.B) {
 	sys, err := testbed.New(1, testbed.Spec{

@@ -15,17 +15,18 @@ import (
 
 // goldenBench is the archived -quick -json report whose deterministic
 // metrics every run must reproduce exactly.
-const goldenBench = "../../BENCH_0012.json"
+const goldenBench = "../../BENCH_0013.json"
 
 // goldenTraces lists the SHA-256 of each -trace file, one
 // "hash  name.json" line per traced scenario (sha256sum's format).
 const goldenTraces = "testdata/traces.sha256"
 
 // TestGoldenBehaviour is the behaviour check for refactors. It runs every
-// scenario in-process with the -quick options and the default seed and
-// requires each deterministic metric (gatedExactly) to equal the golden
-// report's, in both directions: a key or scenario only one side has fails
-// too. Host-time metrics, the *_events_per_sec floor included, are not
+// scenario in-process with the -quick options and the default seed, so
+// each scenario's shape gate runs too, and requires each deterministic
+// metric (gatedExactly) to equal the golden report's, in both directions:
+// a key or scenario only one side has fails too, and so does an empty
+// rendered table. Host-time metrics, the *_events_per_sec floor included, are not
 // compared here. It then writes the x7, x11 and x12 trace cells and
 // requires each file's SHA-256 to match testdata/traces.sha256.
 func TestGoldenBehaviour(t *testing.T) {
@@ -48,9 +49,12 @@ func TestGoldenBehaviour(t *testing.T) {
 	var diffs []string
 	compared := 0
 	for _, sc := range scenarios {
-		got, _, err := sc.run(o)
+		got, rendered, err := sc.run(o)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.name, err)
+		}
+		if rendered == "" {
+			diffs = append(diffs, sc.name+": rendered an empty table")
 		}
 		bm, ok := want[sc.name]
 		if !ok {

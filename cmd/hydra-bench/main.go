@@ -10,20 +10,23 @@
 //
 // -scenario runs selected entries, comma-separated. A name selects the
 // scenario of that name, or every scenario whose name starts with it
-// followed by '-' (x12 is x12-dataplane; x9 is x9-cluster plus
-// x9-parallel; table2 is table2-figure9 plus table2-jitter-sweep).
+// followed by '-' (x12 is x12-dataplane; table2 is table2-figure9 plus
+// table2-jitter-sweep).
 //
-// The windowed and pooled scenarios carry the determinism contract: x9,
-// x10, x11, x12 and the jitter sweep run each cell serially and again on
-// max(2, GOMAXPROCS) goroutines and fail unless both runs agree bit for bit
-// (experiments.RunTwin). The jitter sweep replays Table 2 across 8 seeds
-// (4 with -quick); only its wall clocks differ between the two runs.
+// Every scenario runs its cells once. The windowed cells (x10, x11, x12)
+// run their window bodies on one worker; the x8 and x9 grids and the
+// jitter sweep fan independent cells out over the testbed.Sweep pool.
+// That 1 worker and N give bit-identical results is a property the
+// internal/experiments tests check, not each run. The one exception is
+// the jitter sweep, which replays Table 2 across 8 seeds (4 with -quick)
+// serially and again on the pool (experiments.RunTwin) to record the
+// pool's speedup; only its wall clocks differ between the two runs.
 //
 // -baseline compares the run against an archived BENCH_*.json and fails
 // on a regression: every deterministic metric the two share must be equal
 // (a seed fixes the virtual-clock results), and the engine's
 // *_events_per_sec must stay above 0.8× the baseline. Allocations per
-// event and the twin runs' serial_ms, parallel_ms, speedup and workers
+// event and the jitter sweep's serial_ms, parallel_ms, speedup and workers
 // depend on the host and are not compared. The comparison is recorded in
 // the report.
 //
@@ -80,10 +83,6 @@ type baselineResult struct {
 }
 
 type metrics = map[string]float64
-
-// twinWorkers sizes the parallel side of every serial ≡ parallel check;
-// 0 lets experiments.RunTwin pick max(2, GOMAXPROCS).
-const twinWorkers = 0
 
 // opts are the knobs every scenario runs under.
 type opts struct {
@@ -269,17 +268,14 @@ var scenarios = []*scenario{
 		return m, con.Render(), nil
 	}},
 	{name: "x9-cluster", run: func(o opts) (metrics, string, error) {
-		// The grid runs serially, then on the Sweep worker pool.
-		tw, err := experiments.RunTwin("x9", twinWorkers, func(w int) (*experiments.ClusterResults, error) {
-			return experiments.RunCluster(o.seed, experiments.X9Duration, w)
-		})
+		// The grid's cells run on the Sweep worker pool.
+		res, err := experiments.RunCluster(o.seed, experiments.X9Duration, 0)
 		if err == nil {
-			err = experiments.CheckClusterShape(tw.Result)
+			err = experiments.CheckClusterShape(res)
 		}
 		if err != nil {
 			return nil, "", err
 		}
-		res := tw.Result
 		m := metrics{}
 		for _, row := range res.Rows {
 			key := slug(row.Scenario)
@@ -292,12 +288,12 @@ var scenarios = []*scenario{
 			}
 		}
 		m["scaling_4h_over_1h"] = res.Rows[2].MsgsPerSec / res.Rows[0].MsgsPerSec
-		return m, res.Render() + "  (serial ≡ sweep verified bit-identical)\n", nil
+		return m, res.Render(), nil
 	}},
 	{name: "x10-autoscale", run: func(o opts) (metrics, string, error) {
 		// Static provisioning at the peak count vs the autoscaler growing
 		// and shrinking the shard set, with a live hot-swap at the peak.
-		res, err := experiments.RunAutoscale(o.seed, twinWorkers)
+		res, err := experiments.RunAutoscale(o.seed)
 		if err == nil {
 			err = experiments.CheckAutoscaleShape(res)
 		}
@@ -321,7 +317,7 @@ var scenarios = []*scenario{
 		return m, res.Render(), nil
 	}},
 	{name: "x11-syscalls", run: func(o opts) (metrics, string, error) {
-		res, err := experiments.RunSyscalls(o.seed, twinWorkers)
+		res, err := experiments.RunSyscalls(o.seed)
 		if err == nil {
 			err = experiments.CheckSyscallShape(res)
 		}
@@ -362,7 +358,7 @@ var scenarios = []*scenario{
 	{name: "x12-dataplane", run: func(o opts) (metrics, string, error) {
 		// CheckDataPlaneShape gates conservation, the exactly-once log
 		// ledger, hit rate under churn and the 4-host scaling headline.
-		res, err := experiments.RunDataPlane(o.seed, twinWorkers)
+		res, err := experiments.RunDataPlane(o.seed)
 		if err == nil {
 			err = experiments.CheckDataPlaneShape(res)
 		}
@@ -417,34 +413,14 @@ var scenarios = []*scenario{
 		}
 		return m, eb.Render(), nil
 	}},
-	{name: "x9-parallel", run: func(o opts) (metrics, string, error) {
-		// Wall clocks are informational (1-CPU hosts cannot show a win).
-		tw, err := experiments.RunClusterParallel(o.seed, experiments.X9Duration, twinWorkers)
-		if err != nil {
-			return nil, "", err
-		}
-		row := tw.Result
-		return metrics{
-				"msgs_per_sec":  row.MsgsPerSec,
-				"total_msgs":    float64(row.Total),
-				"cross_bridges": float64(row.CrossBridges),
-				"bridged":       float64(row.Bridged),
-				"workers":       float64(tw.Workers),
-				"serial_ms":     tw.SerialMS,
-				"parallel_ms":   tw.ParallelMS,
-			}, fmt.Sprintf(
-				"X9p — Conservative-window parallel cluster: 4 per-host engines, %d shards\n"+
-					"  %.0f msgs/s over %d cross bridges; 1 worker ≡ %d workers bit-identical\n"+
-					"  wall-clock: serial windows %.0f ms, parallel %.0f ms (GOMAXPROCS %d)\n",
-				experiments.X9Shards, row.MsgsPerSec, row.CrossBridges, tw.Workers,
-				tw.SerialMS, tw.ParallelMS, runtime.GOMAXPROCS(0)), nil
-	}},
 	{name: "table2-jitter-sweep", run: func(o opts) (metrics, string, error) {
 		seeds := make([]int64, o.replicas)
 		for i := range seeds {
 			seeds[i] = o.seed + int64(i)
 		}
-		tw, err := experiments.RunTwin("jitter sweep", twinWorkers, func(w int) (*experiments.JitterSweep, error) {
+		// Serially, then on max(2, GOMAXPROCS) pool workers: the speedup
+		// is the recorded evidence that the replica pool pays.
+		tw, err := experiments.RunTwin("jitter sweep", 0, func(w int) (*experiments.JitterSweep, error) {
 			return experiments.RunJitterSweep(tivopc.SimpleServer, seeds, o.duration, w)
 		})
 		if err != nil {
@@ -632,8 +608,8 @@ const eventsBand = 0.8
 // gatedExactly reports whether key is a deterministic metric the gate
 // requires to equal its baseline. Virtual-clock results are fixed for a
 // seed, so any change is a behaviour change. The exceptions measure the
-// host instead: events/s (gated by eventsBand), allocations per event, the
-// twin runs' wall clocks and speedup, and the worker count they ran with.
+// host instead: events/s (gated by eventsBand), allocations per event, and
+// the jitter sweep's wall clocks, speedup and the worker count it ran with.
 func gatedExactly(key string) bool {
 	switch key {
 	case "serial_ms", "parallel_ms", "speedup", "workers":

@@ -123,7 +123,7 @@ func TestScenarioSelection(t *testing.T) {
 	for _, s := range got {
 		names = append(names, s.name)
 	}
-	if strings.Join(names, ",") != "x9-cluster,x12-dataplane,x9-parallel" {
+	if strings.Join(names, ",") != "x9-cluster,x12-dataplane" {
 		t.Fatalf("x9,x12 selected %v", names)
 	}
 	if _, err := selectScenarios("x9,nope"); err == nil || !strings.Contains(err.Error(), "nope") {

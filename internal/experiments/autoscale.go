@@ -407,27 +407,22 @@ type X10Results struct {
 	// SavedFrac is the capacity the autoscaler left unprovisioned:
 	// 1 − auto shard·epochs / static shard·epochs.
 	SavedFrac float64
-	Workers   int
 }
 
 // RunAutoscale runs the X10 comparison: the static cell, then the
-// autoscaled cell twice — window bodies on one worker, then on workers
-// goroutines — failing unless the elastic rows match bit for bit.
-func RunAutoscale(seed int64, workers int) (*X10Results, error) {
+// autoscaled cell, each with window bodies on one worker.
+func RunAutoscale(seed int64) (*X10Results, error) {
 	static, _, err := RunX10Cell(seed, 1, false, nil)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: x10 static: %w", err)
 	}
-	auto, err := RunTwin("x10 auto", workers, func(w int) (*X10Row, error) {
-		row, _, err := RunX10Cell(seed, w, true, nil)
-		return row, err
-	})
+	auto, _, err := RunX10Cell(seed, 1, true, nil)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: x10 auto: %w", err)
 	}
-	res := &X10Results{Static: *static, Auto: *auto.Result, Workers: auto.Workers}
+	res := &X10Results{Static: *static, Auto: *auto}
 	if static.ShardEpochs > 0 {
-		res.SavedFrac = 1 - float64(res.Auto.ShardEpochs)/float64(static.ShardEpochs)
+		res.SavedFrac = 1 - float64(auto.ShardEpochs)/float64(static.ShardEpochs)
 	}
 	return res, nil
 }
@@ -492,6 +487,5 @@ func (r *X10Results) Render() string {
 	}
 	fmt.Fprintf(&b, "  capacity saved: %.1f%% (shard·epochs); hot-swap held/replayed %d client msgs in %.3f ms, none lost\n",
 		100*r.SavedFrac, r.Auto.SwapReplayed, r.Auto.SwapWindowMS)
-	b.WriteString("  (elastic windows 1 worker ≡ N workers bit-identical)\n")
 	return b.String()
 }

@@ -7,7 +7,6 @@ import (
 	"hydra/internal/channel"
 	"hydra/internal/cluster"
 	"hydra/internal/core"
-	"hydra/internal/obs"
 	"hydra/internal/sim"
 	"hydra/internal/testbed"
 )
@@ -176,12 +175,10 @@ func RunCluster(seed int64, duration sim.Time, workers int) (*ClusterResults, er
 // XScale NIC each, the frontend pinned to h0 (weightless), shards
 // unit-load shard workers placed by the solver, and one closed-loop edge
 // per shard whose traffic estimate (≈1000 req/s of 1 kB messages) is
-// what the solver charges against each candidate link. perHost selects
-// Spec.EnginePerHost (conservative-window execution); trace, when
-// non-nil, attaches the obs recorder to every engine.
-func openX9Cell(seed int64, hosts, shards int, link cluster.Link, perHost bool, trace *obs.Config) (*shardCell[*x9Worker], *x9Frontend, error) {
+// what the solver charges against each candidate link.
+func openX9Cell(seed int64, hosts, shards int, link cluster.Link) (*shardCell[*x9Worker], *x9Frontend, error) {
 	front := &x9Frontend{outstanding: make(map[*channel.Endpoint]bool), req: make([]byte, X9MsgBytes)}
-	cell, err := openShardCell(seed, testbed.Spec{Name: "x9-cluster", EnginePerHost: perHost, Trace: trace}, hosts, nil,
+	cell, err := openShardCell(seed, testbed.Spec{Name: "x9-cluster"}, hosts, nil,
 		cluster.Config{AppName: "x9", DefaultLink: link},
 		[]cellFront{{"x9.Front", "/x9/front.odf", 9900, front}}, shards, 9901, 0,
 		func(int) *x9Worker { return &x9Worker{} })
@@ -191,36 +188,12 @@ func openX9Cell(seed int64, hosts, shards int, link cluster.Link, perHost bool, 
 	return cell, front, err
 }
 
-// collectX9 fills the throughput and bridge columns of row from the
-// cell's final state.
-func collectX9(cell *shardCell[*x9Worker], row *ClusterRow, duration sim.Time) {
-	for i := 0; i < cell.shards; i++ {
-		got := cell.workers[cell.bind(i)].recv
-		row.Total += got
-		if i == 0 || got < row.MinShard {
-			row.MinShard = got
-		}
-		if got > row.MaxShard {
-			row.MaxShard = got
-		}
-	}
-	row.MsgsPerSec = float64(row.Total) / duration.Float64Seconds()
-	for _, br := range cell.coord.Bridges() {
-		if br.Cross() {
-			row.CrossBridges++
-		}
-		aToB, bToA := br.Relayed()
-		row.Bridged += aToB + bToA
-		row.Dropped += br.Dropped()
-	}
-}
-
 // RunClusterCell runs one X9 cell on a shared clock: hosts machines (one
 // XScale NIC each), shards closed-loop worker streams sharded by the
 // cluster solver, and — when kill is set — a whole-host failure at half
 // time with cross-host migration.
 func RunClusterCell(seed int64, duration sim.Time, hosts, shards int, link cluster.Link, kill bool) (*ClusterRow, error) {
-	cell, front, err := openX9Cell(seed, hosts, shards, link, false, nil)
+	cell, front, err := openX9Cell(seed, hosts, shards, link)
 	if err != nil {
 		return nil, err
 	}
@@ -260,7 +233,25 @@ func RunClusterCell(seed int64, duration sim.Time, hosts, shards int, link clust
 		return nil, fmt.Errorf("x9: migration: %w", migErr)
 	}
 
-	collectX9(cell, row, duration)
+	for i := 0; i < shards; i++ {
+		got := workers[cell.bind(i)].recv
+		row.Total += got
+		if i == 0 || got < row.MinShard {
+			row.MinShard = got
+		}
+		if got > row.MaxShard {
+			row.MaxShard = got
+		}
+	}
+	row.MsgsPerSec = float64(row.Total) / duration.Float64Seconds()
+	for _, br := range cell.coord.Bridges() {
+		if br.Cross() {
+			row.CrossBridges++
+		}
+		aToB, bToA := br.Relayed()
+		row.Bridged += aToB + bToA
+		row.Dropped += br.Dropped()
+	}
 	var post uint64
 	for _, bind := range movedBinds {
 		post += workers[bind].recv
@@ -269,50 +260,6 @@ func RunClusterCell(seed int64, duration sim.Time, hosts, shards int, link clust
 		row.PostKillMsgs = post - atMigration
 	}
 	return row, nil
-}
-
-// RunClusterCellParallel runs the no-kill X9 cell on per-host engines
-// under conservative windows: the deployment commits through
-// Group.Settle (control plane, global event order), then the steady
-// state runs to the horizon with Group.Run on the given worker count.
-// The row is bit-identical for any workers value — window bodies only
-// interact through bridge links whose latency bounds the lookahead —
-// which RunClusterParallel and the race tests assert. When trace is
-// non-nil every per-host engine gets its own recorder shard and the
-// Tracer comes back alongside the row; its merged record stream is
-// bit-identical for any workers value too.
-func RunClusterCellParallel(seed int64, duration sim.Time, hosts, shards, workers int, link cluster.Link, trace *obs.Config) (*ClusterRow, *obs.Tracer, error) {
-	cell, front, err := openX9Cell(seed, hosts, shards, link, true, trace)
-	if err != nil {
-		return nil, nil, err
-	}
-	front.Kick()
-	cell.group.Run(cell.base+duration, workers)
-
-	row := &ClusterRow{
-		Hosts: hosts, Shards: shards,
-		LinkLatencyMS: float64(link.Latency) / float64(sim.Millisecond),
-	}
-	collectX9(cell, row, duration)
-	return row, cell.sys.Tracer, nil
-}
-
-// RunClusterParallel runs the 4-host windowed X9 cell twice — window
-// bodies on one worker, then on workers goroutines — and fails unless
-// the rows match bit for bit. Note the windowed cell is a different
-// simulation from the shared-clock X9 grid (per-host engines have
-// per-host seeds and clocks), so its absolute numbers are compared only
-// against itself.
-func RunClusterParallel(seed int64, duration sim.Time, workers int) (*Twin[*ClusterRow], error) {
-	tw, err := RunTwin("cluster parallel", workers, func(w int) (*ClusterRow, error) {
-		row, _, err := RunClusterCellParallel(seed, duration, 4, X9Shards, w, x9Link(), nil)
-		return row, err
-	})
-	if err != nil {
-		return nil, err
-	}
-	tw.Result.Scenario = "4 hosts, windowed"
-	return tw, nil
 }
 
 // CheckClusterShape asserts the qualitative X9 outcome, including the

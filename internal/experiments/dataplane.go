@@ -746,7 +746,6 @@ func RunX12Soak(seed int64, workers int) (*X12Soak, error) {
 // X12Results holds the weak-scaling grid, the soak leg and the headline.
 type X12Results struct {
 	Warmup, Window sim.Time
-	Workers        int
 	Rows           []X12Row
 	Soak           X12Soak
 	// Scaling4 is the 4-host aggregate msgs/s over the 1-host aggregate —
@@ -754,26 +753,22 @@ type X12Results struct {
 	Scaling4 float64
 }
 
-// RunDataPlane runs the X12 grid: every host count serially (one window
-// worker) and again on workers goroutines, failing unless the rows match
-// bit for bit; then the churn soak, serial and parallel likewise.
-func RunDataPlane(seed int64, workers int) (*X12Results, error) {
+// RunDataPlane runs the X12 grid, then the churn soak, each with window
+// bodies on one worker.
+func RunDataPlane(seed int64) (*X12Results, error) {
 	out := &X12Results{Warmup: X12Warmup, Window: X12Window}
 	for _, hosts := range X12HostGrid {
-		tw, err := RunTwin(fmt.Sprintf("x12 %dh", hosts), workers, func(w int) (*X12Row, error) {
-			row, _, err := RunX12Cell(seed, hosts, w, nil)
-			return row, err
-		})
+		row, _, err := RunX12Cell(seed, hosts, 1, nil)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("experiments: x12 %dh: %w", hosts, err)
 		}
-		out.Rows = append(out.Rows, *tw.Result)
+		out.Rows = append(out.Rows, *row)
 	}
-	soak, err := RunTwin("x12 soak", workers, func(w int) (*X12Soak, error) { return RunX12Soak(seed, w) })
+	soak, err := RunX12Soak(seed, 1)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("experiments: x12 soak: %w", err)
 	}
-	out.Soak, out.Workers = *soak.Result, soak.Workers
+	out.Soak = *soak
 	var one, four *X12Row
 	for i := range out.Rows {
 		switch out.Rows[i].Hosts {
@@ -867,8 +862,7 @@ func (r *X12Results) Render() string {
 	b.WriteString("X12 — Million-flow data plane: sharded match-action pipeline under open-loop churn\n")
 	fmt.Fprintf(&b, "  (%d shards, %d B records batched ≤%d per message, %dk pkts/s per host at 0.8 NIC utilization;\n",
 		X12Shards, x12RecBytes, x12FrontBatch, X12PerHostRate/1000)
-	fmt.Fprintf(&b, "   %v warmup + %v window; per-host engines, 1 ≡ %d workers bit-identical, rows and flow traces)\n",
-		r.Warmup, r.Window, r.Workers)
+	fmt.Fprintf(&b, "   %v warmup + %v window; per-host engines)\n", r.Warmup, r.Window)
 	b.WriteString("  Hosts  offered/s  msgs/s     hit rate  p50(µs)  p99(µs)  inserts  evict  expire  drops  log lines\n")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "  %5d  %9d  %9.0f  %8.4f  %7.1f  %7.1f  %7d  %5d  %6d  %5d  %9d\n",

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -9,12 +10,18 @@ import (
 	"hydra/internal/obs"
 )
 
-// TestDataPlaneTraceDeterminism is the X12 determinism regression: the
-// same loadgen seed must produce a bit-identical row AND a bit-identical
-// merged flow trace across serial, 2-worker and 8-worker window
-// execution. Runs under -race in CI.
+// TestDataPlaneTraceDeterminism is the X12 determinism regression: at
+// every host count of the grid, the same loadgen seed must produce a
+// bit-identical row AND a bit-identical merged flow trace on one window
+// worker and on four (any count above one runs every engine's window on
+// its own goroutine). Runs under -race in CI.
 func TestDataPlaneTraceDeterminism(t *testing.T) {
-	const hosts = 2
+	for _, hosts := range X12HostGrid {
+		t.Run(fmt.Sprintf("hosts=%d", hosts), func(t *testing.T) { dataPlaneTraceDeterminism(t, hosts) })
+	}
+}
+
+func dataPlaneTraceDeterminism(t *testing.T, hosts int) {
 	run := func(workers int) (*X12Row, []obs.Record) {
 		row, tr, err := RunX12Cell(DefaultSeed, hosts, workers, &obs.Config{})
 		if err != nil {
@@ -29,23 +36,9 @@ func TestDataPlaneTraceDeterminism(t *testing.T) {
 		return row, tr.Merged()
 	}
 	serialRow, serial := run(1)
-	for _, workers := range []int{2, 8} {
-		row, merged := run(workers)
-		if *row != *serialRow {
-			t.Fatalf("row diverges at %d workers:\n  serial   %+v\n  parallel %+v",
-				workers, serialRow, row)
-		}
-		if len(merged) != len(serial) {
-			t.Fatalf("trace length diverges at %d workers: serial %d, parallel %d",
-				workers, len(serial), len(merged))
-		}
-		for i := range serial {
-			if serial[i] != merged[i] {
-				t.Fatalf("record %d diverges at %d workers:\n  serial   %+v\n  parallel %+v",
-					i, workers, serial[i], merged[i])
-			}
-		}
-	}
+	parallelRow, parallel := run(4)
+	requireSame(t, "rows on 1 vs 4 workers", serialRow, parallelRow)
+	requireSame(t, "traces on 1 vs 4 workers", serial, parallel)
 	if serialRow.GenDigest == 0 {
 		t.Fatal("generator digest empty")
 	}
@@ -129,9 +122,7 @@ func TestDataPlaneSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *serial != *parallel {
-		t.Fatalf("soak determinism violated:\n  serial   %+v\n  parallel %+v", serial, parallel)
-	}
+	requireSame(t, "soak on 1 vs 4 workers", serial, parallel)
 	s := serial
 	if s.Offered == 0 || s.Shed != 0 || s.Lost != 0 || s.Misrouted != 0 {
 		t.Fatalf("packet conservation violated: %+v", s)

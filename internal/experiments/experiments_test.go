@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -24,14 +25,7 @@ func TestJitterSweepMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range seeds {
-		if serial.PerSeed[i] != parallel.PerSeed[i] {
-			t.Fatalf("seed %d: serial %+v != parallel %+v", seeds[i], serial.PerSeed[i], parallel.PerSeed[i])
-		}
-	}
-	if serial.Pooled != parallel.Pooled {
-		t.Fatalf("pooled stats differ: %+v vs %+v", serial.Pooled, parallel.Pooled)
-	}
+	requireSame(t, "sweep on 1 vs 4 workers", serial, parallel)
 	if serial.Pooled.N == 0 {
 		t.Fatal("sweep produced no samples")
 	}
@@ -73,6 +67,17 @@ func TestRunTwinNamesFirstDivergence(t *testing.T) {
 		if err == nil || !strings.HasSuffix(err.Error(), c.want) {
 			t.Errorf("err = %v, want suffix %q", err, c.want)
 		}
+	}
+}
+
+// requireSame fails t unless a and b are deeply equal, naming the first
+// differing field path and both values (firstDiff) instead of dumping the
+// two results whole. DeepEqual goes first: firstDiff builds a path string
+// per field, too slow for a whole trace that matches.
+func requireSame(t *testing.T, what string, a, b any) {
+	t.Helper()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("%s differ at %s", what, firstDiff("", reflect.ValueOf(a), reflect.ValueOf(b)))
 	}
 }
 
@@ -313,9 +318,7 @@ func TestX7SaturationDeterministicAndSweepSafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("fixed-seed X7 differs across repeats:\n%+v\nvs\n%+v", a, b)
-	}
+	requireSame(t, "fixed-seed X7 repeats", a, b)
 
 	seeds := []int64{DefaultSeed, DefaultSeed + 1, DefaultSeed + 2, DefaultSeed + 3}
 	run := func(workers int) []*SaturationRow {
@@ -329,12 +332,7 @@ func TestX7SaturationDeterministicAndSweepSafe(t *testing.T) {
 		}
 		return rows
 	}
-	serial, parallel := run(1), run(4)
-	for i := range seeds {
-		if !reflect.DeepEqual(serial[i], parallel[i]) {
-			t.Fatalf("seed %d: serial %+v != parallel %+v", seeds[i], serial[i], parallel[i])
-		}
-	}
+	requireSame(t, "X7 sweep on 1 vs 4 workers", run(1), run(4))
 }
 
 // X6 obeys the determinism contract: repeats are bit-identical, and the
@@ -349,9 +347,7 @@ func TestX6FailoverDeterministicAndSweepSafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("fixed-seed X6 differs across repeats:\n%+v\nvs\n%+v", a, b)
-	}
+	requireSame(t, "fixed-seed X6 repeats", a, b)
 
 	sched := tivopc.CrashPrimaryNIC(4*sim.Second, 0)
 	seeds := []int64{DefaultSeed, DefaultSeed + 1, DefaultSeed + 2, DefaultSeed + 3}
@@ -367,12 +363,9 @@ func TestX6FailoverDeterministicAndSweepSafe(t *testing.T) {
 	}
 	serial, parallel := run(1), run(4)
 	for i := range seeds {
-		if !reflect.DeepEqual(serial[i].Arrivals, parallel[i].Arrivals) {
-			t.Fatalf("seed %d: serial and parallel failover arrivals differ", seeds[i])
-		}
-		if !reflect.DeepEqual(serial[i].Faults, parallel[i].Faults) {
-			t.Fatalf("seed %d: fault logs differ across workers", seeds[i])
-		}
+		what := fmt.Sprintf("seed %d on 1 vs 4 workers:", seeds[i])
+		requireSame(t, what+" failover arrivals", serial[i].Arrivals, parallel[i].Arrivals)
+		requireSame(t, what+" fault logs", serial[i].Faults, parallel[i].Faults)
 	}
 }
 
@@ -401,32 +394,12 @@ func TestX8ContentionDeterministicAndSweepSafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("serial != parallel:\n%+v\n%+v", serial.Rows, parallel.Rows)
-	}
+	requireSame(t, "X8 on 1 vs 4 workers", serial, parallel)
 	again, err := RunContention(DefaultSeed, X8Duration, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(serial, again) {
-		t.Fatal("fixed-seed X8 runs differ")
-	}
-}
-
-func TestX9ClusterShape(t *testing.T) {
-	r, err := RunCluster(DefaultSeed, X9Duration, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckClusterShape(r); err != nil {
-		t.Fatal(err)
-	}
-	out := r.Render()
-	for _, want := range []string{"X9", "hosts", "moved in"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("render missing %q:\n%s", want, out)
-		}
-	}
+	requireSame(t, "fixed-seed X8 repeats", serial, again)
 }
 
 func TestX9ClusterDeterministicAndSweepSafe(t *testing.T) {
@@ -438,14 +411,16 @@ func TestX9ClusterDeterministicAndSweepSafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("serial != parallel:\n%+v\n%+v", serial.Rows, parallel.Rows)
-	}
+	requireSame(t, "X9 on 1 vs 4 workers", serial, parallel)
 	again, err := RunCluster(DefaultSeed, X9Duration, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(serial, again) {
-		t.Fatal("fixed-seed X9 runs differ")
+	requireSame(t, "fixed-seed X9 repeats", serial, again)
+	out := serial.Render()
+	for _, want := range []string{"X9", "hosts", "moved in"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("render missing %q:\n%s", want, out)
+		}
 	}
 }

@@ -18,8 +18,8 @@ import (
 )
 
 // The scaffolding every cell shares: no-op Offcode lifecycles, depot
-// stocking, settle plumbing, the variant grid, and the serial-vs-parallel
-// determinism double run. The sharded cell is in shardcell.go.
+// stocking, settle plumbing, the variant grid, and the serial-vs-pool
+// double run. The sharded cell is in shardcell.go.
 
 // nopOffcode is the empty Offcode lifecycle; experiment Offcodes embed it
 // and add only the hooks they need.
@@ -155,8 +155,8 @@ type Twin[T any] struct {
 
 // RunTwin runs cell on one worker and again on workers (values below 2
 // mean max(2, GOMAXPROCS)), failing unless the two results are deeply
-// equal — the determinism contract every windowed or pooled experiment
-// carries.
+// equal. It times a pool against the serial loop (hydra-bench's jitter
+// sweep); the tests check 1 ≡ N workers for every other cell.
 func RunTwin[T any](what string, workers int, cell func(workers int) (T, error)) (*Twin[T], error) {
 	if workers < 2 {
 		workers = max(2, runtime.GOMAXPROCS(0))

@@ -1,9 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 
-	"hydra/internal/cluster"
 	"hydra/internal/obs"
 	"hydra/internal/sim"
 )
@@ -54,72 +54,25 @@ func TestSaturationTraceReconciles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *untraced != *row {
-		t.Errorf("tracing perturbed the run:\n  traced   %+v\n  untraced %+v", *row, *untraced)
-	}
-}
-
-// TestClusterTraceDeterminism runs the x9 EnginePerHost cell serially
-// (workers=1) and in parallel (workers=4) with the recorder on every
-// engine and requires the merged traces to be identical record for
-// record — the determinism contract of the sharded recorder. The CI
-// -race run covers the same path for data races.
-func TestClusterTraceDeterminism(t *testing.T) {
-	const (
-		seed     = 11
-		duration = 100 * sim.Millisecond
-		hosts    = 4
-		shards   = 8
-	)
-	link := cluster.Link{Latency: 50 * sim.Microsecond, BytesPerSec: 1 << 30}
-	run := func(workers int) (*ClusterRow, []obs.Record) {
-		row, tr, err := RunClusterCellParallel(seed, duration, hosts, shards, workers, link, &obs.Config{})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if n := tr.Dropped(); n != 0 {
-			t.Fatalf("workers=%d: ring overflowed: %d records dropped", workers, n)
-		}
-		return row, tr.Merged()
-	}
-	serialRow, serial := run(1)
-	parallelRow, parallel := run(4)
-
-	if *serialRow != *parallelRow {
-		t.Errorf("rows diverge:\n  serial   %+v\n  parallel %+v", *serialRow, *parallelRow)
-	}
-	if len(serial) == 0 {
-		t.Fatal("serial trace is empty")
-	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("trace length diverges: serial %d, parallel %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("record %d diverges:\n  serial   %+v\n  parallel %+v", i, serial[i], parallel[i])
-		}
-	}
-	// The cell crosses hosts, so the trace must show bridge traffic.
-	var hops int
-	for _, rec := range serial {
-		if rec.Name == "bridge.rx" {
-			hops++
-		}
-	}
-	if hops == 0 {
-		t.Error("no bridge.rx records in a multi-host trace")
-	}
+	requireSame(t, "traced vs untraced rows", row, untraced)
 }
 
 // TestAutoscaleTraceDeterminism extends the traced-reconcile contract to
 // the live-mutation surface: the elastic X10 cell runs with the recorder
-// on every engine, serially then in parallel, and the merged streams must
-// be identical record for record — including the CatMutate records that
-// break down the mutation windows (cluster mutations, the hot-swap span,
-// the controller's scale events), which hydra-trace categorizes.
+// on every engine, on one window worker then on four, and the rows and
+// merged streams must be identical record for record — including the
+// CatMutate records that break down the mutation windows (cluster
+// mutations, the hot-swap span, the controller's scale events), which
+// hydra-trace categorizes. It runs at the bench's seed and at one other.
 func TestAutoscaleTraceDeterminism(t *testing.T) {
+	for _, seed := range []int64{DefaultSeed, 13} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { autoscaleTraceDeterminism(t, seed) })
+	}
+}
+
+func autoscaleTraceDeterminism(t *testing.T, seed int64) {
 	run := func(workers int) (*X10Row, []obs.Record) {
-		row, tr, err := RunX10Cell(13, workers, true, &obs.Config{})
+		row, tr, err := RunX10Cell(seed, workers, true, &obs.Config{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -130,18 +83,8 @@ func TestAutoscaleTraceDeterminism(t *testing.T) {
 	}
 	serialRow, serial := run(1)
 	parallelRow, parallel := run(4)
-
-	if *serialRow != *parallelRow {
-		t.Errorf("rows diverge:\n  serial   %+v\n  parallel %+v", *serialRow, *parallelRow)
-	}
-	if len(serial) != len(parallel) {
-		t.Fatalf("trace length diverges: serial %d, parallel %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("record %d diverges:\n  serial   %+v\n  parallel %+v", i, serial[i], parallel[i])
-		}
-	}
+	requireSame(t, "rows on 1 vs 4 workers", serialRow, parallelRow)
+	requireSame(t, "traces on 1 vs 4 workers", serial, parallel)
 
 	// Mutation accounting must be on the trace surface, all under
 	// CatMutate so hydra-trace's category breakdown isolates the windows.

@@ -328,8 +328,7 @@ func RunX11Swap(seed int64) (*X11Swap, error) {
 
 // X11Results holds the grid, the swap leg, and the headline ratio.
 type X11Results struct {
-	Window  sim.Time
-	Workers int
+	Window sim.Time
 	// Rows is rate-major, variant-minor.
 	Rows []X11Row
 	Swap X11Swap
@@ -338,21 +337,16 @@ type X11Results struct {
 	TopRateSpeedup float64
 }
 
-// RunSyscalls runs the X11 grid: every rate serially (one window worker)
-// and again on workers goroutines, failing unless the rows match bit for
-// bit, then the hot-swap leg.
-func RunSyscalls(seed int64, workers int) (*X11Results, error) {
+// RunSyscalls runs the X11 grid, every rate with window bodies on one
+// worker, then the hot-swap leg.
+func RunSyscalls(seed int64) (*X11Results, error) {
 	out := &X11Results{Window: X11Window}
 	for _, rate := range X11Rates {
-		tw, err := RunTwin(fmt.Sprintf("x11 @%d", rate), workers, func(w int) ([]X11Row, error) {
-			rows, _, err := RunX11Cell(seed, rate, w, nil)
-			return rows, err
-		})
+		rows, _, err := RunX11Cell(seed, rate, 1, nil)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("experiments: x11 @%d: %w", rate, err)
 		}
-		out.Rows = append(out.Rows, tw.Result...)
-		out.Workers = tw.Workers
+		out.Rows = append(out.Rows, rows...)
 	}
 	swap, err := RunX11Swap(seed)
 	if err != nil {
@@ -425,8 +419,7 @@ func CheckSyscallShape(r *X11Results) error {
 func (r *X11Results) Render() string {
 	var b strings.Builder
 	b.WriteString("X11 — Device-initiated host syscalls: batched reverse-RPC vs blocking per-call dispatch\n")
-	fmt.Fprintf(&b, "  (host-clock syscalls, open loop, %v per cell; per-host engines, 1 ≡ %d workers bit-identical)\n",
-		r.Window, r.Workers)
+	fmt.Fprintf(&b, "  (host-clock syscalls, open loop, %v per cell; per-host engines)\n", r.Window)
 	b.WriteString("  Variant    mode   rate/s   issued  executed  denied  cycles/syscall  lat mean(µs)  lat p99(µs)    irqs\n")
 	for _, row := range r.Rows {
 		fmt.Fprintf(&b, "  %-9s  %-5s  %6d  %7d  %8d  %6d  %14.0f  %12.2f  %11.2f  %6d\n",

@@ -1,14 +1,10 @@
 // Package faults is the deterministic fault injector: it replays declarative
 // crash-only fault schedules — device crashes and restarts — against a
-// running simulation, driven entirely by the engine's virtual clock and a
-// private seeded random stream.
+// running simulation, driven entirely by the engine's virtual clock.
 //
 // The determinism contract extends to failures: a fixed seed plus a fixed
 // schedule produces a bit-identical run, including every fault, every
-// detection and every recovery. Random schedules (RandomCrashSchedule) are
-// materialized up front from the injector's Engine.NewRand stream, so two
-// injectors on equal-seed engines generate identical fault histories and
-// replicas in a testbed.Sweep never share RNG state.
+// detection and every recovery.
 //
 // The injector only throws the switches; reacting to them is the runtime's
 // job (see internal/core's health monitor and Offcode migration).
@@ -16,7 +12,6 @@ package faults
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"hydra/internal/device"
@@ -83,13 +78,12 @@ type Record struct {
 // Injector replays fault schedules on an engine.
 type Injector struct {
 	eng *sim.Engine
-	rng *rand.Rand
 	log []Record
 }
 
-// NewInjector creates an injector with its own private random stream.
+// NewInjector creates an injector on eng.
 func NewInjector(eng *sim.Engine) *Injector {
-	return &Injector{eng: eng, rng: eng.NewRand(0x6661756c74 /* "fault" */)}
+	return &Injector{eng: eng}
 }
 
 // Arm validates the schedule against targets and schedules every entry
@@ -154,33 +148,4 @@ func (in *Injector) RestartDevice(at sim.Time, d *device.Device) {
 // Log returns the faults applied so far, in application order.
 func (in *Injector) Log() []Record {
 	return append([]Record(nil), in.log...)
-}
-
-// RandomCrashSchedule draws a crash/restart script over the named devices:
-// crash arrivals are a Poisson process at rate faults per simulated second
-// over [0, duration), each picking a uniformly random device and restarting
-// it restartAfter later. The script derives entirely from the injector's
-// private stream, so equal seeds give equal schedules. Arrivals whose
-// restart would overlap the next crash of the same device are kept — the
-// device model makes double-crash a no-op — but the rate should normally be
-// chosen so crashes are sparse relative to restartAfter.
-func (in *Injector) RandomCrashSchedule(devices []string, duration sim.Time, rate float64, restartAfter sim.Time) Schedule {
-	if len(devices) == 0 || rate <= 0 {
-		return nil
-	}
-	var sched Schedule
-	t := sim.Time(0)
-	for {
-		gap := sim.Seconds(in.rng.ExpFloat64() / rate)
-		t += gap
-		if t >= duration {
-			return sched
-		}
-		sched = append(sched, Entry{
-			At:       t,
-			Kind:     DeviceCrash,
-			Device:   devices[in.rng.Intn(len(devices))],
-			Duration: restartAfter,
-		})
-	}
 }

@@ -114,51 +114,3 @@ func TestArmValidatesNames(t *testing.T) {
 		t.Fatal("error does not name the unknown target")
 	}
 }
-
-func TestRandomCrashScheduleDeterministic(t *testing.T) {
-	gen := func(seed int64) Schedule {
-		w := newWorld(seed)
-		in := NewInjector(w.eng)
-		return in.RandomCrashSchedule([]string{"nic0", "nic1"}, 10*sim.Second, 1.0, 200*sim.Millisecond)
-	}
-	a, b := gen(42), gen(42)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("equal seeds produced different schedules")
-	}
-	c := gen(43)
-	if reflect.DeepEqual(a, c) {
-		t.Fatal("different seeds produced identical schedules")
-	}
-	if len(a) == 0 {
-		t.Fatal("rate 1/s over 10 s produced no faults")
-	}
-	for i, e := range a {
-		if e.At < 0 || e.At >= 10*sim.Second {
-			t.Fatalf("entry %d outside [0, duration): %v", i, e)
-		}
-		if e.Kind != DeviceCrash || e.Duration != 200*sim.Millisecond {
-			t.Fatalf("entry %d malformed: %v", i, e)
-		}
-		if i > 0 && e.At < a[i-1].At {
-			t.Fatalf("schedule not time-ordered at %d", i)
-		}
-	}
-	if s := NewInjector(newWorld(1).eng).RandomCrashSchedule(nil, sim.Second, 1, 0); s != nil {
-		t.Fatal("nil device list should yield a nil schedule")
-	}
-}
-
-func TestInjectorStreamIsolated(t *testing.T) {
-	// The injector draws from its own NewRand stream: another model
-	// drawing from its stream first must not change the schedule.
-	schedule := func(otherDraws bool) Schedule {
-		eng := sim.NewEngine(7)
-		if otherDraws {
-			eng.NewRand(1).Int63()
-		}
-		return NewInjector(eng).RandomCrashSchedule([]string{"nic0"}, 10*sim.Second, 1, sim.Second)
-	}
-	if a, b := schedule(true), schedule(false); len(a) == 0 || !reflect.DeepEqual(a, b) {
-		t.Fatalf("another model's draws perturbed the injector's stream: %v vs %v", a, b)
-	}
-}

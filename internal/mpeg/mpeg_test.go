@@ -2,6 +2,8 @@ package mpeg
 
 import (
 	"bytes"
+	"hash/crc32"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -67,6 +69,63 @@ func TestRLEDecodeErrors(t *testing.T) {
 	if _, err := rleDecode([]byte{1}, 2); err == nil {
 		t.Error("short output accepted")
 	}
+}
+
+// frameBytes is one frame packet with a valid CRC over payload.
+func frameBytes(t FrameType, w, h int, payload []byte) []byte {
+	out := make([]byte, headerBytes, headerBytes+len(payload))
+	putHeader(out, t, 0, w, h, len(payload), crc32.ChecksumIEEE(payload), noRef, noRef)
+	return append(out, payload...)
+}
+
+// A header's w×h is only a claim: a payload too short to expand to w*h
+// bytes (a 3-byte escape emits at most 255) is corrupt, and is rejected
+// before the decoder reserves w*h bytes for it.
+func TestDecoderRejectsFrameLargerThanPayload(t *testing.T) {
+	cases := []struct {
+		name    string
+		w, h    int
+		payload []byte
+	}{
+		{"empty payload", 4096, 4096, nil},
+		{"one run", 4096, 4096, []byte{rleEsc, 255, 0}},
+		{"one run short of the frame", 255, 3, bytes.Repeat([]byte{rleEsc, 255, 0}, 2)},
+	}
+	for _, c := range cases {
+		stream := frameBytes(TypeI, c.w, c.h, c.payload)
+		dec := NewDecoder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		frames := append(dec.Feed(stream), dec.Flush()...)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: %dx%d header allocated %d bytes", c.name, c.w, c.h, got)
+		}
+		if len(frames) != 0 || dec.Corrupt != 1 {
+			t.Errorf("%s: %d frames, %d corrupt; want 0 frames, 1 corrupt", c.name, len(frames), dec.Corrupt)
+		}
+	}
+	// A payload of nothing but maximal runs expands exactly to the frame.
+	dec := NewDecoder()
+	frames := append(dec.Feed(frameBytes(TypeI, 255, 2, bytes.Repeat([]byte{rleEsc, 255, 0}, 2))), dec.Flush()...)
+	if len(frames) != 1 || len(frames[0].Pix) != 255*2 || dec.Corrupt != 0 {
+		t.Fatalf("all-run frame: %d frames, %d corrupt", len(frames), dec.Corrupt)
+	}
+}
+
+// FuzzDecoderFeed: no byte stream makes Feed or Flush panic, and every
+// frame they return holds exactly W*H pixels. The corpus under
+// testdata/fuzz seeds it with a valid stream, a truncated one, one with a
+// flipped payload byte and a header claiming more pixels than its payload.
+func FuzzDecoderFeed(f *testing.F) {
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		dec := NewDecoder()
+		for _, fr := range append(dec.Feed(stream), dec.Flush()...) {
+			if fr.W <= 0 || fr.H <= 0 || len(fr.Pix) != fr.W*fr.H {
+				t.Fatalf("frame %d: %dx%d with %d pixels", fr.Seq, fr.W, fr.H, len(fr.Pix))
+			}
+		}
+	})
 }
 
 func TestEncodeDecodeLossless(t *testing.T) {

@@ -33,7 +33,14 @@ func rleEncode(src []byte) []byte {
 	return out
 }
 
+// rleDecode expands src, which must decode to exactly expect bytes.
 func rleDecode(src []byte, expect int) ([]byte, error) {
+	// A 3-byte escape emits at most 255 bytes, so src can expand to at
+	// most 85 bytes per byte. expect comes from a frame header: reject it
+	// before reserving it, or one forged header allocates up to 4 GiB.
+	if expect > 85*len(src) {
+		return nil, errCorrupt("RLE input too short for frame")
+	}
 	out := make([]byte, 0, expect)
 	i := 0
 	for i < len(src) {

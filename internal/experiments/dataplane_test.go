@@ -43,15 +43,23 @@ func dataPlaneTraceDeterminism(t *testing.T, hosts int) {
 		t.Fatal("generator digest empty")
 	}
 
-	// The flow-event trace surface must reconcile with the table ledgers.
+	// The flow-event trace surface must reconcile with the table ledgers,
+	// and a multi-host cell's trace must show its bridge traffic.
 	counts := map[string]uint64{}
+	var hops int
 	for _, rec := range serial {
 		if rec.Cat == obs.CatFlow {
 			counts[rec.Name]++
 		}
+		if rec.Name == "bridge.rx" {
+			hops++
+		}
 	}
 	if len(counts) == 0 {
 		t.Fatal("no CatFlow records in the trace")
+	}
+	if hosts > 1 && hops == 0 {
+		t.Error("no bridge.rx records in a multi-host trace")
 	}
 	for _, c := range []struct {
 		name string

@@ -195,6 +195,11 @@ func TestEnergy(t *testing.T) {
 }
 
 func TestLayoutAblation(t *testing.T) {
+	if raceEnabled {
+		// One goroutine solving ILPs: the race detector has nothing to
+		// check and slows it about tenfold. Plain go test runs it.
+		t.Skip("single-goroutine ILP; nothing for the race detector to check")
+	}
 	a, err := RunLayoutAblation(40, 7)
 	if err != nil {
 		t.Fatal(err)

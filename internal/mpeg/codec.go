@@ -158,11 +158,20 @@ func residualBidir(pix, prev, next []byte) []byte {
 // delivers "arbitrary chunks of 1 kB", §6.4) and emits display-order frames.
 // On corruption it resynchronizes at the next frame magic and drops frames
 // whose references were lost.
+//
+// The frames it returns are read-only: an anchor's pixels stay the
+// reference for the frames predicted from it. A caller done with a frame
+// may hand it back with Release, and the decoder reconstructs a later frame
+// into its buffer; a frame never released is left to the garbage collector.
 type Decoder struct {
 	buf        []byte
-	prevAnchor *Frame // anchor already released for display
-	heldAnchor *Frame // decoded anchor not yet displayed (awaiting its Bs)
+	off        int   // bytes of buf already consumed
+	prevAnchor Frame // anchor already released for display; nil Pix if none
+	heldAnchor Frame // decoded anchor awaiting its Bs; nil Pix if none
 	ready      []Frame
+
+	free     [][]byte // released pixel buffers, ready for reuse
+	orphaned [][]byte // released pixel buffers still serving as an anchor
 
 	// Corrupt counts resync events; Dropped counts intact frames skipped
 	// for missing references.
@@ -176,6 +185,10 @@ func NewDecoder() *Decoder { return &Decoder{} }
 // Feed appends chunk to the stream and returns any frames that became
 // displayable, in display order.
 func (d *Decoder) Feed(chunk []byte) []Frame {
+	if d.off > 0 {
+		d.buf = d.buf[:copy(d.buf, d.buf[d.off:])]
+		d.off = 0
+	}
 	d.buf = append(d.buf, chunk...)
 	d.drain()
 	out := d.ready
@@ -186,93 +199,156 @@ func (d *Decoder) Feed(chunk []byte) []Frame {
 // Flush returns the final held frame(s) at end of stream.
 func (d *Decoder) Flush() []Frame {
 	d.drain()
-	if d.heldAnchor != nil {
-		d.ready = append(d.ready, *d.heldAnchor)
-		d.heldAnchor = nil
+	if d.heldAnchor.Pix != nil {
+		d.ready = append(d.ready, d.heldAnchor)
+		d.heldAnchor = Frame{}
+		d.reclaimOrphans()
 	}
 	out := d.ready
 	d.ready = nil
 	return out
 }
 
+// Release hands back a frame this decoder returned. The caller must not
+// read f.Pix afterwards, and must release each frame at most once. The
+// buffer is reused once the decoder no longer predicts from it.
+func (d *Decoder) Release(f Frame) {
+	if len(f.Pix) == 0 {
+		return
+	}
+	if d.anchored(f.Pix) {
+		d.orphaned = append(d.orphaned, f.Pix)
+		return
+	}
+	d.free = append(d.free, f.Pix)
+}
+
+// anchored reports whether pix is the buffer of an anchor the decoder
+// still predicts from.
+func (d *Decoder) anchored(pix []byte) bool {
+	return sameBuffer(d.prevAnchor.Pix, pix) || sameBuffer(d.heldAnchor.Pix, pix)
+}
+
+func sameBuffer(a, b []byte) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
+
+// reclaimOrphans frees the released buffers that stopped being anchors.
+func (d *Decoder) reclaimOrphans() {
+	kept := d.orphaned[:0]
+	for _, pix := range d.orphaned {
+		if d.anchored(pix) {
+			kept = append(kept, pix)
+		} else {
+			d.free = append(d.free, pix)
+		}
+	}
+	clear(d.orphaned[len(kept):])
+	d.orphaned = kept
+}
+
+// pixels returns an n-byte buffer, reusing a released one if it fits.
+func (d *Decoder) pixels(n int) []byte {
+	if k := len(d.free) - 1; k >= 0 {
+		pix := d.free[k]
+		d.free[k] = nil
+		d.free = d.free[:k]
+		if cap(pix) >= n {
+			return pix[:n]
+		}
+	}
+	return make([]byte, n)
+}
+
 func (d *Decoder) drain() {
 	for {
-		if len(d.buf) < headerBytes {
+		b := d.buf[d.off:]
+		if len(b) < headerBytes {
 			return
 		}
-		if binary.LittleEndian.Uint16(d.buf) != frameMagic {
+		if binary.LittleEndian.Uint16(b) != frameMagic {
 			d.resync()
 			continue
 		}
-		t := FrameType(d.buf[2])
-		seq := int(binary.LittleEndian.Uint32(d.buf[3:]))
-		w := int(binary.LittleEndian.Uint16(d.buf[7:]))
-		h := int(binary.LittleEndian.Uint16(d.buf[9:]))
-		plen := int(binary.LittleEndian.Uint32(d.buf[11:]))
-		crc := binary.LittleEndian.Uint32(d.buf[15:])
-		ref1 := binary.LittleEndian.Uint32(d.buf[19:])
-		ref2 := binary.LittleEndian.Uint32(d.buf[23:])
+		t := FrameType(b[2])
+		seq := int(binary.LittleEndian.Uint32(b[3:]))
+		w := int(binary.LittleEndian.Uint16(b[7:]))
+		h := int(binary.LittleEndian.Uint16(b[9:]))
+		plen := int(binary.LittleEndian.Uint32(b[11:]))
+		crc := binary.LittleEndian.Uint32(b[15:])
+		ref1 := binary.LittleEndian.Uint32(b[19:])
+		ref2 := binary.LittleEndian.Uint32(b[23:])
 		if t != TypeI && t != TypeP && t != TypeB || w == 0 || h == 0 || plen > 16*w*h+1024 {
 			d.resync()
 			continue
 		}
-		if len(d.buf) < headerBytes+plen {
+		if len(b) < headerBytes+plen {
 			return // wait for more data
 		}
-		payload := d.buf[headerBytes : headerBytes+plen]
+		payload := b[headerBytes : headerBytes+plen]
 		if crc32.ChecksumIEEE(payload) != crc {
 			d.resync()
 			continue
 		}
-		residual, err := rleDecode(payload, w*h)
-		d.buf = d.buf[headerBytes+plen:]
-		if err != nil {
+		d.off += headerBytes + plen
+		// A 3-byte escape emits at most 255 bytes, so a payload expands to
+		// at most 85 bytes per byte. w×h comes from the header: reject it
+		// before reserving it, or one forged header allocates up to 4 GiB.
+		if w*h > 85*len(payload) {
 			d.Corrupt++
 			continue
 		}
-		d.reconstruct(t, seq, w, h, ref1, ref2, residual)
+		pix := d.pixels(w * h)
+		if err := rleDecodeInto(pix, payload); err != nil {
+			d.Corrupt++
+			d.free = append(d.free, pix)
+			continue
+		}
+		d.reconstruct(t, seq, w, h, ref1, ref2, pix)
 	}
 }
 
 // resync drops bytes up to the next plausible magic.
 func (d *Decoder) resync() {
 	d.Corrupt++
-	for i := 1; i+1 < len(d.buf); i++ {
-		if binary.LittleEndian.Uint16(d.buf[i:]) == frameMagic {
-			d.buf = d.buf[i:]
+	b := d.buf[d.off:]
+	for i := 1; i+1 < len(b); i++ {
+		if binary.LittleEndian.Uint16(b[i:]) == frameMagic {
+			d.off += i
 			return
 		}
 	}
-	d.buf = nil
+	d.off = len(d.buf)
 }
 
-func (d *Decoder) reconstruct(t FrameType, seq, w, h int, ref1, ref2 uint32, residual []byte) {
-	pix := make([]byte, w*h)
+// reconstruct adds the frame's prediction to the residual decoded into pix.
+func (d *Decoder) reconstruct(t FrameType, seq, w, h int, ref1, ref2 uint32, pix []byte) {
 	switch t {
 	case TypeI:
-		for i, r := range residual {
-			pix[i] = r + 128
+		for i := range pix {
+			pix[i] += 128
 		}
 	case TypeP:
 		ref := d.newestAnchor()
-		if ref == nil || uint32(ref.Seq) != ref1 || len(ref.Pix) != w*h {
+		if ref.Pix == nil || uint32(ref.Seq) != ref1 || len(ref.Pix) != w*h {
 			d.Dropped++ // reference lost; wait for the next I
+			d.free = append(d.free, pix)
 			return
 		}
-		for i, r := range residual {
-			pix[i] = r + ref.Pix[i]
+		rp := ref.Pix[:len(pix)]
+		for i := range pix {
+			pix[i] += rp[i]
 		}
 	case TypeB:
 		prev, next := d.prevAnchor, d.heldAnchor
-		if prev == nil || next == nil ||
+		if prev.Pix == nil || next.Pix == nil ||
 			uint32(prev.Seq) != ref1 || uint32(next.Seq) != ref2 ||
 			len(prev.Pix) != w*h || len(next.Pix) != w*h {
 			d.Dropped++
+			d.free = append(d.free, pix)
 			return
 		}
-		for i, r := range residual {
-			pred := byte((uint16(prev.Pix[i]) + uint16(next.Pix[i])) / 2)
-			pix[i] = r + pred
+		pp, np := prev.Pix[:len(pix)], next.Pix[:len(pix)]
+		for i := range pix {
+			pix[i] += byte((uint16(pp[i]) + uint16(np[i])) / 2)
 		}
 		d.ready = append(d.ready, Frame{Seq: seq, W: w, H: h, Pix: pix})
 		return
@@ -282,18 +358,21 @@ func (d *Decoder) reconstruct(t FrameType, seq, w, h int, ref1, ref2 uint32, res
 	// arrive after it but display before it) have been emitted. Emitting
 	// the previously held anchor now preserves display order.
 	f := Frame{Seq: seq, W: w, H: h, Pix: pix}
-	if d.heldAnchor != nil {
-		d.ready = append(d.ready, *d.heldAnchor)
+	if d.heldAnchor.Pix != nil {
+		d.ready = append(d.ready, d.heldAnchor)
 		d.prevAnchor = d.heldAnchor
 	}
-	d.heldAnchor = &f
-	if d.prevAnchor == nil {
-		d.prevAnchor = &f
+	d.heldAnchor = f
+	if d.prevAnchor.Pix == nil {
+		d.prevAnchor = f
+	}
+	if len(d.orphaned) > 0 {
+		d.reclaimOrphans()
 	}
 }
 
-func (d *Decoder) newestAnchor() *Frame {
-	if d.heldAnchor != nil {
+func (d *Decoder) newestAnchor() Frame {
+	if d.heldAnchor.Pix != nil {
 		return d.heldAnchor
 	}
 	return d.prevAnchor

@@ -67,7 +67,16 @@ func (c Config) Validate() error {
 // display index seq: a drifting diagonal gradient with a moving bright box,
 // so consecutive frames are similar (P/B frames compress) but not identical.
 func GenerateFrame(cfg Config, seq int) Frame {
-	pix := make([]byte, cfg.W*cfg.H)
+	return DrawFrame(cfg, seq, nil)
+}
+
+// DrawFrame is GenerateFrame drawing into pix's array when its capacity
+// holds W*H pixels, and into a new one otherwise.
+func DrawFrame(cfg Config, seq int, pix []byte) Frame {
+	if cap(pix) < cfg.W*cfg.H {
+		pix = make([]byte, cfg.W*cfg.H)
+	}
+	pix = pix[:cfg.W*cfg.H]
 	phase := seq * 3
 	for y := 0; y < cfg.H; y++ {
 		row := y * cfg.W

@@ -14,6 +14,12 @@ func framesEqual(a, b Frame) bool {
 	return a.W == b.W && a.H == b.H && bytes.Equal(a.Pix, b.Pix)
 }
 
+// rleDecode expands src into a fresh n-byte buffer.
+func rleDecode(src []byte, n int) ([]byte, error) {
+	dst := make([]byte, n)
+	return dst, rleDecodeInto(dst, src)
+}
+
 func TestRLERoundTrip(t *testing.T) {
 	cases := [][]byte{
 		{},
@@ -113,19 +119,107 @@ func TestDecoderRejectsFrameLargerThanPayload(t *testing.T) {
 	}
 }
 
-// FuzzDecoderFeed: no byte stream makes Feed or Flush panic, and every
-// frame they return holds exactly W*H pixels. The corpus under
+// FuzzDecoderFeed: no byte stream makes Feed or Flush panic, every frame
+// they return holds exactly W*H pixels, and handing each frame back with
+// Release right after the Feed that returned it changes no frame and no
+// count: a recycled buffer still in use as a reference would. Both
+// decoders see the stream in the same 16-byte chunks. The corpus under
 // testdata/fuzz seeds it with a valid stream, a truncated one, one with a
 // flipped payload byte and a header claiming more pixels than its payload.
 func FuzzDecoderFeed(f *testing.F) {
+	const chunk = 16
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		dec := NewDecoder()
-		for _, fr := range append(dec.Feed(stream), dec.Flush()...) {
+		kept, released := NewDecoder(), NewDecoder()
+		var want, got []Frame
+		keep := func(frames []Frame) {
+			for _, fr := range frames {
+				got = append(got, fr.Clone())
+				released.Release(fr)
+			}
+		}
+		for off := 0; off < len(stream); off += chunk {
+			c := stream[off:min(off+chunk, len(stream))]
+			want = append(want, kept.Feed(c)...)
+			keep(released.Feed(c))
+		}
+		want = append(want, kept.Flush()...)
+		keep(released.Flush())
+		for _, fr := range want {
 			if fr.W <= 0 || fr.H <= 0 || len(fr.Pix) != fr.W*fr.H {
 				t.Fatalf("frame %d: %dx%d with %d pixels", fr.Seq, fr.W, fr.H, len(fr.Pix))
 			}
 		}
+		if len(got) != len(want) {
+			t.Fatalf("releasing decoder returned %d frames, keeping one %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Seq != want[i].Seq || !framesEqual(got[i], want[i]) {
+				t.Fatalf("frame %d: releasing decoder returned seq %d, keeping one seq %d or other pixels",
+					i, got[i].Seq, want[i].Seq)
+			}
+		}
+		if released.Corrupt != kept.Corrupt || released.Dropped != kept.Dropped {
+			t.Fatalf("releasing decoder counted %d corrupt, %d dropped; keeping one %d, %d",
+				released.Corrupt, released.Dropped, kept.Corrupt, kept.Dropped)
+		}
 	})
+}
+
+// A caller may hand a frame back while the decoder still predicts from it:
+// an anchor is returned for display before the B frames that reference it
+// are decoded. Whenever frames are released, every frame must still equal
+// the source at the moment it is handed back.
+func TestDecoderReleaseKeepsReferences(t *testing.T) {
+	cfg := smallCfg()
+	frames := GenerateVideo(cfg, 25)
+	stream, err := Encode(cfg, frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		lag  int // frames returned after a frame before it is released
+	}{
+		{"each frame at once, anchors before their Bs", 0},
+		{"one frame later", 1},
+		{"anchors after their Bs", 3},
+		{"never", len(frames)},
+	} {
+		dec := NewDecoder()
+		var held []Frame
+		seen := 0
+		release := func(f Frame) {
+			if !framesEqual(f, frames[f.Seq]) {
+				t.Fatalf("%s: frame %d changed before it was released", c.name, f.Seq)
+			}
+			dec.Release(f)
+		}
+		take := func(got []Frame) {
+			for _, f := range got {
+				if f.Seq != seen {
+					t.Fatalf("%s: frame %d returned as display index %d", c.name, f.Seq, seen)
+				}
+				seen++
+				held = append(held, f)
+				if len(held) > c.lag {
+					release(held[0])
+					held = held[1:]
+				}
+			}
+		}
+		// One byte at a time, so each frame is released before the next
+		// one is decoded.
+		for i := range stream {
+			take(dec.Feed(stream[i : i+1]))
+		}
+		take(dec.Flush())
+		for _, f := range held {
+			release(f)
+		}
+		if seen != len(frames) || dec.Corrupt != 0 || dec.Dropped != 0 {
+			t.Fatalf("%s: %d frames, %d corrupt, %d dropped", c.name, seen, dec.Corrupt, dec.Dropped)
+		}
+	}
 }
 
 func TestEncodeDecodeLossless(t *testing.T) {

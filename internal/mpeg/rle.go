@@ -33,42 +33,40 @@ func rleEncode(src []byte) []byte {
 	return out
 }
 
-// rleDecode expands src, which must decode to exactly expect bytes.
-func rleDecode(src []byte, expect int) ([]byte, error) {
-	// A 3-byte escape emits at most 255 bytes, so src can expand to at
-	// most 85 bytes per byte. expect comes from a frame header: reject it
-	// before reserving it, or one forged header allocates up to 4 GiB.
-	if expect > 85*len(src) {
-		return nil, errCorrupt("RLE input too short for frame")
-	}
-	out := make([]byte, 0, expect)
-	i := 0
-	for i < len(src) {
-		if src[i] == rleEsc {
-			if i+2 >= len(src) {
-				return nil, errCorrupt("truncated RLE escape")
+// rleDecodeInto expands src into dst, which it must fill exactly.
+func rleDecodeInto(dst, src []byte) error {
+	n := 0
+	for i := 0; i < len(src); {
+		if src[i] != rleEsc {
+			if n == len(dst) {
+				return errCorrupt("RLE output overruns frame")
 			}
-			count := int(src[i+1])
-			if count == 0 {
-				return nil, errCorrupt("zero-length RLE run")
-			}
-			v := src[i+2]
-			for j := 0; j < count; j++ {
-				out = append(out, v)
-			}
-			i += 3
-		} else {
-			out = append(out, src[i])
+			dst[n] = src[i]
+			n++
 			i++
+			continue
 		}
-		if len(out) > expect {
-			return nil, errCorrupt("RLE output overruns frame")
+		if i+2 >= len(src) {
+			return errCorrupt("truncated RLE escape")
 		}
+		count := int(src[i+1])
+		if count == 0 {
+			return errCorrupt("zero-length RLE run")
+		}
+		if count > len(dst)-n {
+			return errCorrupt("RLE output overruns frame")
+		}
+		run := dst[n : n+count]
+		for j := range run {
+			run[j] = src[i+2]
+		}
+		n += count
+		i += 3
 	}
-	if len(out) != expect {
-		return nil, errCorrupt("RLE output short of frame")
+	if n != len(dst) {
+		return errCorrupt("RLE output short of frame")
 	}
-	return out, nil
+	return nil
 }
 
 type corruptError string

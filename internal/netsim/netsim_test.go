@@ -32,18 +32,28 @@ func TestDeliver(t *testing.T) {
 	}
 }
 
-func TestPayloadCopied(t *testing.T) {
+// Send copies the payload, so a sender may reuse its buffer at once (the
+// NFS client and server encode every message into one buffer): neither a
+// mutation nor a second send through the same buffer may reach a packet
+// already sent.
+func TestStationSendCopiesPayload(t *testing.T) {
 	eng, n := rig()
 	a := n.Attach("a")
 	b := n.Attach("b")
-	var got []byte
-	b.Bind(1, func(p Packet) { got = p.Payload })
+	var got [][]byte
+	b.Bind(1, func(p Packet) { got = append(got, p.Payload) })
 	buf := []byte{1, 2, 3}
-	a.Send("b", 1, buf)
-	buf[0] = 99 // mutate after send
+	if err := a.Send("b", 1, buf); err != nil {
+		t.Fatal(err)
+	}
+	buf[0], buf[1], buf[2] = 4, 5, 6 // reuse the buffer for the next message
+	if err := a.Send("b", 1, buf); err != nil {
+		t.Fatal(err)
+	}
+	buf[0] = 99
 	eng.RunAll()
-	if got[0] != 1 {
-		t.Fatal("payload aliased sender buffer")
+	if len(got) != 2 || string(got[0]) != "\x01\x02\x03" || string(got[1]) != "\x04\x05\x06" {
+		t.Fatalf("delivered %v, want [[1 2 3] [4 5 6]]: payload aliased the sender's buffer", got)
 	}
 }
 

@@ -22,6 +22,8 @@ type Client struct {
 	timeout sim.Time
 	nextXID uint64
 	pending map[uint64]func(*message, error)
+	wire    []byte  // request encode buffer: Station.Send copies it
+	rep     message // the reply its continuation is reading
 }
 
 // NewClient creates a client on station talking to the named server station.
@@ -38,8 +40,8 @@ func NewClient(eng *sim.Engine, station *netsim.Station, server string, port uin
 }
 
 func (c *Client) onPacket(p netsim.Packet) {
-	rep, err := decodeMessage(p.Payload)
-	if err != nil {
+	rep := &c.rep
+	if err := decodeMessage(p.Payload, rep); err != nil {
 		return
 	}
 	k, ok := c.pending[rep.xid]
@@ -60,7 +62,8 @@ func (c *Client) call(req *message, k func(*message, error)) {
 	c.nextXID++
 	c.pending[req.xid] = k
 	xid := req.xid
-	if err := c.station.Send(c.server, Port, req.encode()); err != nil {
+	c.wire = req.encode(c.wire[:0])
+	if err := c.station.Send(c.server, Port, c.wire); err != nil {
 		delete(c.pending, xid)
 		k(nil, err)
 		return

@@ -208,8 +208,8 @@ func TestMessageRoundTripProperty(t *testing.T) {
 			op: Op(op), xid: xid, handle: handle, offset: offset,
 			count: count, name: name, data: data,
 		}
-		got, err := decodeMessage(m.encode())
-		if err != nil {
+		var got message
+		if err := decodeMessage(m.encode(nil), &got); err != nil {
 			return false
 		}
 		return got.op == m.op && got.xid == m.xid && got.handle == m.handle &&
@@ -223,14 +223,14 @@ func TestMessageRoundTripProperty(t *testing.T) {
 
 func TestDecodeMalformed(t *testing.T) {
 	for _, b := range [][]byte{nil, {1}, make([]byte, 10), append(make([]byte, 31), 0xff)} {
-		if _, err := decodeMessage(b); err == nil {
+		if err := decodeMessage(b, &message{}); err == nil {
 			t.Errorf("decode of %d bytes succeeded", len(b))
 		}
 	}
 	// Truncated name/data length fields.
 	m := &message{op: OpRead, name: "abcdef", data: []byte("xyz")}
-	enc := m.encode()
-	if _, err := decodeMessage(enc[:len(enc)-2]); err == nil {
+	enc := m.encode(nil)
+	if err := decodeMessage(enc[:len(enc)-2], &message{}); err == nil {
 		t.Error("decode of truncated message succeeded")
 	}
 }
@@ -355,16 +355,16 @@ func TestWriteHoleBounded(t *testing.T) {
 // corpus holds a READ at offset 2^64-1, a WRITE at 2^63 and a WRITE just
 // below maxFileSize.
 func FuzzServerHandle(f *testing.F) {
-	f.Add((&message{op: OpRead, handle: 1, count: 8}).encode())
-	f.Add((&message{op: OpWrite, handle: 1, offset: 2, data: []byte("xyz")}).encode())
+	f.Add((&message{op: OpRead, handle: 1, count: 8}).encode(nil))
+	f.Add((&message{op: OpWrite, handle: 1, offset: 2, data: []byte("xyz")}).encode(nil))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		req, err := decodeMessage(b)
-		if err != nil {
+		var req message
+		if err := decodeMessage(b, &req); err != nil {
 			return
 		}
 		s := nas()
 		s.handle(&message{op: OpCreate, name: "/f"})
-		s.handle(req)
+		s.handle(&req)
 		if n := len(s.store.files["/f"]); n > DefaultServerConfig().MaxRead+len(req.data) {
 			t.Fatalf("one request grew the file to %d bytes", n)
 		}

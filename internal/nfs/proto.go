@@ -89,8 +89,8 @@ type message struct {
 	data      []byte
 }
 
-func (m *message) encode() []byte {
-	buf := make([]byte, 0, 34+len(m.name)+len(m.data))
+// encode appends m's wire form to buf and returns the extended slice.
+func (m *message) encode(buf []byte) []byte {
 	buf = append(buf, byte(m.op), m.status)
 	buf = binary.LittleEndian.AppendUint64(buf, m.xid)
 	buf = binary.LittleEndian.AppendUint64(buf, m.handle)
@@ -104,31 +104,37 @@ func (m *message) encode() []byte {
 	return buf
 }
 
-func decodeMessage(b []byte) (*message, error) {
+// decodeMessage fills m from b. m.data aliases b, which the receiver of a
+// datagram owns (netsim.Station.Send copies every payload).
+func decodeMessage(b []byte, m *message) error {
 	const fixed = 2 + 8 + 8 + 8 + 4 + 2 + 2
 	if len(b) < fixed {
-		return nil, ErrBadRequest
+		return ErrBadRequest
 	}
-	m := &message{op: Op(b[0]), status: b[1]}
-	m.xid = binary.LittleEndian.Uint64(b[2:])
-	m.handle = binary.LittleEndian.Uint64(b[10:])
-	m.offset = binary.LittleEndian.Uint64(b[18:])
-	m.count = binary.LittleEndian.Uint32(b[26:])
-	m.replyPort = binary.LittleEndian.Uint16(b[30:])
 	nameLen := int(binary.LittleEndian.Uint16(b[32:]))
 	rest := b[34:]
 	if len(rest) < nameLen+4 {
-		return nil, ErrBadRequest
+		return ErrBadRequest
 	}
-	m.name = string(rest[:nameLen])
+	name := rest[:nameLen]
 	rest = rest[nameLen:]
 	dataLen := int(binary.LittleEndian.Uint32(rest))
 	rest = rest[4:]
 	if len(rest) < dataLen {
-		return nil, ErrBadRequest
+		return ErrBadRequest
+	}
+	*m = message{
+		op:        Op(b[0]),
+		status:    b[1],
+		xid:       binary.LittleEndian.Uint64(b[2:]),
+		handle:    binary.LittleEndian.Uint64(b[10:]),
+		offset:    binary.LittleEndian.Uint64(b[18:]),
+		count:     binary.LittleEndian.Uint32(b[26:]),
+		replyPort: binary.LittleEndian.Uint16(b[30:]),
+		name:      string(name),
 	}
 	if dataLen > 0 {
-		m.data = append([]byte(nil), rest[:dataLen]...)
+		m.data = rest[:dataLen:dataLen]
 	}
-	return m, nil
+	return nil
 }

@@ -89,6 +89,9 @@ type Server struct {
 	byPath     map[string]uint64
 	nextHandle uint64
 
+	req, rep message  // the request being served and its reply
+	wire     [][]byte // encoded-reply buffers no longer in flight
+
 	// Requests counts ops served, for experiment readouts.
 	Requests uint64
 }
@@ -106,8 +109,8 @@ func NewServer(eng *sim.Engine, station *netsim.Station, store *Store, cfg Serve
 }
 
 func (s *Server) onPacket(p netsim.Packet) {
-	req, err := decodeMessage(p.Payload)
-	if err != nil {
+	req := &s.req
+	if err := decodeMessage(p.Payload, req); err != nil {
 		return // malformed; drop like a real UDP service
 	}
 	reply := s.handle(req)
@@ -116,16 +119,27 @@ func (s *Server) onPacket(p netsim.Packet) {
 	if s.cfg.JitterFrac > 0 {
 		delay = sim.Time(float64(delay) * (1 + s.cfg.JitterFrac*(2*s.rng.Float64()-1)))
 	}
+	// Encode at service time: a READ's range is copied out of the store
+	// as it stands now, not when the delayed reply is sent.
+	var buf []byte
+	if k := len(s.wire) - 1; k >= 0 {
+		buf, s.wire = s.wire[k], s.wire[:k]
+	}
+	wire := reply.encode(buf)
 	src := p.Src
 	port := req.replyPort
 	s.eng.Schedule(delay, func() {
-		_ = s.station.Send(src, port, reply.encode())
+		_ = s.station.Send(src, port, wire)
+		s.wire = append(s.wire, wire[:0])
 	})
 }
 
+// handle serves req into the server's reply, which holds until the next
+// call. A READ reply's data aliases the stored file.
 func (s *Server) handle(req *message) *message {
 	s.Requests++
-	rep := &message{op: req.op | opReply, xid: req.xid}
+	rep := &s.rep
+	*rep = message{op: req.op | opReply, xid: req.xid}
 	switch req.op {
 	case OpLookup:
 		if _, ok := s.store.files[req.name]; !ok {
@@ -151,10 +165,9 @@ func (s *Server) handle(req *message) *message {
 			return rep
 		}
 		if off >= len(data) {
-			rep.data = nil // EOF: empty read
-			return rep
+			return rep // EOF: empty read
 		}
-		rep.data = append([]byte(nil), data[off:min(end, len(data))]...)
+		rep.data = data[off:min(end, len(data))]
 	case OpWrite:
 		path, ok := s.handles[req.handle]
 		if !ok {
@@ -175,8 +188,16 @@ func (s *Server) handle(req *message) *message {
 		}
 		if end > len(data) {
 			// Amortized growth: appending the recording 1 KB at a time
-			// must not copy the whole file on every write.
-			data = append(data, make([]byte, end-len(data))...)
+			// must not copy the whole file on every write, so the
+			// capacity at least doubles.
+			if end > cap(data) {
+				grown := make([]byte, len(data), max(end, 2*cap(data)))
+				copy(grown, data)
+				data = grown
+			}
+			n := len(data)
+			data = data[:end]
+			clear(data[n:]) // a hole past EOF reads as zeros
 		}
 		copy(data[off:], req.data)
 		s.store.files[path] = data

@@ -123,10 +123,12 @@ func (g *Group) Settle() {
 	}
 }
 
-// Run advances every engine to until using conservative windows,
-// running window bodies on workers goroutines (workers <= 1 runs them
-// serially, same results bit-for-bit). Events at exactly until fire;
-// all clocks end at until.
+// Run advances every engine to until using conservative windows.
+// workers is read only as workers > 1: then every window runs each
+// engine's body on its own goroutine, one per engine whatever the count,
+// so 2 and 8 run the same code. workers <= 1 runs the bodies serially,
+// with the same results bit-for-bit. Events at exactly until fire; all
+// clocks end at until.
 func (g *Group) Run(until Time, workers int) {
 	g.windowed = true
 	defer func() { g.windowed = false }()

@@ -1,6 +1,7 @@
 package tivopc
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -336,7 +337,8 @@ func (d *decoderOffcode) Start() error {
 func (d *decoderOffcode) Stop() error { return nil }
 
 // Feed accepts a chunk that arrived at the GPU and decodes whatever
-// completes. GPU hardware assist: ~4 cycles/pixel.
+// completes. GPU hardware assist: ~4 cycles/pixel. Each frame's buffer goes
+// back to the decoder once the Display has shown it.
 func (d *decoderOffcode) Feed(chunk []byte) {
 	frames := d.dec.Feed(chunk)
 	if len(frames) == 0 {
@@ -350,6 +352,7 @@ func (d *decoderOffcode) Feed(chunk []byte) {
 		for _, f := range frames {
 			d.Frames++
 			d.display.Show(f)
+			d.dec.Release(f)
 		}
 	})
 }
@@ -365,6 +368,7 @@ type displayOffcode struct {
 	// the source video (bounded to the first frames to cap cost).
 	VerifiedOK int
 	VerifyFail int
+	src        []byte // the source frame a shown frame is compared with
 }
 
 func (d *displayOffcode) Initialize(ctx *core.Context) error {
@@ -385,8 +389,8 @@ func (d *displayOffcode) Show(f mpeg.Frame) {
 	d.Shown++
 	d.LastChecksum = frameChecksum(f)
 	if d.Shown <= 32 {
-		src := mpeg.GenerateFrame(MovieConfig(), f.Seq)
-		if frameChecksum(src) == d.LastChecksum {
+		d.src = mpeg.DrawFrame(MovieConfig(), f.Seq, d.src).Pix
+		if bytes.Equal(f.Pix, d.src) {
 			d.VerifiedOK++
 		} else {
 			d.VerifyFail++
@@ -447,7 +451,9 @@ func (f *diskFileOffcode) pump() {
 	}
 	f.busy = true
 	chunk := f.queue[0]
-	f.queue = f.queue[1:]
+	n := copy(f.queue, f.queue[1:]) // keep the queue's array for later chunks
+	f.queue[n] = nil
+	f.queue = f.queue[:n]
 	off := f.offset
 	f.offset += uint64(len(chunk))
 	f.ctx.Device.Exec(1200, func() {
@@ -469,6 +475,7 @@ type clientStreamerOffcode struct {
 	ctx     *core.Context
 	decoder *decoderOffcode
 	disk    *diskFileOffcode
+	peers   []*device.Device // the GPU and the Smart Disk
 }
 
 func (s *clientStreamerOffcode) Initialize(ctx *core.Context) error {
@@ -487,6 +494,7 @@ func (s *clientStreamerOffcode) Start() error {
 		return err
 	}
 	s.disk = fh.Behaviour().(*diskFileOffcode)
+	s.peers = []*device.Device{s.tb.ClientGPU, s.tb.ClientDisk}
 	return nil
 }
 
@@ -496,8 +504,7 @@ func (s *clientStreamerOffcode) Stop() error { return nil }
 func (s *clientStreamerOffcode) Packet(data []byte) {
 	s.ctx.Device.Exec(1200, func() {
 		// One bus transaction reaches both peers (PCIe multicast, §1 fn.2).
-		peers := []*device.Device{s.tb.ClientGPU, s.tb.ClientDisk}
-		s.ctx.Device.DMAToPeers(peers, len(data), func() {
+		s.ctx.Device.DMAToPeers(s.peers, len(data), func() {
 			s.decoder.Feed(data)
 			s.disk.Record(data)
 		})

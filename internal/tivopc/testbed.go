@@ -55,45 +55,36 @@ const (
 // MovieConfig is the encoded stream profile.
 func MovieConfig() mpeg.Config { return mpeg.Config{W: 320, H: 240, GOPSize: 12, BGap: 2} }
 
-// movieCache holds the generated bitstream, grown on demand: encoding is
-// deterministic, so longer prefixes are stable across runs. movieMu makes
-// the cache safe for concurrent scenario replicas (testbed.Sweep).
+// movieEnc holds the generated bitstream, grown on demand. It is never
+// flushed, so every byte it has emitted is final: encoding is
+// deterministic, and each call returns a prefix of one stream. movieMu
+// makes it safe for concurrent scenario replicas (testbed.Sweep).
 var (
-	movieMu    sync.Mutex
-	movieCache []byte
+	movieMu     sync.Mutex
+	movieEnc    *mpeg.Encoder
+	movieFrames int // frames added to movieEnc
 )
 
-// Movie returns at least minBytes of encoded stream.
+// Movie returns the first minBytes bytes of the encoded stream.
 func Movie(minBytes int) []byte {
 	movieMu.Lock()
 	defer movieMu.Unlock()
 	cfg := MovieConfig()
-	for len(movieCache) < minBytes {
+	if movieEnc == nil {
 		enc, err := mpeg.NewEncoder(cfg)
 		if err != nil {
 			panic(err)
 		}
-		// Estimate frames needed from current density, with headroom.
-		frames := 512
-		if len(movieCache) > 0 {
-			perFrame := len(movieCache) / frameEstimate
-			if perFrame > 0 {
-				frames = minBytes/perFrame + 64
-			}
-		}
-		for i := 0; i < frames; i++ {
-			if err := enc.Add(mpeg.GenerateFrame(cfg, i)); err != nil {
-				panic(err)
-			}
-		}
-		enc.Flush()
-		movieCache = enc.Bytes()
-		frameEstimate = frames
+		movieEnc = enc
 	}
-	return movieCache[:minBytes]
+	for len(movieEnc.Bytes()) < minBytes {
+		if err := movieEnc.Add(mpeg.GenerateFrame(cfg, movieFrames)); err != nil {
+			panic(err)
+		}
+		movieFrames++
+	}
+	return movieEnc.Bytes()[:minBytes:minBytes]
 }
-
-var frameEstimate = 512
 
 // Testbed is the two-host-plus-NAS world of §6.4.
 type Testbed struct {

@@ -1,26 +1,64 @@
 package tivopc
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"hydra/internal/core"
+	"hydra/internal/mpeg"
 	"hydra/internal/sim"
 )
 
 const testDuration = 30 * sim.Second
 
-func TestMovieGeneration(t *testing.T) {
-	m := Movie(100 << 10)
-	if len(m) < 100<<10 {
-		t.Fatalf("movie = %d bytes", len(m))
+// Movie grows one never-flushed encoding, so whatever order and
+// goroutines ask for it, every call returns a prefix of the stream a
+// one-shot encode of the same frames produces. n = 2,113,536 is the size a
+// 10 s run loads (perfbench's tivopc workload).
+func TestMovieIsStablePrefix(t *testing.T) {
+	cfg := MovieConfig()
+	want, err := mpeg.Encode(cfg, mpeg.GenerateVideo(cfg, 512))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Cache grows, never shrinks, and prefixes are stable.
-	m2 := Movie(50 << 10)
-	for i := range m2 {
-		if m2[i] != m[i] {
-			t.Fatal("movie prefix not stable")
+	check := func(n int) error {
+		if got := Movie(n); !bytes.Equal(got, want[:n]) {
+			return fmt.Errorf("Movie(%d) is %d bytes and not a prefix of the encoded video", n, len(got))
 		}
+		return nil
+	}
+	sizes := []int{1, 100 << 10, 777_777, 2_113_536}
+	for i := range sizes { // increasing, then decreasing
+		if err := check(sizes[i]); err != nil {
+			t.Error(err)
+		}
+	}
+	for i := range sizes {
+		if err := check(sizes[len(sizes)-1-i]); err != nil {
+			t.Error(err)
+		}
+	}
+	// Concurrent callers, some growing the stream while others read it.
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = check(2_113_536 + i*400_000)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	if m := Movie(10); cap(m) != 10 {
+		t.Errorf("Movie(10) has capacity %d: appending to it would write into the shared stream", cap(m))
 	}
 }
 
@@ -358,4 +396,28 @@ func TestOffloadedServerRunsInItsSession(t *testing.T) {
 	if owned != 3 {
 		t.Fatalf("server session owns %d offcodes, want 3", owned)
 	}
+}
+
+// FuzzFileRestore: no checkpoint makes the server File's Restore panic. A
+// state that is not the 8-byte stream offset is refused and leaves the
+// offset as it was; an accepted one checkpoints back to the same bytes.
+// The corpus under testdata/fuzz holds empty, 7-, 8- and 9-byte states.
+func FuzzFileRestore(f *testing.F) {
+	f.Fuzz(func(t *testing.T, state []byte) {
+		const before = 123_456
+		file := &fileOffcode{offset: before}
+		err := file.Restore(state)
+		if len(state) != 8 {
+			if err == nil || file.offset != before {
+				t.Fatalf("%d-byte state: error %v, offset %d → %d", len(state), err, before, file.offset)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("8-byte state refused: %v", err)
+		}
+		if got := file.Checkpoint(); !bytes.Equal(got, state) {
+			t.Fatalf("restored %x, checkpointed %x", state, got)
+		}
+	})
 }

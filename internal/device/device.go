@@ -133,6 +133,7 @@ type Device struct {
 	queue    sim.FIFO[*devSegment]
 	segFree  []*devSegment // recycled segments; Exec runs alloc-free once warm
 	dmaFree  []*dmaStep    // recycled host-bound DMA completions
+	peerBuf  []bus.Agent   // DMAToPeers' destinations; TransferMulti keeps no reference
 
 	// Failure model. epoch increments on every crash, so callbacks armed
 	// by dead firmware (in-flight Exec segments, hardware timers) can
@@ -561,11 +562,11 @@ func (d *Device) DMAToPeers(peers []*Device, size int, done func()) {
 	if d.crashed {
 		return
 	}
-	agents := make([]bus.Agent, len(peers))
-	for i, p := range peers {
-		agents[i] = p.Agent()
+	d.peerBuf = d.peerBuf[:0]
+	for _, p := range peers {
+		d.peerBuf = append(d.peerBuf, p.Agent())
 	}
-	d.bsys.TransferMulti(d.Agent(), agents, size, done)
+	d.bsys.TransferMulti(d.Agent(), d.peerBuf, size, done)
 }
 
 // InterruptHost raises a host interrupt attributed to this device. Dead

@@ -330,6 +330,17 @@ func TestDMAToPeersSingleTransaction(t *testing.T) {
 	if got := b.Total().Transactions - before; got != 1 {
 		t.Fatalf("multicast used %d transactions, want 1", got)
 	}
+	// A warm multicast reuses the device's destination list.
+	if raceEnabled {
+		return
+	}
+	peers, noop := []*Device{gpu, disk}, func() {}
+	if allocs := testing.AllocsPerRun(100, func() {
+		d.DMAToPeers(peers, 1024, noop)
+		eng.RunAll()
+	}); allocs != 0 {
+		t.Fatalf("warm multicast made %.1f allocations, want 0", allocs)
+	}
 }
 
 func TestInterruptHost(t *testing.T) {

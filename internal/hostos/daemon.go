@@ -44,7 +44,12 @@ func (m *Machine) StartIdleLoad() {
 		streamOff := 0
 		rng := m.eng.NewRand(int64(1000 + i))
 
-		var wake func()
+		// The continuations are bound once: each wake only sets uc, the
+		// user-mode cycles its Compute step charges.
+		var wake, compute, sleep func()
+		var uc uint64
+		sleep = func() { t.Sleep(idlePeriod, wake) }
+		compute = func() { t.Compute(uc, sleep) }
 		wake = func() {
 			kernelSet.Walk()
 			userSet.Walk()
@@ -54,12 +59,8 @@ func (m *Machine) StartIdleLoad() {
 			cycles := float64(idleCyclesPerWake) *
 				(1 + idleCycleJitter*(2*rng.Float64()-1))
 			kc := uint64(cycles * idleKernelFraction)
-			uc := uint64(cycles) - kc
-			t.Syscall(kc, func() {
-				t.Compute(uc, func() {
-					t.Sleep(idlePeriod, wake)
-				})
-			})
+			uc = uint64(cycles) - kc
+			t.Syscall(kc, compute)
 		}
 		// Stagger daemon phases so they do not wake in lockstep.
 		phase := sim.Time(i) * idlePeriod / sim.Time(idleDaemons)

@@ -165,10 +165,11 @@ func residualBidir(pix, prev, next []byte) []byte {
 // into its buffer; a frame never released is left to the garbage collector.
 type Decoder struct {
 	buf        []byte
-	off        int   // bytes of buf already consumed
-	prevAnchor Frame // anchor already released for display; nil Pix if none
-	heldAnchor Frame // decoded anchor awaiting its Bs; nil Pix if none
-	ready      []Frame
+	off        int     // bytes of buf already consumed
+	prevAnchor Frame   // anchor already released for display; nil Pix if none
+	heldAnchor Frame   // decoded anchor awaiting its Bs; nil Pix if none
+	ready      []Frame // frames displayable since the last Feed or Flush
+	scanning   bool    // a resync has not yet reached the next magic
 
 	free     [][]byte // released pixel buffers, ready for reuse
 	orphaned [][]byte // released pixel buffers still serving as an anchor
@@ -191,21 +192,38 @@ func (d *Decoder) Feed(chunk []byte) []Frame {
 	}
 	d.buf = append(d.buf, chunk...)
 	d.drain()
-	out := d.ready
-	d.ready = nil
-	return out
+	return d.takeReady()
 }
 
 // Flush returns the final held frame(s) at end of stream.
 func (d *Decoder) Flush() []Frame {
 	d.drain()
 	if d.heldAnchor.Pix != nil {
-		d.ready = append(d.ready, d.heldAnchor)
+		d.emit(d.heldAnchor)
 		d.heldAnchor = Frame{}
 		d.reclaimOrphans()
 	}
-	out := d.ready
-	d.ready = nil
+	return d.takeReady()
+}
+
+// readyBlock is how many frames one array of ready frames holds.
+const readyBlock = 16
+
+// emit makes f displayable.
+func (d *Decoder) emit(f Frame) {
+	if len(d.ready) == cap(d.ready) {
+		d.ready = append(make([]Frame, 0, len(d.ready)+readyBlock), d.ready...)
+	}
+	d.ready = append(d.ready, f)
+}
+
+// takeReady returns the frames emitted since the last call. Later frames
+// go after them in the same array, so the caller may keep the slice, and a
+// warm decoder allocates one array per readyBlock frames rather than one
+// per call.
+func (d *Decoder) takeReady() []Frame {
+	out := d.ready[:len(d.ready):len(d.ready)]
+	d.ready = d.ready[len(d.ready):]
 	return out
 }
 
@@ -268,6 +286,7 @@ func (d *Decoder) drain() {
 			d.resync()
 			continue
 		}
+		d.scanning = false
 		t := FrameType(b[2])
 		seq := int(binary.LittleEndian.Uint32(b[3:]))
 		w := int(binary.LittleEndian.Uint16(b[7:]))
@@ -296,19 +315,32 @@ func (d *Decoder) drain() {
 			d.Corrupt++
 			continue
 		}
+		// The residual is walked even when the references are lost, so
+		// a frame with corrupt RLE counts as Corrupt, never as Dropped.
 		pix := d.pixels(w * h)
-		if err := rleDecodeInto(pix, payload); err != nil {
+		predicted := d.predict(t, ref1, ref2, pix)
+		switch err := rleAddInto(pix, payload); {
+		case err != nil:
 			d.Corrupt++
-			d.free = append(d.free, pix)
+		case !predicted:
+			d.Dropped++ // reference lost; wait for the next I
+		default:
+			d.accept(t, Frame{Seq: seq, W: w, H: h, Pix: pix})
 			continue
 		}
-		d.reconstruct(t, seq, w, h, ref1, ref2, pix)
+		d.free = append(d.free, pix)
 	}
 }
 
-// resync drops bytes up to the next plausible magic.
+// resync drops bytes up to the next plausible magic. A scan that runs
+// out of bytes keeps the last one, which may begin the magic, and resumes
+// on the next Feed as the same resync event, so the counts do not depend
+// on where the stream was split.
 func (d *Decoder) resync() {
-	d.Corrupt++
+	if !d.scanning {
+		d.Corrupt++
+		d.scanning = true
+	}
 	b := d.buf[d.off:]
 	for i := 1; i+1 < len(b); i++ {
 		if binary.LittleEndian.Uint16(b[i:]) == frameMagic {
@@ -316,50 +348,45 @@ func (d *Decoder) resync() {
 			return
 		}
 	}
-	d.off = len(d.buf)
+	d.off += len(b) - 1
 }
 
-// reconstruct adds the frame's prediction to the residual decoded into pix.
-func (d *Decoder) reconstruct(t FrameType, seq, w, h int, ref1, ref2 uint32, pix []byte) {
+// predict writes the frame's prediction into pix and reports whether its
+// references are the anchors the decoder holds. It leaves pix alone when
+// they are not.
+func (d *Decoder) predict(t FrameType, ref1, ref2 uint32, pix []byte) bool {
 	switch t {
 	case TypeI:
-		for i := range pix {
-			pix[i] += 128
-		}
+		fill(pix, 128)
 	case TypeP:
 		ref := d.newestAnchor()
-		if ref.Pix == nil || uint32(ref.Seq) != ref1 || len(ref.Pix) != w*h {
-			d.Dropped++ // reference lost; wait for the next I
-			d.free = append(d.free, pix)
-			return
+		if ref.Pix == nil || uint32(ref.Seq) != ref1 || len(ref.Pix) != len(pix) {
+			return false
 		}
-		rp := ref.Pix[:len(pix)]
-		for i := range pix {
-			pix[i] += rp[i]
-		}
+		copy(pix, ref.Pix)
 	case TypeB:
 		prev, next := d.prevAnchor, d.heldAnchor
 		if prev.Pix == nil || next.Pix == nil ||
 			uint32(prev.Seq) != ref1 || uint32(next.Seq) != ref2 ||
-			len(prev.Pix) != w*h || len(next.Pix) != w*h {
-			d.Dropped++
-			d.free = append(d.free, pix)
-			return
+			len(prev.Pix) != len(pix) || len(next.Pix) != len(pix) {
+			return false
 		}
-		pp, np := prev.Pix[:len(pix)], next.Pix[:len(pix)]
-		for i := range pix {
-			pix[i] += byte((uint16(pp[i]) + uint16(np[i])) / 2)
-		}
-		d.ready = append(d.ready, Frame{Seq: seq, W: w, H: h, Pix: pix})
+		averageInto(pix, prev.Pix, next.Pix)
+	}
+	return true
+}
+
+// accept takes a decoded frame. A B frame is ready at once. An anchor
+// (I or P) must wait until its B frames, which arrive after it but display
+// before it, have been emitted: emitting the previously held anchor now
+// preserves display order.
+func (d *Decoder) accept(t FrameType, f Frame) {
+	if t == TypeB {
+		d.emit(f)
 		return
 	}
-
-	// Anchor (I or P): displaying it must wait until its B frames (which
-	// arrive after it but display before it) have been emitted. Emitting
-	// the previously held anchor now preserves display order.
-	f := Frame{Seq: seq, W: w, H: h, Pix: pix}
 	if d.heldAnchor.Pix != nil {
-		d.ready = append(d.ready, d.heldAnchor)
+		d.emit(d.heldAnchor)
 		d.prevAnchor = d.heldAnchor
 	}
 	d.heldAnchor = f

@@ -77,15 +77,20 @@ func DrawFrame(cfg Config, seq int, pix []byte) Frame {
 		pix = make([]byte, cfg.W*cfg.H)
 	}
 	pix = pix[:cfg.W*cfg.H]
+	// Blocky gradient: 32-pixel plateaus give the entropy coder realistic
+	// runs, and the drift keeps inter-frame residuals sparse but non-zero.
+	// Pixel (x, y) depends on x+y alone, so each row is the one above it
+	// shifted left by one pixel.
 	phase := seq * 3
-	for y := 0; y < cfg.H; y++ {
-		row := y * cfg.W
-		for x := 0; x < cfg.W; x++ {
-			// Blocky gradient: 32-pixel plateaus give the entropy coder
-			// realistic runs, and the drift keeps inter-frame residuals
-			// sparse but non-zero.
-			pix[row+x] = byte(((x + y + phase) >> 5) * 7)
-		}
+	shade := func(d int) byte { return byte(((d + phase) >> 5) * 7) }
+	w := cfg.W
+	for x := range w {
+		pix[x] = shade(x)
+	}
+	for y := 1; y < cfg.H; y++ {
+		row := pix[y*w : (y+1)*w]
+		copy(row, pix[(y-1)*w+1:y*w])
+		row[w-1] = shade(w - 1 + y)
 	}
 	// Moving 16x16 box.
 	bx := (seq * 7) % max(cfg.W-16, 1)

@@ -14,10 +14,28 @@ func framesEqual(a, b Frame) bool {
 	return a.W == b.W && a.H == b.H && bytes.Equal(a.Pix, b.Pix)
 }
 
-// rleDecode expands src into a fresh n-byte buffer.
+// rleDecode expands src into a fresh n-byte buffer: a residual added to
+// zeros is the residual.
 func rleDecode(src []byte, n int) ([]byte, error) {
 	dst := make([]byte, n)
-	return dst, rleDecodeInto(dst, src)
+	return dst, rleAddInto(dst, src)
+}
+
+// requireSameDecode fails unless two decodes returned the same frames, in
+// the same order, and the same Corrupt and Dropped counts.
+func requireSameDecode(t *testing.T, what string, got, want []Frame, gotCorrupt, gotDropped, wantCorrupt, wantDropped int) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d frames, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Seq != want[i].Seq || !framesEqual(got[i], want[i]) {
+			t.Fatalf("%s: frame %d is seq %d, want seq %d, or its pixels differ", what, i, got[i].Seq, want[i].Seq)
+		}
+	}
+	if gotCorrupt != wantCorrupt || gotDropped != wantDropped {
+		t.Fatalf("%s: %d corrupt, %d dropped; want %d, %d", what, gotCorrupt, gotDropped, wantCorrupt, wantDropped)
+	}
 }
 
 func TestRLERoundTrip(t *testing.T) {
@@ -123,9 +141,12 @@ func TestDecoderRejectsFrameLargerThanPayload(t *testing.T) {
 // they return holds exactly W*H pixels, and handing each frame back with
 // Release right after the Feed that returned it changes no frame and no
 // count: a recycled buffer still in use as a reference would. Both
-// decoders see the stream in the same 16-byte chunks. The corpus under
-// testdata/fuzz seeds it with a valid stream, a truncated one, one with a
-// flipped payload byte and a header claiming more pixels than its payload.
+// decoders see the stream in the same 16-byte chunks, and both must match
+// refDecode, the two-pass oracle, on pixels and on the Corrupt/Dropped
+// split. The corpus under testdata/fuzz seeds it with a valid stream, a
+// truncated one, one with a flipped payload byte, a header claiming more
+// pixels than its payload, and a P and a B frame whose RLE is corrupt and
+// whose references are lost.
 func FuzzDecoderFeed(f *testing.F) {
 	const chunk = 16
 	f.Fuzz(func(t *testing.T, stream []byte) {
@@ -149,19 +170,11 @@ func FuzzDecoderFeed(f *testing.F) {
 				t.Fatalf("frame %d: %dx%d with %d pixels", fr.Seq, fr.W, fr.H, len(fr.Pix))
 			}
 		}
-		if len(got) != len(want) {
-			t.Fatalf("releasing decoder returned %d frames, keeping one %d", len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Seq != want[i].Seq || !framesEqual(got[i], want[i]) {
-				t.Fatalf("frame %d: releasing decoder returned seq %d, keeping one seq %d or other pixels",
-					i, got[i].Seq, want[i].Seq)
-			}
-		}
-		if released.Corrupt != kept.Corrupt || released.Dropped != kept.Dropped {
-			t.Fatalf("releasing decoder counted %d corrupt, %d dropped; keeping one %d, %d",
-				released.Corrupt, released.Dropped, kept.Corrupt, kept.Dropped)
-		}
+		requireSameDecode(t, "releasing decoder against keeping one", got, want,
+			released.Corrupt, released.Dropped, kept.Corrupt, kept.Dropped)
+		ref, corrupt, dropped := refDecode(stream)
+		requireSameDecode(t, "keeping decoder against the two-pass oracle", want, ref,
+			kept.Corrupt, kept.Dropped, corrupt, dropped)
 	})
 }
 

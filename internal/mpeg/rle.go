@@ -33,15 +33,17 @@ func rleEncode(src []byte) []byte {
 	return out
 }
 
-// rleDecodeInto expands src into dst, which it must fill exactly.
-func rleDecodeInto(dst, src []byte) error {
+// rleAddInto adds the residual src encodes to dst, which it must cover
+// exactly. A run of zeros, the bulk of a predicted frame, leaves its bytes
+// as they are; any other run is added eight bytes at a time.
+func rleAddInto(dst, src []byte) error {
 	n := 0
 	for i := 0; i < len(src); {
 		if src[i] != rleEsc {
 			if n == len(dst) {
 				return errCorrupt("RLE output overruns frame")
 			}
-			dst[n] = src[i]
+			dst[n] += src[i]
 			n++
 			i++
 			continue
@@ -56,9 +58,8 @@ func rleDecodeInto(dst, src []byte) error {
 		if count > len(dst)-n {
 			return errCorrupt("RLE output overruns frame")
 		}
-		run := dst[n : n+count]
-		for j := range run {
-			run[j] = src[i+2]
+		if v := src[i+2]; v != 0 {
+			addRun(dst[n:n+count], v)
 		}
 		n += count
 		i += 3

@@ -39,10 +39,10 @@ type SyscallPlane struct {
 // OpenSyscalls gives target a host-syscall plane: a dedicated reliable
 // channel sized by prof (requests and completions both batch per
 // prof.Batch/Coalesce), a dispatcher Service over the runtime's VFS, and
-// a per-Offcode credit quota of prof.Credits in-flight calls. The channel
-// is charged to this session like any CreateChannel; the target Offcode
-// sees the device endpoint via ChannelConnected and should attach a
-// syscall.Issuer to it.
+// a per-Offcode credit quota of prof.CreditLimit() in-flight calls. The
+// channel is charged to this session like any CreateChannel; the target
+// Offcode sees the device endpoint via ChannelConnected and should attach
+// a syscall.Issuer to it.
 func (a *App) OpenSyscalls(target *Handle, prof syscall.Profile) (*SyscallPlane, error) {
 	if a.closed {
 		return nil, fmt.Errorf("%w: %s", ErrAppClosed, a.name)
@@ -56,16 +56,8 @@ func (a *App) OpenSyscalls(target *Handle, prof syscall.Profile) (*SyscallPlane,
 		node.Close()
 		return nil, err
 	}
-	credits.SetLimit(syscall.QuotaSyscalls, int64(normalizedCredits(prof)))
+	credits.SetLimit(syscall.QuotaSyscalls, int64(prof.CreditLimit()))
 	svc := syscall.NewService(a.rt.VFS(), prof)
 	svc.Attach(appEnd)
 	return &SyscallPlane{Service: svc, Credits: credits}, nil
-}
-
-// normalizedCredits mirrors the profile's defaulting: at least one credit.
-func normalizedCredits(prof syscall.Profile) int {
-	if prof.Credits < 1 {
-		return 1
-	}
-	return prof.Credits
 }

@@ -43,7 +43,7 @@ func warmRig(tb testing.TB) *rig {
 // the channel in both directions, the host worker pool and execution,
 // the cached reply, completion decode and delivery — allocates nothing
 // on the hot path: the records are pooled and no value is boxed. The
-// bound leaves room for the occasional map and latency-record growth.
+// bound leaves room for latency-record growth.
 func TestSyscallRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")

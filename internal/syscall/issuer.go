@@ -1,7 +1,6 @@
 package syscall
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -110,7 +109,7 @@ type Issuer struct {
 	tr   *obs.Shard
 
 	nextSeq  uint64
-	pending  map[uint64]*pendingCall
+	pending  pendingTable // calls awaiting a completion, in issue order
 	inFlight int
 	sealed   bool
 	defaultK func(*Completion)
@@ -136,7 +135,6 @@ func NewIssuer(dev *device.Device, prof Profile, res *resource.Node) *Issuer {
 		prof:    prof.withDefaults(),
 		tr:      obs.ForCat(eng, obs.CatSyscall),
 		nextSeq: 1,
-		pending: make(map[uint64]*pendingCall),
 	}
 }
 
@@ -148,17 +146,16 @@ func NewIssuer(dev *device.Device, prof Profile, res *resource.Node) *Issuer {
 func (i *Issuer) Attach(end *channel.Endpoint) {
 	i.end = end
 	end.InstallCallHandler(i.onCompletion)
-	for _, id := range i.pendingIDs() {
-		p := i.pending[id]
+	i.pending.each(func(id uint64, p *pendingCall) {
 		if !p.restored || p.wire == nil {
-			continue
+			return
 		}
 		i.stats.Reissued++
 		if i.tr.On() {
 			i.tr.Instant(obs.CatSyscall, trReissue, int64(idSeq(id)))
 		}
 		p.post()
-	}
+	})
 }
 
 // SetDefaultHandler installs the continuation for completions of restored
@@ -272,7 +269,7 @@ func (i *Issuer) post(p *pendingCall, id uint64, op Op, mode Mode, k func(*Compl
 	if mode == ModeFireForget {
 		i.stats.FireForget++
 	} else {
-		i.pending[id] = p
+		i.pending.push(id, p)
 	}
 	p.post()
 	return nil
@@ -292,8 +289,8 @@ func (i *Issuer) onCompletion(data []byte) {
 		}
 	}
 	id := rep.ReturnDesc
-	p, ok := i.pending[id]
-	if !ok {
+	p := i.pending.take(id)
+	if p == nil {
 		// Already completed once — a duplicate from reissue-after-restore.
 		i.stats.Orphaned++
 		if i.tr.On() {
@@ -301,7 +298,6 @@ func (i *Issuer) onCompletion(data []byte) {
 		}
 		return
 	}
-	delete(i.pending, id)
 	i.releaseCredit()
 	now := i.eng.Now()
 	op, issued, k, restored := p.op, p.issued, p.k, p.restored
@@ -340,27 +336,15 @@ func (i *Issuer) Checkpoint() []byte {
 	i.sealed = true
 	b := []byte{ckptVersion}
 	b = binary.LittleEndian.AppendUint64(b, i.nextSeq)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(i.pending)))
-	for _, id := range i.pendingIDs() {
-		p := i.pending[id]
+	b = binary.LittleEndian.AppendUint32(b, uint32(i.pending.npend))
+	i.pending.each(func(id uint64, p *pendingCall) {
 		b = binary.LittleEndian.AppendUint64(b, id)
 		b = binary.LittleEndian.AppendUint64(b, uint64(p.issued))
 		b = append(b, byte(p.op))
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(p.wire)))
 		b = append(b, p.wire...)
-	}
+	})
 	return b
-}
-
-// pendingIDs lists the pending call ids in ascending sequence order, the
-// deterministic order checkpoints and reissues use.
-func (i *Issuer) pendingIDs() []uint64 {
-	ids := make([]uint64, 0, len(i.pending))
-	for id := range i.pending {
-		ids = append(ids, id)
-	}
-	slices.SortFunc(ids, func(a, b uint64) int { return cmp.Compare(idSeq(a), idSeq(b)) })
-	return ids
 }
 
 // ckptEntryHeader is one checkpoint entry's fixed part: id, issue time,
@@ -379,6 +363,10 @@ func (i *Issuer) Restore(b []byte) error {
 	nextSeq := binary.LittleEndian.Uint64(b[1:])
 	n := int(binary.LittleEndian.Uint32(b[9:]))
 	rest := b[13:]
+	last := i.pending.last()
+	if i.pending.npend > 0 && nextSeq <= last {
+		return fmt.Errorf("syscall: next sequence %d not past pending sequence %d", nextSeq, last)
+	}
 	ids := make([]uint64, 0, min(n, len(rest)/ckptEntryHeader))
 	calls := make([]*pendingCall, 0, cap(ids))
 	for j := 0; j < n; j++ {
@@ -395,11 +383,11 @@ func (i *Issuer) Restore(b []byte) error {
 		}
 		wire := rest[:wl]
 		rest = rest[wl:]
-		prev := uint64(0)
+		prev := last
 		if j > 0 {
 			prev = idSeq(ids[j-1])
 		}
-		if err := i.checkRestored(id, op, wire, prev, nextSeq); err != nil {
+		if err := checkRestored(id, op, wire, prev, nextSeq); err != nil {
 			return fmt.Errorf("syscall: checkpoint entry %d: %w", j, err)
 		}
 		ids = append(ids, id)
@@ -417,17 +405,18 @@ func (i *Issuer) Restore(b []byte) error {
 	}
 	i.nextSeq = nextSeq
 	for j, id := range ids {
-		i.pending[id] = calls[j]
+		i.pending.push(id, calls[j])
 	}
 	return nil
 }
 
 // checkRestored validates one checkpointed call: sequences strictly
-// ascend (so no id repeats) and stay below nextSeq, the mode expects a
-// completion, the id is not already pending, and the marshaled request is
-// the op's call under that id — anything else would leave an entry no
-// completion can ever retire, holding its credit forever.
-func (i *Issuer) checkRestored(id uint64, op Op, wire []byte, prevSeq, nextSeq uint64) error {
+// ascend past every call already pending (so no id repeats and the
+// pending table stays in issue order) and stay below nextSeq, the mode
+// expects a completion, and the marshaled request is the op's call under
+// that id — anything else would leave an entry no completion can ever
+// retire, holding its credit forever.
+func checkRestored(id uint64, op Op, wire []byte, prevSeq, nextSeq uint64) error {
 	seq := idSeq(id)
 	switch {
 	case seq <= prevSeq:
@@ -436,9 +425,6 @@ func (i *Issuer) checkRestored(id uint64, op Op, wire []byte, prevSeq, nextSeq u
 		return fmt.Errorf("sequence %d not below next sequence %d", seq, nextSeq)
 	case idMode(id) != ModeSync && idMode(id) != ModeAsync:
 		return fmt.Errorf("sequence %d: mode %v expects no completion", seq, idMode(id))
-	}
-	if _, dup := i.pending[id]; dup {
-		return fmt.Errorf("sequence %d already pending", seq)
 	}
 	c, err := call.Unmarshal(wire)
 	if err != nil {

@@ -65,6 +65,40 @@ func removedOpEntry(t testing.TB, entry []byte, op byte, method string) []byte {
 // removedOps are the op bytes and wire names of the deleted syscalls.
 var removedOps = []string{1: "open", 2: "read", 3: "write", 4: "close", 5: "send", 6: "map", 7: "unmap"}
 
+// sparseCheckpoint holds two in-flight calls at sequences 1 and 1<<40.
+func sparseCheckpoint(t testing.TB) []byte {
+	head, entries := ckptEntries(pendingCheckpoint(t, 1))
+	const far = uint64(1) << 40
+	id := packID(far, ModeAsync)
+	wire, err := call.Marshal(&call.Call{Iface: IfaceGUID, Method: OpClock.String(), ReturnDesc: id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := binary.LittleEndian.AppendUint64(nil, id)
+	e = binary.LittleEndian.AppendUint64(e, 1)
+	e = append(e, byte(OpClock))
+	e = binary.LittleEndian.AppendUint32(e, uint32(len(wire)))
+	b := joinCkpt(head, entries[0], append(e, wire...))
+	binary.LittleEndian.PutUint64(b[1:], far+1)
+	return b
+}
+
+// A checkpoint's sequences may lie far apart; the restored pending
+// table's memory follows the number of calls, not the span between them.
+func TestRestoreSparseSequences(t *testing.T) {
+	iss := restoreIssuer()
+	ck := sparseCheckpoint(t)
+	if err := iss.Restore(ck); err != nil {
+		t.Fatal(err)
+	}
+	if iss.pending.npend != 2 || len(iss.pending.slots) > 8 {
+		t.Fatalf("%d calls pending in %d slots, want 2 in at most 8", iss.pending.npend, len(iss.pending.slots))
+	}
+	if got := iss.Checkpoint(); !bytes.Equal(got, ck) {
+		t.Fatalf("sparse checkpoint does not round-trip:\n  in  % x\n  out % x", ck, got)
+	}
+}
+
 // restoreIssuer is a fresh, unattached issuer with room for four
 // in-flight calls.
 func restoreIssuer() *Issuer {
@@ -133,8 +167,8 @@ func TestRestoreRejectsAtomically(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 			continue
 		}
-		if iss.InFlight() != 0 || len(iss.pending) != 0 {
-			t.Errorf("%s: rejected restore left %d in flight, %d pending", name, iss.InFlight(), len(iss.pending))
+		if iss.InFlight() != 0 || iss.pending.npend != 0 {
+			t.Errorf("%s: rejected restore left %d in flight, %d pending", name, iss.InFlight(), iss.pending.npend)
 		}
 		if got := iss.Checkpoint(); !bytes.Equal(got, empty) {
 			t.Errorf("%s: rejected restore changed the issuer:\n  got  % x\n  want % x", name, got, empty)
@@ -158,17 +192,18 @@ func FuzzIssuerRestore(f *testing.F) {
 	f.Add(full[:len(full)-1])
 	f.Add(joinCkpt(head, entries[0], entries[0]))
 	f.Add(pendingCheckpoint(f, 5))
+	f.Add(sparseCheckpoint(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		iss := restoreIssuer()
 		if err := iss.Restore(data); err != nil {
-			if iss.InFlight() != 0 || len(iss.pending) != 0 || iss.nextSeq != 1 {
+			if iss.InFlight() != 0 || iss.pending.npend != 0 || iss.nextSeq != 1 {
 				t.Fatalf("rejected restore (%v) changed the issuer: %d in flight, %d pending, next seq %d",
-					err, iss.InFlight(), len(iss.pending), iss.nextSeq)
+					err, iss.InFlight(), iss.pending.npend, iss.nextSeq)
 			}
 			return
 		}
-		if iss.InFlight() != len(iss.pending) {
-			t.Fatalf("accepted restore holds %d credits for %d pending calls", iss.InFlight(), len(iss.pending))
+		if iss.InFlight() != iss.pending.npend {
+			t.Fatalf("accepted restore holds %d credits for %d pending calls", iss.InFlight(), iss.pending.npend)
 		}
 		if got := iss.Checkpoint(); !bytes.Equal(got, data) {
 			t.Fatalf("accepted checkpoint does not round-trip:\n  in  % x\n  out % x", data, got)

@@ -18,9 +18,10 @@ const (
 )
 
 // replyCacheSize bounds the at-most-once reply cache. It only needs to
-// cover the in-flight window (the credit limit) with slack for a swap's
-// replayed traffic, not the whole run. The cache is allocated replyChunk
-// slots at a time, on first use.
+// cover the in-flight window, so it also bounds Profile.Credits: with
+// more calls in flight, call seq+replyCacheSize would take the slot of a
+// call seq that a swap may still reissue. The cache is allocated
+// replyChunk slots at a time, on first use.
 const (
 	replyCacheSize = 4096
 	replyChunk     = 256
@@ -39,25 +40,30 @@ type Service struct {
 	end  *channel.Endpoint
 	tr   *obs.Shard
 
-	// The reply cache holds the outcome of call sequence seq in slot
-	// seq % replyCacheSize. A channel's calls number one ascending
-	// sequence (a restored issuer continues its predecessor's), so a slot
-	// is overwritten only replyCacheSize calls later. A reply is encoded
+	// The reply cache holds call sequence seq in slot
+	// seq % replyCacheSize: a sync or async call claims its slot at
+	// dispatch, marked running, and the outcome replaces the mark when the
+	// call finishes. A channel's calls number one ascending sequence (a
+	// restored issuer continues its predecessor's), and at most
+	// replyCacheSize of them are in flight, so a slot is claimed again
+	// only once no copy of its call can still arrive. A reply is encoded
 	// from its outcome whenever it is sent, into the one wire buffer.
-	replies   [replyCacheSize / replyChunk]*[replyChunk]outcome
-	wire      []byte          // encoding buffer; Endpoint.Write copies it
-	executing map[uint64]bool // ids submitted to the pool, not yet finished
-	reqFree   []*request
-	stats     Stats
+	replies [replyCacheSize / replyChunk]*[replyChunk]outcome
+	wire    []byte // encoding buffer; Endpoint.Write copies it
+	reqFree []*request
+	stats   Stats
 }
 
 // outcome is what executing one request produced: all its reply holds.
-// A zero op marks a cache slot never filled.
+// A zero op marks a cache slot never filled; running marks a call still
+// in the dispatcher, whose outcome is not known yet. running sits in
+// op's padding, keeping a slot at 40 bytes.
 type outcome struct {
-	id    uint64
-	op    Op
-	clock sim.Time // a clock's reading, taken at execution
-	err   string   // the execution error, if any
+	id      uint64
+	op      Op
+	running bool
+	clock   sim.Time // a clock's reading, taken at execution
+	err     string   // the execution error, if any
 }
 
 // request is one dispatched syscall. Records are pooled per service with
@@ -100,11 +106,10 @@ func NewService(vfs *hostos.VFS, prof Profile) *Service {
 	prof = prof.withDefaults()
 	m := vfs.Machine()
 	return &Service{
-		eng:       m.Engine(),
-		vfs:       vfs,
-		pool:      hostos.NewWorkerPool(m, "syscalld", prof.Workers),
-		tr:        obs.ForCat(m.Engine(), obs.CatSyscall),
-		executing: make(map[uint64]bool),
+		eng:  m.Engine(),
+		vfs:  vfs,
+		pool: hostos.NewWorkerPool(m, "syscalld", prof.Workers),
+		tr:   obs.ForCat(m.Engine(), obs.CatSyscall),
 	}
 }
 
@@ -137,29 +142,26 @@ func (s *Service) onRequest(data []byte) {
 	if s.tr.On() {
 		s.tr.Instant(obs.CatSyscall, trDispatch, int64(idSeq(id)))
 	}
-	if o := s.slot(id); o != nil && o.op != 0 && o.id == id {
-		// Duplicate (reissue after a swap): answer from the cache without
-		// re-executing, preserving exactly-once side effects.
-		s.putRequest(r)
-		s.stats.Deduped++
-		if s.tr.On() {
-			s.tr.Instant(obs.CatSyscall, trDedup, int64(idSeq(id)))
+	if idMode(id) != ModeFireForget {
+		o := s.slotFor(id)
+		if o.op != 0 && o.id == id {
+			// Duplicate (reissue after a swap): a call still in the
+			// dispatcher will reply on its own, so this copy is dropped;
+			// a finished one is answered from the cache. Neither
+			// re-executes, preserving exactly-once side effects.
+			s.putRequest(r)
+			s.stats.Deduped++
+			if s.tr.On() {
+				s.tr.Instant(obs.CatSyscall, trDedup, int64(idSeq(id)))
+			}
+			if !o.running {
+				s.stats.RepliesSent++
+				_ = s.end.Write(s.encode(o))
+			}
+			return
 		}
-		s.stats.RepliesSent++
-		_ = s.end.Write(s.encode(o))
-		return
+		*o = outcome{id: id, op: op, running: true}
 	}
-	if s.executing[id] {
-		// Duplicate of a call still in the dispatcher: the original's
-		// reply is on its way, so this copy is dropped outright.
-		s.putRequest(r)
-		s.stats.Deduped++
-		if s.tr.On() {
-			s.tr.Instant(obs.CatSyscall, trDedup, int64(idSeq(id)))
-		}
-		return
-	}
-	s.executing[id] = true
 	r.out.op = op
 	r.argsOK = op == OpClock // the clock ignores any arguments
 	if op == OpLog && argc == 1 {
@@ -201,34 +203,31 @@ func (s *Service) cycles(op Op) uint64 {
 	return clockCycles
 }
 
-// finish caches r's outcome for at-most-once dedup and sends the
-// completion. A fire-and-forget call is neither: it is sent once and
-// never reissued (Restore rejects it), so no duplicate can arrive.
+// finish caches r's outcome in the slot its dispatch claimed, for
+// at-most-once dedup, and sends the completion. A fire-and-forget call is
+// neither: it is sent once and never reissued (Restore rejects it), so no
+// duplicate can arrive.
 func (s *Service) finish(r *request) {
 	id := r.out.id
-	delete(s.executing, id)
 	if idMode(id) == ModeFireForget {
 		return
 	}
+	o := s.slotFor(id)
+	*o = r.out
+	s.stats.RepliesSent++
+	_ = s.end.Write(s.encode(o))
+}
+
+// slotFor returns the reply cache slot of id's sequence, allocating its
+// chunk on first use.
+func (s *Service) slotFor(id uint64) *outcome {
 	i := idSeq(id) % replyCacheSize
 	c := s.replies[i/replyChunk]
 	if c == nil {
 		c = new([replyChunk]outcome)
 		s.replies[i/replyChunk] = c
 	}
-	c[i%replyChunk] = r.out
-	s.stats.RepliesSent++
-	_ = s.end.Write(s.encode(&r.out))
-}
-
-// slot returns the reply cache slot of id's sequence, or nil while its
-// chunk is unallocated.
-func (s *Service) slot(id uint64) *outcome {
-	i := idSeq(id) % replyCacheSize
-	if c := s.replies[i/replyChunk]; c != nil {
-		return &c[i%replyChunk]
-	}
-	return nil
+	return &c[i%replyChunk]
 }
 
 // encode writes o's reply into the service's wire buffer: the error

@@ -124,7 +124,7 @@ func idSeq(id uint64) uint64           { return id & idSeqMask }
 type Profile struct {
 	Batch       int      // requests/completions per gather DMA (channel.Config.Batch)
 	Coalesce    sim.Time // interrupt coalesce window (0 = flush at end of instant)
-	Credits     int      // max in-flight syscalls per issuer
+	Credits     int      // max in-flight syscalls per issuer, 1 to 4096 (the reply cache)
 	Workers     int      // host dispatcher pool width
 	RingEntries int      // descriptor ring depth (defaults to 256)
 }
@@ -143,9 +143,7 @@ func (p Profile) withDefaults() Profile {
 	if p.Batch < 1 {
 		p.Batch = 1
 	}
-	if p.Credits < 1 {
-		p.Credits = 1
-	}
+	p.Credits = min(max(p.Credits, 1), replyCacheSize)
 	if p.Workers < 1 {
 		p.Workers = 1
 	}
@@ -154,6 +152,12 @@ func (p Profile) withDefaults() Profile {
 	}
 	return p
 }
+
+// CreditLimit is the in-flight credit limit an issuer with this profile
+// enforces: Credits, raised to at least 1 and capped at the reply cache's
+// 4096 slots, beyond which the host could no longer deduplicate a
+// reissued call.
+func (p Profile) CreditLimit() int { return p.withDefaults().Credits }
 
 // ChannelConfig derives the syscall channel's configuration, batched and
 // coalesced per the profile (channels are reliable, so syscalls are never

@@ -2,6 +2,7 @@ package syscall
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -367,5 +368,112 @@ func TestBatchingAmortizesHostCost(t *testing.T) {
 	}
 	if batchBusy*2 > blockBusy {
 		t.Fatalf("host busy: batched %v vs blocking %v — no cycle win", batchBusy, blockBusy)
+	}
+}
+
+// dedupRig is a plane whose device endpoint records the replies the host
+// sends instead of handing them to the issuer, plus the wire bytes of one
+// async log request the test writes by hand.
+func dedupRig(t *testing.T) (r *rig, req []byte, replies *[]*call.Reply) {
+	r = newRig(t, batchedProfile(), nil)
+	replies = new([]*call.Reply)
+	r.dend.InstallCallHandler(func(b []byte) {
+		rep, err := call.UnmarshalReply(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		*replies = append(*replies, rep)
+	})
+	req, err := call.Marshal(&call.Call{Iface: IfaceGUID, Method: OpLog.String(), Args: []any{"once"}, ReturnDesc: packID(1, ModeAsync)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, req, replies
+}
+
+// A duplicate that arrives while its call is still in the dispatcher is
+// dropped: the original's reply answers both, and nothing runs twice.
+func TestServiceDropsDuplicateOfRunningCall(t *testing.T) {
+	r, req, replies := dedupRig(t)
+	for j := 0; j < 2; j++ {
+		if err := r.dend.Write(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.eng.RunAll()
+	hs := r.svc.Stats()
+	if hs.Dispatched != 2 || hs.Executed != 1 || hs.Deduped != 1 || hs.RepliesSent != 1 {
+		t.Fatalf("service stats = %+v, want 2 dispatched, 1 executed, 1 deduped, 1 reply", hs)
+	}
+	if len(*replies) != 1 || r.vfs.LogLines() != 1 {
+		t.Fatalf("%d replies, %d log lines; want 1 each", len(*replies), r.vfs.LogLines())
+	}
+}
+
+// A duplicate of a finished call is answered from the reply cache
+// without running the call again.
+func TestServiceAnswersDuplicateOfFinishedCall(t *testing.T) {
+	r, req, replies := dedupRig(t)
+	if err := r.dend.Write(req); err != nil {
+		t.Fatal(err)
+	}
+	r.eng.RunAll()
+	before := r.svc.Stats()
+	if err := r.dend.Write(req); err != nil {
+		t.Fatal(err)
+	}
+	r.eng.RunAll()
+	hs := r.svc.Stats()
+	if hs.Executed != before.Executed || hs.Deduped != before.Deduped+1 || hs.RepliesSent != before.RepliesSent+1 {
+		t.Fatalf("service stats %+v → %+v, want one more dedup and reply, no execution", before, hs)
+	}
+	if len(*replies) != 2 || !reflect.DeepEqual((*replies)[0], (*replies)[1]) || r.vfs.LogLines() != 1 {
+		t.Fatalf("replies %+v, %d log lines; want two equal replies, 1 line", *replies, r.vfs.LogLines())
+	}
+}
+
+// Fire-and-forget calls are never reissued, so they take no reply cache
+// slot, neither while they run nor after.
+func TestFireForgetTakesNoCacheSlot(t *testing.T) {
+	r := newRig(t, batchedProfile(), nil)
+	for j := 0; j < 3; j++ {
+		if err := r.iss.Log("line", ModeFireForget); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.eng.RunAll()
+	if hs := r.svc.Stats(); hs.Executed != 3 {
+		t.Fatalf("service stats = %+v, want 3 executed", hs)
+	}
+	for _, c := range r.svc.replies {
+		if c == nil {
+			continue
+		}
+		for k, o := range c {
+			if o != (outcome{}) {
+				t.Fatalf("reply cache slot %d holds %+v", k, o)
+			}
+		}
+	}
+}
+
+// The reply cache deduplicates only the last replyCacheSize sequences, so
+// an issuer never holds more calls in flight than that, whatever its
+// profile asks for: one more would let a reissued call run twice.
+func TestCreditsCappedByReplyCache(t *testing.T) {
+	prof := batchedProfile()
+	prof.Credits = 2 * replyCacheSize
+	r := newRig(t, prof, nil)
+	for j := 0; j < replyCacheSize; j++ {
+		if err := r.iss.Issue(OpClock, ModeAsync, nil, nil); err != nil {
+			t.Fatalf("issue %d: %v", j, err)
+		}
+	}
+	if err := r.iss.Issue(OpClock, ModeAsync, nil, nil); !errors.Is(err, ErrNoCredits) {
+		t.Fatalf("issue past the reply cache = %v, want ErrNoCredits", err)
+	}
+	r.eng.RunAll()
+	if st := r.iss.Stats(); st.Completed != replyCacheSize || r.iss.InFlight() != 0 {
+		t.Fatalf("issuer stats = %+v, %d in flight", st, r.iss.InFlight())
 	}
 }

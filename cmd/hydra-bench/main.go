@@ -14,9 +14,9 @@
 // table2-jitter-sweep).
 //
 // Every scenario runs its cells once. The windowed cells (x10, x11, x12)
-// run their window bodies on one worker; the x8 and x9 grids and the
-// jitter sweep fan independent cells out over the testbed.Sweep pool.
-// That 1 worker and N give bit-identical results is a property the
+// run their windows serially; the x8 and x9 grids and the jitter sweep
+// fan independent cells out over the testbed.Sweep pool. That 1 pool
+// worker and N give bit-identical results is a property the
 // internal/experiments tests check, not each run. The one exception is
 // the jitter sweep, which replays Table 2 across 8 seeds (4 with -quick)
 // serially and again on the pool (experiments.RunTwin) to record the
@@ -339,7 +339,7 @@ var scenarios = []*scenario{
 		return m, res.Render(), nil
 	}, trace: func(seed int64) (*obs.Tracer, []ledger, string, error) {
 		// The top of the rate ladder, every dispatch variant.
-		rows, tr, err := experiments.RunX11Cell(seed, experiments.X11TopRate(), 1, &obs.Config{})
+		rows, tr, err := experiments.RunX11Cell(seed, experiments.X11TopRate(), &obs.Config{})
 		if err != nil {
 			return nil, nil, "", err
 		}
@@ -381,8 +381,8 @@ var scenarios = []*scenario{
 		m["soak_log_lines"] = float64(res.Soak.LogLines)
 		return m, res.Render(), nil
 	}, trace: func(seed int64) (*obs.Tracer, []ledger, string, error) {
-		// One 4-host cell, serial windows.
-		row, tr, err := experiments.RunX12Cell(seed, 4, 1, &obs.Config{})
+		// One 4-host cell.
+		row, tr, err := experiments.RunX12Cell(seed, 4, &obs.Config{})
 		if err != nil {
 			return nil, nil, "", err
 		}

@@ -11,8 +11,7 @@
 // only the affected host redeploys while the rest of the fleet keeps
 // serving. Decisions are made at explicit controller epochs on the virtual
 // clock (the caller invokes Evaluate; the package schedules nothing), which
-// keeps autoscaled runs bit-identical between serial and windowed-parallel
-// execution.
+// keeps autoscaled runs bit-identical for a seed.
 //
 // Policy: utilization = arrival rate / (Capacity × shards). Above High the
 // set grows by one shard, below Low it shrinks by one, and every action is

@@ -228,8 +228,7 @@ func (b *Bridge) relay(dir int, payload []byte) {
 // keeps across trips. Its tx, arrive and rx steps are bound once when
 // minted. Records are pooled per backend and taken on the source host;
 // each returns to the pool of the backend whose engine runs its last step
-// (arrive on a drop, rx on a delivery), so under parallel windows a pool
-// is only touched from its own host's engine.
+// (arrive on a drop, rx on a delivery).
 type relayRec struct {
 	b        *Bridge
 	dir      int

@@ -106,8 +106,7 @@ type backend struct {
 	// keyed by the far host and shared by every bridge riding that
 	// directed pair: N bridges on one link contend for its bandwidth
 	// instead of each getting the full rate. Only relays running on this
-	// host's engine touch it, so windowed parallel execution needs no
-	// lock.
+	// host's engine touch it.
 	linkFree map[*backend]sim.Time
 	// relayFree pools the relay records whose last step ran on this
 	// host's engine (bridge.go).
@@ -207,14 +206,13 @@ func (c *Coordinator) EngineGroup() (*sim.Group, error) {
 
 // across schedules fn at absolute time at on the destination engine.
 // Same-engine hops (shared-clock systems, co-located edges) go straight
-// to the queue; cross-engine hops route through the group so windowed
-// parallel runs buffer them for deterministic barrier injection. A
-// cross-engine hop before EngineGroup was built falls back to direct
-// scheduling, which is only sound under single-threaded global-order
-// execution (Group.Settle).
+// to the queue; cross-engine hops route through the group so a windowed
+// run buffers them for injection at the next barrier. A cross-engine hop
+// before EngineGroup was built falls back to direct scheduling, which is
+// only sound under global-order execution (Group.Settle).
 func (c *Coordinator) across(src, dst *sim.Engine, at sim.Time, fn func()) {
 	if src != dst && c.group != nil {
-		c.group.Send(src, dst, at, fn)
+		c.group.Send(dst, at, fn)
 		return
 	}
 	dst.At(at, fn)

@@ -339,7 +339,7 @@ func TestBridgesShareDirectedLinkWatermark(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				g.Run(at+10*sim.Millisecond, 2)
+				g.Run(at+10*sim.Millisecond, 1)
 			} else {
 				r.sys.Eng.RunAll()
 			}

@@ -52,9 +52,9 @@ func (m *Migration) Time() sim.Time { return m.Finished - m.Started }
 // staged, and rebuild every bridge that touched the dead host. k receives
 // the Migration record when the sequence settles on the virtual clock.
 //
-// FailHost drives the migration on the shared system engine and is a
-// serial-mode operation: with Spec.EnginePerHost it must run between
-// windows (via sim.Group.Settle), never while host goroutines are inside
+// FailHost drives the migration on the shared system engine and schedules
+// across hosts without lookahead: with Spec.EnginePerHost it must run
+// between windows (via sim.Group.Settle), never from an event inside
 // Group.Run.
 func (c *Coordinator) FailHost(name string, k func(*Migration, error)) {
 	eng := c.sys.Eng

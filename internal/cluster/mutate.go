@@ -12,9 +12,9 @@ package cluster
 // single-host ones; bridge proxy channels attached to the swapped shard
 // are session channels and ride through the swap like any other.
 //
-// Mutate runs on the shared system engine and is a serial-mode operation:
-// with Spec.EnginePerHost it must run between windows (via
-// sim.Group.Settle), never while host goroutines are inside Group.Run.
+// Mutate runs on the shared system engine and schedules across hosts
+// without lookahead: with Spec.EnginePerHost it must run between windows
+// (via sim.Group.Settle), never from an event inside Group.Run.
 
 import (
 	"fmt"

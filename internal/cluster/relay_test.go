@@ -52,9 +52,9 @@ func (rp *relayPair) now() sim.Time {
 
 // run advances the cell until every event up to until has fired: serial
 // conservative windows on per-host engines, the shared engine otherwise.
-func (rp *relayPair) run(until sim.Time, workers int) {
+func (rp *relayPair) run(until sim.Time) {
 	if rp.group != nil {
-		rp.group.Run(until, workers)
+		rp.group.Run(until, 1)
 		return
 	}
 	rp.r.sys.Eng.Run(until)
@@ -65,7 +65,7 @@ func (rp *relayPair) run(until sim.Time, workers int) {
 func (rp *relayPair) round(payload []byte) {
 	rp.a0.ep.Write(payload)
 	rp.b0.ep.Write(payload)
-	rp.run(rp.now()+sim.Millisecond, 1)
+	rp.run(rp.now() + sim.Millisecond)
 }
 
 // A warm cross-host relay allocates nothing: each message rides a pooled
@@ -98,7 +98,7 @@ func TestBridgeRelaySteadyStateAllocs(t *testing.T) {
 // A relay that is on the wire when failover tears its bridge down is
 // dropped on arrival: Dropped counts it and its record returns to the
 // pool of the host whose engine ran that last step. The cell runs in
-// parallel conservative windows on both sides of the failover.
+// conservative windows on both sides of the failover.
 func TestBridgeRelayDroppedAfterFailoverReturnsRecord(t *testing.T) {
 	link := Link{Latency: 5 * sim.Millisecond, BytesPerSec: 125e6}
 	// Capacity 1 leaves b0 no room on h0, so its migration fails at once
@@ -107,7 +107,7 @@ func TestBridgeRelayDroppedAfterFailoverReturnsRecord(t *testing.T) {
 	h1 := rp.r.coord.byHost["h1"]
 	start := rp.now()
 	rp.a0.ep.Write(make([]byte, 256))
-	rp.run(start+link.Latency/2, 2)
+	rp.run(start + link.Latency/2)
 	if aToB, _ := rp.br.Relayed(); aToB != 0 || rp.br.Dropped() != 0 || rp.b0.recv != 0 {
 		t.Fatal("fixture: the payload must still be on the wire at failover")
 	}
@@ -122,7 +122,7 @@ func TestBridgeRelayDroppedAfterFailoverReturnsRecord(t *testing.T) {
 	if rp.br.legs[1] != nil {
 		t.Fatal("failover kept the bridge's far leg")
 	}
-	rp.run(start+4*link.Latency, 2)
+	rp.run(start + 4*link.Latency)
 
 	if got := rp.br.Dropped(); got != 1 {
 		t.Fatalf("Dropped = %d, want 1", got)

@@ -24,8 +24,7 @@ import (
 // the ramp's peak one shard is hot-swapped under focused traffic
 // (SwapShard → core.App.Replace), measuring the swap window and the held
 // /replayed client messages. The whole cell runs on per-host engines under
-// conservative windows; one worker and many workers must agree bit for
-// bit.
+// conservative windows.
 
 // X10EpochDur is one controller epoch of simulated time.
 const X10EpochDur = 100 * sim.Millisecond
@@ -299,13 +298,12 @@ type X10Row struct {
 	SwapReplayed int
 }
 
-// RunX10Cell runs the ramp against one policy on per-host engines.
-// workers sets the window-body worker count; every value yields a
-// bit-identical row. auto selects the elastic controller; the static cell
-// keeps X10MaxShards committed throughout. A non-nil trace attaches the
-// recorder; the returned tracer's merged stream (CatMutate swap/scale
-// spans included) is bit-identical for any workers value.
-func RunX10Cell(seed int64, workers int, auto bool, trace *obs.Config) (*X10Row, *obs.Tracer, error) {
+// RunX10Cell runs the ramp against one policy on per-host engines. auto
+// selects the elastic controller; the static cell keeps X10MaxShards
+// committed throughout. A non-nil trace attaches the recorder; the
+// returned tracer's merged stream includes the CatMutate swap/scale
+// spans.
+func RunX10Cell(seed int64, auto bool, trace *obs.Config) (*X10Row, *obs.Tracer, error) {
 	initial := X10MaxShards
 	if auto {
 		initial = X10MinShards
@@ -361,7 +359,7 @@ func RunX10Cell(seed int64, workers int, auto bool, trace *obs.Config) (*X10Row,
 			}
 		} else {
 			cell.armPacer(start, end, x10RateFor(epoch))
-			cell.group.Run(end, workers)
+			cell.group.Run(end, 1)
 		}
 		if auto {
 			if err := cell.flushRemovals(); err != nil {
@@ -384,7 +382,7 @@ func RunX10Cell(seed int64, workers int, auto bool, trace *obs.Config) (*X10Row,
 		}
 	}
 	// Final drain: deliver everything in flight before the ledger closes.
-	cell.group.Run(base+sim.Time(total)*X10EpochDur+50*sim.Millisecond, workers)
+	cell.group.Run(base+sim.Time(total)*X10EpochDur+50*sim.Millisecond, 1)
 	cell.group.Settle()
 
 	row.Offered = cell.sent
@@ -410,13 +408,13 @@ type X10Results struct {
 }
 
 // RunAutoscale runs the X10 comparison: the static cell, then the
-// autoscaled cell, each with window bodies on one worker.
+// autoscaled cell.
 func RunAutoscale(seed int64) (*X10Results, error) {
-	static, _, err := RunX10Cell(seed, 1, false, nil)
+	static, _, err := RunX10Cell(seed, false, nil)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: x10 static: %w", err)
 	}
-	auto, _, err := RunX10Cell(seed, 1, true, nil)
+	auto, _, err := RunX10Cell(seed, true, nil)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: x10 auto: %w", err)
 	}

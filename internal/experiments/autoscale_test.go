@@ -5,7 +5,7 @@ import "testing"
 // TestX10StaticIsFlat pins the baseline cell's shape: the static policy
 // never mutates, so its trajectory is a flat line at the peak count.
 func TestX10StaticIsFlat(t *testing.T) {
-	row, _, err := RunX10Cell(DefaultSeed, 1, false, nil)
+	row, _, err := RunX10Cell(DefaultSeed, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

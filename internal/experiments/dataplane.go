@@ -34,11 +34,10 @@ import (
 // weak-scales hosts at a fixed 0.8 per-NIC utilization, so aggregate
 // sustained msgs/s should scale near-linearly 1→8 hosts while the
 // windowed hit rate stays ≥95% under churn. Every cell runs on per-host
-// engines under conservative windows: one worker and many must agree bit
-// for bit, rows and traces alike. A separate soak cell runs flow churn at
-// peak rate across an App.Replace hot-swap of one busy shard, extending
-// the exactly-once guarantee to flow-table state (checkpoint digest
-// continuity, zero lost or duplicated packets).
+// engines under conservative windows. A separate soak cell runs flow
+// churn at peak rate across an App.Replace hot-swap of one busy shard,
+// extending the exactly-once guarantee to flow-table state (checkpoint
+// digest continuity, zero lost or duplicated packets).
 
 // X12Shards is the flow-table shard count packets hash over.
 const X12Shards = 16
@@ -372,9 +371,8 @@ func (s *x12Shard) applyCkpt(b []byte) error {
 // pacer run on that host's engine, and it sprays packets over one bridge
 // endpoint per shard (collected in plan edge order — the X10 invariant).
 // Per-host frontends keep every mutable byte of the generation path
-// engine-local, so parallel windows stay race-free and bit-identical, and
-// no single host's send path becomes the bottleneck the scaling curve
-// measures.
+// engine-local, so no single host's send path becomes the bottleneck the
+// scaling curve measures.
 type x12Front struct {
 	shardFront
 	cell *x12Cell
@@ -507,8 +505,7 @@ func x12Traffic(perHostRate, shards int) cluster.Traffic {
 }
 
 // armPacers schedules one generator tick per x12Tick on every host's own
-// engine. Per-host pacing keeps generator state engine-local: parallel
-// windows touch disjoint generators.
+// engine, so each generator's state stays local to its host's engine.
 func (cell *x12Cell) armPacers(start, end sim.Time) {
 	for h, front := range cell.fronts {
 		ticks := 0
@@ -614,12 +611,11 @@ type X12Row struct {
 	GenDigest uint64
 }
 
-// RunX12Cell runs one weak-scaling cell on per-host engines under a
-// conservative window with the given worker count. The row is
-// bit-identical for any workers value. A non-nil trace attaches the
-// recorder; the returned tracer's merged stream (CatFlow hit/miss/insert/
-// evict/expire/drop instants included) is bit-identical too.
-func RunX12Cell(seed int64, hosts, workers int, trace *obs.Config) (*X12Row, *obs.Tracer, error) {
+// RunX12Cell runs one weak-scaling cell on per-host engines under
+// conservative windows. A non-nil trace attaches the recorder; the
+// returned tracer's merged stream includes the CatFlow hit/miss/insert/
+// evict/expire/drop instants.
+func RunX12Cell(seed int64, hosts int, trace *obs.Config) (*X12Row, *obs.Tracer, error) {
 	cell, err := openX12Cell(seed, hosts, X12Shards, x12TableConfig(), false, trace,
 		seed+int64(hosts)*101, x12FlowsPerHost)
 	if err != nil {
@@ -628,7 +624,7 @@ func RunX12Cell(seed int64, hosts, workers int, trace *obs.Config) (*X12Row, *ob
 	cell.measureStart = cell.base + X12Warmup
 	cell.measureEnd = cell.measureStart + X12Window
 	cell.armPacers(cell.base, cell.measureEnd)
-	cell.group.Run(cell.measureEnd+2*sim.Millisecond, workers)
+	cell.group.Run(cell.measureEnd+2*sim.Millisecond, 1)
 	cell.group.Settle() // full drain: queues, batched bridges, log planes
 
 	ledger, err := cell.ledger()
@@ -690,7 +686,7 @@ type X12Soak struct {
 // deliberately tight conntrack quota (32 entries per shard against ~128
 // active flows) so eviction churn is constant — then hot-swaps shard 00
 // mid-run under full load.
-func RunX12Soak(seed int64, workers int) (*X12Soak, error) {
+func RunX12Soak(seed int64) (*X12Soak, error) {
 	const (
 		hosts    = 2
 		shards   = 4
@@ -710,7 +706,7 @@ func RunX12Soak(seed int64, workers int) (*X12Soak, error) {
 	// replayed to the replacement, and the whole half runs inside the
 	// mutation's Settle.
 	cell.armPacers(base, base+half)
-	cell.group.Run(base+half, workers)
+	cell.group.Run(base+half, 1)
 
 	victim := cell.bind(0)
 	preSwap := cell.workers[victim].processed
@@ -719,7 +715,7 @@ func RunX12Soak(seed int64, workers int) (*X12Soak, error) {
 	if err != nil {
 		return nil, err
 	}
-	cell.group.Run(base+duration+2*sim.Millisecond, workers)
+	cell.group.Run(base+duration+2*sim.Millisecond, 1)
 	cell.group.Settle()
 
 	ledger, err := cell.ledger()
@@ -753,18 +749,17 @@ type X12Results struct {
 	Scaling4 float64
 }
 
-// RunDataPlane runs the X12 grid, then the churn soak, each with window
-// bodies on one worker.
+// RunDataPlane runs the X12 grid, then the churn soak.
 func RunDataPlane(seed int64) (*X12Results, error) {
 	out := &X12Results{Warmup: X12Warmup, Window: X12Window}
 	for _, hosts := range X12HostGrid {
-		row, _, err := RunX12Cell(seed, hosts, 1, nil)
+		row, _, err := RunX12Cell(seed, hosts, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: x12 %dh: %w", hosts, err)
 		}
 		out.Rows = append(out.Rows, *row)
 	}
-	soak, err := RunX12Soak(seed, 1)
+	soak, err := RunX12Soak(seed)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: x12 soak: %w", err)
 	}

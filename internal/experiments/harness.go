@@ -156,7 +156,7 @@ type Twin[T any] struct {
 // RunTwin runs cell on one worker and again on workers (values below 2
 // mean max(2, GOMAXPROCS)), failing unless the two results are deeply
 // equal. It times a pool against the serial loop (hydra-bench's jitter
-// sweep); the tests check 1 ≡ N workers for every other cell.
+// sweep); the tests check 1 ≡ N pool workers for the x8 and x9 grids.
 func RunTwin[T any](what string, workers int, cell func(workers int) (T, error)) (*Twin[T], error) {
 	if workers < 2 {
 		workers = max(2, runtime.GOMAXPROCS(0))

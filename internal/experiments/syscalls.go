@@ -25,9 +25,8 @@ import (
 // flowing through gather-DMA'd request/completion batches. The measured
 // surfaces are host CPU cycles per executed syscall (the overhead batching
 // exists to amortize) and the issue→completion latency distribution (the
-// price coalescing pays). The cell runs on per-host engines under a
-// conservative window: one worker and many workers must agree bit for bit,
-// traces included. A separate swap cell drives syscalls through the full
+// price coalescing pays). The cell runs on per-host engines under
+// conservative windows. A separate swap cell drives syscalls through the full
 // App.OpenSyscalls plane and hot-swaps the issuing Offcode mid-run,
 // requiring every in-flight call to complete exactly once on the
 // replacement (host side effects are counted, not just completions).
@@ -86,12 +85,10 @@ type X11Row struct {
 }
 
 // RunX11Cell runs every dispatch variant at one offered rate, each on its
-// own host engine, under a conservative window with the given worker
-// count. Rows come back in variant order and are bit-identical for any
-// workers value. A non-nil trace attaches the recorder; the returned
-// tracer's merged stream (CatSyscall issue/dispatch/complete records
-// included) is bit-identical for any workers value too.
-func RunX11Cell(seed int64, rateHz, workers int, trace *obs.Config) ([]X11Row, *obs.Tracer, error) {
+// own host engine, under conservative windows. Rows come back in variant
+// order. A non-nil trace attaches the recorder; the returned tracer's
+// merged stream includes the CatSyscall issue/dispatch/complete records.
+func RunX11Cell(seed int64, rateHz int, trace *obs.Config) ([]X11Row, *obs.Tracer, error) {
 	variants := x11Variants()
 	spec := testbed.Spec{Name: "x11-syscalls", EnginePerHost: true, Trace: trace}
 	for _, v := range variants {
@@ -127,7 +124,7 @@ func RunX11Cell(seed int64, rateHz, workers int, trace *obs.Config) ([]X11Row, *
 		})
 	}
 	// Run past the window so the last batches coalesce out and complete.
-	group.Run(X11Window+2*sim.Millisecond, workers)
+	group.Run(X11Window+2*sim.Millisecond, 1)
 	group.Settle()
 
 	rows := make([]X11Row, 0, len(variants))
@@ -337,12 +334,11 @@ type X11Results struct {
 	TopRateSpeedup float64
 }
 
-// RunSyscalls runs the X11 grid, every rate with window bodies on one
-// worker, then the hot-swap leg.
+// RunSyscalls runs the X11 grid, every rate, then the hot-swap leg.
 func RunSyscalls(seed int64) (*X11Results, error) {
 	out := &X11Results{Window: X11Window}
 	for _, rate := range X11Rates {
-		rows, _, err := RunX11Cell(seed, rate, 1, nil)
+		rows, _, err := RunX11Cell(seed, rate, nil)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: x11 @%d: %w", rate, err)
 		}

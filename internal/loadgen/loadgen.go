@@ -9,8 +9,8 @@
 //
 // The generator is deterministic and engine-independent: one seeded
 // rand.Rand drives everything, and an FNV-1a digest over the emitted
-// packet stream is the bit-exactness witness the determinism regression
-// compares across serial and parallel simulation runs. Generation is
+// packet stream witnesses that two runs emitted the same stream.
+// Generation is
 // open loop by construction — the generator never observes the system
 // under test.
 package loadgen

@@ -8,11 +8,10 @@
 // A Tracer owns one Shard per engine. A shard is a single-writer ring of
 // fixed-size Record values, preallocated at attach time — appending a
 // record is an index increment and a struct store, no allocation, no
-// lock. Under sim.Group each host engine writes only its own shard from
-// its own goroutine, so parallel windowed runs need no synchronization;
+// lock. Under sim.Group each host engine writes only its own shard;
 // Merged() interleaves the shards afterwards by the deterministic
-// (At, shard, seq) order, making the merged trace bit-identical between
-// serial and parallel execution of the same seed.
+// (At, shard, seq) order, so the merged trace of a seed does not depend
+// on the order in which the engines ran.
 //
 // # Overhead contract
 //
@@ -183,8 +182,7 @@ func (t *Tracer) Len() int {
 }
 
 // Merged returns every retained record across shards in the global
-// deterministic order (At, shard, seq). Serial and parallel runs of the
-// same seed produce identical merged traces.
+// deterministic order (At, shard, seq).
 func (t *Tracer) Merged() []Record {
 	out := make([]Record, 0, t.Len())
 	for _, s := range t.shards {

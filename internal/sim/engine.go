@@ -98,7 +98,7 @@ type EngineProbe interface {
 // Engine owns the virtual clock and the pending event set.
 // It is not safe for concurrent use; models run single-threaded by design so
 // that execution order is deterministic. (A Group coordinates several
-// engines, each still single-threaded within its goroutine.)
+// engines and runs them one after another.)
 type Engine struct {
 	now    Time
 	seq    uint64

@@ -5,91 +5,51 @@ import (
 	"testing"
 )
 
-// buildGroupWorkload wires nEng engines into a ring: each engine runs a
-// local event chain and periodically sends a message one hop around the
-// ring with latency >= the group lookahead. Returns the group and a
-// per-engine log that records (time, tag) for every action.
-func buildGroupWorkload(t *testing.T, nEng int, lookahead Time) (*Group, []*[]string) {
-	t.Helper()
-	engines := make([]*Engine, nEng)
-	for i := range engines {
-		engines[i] = NewEngine(int64(100 + i))
-	}
-	g, err := NewGroup(engines, lookahead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	logs := make([]*[]string, nEng)
-	for i := range logs {
-		logs[i] = &[]string{}
-	}
-	for i, e := range engines {
-		i, e := i, e
-		rng := e.NewRand(1)
-		var local func()
-		hops := 0
-		local = func() {
-			*logs[i] = append(*logs[i], fmt.Sprintf("%d local@%v", i, e.Now()))
-			hops++
-			if hops%3 == 0 {
-				// Cross-engine hop: latency strictly >= lookahead.
-				dst := engines[(i+1)%nEng]
-				lat := lookahead + Time(rng.Intn(int(lookahead)))
-				at := e.Now() + lat
-				g.Send(e, dst, at, func() {
-					*logs[(i+1)%nEng] = append(*logs[(i+1)%nEng],
-						fmt.Sprintf("%d recv-from-%d@%v", (i+1)%nEng, i, dst.Now()))
-				})
+// TestGroupInjectionOrder pins the order in which a barrier injects
+// cross-engine messages. Engines 0 and 2 each send two messages to engine
+// 1 for the window's horizon T, and engine 1 schedules a local event for
+// T inside that window. The messages must fire after the sending window
+// (after engine 2's sends), behind the local event, in (source, send
+// order). With until == T the last window includes its horizon, so the
+// local event fires in the sending window and the messages in the next.
+func TestGroupInjectionOrder(t *testing.T) {
+	const look = 10 * Microsecond
+	const T = 1 + look // the first window's horizon
+	for _, c := range []struct {
+		until Time
+		want  []string
+	}{
+		{3 * T, []string{"0 send", "1 arm", "2 send", "1 local", "0a", "0b", "2a", "2b"}},
+		{T, []string{"0 send", "1 arm", "1 local", "2 send", "0a", "0b", "2a", "2b"}},
+	} {
+		engines := []*Engine{NewEngine(1), NewEngine(2), NewEngine(3)}
+		g, err := NewGroup(engines, look)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var log []string
+		note := func(s string) func() { return func() { log = append(log, s) } }
+		e1 := engines[1]
+		for _, i := range []int{0, 2} {
+			tag := fmt.Sprint(i)
+			engines[i].At(1, func() {
+				note(tag + " send")()
+				g.Send(e1, T, note(tag+"a"))
+				g.Send(e1, T, note(tag+"b"))
+			})
+		}
+		e1.At(2, func() {
+			note("1 arm")()
+			e1.At(T, note("1 local"))
+		})
+		g.Run(c.until, 1)
+		if fmt.Sprint(log) != fmt.Sprint(c.want) {
+			t.Errorf("until %v: fired %v, want %v", c.until, log, c.want)
+		}
+		for i, e := range engines {
+			if e.Now() != c.until {
+				t.Errorf("until %v: engine %d clock %v", c.until, i, e.Now())
 			}
-			if hops < 200 {
-				e.Schedule(Time(rng.Intn(2000)+1), local)
-			}
-		}
-		e.Schedule(Time(rng.Intn(100)+1), local)
-	}
-	return g, logs
-}
-
-// TestGroupSerialParallelIdentical is the conservative-window
-// determinism assertion: the same workload run with one worker and with
-// many workers must produce bit-identical per-engine logs and clocks.
-// Under -race this also exercises the window goroutines for data races.
-func TestGroupSerialParallelIdentical(t *testing.T) {
-	const until = Time(500_000)
-	run := func(workers int) ([][]string, []Time) {
-		g, logs := buildGroupWorkload(t, 4, 20*Microsecond)
-		g.Run(until, workers)
-		out := make([][]string, len(logs))
-		clocks := make([]Time, len(g.Engines()))
-		for i, l := range logs {
-			out[i] = *l
-		}
-		for i, e := range g.Engines() {
-			clocks[i] = e.Now()
-		}
-		return out, clocks
-	}
-	serialLogs, serialClocks := run(1)
-	parallelLogs, parallelClocks := run(8)
-	for i := range serialLogs {
-		if len(serialLogs[i]) == 0 {
-			t.Fatalf("engine %d did no work", i)
-		}
-		if len(serialLogs[i]) != len(parallelLogs[i]) {
-			t.Fatalf("engine %d: serial %d entries, parallel %d",
-				i, len(serialLogs[i]), len(parallelLogs[i]))
-		}
-		for j := range serialLogs[i] {
-			if serialLogs[i][j] != parallelLogs[i][j] {
-				t.Fatalf("engine %d entry %d: serial %q, parallel %q",
-					i, j, serialLogs[i][j], parallelLogs[i][j])
-			}
-		}
-	}
-	for i := range serialClocks {
-		if serialClocks[i] != until || parallelClocks[i] != until {
-			t.Fatalf("engine %d clocks: serial %v, parallel %v, want %v",
-				i, serialClocks[i], parallelClocks[i], until)
 		}
 	}
 }
@@ -169,9 +129,9 @@ func TestGroupRunFiresAtHorizon(t *testing.T) {
 	}
 }
 
-// A warm windowed serial run allocates nothing per window: the window
-// bounds stay on the stack and the barrier sorts injections without a
-// reflection swapper, with cross-engine sends in every window.
+// A warm windowed run allocates nothing per window, with cross-engine
+// sends in every window: the barrier injects them from a buffer that each
+// window reuses.
 func TestGroupWindowAllocs(t *testing.T) {
 	const look = 10 * Microsecond
 	a, b := NewEngine(1), NewEngine(2)
@@ -183,8 +143,8 @@ func TestGroupWindowAllocs(t *testing.T) {
 	// both start at once, so every window carries two sends.
 	hops := 0
 	var onA, onB func()
-	onA = func() { hops++; g.Send(a, b, a.Now()+look, onB) }
-	onB = func() { hops++; g.Send(b, a, b.Now()+look, onA) }
+	onA = func() { hops++; g.Send(b, a.Now()+look, onB) }
+	onB = func() { hops++; g.Send(a, b.Now()+look, onA) }
 	a.At(1, onA)
 	b.At(1, onB)
 	var until Time

@@ -104,7 +104,7 @@ type Issuer struct {
 	dev  *device.Device
 	eng  *sim.Engine
 	end  *channel.Endpoint
-	res  *resource.Node // credit quota; nil falls back to prof.Credits
+	res  *resource.Node // credit quota charged beside prof.Credits; may be nil
 	prof Profile
 	tr   *obs.Shard
 
@@ -123,9 +123,9 @@ type Issuer struct {
 	comp Completion
 }
 
-// NewIssuer builds an issuer for the device. res, when non-nil, is
-// charged QuotaSyscalls(1) per in-flight call — the per-Offcode credit
-// quota; a nil res falls back to the profile's Credits counter.
+// NewIssuer builds an issuer for the device. The profile's Credits bound
+// its in-flight calls; res, when non-nil, is also charged
+// QuotaSyscalls(1) per in-flight call — the per-Offcode credit quota.
 func NewIssuer(dev *device.Device, prof Profile, res *resource.Node) *Issuer {
 	eng := dev.Engine()
 	return &Issuer{
@@ -185,13 +185,19 @@ func (i *Issuer) recordLatency(l sim.Time) {
 	i.lats[n-1] = append(i.lats[n-1], l)
 }
 
-// chargeCredits takes n in-flight credits, all or none.
+// chargeCredits takes n in-flight credits, all or none. An attached node
+// is charged first and its refusal returned as is; the profile's Credits,
+// which the reply cache caps, bound the issuer with or without one.
 func (i *Issuer) chargeCredits(n int) error {
 	if i.res != nil {
 		if err := i.res.Charge(QuotaSyscalls, int64(n)); err != nil {
 			return err
 		}
-	} else if i.inFlight+n > i.prof.Credits {
+	}
+	if i.inFlight+n > i.prof.Credits {
+		if i.res != nil {
+			i.res.Release(QuotaSyscalls, int64(n))
+		}
 		return ErrNoCredits
 	}
 	i.inFlight += n

@@ -459,21 +459,38 @@ func TestFireForgetTakesNoCacheSlot(t *testing.T) {
 
 // The reply cache deduplicates only the last replyCacheSize sequences, so
 // an issuer never holds more calls in flight than that, whatever its
-// profile asks for: one more would let a reissued call run twice.
+// profile or its credit quota node allows: one more would let a reissued
+// call run twice.
 func TestCreditsCappedByReplyCache(t *testing.T) {
-	prof := batchedProfile()
-	prof.Credits = 2 * replyCacheSize
-	r := newRig(t, prof, nil)
-	for j := 0; j < replyCacheSize; j++ {
-		if err := r.iss.Issue(OpClock, ModeAsync, nil, nil); err != nil {
-			t.Fatalf("issue %d: %v", j, err)
-		}
-	}
-	if err := r.iss.Issue(OpClock, ModeAsync, nil, nil); !errors.Is(err, ErrNoCredits) {
-		t.Fatalf("issue past the reply cache = %v, want ErrNoCredits", err)
-	}
-	r.eng.RunAll()
-	if st := r.iss.Stats(); st.Completed != replyCacheSize || r.iss.InFlight() != 0 {
-		t.Fatalf("issuer stats = %+v, %d in flight", st, r.iss.InFlight())
+	for _, c := range []struct {
+		name  string
+		quota int64 // a credit quota node's limit; 0 attaches none
+	}{{"profile", 0}, {"node5000", 5000}} {
+		quota := c.quota
+		t.Run(c.name, func(t *testing.T) {
+			prof := batchedProfile()
+			prof.Credits = 2 * replyCacheSize
+			var node *resource.Node
+			if quota > 0 {
+				node = resource.NewRoot("app")
+				node.SetLimit(QuotaSyscalls, quota)
+			}
+			r := newRig(t, prof, node)
+			for j := 0; j < replyCacheSize; j++ {
+				if err := r.iss.Issue(OpClock, ModeAsync, nil, nil); err != nil {
+					t.Fatalf("issue %d: %v", j, err)
+				}
+			}
+			if err := r.iss.Issue(OpClock, ModeAsync, nil, nil); !errors.Is(err, ErrNoCredits) {
+				t.Fatalf("issue past the reply cache = %v, want ErrNoCredits", err)
+			}
+			if node != nil && node.Usage(QuotaSyscalls) != replyCacheSize {
+				t.Fatalf("refused issue left quota usage at %d, want %d", node.Usage(QuotaSyscalls), replyCacheSize)
+			}
+			r.eng.RunAll()
+			if st := r.iss.Stats(); st.Completed != replyCacheSize || r.iss.InFlight() != 0 {
+				t.Fatalf("issuer stats = %+v, %d in flight", st, r.iss.InFlight())
+			}
+		})
 	}
 }

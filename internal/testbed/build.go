@@ -135,7 +135,7 @@ func Build(eng *sim.Engine, spec Spec) (*System, error) {
 	}
 	if spec.EnginePerHost {
 		// These components all schedule on one shared clock; a split-clock
-		// build would silently couple engines and break window parallelism.
+		// build would silently couple engines across a window.
 		if spec.Net != nil || needsNet {
 			return nil, fmt.Errorf("testbed: %s: EnginePerHost excludes Net/Stations/NAS", label(spec))
 		}

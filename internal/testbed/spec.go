@@ -69,9 +69,9 @@ type Spec struct {
 	Faults faults.Schedule
 	// EnginePerHost gives every host its own simulation engine (seeded
 	// deterministically from the build seed) instead of sharing one
-	// clock. A cluster coordinator can then execute hosts in parallel
-	// under a conservative window (sim.Group) — the per-host engines
-	// interact only through bridge links with positive latency. The mode
+	// clock. A cluster coordinator then runs the hosts under conservative
+	// windows (sim.Group) — the per-host engines interact only through
+	// bridge links with positive latency. The mode
 	// excludes the components that inherently share one clock: Net,
 	// Stations, NAS and Faults all require a single engine and are
 	// rejected by Build when this is set.
